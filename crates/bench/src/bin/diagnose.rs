@@ -9,17 +9,13 @@
 //!
 //! ```text
 //! cargo run --release -p httpipe-bench --bin diagnose
-//! cargo run --release -p httpipe-bench --bin diagnose -- --smoke
 //! ```
 //!
-//! `--smoke` is the CI determinism gate: the reduced (LAN-only) grid is
-//! run twice and both passes must produce bit-identical reports and
-//! JSON documents (compared by digest); nothing is written to disk.
+//! The determinism of these reports and documents is gated by the `probe`
+//! entry of `gate` (reduced LAN-only grid, digest pinned).
 
 use httpipe_core::experiments::probe::{self, ProbeCell};
-use httpipe_core::harness::worker_threads;
 use netsim::Diagnosis;
-use std::time::Instant;
 
 fn fmt_opt(t: Option<netsim::SimTime>, start: netsim::SimTime) -> String {
     match t {
@@ -90,52 +86,7 @@ fn print_cell(cell: &ProbeCell) {
     }
 }
 
-// Wall-clock progress reporting for the smoke harness. simlint: allow(wall-clock)
-fn smoke() {
-    let points = probe::reduced_grid();
-    let threads = worker_threads(points.len());
-    println!(
-        "diagnose smoke: {} cells, {} worker threads, 2 passes",
-        points.len(),
-        threads
-    );
-    let start = Instant::now();
-    let first = probe::run_points(&points);
-    let first_digest = probe::report_digest(&first);
-    let second = probe::run_points(&points);
-    let second_digest = probe::report_digest(&second);
-    let secs = start.elapsed().as_secs_f64();
-
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.point, b.point);
-        assert_eq!(
-            a.analysis, b.analysis,
-            "nondeterministic attribution for {:?}",
-            a.point
-        );
-    }
-    assert_eq!(
-        first_digest, second_digest,
-        "probe report digests differ between passes"
-    );
-    for cell in &first {
-        let sum = cell.analysis.report.buckets.sum();
-        assert!(
-            (sum - cell.secs).abs() <= cell.secs * 0.01,
-            "{:?}: buckets {sum} vs elapsed {}",
-            cell.point,
-            cell.secs
-        );
-    }
-    println!("  digest {first_digest:#018x} on both passes ({secs:.2}s total)");
-    println!("diagnose smoke: OK");
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
     let cells = probe::run_points(&probe::canonical_grid());
     println!("{}", probe::report(&cells).render());
     for cell in &cells {

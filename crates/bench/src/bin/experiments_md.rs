@@ -5,6 +5,7 @@
 //! cargo run --release -p httpipe-bench --bin experiments_md > EXPERIMENTS.md
 //! ```
 
+use httpipe_core::digest;
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::{
     ablations, browsers, cc, closemgmt, compression, content, mux, nagle, probe, protocol_matrix,
@@ -523,8 +524,8 @@ fn main() {
     out.push_str(&robustness::jitter_table(&robustness::jitter_study()).render());
     out.push_str("```\n");
     out.push_str(&format!(
-        "\nReport digest (two identical runs required by CI's robustness-smoke\n\
-         gate): `{:#018x}`.\n",
+        "\nReport digest of the full grid above (the reduced grid's is pinned by\n\
+         `gate`'s `robustness` entry): `{:#018x}`.\n",
         robustness::report_digest(&rob_cells)
     ));
 
@@ -552,8 +553,8 @@ fn main() {
     }
     out.push_str("```\n");
     out.push_str(&format!(
-        "\nReport digest (two identical runs of the reduced grid required by\n\
-         CI's scale-smoke gate): `{:#018x}`.\n",
+        "\nReport digest of the full grid above (the reduced grid's is pinned by\n\
+         `gate`'s `scale` entry): `{:#018x}`.\n",
         scale::report_digest(&scale_cells)
     ));
 
@@ -584,8 +585,8 @@ fn main() {
     out.push_str(&probe::report(&probe_cells).render());
     out.push_str("```\n");
     out.push_str(&format!(
-        "\nReport digest (two identical runs of the reduced grid required by\n\
-         CI's diagnose-smoke gate): `{:#018x}`.\n",
+        "\nReport digest of the full grid above (the reduced grid's is pinned by\n\
+         `gate`'s `probe` entry): `{:#018x}`.\n",
         probe::report_digest(&probe_cells)
     ));
 
@@ -636,9 +637,9 @@ fn main() {
     out.push_str("```\n");
     let mux_reduced = mux::reduced_report();
     out.push_str(&format!(
-        "\nReport digest (two identical runs of the reduced grid required by\n\
-         CI's mux-smoke gate): `{:#018x}`.\n",
-        mux::report_digest(&mux_reduced)
+        "\nReport digest of the reduced mux report (pinned by `gate`'s `mux`\n\
+         entry): `{:#018x}`.\n",
+        digest::tables(&mux_reduced)
     ));
 
     // ---- Congestion-control sensitivity ----------------------------------
@@ -672,9 +673,9 @@ fn main() {
     out.push_str(&cc::probe_table(&cc::probe_rows()).render());
     out.push_str("```\n");
     out.push_str(&format!(
-        "\nReport digest (two identical runs of the reduced grid required by\n\
-         CI's cc-smoke gate): `{:#018x}`.\n",
-        cc::report_digest(&cc::report(&robustness::run_points(&cc::reduced_grid())))
+        "\nReport digest of the reduced grid (pinned by `gate`'s `cc` entry):\n\
+         `{:#018x}`.\n",
+        digest::tables(&cc::report(&robustness::run_points(&cc::reduced_grid())))
     ));
 
     // ---- Fleet observatory -----------------------------------------------
@@ -704,124 +705,27 @@ fn main() {
     out.push_str(&telemetry::volume_table().render());
     out.push_str("```\n");
     out.push_str(
-        "\nCI's `telemetry_smoke` gate renders the reduced scene twice and\n\
+        "\n`gate`'s `telemetry` entry renders the reduced scene twice and\n\
          byte-compares JSON/CSV/pcapng across passes and against the goldens\n\
          committed under `crates/bench/goldens/telemetry/`.\n",
     );
 
-    // ---- Kernel throughput -----------------------------------------------
-    // Cited from the committed BENCH_netsim.json rather than re-measured:
-    // wall-clock numbers vary run to run, and regenerating this file must
-    // leave it byte-identical on an unchanged tree. `bench_netsim` rewrites
-    // the JSON; `bench_netsim --check` gates regressions against it in CI.
-    out.push_str("\n## Kernel throughput (`bench_netsim`)\n\n");
+    // ---- Simulator speed ---------------------------------------------------
+    // A pointer, not numbers: wall-clock figures vary run to run, and
+    // regenerating this file must leave it byte-identical on an unchanged
+    // tree.
     out.push_str(
-        "Beyond the paper: how fast the simulator that produced every number\n\
-         above runs. Packets/sec is the stats-only serial 44-cell matrix\n\
-         (Tables 4\u{2013}9) divided by its wall-clock; allocations/packet counts\n\
-         every heap allocation in that run via a counting global allocator\n\
-         compiled into the bench binary. Values are quoted from the committed\n\
-         `BENCH_netsim.json` (regenerate with `cargo run --release -p\n\
-         httpipe-bench --bin bench_netsim`; on both the matrix and the\n\
-         fleet path, CI fails on >25% throughput regression or an\n\
-         allocations/packet rise beyond pool-warmth noise via `-- --check`).\n\n",
+        "\n## Simulator speed (`benchmark/`)\n\n\
+         Beyond the paper: how fast the simulator that produced every number\n\
+         above runs is recorded by the performance ledger, not here. Its\n\
+         workloads, metrics (simulated packets per second, allocations per\n\
+         packet, per-layer costs) and the measured baseline are in\n\
+         `benchmark/README.md`; `benchmark/run.sh` re-measures them. The\n\
+         deterministic half \u{2014} the digests quoted above, plus the matrix\n\
+         and 16-client-fleet digests and their allocations-per-packet\n\
+         ceilings \u{2014} is pinned in `httpipe_core::gate` and checked by\n\
+         `cargo run --release -p httpipe-bench --bin gate`.\n",
     );
-    match std::fs::read_to_string("BENCH_netsim.json") {
-        Ok(json) => out.push_str(&kernel_throughput_table(&json)),
-        Err(_) => out.push_str(
-            "*(no committed BENCH_netsim.json found next to the working\n\
-             directory; run `bench_netsim` to produce one)*\n",
-        ),
-    }
 
     print!("{out}");
-}
-
-/// Scan a hand-rolled JSON document for `"key": <number>` at any depth.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Scan for `"key": "<string>"`.
-fn json_string<'j>(text: &'j str, key: &str) -> Option<&'j str> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix('"')?;
-    rest.split('"').next()
-}
-
-/// Render the committed BENCH_netsim.json as markdown tables.
-fn kernel_throughput_table(json: &str) -> String {
-    let mut out = String::new();
-    out.push_str("| Metric | Committed value |\n|---|---|\n");
-    if let Some(v) = json_number(json, "packets_per_sec") {
-        out.push_str(&format!(
-            "| Matrix packets/sec (serial, stats-only) | {v:.0} |\n"
-        ));
-    }
-    if let Some(v) = json_number(json, "allocs_per_packet") {
-        out.push_str(&format!("| Allocations/packet | {v:.1} |\n"));
-    }
-    if let Some(v) = json_number(json, "matrix_packets") {
-        out.push_str(&format!("| Matrix packets | {v:.0} |\n"));
-    }
-    if let Some(d) = json_string(json, "matrix_digest") {
-        out.push_str(&format!("| Matrix digest | `{d}` |\n"));
-    }
-    if let Some(v) = json_number(json, "fleet_packets_per_sec") {
-        out.push_str(&format!(
-            "| Fleet packets/sec (16-client WAN, pipelined + mux) | {v:.0} |\n"
-        ));
-    }
-    if let Some(v) = json_number(json, "fleet_allocs_per_packet") {
-        out.push_str(&format!("| Fleet allocations/packet | {v:.1} |\n"));
-    }
-    if let Some(d) = json_string(json, "fleet_digest") {
-        out.push_str(&format!("| Fleet digest | `{d}` |\n"));
-    }
-    if let Some(v) = json_number(json, "available_parallelism") {
-        out.push_str(&format!("| Host cores at measurement | {v:.0} |\n"));
-    }
-
-    // The microbench array: objects with a fixed key order, written by
-    // bench_netsim itself.
-    if let Some(start) = json.find("\"microbench\":") {
-        let body = &json[start..];
-        let body = &body[..body.find(']').unwrap_or(body.len())];
-        let mut rows = String::new();
-        for obj in body.split('{').skip(1) {
-            if let (Some(name), Some(ops), Some(ns), Some(allocs)) = (
-                json_string(obj, "name"),
-                json_number(obj, "ops"),
-                json_number(obj, "ns_per_op"),
-                json_number(obj, "allocs_per_op"),
-            ) {
-                rows.push_str(&format!(
-                    "| `{name}` | {ops:.0} | {ns:.1} | {allocs:.2} |\n"
-                ));
-            }
-        }
-        if !rows.is_empty() {
-            out.push_str("\n| Microbench | ops | ns/op | allocs/op |\n|---|---|---|---|\n");
-            out.push_str(&rows);
-        }
-    }
-    out.push_str(
-        "\nThe shape to notice: event push/pop and impairment passthrough are\n\
-         allocation-free (the timer wheel and pooled effect lists at work),\n\
-         segment alloc/free costs exactly the one `Arc` header the pooled\n\
-         buffer design promises, and the probe-on cell pays within ~10% of\n\
-         probe-off — the flight recorder is cheap enough to leave on. The\n\
-         fleet row measures the many-client kernel end to end (two 16-client\n\
-         WAN fleets, pipelined and multiplexed), and the mux engine micro\n\
-         shuttles 64 concurrent 8 KiB streams sans-IO: pooled DATA payloads\n\
-         keep both within a whisker of the single-client matrix cost.\n",
-    );
-    out
 }

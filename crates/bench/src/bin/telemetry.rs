@@ -1,4 +1,4 @@
-//! `telemetry` — the fleet observatory and its CI determinism gate.
+//! `telemetry` — the fleet observatory.
 //!
 //! Default mode renders the observatory scenes (SYN-burst fleet
 //! timeline, RTO-stall cwnd comparison) to stdout and writes the full
@@ -10,110 +10,19 @@
 //! * `TELEMETRY_wan_rto.pcapng` — the same WAN cell's packet capture,
 //!   which Wireshark/tshark/tcptrace open directly.
 //!
-//! `--smoke` is the CI gate: it produces the reduced artifacts twice and
-//! asserts (1) both passes agree byte-for-byte and (2) both match the
-//! goldens committed under `crates/bench/goldens/telemetry/`. `--bless`
-//! regenerates the goldens after an intentional change.
-//!
-//! ```text
-//! HTTPIPE_THREADS=8 cargo run --release -p httpipe-bench --bin telemetry -- --smoke
-//! ```
+//! `--bless` instead rewrites the goldens under
+//! `crates/bench/goldens/telemetry/` that the `telemetry` entry of `gate`
+//! compares byte-for-byte, after an intentional change.
 
 use httpipe_core::experiments::telemetry::{self, SmokeArtifacts};
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("goldens")
-        .join("telemetry")
-}
-
-fn check_bytes(name: &str, pass1: &[u8], pass2: &[u8], golden_path: &Path) -> bool {
-    if pass1 != pass2 {
-        eprintln!(
-            "FAIL {name}: two passes differ ({} vs {} bytes)",
-            pass1.len(),
-            pass2.len()
-        );
-        return false;
-    }
-    match std::fs::read(golden_path) {
-        Ok(golden) => {
-            if pass1 != golden.as_slice() {
-                eprintln!(
-                    "FAIL {name}: output differs from golden {} ({} vs {} bytes); \
-                     run with --bless after an intentional change",
-                    golden_path.display(),
-                    pass1.len(),
-                    golden.len()
-                );
-                return false;
-            }
-            println!(
-                "  {name}: {} bytes, both passes + golden agree",
-                pass1.len()
-            );
-            true
-        }
-        Err(e) => {
-            eprintln!(
-                "FAIL {name}: cannot read golden {}: {e}",
-                golden_path.display()
-            );
-            false
-        }
-    }
-}
-
-// Wall-clock progress reporting for the smoke harness. simlint: allow(wall-clock)
-fn smoke() {
-    let start = Instant::now();
-    let first = telemetry::smoke_artifacts();
-    let second = telemetry::smoke_artifacts();
-    let dir = goldens_dir();
-    let ok = [
-        check_bytes(
-            "smoke.json",
-            first.json.as_bytes(),
-            second.json.as_bytes(),
-            &dir.join("smoke.json"),
-        ),
-        check_bytes(
-            "smoke.csv",
-            first.csv.as_bytes(),
-            second.csv.as_bytes(),
-            &dir.join("smoke.csv"),
-        ),
-        check_bytes(
-            "smoke.pcapng",
-            &first.pcapng,
-            &second.pcapng,
-            &dir.join("smoke.pcapng"),
-        ),
-    ];
-    // The exported capture must round-trip through the in-tree reader.
-    let packets = netsim::pcapng::parse(&first.pcapng).expect("smoke pcapng parses");
-    assert!(!packets.is_empty(), "smoke capture is empty");
-    println!(
-        "  pcapng round-trip: {} packets re-parsed ({:.2}s total)",
-        packets.len(),
-        start.elapsed().as_secs_f64()
-    );
-    if ok.iter().all(|&b| b) {
-        println!("telemetry smoke: OK");
-    } else {
-        std::process::exit(1);
-    }
-}
 
 fn bless() {
     let art = telemetry::smoke_artifacts();
-    let dir = goldens_dir();
+    let dir = telemetry::goldens_dir();
     std::fs::create_dir_all(&dir).expect("create goldens dir");
-    std::fs::write(dir.join("smoke.json"), art.json.as_bytes()).expect("write json");
-    std::fs::write(dir.join("smoke.csv"), art.csv.as_bytes()).expect("write csv");
-    std::fs::write(dir.join("smoke.pcapng"), &art.pcapng).expect("write pcapng");
+    for (name, bytes) in art.files() {
+        std::fs::write(dir.join(name), bytes).expect("write golden");
+    }
     println!(
         "blessed goldens in {} (json {}B, csv {}B, pcapng {}B)",
         dir.display(),
@@ -143,11 +52,10 @@ fn full() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("--smoke") => smoke(),
         Some("--bless") => bless(),
         None => full(),
         Some(other) => {
-            eprintln!("unknown flag {other}; use --smoke, --bless, or no flag");
+            eprintln!("unknown flag {other}; use --bless or no flag");
             std::process::exit(2);
         }
     }

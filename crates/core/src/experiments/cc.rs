@@ -59,7 +59,7 @@ pub fn full_grid() -> Vec<RobustnessPoint> {
     grid(&LOSS_PCT)
 }
 
-/// A reduced grid for smoke tests and CI: 3 setups × {0, 2}% uniform ×
+/// A reduced grid for the `cc` gate: 3 setups × {0, 2}% uniform ×
 /// 4 variants (24 cells).
 pub fn reduced_grid() -> Vec<RobustnessPoint> {
     grid(&[0.0, 2.0])
@@ -191,29 +191,6 @@ pub fn probe_table(rows: &[(CcVariant, f64, netsim::ProbeAnalysis)]) -> Table {
         );
     }
     t
-}
-
-// ---------------------------------------------------------------------
-// Digest
-// ---------------------------------------------------------------------
-
-/// FNV-1a over a byte string (the repo's stable digest hash).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// A stable digest over rendered tables — two runs of the same grid must
-/// agree bit-for-bit, regardless of thread count.
-pub fn report_digest(tables: &[Table]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325;
-    for t in tables {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
 }
 
 #[cfg(test)]

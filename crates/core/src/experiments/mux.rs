@@ -120,7 +120,7 @@ pub fn loss_grid() -> Vec<RobustnessPoint> {
     )
 }
 
-/// A reduced WAN-only loss grid for smoke tests and CI (12 cells).
+/// A reduced WAN-only loss grid for the `mux` gate (12 cells).
 pub fn reduced_loss_grid() -> Vec<RobustnessPoint> {
     robustness::grid(
         &[NetEnv::Wan],
@@ -212,7 +212,7 @@ pub fn fleet_grid() -> Vec<scale::ScalePoint> {
     scale::grid(&NetEnv::ALL, &ProtocolSetup::MUX, &scale::N_GRID)
 }
 
-/// A reduced LAN+WAN mux fleet grid for smoke tests (8 fleets).
+/// A reduced LAN+WAN mux fleet grid for tests (8 fleets).
 pub fn reduced_fleet_grid() -> Vec<scale::ScalePoint> {
     scale::grid(&[NetEnv::Lan, NetEnv::Wan], &ProtocolSetup::MUX, &[1, 16])
 }
@@ -233,7 +233,7 @@ pub fn probe_grid() -> Vec<probe::ProbePoint> {
     points
 }
 
-/// A reduced LAN-only probe grid for CI smoke runs (2 cells).
+/// A reduced LAN-only probe grid for the `mux` gate (2 cells).
 pub fn reduced_probe_grid() -> Vec<probe::ProbePoint> {
     probe_grid()
         .into_iter()
@@ -242,17 +242,8 @@ pub fn reduced_probe_grid() -> Vec<probe::ProbePoint> {
 }
 
 // ---------------------------------------------------------------------
-// Reports and digests
+// Reduced report
 // ---------------------------------------------------------------------
-
-/// FNV-1a over a byte string (the repo's stable digest hash).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// The reduced mux report for CI: the LAN Apache matrix table, the
 /// reduced WAN loss grid with its shared-fate extract, and the LAN probe
@@ -264,16 +255,6 @@ pub fn reduced_report() -> Vec<Table> {
     tables.push(shared_fate_table(&loss_cells, NetEnv::Wan));
     tables.push(probe::report(&probe::run_points(&reduced_probe_grid())));
     tables
-}
-
-/// A stable digest over rendered tables — two runs of the same grid must
-/// agree bit-for-bit, regardless of thread count.
-pub fn report_digest(tables: &[Table]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325;
-    for t in tables {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! to the measured elapsed time, plus the typed [`netsim::Diagnosis`]
 //! pathologies.
 
+use crate::digest::Fnv1a;
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
 use crate::result::Table;
@@ -94,7 +95,7 @@ pub fn canonical_grid() -> Vec<ProbePoint> {
     points
 }
 
-/// A reduced LAN-only grid for CI smoke runs (3 cells).
+/// A reduced LAN-only grid for the `probe` gate (3 cells).
 pub fn reduced_grid() -> Vec<ProbePoint> {
     canonical_grid()
         .into_iter()
@@ -163,25 +164,16 @@ pub fn report(cells: &[ProbeCell]) -> Table {
     t
 }
 
-/// FNV-1a over a byte string (the repo's stable digest hash).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A stable digest over the rendered report table *and* every cell's
 /// `PROBE_*.json` document — two runs of the same grid must agree
 /// bit-for-bit, regardless of thread count.
 pub fn report_digest(cells: &[ProbeCell]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325;
-    hash = fnv1a(report(cells).render().as_bytes(), hash);
+    let mut h = Fnv1a::new();
+    h.write(report(cells).render().as_bytes());
     for c in cells {
-        hash = fnv1a(c.analysis.render_json(&c.point.id()).as_bytes(), hash);
+        h.write(c.analysis.render_json(&c.point.id()).as_bytes());
     }
-    hash
+    h.finish()
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! {first-time, revalidation}.
 
 use crate::env::NetEnv;
-use crate::harness::{matrix_spec, run_cells, ProtocolSetup, Scenario};
+use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
 use httpserver::ServerKind;
-use netsim::SimDuration;
+use netsim::{SimDuration, TraceMode};
 
 /// Table 1: the tested network environments (static configuration).
 pub fn table1() -> Table {
@@ -148,6 +148,25 @@ pub fn matrix_setups(env: NetEnv) -> &'static [ProtocolSetup] {
     } else {
         &ProtocolSetup::ALL
     }
+}
+
+/// Every cell of Tables 4–9 (44 specs) in table order — environment,
+/// then Jigsaw before Apache, then protocol row, then first-time before
+/// revalidation — with the given trace retention.
+pub fn all_specs(trace_mode: TraceMode) -> Vec<CellSpec> {
+    let mut specs = Vec::new();
+    for env in NetEnv::ALL {
+        for server in [ServerKind::Jigsaw, ServerKind::Apache] {
+            for &setup in matrix_setups(env) {
+                for scenario in [Scenario::FirstTime, Scenario::Revalidate] {
+                    let mut spec = matrix_spec(env, server, setup, scenario);
+                    spec.trace_mode = trace_mode;
+                    specs.push(spec);
+                }
+            }
+        }
+    }
+    specs
 }
 
 /// The paper's table number for a (env, server) pair.

@@ -18,6 +18,7 @@
 //! impairment seed from its own coordinates, so any cell can be re-run
 //! bit-identically in isolation.
 
+use crate::digest;
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
@@ -92,17 +93,6 @@ pub struct RobustnessPoint {
     pub cc: CcVariant,
 }
 
-/// FNV-1a over a byte string — the stable seed/digest hash used here.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 impl RobustnessPoint {
     /// A stable per-point impairment seed derived from the coordinates,
     /// so any cell can be reproduced in isolation.
@@ -118,7 +108,7 @@ impl RobustnessPoint {
             self.loss_pct,
             self.shape.label(),
         );
-        fnv1a(key.as_bytes(), FNV_OFFSET)
+        digest::of(key.as_bytes())
     }
 
     /// The impairment pipeline for this point. Zero loss still installs
@@ -210,7 +200,7 @@ pub fn full_grid() -> Vec<RobustnessPoint> {
     grid(&NetEnv::ALL, &LOSS_GRID_PCT, &SETUPS, &SCENARIOS)
 }
 
-/// A reduced WAN-only grid for smoke tests and CI (18 cells).
+/// A reduced WAN-only grid for the `robustness` gate (18 cells).
 pub fn reduced_grid() -> Vec<RobustnessPoint> {
     grid(&[NetEnv::Wan], &[0.0, 2.0], &SETUPS, &SCENARIOS)
 }
@@ -290,11 +280,7 @@ pub fn report(cells: &[RobustnessCell]) -> Vec<Table> {
 /// A stable digest of a rendered robustness report — two runs of the
 /// same grid must agree bit-for-bit, regardless of thread count.
 pub fn report_digest(cells: &[RobustnessCell]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for t in report(cells) {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
+    digest::tables(&report(cells))
 }
 
 // ---------------------------------------------------------------------
@@ -319,7 +305,7 @@ impl JitterPoint {
     /// Stable per-point seed.
     pub fn seed(&self) -> u64 {
         let key = format!("jitter|{}|{}", self.setup.label(), self.jitter_ms);
-        fnv1a(key.as_bytes(), FNV_OFFSET)
+        digest::of(key.as_bytes())
     }
 
     /// The cell specification.
@@ -344,16 +330,21 @@ impl JitterPoint {
     }
 }
 
-/// Run the jitter study: every setup × every jitter magnitude.
-pub fn jitter_study() -> Vec<(JitterPoint, CellResult)> {
-    let points: Vec<JitterPoint> = SETUPS
+/// The jitter grid: every setup × every jitter magnitude (9 cells).
+pub fn jitter_grid() -> Vec<JitterPoint> {
+    SETUPS
         .iter()
         .flat_map(|&setup| {
             JITTER_GRID_MS
                 .iter()
                 .map(move |&jitter_ms| JitterPoint { setup, jitter_ms })
         })
-        .collect();
+        .collect()
+}
+
+/// Run the jitter study over [`jitter_grid`].
+pub fn jitter_study() -> Vec<(JitterPoint, CellResult)> {
+    let points = jitter_grid();
     let specs = points.iter().map(|p| p.spec()).collect();
     points.into_iter().zip(run_cells(specs)).collect()
 }

@@ -18,8 +18,11 @@
 //! and its row must reproduce the unimpaired protocol-matrix numbers
 //! exactly.
 
+use crate::digest;
 use crate::env::NetEnv;
-use crate::harness::{microscape_store, run_fleet, FleetOutput, FleetSpec, ProtocolSetup};
+use crate::harness::{
+    microscape_store, run_cells_map, run_fleet, FleetOutput, FleetSpec, ProtocolSetup,
+};
 use crate::result::Table;
 use httpclient::Workload;
 use httpserver::ServerConfig;
@@ -189,7 +192,7 @@ pub fn full_grid() -> Vec<ScalePoint> {
     grid(&NetEnv::ALL, &SETUPS, &N_GRID)
 }
 
-/// A reduced LAN+WAN grid for smoke tests and CI (18 cells).
+/// A reduced LAN+WAN grid for the `scale` gate (18 cells).
 pub fn reduced_grid() -> Vec<ScalePoint> {
     grid(&[NetEnv::Lan, NetEnv::Wan], &SETUPS, &[1, 16, 64])
 }
@@ -205,39 +208,7 @@ pub fn run_points(points: &[ScalePoint]) -> Vec<ScaleCell> {
 /// `Some(1)` forces a serial loop — the differential tests compare the
 /// two).
 pub fn run_points_threaded(points: &[ScalePoint], threads: Option<usize>) -> Vec<ScaleCell> {
-    let n = points.len();
-    let threads = crate::harness::worker_threads(n).min(threads.unwrap_or(usize::MAX));
-    if threads <= 1 || n <= 1 {
-        return points.iter().map(|&p| run_point(p)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<ScaleCell>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, run_point(points[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, cell) in h.join().expect("scale worker panicked") {
-                results[i] = Some(cell);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every point produced a cell"))
-        .collect()
+    run_cells_map(points.to_vec(), threads, run_point)
 }
 
 /// Render one table per environment present in `cells`, in grid order.
@@ -277,23 +248,10 @@ pub fn report(cells: &[ScaleCell]) -> Vec<Table> {
     tables
 }
 
-/// FNV-1a over a byte string (the repo's stable digest hash).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A stable digest of a rendered scale report — two runs of the same
 /// grid must agree bit-for-bit, regardless of thread count.
 pub fn report_digest(cells: &[ScaleCell]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325;
-    for t in report(cells) {
-        hash = fnv1a(t.render().as_bytes(), hash);
-    }
-    hash
+    digest::tables(&report(cells))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The fleet observatory: render telemetry time-series as ASCII
 //! sparkline timelines, and package the deterministic smoke artifacts
-//! (JSON, CSV, pcapng) the CI gate compares byte-for-byte.
+//! (JSON, CSV, pcapng) the `telemetry` gate compares byte-for-byte.
 //!
 //! Two scenes anchor the report:
 //!
@@ -22,6 +22,7 @@ use crate::harness::{run_fleet, run_spec, ProtocolSetup, Scenario};
 use crate::result::Table;
 use netsim::telemetry::{Point, SeriesData, TelemetrySink};
 use netsim::{CcVariant, HostId, Metric, Scope};
+use std::path::{Path, PathBuf};
 
 use super::robustness::{LossShape, RobustnessPoint};
 use super::scale::ScalePoint;
@@ -267,8 +268,9 @@ pub fn volume_table() -> Table {
     t
 }
 
-/// The deterministic artifacts the `telemetry_smoke` CI gate compares:
-/// JSON and pcapng from a single WAN loss cell, CSV from a small fleet.
+/// The deterministic artifacts the `telemetry` gate compares with its
+/// goldens: JSON and pcapng from a single WAN loss cell, CSV from a small
+/// fleet.
 pub struct SmokeArtifacts {
     /// Telemetry series of the WAN cell, rendered as JSON.
     pub json: String,
@@ -276,6 +278,23 @@ pub struct SmokeArtifacts {
     pub csv: String,
     /// pcapng capture of the WAN cell.
     pub pcapng: Vec<u8>,
+}
+
+impl SmokeArtifacts {
+    /// Golden file name and bytes of each artifact, in digest order.
+    pub fn files(&self) -> [(&'static str, &[u8]); 3] {
+        [
+            ("smoke.json", self.json.as_bytes()),
+            ("smoke.csv", self.csv.as_bytes()),
+            ("smoke.pcapng", &self.pcapng),
+        ]
+    }
+}
+
+/// Where the committed goldens of [`smoke_artifacts`] live: the gate
+/// reads them, `telemetry --bless` rewrites them.
+pub fn goldens_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/goldens/telemetry")
 }
 
 /// Produce the smoke artifacts (reduced grid: one cell + one small

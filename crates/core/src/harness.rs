@@ -14,6 +14,7 @@ use httpclient::{
 };
 use httpserver::{Entity, HttpServer, ServerConfig, ServerKind, SiteStore};
 use netsim::{LinkCodec, Simulator, SockAddr, TraceMode};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use webcontent::microscape::{Microscape, SITE_MTIME};
@@ -656,28 +657,31 @@ pub fn run_cells_threaded(specs: Vec<CellSpec>, threads: Option<usize>) -> Vec<C
     run_cells_map(specs, threads, |s| run_spec(s).cell)
 }
 
-/// Map an arbitrary per-cell function across independent cells on the
-/// work-stealing pool, returning the outputs in input order.
+/// Map a function across independent jobs on the work-stealing pool,
+/// returning the outputs in input order.
 ///
-/// The engine behind [`run_cells_threaded`] and [`run_cells_checked`]:
-/// each worker claims the next unstarted cell off a shared counter, so
-/// long cells (PPP) don't serialize behind a static partition. With one
-/// thread (or one cell) it degrades to a plain serial loop.
-pub fn run_cells_map<T, F>(specs: Vec<CellSpec>, threads: Option<usize>, f: F) -> Vec<T>
+/// The engine behind [`run_cells_threaded`], [`run_cells_checked`] and
+/// the fleet grids: each worker claims the next unstarted job off a
+/// shared counter, so long jobs (PPP cells, N=256 fleets) don't
+/// serialize behind a static partition. With one thread (or one job) it
+/// degrades to a plain serial loop. A job that panics on a worker is
+/// re-raised on the caller naming the job's index, so a failing grid
+/// names its cell.
+pub fn run_cells_map<I, T, F>(jobs: Vec<I>, threads: Option<usize>, f: F) -> Vec<T>
 where
+    I: Send,
     T: Send,
-    F: Fn(CellSpec) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    let n = specs.len();
+    let n = jobs.len();
     let threads = threads
         .unwrap_or_else(|| worker_threads(n))
         .clamp(1, n.max(1));
     if threads <= 1 {
-        return specs.into_iter().map(f).collect();
+        return jobs.into_iter().map(f).collect();
     }
 
-    let jobs: Vec<Mutex<Option<CellSpec>>> =
-        specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let jobs: Vec<Mutex<Option<I>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -690,32 +694,62 @@ where
                         if i >= n {
                             break;
                         }
-                        let spec = jobs[i]
+                        let job = jobs[i]
                             .lock()
-                            .expect("cell spec lock")
+                            .expect("job lock")
                             .take()
-                            .expect("cell claimed twice");
-                        out.push((i, f(spec)));
+                            .expect("job claimed twice");
+                        match catch_unwind(AssertUnwindSafe(|| f(job))) {
+                            Ok(t) => out.push((i, t)),
+                            Err(payload) => return Err((i, payload)),
+                        }
                     }
-                    out
+                    Ok(out)
                 })
             })
             .collect();
         for h in handles {
-            for (i, cell) in h.join().expect("cell worker panicked") {
-                results[i] = Some(cell);
+            match h.join().expect("the claim loop itself does not panic") {
+                Ok(out) => {
+                    for (i, t) in out {
+                        results[i] = Some(t);
+                    }
+                }
+                Err((i, payload)) => {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("non-string panic payload");
+                    panic!("job {i} of {n} panicked: {msg}");
+                }
             }
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("every cell produced a result"))
+        .map(|r| r.expect("every job produced a result"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pool_maps_any_job_type_in_input_order() {
+        let squares = run_cells_map((0..100u64).collect(), Some(4), |i| i * i);
+        assert_eq!(squares, (0..100u64).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 of 8 panicked: boom at 5")]
+    fn pool_names_the_job_that_panicked() {
+        run_cells_map((0..8usize).collect(), Some(2), |i| {
+            assert!(i != 5, "boom at {i}");
+            i
+        });
+    }
 
     #[test]
     fn lan_pipelined_revalidation_is_tiny() {

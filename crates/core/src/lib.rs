@@ -28,8 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod env;
 pub mod experiments;
+pub mod gate;
 pub mod harness;
 pub mod result;
 

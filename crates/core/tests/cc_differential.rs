@@ -1,58 +1,43 @@
 //! Differential gates for the congestion-control extraction: routing the
 //! seed TCB's window arithmetic through the [`netsim::CongestionControl`]
-//! trait (default variant: Reno) must be invisible. Every digest below
-//! was captured on the seed before the trait existed; a mismatch means
-//! the refactor changed behavior somewhere in the matrix, the impairment
-//! grid or the fleet engine.
+//! trait (default variant: Reno) must be invisible. The `robustness`,
+//! `mux` and `scale` pins in `httpipe_core::gate::REGISTRY` were captured
+//! on the seed before the trait existed; a mismatch means the refactor
+//! changed behavior somewhere in the impairment grid, the framed
+//! transports or the fleet engine.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::{mux, robustness, scale};
+use httpipe_core::gate;
 use httpipe_core::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use httpserver::ServerKind;
 use netsim::{CcVariant, TcpConfig};
 
-/// Seed digest of the reduced robustness grid (loss/reorder/outage
-/// impairments over three setups), captured before the CC trait landed.
-/// Re-pinned when the report grew the drops-by-reason (L/O/Q) column —
-/// a rendering change only; the underlying cells are covered by the
-/// telemetry identity tests and the unchanged scale digest.
-const SEED_ROBUSTNESS_DIGEST: u64 = 0x7c6c_bcfa_68ca_f65b;
+fn assert_gate_passes(name: &str, what: &str) {
+    let gate = gate::select(&[name.to_string()]).expect("registered gate")[0];
+    let verdict = gate.run(None);
+    assert!(
+        verdict.ok(),
+        "Reno-through-the-trait changed {what}: {verdict}"
+    );
+}
 
-/// Seed digest of the reduced mux report (framed transports + push).
-/// Re-pinned when the matrix table grew the cancelled-push-bytes
-/// (CxlB) columns — same rendering-only caveat as above.
-const SEED_MUX_DIGEST: u64 = 0xb978_ca3e_2c17_9e3d;
-
-/// Seed digest of the reduced scale report (fleets to 64 clients).
-const SEED_SCALE_DIGEST: u64 = 0x4dd4_ba02_5900_c56e;
-
+/// The reduced robustness grid (loss/reorder/outage impairments over
+/// three setups).
 #[test]
 fn reno_via_trait_reproduces_seed_robustness_digest() {
-    let cells = robustness::run_points(&robustness::reduced_grid());
-    assert_eq!(
-        robustness::report_digest(&cells),
-        SEED_ROBUSTNESS_DIGEST,
-        "Reno-through-the-trait changed the robustness grid"
-    );
+    assert_gate_passes("robustness", "the robustness grid");
 }
 
+/// The reduced mux report (framed transports + push).
 #[test]
 fn reno_via_trait_reproduces_seed_mux_digest() {
-    assert_eq!(
-        mux::report_digest(&mux::reduced_report()),
-        SEED_MUX_DIGEST,
-        "Reno-through-the-trait changed the mux transports"
-    );
+    assert_gate_passes("mux", "the mux transports");
 }
 
+/// The reduced scale report (fleets to 64 clients).
 #[test]
 fn reno_via_trait_reproduces_seed_scale_digest() {
-    let cells = scale::run_points(&scale::reduced_grid());
-    assert_eq!(
-        scale::report_digest(&cells),
-        SEED_SCALE_DIGEST,
-        "Reno-through-the-trait changed the fleet engine"
-    );
+    assert_gate_passes("scale", "the fleet engine");
 }
 
 /// An explicit `TcpConfig::default()` override (which selects

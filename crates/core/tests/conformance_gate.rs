@@ -2,9 +2,10 @@
 //! that satisfies all TCP and HTTP conformance invariants.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::protocol_matrix::matrix_setups;
+use httpipe_core::experiments::protocol_matrix;
 use httpipe_core::harness::{matrix_spec, run_cells_checked, run_spec_checked, Scenario};
 use httpserver::ServerKind;
+use netsim::TraceMode;
 
 #[test]
 fn lan_pipelined_first_time_is_conformant() {
@@ -26,16 +27,7 @@ fn lan_pipelined_first_time_is_conformant() {
 
 #[test]
 fn full_unimpaired_matrix_is_conformant() {
-    let mut specs = Vec::new();
-    for env in NetEnv::ALL {
-        for server in [ServerKind::Apache, ServerKind::Jigsaw] {
-            for &setup in matrix_setups(env) {
-                for scenario in [Scenario::FirstTime, Scenario::Revalidate] {
-                    specs.push(matrix_spec(env, server, setup, scenario));
-                }
-            }
-        }
-    }
+    let specs = protocol_matrix::all_specs(TraceMode::Full);
     let n = specs.len();
     let (cells, report) = run_cells_checked(specs);
     assert_eq!(cells.len(), n);

@@ -8,29 +8,10 @@
 //!   for every cell of the matrix.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::protocol_matrix::matrix_setups;
-use httpipe_core::harness::{
-    matrix_spec, run_cells, run_cells_threaded, run_spec, CellSpec, Scenario,
-};
+use httpipe_core::experiments::protocol_matrix::all_specs;
+use httpipe_core::harness::{matrix_spec, run_cells, run_cells_threaded, run_spec, Scenario};
 use httpserver::ServerKind;
 use netsim::TraceMode;
-
-/// Every cell of Tables 4–9 (44 specs), in table order.
-fn full_matrix(mode: TraceMode) -> Vec<CellSpec> {
-    let mut specs = Vec::new();
-    for env in [NetEnv::Lan, NetEnv::Wan, NetEnv::Ppp] {
-        for server in [ServerKind::Jigsaw, ServerKind::Apache] {
-            for &setup in matrix_setups(env) {
-                for scenario in [Scenario::FirstTime, Scenario::Revalidate] {
-                    let mut spec = matrix_spec(env, server, setup, scenario);
-                    spec.trace_mode = mode;
-                    specs.push(spec);
-                }
-            }
-        }
-    }
-    specs
-}
 
 #[test]
 fn same_spec_is_bit_identical_across_runs() {
@@ -55,26 +36,26 @@ fn same_spec_is_bit_identical_across_runs() {
 
 #[test]
 fn parallel_matrix_equals_serial_loop() {
-    let serial: Vec<_> = full_matrix(TraceMode::StatsOnly)
+    let serial: Vec<_> = all_specs(TraceMode::StatsOnly)
         .into_iter()
         .map(|spec| run_spec(spec).cell)
         .collect();
 
     // Default thread policy (may be serial on a 1-core host) ...
-    let parallel = run_cells(full_matrix(TraceMode::StatsOnly));
+    let parallel = run_cells(all_specs(TraceMode::StatsOnly));
     assert_eq!(serial, parallel);
 
     // ... and a forced 4-worker pool, so the threaded executor and its
     // input-order result reassembly are exercised regardless of host.
-    let threaded = run_cells_threaded(full_matrix(TraceMode::StatsOnly), Some(4));
+    let threaded = run_cells_threaded(all_specs(TraceMode::StatsOnly), Some(4));
     assert_eq!(serial, threaded);
 }
 
 #[test]
 fn stats_only_matches_full_trace_across_matrix() {
-    for (lean_spec, full_spec) in full_matrix(TraceMode::StatsOnly)
+    for (lean_spec, full_spec) in all_specs(TraceMode::StatsOnly)
         .into_iter()
-        .zip(full_matrix(TraceMode::Full))
+        .zip(all_specs(TraceMode::Full))
     {
         let lean = run_spec(lean_spec);
         let full = run_spec(full_spec);

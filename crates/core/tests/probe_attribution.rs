@@ -9,21 +9,13 @@ use httpipe_core::harness::{
     matrix_spec, run_cells_map, run_spec, CellSpec, ProtocolSetup, Scenario,
 };
 use httpserver::ServerKind;
-use netsim::{Diagnosis, SimDuration, TcpConfig};
+use netsim::{Diagnosis, SimDuration, TcpConfig, TraceMode};
 
 /// Every unimpaired protocol-matrix cell, probe enabled.
 fn all_matrix_specs() -> Vec<CellSpec> {
-    let mut specs = Vec::new();
-    for env in NetEnv::ALL {
-        for server in [ServerKind::Jigsaw, ServerKind::Apache] {
-            for &setup in protocol_matrix::matrix_setups(env) {
-                for scenario in [Scenario::FirstTime, Scenario::Revalidate] {
-                    let mut spec = matrix_spec(env, server, setup, scenario);
-                    spec.probe = true;
-                    specs.push(spec);
-                }
-            }
-        }
+    let mut specs = protocol_matrix::all_specs(TraceMode::StatsOnly);
+    for spec in &mut specs {
+        spec.probe = true;
     }
     specs
 }

@@ -172,7 +172,7 @@ fn pipelining_cuts_peak_server_connections_three_fold_at_256_clients() {
     );
 }
 
-/// The grid constants the experiment and its smoke test both rely on.
+/// The grid constants the experiment and its gate both rely on.
 #[test]
 fn matrix_axes_match_the_design() {
     assert_eq!(N_GRID, [1, 4, 16, 64, 256]);

@@ -121,7 +121,7 @@ impl MuxConn {
             stream: 0,
             flags: 0,
             // Once per connection, off the per-frame path.
-            // xtask: allow(hot-path-alloc)
+            // simlint: allow(hot-path-alloc)
             payload: FramePayload::Settings(vec![
                 (SETTING_ENABLE_PUSH, accept_push as u32),
                 (SETTING_INITIAL_WINDOW, DEFAULT_WINDOW),
@@ -138,7 +138,7 @@ impl MuxConn {
             stream: 0,
             flags: 0,
             // Once per connection, off the per-frame path.
-            // xtask: allow(hot-path-alloc)
+            // simlint: allow(hot-path-alloc)
             payload: FramePayload::Settings(vec![(SETTING_INITIAL_WINDOW, DEFAULT_WINDOW)]),
         });
         conn
@@ -160,7 +160,7 @@ impl MuxConn {
             conn_recv_consumed: 0,
             peer_initial_window: DEFAULT_WINDOW,
             peer_enable_push: false,
-            outbuf: Vec::new(), // xtask: allow(hot-path-alloc) — constructor
+            outbuf: Vec::new(), // simlint: allow(hot-path-alloc) — constructor
             rr_last: 0,
             dead: false,
         }
@@ -386,7 +386,7 @@ impl MuxConn {
                     stream: 0,
                     flags: FLAG_ACK,
                     // Empty Vec::new() never allocates.
-                    // xtask: allow(hot-path-alloc)
+                    // simlint: allow(hot-path-alloc)
                     payload: FramePayload::Settings(Vec::new()),
                 });
                 self.events.push_back(MuxEvent::Settings {

@@ -161,7 +161,7 @@ struct RrState {
 impl RrState {
     fn new() -> Self {
         RrState {
-            queues: Vec::new(), // xtask: allow(hot-path-alloc) per-link setup
+            queues: Vec::new(), // simlint: allow(hot-path-alloc) per-link setup
             queued_bytes: 0,
             next: 0,
             pump_armed: false,

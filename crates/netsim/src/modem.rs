@@ -26,7 +26,7 @@ const MAX_CODES: usize = 1 << MAX_CODE_BITS;
 /// bytes per packet with carry.
 #[derive(Debug)]
 pub struct LzwSizer {
-    // xtask: allow(hash-collections): compression dictionary, keyed
+    // simlint: allow(hash-collections): compression dictionary, keyed
     // lookup only; never iterated.
     dict: HashMap<(u32, u8), u32>,
     next_code: u32,
@@ -47,7 +47,7 @@ impl LzwSizer {
     /// Create a new, empty instance.
     pub fn new() -> Self {
         LzwSizer {
-            dict: HashMap::new(), // xtask: allow(hash-collections)
+            dict: HashMap::new(), // simlint: allow(hash-collections)
             next_code: 256,
             code_bits: 9,
             current: None,

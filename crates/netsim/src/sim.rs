@@ -113,11 +113,11 @@ struct HostState {
     tcp_config: TcpConfig,
     sockets: Vec<Tcb>,
     /// (local port, remote addr) → socket slot.
-    // xtask: allow(hash-collections): keyed lookup only; never iterated.
+    // simlint: allow(hash-collections): keyed lookup only; never iterated.
     demux: HashMap<(u16, SockAddr), u32>,
     /// Listening ports → optional SYN-queue backlog bound (`None` accepts
     /// unconditionally).
-    // xtask: allow(hash-collections): keyed lookup only; never iterated.
+    // simlint: allow(hash-collections): keyed lookup only; never iterated.
     listeners: HashMap<u16, Option<u32>>,
     next_ephemeral: u16,
     stats: SocketStats,
@@ -149,7 +149,7 @@ pub struct Kernel {
     queue: EventQueue<QueuedEvent>,
     hosts: Vec<HostState>,
     links: Vec<Link>,
-    // xtask: allow(hash-collections): keyed lookup only; never iterated.
+    // simlint: allow(hash-collections): keyed lookup only; never iterated.
     link_index: HashMap<(HostId, HostId), usize>,
     trace: Trace,
     probe: ProbeSink,
@@ -169,14 +169,14 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             queue: EventQueue::wheel(),
-            hosts: Vec::new(),          // xtask: allow(hot-path-alloc) kernel setup
-            links: Vec::new(),          // xtask: allow(hot-path-alloc) kernel setup
-            link_index: HashMap::new(), // xtask: allow(hash-collections)
+            hosts: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
+            links: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
+            link_index: HashMap::new(), // simlint: allow(hash-collections)
             trace: Trace::new(),
             probe: ProbeSink::default(),
             telemetry: TelemetrySink::default(),
             pending: VecDeque::new(),
-            fx_pool: Vec::new(), // xtask: allow(hot-path-alloc) kernel setup
+            fx_pool: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             events_processed: 0,
             max_events: 200_000_000,
         }
@@ -828,7 +828,7 @@ impl Simulator {
     pub fn new() -> Self {
         Simulator {
             kernel: Kernel::new(),
-            apps: Vec::new(), // xtask: allow(hot-path-alloc) sim setup
+            apps: Vec::new(), // simlint: allow(hot-path-alloc) sim setup
             started: false,
         }
     }
@@ -839,13 +839,13 @@ impl Simulator {
         self.kernel.hosts.push(HostState {
             name: name.to_string(),
             tcp_config: TcpConfig::default(),
-            sockets: Vec::new(),   // xtask: allow(hot-path-alloc) per-host setup
-            demux: HashMap::new(), // xtask: allow(hash-collections)
-            listeners: HashMap::new(), // xtask: allow(hash-collections)
+            sockets: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            demux: HashMap::new(), // simlint: allow(hash-collections)
+            listeners: HashMap::new(), // simlint: allow(hash-collections)
             next_ephemeral: 40_000,
             stats: SocketStats::default(),
             open_now: 0,
-            open_flags: Vec::new(), // xtask: allow(hot-path-alloc) per-host setup
+            open_flags: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
         });
         self.apps.push(None);
         id

@@ -30,46 +30,13 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// One entry of the file-granular allowlist (`xtask-allow.txt`):
-/// suppresses every diagnostic of `rule` in `path`.
-pub struct FileAllow {
-    pub rule: String,
-    pub path: String,
-    /// Line in the allowlist file, for stale reporting.
-    pub line: u32,
-}
-
-pub const ALLOWLIST_FILE: &str = "xtask-allow.txt";
-
-/// Parse the file-granular allowlist. Lines are `<rule> <path>`; `#`
-/// comments and blank lines are skipped.
-pub fn parse_allowlist(text: &str) -> Vec<FileAllow> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if let (Some(rule), Some(path)) = (parts.next(), parts.next()) {
-            out.push(FileAllow {
-                rule: rule.to_string(),
-                path: path.to_string(),
-                line: (i + 1) as u32,
-            });
-        }
-    }
-    out
-}
-
 /// Lint a set of in-memory sources, applying inline allow markers and
-/// the file allowlist, and reporting stale allows of either kind.
-pub fn lint_sources(files: &[SourceFile], file_allows: &[FileAllow]) -> Report {
+/// reporting the stale ones.
+pub fn lint_sources(files: &[SourceFile]) -> Report {
     let mut report = Report {
         files_scanned: files.len(),
         diagnostics: Vec::new(),
     };
-    let mut file_allow_used = vec![false; file_allows.len()];
 
     for f in files {
         let sf = scope::scope_file(&f.path, lexer::lex(&f.text), rules::RULE_IDS);
@@ -94,14 +61,6 @@ pub fn lint_sources(files: &[SourceFile], file_allows: &[FileAllow]) -> Report {
                     if covers {
                         marker_used[mi] = true;
                         suppressed = true;
-                    }
-                }
-                if !suppressed {
-                    for (ai, a) in file_allows.iter().enumerate() {
-                        if a.rule == d.rule && a.path == d.path {
-                            file_allow_used[ai] = true;
-                            suppressed = true;
-                        }
                     }
                 }
             }
@@ -130,29 +89,12 @@ pub fn lint_sources(files: &[SourceFile], file_allows: &[FileAllow]) -> Report {
         }
     }
 
-    for (ai, a) in file_allows.iter().enumerate() {
-        if !file_allow_used[ai] {
-            report.diagnostics.push(Diagnostic {
-                rule: "stale-allow",
-                severity: Severity::Error,
-                path: ALLOWLIST_FILE.to_string(),
-                line: a.line,
-                col: 1,
-                message: format!(
-                    "allowlist entry `{} {}` no longer suppresses anything; remove it",
-                    a.rule, a.path
-                ),
-            });
-        }
-    }
-
     report.sort();
     report
 }
 
 /// Lint every `crates/**/*.rs` file under `root` (skipping `target/`
-/// and integration-test `tests/` directories), honoring
-/// `root/xtask-allow.txt` when present.
+/// and integration-test `tests/` directories).
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -183,14 +125,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
 
-    let allow_path = root.join(ALLOWLIST_FILE);
-    let file_allows = if allow_path.exists() {
-        parse_allowlist(&fs::read_to_string(&allow_path)?)
-    } else {
-        Vec::new()
-    };
-
-    Ok(lint_sources(&files, &file_allows))
+    Ok(lint_sources(&files))
 }
 
 #[cfg(test)]
@@ -210,7 +145,7 @@ mod tests {
             "crates/netsim/src/sim.rs",
             "fn f() {\n    let v: Vec<u8> = Vec::new(); // simlint: allow(hot-path-alloc)\n}\n",
         );
-        let r = lint_sources(&[f], &[]);
+        let r = lint_sources(&[f]);
         assert!(r.clean(), "unexpected: {:?}", r.diagnostics);
     }
 
@@ -220,7 +155,7 @@ mod tests {
             "crates/bench/src/lib.rs",
             "// Timing harness: real clocks are the point here.\n// simlint: allow(wall-clock)\npub fn bench() {\n    let a = Instant::now();\n    let b = Instant::now();\n}\n",
         );
-        let r = lint_sources(&[f], &[]);
+        let r = lint_sources(&[f]);
         assert!(r.clean(), "unexpected: {:?}", r.diagnostics);
     }
 
@@ -230,35 +165,10 @@ mod tests {
             "crates/netsim/src/sim.rs",
             "fn f() {\n    let x = 1; // simlint: allow(hot-path-alloc)\n}\n",
         );
-        let r = lint_sources(&[f], &[]);
+        let r = lint_sources(&[f]);
         assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].rule, "stale-allow");
         assert_eq!(r.diagnostics[0].severity, Severity::Warn);
-    }
-
-    #[test]
-    fn file_allow_suppresses_and_stale_entry_errors() {
-        let f = src(
-            "crates/bench/src/bin/x.rs",
-            "fn main() {\n    let t = Instant::now();\n}\n",
-        );
-        let allows = vec![
-            FileAllow {
-                rule: "wall-clock".into(),
-                path: "crates/bench/src/bin/x.rs".into(),
-                line: 1,
-            },
-            FileAllow {
-                rule: "wall-clock".into(),
-                path: "crates/bench/src/bin/gone.rs".into(),
-                line: 2,
-            },
-        ];
-        let r = lint_sources(&[f], &allows);
-        assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].rule, "stale-allow");
-        assert_eq!(r.diagnostics[0].severity, Severity::Error);
-        assert_eq!(r.diagnostics[0].line, 2);
     }
 
     #[test]
@@ -267,15 +177,7 @@ mod tests {
             "crates/netsim/src/probe.rs",
             "fn f() {\n    let t = Instant::now(); // simlint: allow(probe-determinism)\n}\n",
         );
-        let r = lint_sources(&[f], &[]);
+        let r = lint_sources(&[f]);
         assert!(r.diagnostics.iter().any(|d| d.rule == "probe-determinism"));
-    }
-
-    #[test]
-    fn allowlist_parser_skips_comments() {
-        let allows = parse_allowlist("# comment\n\nwall-clock crates/bench/src/lib.rs\n");
-        assert_eq!(allows.len(), 1);
-        assert_eq!(allows[0].rule, "wall-clock");
-        assert_eq!(allows[0].line, 3);
     }
 }

@@ -30,8 +30,7 @@ pub const RULE_IDS: &[&str] = &[
     "stale-allow",
 ];
 
-/// Rules that cannot be suppressed by allow markers or the file
-/// allowlist.
+/// Rules that cannot be suppressed by allow markers.
 pub const UNSUPPRESSIBLE: &[&str] = &["probe-determinism", "tcp-state-machine", "stale-allow"];
 
 /// Crates where nondeterministic hash iteration can change simulation

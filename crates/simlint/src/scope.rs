@@ -288,9 +288,8 @@ pub fn scope_file(path: &str, lexed: Lexed, known_rules: &[&str]) -> ScopedFile 
     }
 
     // --- Allow markers ----------------------------------------------------
-    // Syntax inside any comment: `simlint: allow(rule)` (legacy spelling
-    // with the old tool name is accepted too). Unknown rule names are
-    // treated as prose and ignored.
+    // Syntax inside any comment: `simlint: allow(rule)`. Unknown rule
+    // names are treated as prose and ignored.
     let mut allows: Vec<AllowMarker> = Vec::new();
     // Last code line per line number: we need "next code line after L".
     let code_lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
@@ -348,20 +347,18 @@ pub fn scope_file(path: &str, lexed: Lexed, known_rules: &[&str]) -> ScopedFile 
 /// Pull every `allow(rule)` marker out of one comment's text. The rule
 /// name must match a known rule id; anything else is prose.
 fn extract_marker_rules(text: &str, known_rules: &[&str]) -> Vec<String> {
+    const MARKER: &str = "simlint:";
     let mut out = Vec::new();
-    let markers = ["simlint:", "xtask:"];
-    for m in markers {
-        let mut rest = text;
-        while let Some(pos) = rest.find(m) {
-            rest = &rest[pos + m.len()..];
-            let after = rest.trim_start();
-            if let Some(args) = after.strip_prefix("allow(") {
-                if let Some(end) = args.find(')') {
-                    for part in args[..end].split(',') {
-                        let rule = part.trim();
-                        if known_rules.contains(&rule) {
-                            out.push(rule.to_string());
-                        }
+    let mut rest = text;
+    while let Some(pos) = rest.find(MARKER) {
+        rest = &rest[pos + MARKER.len()..];
+        let after = rest.trim_start();
+        if let Some(args) = after.strip_prefix("allow(") {
+            if let Some(end) = args.find(')') {
+                for part in args[..end].split(',') {
+                    let rule = part.trim();
+                    if known_rules.contains(&rule) {
+                        out.push(rule.to_string());
                     }
                 }
             }
@@ -460,12 +457,5 @@ mod tests {
     fn unknown_rule_names_are_prose() {
         let sf = scoped("// simlint: allow(made-up-rule)\nfn f() {}\n");
         assert!(sf.allows.is_empty());
-    }
-
-    #[test]
-    fn legacy_marker_spelling_accepted() {
-        let sf = scoped("fn f() {\n    let v = Vec::new(); // xtask: allow(hot-path-alloc)\n}\n");
-        assert_eq!(sf.allows.len(), 1);
-        assert_eq!(sf.allows[0].rule, "hot-path-alloc");
     }
 }

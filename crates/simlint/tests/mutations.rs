@@ -3,16 +3,13 @@
 //! file, line). A rule that silently stops firing fails here before it
 //! can fail to protect the tree.
 
-use simlint::{lint_sources, FileAllow, SourceFile};
+use simlint::{lint_sources, SourceFile};
 
 fn one(path: &str, text: &str) -> Vec<simlint::report::Diagnostic> {
-    lint_sources(
-        &[SourceFile {
-            path: path.to_string(),
-            text: text.to_string(),
-        }],
-        &[],
-    )
+    lint_sources(&[SourceFile {
+        path: path.to_string(),
+        text: text.to_string(),
+    }])
     .diagnostics
 }
 
@@ -172,26 +169,6 @@ fn stale_allow_fires_for_marker() {
         "stale-allow",
         2,
     );
-}
-
-#[test]
-fn stale_allow_fires_for_allowlist_entry() {
-    let diags = lint_sources(
-        &[SourceFile {
-            path: "crates/netsim/src/sim.rs".to_string(),
-            text: "fn f() {}\n".to_string(),
-        }],
-        &[FileAllow {
-            rule: "wall-clock".to_string(),
-            path: "crates/netsim/src/gone.rs".to_string(),
-            line: 7,
-        }],
-    )
-    .diagnostics;
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].rule, "stale-allow");
-    assert_eq!(diags[0].path, "xtask-allow.txt");
-    assert_eq!(diags[0].line, 7);
 }
 
 // --- Scoper precision: the properties the regex lint could not have ---

@@ -15,16 +15,13 @@
 //!
 //! Suppressions:
 //! - line-granular: a trailing comment on the offending line naming the
-//!   rule, e.g. `// simlint: allow(<rule-id>)` with a real rule id (the
-//!   legacy `xtask:` marker spelling still works);
+//!   rule, e.g. `// simlint: allow(<rule-id>)` with a real rule id;
 //! - function-granular: the same marker in the comment block above a
-//!   function signature covers the whole body;
-//! - file-granular: a `<rule-id> <path>` line in `xtask-allow.txt` at
-//!   the repo root.
+//!   function signature covers the whole body.
 //!
-//! Every suppression must still fire: a marker or allowlist entry that
-//! no longer matches anything is itself reported (`stale-allow`), so
-//! dead exemptions cannot linger and mask future regressions.
+//! Every suppression must still fire: a marker that no longer matches
+//! anything is itself reported (`stale-allow`), so dead exemptions
+//! cannot linger and mask future regressions.
 
 use std::env;
 use std::fs;
