@@ -8,7 +8,7 @@
 //! cannot tell which requests succeeded and must re-fetch defensively.
 
 use crate::env::NetEnv;
-use crate::harness::{matrix_spec, run_cells, run_spec, CellSpec, ProtocolSetup, Scenario};
+use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
 use httpserver::ServerKind;
 
@@ -24,16 +24,8 @@ pub struct CloseOutcome {
     pub limit: u32,
 }
 
-/// Run the experiment: server closes after `limit` requests, either
-/// naively (both halves at once) or correctly (half-close + drain).
-pub fn run_close_cell(env: NetEnv, limit: u32, naive: bool) -> CloseOutcome {
-    CloseOutcome {
-        cell: run_spec(close_spec(env, limit, naive)).cell,
-        naive,
-        limit,
-    }
-}
-
+/// The cell whose server closes after `limit` requests, either naively
+/// (both halves at once) or correctly (half-close + drain).
 fn close_spec(env: NetEnv, limit: u32, naive: bool) -> CellSpec {
     let mut spec = matrix_spec(
         env,

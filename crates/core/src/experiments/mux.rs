@@ -212,11 +212,6 @@ pub fn fleet_grid() -> Vec<scale::ScalePoint> {
     scale::grid(&NetEnv::ALL, &ProtocolSetup::MUX, &scale::N_GRID)
 }
 
-/// A reduced LAN+WAN mux fleet grid for tests (8 fleets).
-pub fn reduced_fleet_grid() -> Vec<scale::ScalePoint> {
-    scale::grid(&[NetEnv::Lan, NetEnv::Wan], &ProtocolSetup::MUX, &[1, 16])
-}
-
 /// The mux stall-attribution grid: every environment × both mux setups,
 /// first-time retrieval (6 cells).
 pub fn probe_grid() -> Vec<probe::ProbePoint> {
@@ -266,7 +261,6 @@ mod tests {
         assert_eq!(loss_grid().len(), 84);
         assert_eq!(reduced_loss_grid().len(), 12);
         assert_eq!(fleet_grid().len(), 30);
-        assert_eq!(reduced_fleet_grid().len(), 8);
         assert_eq!(probe_grid().len(), 6);
         assert_eq!(reduced_probe_grid().len(), 2);
     }

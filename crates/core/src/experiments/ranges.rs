@@ -14,11 +14,9 @@
 //! metadata in a fraction of the bytes and time.
 
 use crate::env::NetEnv;
-use crate::harness::primed_cache;
+use crate::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
-use httpclient::{ClientConfig, HttpClient, ProtocolMode, Workload};
-use httpserver::{Entity, HttpServer, ServerConfig, SiteStore};
-use netsim::{HostId, SockAddr};
+use httpserver::{Entity, ServerKind, SiteStore};
 use webcontent::microscape::SITE_MTIME;
 
 /// Build the *revised* site: same paths, all bodies perturbed so every
@@ -63,56 +61,25 @@ impl RevisitIdiom {
     }
 }
 
-/// Run a revised-site revalidation with the given idiom over `env`.
+/// Run a revised-site revalidation with the given idiom over `env`: the
+/// pipelined revalidation cell of the matrix, served the revised site.
 pub fn run_revisit_cell(env: NetEnv, idiom: RevisitIdiom) -> CellResult {
-    let site = webcontent::microscape::site();
-    let cache = primed_cache(site);
-
-    // Build the job list by hand: conditional GETs for every object, with
-    // the range headers added for the range idiom.
-    let mut paths = Vec::new();
-    paths.push(site.html_path().to_string());
-    paths.extend(webcontent::html::inline_image_sources(&site.html));
-
-    let addr = SockAddr::new(HostId(1), 80);
-    let client_cfg = ClientConfig::robot(ProtocolMode::Http11Pipelined, addr);
-
-    // Express the idiom through the generic workload machinery: the
-    // robot's Revalidate workload issues If-None-Match; the range variant
-    // adds If-Range + Range per job via the conditional hook below.
-    let workload = Workload::Revalidate {
-        start: site.html_path().into(),
-        style: httpclient::RevalidationStyle::ConditionalGetEtag,
-    };
-
-    let mut sim = netsim::Simulator::new();
-    let ch = sim.add_host("client");
-    let sh = sim.add_host("server");
-    sim.add_link(ch, sh, env.link());
-    sim.install_app(
-        sh,
-        Box::new(HttpServer::new(ServerConfig::apache(80), revised_store())),
+    let mut spec = matrix_spec(
+        env,
+        ServerKind::Apache,
+        ProtocolSetup::Http11Pipelined,
+        Scenario::Revalidate,
     );
-    let mut client = HttpClient::with_cache(client_cfg, workload, cache);
+    spec.store = revised_store();
     if idiom == RevisitIdiom::RangeMetadata {
         // If-None-Match still yields 304 on unchanged entities; on
         // changed ones the bare Range applies and returns a 206 of the
         // leading bytes. (Adding If-Range with the *stale* validator
         // would correctly force full transfers — the opposite of the
         // idiom — so the range is sent unconditionally.)
-        client.set_extra_conditionals(vec![("Range".to_string(), "bytes=0-255".to_string())]);
+        spec.client.extra_headers = vec![("Range".to_string(), "bytes=0-255".to_string())];
     }
-    sim.install_app(ch, Box::new(client));
-    sim.run_until_idle();
-
-    let stats = sim.stats(ch, sh);
-    let socket_stats = sim.socket_stats(ch);
-    let cs = sim
-        .app_mut::<HttpClient>(ch)
-        .expect("client app")
-        .stats
-        .clone();
-    crate::harness::cell_result(&stats, socket_stats, &cs)
+    run_spec(spec).cell
 }
 
 /// Render the comparison.

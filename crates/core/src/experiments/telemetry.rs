@@ -111,7 +111,7 @@ pub fn syn_burst_timeline(n_clients: usize) -> String {
     let sink = out.sim.telemetry();
     let server = out.server_host;
     let ticks = last_tick(sink) + 1;
-    let tick_ms = sink.tick_ns() / 1_000_000;
+    let tick_ms = netsim::telemetry::DEFAULT_TICK.as_nanos() / 1_000_000;
 
     let mut s = String::new();
     s.push_str(&format!(

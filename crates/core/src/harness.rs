@@ -1,6 +1,11 @@
-//! The cell runner: wires a client, a server and a network together and
+//! The runner: wires clients, a server and a network together and
 //! extracts the paper's metrics from one deterministic run — plus
 //! [`run_cells`], which fans independent cells across a thread pool.
+//!
+//! There is one path from a spec to a [`CellResult`]: [`run_spec`] and
+//! [`run_fleet`] lower their specs into the same private topology runner
+//! (a cell is a fleet of one), the only place in this crate that builds a
+//! [`Simulator`].
 //!
 //! Every [`Simulator`] is fully self-contained (own event queue, clock,
 //! hosts, trace), so independent cells parallelize trivially: the pool
@@ -13,7 +18,7 @@ use httpclient::{
     ClientCache, ClientConfig, HttpClient, ProtocolMode, RequestStyle, RevalidationStyle, Workload,
 };
 use httpserver::{Entity, HttpServer, ServerConfig, ServerKind, SiteStore};
-use netsim::{LinkCodec, Simulator, SockAddr, TraceMode};
+use netsim::{HostId, LinkCodec, LinkConfig, Simulator, SockAddr, TraceMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -219,17 +224,53 @@ pub struct RunOutput {
     /// The finished simulator (trace still accessible).
     pub sim: Simulator,
     /// The client's host id.
-    pub client_host: netsim::HostId,
+    pub client_host: HostId,
     /// The server's host id.
-    pub server_host: netsim::HostId,
+    pub server_host: HostId,
     /// Full stall attribution, present when [`CellSpec::probe`] was set.
     pub probe: Option<netsim::ProbeAnalysis>,
 }
 
+/// What [`CellSpec`] and [`FleetSpec`] lower into — the one topology every
+/// run is built from: one server behind one link that every client
+/// shares, one robot per client. Hosts are laid out clients-first (hosts
+/// `0..n`) with the server last (host `n`); a matrix cell is the `n == 1`
+/// case.
+struct Topology {
+    link: LinkConfig,
+    link_codec: Option<fn() -> Box<dyn LinkCodec>>,
+    /// TCP parameter override applied to every host.
+    tcp: Option<netsim::TcpConfig>,
+    server: ServerConfig,
+    store: Arc<SiteStore>,
+    /// One robot per client host, in host order.
+    clients: Vec<(ClientConfig, Workload, ClientCache)>,
+    trace_mode: TraceMode,
+    probe: bool,
+    telemetry: bool,
+}
+
+/// One client's share of a finished [`Topology`] run.
+struct ClientRun {
+    cell: CellResult,
+    stats: httpclient::ClientStats,
+    /// Full stall attribution, present when the probe was on.
+    probe: Option<netsim::ProbeAnalysis>,
+}
+
+/// A finished [`Topology`] run.
+struct Ran {
+    sim: Simulator,
+    client_hosts: Vec<HostId>,
+    server_host: HostId,
+    /// Per client, in host order.
+    clients: Vec<ClientRun>,
+    server_stats: httpserver::ServerStats,
+}
+
 /// Assemble one client's [`CellResult`] from the raw trace, socket and
-/// application counters (shared by [`run_spec`], [`run_fleet`] and the
-/// revisit-idiom experiment).
-pub(crate) fn cell_result(
+/// application counters.
+fn cell_result(
     stats: &netsim::TraceStats,
     socket_stats: netsim::SocketStats,
     client_stats: &httpclient::ClientStats,
@@ -265,92 +306,141 @@ pub(crate) fn cell_result(
     }
 }
 
-/// Execute one cell.
-pub fn run_spec(spec: CellSpec) -> RunOutput {
+/// Build the simulator for `t`, run it until idle and extract every
+/// client's metrics: the only place a [`Simulator`] is wired up.
+fn run_topology(t: Topology) -> Ran {
+    assert!(!t.clients.is_empty(), "a run needs at least one client");
     let mut sim = Simulator::new();
-    sim.set_trace_mode(spec.trace_mode);
-    if spec.probe {
+    sim.set_trace_mode(t.trace_mode);
+    if t.probe {
         sim.enable_probe();
     }
-    if spec.telemetry {
+    if t.telemetry {
         sim.enable_telemetry();
     }
-    let client_host = sim.add_host("client");
+    let client_hosts: Vec<HostId> = (0..t.clients.len())
+        .map(|i| sim.add_host(&format!("client{i}")))
+        .collect();
     let server_host = sim.add_host("server");
-    sim.add_link(client_host, server_host, spec.env.link());
-    if let Some(impair) = spec.impair.clone() {
-        sim.set_impairment(client_host, server_host, impair);
+    sim.add_shared_link(&client_hosts, server_host, t.link);
+    if let Some(tcp) = &t.tcp {
+        for &host in client_hosts.iter().chain([&server_host]) {
+            sim.set_tcp_config(host, tcp.clone());
+        }
     }
-    if let Some(tcp) = spec.tcp.clone() {
-        sim.set_tcp_config(client_host, tcp.clone());
-        sim.set_tcp_config(server_host, tcp);
-    }
-    if let Some(make) = spec.link_codec {
-        sim.link_mut(client_host, server_host).set_codec(make);
+    if let Some(make) = t.link_codec {
+        sim.link_mut(client_hosts[0], server_host).set_codec(make);
     }
 
-    sim.install_app(
-        server_host,
-        Box::new(HttpServer::new(spec.server, spec.store)),
-    );
-    sim.install_app(
-        client_host,
-        Box::new(HttpClient::with_cache(
-            spec.client,
-            spec.workload,
-            spec.cache,
-        )),
-    );
+    sim.install_app(server_host, Box::new(HttpServer::new(t.server, t.store)));
+    for (&host, (config, workload, cache)) in client_hosts.iter().zip(t.clients) {
+        assert_eq!(
+            config.server.host, server_host,
+            "specs address the server as the last host"
+        );
+        sim.install_app(
+            host,
+            Box::new(HttpClient::with_cache(config, workload, cache)),
+        );
+    }
     sim.run_until_idle();
 
-    let mut stats = sim.stats(client_host, server_host);
-    let socket_stats = sim.socket_stats(client_host);
-    let client_stats = sim
-        .app_mut::<HttpClient>(client_host)
-        .expect("client app")
-        .stats
-        .clone();
+    let telemetry = t.telemetry.then(|| sim.telemetry().summary());
+    let clients = client_hosts
+        .iter()
+        .map(|&host| {
+            let trace_stats = sim.stats(host, server_host);
+            let socket_stats = sim.socket_stats(host);
+            let stats = sim
+                .app_mut::<HttpClient>(host)
+                .expect("client app")
+                .stats
+                .clone();
+            let probe = t.probe.then(|| {
+                let start = trace_stats.first.unwrap_or(netsim::SimTime::ZERO);
+                let end = trace_stats.last.unwrap_or(start);
+                netsim::probe::attribute(sim.probe_records(), start, end)
+            });
+            let mut cell = cell_result(&trace_stats, socket_stats, &stats);
+            cell.telemetry = telemetry;
+            cell.probe = probe.as_ref().map(|analysis| analysis.report);
+            ClientRun { cell, stats, probe }
+        })
+        .collect();
     let server_stats = sim
         .app_mut::<HttpServer>(server_host)
         .expect("server app")
         .stats;
-    stats.record_push_counters(
-        client_stats.pushed_responses,
-        client_stats.pushed_bytes,
-        client_stats.cancelled_pushes,
-        client_stats.cancelled_push_bytes,
-    );
-
-    let mut cell = cell_result(&stats, socket_stats, &client_stats);
-    if spec.telemetry {
-        cell.telemetry = Some(sim.telemetry().summary());
-    }
-    let probe = if spec.probe {
-        let start = stats.first.unwrap_or(netsim::SimTime::from_nanos(0));
-        let end = stats.last.unwrap_or(start);
-        let analysis = netsim::probe::attribute(sim.probe_records(), start, end);
-        cell.probe = Some(analysis.report);
-        Some(analysis)
-    } else {
-        None
-    };
-    RunOutput {
-        cell,
-        client_stats,
-        server_stats,
+    Ran {
         sim,
-        client_host,
+        client_hosts,
         server_host,
-        probe,
+        clients,
+        server_stats,
     }
+}
+
+/// [`run_topology`] under the trace-invariant checker: forces
+/// [`TraceMode::Full`] (the checker needs per-packet records; every
+/// [`CellResult`] is bit-identical to a `StatsOnly` run by construction)
+/// and verifies every TCP/HTTP invariant over the finished trace.
+fn run_topology_checked(mut t: Topology) -> (Ran, conformance::Report) {
+    // Every client of a topology runs the same TCP_NODELAY setting.
+    let cfg = check_config(&t.tcp, &t.clients[0].0, &t.server);
+    t.trace_mode = TraceMode::Full;
+    let ran = run_topology(t);
+    let trace = ran.sim.trace();
+    let report = conformance::check_trace(trace.records(), trace.drop_records(), &cfg);
+    (ran, report)
+}
+
+impl CellSpec {
+    fn lower(self) -> Topology {
+        let mut link = self.env.link();
+        if let Some(impair) = self.impair {
+            link = link.with_impairment(impair);
+        }
+        Topology {
+            link,
+            link_codec: self.link_codec,
+            tcp: self.tcp,
+            server: self.server,
+            store: self.store,
+            clients: vec![(self.client, self.workload, self.cache)],
+            trace_mode: self.trace_mode,
+            probe: self.probe,
+            telemetry: self.telemetry,
+        }
+    }
+}
+
+impl From<Ran> for RunOutput {
+    fn from(mut ran: Ran) -> RunOutput {
+        let client = ran.clients.pop().expect("a cell has one client");
+        RunOutput {
+            cell: client.cell,
+            client_stats: client.stats,
+            server_stats: ran.server_stats,
+            sim: ran.sim,
+            client_host: ran.client_hosts[0],
+            server_host: ran.server_host,
+            probe: client.probe,
+        }
+    }
+}
+
+/// Execute one cell.
+pub fn run_spec(spec: CellSpec) -> RunOutput {
+    run_topology(spec.lower()).into()
 }
 
 /// Everything configurable about one fleet run: `n_clients` robots
 /// behind one shared bottleneck link fetching from one server.
 ///
 /// Hosts are laid out clients-first (hosts `0..n`) with the server last
-/// (host `n`), so an `n_clients == 1` fleet is host-for-host identical
-/// to the single-client [`matrix_spec`] topology.
+/// (host `n`): the topology a [`CellSpec`] lowers into as well, so an
+/// `n_clients == 1` fleet is host-for-host the single-client
+/// [`matrix_spec`] cell.
 pub struct FleetSpec {
     /// How many concurrent clients share the bottleneck.
     pub n_clients: usize,
@@ -392,117 +482,64 @@ pub struct FleetOutput {
     /// The finished simulator (trace still accessible).
     pub sim: Simulator,
     /// Client host ids, in client order.
-    pub client_hosts: Vec<netsim::HostId>,
+    pub client_hosts: Vec<HostId>,
     /// The server's host id.
-    pub server_host: netsim::HostId,
+    pub server_host: HostId,
+}
+
+impl FleetSpec {
+    fn lower(self) -> Topology {
+        let mut link = self.env.link();
+        if let Some(bytes) = self.buffer_bytes {
+            link = link.with_buffer_bytes(bytes);
+        }
+        // The server address is fixed by construction: the last host.
+        let addr = SockAddr::new(HostId(self.n_clients as u16), self.server.port);
+        let client = ClientConfig::robot(self.setup.mode(), addr)
+            .with_deflate(self.setup.deflate())
+            .with_style(RequestStyle::Robot)
+            .with_reset_backoff(self.reset_backoff);
+        Topology {
+            link,
+            link_codec: None,
+            tcp: self.tcp,
+            server: self.server,
+            store: self.store,
+            clients: (0..self.n_clients)
+                .map(|_| (client.clone(), self.workload.clone(), ClientCache::new()))
+                .collect(),
+            trace_mode: self.trace_mode,
+            probe: false,
+            telemetry: self.telemetry,
+        }
+    }
+}
+
+impl From<Ran> for FleetOutput {
+    fn from(ran: Ran) -> FleetOutput {
+        FleetOutput {
+            per_client: ran.clients.into_iter().map(|c| c.cell).collect(),
+            server_stats: ran.server_stats,
+            server_sockets: ran.sim.socket_stats(ran.server_host),
+            sim: ran.sim,
+            client_hosts: ran.client_hosts,
+            server_host: ran.server_host,
+        }
+    }
 }
 
 /// Execute one fleet run: N clients × one shared bottleneck × one server.
 pub fn run_fleet(spec: FleetSpec) -> FleetOutput {
-    assert!(spec.n_clients >= 1, "a fleet needs at least one client");
-    let mut sim = Simulator::new();
-    sim.set_trace_mode(spec.trace_mode);
-    if spec.telemetry {
-        sim.enable_telemetry();
-    }
-    let client_hosts: Vec<netsim::HostId> = (0..spec.n_clients)
-        .map(|i| sim.add_host(&format!("client{i}")))
-        .collect();
-    let server_host = sim.add_host("server");
-
-    let mut link = spec.env.link();
-    if let Some(bytes) = spec.buffer_bytes {
-        link = link.with_buffer_bytes(bytes);
-    }
-    sim.add_shared_link(&client_hosts, server_host, link);
-
-    if let Some(tcp) = &spec.tcp {
-        for &c in &client_hosts {
-            sim.set_tcp_config(c, tcp.clone());
-        }
-        sim.set_tcp_config(server_host, tcp.clone());
-    }
-
-    let addr = SockAddr::new(server_host, spec.server.port);
-    sim.install_app(
-        server_host,
-        Box::new(HttpServer::new(spec.server, spec.store)),
-    );
-    for &c in &client_hosts {
-        let client = ClientConfig::robot(spec.setup.mode(), addr)
-            .with_deflate(spec.setup.deflate())
-            .with_style(RequestStyle::Robot)
-            .with_reset_backoff(spec.reset_backoff);
-        sim.install_app(
-            c,
-            Box::new(HttpClient::with_cache(
-                client,
-                spec.workload.clone(),
-                ClientCache::new(),
-            )),
-        );
-    }
-    sim.run_until_idle();
-
-    let telemetry_summary = spec.telemetry.then(|| sim.telemetry().summary());
-    let per_client = client_hosts
-        .iter()
-        .map(|&c| {
-            let mut stats = sim.stats(c, server_host);
-            let socket_stats = sim.socket_stats(c);
-            let client_stats = sim
-                .app_mut::<HttpClient>(c)
-                .expect("client app")
-                .stats
-                .clone();
-            stats.record_push_counters(
-                client_stats.pushed_responses,
-                client_stats.pushed_bytes,
-                client_stats.cancelled_pushes,
-                client_stats.cancelled_push_bytes,
-            );
-            let mut cell = cell_result(&stats, socket_stats, &client_stats);
-            cell.telemetry = telemetry_summary;
-            cell
-        })
-        .collect();
-    let server_stats = sim
-        .app_mut::<HttpServer>(server_host)
-        .expect("server app")
-        .stats;
-    let server_sockets = sim.socket_stats(server_host);
-    FleetOutput {
-        per_client,
-        server_stats,
-        server_sockets,
-        sim,
-        client_hosts,
-        server_host,
-    }
+    run_topology(spec.lower()).into()
 }
 
-/// Execute one fleet under the trace-invariant checker: forces
-/// [`TraceMode::Full`] and verifies every TCP/HTTP invariant over the
-/// finished multi-connection trace. Fleet clients are always the tuned
-/// robot (TCP_NODELAY set), and fleets run the spec's TCP parameters
-/// (defaults when `spec.tcp` is `None`).
-pub fn run_fleet_checked(mut spec: FleetSpec) -> (FleetOutput, conformance::Report) {
-    let probe = ClientConfig::robot(
-        spec.setup.mode(),
-        SockAddr::new(netsim::HostId(0), spec.server.port),
-    );
-    let cfg = conformance::CheckConfig {
-        tcp: spec.tcp.clone().unwrap_or_default(),
-        client_nodelay: probe.nodelay,
-        server_nodelay: spec.server.nodelay,
-        server_port: spec.server.port,
-        http: true,
-    };
-    spec.trace_mode = TraceMode::Full;
-    let out = run_fleet(spec);
-    let trace = out.sim.trace();
-    let report = conformance::check_trace(trace.records(), trace.drop_records(), &cfg);
-    (out, report)
+/// Execute one fleet under the trace-invariant checker (see
+/// [`run_spec_checked`]). Fleet clients are always the tuned robot
+/// (TCP_NODELAY set), and fleets run the spec's TCP parameters (defaults
+/// when `spec.tcp` is `None`).
+pub fn run_fleet_checked(spec: FleetSpec) -> (FleetOutput, conformance::Report) {
+    let (ran, report) = run_topology_checked(spec.lower());
+    (ran.into(), report)
 }
 
 /// Build the standard cell for the protocol matrix (Tables 4–9): the
@@ -523,7 +560,7 @@ pub fn matrix_spec(
     .with_mux_push(setup.push());
 
     // The server address is fixed by construction: host 1, port 80.
-    let addr = SockAddr::new(netsim::HostId(1), 80);
+    let addr = SockAddr::new(HostId(1), 80);
     let client = ClientConfig::robot(setup.mode(), addr)
         .with_deflate(setup.deflate())
         .with_style(RequestStyle::Robot);
@@ -568,18 +605,28 @@ pub fn matrix_spec(
     }
 }
 
-/// Derive the conformance-checker configuration a spec's trace must be
-/// judged against: the TCP parameters in effect on both hosts and the
-/// per-side TCP_NODELAY settings (the applications set it per socket
-/// from their configs, overriding the TCP default).
-pub fn check_config_for(spec: &CellSpec) -> conformance::CheckConfig {
+/// The conformance-checker configuration a run's trace must be judged
+/// against: the TCP parameters in effect on every host and the per-side
+/// TCP_NODELAY settings (the applications set it per socket from their
+/// configs, overriding the TCP default).
+fn check_config(
+    tcp: &Option<netsim::TcpConfig>,
+    client: &ClientConfig,
+    server: &ServerConfig,
+) -> conformance::CheckConfig {
     conformance::CheckConfig {
-        tcp: spec.tcp.clone().unwrap_or_default(),
-        client_nodelay: spec.client.nodelay,
-        server_nodelay: spec.server.nodelay,
-        server_port: spec.server.port,
+        tcp: tcp.clone().unwrap_or_default(),
+        client_nodelay: client.nodelay,
+        server_nodelay: server.nodelay,
+        server_port: server.port,
         http: true,
     }
+}
+
+/// Derive the conformance-checker configuration a spec's trace must be
+/// judged against.
+pub fn check_config_for(spec: &CellSpec) -> conformance::CheckConfig {
+    check_config(&spec.tcp, &spec.client, &spec.server)
 }
 
 /// Execute one cell under the trace-invariant checker: forces
@@ -587,13 +634,9 @@ pub fn check_config_for(spec: &CellSpec) -> conformance::CheckConfig {
 /// resulting [`CellResult`] is bit-identical to a `StatsOnly` run by
 /// construction) and verifies every TCP/HTTP invariant over the
 /// finished trace.
-pub fn run_spec_checked(mut spec: CellSpec) -> (RunOutput, conformance::Report) {
-    let cfg = check_config_for(&spec);
-    spec.trace_mode = TraceMode::Full;
-    let out = run_spec(spec);
-    let trace = out.sim.trace();
-    let report = conformance::check_trace(trace.records(), trace.drop_records(), &cfg);
-    (out, report)
+pub fn run_spec_checked(spec: CellSpec) -> (RunOutput, conformance::Report) {
+    let (ran, report) = run_topology_checked(spec.lower());
+    (ran.into(), report)
 }
 
 /// [`run_cells`] with every cell run under the trace-invariant checker.

@@ -56,11 +56,6 @@ impl BitWriter {
         self.out.extend_from_slice(bytes);
     }
 
-    /// Number of whole bytes emitted so far (excluding buffered bits).
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
-
     /// Finish the stream, flushing any partial byte.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_byte();

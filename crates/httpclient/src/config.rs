@@ -42,11 +42,6 @@ impl ProtocolMode {
         matches!(self, ProtocolMode::Http11Pipelined)
     }
 
-    /// Whether this mode multiplexes streams over one framed connection.
-    pub fn is_multiplexed(self) -> bool {
-        matches!(self, ProtocolMode::Multiplexed { .. })
-    }
-
     /// Whether the client accepts server push.
     pub fn push_enabled(self) -> bool {
         matches!(self, ProtocolMode::Multiplexed { push: true })
@@ -182,6 +177,9 @@ pub struct ClientConfig {
     /// default, matching libwww) retries immediately; fleet experiments
     /// set it non-zero so refused clients do not hammer a loaded server.
     pub reset_backoff: SimDuration,
+    /// Fixed extra headers appended to every generated request (experiment
+    /// hook, e.g. the leading-range revisit idiom).
+    pub extra_headers: Vec<(String, String)>,
 }
 
 impl ClientConfig {
@@ -200,6 +198,7 @@ impl ClientConfig {
             request_gen_time: SimDuration::from_millis(2),
             response_proc_time: SimDuration::from_millis(4),
             reset_backoff: SimDuration::ZERO,
+            extra_headers: Vec::new(),
         }
     }
 
@@ -210,13 +209,6 @@ impl ClientConfig {
     pub fn with_disk_cache(mut self) -> Self {
         self.request_gen_time = SimDuration::from_millis(65);
         self.response_proc_time = SimDuration::from_millis(15);
-        self
-    }
-
-    /// Override the client CPU model.
-    pub fn with_cpu(mut self, gen: SimDuration, proc: SimDuration) -> Self {
-        self.request_gen_time = gen;
-        self.response_proc_time = proc;
         self
     }
 

@@ -196,12 +196,6 @@ pub struct HttpClient {
     cpu_busy: SimTime,
     /// A request-generation op is in flight (they are strictly serial).
     gen_scheduled: bool,
-    /// Extra headers appended to every request (experiment hooks, e.g.
-    /// the leading-range revisit idiom).
-    extra_headers: Vec<(String, String)>,
-    /// Attach `If-Range` from the cached validator to conditional
-    /// requests, enabling 206 metadata probes on changed entities.
-    if_range_from_cache: bool,
     /// Run statistics.
     pub stats: ClientStats,
 }
@@ -232,8 +226,6 @@ impl HttpClient {
             next_token: 1,
             cpu_busy: SimTime::ZERO,
             gen_scheduled: false,
-            extra_headers: Vec::new(),
-            if_range_from_cache: false,
             stats: ClientStats::default(),
         }
     }
@@ -241,18 +233,6 @@ impl HttpClient {
     /// The configuration this client runs with.
     pub fn config(&self) -> &ClientConfig {
         &self.config
-    }
-
-    /// Append fixed extra headers to every generated request — the hook
-    /// behind the range-revisit experiments.
-    pub fn set_extra_conditionals(&mut self, headers: Vec<(String, String)>) {
-        self.extra_headers = headers;
-    }
-
-    /// Attach `If-Range` (from the cached ETag) to conditional requests,
-    /// so ranges apply only while the entity is unchanged.
-    pub fn set_if_range_from_cache(&mut self, on: bool) {
-        self.if_range_from_cache = on;
     }
 
     // ------------------------------------------------------------------
@@ -500,17 +480,8 @@ impl HttpClient {
         for (name, value) in &job.conditionals {
             req.headers.append(name, value);
         }
-        for (name, value) in &self.extra_headers {
+        for (name, value) in &self.config.extra_headers {
             req.headers.append(name, value);
-        }
-        if self.if_range_from_cache && !job.conditionals.is_empty() {
-            if let Some(etag) = self
-                .cache
-                .get(&job.path)
-                .and_then(|e| e.validators.etag.as_ref())
-            {
-                req.headers.set("If-Range", etag.to_header_value());
-            }
         }
         req
     }

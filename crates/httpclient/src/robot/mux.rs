@@ -91,7 +91,7 @@ impl HttpClient {
         for (name, value) in &job.conditionals {
             fields.push((name.clone(), value.clone()));
         }
-        for (name, value) in &self.extra_headers {
+        for (name, value) in &self.config.extra_headers {
             fields.push((name.clone(), value.clone()));
         }
         let m = self.mux.as_mut().expect("mux conn just ensured");

@@ -96,7 +96,7 @@ pub mod trace;
 
 pub use cc::{cubic_k_ms, cubic_window, CcVariant, CongestionControl};
 pub use impair::{DropReason, ImpairConfig, JitterModel, LossModel, Outage};
-pub use link::{Link, LinkCodec, LinkConfig, Pumped, QueueDiscipline, Transmit};
+pub use link::{Link, LinkCodec, LinkConfig, Transmit};
 pub use modem::ModemCompressor;
 pub use packet::{HostId, SackBlocks, Segment, SockAddr, TcpFlags, TCP_IP_HEADER_BYTES};
 pub use pcapng::{PcapError, PcapPacket};

@@ -16,22 +16,6 @@
 use crate::impair::{DropReason, ImpairConfig, ImpairState, LossModel};
 use crate::packet::{HostId, Segment};
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-
-/// How a link arbitrates between competing senders in one direction.
-///
-/// Matters only for shared bottlenecks (several client hosts multiplexed
-/// onto one link): a point-to-point link has a single sender per direction,
-/// for which both disciplines degenerate to the same FIFO behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// One FIFO per direction: packets serialize in submission order
-    /// regardless of which host sent them.
-    Fifo,
-    /// Per-source-host queues served round-robin, one packet per turn —
-    /// an idealized fair-queueing bottleneck router.
-    RoundRobin,
-}
 
 /// A stateful link-level compressor applied to each packet's bytes to decide
 /// how long the packet occupies the wire.
@@ -63,8 +47,6 @@ pub struct LinkConfig {
     pub propagation: SimDuration,
     /// Impairments applied to each direction (independent random streams).
     pub impair: ImpairConfig,
-    /// How competing senders share each direction (see [`QueueDiscipline`]).
-    pub discipline: QueueDiscipline,
     /// Tail-drop buffer bound in bytes per direction; `None` means the
     /// queue is unbounded. Only payload-bearing packets are dropped, the
     /// same courtesy the loss models extend to pure ACKs.
@@ -78,7 +60,6 @@ impl LinkConfig {
             bits_per_sec: Some(10_000_000),
             propagation: SimDuration::from_micros(250),
             impair: ImpairConfig::none(),
-            discipline: QueueDiscipline::Fifo,
             buffer_bytes: None,
         }
     }
@@ -89,7 +70,6 @@ impl LinkConfig {
             bits_per_sec: Some(10_000_000),
             propagation: SimDuration::from_millis(45),
             impair: ImpairConfig::none(),
-            discipline: QueueDiscipline::Fifo,
             buffer_bytes: None,
         }
     }
@@ -100,7 +80,6 @@ impl LinkConfig {
             bits_per_sec: Some(28_800),
             propagation: SimDuration::from_millis(75),
             impair: ImpairConfig::none(),
-            discipline: QueueDiscipline::Fifo,
             buffer_bytes: None,
         }
     }
@@ -111,7 +90,6 @@ impl LinkConfig {
             bits_per_sec: None,
             propagation,
             impair: ImpairConfig::none(),
-            discipline: QueueDiscipline::Fifo,
             buffer_bytes: None,
         }
     }
@@ -131,45 +109,11 @@ impl LinkConfig {
         self
     }
 
-    /// Returns a copy serving competing senders round-robin per source host.
-    pub fn with_round_robin(mut self) -> Self {
-        self.discipline = QueueDiscipline::RoundRobin;
-        self
-    }
-
     /// Returns a copy with a tail-drop buffer bound of `bytes` per direction.
     pub fn with_buffer_bytes(mut self, bytes: u64) -> Self {
         assert!(bytes > 0, "buffer bound must be positive");
         self.buffer_bytes = Some(bytes);
         self
-    }
-}
-
-/// Round-robin arbitration state for one direction of a shared bottleneck.
-struct RrState {
-    /// Per-source FIFO queues, in first-seen source order. Each entry keeps
-    /// the submission time so traces can report true queueing delay.
-    queues: Vec<(HostId, VecDeque<(Segment, SimTime)>)>,
-    /// Total wire bytes waiting across all queues.
-    queued_bytes: u64,
-    /// Index of the queue the next pump serves first.
-    next: usize,
-    /// A pump event is already scheduled for this direction.
-    pump_armed: bool,
-}
-
-impl RrState {
-    fn new() -> Self {
-        RrState {
-            queues: Vec::new(), // simlint: allow(hot-path-alloc) per-link setup
-            queued_bytes: 0,
-            next: 0,
-            pump_armed: false,
-        }
-    }
-
-    fn has_backlog(&self) -> bool {
-        self.queues.iter().any(|(_, q)| !q.is_empty())
     }
 }
 
@@ -180,8 +124,6 @@ struct Direction {
     /// Impairment pipeline state; `None` when the config is a pass-through.
     impair: Option<ImpairState>,
     codec: Option<Box<dyn LinkCodec>>,
-    /// Arbitration queues; `None` under [`QueueDiscipline::Fifo`].
-    rr: Option<RrState>,
 }
 
 impl Direction {
@@ -190,10 +132,6 @@ impl Direction {
             busy_until: SimTime::ZERO,
             impair: ImpairState::new(&cfg.impair, index),
             codec: None,
-            rr: match cfg.discipline {
-                QueueDiscipline::Fifo => None,
-                QueueDiscipline::RoundRobin => Some(RrState::new()),
-            },
         }
     }
 }
@@ -208,24 +146,6 @@ pub enum Transmit {
     Duplicated(SimTime, SimTime),
     /// The packet was dropped for the given reason.
     Dropped(DropReason),
-    /// The packet entered a round-robin arbitration queue. When the inner
-    /// time is `Some`, the caller must schedule a [`Link::pump`] for this
-    /// direction at that time (a pump chain is already running otherwise).
-    Queued(Option<SimTime>),
-}
-
-/// One packet released from a round-robin queue by [`Link::pump`].
-pub struct Pumped {
-    /// The released packet.
-    pub segment: Segment,
-    /// When the packet was originally submitted to the link.
-    pub sent: SimTime,
-    /// Its fate on the wire (never [`Transmit::Queued`]).
-    pub outcome: Transmit,
-    /// Bytes occupied on the physical wire after link compression.
-    pub physical: usize,
-    /// When to pump this direction again; `None` when the queues drained.
-    pub next_pump: Option<SimTime>,
 }
 
 /// A full-duplex point-to-point link between hosts `a` and `b`.
@@ -288,29 +208,23 @@ impl Link {
     }
 
     /// Bytes waiting to serialize in the direction a packet from `from`
-    /// would take, observed at `now`: the round-robin arbitration backlog,
-    /// or the FIFO transmitter backlog implied by `busy_until`. This is
-    /// the quantity tail-drop bounds compare against, exposed for the
-    /// telemetry queue-depth gauge.
+    /// would take, observed at `now`: the transmitter backlog implied by
+    /// `busy_until`. This is the quantity tail-drop bounds compare
+    /// against, exposed for the telemetry queue-depth gauge.
     pub fn queued_bytes(&self, now: SimTime, from: HostId) -> u64 {
         let dir = if from == self.b {
             &self.b_to_a
         } else {
             &self.a_to_b
         };
-        match &dir.rr {
-            Some(rr) => rr.queued_bytes,
-            None => Self::backlog_bytes(dir.busy_until, now, self.config.bits_per_sec),
-        }
+        Self::backlog_bytes(dir.busy_until, now, self.config.bits_per_sec)
     }
 
-    /// Submit `segment` for transmission at time `now`.
-    ///
-    /// Under FIFO arbitration, returns the arrival time at the far end (or
-    /// `Dropped` / `Duplicated`), plus the number of bytes the packet
-    /// occupied on the physical wire after any link compression. Under
-    /// round-robin, the packet enters a per-source queue and the outcome is
-    /// `Queued`; the caller drives delivery via [`Link::pump`].
+    /// Submit `segment` for transmission at time `now`: returns the arrival
+    /// time at the far end (or `Dropped` / `Duplicated`), plus the number
+    /// of bytes the packet occupied on the physical wire after any link
+    /// compression. Competing senders on a shared link serialize in
+    /// submission order.
     pub fn transmit(&mut self, now: SimTime, from: HostId, segment: &Segment) -> (Transmit, usize) {
         let Link {
             config,
@@ -321,31 +235,6 @@ impl Link {
         // Any spoke of a shared link sits on the `a` side; only the hub
         // itself transmits in the b→a direction.
         let dir = if from == self.b { b_to_a } else { a_to_b };
-
-        if let Some(rr) = dir.rr.as_mut() {
-            let wire = segment.wire_len() as u64;
-            if segment.has_payload() {
-                if let Some(cap) = config.buffer_bytes {
-                    if rr.queued_bytes + wire > cap {
-                        return (Transmit::Dropped(DropReason::Queue), 0);
-                    }
-                }
-            }
-            let queue = match rr.queues.iter_mut().position(|(h, _)| *h == from) {
-                Some(i) => &mut rr.queues[i].1,
-                None => {
-                    rr.queues.push((from, VecDeque::new()));
-                    &mut rr.queues.last_mut().unwrap().1
-                }
-            };
-            queue.push_back((segment.clone(), now));
-            rr.queued_bytes += wire;
-            if rr.pump_armed {
-                return (Transmit::Queued(None), 0);
-            }
-            rr.pump_armed = true;
-            return (Transmit::Queued(Some(dir.busy_until.max(now))), 0);
-        }
 
         if segment.has_payload() {
             if let Some(cap) = config.buffer_bytes {
@@ -363,17 +252,6 @@ impl Link {
             }
         }
 
-        Self::serialize(dir, config, now, segment)
-    }
-
-    /// Serialize one packet onto the wire of `dir` starting no earlier than
-    /// `now`, applying codec, bandwidth and post-wire impairments.
-    fn serialize(
-        dir: &mut Direction,
-        config: &LinkConfig,
-        now: SimTime,
-        segment: &Segment,
-    ) -> (Transmit, usize) {
         let raw = segment.wire_len();
         let physical = match dir.codec.as_mut() {
             Some(codec) => codec.wire_bytes(raw, &segment.payload),
@@ -403,73 +281,6 @@ impl Link {
             }
             None => (Transmit::Arrives(nominal), physical),
         }
-    }
-
-    /// Release the next packet from a round-robin direction. Returns `None`
-    /// when every queue is empty (the pump chain then stops; the next
-    /// [`Link::transmit`] restarts it). `a_to_b` selects the direction the
-    /// pump event was scheduled for.
-    pub fn pump(&mut self, now: SimTime, a_to_b: bool) -> Option<Pumped> {
-        let Link {
-            config,
-            a_to_b: fwd,
-            b_to_a: rev,
-            ..
-        } = self;
-        let dir = if a_to_b { fwd } else { rev };
-        let rr = dir.rr.as_mut().expect("pump on a FIFO direction");
-
-        let n = rr.queues.len();
-        let pick = (0..n)
-            .map(|i| (rr.next + i) % n)
-            .find(|&i| !rr.queues[i].1.is_empty());
-        let Some(idx) = pick else {
-            rr.pump_armed = false;
-            return None;
-        };
-        let (segment, sent) = rr.queues[idx].1.pop_front().unwrap();
-        rr.next = (idx + 1) % n;
-        rr.queued_bytes -= segment.wire_len() as u64;
-        let backlog_bytes = rr.queued_bytes;
-        let more = rr.has_backlog();
-
-        // Pre-wire impairments (loss, outages) apply as the packet reaches
-        // the head of the queue; the transmitter stays free on a drop, so
-        // the next pump fires immediately.
-        if let Some(st) = dir.impair.as_mut() {
-            if let Some(reason) =
-                st.pre_wire(&config.impair, now, segment.has_payload(), backlog_bytes)
-            {
-                let next_pump = if more {
-                    Some(now)
-                } else {
-                    dir.rr.as_mut().unwrap().pump_armed = false;
-                    None
-                };
-                return Some(Pumped {
-                    segment,
-                    sent,
-                    outcome: Transmit::Dropped(reason),
-                    physical: 0,
-                    next_pump,
-                });
-            }
-        }
-
-        let (outcome, physical) = Self::serialize(dir, config, now, &segment);
-        let next_pump = if more {
-            Some(dir.busy_until)
-        } else {
-            dir.rr.as_mut().unwrap().pump_armed = false;
-            None
-        };
-        Some(Pumped {
-            segment,
-            sent,
-            outcome,
-            physical,
-            next_pump,
-        })
     }
 }
 
@@ -628,19 +439,6 @@ mod tests {
         }
     }
 
-    fn seg_from(src: u16, len: usize) -> Segment {
-        Segment {
-            src: SockAddr::new(HostId(src), 1),
-            dst: SockAddr::new(HostId(9), 2),
-            seq: 0,
-            ack: 0,
-            flags: TcpFlags::ACK,
-            window: 0,
-            sack: crate::packet::SackBlocks::NONE,
-            payload: Bytes::from(vec![b'x'; len]),
-        }
-    }
-
     #[test]
     fn fifo_buffer_bound_tail_drops() {
         // 10 Mbit/s with a 3000-byte buffer: the third 1460-byte packet
@@ -659,88 +457,6 @@ mod tests {
         // Pure ACKs pass even when the buffer is full.
         let (ack, _) = link.transmit(SimTime::ZERO, HostId(0), &seg(0));
         assert!(matches!(ack, Transmit::Arrives(_)));
-    }
-
-    #[test]
-    fn round_robin_interleaves_competing_sources() {
-        // Source 0 floods three packets, source 5 submits one; round-robin
-        // must serve 0, 5, 0, 0 rather than draining source 0 first.
-        let cfg = LinkConfig::lan().with_round_robin();
-        let mut link = Link::new(HostId(0), HostId(9), cfg);
-        let (o, _) = link.transmit(SimTime::ZERO, HostId(0), &seg_from(0, 1000));
-        let Transmit::Queued(Some(first_pump)) = o else {
-            panic!("expected a pump schedule, got {o:?}");
-        };
-        assert_eq!(first_pump, SimTime::ZERO);
-        for _ in 0..2 {
-            let (o, _) = link.transmit(SimTime::ZERO, HostId(0), &seg_from(0, 1000));
-            assert_eq!(o, Transmit::Queued(None), "pump chain already armed");
-        }
-        let (o, _) = link.transmit(SimTime::ZERO, HostId(5), &seg_from(5, 1000));
-        assert_eq!(o, Transmit::Queued(None));
-
-        let mut order = Vec::new();
-        let mut at = first_pump;
-        loop {
-            let p = link.pump(at, true).expect("backlog remains");
-            order.push(p.segment.src.host.0);
-            match p.next_pump {
-                Some(next) => at = next,
-                None => break,
-            }
-        }
-        assert_eq!(order, vec![0, 5, 0, 0]);
-        assert!(link.pump(at, true).is_none(), "queues drained");
-    }
-
-    #[test]
-    fn round_robin_preserves_per_source_order_and_spacing() {
-        let cfg = LinkConfig::lan().with_round_robin();
-        let mut link = Link::new(HostId(0), HostId(9), cfg);
-        let mut seqs = Vec::new();
-        for i in 0..4u64 {
-            let mut s = seg_from(0, 1460);
-            s.seq = i;
-            let _ = link.transmit(SimTime::ZERO, HostId(0), &s);
-        }
-        let mut arrivals = Vec::new();
-        let mut at = SimTime::ZERO;
-        loop {
-            let p = link.pump(at, true).unwrap();
-            seqs.push(p.segment.seq);
-            let Transmit::Arrives(t) = p.outcome else {
-                panic!("no impairments configured");
-            };
-            arrivals.push(t);
-            match p.next_pump {
-                Some(next) => at = next,
-                None => break,
-            }
-        }
-        assert_eq!(seqs, vec![0, 1, 2, 3], "per-source FIFO order");
-        let tx = SimDuration::transmission(1500, 10_000_000);
-        for w in arrivals.windows(2) {
-            assert_eq!(w[1].since(w[0]), tx, "back-to-back serialization");
-        }
-    }
-
-    #[test]
-    fn round_robin_buffer_bound_tail_drops() {
-        let cfg = LinkConfig::lan()
-            .with_round_robin()
-            .with_buffer_bytes(3_000);
-        let mut link = Link::new(HostId(0), HostId(9), cfg);
-        let (o1, _) = link.transmit(SimTime::ZERO, HostId(0), &seg_from(0, 1460));
-        assert!(matches!(o1, Transmit::Queued(Some(_))));
-        let (o2, _) = link.transmit(SimTime::ZERO, HostId(1), &seg_from(1, 1460));
-        assert_eq!(o2, Transmit::Queued(None));
-        let (o3, _) = link.transmit(SimTime::ZERO, HostId(2), &seg_from(2, 1460));
-        assert_eq!(o3, Transmit::Dropped(DropReason::Queue));
-        // Draining one packet frees space again.
-        let p = link.pump(SimTime::ZERO, true).unwrap();
-        assert!(matches!(p.outcome, Transmit::Arrives(_)));
-        let (o4, _) = link.transmit(SimTime::ZERO, HostId(2), &seg_from(2, 1460));
-        assert_eq!(o4, Transmit::Queued(None));
     }
 
     #[test]

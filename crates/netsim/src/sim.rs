@@ -88,11 +88,6 @@ enum QueuedKind {
     AppTimer {
         token: u64,
     },
-    /// Release the next packet from a round-robin link direction.
-    LinkPump {
-        link: usize,
-        a_to_b: bool,
-    },
 }
 
 /// The payload of one queued event. Its delivery time and FIFO tie-break
@@ -246,7 +241,7 @@ impl Kernel {
         }
     }
 
-    /// Sample per-link-direction telemetry after a submission or pump:
+    /// Sample per-link-direction telemetry after a submission:
     /// drop counters by reason, the instantaneous backlog, and its
     /// distribution.
     fn telemetry_link(&mut self, link: usize, from: HostId, dropped: Option<DropReason>) {
@@ -365,51 +360,8 @@ impl Kernel {
                 self.trace.observe_drop(now, &seg, reason);
                 dropped = Some(reason);
             }
-            // Round-robin links deliver via pump events instead.
-            Transmit::Queued(pump_at) => {
-                if let Some(at) = pump_at {
-                    let a_to_b = from != self.links[idx].b;
-                    self.push(at, to, QueuedKind::LinkPump { link: idx, a_to_b });
-                }
-            }
         }
         self.telemetry_link(idx, from, dropped);
-    }
-
-    /// Serve one packet from a round-robin link direction and schedule the
-    /// follow-up pump while backlog remains.
-    fn handle_link_pump(&mut self, link: usize, a_to_b: bool) {
-        let now = self.now;
-        let Some(p) = self.links[link].pump(now, a_to_b) else {
-            return;
-        };
-        if let Some(at) = p.next_pump {
-            self.push(
-                at,
-                p.segment.dst.host,
-                QueuedKind::LinkPump { link, a_to_b },
-            );
-        }
-        let to = p.segment.dst.host;
-        let from = p.segment.src.host;
-        let mut dropped = None;
-        match p.outcome {
-            Transmit::Arrives(at) => {
-                self.probe_wire_tx(&p.segment, p.physical, at, link);
-                self.push_arrival(at, to, p.segment, p.sent, p.physical, false)
-            }
-            Transmit::Duplicated(at, dup_at) => {
-                self.probe_wire_tx(&p.segment, p.physical, at, link);
-                self.push_arrival(at, to, p.segment.clone(), p.sent, p.physical, false);
-                self.push_arrival(dup_at, to, p.segment, p.sent, p.physical, true);
-            }
-            Transmit::Dropped(reason) => {
-                self.trace.observe_drop(now, &p.segment, reason);
-                dropped = Some(reason);
-            }
-            Transmit::Queued(_) => unreachable!("pump never re-queues"),
-        }
-        self.telemetry_link(link, from, dropped);
     }
 
     /// Apply the side effects a TCB produced.
@@ -482,12 +434,44 @@ impl Kernel {
         }
     }
 
-    /// Record a newly created socket in the open-socket accounting.
-    fn count_socket_open(&mut self, host: HostId) {
+    /// Install a freshly opened TCB on `host` — probe record, socket slot,
+    /// demux entry, open-socket accounting — then apply the effects its
+    /// opening produced. Shared by the active and the passive open.
+    fn install_tcb(
+        &mut self,
+        host: HostId,
+        mut tcb: Tcb,
+        opened: ProbeEventKind,
+        mut fx: Effects,
+    ) -> SocketId {
+        let (local, remote) = (tcb.local, tcb.remote);
+        if self.probe.enabled() {
+            tcb.set_probe_enabled(true);
+            self.probe.record(ProbeRecord {
+                at: self.now,
+                host,
+                local,
+                remote,
+                kind: opened,
+            });
+        }
         let h = self.host(host);
+        let slot = h.sockets.len() as u32;
+        h.sockets.push(tcb);
+        let prev = h.demux.insert((local.port, remote), slot);
+        debug_assert!(
+            prev.is_none(),
+            "open clobbered live demux entry ({}, {remote:?})",
+            local.port
+        );
+        h.stats.sockets_used += 1;
         h.open_flags.push(true);
         h.open_now += 1;
         debug_assert_eq!(h.open_flags.len(), h.sockets.len());
+        self.apply_effects(host, slot, &mut fx);
+        self.recycle_fx(fx);
+        self.update_peak(host);
+        SocketId { host, slot }
     }
 
     fn update_peak(&mut self, host: HostId) {
@@ -546,32 +530,8 @@ impl Kernel {
                 let cfg = h.tcp_config.clone();
                 let mut fx = self.take_fx();
                 let now = self.now;
-                let mut tcb = Tcb::open_passive(local, remote, cfg, &seg, now, &mut fx);
-                if self.probe.enabled() {
-                    tcb.set_probe_enabled(true);
-                    self.probe.record(ProbeRecord {
-                        at: now,
-                        host,
-                        local,
-                        remote,
-                        kind: ProbeEventKind::ConnAccepted,
-                    });
-                }
-                let h = self.host(host);
-                let slot = h.sockets.len() as u32;
-                h.sockets.push(tcb);
-                let prev = h.demux.insert((local.port, remote), slot);
-                debug_assert!(
-                    prev.is_none(),
-                    "passive open clobbered live demux entry ({}, {:?})",
-                    local.port,
-                    remote
-                );
-                h.stats.sockets_used += 1;
-                self.count_socket_open(host);
-                self.apply_effects(host, slot, &mut fx);
-                self.recycle_fx(fx);
-                self.update_peak(host);
+                let tcb = Tcb::open_passive(local, remote, cfg, &seg, now, &mut fx);
+                self.install_tcb(host, tcb, ProbeEventKind::ConnAccepted, fx);
                 return;
             }
         }
@@ -624,31 +584,8 @@ impl Kernel {
         let local = SockAddr::new(host, port);
         let mut fx = self.take_fx();
         let now = self.now;
-        let mut tcb = Tcb::open_active(local, remote, cfg, now, &mut fx);
-        if self.probe.enabled() {
-            tcb.set_probe_enabled(true);
-            self.probe.record(ProbeRecord {
-                at: now,
-                host,
-                local,
-                remote,
-                kind: ProbeEventKind::ConnOpen,
-            });
-        }
-        let h = self.host(host);
-        let slot = h.sockets.len() as u32;
-        h.sockets.push(tcb);
-        let prev = h.demux.insert((port, remote), slot);
-        debug_assert!(
-            prev.is_none(),
-            "active open clobbered live demux entry ({port}, {remote:?})"
-        );
-        h.stats.sockets_used += 1;
-        self.count_socket_open(host);
-        self.apply_effects(host, slot, &mut fx);
-        self.recycle_fx(fx);
-        self.update_peak(host);
-        SocketId { host, slot }
+        let tcb = Tcb::open_active(local, remote, cfg, now, &mut fx);
+        self.install_tcb(host, tcb, ProbeEventKind::ConnOpen, fx)
     }
 
     fn listen(&mut self, host: HostId, port: u16, backlog: Option<u32>) {
@@ -754,11 +691,6 @@ impl<'a> Ctx<'a> {
         self.kernel.sock(sock).set_nodelay(nodelay);
     }
 
-    /// Current TCP state (for diagnostics and tests).
-    pub fn sock_state(&mut self, sock: SocketId) -> State {
-        self.kernel.sock(sock).state
-    }
-
     /// Whether the probe flight recorder is collecting. Lets callers skip
     /// building span payloads entirely while the probe is off.
     pub fn probe_enabled(&self) -> bool {
@@ -856,19 +788,15 @@ impl Simulator {
         self.kernel.host(host).tcp_config = cfg;
     }
 
-    /// Connect two hosts with a link.
+    /// Connect two hosts with a link: a shared link with one spoke.
     pub fn add_link(&mut self, a: HostId, b: HostId, config: LinkConfig) {
-        let idx = self.kernel.links.len();
-        self.kernel.links.push(Link::new(a, b, config));
-        self.kernel.link_index.insert((a, b), idx);
-        self.kernel.link_index.insert((b, a), idx);
+        self.add_shared_link(&[a], b, config);
     }
 
     /// Multiplex every `spokes` host onto ONE shared link to `hub`: all
     /// spoke→hub traffic contends for the same transmitter (and hub→spoke
     /// for the reverse one), modelling N clients behind a bottleneck
-    /// router. Arbitration between spokes follows the config's
-    /// [`QueueDiscipline`].
+    /// router; packets serialize in submission order regardless of spoke.
     pub fn add_shared_link(&mut self, spokes: &[HostId], hub: HostId, config: LinkConfig) {
         assert!(!spokes.is_empty(), "a shared link needs at least one spoke");
         let idx = self.kernel.links.len();
@@ -885,12 +813,6 @@ impl Simulator {
     pub fn link_mut(&mut self, a: HostId, b: HostId) -> &mut Link {
         let idx = self.kernel.link_index[&(a, b)];
         &mut self.kernel.links[idx]
-    }
-
-    /// Install (or replace) the impairment pipeline on the link between
-    /// two hosts. Shorthand for `link_mut(a, b).set_impairment(..)`.
-    pub fn set_impairment(&mut self, a: HostId, b: HostId, impair: crate::impair::ImpairConfig) {
-        self.link_mut(a, b).set_impairment(impair);
     }
 
     /// Install the application driving `host`.
@@ -959,13 +881,6 @@ impl Simulator {
     /// Turn on the telemetry time-series sink with the default 10 ms
     /// tick. Do this before traffic flows so series cover the whole run.
     pub fn enable_telemetry(&mut self) {
-        self.kernel.telemetry.enable();
-    }
-
-    /// Like [`Simulator::enable_telemetry`], but sampling on a custom
-    /// tick width.
-    pub fn enable_telemetry_with_tick(&mut self, tick: SimDuration) {
-        self.kernel.telemetry.set_tick(tick);
         self.kernel.telemetry.enable();
     }
 
@@ -1051,9 +966,6 @@ impl Simulator {
                         .pending
                         .push_back((ev.host, AppEvent::Timer(token)));
                 }
-                QueuedKind::LinkPump { link, a_to_b } => {
-                    self.kernel.handle_link_pump(link, a_to_b);
-                }
             }
             self.dispatch_pending();
         }
@@ -1064,12 +976,6 @@ impl Simulator {
     /// timers, which merely advance the clock).
     pub fn run_until_idle(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
-    }
-
-    /// Run for a bounded amount of simulated time from now.
-    pub fn run_for(&mut self, d: SimDuration) -> u64 {
-        let deadline = self.kernel.now + d;
-        self.run_until(deadline)
     }
 }
 
@@ -1419,48 +1325,6 @@ mod tests {
             "4 clients behind one 28.8k modem should take ~4x as long \
              (private {private_t:.2}s shared {shared_t:.2}s)"
         );
-    }
-
-    /// The same fleet on a round-robin bottleneck also completes, with the
-    /// pump-driven delivery path.
-    #[test]
-    fn shared_round_robin_bottleneck_completes() {
-        let mut sim = Simulator::new();
-        let clients: Vec<HostId> = (0..4).map(|i| sim.add_host(&format!("c{i}"))).collect();
-        let server = sim.add_host("server");
-        sim.add_shared_link(
-            &clients,
-            server,
-            LinkConfig::lan()
-                .with_round_robin()
-                .with_buffer_bytes(64_000),
-        );
-        sim.install_app(
-            server,
-            Box::new(Echo {
-                port: 80,
-                echoed: 0,
-            }),
-        );
-        for &c in &clients {
-            sim.install_app(
-                c,
-                Box::new(EchoClient {
-                    server: SockAddr::new(server, 80),
-                    payload: vec![3u8; 30_000],
-                    sent: 0,
-                    received: Vec::new(),
-                    done: false,
-                    sock: None,
-                }),
-            );
-        }
-        sim.run_until_idle();
-        for &c in &clients {
-            let app = sim.app_mut::<EchoClient>(c).unwrap();
-            assert!(app.done);
-            assert_eq!(app.received.len(), 30_000);
-        }
     }
 
     /// A bounded listen backlog silently drops overflow SYNs; clients

@@ -24,8 +24,8 @@
 //!
 //! ## Sampling rules
 //!
-//! Time is divided into fixed-width ticks of `tick_ns` nanoseconds
-//! (default 10 ms); an event at time `t` lands in tick `t / tick_ns`.
+//! Time is divided into fixed-width ticks of [`DEFAULT_TICK`] (10 ms); an
+//! event at time `t` lands in tick `t / DEFAULT_TICK`.
 //! Recording is event-driven, not sweep-driven:
 //!
 //! * a **gauge** keeps the *last* value written in each tick
@@ -46,7 +46,7 @@ use crate::impair::DropReason;
 use crate::packet::{HostId, SockAddr};
 use crate::time::{SimDuration, SimTime};
 
-/// Default tick width: 10 ms of simulated time.
+/// The tick width: 10 ms of simulated time.
 pub const DEFAULT_TICK: SimDuration = SimDuration::from_millis(10);
 
 /// What a series describes: one connection, one link direction, one host,
@@ -232,7 +232,7 @@ pub struct SeriesKey {
 /// One stored point: the tick index and the value as of that tick's end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Point {
-    /// Tick index (`time_ns / tick_ns`).
+    /// Tick index (`time / DEFAULT_TICK`).
     pub tick: u64,
     /// Gauge value, or cumulative counter total.
     pub value: u64,
@@ -366,22 +366,11 @@ pub struct TelemetrySummary {
 
 /// The telemetry sink: owned by the kernel, off (and allocation-free)
 /// unless explicitly enabled.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TelemetrySink {
     enabled: bool,
-    tick_ns: u64,
     /// Sorted by key; binary-searched on every record.
     series: Vec<Series>,
-}
-
-impl Default for TelemetrySink {
-    fn default() -> Self {
-        TelemetrySink {
-            enabled: false,
-            tick_ns: DEFAULT_TICK.as_nanos(),
-            series: Vec::new(),
-        }
-    }
 }
 
 impl TelemetrySink {
@@ -398,24 +387,8 @@ impl TelemetrySink {
         self.enabled = true;
     }
 
-    /// Set the tick width. Must be called before any point is recorded;
-    /// panics on a zero duration.
-    pub fn set_tick(&mut self, tick: SimDuration) {
-        assert!(tick.as_nanos() > 0, "telemetry tick must be positive");
-        assert!(
-            self.series.is_empty(),
-            "set the telemetry tick before recording"
-        );
-        self.tick_ns = tick.as_nanos();
-    }
-
-    /// The tick width in nanoseconds.
-    pub fn tick_ns(&self) -> u64 {
-        self.tick_ns
-    }
-
-    fn tick_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.tick_ns
+    fn tick_of(t: SimTime) -> u64 {
+        t.as_nanos() / DEFAULT_TICK.as_nanos()
     }
 
     /// Locate (or create) the series for `key`.
@@ -441,7 +414,7 @@ impl TelemetrySink {
         if !self.enabled {
             return;
         }
-        let tick = self.tick_of(now);
+        let tick = Self::tick_of(now);
         let SeriesData::Gauge(points) = self.slot(SeriesKey { scope, metric }) else {
             panic!("{} is not a gauge", metric.label());
         };
@@ -465,7 +438,7 @@ impl TelemetrySink {
         if !self.enabled {
             return false;
         }
-        let tick = self.tick_of(now);
+        let tick = Self::tick_of(now);
         let SeriesData::Gauge(points) = self.slot(SeriesKey { scope, metric }) else {
             panic!("{} is not a gauge", metric.label());
         };
@@ -488,7 +461,7 @@ impl TelemetrySink {
         if !self.enabled {
             return;
         }
-        let tick = self.tick_of(now);
+        let tick = Self::tick_of(now);
         let SeriesData::Counter { total, points } = self.slot(SeriesKey { scope, metric }) else {
             panic!("{} is not a counter", metric.label());
         };
@@ -551,7 +524,7 @@ impl TelemetrySink {
             "  \"cell\": \"{}\",\n",
             crate::json::escape(label)
         ));
-        out.push_str(&format!("  \"tick_ns\": {},\n", self.tick_ns));
+        out.push_str(&format!("  \"tick_ns\": {},\n", DEFAULT_TICK.as_nanos()));
         out.push_str("  \"series\": [\n");
         for (i, s) in self.series.iter().enumerate() {
             let comma = if i + 1 < self.series.len() { "," } else { "" };
@@ -805,18 +778,5 @@ mod tests {
                 hist_samples: 2
             }
         );
-    }
-
-    #[test]
-    fn custom_tick_width() {
-        let mut sink = TelemetrySink::default();
-        sink.set_tick(SimDuration::from_millis(100));
-        sink.enable();
-        let s = conn_scope();
-        sink.gauge(at_ms(250), s, Metric::Cwnd, 1460);
-        let SeriesData::Gauge(points) = sink.get(s, Metric::Cwnd).unwrap() else {
-            panic!("gauge expected");
-        };
-        assert_eq!(points[0].tick, 2);
     }
 }

@@ -6,13 +6,14 @@
 //! on the wire, elapsed seconds, and the percentage of bytes that are TCP/IP
 //! header overhead — [`TraceStats`] computes all of these.
 //!
-//! Capture runs in one of two [`TraceMode`]s. [`TraceMode::Full`] keeps every
-//! packet as a [`TraceRecord`] (required for [`Trace::dump`],
-//! [`Trace::xplot`] and [`Trace::time_sequence`]). [`TraceMode::StatsOnly`]
-//! folds each packet into per-host-pair [`TraceStats`] at arrival time and
-//! stores nothing else: no `Segment` clone, no unbounded record vector —
-//! the memory cost is O(host pairs) instead of O(packets), which is what the
-//! batch experiment matrix wants.
+//! Every packet is folded into per-host-pair [`TraceStats`] at arrival time,
+//! whatever the [`TraceMode`], so [`Trace::stats`] is one O(1) lookup.
+//! [`TraceMode::StatsOnly`] stores nothing else: no `Segment` clone, no
+//! unbounded record vector — the memory cost is O(host pairs) instead of
+//! O(packets), which is what the batch experiment matrix wants.
+//! [`TraceMode::Full`] only *adds* retention: every packet is also kept as a
+//! [`TraceRecord`] (required for [`Trace::dump`], [`Trace::xplot`] and
+//! [`Trace::time_sequence`]).
 
 use crate::impair::DropReason;
 use crate::packet::{HostId, Segment, SockAddr, TCP_IP_HEADER_BYTES};
@@ -24,10 +25,10 @@ use std::fmt::Write as _;
 /// How much of each captured packet the trace retains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TraceMode {
-    /// Keep every packet as a [`TraceRecord`] (tcpdump-style capture).
+    /// Also keep every packet as a [`TraceRecord`] (tcpdump-style capture).
     #[default]
     Full,
-    /// Keep only per-host-pair aggregate [`TraceStats`], updated online.
+    /// Keep only the per-host-pair aggregate [`TraceStats`].
     StatsOnly,
 }
 
@@ -57,17 +58,14 @@ pub struct DropRecord {
     pub reason: DropReason,
 }
 
-/// Per-host-pair impairment event counters, maintained online in **both**
-/// trace modes (they cannot be recomputed from arrival records alone).
+/// Everything the trace keeps per host pair: the aggregates
+/// [`Trace::stats`] returns, plus what detecting reorderings and
+/// retransmissions online needs to remember between packets.
 #[derive(Debug, Default)]
-struct PairEvents {
-    drops_loss: u64,
-    drops_outage: u64,
-    drops_queue: u64,
-    dup_packets: u64,
-    reordered: u64,
-    retransmitted: u64,
-    /// Latest departure time seen per direction (index 0 = low→high
+struct PairState {
+    /// `packets_c2s` counts the low→high host direction.
+    stats: TraceStats,
+    /// Latest departure time seen per direction (index 1 = low→high
     /// host); an arrival whose departure precedes it was reordered.
     last_sent: [Option<SimTime>; 2],
     /// Highest sequence-space end seen per flow; a data segment starting
@@ -81,15 +79,10 @@ struct PairEvents {
 pub struct Trace {
     mode: TraceMode,
     records: Vec<TraceRecord>,
-    /// Online per-pair aggregates, keyed by the (low, high) host pair;
-    /// `packets_c2s` counts the low→high direction. Only populated in
-    /// [`TraceMode::StatsOnly`].
+    /// Online per-pair state, keyed by the (low, high) host pair.
     // simlint: allow(hash-collections): read per-pair via `stats()`,
     // never iterated.
-    pair_stats: HashMap<(HostId, HostId), TraceStats>,
-    /// Impairment counters per (low, high) host pair, kept in both modes.
-    // simlint: allow(hash-collections): read per-pair, never iterated.
-    net_events: HashMap<(HostId, HostId), PairEvents>,
+    pairs: HashMap<(HostId, HostId), PairState>,
     /// Dropped packets, retained only in [`TraceMode::Full`].
     dropped: Vec<DropRecord>,
     /// Packets observed regardless of mode.
@@ -115,16 +108,16 @@ impl Trace {
         self.mode
     }
 
-    /// Switch capture mode. Affects packets observed from now on; anything
-    /// already captured is kept as-is.
+    /// Switch capture mode. Only retention changes: packets observed from
+    /// now on are (or are no longer) kept as records, while the statistics
+    /// keep folding across the switch.
     pub fn set_mode(&mut self, mode: TraceMode) {
         self.mode = mode;
     }
 
-    /// Observe one packet without taking ownership of it. In
-    /// [`TraceMode::Full`] this clones the segment into a stored
-    /// [`TraceRecord`]; in [`TraceMode::StatsOnly`] it only folds the packet
-    /// into the per-pair aggregates — the hot path the simulator uses.
+    /// Observe one packet without taking ownership of it: fold it into the
+    /// per-pair aggregates — the hot path the simulator uses — and, in
+    /// [`TraceMode::Full`], clone the segment into a stored [`TraceRecord`].
     pub fn observe(
         &mut self,
         sent: SimTime,
@@ -132,17 +125,7 @@ impl Trace {
         segment: &Segment,
         physical_bytes: usize,
     ) {
-        self.observed += 1;
-        self.track_wire(sent, segment, false);
-        match self.mode {
-            TraceMode::Full => self.records.push(TraceRecord {
-                sent,
-                received,
-                segment: segment.clone(),
-                physical_bytes,
-            }),
-            TraceMode::StatsOnly => self.accumulate(sent, received, segment, physical_bytes),
-        }
+        self.capture(sent, received, segment, physical_bytes, false);
     }
 
     /// Observe the second arrival of a network-duplicated packet. Counted
@@ -156,16 +139,30 @@ impl Trace {
         segment: &Segment,
         physical_bytes: usize,
     ) {
+        self.capture(sent, received, segment, physical_bytes, true);
+    }
+
+    fn capture(
+        &mut self,
+        sent: SimTime,
+        received: SimTime,
+        seg: &Segment,
+        physical_bytes: usize,
+        dup: bool,
+    ) {
         self.observed += 1;
-        self.track_wire(sent, segment, true);
-        match self.mode {
-            TraceMode::Full => self.records.push(TraceRecord {
+        let (key, forward) = pair_key(seg.src.host, seg.dst.host);
+        let pair = self.pairs.entry(key).or_default();
+        pair.track_wire(sent, seg, forward, dup);
+        pair.stats
+            .fold_packet(seg, forward, sent, received, physical_bytes);
+        if self.mode == TraceMode::Full {
+            self.records.push(TraceRecord {
                 sent,
                 received,
-                segment: segment.clone(),
+                segment: seg.clone(),
                 physical_bytes,
-            }),
-            TraceMode::StatsOnly => self.accumulate(sent, received, segment, physical_bytes),
+            });
         }
     }
 
@@ -173,11 +170,12 @@ impl Trace {
     /// per-pair drop counters in both modes; [`TraceMode::Full`]
     /// additionally retains a [`DropRecord`] for [`Trace::dump`].
     pub fn observe_drop(&mut self, at: SimTime, segment: &Segment, reason: DropReason) {
-        let ev = self.pair_events(segment);
+        let (key, _) = pair_key(segment.src.host, segment.dst.host);
+        let stats = &mut self.pairs.entry(key).or_default().stats;
         match reason {
-            DropReason::Loss => ev.drops_loss += 1,
-            DropReason::Outage => ev.drops_outage += 1,
-            DropReason::Queue => ev.drops_queue += 1,
+            DropReason::Loss => stats.drops_loss += 1,
+            DropReason::Outage => stats.drops_outage += 1,
+            DropReason::Queue => stats.drops_queue += 1,
         }
         if self.mode == TraceMode::Full {
             self.dropped.push(DropRecord {
@@ -188,86 +186,12 @@ impl Trace {
         }
     }
 
-    fn pair_events(&mut self, seg: &Segment) -> &mut PairEvents {
-        let (from, to) = (seg.src.host, seg.dst.host);
-        let key = if from <= to { (from, to) } else { (to, from) };
-        self.net_events.entry(key).or_default()
-    }
-
-    /// Online reorder / retransmission / duplication detection, shared by
-    /// both modes (arrival records alone cannot distinguish a network
-    /// duplicate from a TCP retransmission).
-    fn track_wire(&mut self, sent: SimTime, seg: &Segment, dup: bool) {
-        let forward = (seg.src.host <= seg.dst.host) as usize;
-        let ev = self.pair_events(seg);
-        if dup {
-            ev.dup_packets += 1;
-            return;
-        }
-        // Arrivals are observed in arrival order: a packet that departed
-        // before the latest departure already seen arrived out of order.
-        let reordered = match ev.last_sent[forward] {
-            Some(prev) if sent < prev => {
-                ev.reordered += 1;
-                true
-            }
-            _ => {
-                ev.last_sent[forward] = Some(sent);
-                false
-            }
-        };
-        // Sequence-space tracking per flow (SYN/FIN octets included). A
-        // reordered fresh segment also starts below the high-water mark,
-        // so only in-order arrivals count as retransmissions.
-        if seg.seq_space() > 0 {
-            let end = seg.seq_end();
-            let high = ev.max_seq.entry((seg.src, seg.dst)).or_insert(0);
-            if !reordered && seg.seq < *high {
-                ev.retransmitted += 1;
-            }
-            if end > *high {
-                *high = end;
-            }
-        }
-    }
-
-    /// Append a captured packet (ownership-taking variant of [`observe`],
-    /// kept for tests and external captures).
+    /// Append a captured packet ([`observe`] for callers that hold a
+    /// finished record; kept for tests and external captures).
     ///
     /// [`observe`]: Trace::observe
     pub fn record(&mut self, rec: TraceRecord) {
-        match self.mode {
-            TraceMode::Full => {
-                self.observed += 1;
-                self.track_wire(rec.sent, &rec.segment, false);
-                self.records.push(rec);
-            }
-            TraceMode::StatsOnly => {
-                self.observe(rec.sent, rec.received, &rec.segment, rec.physical_bytes)
-            }
-        }
-    }
-
-    fn accumulate(
-        &mut self,
-        sent: SimTime,
-        received: SimTime,
-        seg: &Segment,
-        physical_bytes: usize,
-    ) {
-        let (from, to) = (seg.src.host, seg.dst.host);
-        let (key, forward) = if from <= to {
-            ((from, to), true)
-        } else {
-            ((to, from), false)
-        };
-        self.pair_stats.entry(key).or_default().fold_packet(
-            seg,
-            forward,
-            sent,
-            received,
-            physical_bytes,
-        );
+        self.observe(rec.sent, rec.received, &rec.segment, rec.physical_bytes);
     }
 
     /// True when nothing has been observed.
@@ -296,59 +220,19 @@ impl Trace {
     /// Drop all accumulated contents.
     pub fn clear(&mut self) {
         self.records.clear();
-        self.pair_stats.clear();
-        self.net_events.clear();
+        self.pairs.clear();
         self.dropped.clear();
         self.observed = 0;
     }
 
     /// Statistics over all packets flowing in either direction between the
     /// two hosts, with `client` defining the "client → server" direction.
-    /// Works in both modes and produces identical results.
     pub fn stats(&self, client: HostId, server: HostId) -> TraceStats {
-        let mut s = match self.mode {
-            TraceMode::Full => {
-                let mut s = TraceStats::default();
-                for rec in &self.records {
-                    let seg = &rec.segment;
-                    let (from, to) = (seg.src.host, seg.dst.host);
-                    let c2s = if (from, to) == (client, server) {
-                        true
-                    } else if (from, to) == (server, client) {
-                        false
-                    } else {
-                        continue;
-                    };
-                    s.fold_packet(seg, c2s, rec.sent, rec.received, rec.physical_bytes);
-                }
-                s
-            }
-            TraceMode::StatsOnly => {
-                let (key, forward) = if client <= server {
-                    ((client, server), true)
-                } else {
-                    ((server, client), false)
-                };
-                let mut s = self.pair_stats.get(&key).copied().unwrap_or_default();
-                if !forward {
-                    std::mem::swap(&mut s.packets_c2s, &mut s.packets_s2c);
-                    std::mem::swap(&mut s.first_payload_c2s, &mut s.first_payload_s2c);
-                }
-                s
-            }
-        };
-        let key = if client <= server {
-            (client, server)
-        } else {
-            (server, client)
-        };
-        if let Some(ev) = self.net_events.get(&key) {
-            s.drops_loss = ev.drops_loss;
-            s.drops_outage = ev.drops_outage;
-            s.drops_queue = ev.drops_queue;
-            s.dup_packets = ev.dup_packets;
-            s.reordered_packets = ev.reordered;
-            s.retransmitted_packets = ev.retransmitted;
+        let (key, forward) = pair_key(client, server);
+        let mut s = self.pairs.get(&key).map(|p| p.stats).unwrap_or_default();
+        if !forward {
+            std::mem::swap(&mut s.packets_c2s, &mut s.packets_s2c);
+            std::mem::swap(&mut s.first_payload_c2s, &mut s.first_payload_s2c);
         }
         s
     }
@@ -440,6 +324,50 @@ impl Trace {
     }
 }
 
+impl PairState {
+    /// Online reorder / retransmission / duplication detection (arrival
+    /// records alone cannot distinguish a network duplicate from a TCP
+    /// retransmission).
+    fn track_wire(&mut self, sent: SimTime, seg: &Segment, forward: bool, dup: bool) {
+        if dup {
+            self.stats.dup_packets += 1;
+            return;
+        }
+        // Arrivals are observed in arrival order: a packet that departed
+        // before the latest departure already seen arrived out of order.
+        let last_sent = &mut self.last_sent[forward as usize];
+        let reordered = matches!(*last_sent, Some(prev) if sent < prev);
+        if reordered {
+            self.stats.reordered_packets += 1;
+        } else {
+            *last_sent = Some(sent);
+        }
+        // Sequence-space tracking per flow (SYN/FIN octets included). A
+        // reordered fresh segment also starts below the high-water mark,
+        // so only in-order arrivals count as retransmissions.
+        if seg.seq_space() > 0 {
+            let end = seg.seq_end();
+            let high = self.max_seq.entry((seg.src, seg.dst)).or_insert(0);
+            if !reordered && seg.seq < *high {
+                self.stats.retransmitted_packets += 1;
+            }
+            if end > *high {
+                *high = end;
+            }
+        }
+    }
+}
+
+/// The (low, high) key a host pair's aggregates live under, and whether
+/// `from → to` is that key's forward (low→high) direction.
+fn pair_key(from: HostId, to: HostId) -> ((HostId, HostId), bool) {
+    if from <= to {
+        ((from, to), true)
+    } else {
+        ((to, from), false)
+    }
+}
+
 /// A record-backed trace rendering was requested from a capture that ran
 /// in [`TraceMode::StatsOnly`] and therefore retained no records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -503,41 +431,11 @@ pub struct TraceStats {
     /// Data-bearing segments re-covering already-sent sequence space —
     /// TCP retransmissions observed on the wire.
     pub retransmitted_packets: u64,
-    /// Responses the server pushed unsolicited on a multiplexed
-    /// connection. Application-reported: a packet trace cannot tell a
-    /// pushed entity from a requested one, so harnesses fold the
-    /// client's counters in via [`TraceStats::record_push_counters`];
-    /// zero on stats derived from the trace alone.
-    pub pushed_responses: u64,
-    /// Entity bytes in pushed responses (application-reported).
-    pub pushed_bytes: u64,
-    /// Pushes the client refused with a reset (application-reported).
-    pub cancelled_pushes: u64,
-    /// DATA bytes already in flight on cancelled pushes — pure wire
-    /// waste (application-reported).
-    pub cancelled_push_bytes: u64,
 }
 
 impl TraceStats {
-    /// Fold application-level server-push counters into the trace
-    /// aggregates (the wire cannot attribute bytes to pushes on its
-    /// own).
-    pub fn record_push_counters(
-        &mut self,
-        pushed_responses: u64,
-        pushed_bytes: u64,
-        cancelled_pushes: u64,
-        cancelled_push_bytes: u64,
-    ) {
-        self.pushed_responses = pushed_responses;
-        self.pushed_bytes = pushed_bytes;
-        self.cancelled_pushes = cancelled_pushes;
-        self.cancelled_push_bytes = cancelled_push_bytes;
-    }
-
     /// Fold one packet into the aggregates. `c2s` says whether it travels
-    /// in the client→server direction. Both trace modes funnel through
-    /// this, so their statistics agree by construction.
+    /// in the client→server direction.
     fn fold_packet(
         &mut self,
         seg: &Segment,
@@ -772,6 +670,34 @@ mod tests {
         );
         assert_eq!(lean.len(), traffic.len());
         assert!(lean.records().is_empty(), "StatsOnly retains no records");
+    }
+
+    /// Switching modes mid-capture changes retention only: the packets
+    /// seen before the switch stay in the statistics.
+    #[test]
+    fn stats_survive_a_mode_switch() {
+        let traffic = [
+            rec(0, 1, TcpFlags::SYN, 0, 0),
+            rec(1, 0, TcpFlags::SYN_ACK, 0, 10),
+            rec(0, 1, TcpFlags::ACK, 100, 20),
+            rec(1, 0, TcpFlags::ACK, 1460, 30),
+            rec(1, 0, TcpFlags::FIN_ACK, 0, 40),
+            rec(0, 1, TcpFlags::FIN_ACK, 0, 50),
+        ];
+        let mut single = Trace::with_mode(TraceMode::StatsOnly);
+        let mut switched = Trace::with_mode(TraceMode::Full);
+        for (i, r) in traffic.iter().enumerate() {
+            if i == traffic.len() / 2 {
+                switched.set_mode(TraceMode::StatsOnly);
+            }
+            single.record(r.clone());
+            switched.record(r.clone());
+        }
+        assert_eq!(
+            switched.stats(HostId(0), HostId(1)),
+            single.stats(HostId(0), HostId(1))
+        );
+        assert_eq!(switched.records().len(), traffic.len() / 2);
     }
 
     #[test]

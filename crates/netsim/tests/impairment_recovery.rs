@@ -262,7 +262,6 @@ fn reordering_triggers_fast_retransmit_without_loss() {
                 max: SimDuration::from_millis(12),
             })
             .with_reorder(true),
-        discipline: netsim::QueueDiscipline::Fifo,
         buffer_bytes: None,
     };
     let (received, closed, stats) = transfer(&data, link);
@@ -337,7 +336,6 @@ fn queue_overflow_drops_are_recovered() {
         bits_per_sec: Some(1_000_000),
         propagation: SimDuration::from_millis(10),
         impair: ImpairConfig::none().with_seed(4).with_queue_limit(6_000),
-        discipline: netsim::QueueDiscipline::Fifo,
         buffer_bytes: None,
     };
     let (received, closed, stats) = transfer(&data, link);

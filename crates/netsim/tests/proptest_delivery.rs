@@ -158,7 +158,6 @@ fn reliable_delivery_any_link_speed() {
             bits_per_sec: Some(kbps * 1000),
             propagation: SimDuration::from_millis(delay_ms),
             impair: netsim::ImpairConfig::none(),
-            discipline: netsim::QueueDiscipline::Fifo,
             buffer_bytes: None,
         };
         let (received, _) = run_transfer(payload.clone(), vec![], link, TcpConfig::default());
