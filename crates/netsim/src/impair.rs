@@ -11,9 +11,10 @@
 //!   distribution ([`JitterModel`]), optionally allowed to reorder packets;
 //! * **duplication** — a delivered packet occasionally arrives twice;
 //! * **outages** — scheduled down intervals during which every packet is
-//!   dropped ([`Outage`]), including periodic link flaps;
-//! * **queue overflow** — an optional bound on the serialization backlog,
-//!   modelling a tail-drop buffer in front of the link.
+//!   dropped ([`Outage`]), including periodic link flaps.
+//!
+//! The tail-drop buffer in front of the link is not an impairment: it is
+//! [`crate::LinkConfig::buffer_bytes`], enforced by the link itself.
 //!
 //! ## Determinism contract
 //!
@@ -173,9 +174,6 @@ pub struct ImpairConfig {
     pub reorder: bool,
     /// Probability that a delivered packet arrives twice.
     pub duplicate: f64,
-    /// Tail-drop bound on the serialization backlog, in bytes; `None`
-    /// models an unbounded buffer (the historical behaviour).
-    pub queue_bytes: Option<u64>,
     /// Scheduled down windows, sorted by start time.
     pub outages: Vec<Outage>,
 }
@@ -188,7 +186,6 @@ impl Default for ImpairConfig {
             jitter: JitterModel::None,
             reorder: false,
             duplicate: 0.0,
-            queue_bytes: None,
             outages: Vec::new(),
         }
     }
@@ -206,7 +203,6 @@ impl ImpairConfig {
         self.loss.is_none()
             && self.jitter.is_none()
             && self.duplicate == 0.0
-            && self.queue_bytes.is_none()
             && self.outages.is_empty()
     }
 
@@ -250,12 +246,6 @@ impl ImpairConfig {
             "duplication probability must be in [0,1]"
         );
         self.duplicate = p;
-        self
-    }
-
-    /// Bound the serialization backlog at `bytes` (tail drop beyond it).
-    pub fn with_queue_limit(mut self, bytes: u64) -> Self {
-        self.queue_bytes = Some(bytes);
         self
     }
 
@@ -321,14 +311,13 @@ impl ImpairState {
         })
     }
 
-    /// Decisions made before the packet touches the wire: outage, queue
-    /// overflow, loss. Returns the drop reason, or `None` to deliver.
+    /// Decisions made before the packet touches the wire: outage, loss.
+    /// Returns the drop reason, or `None` to deliver.
     pub(crate) fn pre_wire(
         &mut self,
         cfg: &ImpairConfig,
         now: SimTime,
         has_payload: bool,
-        backlog_bytes: u64,
     ) -> Option<DropReason> {
         while self.outage_idx < cfg.outages.len() && cfg.outages[self.outage_idx].end <= now {
             self.outage_idx += 1;
@@ -336,12 +325,6 @@ impl ImpairState {
         if let Some(o) = cfg.outages.get(self.outage_idx) {
             if o.start <= now && now < o.end {
                 return Some(DropReason::Outage);
-            }
-        }
-
-        if let Some(limit) = cfg.queue_bytes {
-            if backlog_bytes > limit {
-                return Some(DropReason::Queue);
             }
         }
 
@@ -448,7 +431,7 @@ mod tests {
             .with_loss(LossModel::Bernoulli { p: 0.1 });
         let mut st = state(&cfg);
         let dropped = (0..100_000)
-            .filter(|_| st.pre_wire(&cfg, SimTime::ZERO, true, 0).is_some())
+            .filter(|_| st.pre_wire(&cfg, SimTime::ZERO, true).is_some())
             .count();
         assert!((8_000..12_000).contains(&dropped), "dropped {dropped}");
     }
@@ -462,7 +445,7 @@ mod tests {
             .with_loss(LossModel::bursty(0.10, 8.0));
         let mut st = state(&cfg);
         let outcomes: Vec<bool> = (0..200_000)
-            .map(|_| st.pre_wire(&cfg, SimTime::ZERO, true, 0).is_some())
+            .map(|_| st.pre_wire(&cfg, SimTime::ZERO, true).is_some())
             .collect();
         let losses = outcomes.iter().filter(|&&l| l).count();
         let bursts = outcomes.windows(2).filter(|w| !w[0] && w[1]).count().max(1);
@@ -489,7 +472,7 @@ mod tests {
             let mut st = state(cfg);
             (0..1000)
                 .map(|i| {
-                    let drop = st.pre_wire(cfg, SimTime::from_nanos(i), true, 0);
+                    let drop = st.pre_wire(cfg, SimTime::from_nanos(i), true);
                     let (at, dup) =
                         st.post_wire(cfg, SimTime::from_nanos(i), SimDuration::from_micros(1));
                     (drop, at, dup)
@@ -507,10 +490,10 @@ mod tests {
         let mut fwd = ImpairState::new(&cfg, 0).unwrap();
         let mut rev = ImpairState::new(&cfg, 1).unwrap();
         let a: Vec<bool> = (0..64)
-            .map(|_| fwd.pre_wire(&cfg, SimTime::ZERO, true, 0).is_some())
+            .map(|_| fwd.pre_wire(&cfg, SimTime::ZERO, true).is_some())
             .collect();
         let b: Vec<bool> = (0..64)
-            .map(|_| rev.pre_wire(&cfg, SimTime::ZERO, true, 0).is_some())
+            .map(|_| rev.pre_wire(&cfg, SimTime::ZERO, true).is_some())
             .collect();
         assert_ne!(a, b, "directions must not share one stream");
     }
@@ -520,16 +503,16 @@ mod tests {
         let cfg =
             ImpairConfig::default().with_outage(SimTime::from_nanos(100), SimTime::from_nanos(200));
         let mut st = state(&cfg);
-        assert_eq!(st.pre_wire(&cfg, SimTime::from_nanos(50), true, 0), None);
+        assert_eq!(st.pre_wire(&cfg, SimTime::from_nanos(50), true), None);
         assert_eq!(
-            st.pre_wire(&cfg, SimTime::from_nanos(100), false, 0),
+            st.pre_wire(&cfg, SimTime::from_nanos(100), false),
             Some(DropReason::Outage)
         );
         assert_eq!(
-            st.pre_wire(&cfg, SimTime::from_nanos(199), true, 0),
+            st.pre_wire(&cfg, SimTime::from_nanos(199), true),
             Some(DropReason::Outage)
         );
-        assert_eq!(st.pre_wire(&cfg, SimTime::from_nanos(200), true, 0), None);
+        assert_eq!(st.pre_wire(&cfg, SimTime::from_nanos(200), true), None);
     }
 
     #[test]
@@ -545,22 +528,11 @@ mod tests {
         assert_eq!(cfg.outages[2].end, SimTime::from_nanos(2_100));
         let mut st = state(&cfg);
         assert_eq!(
-            st.pre_wire(&cfg, SimTime::from_nanos(1_550), true, 0),
+            st.pre_wire(&cfg, SimTime::from_nanos(1_550), true),
             Some(DropReason::Outage)
         );
         // After the last flap the link stays up.
-        assert_eq!(st.pre_wire(&cfg, SimTime::from_nanos(9_999), true, 0), None);
-    }
-
-    #[test]
-    fn queue_limit_tail_drops() {
-        let cfg = ImpairConfig::default().with_queue_limit(10_000);
-        let mut st = state(&cfg);
-        assert_eq!(st.pre_wire(&cfg, SimTime::ZERO, true, 9_999), None);
-        assert_eq!(
-            st.pre_wire(&cfg, SimTime::ZERO, true, 10_001),
-            Some(DropReason::Queue)
-        );
+        assert_eq!(st.pre_wire(&cfg, SimTime::from_nanos(9_999), true), None);
     }
 
     #[test]

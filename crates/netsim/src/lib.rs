@@ -84,7 +84,6 @@ pub mod link;
 pub mod modem;
 pub mod packet;
 pub mod pcapng;
-pub mod pool;
 pub mod probe;
 pub mod queue;
 pub mod seq;
@@ -100,7 +99,6 @@ pub use link::{Link, LinkCodec, LinkConfig, Transmit};
 pub use modem::ModemCompressor;
 pub use packet::{HostId, SackBlocks, Segment, SockAddr, TcpFlags, TCP_IP_HEADER_BYTES};
 pub use pcapng::{PcapError, PcapPacket};
-pub use pool::Slab;
 pub use probe::{
     Diagnosis, FlushCause, ProbeAnalysis, ProbeEventKind, ProbeRecord, ProbeReport, ProbeSink,
     SpanEvent, StallBuckets,

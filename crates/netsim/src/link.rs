@@ -186,17 +186,8 @@ impl Link {
         self.b_to_a.codec = Some(make());
     }
 
-    /// Replace the impairment pipeline on both directions. Resets the
-    /// per-direction impairment state (random streams restart from the new
-    /// seed); serialization state is untouched.
-    pub fn set_impairment(&mut self, impair: ImpairConfig) {
-        self.a_to_b.impair = ImpairState::new(&impair, 0);
-        self.b_to_a.impair = ImpairState::new(&impair, 1);
-        self.config.impair = impair;
-    }
-
     /// Bytes currently queued for serialization in one direction at `now`:
-    /// the backlog a tail-drop queue bound is compared against.
+    /// the backlog the tail-drop bound is compared against.
     fn backlog_bytes(busy_until: SimTime, now: SimTime, bits_per_sec: Option<u64>) -> u64 {
         match bits_per_sec {
             Some(bps) => {
@@ -209,7 +200,7 @@ impl Link {
 
     /// Bytes waiting to serialize in the direction a packet from `from`
     /// would take, observed at `now`: the transmitter backlog implied by
-    /// `busy_until`. This is the quantity tail-drop bounds compare
+    /// `busy_until`. This is the quantity the tail-drop bound compares
     /// against, exposed for the telemetry queue-depth gauge.
     pub fn queued_bytes(&self, now: SimTime, from: HostId) -> u64 {
         let dir = if from == self.b {
@@ -246,8 +237,7 @@ impl Link {
         }
 
         if let Some(st) = dir.impair.as_mut() {
-            let backlog = Self::backlog_bytes(dir.busy_until, now, config.bits_per_sec);
-            if let Some(reason) = st.pre_wire(&config.impair, now, segment.has_payload(), backlog) {
+            if let Some(reason) = st.pre_wire(&config.impair, now, segment.has_payload()) {
                 return (Transmit::Dropped(reason), 0);
             }
         }
@@ -417,16 +407,6 @@ mod tests {
             assert!(at >= last, "packet {i} overtook its predecessor");
             last = at;
         }
-    }
-
-    #[test]
-    fn set_impairment_replaces_pipeline() {
-        let mut link = Link::new(HostId(0), HostId(1), LinkConfig::lan());
-        let (o, _) = link.transmit(SimTime::ZERO, HostId(0), &seg(10));
-        assert!(matches!(o, Transmit::Arrives(_)));
-        link.set_impairment(ImpairConfig::none().with_loss(LossModel::EveryNth { n: 1 }));
-        let (o, _) = link.transmit(SimTime::ZERO, HostId(0), &seg(10));
-        assert_eq!(o, Transmit::Dropped(DropReason::Loss));
     }
 
     struct HalfCodec;

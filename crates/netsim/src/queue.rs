@@ -1,103 +1,84 @@
-//! The kernel's event queue: a hierarchical timer wheel with an exact
-//! `(time, push-order)` contract, plus the original binary heap kept as
-//! a reference implementation for differential testing.
+//! The kernel's event queue: a binary heap with an exact
+//! `(time, push-order)` contract.
 //!
 //! # Ordering contract
 //!
-//! Both variants of [`EventQueue`] pop events in strictly increasing
-//! `(at, seq)` order, where `seq` is the push sequence number the queue
-//! assigns internally: earlier deadlines first, FIFO among events with
-//! the same deadline. This is exactly the order the simulator's former
-//! `BinaryHeap<Reverse<QueuedEvent>>` produced, so swapping the wheel in
-//! changes *how* events are stored, never the order the kernel sees —
-//! every digest-gated artifact stays bit-identical.
+//! [`EventQueue`] pops events in strictly increasing `(at, seq)` order,
+//! where `seq` is the push sequence number the queue assigns internally:
+//! earlier deadlines first, FIFO among events with the same deadline. A
+//! push may carry any deadline, including one earlier than the last
+//! event popped; it still pops in `(at, seq)` order among what is
+//! queued. Every digest-gated artifact depends on this order and on
+//! nothing else about the queue.
 //!
-//! # Wheel shape
+//! # Why a heap
 //!
-//! Eleven levels of 64 slots each (6 bits per level) cover the full
-//! `u64` nanosecond range with no overflow list:
-//!
-//! * level 0: 64 slots × 1 ns — one slot per nanosecond,
-//! * level 1: 64 slots × 64 ns,
-//! * level k: 64 slots × 64ᵏ ns.
-//!
-//! An event is filed at the level of the highest bit in which its
-//! deadline differs from the wheel's current time (`elapsed`): far
-//! deadlines sit high, near deadlines sit low. As `elapsed` advances to
-//! a higher-level slot's start, that slot *cascades*: its events are
-//! re-filed relative to the new `elapsed`, landing at strictly lower
-//! levels, until the next event is resolved to a level-0 slot. A level-0
-//! slot spans exactly one nanosecond, so every event in it shares one
-//! deadline and slot FIFO order *is* `seq` order (pushes only ever
-//! append, and later pushes carry larger `seq`).
-//!
-//! Two invariants make the bottom-up slot scan exact (proved by the
-//! placement rule, relied on by `resolve`):
-//!
-//! * occupied slots never sit behind a level's cursor — a deadline in
-//!   the past of `elapsed` is never *placed* in the wheel (see below);
-//! * at levels ≥ 1 the cursor slot itself is empty, so the first
-//!   occupied slot of the lowest non-empty level is the global minimum.
-//!
-//! # Deadlines behind the wheel
-//!
-//! `elapsed` only advances toward the next stored event (slot starts
-//! during a cascade, the popped deadline on a pop), never past it. A
-//! *later* push can still carry an earlier deadline — e.g. a test
-//! driving the kernel directly after a bounded `run_until` whose scan
-//! cascaded ahead of `Kernel::now`. Rather than clamp (which would
-//! reorder ties), such events go to a tiny side heap ordered by
-//! `(at, seq)`, and every pop compares the side heap's head with the
-//! wheel's. The side heap is empty in steady state — the kernel pushes
-//! at or after the event being processed — so the hot path pays one
-//! `is_empty` check.
+//! A hierarchical timer wheel is faster per operation (about 30 ns on
+//! each of a packet's two events) and, measured on the ledger, no faster
+//! end to end, while every `Simulator` pays for its 704 empty slots in
+//! allocations and peak memory. DESIGN.md "Hot path & memory" has the
+//! ablation table.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-const BITS: u32 = 6;
-const SLOTS: usize = 1 << BITS; // 64
-const LEVELS: usize = 11; // 11 × 6 bits ≥ 64 bits of nanoseconds
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-
-/// One stored event: deadline, push sequence, payload.
+/// One stored event: deadline, push sequence, payload. Compared on
+/// `(at, seq)` only.
 struct Entry<T> {
     at: SimTime,
     seq: u64,
     item: T,
 }
 
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
 /// A queue of `(deadline, payload)` events popped in `(at, seq)` order.
-///
-/// [`EventQueue::wheel`] is the production hierarchical timer wheel;
-/// [`EventQueue::heap`] is the original binary-heap implementation, kept
-/// as the ordering oracle for differential tests.
-pub enum EventQueue<T> {
-    /// Hierarchical timer wheel (production).
-    Wheel(Wheel<T>),
-    /// Binary-heap reference (differential testing).
-    Heap(RefHeap<T>),
+pub struct EventQueue<T> {
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+    next_seq: u64,
 }
 
 impl<T> EventQueue<T> {
-    /// The production timer wheel.
-    pub fn wheel() -> Self {
-        EventQueue::Wheel(Wheel::new())
+    /// An empty queue. Allocates nothing until the first push.
+    pub fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
     }
 
-    /// The reference binary heap.
-    pub fn heap() -> Self {
-        EventQueue::Heap(RefHeap::new())
+    /// Alias of [`EventQueue::new`], kept because `benchmark/src/surface.rs`
+    /// calls the queue by this name (benchmark/README.md §Surface); the
+    /// next benchmark PR renames the call and this goes.
+    pub fn wheel() -> Self {
+        Self::new()
     }
 
     /// Schedule `item` at `at`. Events with equal `at` pop in push order.
     #[inline]
     pub fn push(&mut self, at: SimTime, item: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, item),
-            EventQueue::Heap(h) => h.push(at, item),
-        }
+        self.next_seq += 1;
+        self.heap.push(Reverse(Entry {
+            at,
+            seq: self.next_seq,
+            item,
+        }));
     }
 
     /// Pop the earliest event, or `None` if empty.
@@ -109,245 +90,27 @@ impl<T> EventQueue<T> {
     /// Pop the earliest event only if its deadline is `<= deadline`.
     #[inline]
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_before(deadline),
-            EventQueue::Heap(h) => h.pop_before(deadline),
+        if self.heap.peek()?.0.at > deadline {
+            return None;
         }
+        let Reverse(e) = self.heap.pop().expect("peeked entry");
+        Some((e.at, e.item))
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len,
-            EventQueue::Heap(h) => h.heap.len(),
-        }
+        self.heap.len()
     }
 
     /// True when no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
-// ---------------------------------------------------------------------
-// Reference implementation: the original binary heap
-// ---------------------------------------------------------------------
-
-/// The simulator's original event queue: a `BinaryHeap` of
-/// `Reverse<(at, seq, item)>` compared on `(at, seq)` only.
-pub struct RefHeap<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    next_seq: u64,
-}
-
-struct HeapEntry<T>(Entry<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.at, self.0.seq).cmp(&(other.0.at, other.0.seq))
-    }
-}
-
-impl<T> RefHeap<T> {
-    fn new() -> Self {
-        RefHeap {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn push(&mut self, at: SimTime, item: T) {
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapEntry(Entry {
-            at,
-            seq: self.next_seq,
-            item,
-        })));
-    }
-
-    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        if self.heap.peek()?.0 .0.at > deadline {
-            return None;
-        }
-        let Reverse(HeapEntry(e)) = self.heap.pop().expect("peeked entry");
-        Some((e.at, e.item))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Production implementation: the hierarchical timer wheel
-// ---------------------------------------------------------------------
-
-/// Hierarchical timer wheel. See the module docs for the shape and the
-/// ordering argument.
-pub struct Wheel<T> {
-    /// Current wheel time, in nanoseconds. Advances monotonically, and
-    /// never past the earliest stored event.
-    elapsed: u64,
-    /// `slots[level][slot]`: FIFO of entries filed there.
-    slots: Vec<Vec<VecDeque<Entry<T>>>>,
-    /// Per-level occupancy bitmaps (bit `s` set ⇔ `slots[level][s]`
-    /// non-empty).
-    occupied: [u64; LEVELS],
-    /// Events pushed with deadlines behind `elapsed` (rare; see module
-    /// docs). Ordered by `(at, seq)` like everything else.
-    past: BinaryHeap<Reverse<HeapEntry<T>>>,
-    next_seq: u64,
-    len: usize,
-    /// Scratch for cascades: spare deques with retained capacity, so a
-    /// steady-state wheel allocates nothing.
-    spare: Vec<VecDeque<Entry<T>>>,
-}
-
-impl<T> Wheel<T> {
-    fn new() -> Self {
-        Wheel {
-            elapsed: 0,
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            past: BinaryHeap::new(),
-            next_seq: 0,
-            len: 0,
-            spare: Vec::new(),
-        }
-    }
-
-    /// The level an event at `at` files under, relative to `elapsed`:
-    /// the level of the highest differing bit.
-    #[inline]
-    fn level_for(elapsed: u64, at: u64) -> usize {
-        let masked = at ^ elapsed;
-        debug_assert!(masked != 0, "same-nanosecond events are level 0");
-        ((63 - masked.leading_zeros()) / BITS) as usize
-    }
-
-    #[inline]
-    fn push(&mut self, at: SimTime, item: T) {
-        self.next_seq += 1;
-        let e = Entry {
-            at,
-            seq: self.next_seq,
-            item,
-        };
-        self.len += 1;
-        if at.as_nanos() < self.elapsed {
-            self.past.push(Reverse(HeapEntry(e)));
-            return;
-        }
-        self.file(e);
-    }
-
-    /// File an entry at its level/slot relative to `elapsed`.
-    /// Precondition: `at >= elapsed`.
-    #[inline]
-    fn file(&mut self, e: Entry<T>) {
-        let at = e.at.as_nanos();
-        debug_assert!(at >= self.elapsed);
-        let (level, slot) = if at == self.elapsed {
-            (0, (at & SLOT_MASK) as usize)
-        } else {
-            let level = Self::level_for(self.elapsed, at);
-            (level, ((at >> (BITS * level as u32)) & SLOT_MASK) as usize)
-        };
-        self.slots[level][slot].push_back(e);
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Resolve the earliest stored wheel event down to its level-0 slot,
-    /// cascading higher-level slots as `elapsed` reaches them. Returns
-    /// the slot index, or `None` when the wheel holds no events. Does
-    /// not consider `past`.
-    fn resolve(&mut self) -> Option<usize> {
-        loop {
-            let level = (0..LEVELS).find(|&l| self.occupied[l] != 0)?;
-            let cursor = ((self.elapsed >> (BITS * level as u32)) & SLOT_MASK) as u32;
-            let ahead = self.occupied[level] & (!0u64 << cursor);
-            debug_assert!(
-                ahead != 0,
-                "occupied slot behind the level-{level} cursor (cursor {cursor}, bitmap {:#x})",
-                self.occupied[level]
-            );
-            let slot = ahead.trailing_zeros() as usize;
-            if level == 0 {
-                // All entries in a level-0 slot share one nanosecond.
-                return Some(slot);
-            }
-            // Cascade: advance to the slot's start and re-file its
-            // entries relative to the new `elapsed`. Every entry lands
-            // at a strictly lower level, and FIFO re-filing keeps equal
-            // deadlines in seq order.
-            let shift = BITS * (level as u32 + 1);
-            let base = if shift >= 64 {
-                0
-            } else {
-                (self.elapsed >> shift) << shift
-            };
-            let slot_start = base | ((slot as u64) << (BITS * level as u32));
-            debug_assert!(slot_start >= self.elapsed);
-            self.elapsed = slot_start;
-            self.occupied[level] &= !(1 << slot);
-            let mut moved = std::mem::replace(
-                &mut self.slots[level][slot],
-                self.spare.pop().unwrap_or_default(),
-            );
-            for e in moved.drain(..) {
-                self.file(e);
-            }
-            self.spare.push(moved);
-        }
-    }
-
-    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        let slot = self.resolve();
-        // Earliest wheel candidate, as an `(at, seq)` key.
-        let wheel_key = slot.map(|s| {
-            let head = self.slots[0][s].front().expect("occupied level-0 slot");
-            (head.at, head.seq)
-        });
-        let past_key = self.past.peek().map(|Reverse(HeapEntry(e))| (e.at, e.seq));
-        let use_past = match (wheel_key, past_key) {
-            (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(w), Some(p)) => p < w,
-        };
-        let e = if use_past {
-            let (at, _) = past_key.expect("past candidate");
-            if at > deadline {
-                return None;
-            }
-            let Reverse(HeapEntry(e)) = self.past.pop().expect("peeked past entry");
-            e
-        } else {
-            let s = slot.expect("wheel candidate");
-            if self.slots[0][s].front().expect("occupied slot").at > deadline {
-                return None;
-            }
-            let e = self.slots[0][s].pop_front().expect("occupied slot");
-            if self.slots[0][s].is_empty() {
-                self.occupied[0] &= !(1 << s);
-            }
-            // Advance to the popped deadline so same-nanosecond pushes
-            // made while the caller processes this event file into the
-            // same (still-front) slot, behind it in FIFO order.
-            self.elapsed = e.at.as_nanos();
-            e
-        };
-        self.len -= 1;
-        Some((e.at, e.item))
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -361,7 +124,7 @@ mod tests {
 
     #[test]
     fn fifo_at_equal_timestamps() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         for i in 0..10 {
             q.push(t(500), i);
         }
@@ -372,8 +135,21 @@ mod tests {
     }
 
     #[test]
+    fn fresh_queue_allocates_nothing_until_first_push() {
+        // Every `Simulator` builds one; the matrix workloads build
+        // thousands, so construction must stay free.
+        let mut q = EventQueue::new();
+        assert_eq!(q.heap.capacity(), 0);
+        assert_eq!(q.pop_before(t(u64::MAX)), None::<(SimTime, u8)>);
+        assert_eq!(q.heap.capacity(), 0);
+        q.push(t(1), 0u8);
+        assert!(q.heap.capacity() > 0);
+    }
+
+    #[test]
     fn orders_across_levels() {
-        let mut q = EventQueue::wheel();
+        // Deadlines nanoseconds, microseconds and seconds out.
+        let mut q = EventQueue::new();
         q.push(t(1_000_000_000), "far");
         q.push(t(3), "near");
         q.push(t(70_000), "mid");
@@ -384,7 +160,7 @@ mod tests {
 
     #[test]
     fn pop_before_respects_deadline() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(100), 1);
         q.push(t(200), 2);
         assert_eq!(q.pop_before(t(150)), Some((t(100), 1)));
@@ -395,11 +171,10 @@ mod tests {
 
     #[test]
     fn push_behind_elapsed_still_pops_in_heap_order() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(1_000_000), 1);
-        // Cascading a failed bounded pop may advance the wheel ahead of
-        // the caller's clock.
         assert_eq!(q.pop_before(t(500_000)), None);
+        // Deadlines behind a failed bounded pop's horizon are ordinary.
         q.push(t(10), 2);
         q.push(t(5), 3);
         assert_eq!(q.pop(), Some((t(5), 3)));
@@ -409,7 +184,7 @@ mod tests {
 
     #[test]
     fn push_during_drain_of_same_nanosecond() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         q.push(t(64), 1);
         q.push(t(64), 2);
         assert_eq!(q.pop(), Some((t(64), 1)));
@@ -422,29 +197,29 @@ mod tests {
 
     #[test]
     fn heap_reference_same_order() {
-        let mut w = EventQueue::wheel();
-        let mut h = EventQueue::heap();
+        // The pop stream is the stable sort of the pushes by deadline.
+        let mut q = EventQueue::new();
         let times = [5u64, 5, 900_000_000_000, 64, 65, 64, 0, 1 << 40, 5];
         for (i, &ns) in times.iter().enumerate() {
-            w.push(t(ns), i);
-            h.push(t(ns), i);
+            q.push(t(ns), i);
         }
-        loop {
-            let (a, b) = (w.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        let mut want: Vec<(SimTime, usize)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &ns)| (t(ns), i))
+            .collect();
+        want.sort_by_key(|&(at, _)| at);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn len_tracks_both_stores() {
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(t(1000), 1);
         let _ = q.pop_before(t(10));
-        q.push(t(1), 2); // behind elapsed only if the wheel advanced
+        q.push(t(1), 2); // behind the failed pop's deadline
         assert_eq!(q.len(), 2);
         q.pop();
         q.pop();

@@ -110,18 +110,39 @@ struct HostState {
     /// (local port, remote addr) → socket slot.
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
     demux: HashMap<(u16, SockAddr), u32>,
-    /// Listening ports → optional SYN-queue backlog bound (`None` accepts
-    /// unconditionally).
+    /// Listening ports.
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    listeners: HashMap<u16, Option<u32>>,
+    listeners: HashMap<u16, Listener>,
     next_ephemeral: u16,
     stats: SocketStats,
     /// Number of currently open sockets, maintained incrementally so peak
     /// tracking stays O(1) with thousands of fleet connections.
     open_now: u64,
-    /// Parallel to `sockets`: whether each slot is still counted in
-    /// `open_now`.
-    open_flags: Vec<bool>,
+    /// Parallel to `sockets`: which incremental counts each slot is
+    /// still part of.
+    counted: Vec<Counted>,
+}
+
+#[derive(Default)]
+struct Listener {
+    /// SYN-queue bound (`None` accepts unconditionally).
+    backlog: Option<u32>,
+    /// Sockets on this port still mid-handshake, maintained incrementally:
+    /// the socket table never shrinks, so a scan per SYN is quadratic over
+    /// a fleet's connections.
+    syn_queue: u32,
+}
+
+/// The incremental counts a socket slot is still part of.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Counted {
+    /// A passive open mid-handshake: in `open_now` and in its listener's
+    /// `syn_queue`.
+    SynQueue,
+    /// In `open_now` only.
+    Open,
+    /// In neither.
+    Closed,
 }
 
 impl HostState {
@@ -131,10 +152,15 @@ impl HostState {
 
     /// Sockets on `port` still mid-handshake — the listener's SYN queue.
     fn syn_queue_len(&self, port: u16) -> u32 {
-        self.sockets
-            .iter()
-            .filter(|t| t.state == State::SynRcvd && t.local.port == port)
-            .count() as u32
+        let len = self.listeners.get(&port).map_or(0, |l| l.syn_queue);
+        debug_assert_eq!(
+            len,
+            self.sockets
+                .iter()
+                .filter(|t| t.state == State::SynRcvd && t.local.port == port)
+                .count() as u32
+        );
+        len
     }
 }
 
@@ -163,7 +189,7 @@ impl Kernel {
     fn new() -> Self {
         Kernel {
             now: SimTime::ZERO,
-            queue: EventQueue::wheel(),
+            queue: EventQueue::new(),
             hosts: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             links: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             link_index: HashMap::new(), // simlint: allow(hash-collections)
@@ -415,11 +441,19 @@ impl Kernel {
             };
             self.pending.push_back((host, ev));
         }
-        // Keep the incremental open-socket count in step with any state
-        // transition to CLOSED (including notification-free aborts).
+        // Keep the incremental SYN-queue and open-socket counts in step
+        // with any state transition out of SYN-RCVD and to CLOSED
+        // (including notification-free aborts).
         let h = self.host(host);
-        if !h.sockets[slot as usize].state.is_open() && h.open_flags[slot as usize] {
-            h.open_flags[slot as usize] = false;
+        let tcb = &h.sockets[slot as usize];
+        let counted = &mut h.counted[slot as usize];
+        if *counted == Counted::SynQueue && tcb.state != State::SynRcvd {
+            *counted = Counted::Open;
+            let listener = h.listeners.get_mut(&tcb.local.port);
+            listener.expect("passive open has a listener").syn_queue -= 1;
+        }
+        if *counted == Counted::Open && !tcb.state.is_open() {
+            *counted = Counted::Closed;
             h.open_now -= 1;
         }
         if any_close {
@@ -457,6 +491,14 @@ impl Kernel {
         }
         let h = self.host(host);
         let slot = h.sockets.len() as u32;
+        let counted = if tcb.state == State::SynRcvd {
+            let listener = h.listeners.get_mut(&local.port);
+            listener.expect("passive open has a listener").syn_queue += 1;
+            Counted::SynQueue
+        } else {
+            Counted::Open
+        };
+        h.counted.push(counted);
         h.sockets.push(tcb);
         let prev = h.demux.insert((local.port, remote), slot);
         debug_assert!(
@@ -465,9 +507,8 @@ impl Kernel {
             local.port
         );
         h.stats.sockets_used += 1;
-        h.open_flags.push(true);
         h.open_now += 1;
-        debug_assert_eq!(h.open_flags.len(), h.sockets.len());
+        debug_assert_eq!(h.counted.len(), h.sockets.len());
         self.apply_effects(host, slot, &mut fx);
         self.recycle_fx(fx);
         self.update_peak(host);
@@ -515,8 +556,8 @@ impl Kernel {
         // silently discarded and the client's retransmission timer must
         // recover (classic listen-backlog overflow).
         if seg.flags.syn && !seg.flags.ack {
-            if let Some(&backlog) = h.listeners.get(&seg.dst.port) {
-                if let Some(cap) = backlog {
+            if let Some(listener) = h.listeners.get(&seg.dst.port) {
+                if let Some(cap) = listener.backlog {
                     if h.syn_queue_len(seg.dst.port) >= cap {
                         self.host(host).stats.syn_drops += 1;
                         let now = self.now;
@@ -589,7 +630,9 @@ impl Kernel {
     }
 
     fn listen(&mut self, host: HostId, port: u16, backlog: Option<u32>) {
-        self.host(host).listeners.insert(port, backlog);
+        // Re-listening changes the bound; handshakes in progress stay counted.
+        let listeners = &mut self.host(host).listeners;
+        listeners.entry(port).or_default().backlog = backlog;
     }
 }
 
@@ -777,7 +820,7 @@ impl Simulator {
             next_ephemeral: 40_000,
             stats: SocketStats::default(),
             open_now: 0,
-            open_flags: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            counted: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
         });
         self.apps.push(None);
         id
@@ -835,18 +878,6 @@ impl Simulator {
     /// The packet capture of the run so far.
     pub fn trace(&self) -> &Trace {
         &self.kernel.trace
-    }
-
-    /// Swap the kernel's timer wheel for the reference binary-heap event
-    /// queue (differential testing only — the two pop in identical order
-    /// by contract). Call before any traffic flows; queued events do not
-    /// migrate.
-    pub fn use_reference_queue(&mut self) {
-        assert!(
-            self.kernel.queue.is_empty(),
-            "switch event queues before scheduling any events"
-        );
-        self.kernel.queue = EventQueue::heap();
     }
 
     /// Select how much of each packet the trace retains. Set this before

@@ -1,54 +1,70 @@
-//! Differential tests for the timer-wheel event queue: every sequence
-//! of operations must produce *exactly* the pop order of the binary-heap
-//! reference implementation — same times, same items, same tie-breaks.
-//! Driven by a deterministic seeded PRNG (the build environment has no
-//! crates.io access, so `proptest` is unavailable).
+//! Differential tests for the kernel's event queue: every sequence of
+//! operations must produce *exactly* the pop order of a naive sorted
+//! `Vec` model — same times, same items, same tie-breaks. Driven by a
+//! deterministic seeded PRNG (the build environment has no crates.io
+//! access, so `proptest` is unavailable).
 
 use netsim::queue::EventQueue;
-use netsim::sim::{App, AppEvent, Ctx};
-use netsim::{LinkConfig, SimTime, Simulator, SockAddr};
+use netsim::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Drive a wheel and a heap through the same operations, asserting the
-/// pop streams match step for step.
+/// The ordering contract written the obvious way: a `Vec` kept sorted
+/// by deadline, a push going after every entry with the same or an
+/// earlier deadline, so equal deadlines stay in push order.
+#[derive(Default)]
+struct Model(Vec<(SimTime, u64)>);
+
+impl Model {
+    fn push(&mut self, at: SimTime, item: u64) {
+        let i = self.0.partition_point(|&(t, _)| t <= at);
+        self.0.insert(i, (at, item));
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+        (self.0.first()?.0 <= deadline).then(|| self.0.remove(0))
+    }
+}
+
+/// Drive the queue and the model through the same operations, asserting
+/// the pop streams match step for step.
 struct Pair {
-    wheel: EventQueue<u64>,
-    heap: EventQueue<u64>,
+    queue: EventQueue<u64>,
+    model: Model,
 }
 
 impl Pair {
     fn new() -> Self {
         Pair {
-            wheel: EventQueue::wheel(),
-            heap: EventQueue::heap(),
+            queue: EventQueue::new(),
+            model: Model::default(),
         }
     }
 
     fn push(&mut self, at: SimTime, item: u64) {
-        self.wheel.push(at, item);
-        self.heap.push(at, item);
-        assert_eq!(self.wheel.len(), self.heap.len());
+        self.queue.push(at, item);
+        self.model.push(at, item);
+        assert_eq!(self.queue.len(), self.model.0.len());
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
-        let w = self.wheel.pop_before(deadline);
-        let h = self.heap.pop_before(deadline);
-        assert_eq!(w, h, "wheel and heap disagree at deadline {deadline:?}");
-        assert_eq!(self.wheel.len(), self.heap.len());
-        w
+        let q = self.queue.pop_before(deadline);
+        let m = self.model.pop_before(deadline);
+        assert_eq!(q, m, "queue and model disagree at deadline {deadline:?}");
+        assert_eq!(self.queue.len(), self.model.0.len());
+        q
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64)> {
-        let w = self.wheel.pop();
-        let h = self.heap.pop();
-        assert_eq!(w, h, "wheel and heap disagree on pop");
-        w
+        let q = self.queue.pop();
+        let m = self.model.pop_before(SimTime::MAX);
+        assert_eq!(q, m, "queue and model disagree on pop");
+        q
     }
 
     fn drain(&mut self) {
         while self.pop().is_some() {}
-        assert!(self.wheel.is_empty() && self.heap.is_empty());
+        assert!(self.queue.is_empty() && self.model.0.is_empty());
     }
 }
 
@@ -59,9 +75,8 @@ fn randomized_interleavings_match_heap_reference() {
         let mut pair = Pair::new();
         let mut now = 0u64;
         for _ in 0..2_000 {
-            if rng.gen_bool(0.6) || pair.wheel.is_empty() {
-                // Push at a time spread across wheel levels: nearby,
-                // mid-range, or far future.
+            if rng.gen_bool(0.6) || pair.queue.is_empty() {
+                // Push at a time nearby, mid-range, or far future.
                 let delta = match rng.gen_range(0u32..10) {
                     0..=5 => rng.gen_range(0u64..4_096),
                     6..=8 => rng.gen_range(0u64..10_000_000),
@@ -100,8 +115,8 @@ fn equal_timestamp_bursts_pop_fifo() {
     }
     // Then randomized bursts, including repeat bursts at instants used
     // in earlier rounds (a late push at an already-drained-past time):
-    // global order is enforced by the step-for-step heap comparison in
-    // `Pair`.
+    // global order is enforced by the step-for-step model comparison
+    // in `Pair`.
     let mut rng = SmallRng::seed_from_u64(0x0007_E002);
     let mut pair = Pair::new();
     let mut now = 0u64;
@@ -132,8 +147,7 @@ fn equal_timestamp_bursts_pop_fifo() {
 fn far_future_rto_timers_order_correctly() {
     let mut pair = Pair::new();
     // The kernel's worst spread: per-packet events nanoseconds apart
-    // with retransmission timers seconds out (top wheel levels), plus
-    // one far outlier.
+    // with retransmission timers seconds out, plus one far outlier.
     for i in 0..64u64 {
         pair.push(SimTime::from_nanos(i * 7), i);
         pair.push(SimTime::from_nanos(3_000_000_000 + i * 13), 1_000 + i);
@@ -186,12 +200,12 @@ fn cancel_and_rearm_pattern_matches_reference() {
 
 #[test]
 fn pushes_behind_the_current_time_keep_heap_order() {
-    // A failed pop_before can leave the wheel's internal cursor ahead of
-    // the last popped time; pushes behind it (tests and apps schedule
-    // "now") must still drain in exact (time, push-order) order.
+    // Pushes behind a failed pop_before's deadline, or behind the last
+    // popped time (tests and apps schedule "now"), must still drain in
+    // exact (time, push-order) order.
     let mut pair = Pair::new();
     pair.push(SimTime::from_nanos(1_000_000), 1);
-    // Deadline miss: nothing due, but the wheel may cascade internally.
+    // Deadline miss: nothing due.
     assert_eq!(pair.pop_before(SimTime::from_nanos(500)), None);
     pair.push(SimTime::from_nanos(10), 2);
     pair.push(SimTime::from_nanos(10), 3);
@@ -199,124 +213,9 @@ fn pushes_behind_the_current_time_keep_heap_order() {
     assert_eq!(pair.pop(), Some((SimTime::ZERO, 4)));
     assert_eq!(pair.pop(), Some((SimTime::from_nanos(10), 2)));
     assert_eq!(pair.pop(), Some((SimTime::from_nanos(10), 3)));
+    // Behind the time just popped.
+    pair.push(SimTime::from_nanos(5), 5);
+    assert_eq!(pair.pop(), Some((SimTime::from_nanos(5), 5)));
     assert_eq!(pair.pop(), Some((SimTime::from_nanos(1_000_000), 1)));
     assert_eq!(pair.pop(), None);
-}
-
-// ---------------------------------------------------------------------
-// Simulator-level differential run
-// ---------------------------------------------------------------------
-
-struct Echo {
-    port: u16,
-    pending: Vec<u8>,
-    peer_done: bool,
-}
-impl Echo {
-    fn flush(&mut self, ctx: &mut Ctx<'_>, s: netsim::SocketId) {
-        while !self.pending.is_empty() {
-            let n = ctx.send(s, &self.pending);
-            if n == 0 {
-                return;
-            }
-            self.pending.drain(..n);
-        }
-        if self.peer_done {
-            ctx.shutdown_write(s);
-        }
-    }
-}
-impl App for Echo {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
-        match ev {
-            AppEvent::Start => ctx.listen(self.port),
-            AppEvent::Readable(s) => {
-                let data = ctx.recv(s, usize::MAX);
-                self.pending.extend_from_slice(&data);
-                self.flush(ctx, s);
-            }
-            AppEvent::SendSpace(s) => self.flush(ctx, s),
-            AppEvent::PeerFin(s) => {
-                self.peer_done = true;
-                self.flush(ctx, s);
-            }
-            _ => {}
-        }
-    }
-}
-
-struct Blaster {
-    server: SockAddr,
-    to_send: usize,
-    sent: usize,
-    got: usize,
-}
-impl Blaster {
-    fn pump(&mut self, ctx: &mut Ctx<'_>, s: netsim::SocketId) {
-        while self.sent < self.to_send {
-            let n = ctx.send(s, &vec![0x5A; (self.to_send - self.sent).min(8192)]);
-            if n == 0 {
-                return;
-            }
-            self.sent += n;
-        }
-    }
-}
-impl App for Blaster {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
-        match ev {
-            AppEvent::Start => {
-                ctx.connect(self.server);
-            }
-            AppEvent::Connected(s) | AppEvent::SendSpace(s) => self.pump(ctx, s),
-            AppEvent::Readable(s) => {
-                self.got += ctx.recv(s, usize::MAX).len();
-                if self.got >= self.to_send {
-                    ctx.shutdown_write(s);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Run one echo transfer and return (events processed, client stats
-/// debug, bytes echoed back).
-fn echo_run(reference_queue: bool) -> (u64, String, usize) {
-    let mut sim = Simulator::new();
-    if reference_queue {
-        sim.use_reference_queue();
-    }
-    let client = sim.add_host("client");
-    let server = sim.add_host("server");
-    sim.add_link(client, server, LinkConfig::wan());
-    sim.install_app(
-        server,
-        Box::new(Echo {
-            port: 80,
-            pending: Vec::new(),
-            peer_done: false,
-        }),
-    );
-    sim.install_app(
-        client,
-        Box::new(Blaster {
-            server: SockAddr::new(server, 80),
-            to_send: 256 * 1024,
-            sent: 0,
-            got: 0,
-        }),
-    );
-    let events = sim.run_until_idle();
-    let stats = format!("{:?}", sim.stats(client, server));
-    let got = sim.app_mut::<Blaster>(client).unwrap().got;
-    (events, stats, got)
-}
-
-#[test]
-fn simulator_identical_under_wheel_and_reference_heap() {
-    let wheel = echo_run(false);
-    let heap = echo_run(true);
-    assert_eq!(wheel, heap, "wheel and heap queues diverge at sim level");
-    assert_eq!(wheel.2, 256 * 1024, "transfer incomplete");
 }

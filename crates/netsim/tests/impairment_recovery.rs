@@ -335,9 +335,9 @@ fn queue_overflow_drops_are_recovered() {
     let link = LinkConfig {
         bits_per_sec: Some(1_000_000),
         propagation: SimDuration::from_millis(10),
-        impair: ImpairConfig::none().with_seed(4).with_queue_limit(6_000),
-        buffer_bytes: None,
-    };
+        ..LinkConfig::lan()
+    }
+    .with_buffer_bytes(6_000);
     let (received, closed, stats) = transfer(&data, link);
     assert_eq!(received, data);
     assert!(closed);
