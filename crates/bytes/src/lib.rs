@@ -3,20 +3,21 @@
 //! The build environment has no access to crates.io, so this crate
 //! implements the small part of the `bytes` 1.x API the workspace uses:
 //! [`Bytes`] (a cheaply cloneable, sliceable, immutable byte buffer) and
-//! [`BytesMut`] (a growable buffer that can be drained from the front and
-//! frozen). Semantics match the real crate for this surface; `clone` and
-//! `slice` are O(1) and share the underlying allocation.
+//! [`BytesMut`] (a growable buffer appended at the back and consumed from
+//! the front through a read cursor). Semantics match the real crate for
+//! this surface; `clone`, `slice` and `advance` are O(1).
 //!
 //! # Pooled buffers
 //!
 //! On top of the `bytes` API this stand-in adds an allocation pool for
-//! the simulator's per-segment hot path: [`Bytes::pooled_copy_from_slice`]
-//! and [`BytesMut::split_to_pooled`] back the returned `Bytes` with a
-//! `Vec<u8>` taken from a bounded thread-local free list, and the vector
-//! returns to the list when the last reference drops. Pooled and shared
-//! buffers are observationally identical (equality, hashing, ordering and
-//! iteration all go through the byte contents), so pooling can never
-//! change simulation results — it only recycles storage.
+//! the simulator's per-segment hot path: [`Bytes::pooled_copy_from_slice`],
+//! [`BytesMut::split_to_pooled`] and the accumulator pair
+//! [`BytesMut::pooled`] / [`BytesMut::freeze_pooled`] back the returned
+//! `Bytes` with a `Vec<u8>` taken from a bounded thread-local free list,
+//! and the vector returns to the list when the last reference drops.
+//! Pooled and shared buffers are observationally identical (equality and
+//! hashing go through the byte contents), so pooling can never change
+//! simulation results — it only recycles storage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -130,20 +131,9 @@ impl Bytes {
     /// free list. Indistinguishable from [`Bytes::copy_from_slice`]
     /// except for allocator traffic; meant for per-segment payloads.
     pub fn pooled_copy_from_slice(data: &[u8]) -> Bytes {
-        let mut buf = pool_take();
+        let mut buf = BytesMut::pooled(0);
         buf.extend_from_slice(data);
-        Bytes::from_pooled_vec(buf)
-    }
-
-    /// Wrap an existing vector as a pooled buffer without copying; the
-    /// vector joins the free list when the last reference drops.
-    pub fn from_pooled_vec(buf: Vec<u8>) -> Bytes {
-        let end = buf.len();
-        Bytes {
-            data: Repr::Pooled(Arc::new(PoolChunk { buf })),
-            start: 0,
-            end,
-        }
+        buf.freeze_pooled()
     }
 
     /// Wrap a static slice (copied here; the real crate borrows it, but
@@ -185,13 +175,6 @@ impl Bytes {
             end: self.start + hi,
         }
     }
-
-    /// Split off and return the first `at` bytes, leaving the rest.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        let head = self.slice(..at);
-        self.start += at;
-        head
-    }
 }
 
 impl Deref for Bytes {
@@ -218,21 +201,9 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<String> for Bytes {
-    fn from(s: String) -> Bytes {
-        Bytes::from(s.into_bytes())
-    }
-}
-
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Bytes {
         Bytes::copy_from_slice(s)
-    }
-}
-
-impl From<&str> for Bytes {
-    fn from(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
@@ -249,26 +220,8 @@ impl PartialEq for Bytes {
 }
 impl Eq for Bytes {}
 
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self[..] == *other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self[..] == **other
-    }
-}
-
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl PartialEq<Bytes> for Vec<u8> {
-    fn eq(&self, other: &Bytes) -> bool {
         self[..] == other[..]
     }
 }
@@ -279,40 +232,20 @@ impl Hash for Bytes {
     }
 }
 
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
-        self[..].cmp(&other[..])
-    }
-}
-
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    // The by-value iterator must own its data; `Bytes` may be shared.
-    #[allow(clippy::unnecessary_to_owned)]
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Bytes {
-    type Item = &'a u8;
-    type IntoIter = std::slice::Iter<'a, u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self[..].iter()
-    }
-}
-
-/// A growable byte buffer supporting front-drain and freezing.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// A growable byte buffer appended at the back and consumed from the
+/// front.
+///
+/// This is the one place that decides how consumed bytes leave a buffer:
+/// the live bytes are `vec[head..]`, and consuming moves the cursor
+/// `head` instead of shifting the remainder down. The dead prefix is
+/// reclaimed when the buffer empties, or when an append would otherwise
+/// have to grow the allocation — so capacity never exceeds what a buffer
+/// that shifted on every consume would have held.
+#[derive(Clone, Default)]
 pub struct BytesMut {
     vec: Vec<u8>,
+    /// Read cursor: `vec[..head]` has been consumed.
+    head: usize,
 }
 
 impl BytesMut {
@@ -321,54 +254,56 @@ impl BytesMut {
         BytesMut::default()
     }
 
-    /// Create with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            vec: Vec::with_capacity(cap),
-        }
+    /// An empty accumulator whose storage comes from the pool, with room
+    /// for `cap` bytes (a pooled vector too small for that grows to
+    /// exactly `cap`: the caller states the size it expects); finish it
+    /// with [`BytesMut::freeze_pooled`] so the storage goes back.
+    pub fn pooled(cap: usize) -> BytesMut {
+        let mut vec = pool_take();
+        vec.reserve_exact(cap);
+        BytesMut { vec, head: 0 }
     }
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.vec.len()
+        self.vec.len() - self.head
     }
 
     /// True when no bytes are contained.
     pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
+        self.len() == 0
     }
 
     /// Append a slice.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
+        if self.head > 0 && self.vec.len() + data.len() > self.vec.capacity() {
+            // The reclaim: shift the live bytes down rather than grow.
+            self.vec.drain(..self.head);
+            self.head = 0;
+        }
         self.vec.extend_from_slice(data);
     }
 
-    /// Remove and return the first `at` bytes.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.vec.split_off(at);
-        let head = std::mem::replace(&mut self.vec, rest);
-        BytesMut { vec: head }
-    }
-
-    /// Discard the first `at` bytes in place — the allocation-free
-    /// alternative to `split_to(at)` when the head is not needed.
+    /// Discard the first `at` bytes. The remainder stays where it is.
     pub fn advance(&mut self, at: usize) {
-        self.vec.drain(..at);
+        assert!(at <= self.len(), "advance {at} past {} bytes", self.len());
+        self.head += at;
+        if self.head == self.vec.len() {
+            self.clear();
+        }
     }
 
     /// Remove and return the first `at` bytes as a pool-backed
-    /// [`Bytes`]. Equivalent to `split_to(at).freeze()` but allocation
-    /// free in steady state: taking everything moves the whole vector
-    /// into the pooled buffer (the replacement comes from the free
-    /// list); taking a prefix copies it into a pooled buffer and drains
-    /// in place.
+    /// [`Bytes`], allocation free in steady state: taking everything
+    /// moves the whole vector into the pooled buffer (the replacement
+    /// comes from the free list); taking a prefix copies it into a
+    /// pooled buffer and advances past it.
     pub fn split_to_pooled(&mut self, at: usize) -> Bytes {
-        if at == self.vec.len() {
-            let buf = std::mem::replace(&mut self.vec, pool_take());
-            Bytes::from_pooled_vec(buf)
+        if at == self.len() {
+            std::mem::replace(self, BytesMut::pooled(0)).freeze_pooled()
         } else {
-            let head = Bytes::pooled_copy_from_slice(&self.vec[..at]);
-            self.vec.drain(..at);
+            let head = Bytes::pooled_copy_from_slice(&self[..at]);
+            self.advance(at);
             head
         }
     }
@@ -376,42 +311,49 @@ impl BytesMut {
     /// Drop all accumulated contents.
     pub fn clear(&mut self) {
         self.vec.clear();
+        self.head = 0;
     }
 
-    /// Convert into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
+    /// Convert into an immutable pool-backed [`Bytes`] without copying;
+    /// the storage joins the free list when the last reference drops.
+    pub fn freeze_pooled(self) -> Bytes {
+        Bytes {
+            start: self.head,
+            end: self.vec.len(),
+            data: Repr::Pooled(Arc::new(PoolChunk { buf: self.vec })),
+        }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.vec
+        &self.vec[self.head..]
     }
 }
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.vec
+        &mut self.vec[self.head..]
     }
 }
 
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.vec
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &BytesMut) -> bool {
+        self[..] == other[..]
     }
 }
+impl Eq for BytesMut {}
 
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.vec, f)
+        fmt::Debug::fmt(&&self[..], f)
     }
 }
 
 impl From<Vec<u8>> for BytesMut {
     fn from(vec: Vec<u8>) -> BytesMut {
-        BytesMut { vec }
+        BytesMut { vec, head: 0 }
     }
 }
 
@@ -437,21 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn bytes_split_to_advances() {
-        let mut b = Bytes::from(vec![1u8, 2, 3, 4]);
-        let head = b.split_to(2);
-        assert_eq!(&head[..], &[1, 2]);
-        assert_eq!(&b[..], &[3, 4]);
-    }
-
-    #[test]
     fn bytesmut_roundtrip() {
         let mut m = BytesMut::new();
         m.extend_from_slice(b"hello world");
-        let head = m.split_to(6);
-        assert_eq!(&head[..], b"hello ");
+        m.advance(6);
         assert_eq!(&m[..], b"world");
-        assert_eq!(&head.freeze()[..], b"hello ");
+        m[0] = b'W';
+        assert_eq!(m.as_ref(), b"World");
         m.clear();
         assert!(m.is_empty());
     }
@@ -489,6 +423,54 @@ mod tests {
         let rest = m.split_to_pooled(2);
         assert_eq!(&rest[..], b"ef");
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn advance_leaves_the_remainder_in_place() {
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&[7u8; 4096]);
+        let before = m.as_ptr();
+        m.advance(1000);
+        assert_eq!(m.as_ptr(), before.wrapping_add(1000));
+        assert_eq!(m.len(), 3096);
+        // Emptying the buffer reclaims the prefix: the next append
+        // starts at the front of the same allocation.
+        m.advance(3096);
+        m.extend_from_slice(b"x");
+        assert_eq!(m.as_ptr(), before);
+    }
+
+    #[test]
+    fn append_reclaims_the_dead_prefix_before_growing() {
+        let mut m = BytesMut::from(Vec::with_capacity(64));
+        m.extend_from_slice(&[1u8; 64]);
+        let cap = m.vec.capacity();
+        m.advance(40);
+        // 24 live + 40 new fit only once the 40 dead bytes are reclaimed.
+        m.extend_from_slice(&[2u8; 40]);
+        assert_eq!(m.vec.capacity(), cap);
+        assert_eq!(m.len(), 64);
+        assert_eq!(&m[..24], &[1u8; 24]);
+        assert_eq!(&m[24..], &[2u8; 40]);
+    }
+
+    #[test]
+    fn dead_prefix_is_unobservable() {
+        let mut m = BytesMut::from(b"abcdef".to_vec());
+        m.advance(2);
+        assert_eq!(m, BytesMut::from(b"cdef".to_vec()));
+        assert_eq!(format!("{m:?}"), format!("{:?}", b"cdef"));
+        assert_eq!(m.clone().freeze_pooled(), Bytes::from_static(b"cdef"));
+        assert_eq!(m.split_to_pooled(4), Bytes::from_static(b"cdef"));
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn pooled_accumulator_round_trips() {
+        let mut m = BytesMut::pooled(100);
+        assert!(m.vec.capacity() >= 100);
+        m.extend_from_slice(b"body");
+        assert_eq!(&m.freeze_pooled()[..], b"body");
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use crate::cache::{CacheEntry, ClientCache};
 use crate::config::{ClientConfig, ProtocolMode, RevalidationStyle, Workload};
+use bytes::BytesMut;
 use httpwire::coding;
 use httpwire::validators::Validators;
 use httpwire::{format_http_date, ContentCoding, ETag, Method, Request, Response, ResponseParser};
@@ -128,7 +129,7 @@ struct Conn {
     /// Request bytes not yet flushed to the socket (pipeline buffer).
     reqbuf: Vec<u8>,
     /// Flushed bytes the socket has not yet accepted.
-    outbuf: Vec<u8>,
+    outbuf: BytesMut,
     connected: bool,
     /// Anything has been flushed on this connection yet.
     flushed_any: bool,
@@ -147,7 +148,7 @@ impl Conn {
             parser: ResponseParser::new(),
             sent: VecDeque::new(),
             reqbuf: Vec::new(),
-            outbuf: Vec::new(),
+            outbuf: BytesMut::new(),
             connected: false,
             flushed_any: false,
             finished: false,
@@ -499,7 +500,14 @@ impl HttpClient {
         let req = self.build_request(&job);
         let conn = self.conns.get_mut(&sock).expect("live conn");
         conn.parser.expect(job.method);
-        conn.reqbuf.extend_from_slice(&req.to_bytes());
+        // The robot's requests carry no body, so this is the head alone;
+        // it opens the batch as it is or joins the one being gathered.
+        let wire = req.to_bytes();
+        if conn.reqbuf.is_empty() {
+            conn.reqbuf = wire;
+        } else {
+            conn.reqbuf.extend_from_slice(&wire);
+        }
         conn.sent.push_back(job);
         conn.unwritten += 1;
         self.stats.requests_sent += 1;
@@ -513,13 +521,7 @@ impl HttpClient {
         if !conn.connected {
             return; // transmitted on Connected
         }
-        while !conn.outbuf.is_empty() {
-            let n = ctx.send(sock, &conn.outbuf);
-            if n == 0 {
-                break;
-            }
-            conn.outbuf.drain(..n);
-        }
+        ctx.send_from(sock, &mut conn.outbuf);
     }
 
     /// Flush decision taken: move the request buffer to the socket.

@@ -25,8 +25,6 @@ pub(super) struct MuxState {
     pub(super) sock: SocketId,
     engine: MuxConn,
     connected: bool,
-    /// Wire bytes taken from the engine, waiting for socket space.
-    outbuf: Vec<u8>,
     /// Our request streams awaiting responses.
     jobs: BTreeMap<u32, Job>,
     /// Accepted push streams (server-initiated, even ids).
@@ -71,7 +69,6 @@ impl HttpClient {
             sock,
             engine: MuxConn::client(self.config.mode.push_enabled()),
             connected: false,
-            outbuf: Vec::new(),
             jobs: BTreeMap::new(),
             promised: BTreeMap::new(),
             resp: BTreeMap::new(),
@@ -127,18 +124,12 @@ impl HttpClient {
         if !m.connected {
             return; // transmitted on Connected
         }
-        loop {
-            if m.outbuf.is_empty() && m.engine.has_output() {
-                m.engine.take_output(64 * 1024, &mut m.outbuf);
-            }
-            if m.outbuf.is_empty() {
-                break;
-            }
-            let n = ctx.send(m.sock, &m.outbuf);
+        while !m.engine.output().is_empty() {
+            let n = ctx.send(m.sock, m.engine.output());
             if n == 0 {
-                break;
+                break; // socket buffer full: resume on SendSpace
             }
-            m.outbuf.drain(..n);
+            m.engine.consume_output(n);
         }
     }
 

@@ -3,14 +3,16 @@
 //!
 //! The engine is sans-IO: callers `feed()` bytes received from the
 //! socket, drain semantic [`MuxEvent`]s with `poll_event()`, enqueue
-//! sends through the `send_*` methods, and pull wire bytes with
-//! `take_output()`. Control frames (HEADERS, SETTINGS, WINDOW_UPDATE,
-//! RST_STREAM, PUSH_PROMISE) are serialized immediately in call order —
-//! which is what makes PUSH_PROMISE-before-parent-HEADERS ordering hold
-//! — while DATA is queued per stream and drained round-robin in
+//! sends through the `send_*` methods, and send wire bytes straight
+//! from `output()`, reporting progress with `consume_output()`. Control
+//! frames (HEADERS, SETTINGS, WINDOW_UPDATE, RST_STREAM, PUSH_PROMISE)
+//! are serialized immediately in call order — which is what makes
+//! PUSH_PROMISE-before-parent-HEADERS ordering hold — while DATA is queued per stream and drained round-robin in
 //! [`MAX_FRAME_PAYLOAD`] chunks as the peer's windows allow.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+use bytes::BytesMut;
 
 use crate::frame::{
     Frame, FrameError, FrameParser, FramePayload, DEFAULT_WINDOW, FLAG_ACK, FLAG_END_STREAM,
@@ -105,7 +107,8 @@ pub struct MuxConn {
     /// Peer's INITIAL_WINDOW_SIZE for streams we send on.
     peer_initial_window: u32,
     peer_enable_push: bool,
-    outbuf: Vec<u8>,
+    /// Serialized frames, consumed from the front by the socket.
+    outbuf: BytesMut,
     /// Round-robin cursor: next DATA scheduling pass starts above this id.
     rr_last: u32,
     dead: bool,
@@ -160,7 +163,7 @@ impl MuxConn {
             conn_recv_consumed: 0,
             peer_initial_window: DEFAULT_WINDOW,
             peer_enable_push: false,
-            outbuf: Vec::new(), // simlint: allow(hot-path-alloc) — constructor
+            outbuf: BytesMut::new(),
             rr_last: 0,
             dead: false,
         }
@@ -176,8 +179,8 @@ impl MuxConn {
         self.streams.len()
     }
 
-    /// True once every queued byte has been handed out via
-    /// `take_output()` and no stream holds undrained DATA.
+    /// True once every queued byte has been consumed and no stream
+    /// holds undrained DATA.
     pub fn idle(&self) -> bool {
         self.outbuf.is_empty() && self.streams.values().all(|s| s.sendq.is_empty())
     }
@@ -185,11 +188,6 @@ impl MuxConn {
     /// DATA bytes queued or in flight that flow control is holding back.
     pub fn pending_send_bytes(&self) -> usize {
         self.streams.values().map(|s| s.sendq.len()).sum()
-    }
-
-    /// Wire bytes queued for `take_output()`.
-    pub fn output_len(&self) -> usize {
-        self.outbuf.len()
     }
 
     /// Whether a stream has been reset (locally or by the peer).
@@ -310,16 +308,24 @@ impl MuxConn {
 
     // ---- output -----------------------------------------------------
 
-    /// True if wire bytes are waiting for `take_output()`.
-    pub fn has_output(&self) -> bool {
-        !self.outbuf.is_empty()
+    /// The queued wire bytes, in order; send from the front and report
+    /// what went with [`MuxConn::consume_output`].
+    pub fn output(&self) -> &[u8] {
+        &self.outbuf
     }
 
-    /// Move up to `max` queued wire bytes onto `out`.
+    /// The first `n` bytes of [`MuxConn::output`] have been sent.
+    pub fn consume_output(&mut self, n: usize) {
+        self.outbuf.advance(n);
+    }
+
+    /// Move up to `max` queued wire bytes onto `out`: a copying wrapper
+    /// over `output()` / `consume_output()`, kept for callers that want
+    /// the bytes in a buffer of their own (tests, `benchmark/`).
     pub fn take_output(&mut self, max: usize, out: &mut Vec<u8>) -> usize {
         let n = self.outbuf.len().min(max);
         out.extend_from_slice(&self.outbuf[..n]);
-        self.outbuf.drain(..n);
+        self.consume_output(n);
         n
     }
 
@@ -626,6 +632,8 @@ impl MuxConn {
             &tail[..allow - h],
             &mut self.outbuf,
         );
+        // A ring buffer gives up its front in O(allow), nothing shifts.
+        // simlint: allow(front-drain)
         st.sendq.drain(..allow);
         if fin {
             self.mark_local_done(id);

@@ -131,11 +131,10 @@ impl Frame {
 
     /// Serialize onto `out`. Debug-asserts the payload fits one frame;
     /// callers chunk DATA and keep header blocks small.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut BytesMut) {
         let body_start = out.len() + FRAME_HEADER_LEN;
-        out.extend_from_slice(&[0, 0, 0]); // length patched below
-        out.push(self.frame_type().code());
-        out.push(self.flags);
+        // Length patched below.
+        out.extend_from_slice(&[0, 0, 0, self.frame_type().code(), self.flags]);
         out.extend_from_slice(&self.stream.to_be_bytes());
         match &self.payload {
             FramePayload::Data(data) => out.extend_from_slice(data),
@@ -165,29 +164,33 @@ impl Frame {
 
     pub fn encode(&self) -> Vec<u8> {
         // Convenience for tests and the conformance checker; the engine
-        // appends with `encode_into`. simlint: allow(hot-path-alloc)
-        let mut out = Vec::new();
+        // appends with `encode_into`.
+        let mut out = BytesMut::new();
         self.encode_into(&mut out);
-        out
+        out.to_vec()
     }
 
     /// Serialize a DATA frame whose payload is `head` followed by
     /// `tail`, straight onto `out`. This is the scheduler's hot path:
     /// the two slices come from a send queue's `VecDeque::as_slices`,
     /// so no intermediate payload vector is ever materialized.
-    pub fn encode_data_into(stream: u32, flags: u8, head: &[u8], tail: &[u8], out: &mut Vec<u8>) {
+    pub fn encode_data_into(stream: u32, flags: u8, head: &[u8], tail: &[u8], out: &mut BytesMut) {
         let len = head.len() + tail.len();
         debug_assert!(len <= MAX_FRAME_PAYLOAD, "frame payload {len} too large");
-        out.extend_from_slice(&[(len >> 16) as u8, (len >> 8) as u8, len as u8]);
-        out.push(FrameType::Data.code());
-        out.push(flags);
+        out.extend_from_slice(&[
+            (len >> 16) as u8,
+            (len >> 8) as u8,
+            len as u8,
+            FrameType::Data.code(),
+            flags,
+        ]);
         out.extend_from_slice(&stream.to_be_bytes());
         out.extend_from_slice(head);
         out.extend_from_slice(tail);
     }
 }
 
-fn encode_fields(fields: &[(String, String)], out: &mut Vec<u8>) {
+fn encode_fields(fields: &[(String, String)], out: &mut BytesMut) {
     out.extend_from_slice(&(fields.len() as u16).to_be_bytes());
     for (name, value) in fields {
         out.extend_from_slice(&(name.len() as u16).to_be_bytes());
@@ -447,7 +450,7 @@ mod tests {
     fn split_data_encode_matches_whole_frame() {
         let body = b"the quick brown fox";
         for split in [0, 1, body.len() / 2, body.len()] {
-            let mut direct = Vec::new();
+            let mut direct = BytesMut::new();
             Frame::encode_data_into(
                 7,
                 FLAG_END_STREAM,
@@ -461,7 +464,7 @@ mod tests {
                 payload: FramePayload::Data(Bytes::copy_from_slice(body)),
             }
             .encode();
-            assert_eq!(direct, whole, "split at {split}");
+            assert_eq!(&direct[..], &whole[..], "split at {split}");
         }
     }
 
@@ -474,7 +477,7 @@ mod tests {
             flags: 0,
             payload: FramePayload::Settings(vec![(SETTING_ENABLE_PUSH, 0)]),
         };
-        frame.encode_into(&mut wire);
+        wire.extend_from_slice(&frame.encode());
         // Feed one byte at a time: incremental parsing must hold.
         for b in wire {
             parser.feed(&[b]);

@@ -116,7 +116,7 @@ fn roundtrip_identity() {
             .collect();
         let mut wire = Vec::new();
         for frame in &batch {
-            frame.encode_into(&mut wire);
+            wire.extend_from_slice(&frame.encode());
         }
         let mut parser = FrameParser::new();
         let mut parsed = Vec::new();
@@ -170,7 +170,7 @@ fn mutated_streams_never_panic() {
     for _ in 0..MUTATION_CASES {
         let mut wire = Vec::new();
         for _ in 0..rng.gen_range(1..6usize) {
-            random_frame(&mut rng).encode_into(&mut wire);
+            wire.extend_from_slice(&random_frame(&mut rng).encode());
         }
         mutate(&mut rng, &mut wire);
         let mut parser = FrameParser::new();
@@ -197,7 +197,7 @@ fn truncated_streams_parse_complete_prefix() {
         let mut wire = Vec::new();
         let mut boundaries = Vec::new();
         for frame in &frames {
-            frame.encode_into(&mut wire);
+            wire.extend_from_slice(&frame.encode());
             boundaries.push(wire.len());
         }
         let cut = rng.gen_range(0..=wire.len());

@@ -20,7 +20,7 @@ mod mux;
 
 use crate::config::{AdmissionPolicy, ServerConfig, ServerKind};
 use crate::store::SiteStore;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use httpwire::coding;
 use httpwire::range;
 use httpwire::validators::{evaluate_conditional, if_range_matches, CondResult};
@@ -79,7 +79,7 @@ pub struct ServerStats {
 struct Conn {
     parser: RequestParser,
     /// Bytes generated but not yet accepted by the socket.
-    outbuf: Vec<u8>,
+    outbuf: BytesMut,
     /// Requests received but not yet answered.
     in_service: u32,
     /// Responses generated on this connection.
@@ -105,7 +105,7 @@ impl Conn {
     fn new() -> Conn {
         Conn {
             parser: RequestParser::new(),
-            outbuf: Vec::new(),
+            outbuf: BytesMut::new(),
             in_service: 0,
             served: 0,
             closing: false,
@@ -175,7 +175,7 @@ impl HttpServer {
             + conn.parser.buffered() as u64
             + conn.pre.len() as u64
             + conn.mux.as_ref().map_or(0, |m| {
-                (m.engine.output_len() + m.engine.pending_send_bytes()) as u64
+                (m.engine.output().len() + m.engine.pending_send_bytes()) as u64
             });
         self.total_mem = self.total_mem - conn.mem + mem;
         conn.mem = mem;
@@ -396,7 +396,9 @@ impl HttpServer {
             resp.headers.set("Connection", "Keep-Alive");
         }
 
-        conn.outbuf.extend_from_slice(&resp.to_bytes());
+        // The head, then the body straight from the store's shared bytes.
+        conn.outbuf.extend_from_slice(&resp.head_to_bytes());
+        conn.outbuf.extend_from_slice(&resp.body);
         self.account(sock);
         self.flush(ctx, sock);
     }
@@ -416,13 +418,7 @@ impl HttpServer {
         if conn.outbuf.len() < self.config.output_buffer && !idle && !conn.closing {
             return;
         }
-        while !conn.outbuf.is_empty() {
-            let n = ctx.send(sock, &conn.outbuf);
-            if n == 0 {
-                break; // socket buffer full: resume on SendSpace
-            }
-            conn.outbuf.drain(..n);
-        }
+        ctx.send_from(sock, &mut conn.outbuf);
         self.account(sock);
         let conn = self.conns.get_mut(&sock).expect("still present");
         if conn.outbuf.is_empty() && conn.closing && conn.in_service == 0 {
@@ -498,7 +494,7 @@ impl HttpServer {
                     let resp = Response::new(Version::Http10, StatusCode::BAD_REQUEST)
                         .with_header("Content-Length", "0")
                         .with_header("Connection", "close");
-                    conn.outbuf.extend_from_slice(&resp.to_bytes());
+                    conn.outbuf.extend_from_slice(&resp.head_to_bytes());
                     conn.closing = true;
                     self.flush(ctx, sock);
                     break;

@@ -200,24 +200,14 @@ impl HttpServer {
         let Some(m) = conn.mux.as_deref_mut() else {
             return;
         };
-        loop {
-            if conn.outbuf.is_empty() && m.engine.has_output() {
-                m.engine.take_output(64 * 1024, &mut conn.outbuf);
-            }
-            if conn.outbuf.is_empty() {
-                break;
-            }
-            let n = ctx.send(sock, &conn.outbuf);
+        while !m.engine.output().is_empty() {
+            let n = ctx.send(sock, m.engine.output());
             if n == 0 {
                 break; // socket buffer full: resume on SendSpace
             }
-            conn.outbuf.drain(..n);
+            m.engine.consume_output(n);
         }
-        let done = conn.peer_closed
-            && m.svc == 0
-            && conn.outbuf.is_empty()
-            && !m.engine.has_output()
-            && m.engine.idle();
+        let done = conn.peer_closed && m.svc == 0 && m.engine.idle();
         self.account(sock);
         if done {
             ctx.shutdown_write(sock);

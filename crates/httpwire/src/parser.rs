@@ -22,9 +22,6 @@ pub enum ParseError {
     BadHeader,
     /// Bad chunk.
     BadChunk,
-    /// A message without a determinate length on a connection that must
-    /// stay open.
-    LengthRequired,
 }
 
 impl std::fmt::Display for ParseError {
@@ -34,7 +31,6 @@ impl std::fmt::Display for ParseError {
             ParseError::BadStatusLine => "malformed status line",
             ParseError::BadHeader => "malformed header",
             ParseError::BadChunk => "malformed chunked body",
-            ParseError::LengthRequired => "message length cannot be determined",
         };
         f.write_str(s)
     }
@@ -77,14 +73,157 @@ fn parse_headers(lines: &str) -> Result<HeaderMap, ParseError> {
     Ok(headers)
 }
 
-/// How the body of a message is delimited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BodyKind {
-    None,
-    Length(usize),
-    Chunked,
+/// Room taken up front for a `Content-Length` body; a longer body grows
+/// the buffer as it arrives, so a declared length allocates nothing by
+/// itself.
+const BODY_RESERVE: u64 = 1 << 16;
+
+/// How the body of a message is delimited, and where its reader stands.
+#[derive(Debug)]
+enum Framing {
+    /// This many body bytes are still to arrive (0: the message has no
+    /// body, or all of it is in).
+    Length(u64),
+    Chunked(ChunkedDecoder),
     /// Body runs until the peer closes the connection (HTTP/1.0 style).
     ToClose,
+}
+
+impl Framing {
+    /// The framing a header block declares, if it declares one.
+    fn declared(headers: &HeaderMap) -> Option<Framing> {
+        if headers.has_token("Transfer-Encoding", "chunked") {
+            Some(Framing::Chunked(ChunkedDecoder::new()))
+        } else {
+            headers.get_int("Content-Length").map(Framing::Length)
+        }
+    }
+}
+
+/// The body of the message whose head has been parsed: the one reader
+/// both parsers share. Arriving body bytes move once, from the parse
+/// buffer into the pooled buffer the message hands out.
+#[derive(Debug)]
+struct BodyReader {
+    framing: Framing,
+    /// Decoded body so far; taken from the pool with the first byte.
+    body: Option<BytesMut>,
+    /// Wire bytes of this message (head included) taken out of the
+    /// parse buffer so far.
+    wire: usize,
+}
+
+impl BodyReader {
+    /// Move what `buf` holds of this body into it. True once the body is
+    /// complete; a close-delimited body is complete only `at_eof`.
+    fn fill(&mut self, buf: &mut BytesMut, at_eof: bool) -> Result<bool, ParseError> {
+        let (used, complete) = match &mut self.framing {
+            Framing::Length(left) => {
+                let take = (*left).min(buf.len() as u64) as usize;
+                if take > 0 {
+                    let reserve = (*left).min(BODY_RESERVE) as usize;
+                    self.body
+                        .get_or_insert_with(|| BytesMut::pooled(reserve))
+                        .extend_from_slice(&buf[..take]);
+                    *left -= take as u64;
+                }
+                (take, *left == 0)
+            }
+            Framing::Chunked(dec) => {
+                let body = self.body.get_or_insert_with(|| BytesMut::pooled(0));
+                let used = dec.feed(buf, body).map_err(|_| ParseError::BadChunk)?;
+                (used, dec.done())
+            }
+            Framing::ToClose => {
+                self.body
+                    .get_or_insert_with(|| BytesMut::pooled(0))
+                    .extend_from_slice(buf);
+                (buf.len(), at_eof)
+            }
+        };
+        buf.advance(used);
+        self.wire += used;
+        Ok(complete)
+    }
+
+    fn so_far(&self) -> &[u8] {
+        self.body.as_deref().unwrap_or(&[])
+    }
+
+    fn finish(self) -> Bytes {
+        self.body.map_or_else(Bytes::new, BytesMut::freeze_pooled)
+    }
+}
+
+/// What both parsers are: the bytes no message has claimed yet (a head
+/// under assembly, or pipelined successors), and the message whose head
+/// has been parsed out of them and whose body is under assembly.
+#[derive(Debug)]
+struct Assembly<M> {
+    buf: BytesMut,
+    current: Option<(M, BodyReader)>,
+}
+
+impl<M> Default for Assembly<M> {
+    fn default() -> Self {
+        Assembly {
+            buf: BytesMut::new(),
+            current: None,
+        }
+    }
+}
+
+impl<M> Assembly<M> {
+    /// Bytes fed and not yet returned in a message.
+    fn buffered(&self) -> usize {
+        self.buf.len() + self.current.as_ref().map_or(0, |(_, body)| body.wire)
+    }
+
+    /// Parse the head once per message (`parse_head` gets the header
+    /// block as text) and take it out of `buf`, then move what has
+    /// arrived of the body. `Ok(false)` until the message is complete.
+    fn poll(
+        &mut self,
+        at_eof: bool,
+        bad_head: ParseError,
+        parse_head: impl FnOnce(&str) -> Result<(M, Framing), ParseError>,
+    ) -> Result<bool, ParseError> {
+        if self.current.is_none() {
+            let Some(head_end) = find_head_end(&self.buf) else {
+                return Ok(false);
+            };
+            let head = std::str::from_utf8(&self.buf[..head_end]).map_err(|_| bad_head)?;
+            let (message, framing) = parse_head(head)?;
+            self.buf.advance(head_end);
+            self.current = Some((
+                message,
+                BodyReader {
+                    framing,
+                    body: None,
+                    wire: head_end,
+                },
+            ));
+        }
+        let (_, body) = self.current.as_mut().expect("filled above");
+        body.fill(&mut self.buf, at_eof)
+    }
+
+    /// The completed message and its body. A parser left with nothing
+    /// buffered holds no storage either: a finished connection keeps its
+    /// parser until TCP lets go of it.
+    fn take(&mut self) -> (M, Bytes) {
+        let (message, body) = self.current.take().expect("a message is complete");
+        if self.buf.is_empty() {
+            self.buf = BytesMut::new();
+        }
+        (message, body.finish())
+    }
+}
+
+/// Split a header block into its first line and the header lines.
+fn split_first_line(head: &str) -> (&str, &str) {
+    let (first, rest) = head.split_once('\n').unwrap_or((head, ""));
+    (first.trim_end_matches('\r'), rest)
 }
 
 // ---------------------------------------------------------------------
@@ -94,7 +233,7 @@ enum BodyKind {
 /// Incremental parser for a stream of requests on one connection.
 #[derive(Debug, Default)]
 pub struct RequestParser {
-    buf: BytesMut,
+    stream: Assembly<Request>,
 }
 
 impl RequestParser {
@@ -105,26 +244,30 @@ impl RequestParser {
 
     /// Append raw bytes from the connection.
     pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.buf.extend_from_slice(data);
     }
 
-    /// Bytes buffered but not yet parsed into a message.
+    /// Bytes fed but not yet returned in a message.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.stream.buffered()
     }
 
     /// Try to parse the next complete request.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Request>, ParseError> {
-        let Some(head_end) = find_head_end(&self.buf) else {
+        let complete = self
+            .stream
+            .poll(false, ParseError::BadRequestLine, Self::parse_head)?;
+        if !complete {
             return Ok(None);
-        };
-        let head =
-            std::str::from_utf8(&self.buf[..head_end]).map_err(|_| ParseError::BadRequestLine)?;
-        let mut lines = head.splitn(2, '\n');
-        let request_line = lines.next().unwrap_or("").trim_end_matches('\r');
-        let rest = lines.next().unwrap_or("");
+        }
+        let (mut req, body) = self.stream.take();
+        req.body = body;
+        Ok(Some(req))
+    }
 
+    fn parse_head(head: &str) -> Result<(Request, Framing), ParseError> {
+        let (request_line, rest) = split_first_line(head);
         let mut parts = request_line.split_ascii_whitespace();
         let method: Method = parts
             .next()
@@ -141,60 +284,16 @@ impl RequestParser {
             return Err(ParseError::BadRequestLine);
         }
         let headers = parse_headers(rest)?;
-
         // Requests must have a determinate length.
-        let body_kind = if headers.has_token("Transfer-Encoding", "chunked") {
-            BodyKind::Chunked
-        } else if let Some(n) = headers.get_int("Content-Length") {
-            BodyKind::Length(n as usize)
-        } else {
-            BodyKind::None
+        let framing = Framing::declared(&headers).unwrap_or(Framing::Length(0));
+        let req = Request {
+            method,
+            target,
+            version,
+            headers,
+            body: Bytes::new(),
         };
-
-        match body_kind {
-            BodyKind::None => {
-                let _ = self.buf.split_to(head_end);
-                Ok(Some(Request {
-                    method,
-                    target,
-                    version,
-                    headers,
-                    body: Bytes::new(),
-                }))
-            }
-            BodyKind::Length(n) => {
-                if self.buf.len() < head_end + n {
-                    return Ok(None);
-                }
-                let _ = self.buf.split_to(head_end);
-                let body = self.buf.split_to(n).freeze();
-                Ok(Some(Request {
-                    method,
-                    target,
-                    version,
-                    headers,
-                    body,
-                }))
-            }
-            BodyKind::Chunked => {
-                let mut dec = ChunkedDecoder::new();
-                let used = dec
-                    .feed(&self.buf[head_end..])
-                    .map_err(|_| ParseError::BadChunk)?;
-                if !dec.done {
-                    return Ok(None);
-                }
-                let _ = self.buf.split_to(head_end + used);
-                Ok(Some(Request {
-                    method,
-                    target,
-                    version,
-                    headers,
-                    body: Bytes::from(dec.output),
-                }))
-            }
-            BodyKind::ToClose => unreachable!("requests are never close-delimited"),
-        }
+        Ok((req, framing))
     }
 }
 
@@ -202,34 +301,20 @@ impl RequestParser {
 // Response parser (client side)
 // ---------------------------------------------------------------------
 
-/// A fully parsed head (status line + header block) whose message body
-/// has not finished arriving. Cached between polls so that feeding a
-/// large body chunk by chunk costs O(chunk) per poll instead of
-/// re-scanning and re-allocating the whole header block every time —
-/// the client polls once per arriving segment, so without this cache
-/// header parsing dominates the hot path.
-#[derive(Debug)]
-struct ParsedHead {
-    head_end: usize,
-    version: Version,
-    status: StatusCode,
-    headers: HeaderMap,
-}
-
 /// Incremental parser for a stream of responses on one connection.
 ///
 /// Pipelined HTTP requires the client to remember which request each
 /// response answers: a response to `HEAD` has headers describing a body
 /// that is *not* sent. Register each outgoing request's method with
 /// [`ResponseParser::expect`] before (or as) it is transmitted.
+///
+/// The head is parsed once per message, so feeding a large body segment
+/// by segment costs O(segment) per poll — the client polls once per
+/// arriving segment.
 #[derive(Debug, Default)]
 pub struct ResponseParser {
-    buf: BytesMut,
+    stream: Assembly<Response>,
     expectations: std::collections::VecDeque<Method>,
-    /// Head of the in-progress message, parsed once per message.
-    /// Invalidated when the message is consumed (`buf` is only ever
-    /// appended to otherwise, so the cached offsets stay valid).
-    head: Option<ParsedHead>,
 }
 
 impl ResponseParser {
@@ -251,25 +336,12 @@ impl ResponseParser {
 
     /// Append raw bytes from the connection.
     pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.buf.extend_from_slice(data);
     }
 
-    /// Bytes buffered but not yet consumed.
+    /// Bytes fed but not yet returned in a message.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn classify(status: StatusCode, headers: &HeaderMap, method: Method) -> BodyKind {
-        if !method.response_has_body() || status.bodyless() {
-            return BodyKind::None;
-        }
-        if headers.has_token("Transfer-Encoding", "chunked") {
-            return BodyKind::Chunked;
-        }
-        if let Some(n) = headers.get_int("Content-Length") {
-            return BodyKind::Length(n as usize);
-        }
-        BodyKind::ToClose
+        self.stream.buffered()
     }
 
     /// Try to parse the next complete response. Close-delimited responses
@@ -280,15 +352,15 @@ impl ResponseParser {
     }
 
     /// Peek at the *in-progress* response: its headers plus however much
-    /// of its body has arrived. Returns `None` until the header block is
-    /// complete (or if the status line is malformed). This is what lets
-    /// a streaming client start parsing HTML (and issuing pipelined
-    /// image requests) before the document finishes arriving. Borrows
-    /// the cached head — repeated peeks are allocation-free.
+    /// of its decoded body has arrived. Returns `None` until the header
+    /// block is complete (or if the message is malformed). This is what
+    /// lets a streaming client start parsing HTML (and issuing pipelined
+    /// image requests) before the document finishes arriving. Repeated
+    /// peeks are allocation-free.
     pub fn in_progress(&mut self) -> Option<(&HeaderMap, &[u8])> {
-        self.ensure_head().ok()?;
-        let ph = self.head.as_ref()?;
-        Some((&ph.headers, &self.buf[ph.head_end..]))
+        self.poll(false).ok()?;
+        let (resp, body) = self.stream.current.as_ref()?;
+        Some((&resp.headers, body.so_far()))
     }
 
     /// The peer closed the connection: flush a close-delimited response if
@@ -297,21 +369,25 @@ impl ResponseParser {
         self.parse(true)
     }
 
-    /// Parse the head once per message, caching it in `self.head`.
-    /// Returns `Ok(false)` while the header block is still incomplete.
-    fn ensure_head(&mut self) -> Result<bool, ParseError> {
-        if self.head.is_some() {
-            return Ok(true);
-        }
-        let Some(head_end) = find_head_end(&self.buf) else {
-            return Ok(false);
-        };
-        let head =
-            std::str::from_utf8(&self.buf[..head_end]).map_err(|_| ParseError::BadStatusLine)?;
-        let mut lines = head.splitn(2, '\n');
-        let status_line = lines.next().unwrap_or("").trim_end_matches('\r');
-        let rest = lines.next().unwrap_or("");
+    fn poll(&mut self, at_eof: bool) -> Result<bool, ParseError> {
+        let method = self.expectations.front().copied().unwrap_or(Method::Get);
+        self.stream.poll(at_eof, ParseError::BadStatusLine, |head| {
+            Self::parse_head(head, method)
+        })
+    }
 
+    fn parse(&mut self, at_eof: bool) -> Result<Option<Response>, ParseError> {
+        if !self.poll(at_eof)? {
+            return Ok(None);
+        }
+        let (mut resp, body) = self.stream.take();
+        resp.body = body;
+        self.expectations.pop_front();
+        Ok(Some(resp))
+    }
+
+    fn parse_head(head: &str, method: Method) -> Result<(Response, Framing), ParseError> {
+        let (status_line, rest) = split_first_line(head);
         let mut parts = status_line.splitn(3, ' ');
         let version: Version = parts
             .next()
@@ -325,65 +401,18 @@ impl ResponseParser {
             .map_err(|_| ParseError::BadStatusLine)?;
         let status = StatusCode(code);
         let headers = parse_headers(rest)?;
-        self.head = Some(ParsedHead {
-            head_end,
+        let framing = if !method.response_has_body() || status.bodyless() {
+            Framing::Length(0)
+        } else {
+            Framing::declared(&headers).unwrap_or(Framing::ToClose)
+        };
+        let resp = Response {
             version,
             status,
             headers,
-        });
-        Ok(true)
-    }
-
-    fn parse(&mut self, at_eof: bool) -> Result<Option<Response>, ParseError> {
-        if !self.ensure_head()? {
-            return Ok(None);
-        }
-        let ph = self.head.as_ref().expect("ensure_head filled the cache");
-        let head_end = ph.head_end;
-        let method = self.expectations.front().copied().unwrap_or(Method::Get);
-        let body_kind = Self::classify(ph.status, &ph.headers, method);
-
-        let (body, consumed) = match body_kind {
-            BodyKind::None => (Bytes::new(), head_end),
-            BodyKind::Length(n) => {
-                if self.buf.len() < head_end + n {
-                    return Ok(None);
-                }
-                (
-                    Bytes::pooled_copy_from_slice(&self.buf[head_end..head_end + n]),
-                    head_end + n,
-                )
-            }
-            BodyKind::Chunked => {
-                let mut dec = ChunkedDecoder::new();
-                let used = dec
-                    .feed(&self.buf[head_end..])
-                    .map_err(|_| ParseError::BadChunk)?;
-                if !dec.done {
-                    return Ok(None);
-                }
-                (Bytes::from(dec.output), head_end + used)
-            }
-            BodyKind::ToClose => {
-                if !at_eof {
-                    return Ok(None);
-                }
-                (
-                    Bytes::pooled_copy_from_slice(&self.buf[head_end..]),
-                    self.buf.len(),
-                )
-            }
+            body: Bytes::new(),
         };
-
-        let ph = self.head.take().expect("checked above");
-        let _ = self.buf.split_to(consumed);
-        self.expectations.pop_front();
-        Ok(Some(Response {
-            version: ph.version,
-            status: ph.status,
-            headers: ph.headers,
-            body,
-        }))
+        Ok((resp, framing))
     }
 }
 
@@ -560,6 +589,41 @@ mod tests {
         let mut p = ResponseParser::new();
         p.feed(b"HTTP/1.1 200 OK\r\nContent-");
         assert!(p.in_progress().is_none(), "head incomplete");
+    }
+
+    #[test]
+    fn in_progress_decodes_a_half_arrived_chunked_body() {
+        let html = b"<html><img src=\"/a.gif\"><img src=\"/b.gif\"></html>";
+        let mut wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        let head_len = wire.len();
+        wire.extend_from_slice(&crate::chunked::encode(html, 8));
+        let mut p = ResponseParser::new();
+        p.expect(Method::Get);
+        // Three whole 13-byte chunks ("8\r\n" + 8 + "\r\n"), then cut
+        // inside the fourth chunk's size line.
+        let cut = head_len + 3 * 13 + 1;
+        p.feed(&wire[..cut]);
+        let (_, body) = p.in_progress().expect("head complete");
+        assert_eq!(body, &html[..24], "decoded bytes, no chunk framing");
+        assert!(p.next().unwrap().is_none());
+        p.feed(&wire[cut..]);
+        assert_eq!(&p.next().unwrap().unwrap().body[..], html);
+    }
+
+    #[test]
+    fn truncated_trailing_response_stays_buffered() {
+        let mut p = ResponseParser::new();
+        p.expect(Method::Get);
+        p.expect(Method::Get);
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\ntrunc";
+        p.feed(wire);
+        assert!(p.next().unwrap().is_some());
+        assert!(p.next().unwrap().is_none());
+        // Head and partial body have left the parse buffer but were
+        // never returned in a message.
+        assert_eq!(p.buffered(), wire.len() - 40);
+        assert!(p.finish().unwrap().is_none());
+        assert_eq!(p.buffered(), wire.len() - 40);
     }
 
     #[test]

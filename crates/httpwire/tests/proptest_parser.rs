@@ -5,7 +5,9 @@
 //! robustness against arbitrary bytes.
 
 use bytes::Bytes;
-use httpwire::{Method, Request, RequestParser, Response, ResponseParser, StatusCode, Version};
+use httpwire::{
+    Method, ParseError, Request, RequestParser, Response, ResponseParser, StatusCode, Version,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,6 +155,77 @@ fn chunked_roundtrip_any_chunk_size() {
         }
         let got = got.expect("chunked response completes");
         assert_eq!(&got.body[..], &body[..], "case {case}");
+    }
+}
+
+/// Feed `wire` in the given pieces, polling after each as the client does.
+fn responses_from(pieces: &[&[u8]], expected: usize) -> Vec<Response> {
+    let mut parser = ResponseParser::new();
+    for _ in 0..expected {
+        parser.expect(Method::Get);
+    }
+    let mut got = Vec::new();
+    for piece in pieces {
+        parser.feed(piece);
+        while let Some(r) = parser.next().unwrap() {
+            got.push(r);
+        }
+    }
+    assert_eq!(parser.buffered(), 0);
+    got
+}
+
+#[test]
+fn every_split_point_yields_the_same_messages() {
+    let mut rng = SmallRng::seed_from_u64(0x0047_7407);
+    let chunked_body = random_bytes(&mut rng, 300);
+    let mut chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+    chunked.extend_from_slice(&httpwire::chunked::encode(&chunked_body, 37));
+
+    let mut pipelined = Vec::new();
+    for _ in 0..2 {
+        let body = random_bytes(&mut rng, 120);
+        let resp = Response::new(Version::Http11, StatusCode::OK)
+            .with_header("Content-Length", body.len().to_string())
+            .with_body(Bytes::from(body));
+        pipelined.extend_from_slice(&resp.to_bytes());
+    }
+    pipelined.extend_from_slice(&chunked);
+
+    for (wire, count) in [(&chunked, 1), (&pipelined, 3)] {
+        let whole = responses_from(&[wire], count);
+        assert_eq!(whole.len(), count);
+        assert_eq!(&whole[count - 1].body[..], &chunked_body[..]);
+        for at in 0..=wire.len() {
+            let split = responses_from(&[&wire[..at], &wire[at..]], count);
+            assert_eq!(split, whole, "split at {at}");
+        }
+    }
+}
+
+#[test]
+fn absurd_lengths_are_errors_or_waits_never_panics() {
+    let length = b"Content-Length: 18446744073709551615\r\n\r\nbody";
+    let chunk = b"Transfer-Encoding: chunked\r\n\r\n10000000000000000\r\nbody";
+    for framing in [&length[..], &chunk[..]] {
+        let mut rp = RequestParser::new();
+        rp.feed(b"POST /f HTTP/1.1\r\n");
+        rp.feed(framing);
+        let req = rp.next();
+        let mut sp = ResponseParser::new();
+        sp.expect(Method::Get);
+        sp.feed(b"HTTP/1.1 200 OK\r\n");
+        sp.feed(framing);
+        let resp = sp.next();
+        if framing == &chunk[..] {
+            assert_eq!(req.unwrap_err(), ParseError::BadChunk);
+            assert_eq!(resp.unwrap_err(), ParseError::BadChunk);
+            assert_eq!(sp.finish().unwrap_err(), ParseError::BadChunk);
+        } else {
+            assert!(req.unwrap().is_none());
+            assert!(resp.unwrap().is_none());
+            assert!(sp.finish().unwrap().is_none());
+        }
     }
 }
 

@@ -16,7 +16,7 @@ use crate::tcp::{Effects, SockNotify, State, Tcb, TcpConfig, TimerKind};
 use crate::telemetry::{Metric, Scope, TelemetrySink};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceMode, TraceStats};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
@@ -683,6 +683,18 @@ impl<'a> Ctx<'a> {
         self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
         self.kernel.recycle_fx(fx);
         n
+    }
+
+    /// [`Ctx::send`] from the front of `buf` until it is empty or the
+    /// socket accepts no more (resume on [`AppEvent::SendSpace`]).
+    pub fn send_from(&mut self, sock: SocketId, buf: &mut BytesMut) {
+        while !buf.is_empty() {
+            let n = self.send(sock, buf);
+            if n == 0 {
+                break;
+            }
+            buf.advance(n);
+        }
     }
 
     /// Read up to `max` buffered bytes.

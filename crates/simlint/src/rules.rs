@@ -24,6 +24,7 @@ pub const RULE_IDS: &[&str] = &[
     "unwrap-impair",
     "probe-determinism",
     "hot-path-alloc",
+    "front-drain",
     "seq-wrap",
     "time-unit",
     "tcp-state-machine",
@@ -44,6 +45,10 @@ const TIME_CRATES: &[&str] = &["netsim", "httpmux"];
 const HOT_FILES: &[&str] = &[
     "tcp.rs", "cc.rs", "link.rs", "sim.rs", "frame.rs", "conn.rs",
 ];
+
+/// Crates whose byte queues give up their front through
+/// `bytes::BytesMut` (the one implementation lives in `bytes`).
+const BYTE_PATH_CRATES: &[&str] = &["netsim", "httpwire", "httpmux", "httpclient", "httpserver"];
 
 /// Identifiers holding TCP sequence-space values in `tcp.rs` and the
 /// congestion-control module `cc.rs`. Direct ordering or subtraction on
@@ -279,6 +284,26 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                     ),
                 );
             }
+        }
+
+        // --- front-drain: `.drain(..n)` shifts everything behind `n`
+        // (`.drain(..)` takes everything and shifts nothing).
+        if t.is_ident("drain")
+            && i > 0
+            && toks[i - 1].is_op(".")
+            && i + 3 < n
+            && toks[i + 1].is_op("(")
+            && matches!(toks[i + 2].text.as_str(), ".." | "..=")
+            && !toks[i + 3].is_op(")")
+            && crate_in(path, BYTE_PATH_CRATES)
+        {
+            push(
+                "front-drain",
+                t.line,
+                t.col,
+                "`.drain(..n)` consumes from the front by shifting the rest; queue bytes in a `BytesMut` and `advance`"
+                    .to_string(),
+            );
         }
 
         // --- seq-wrap: direct ordering/subtraction on sequence-space

@@ -131,6 +131,22 @@ fn hot_path_alloc_fires() {
 }
 
 #[test]
+fn front_drain_fires() {
+    assert_fires(
+        "crates/httpserver/src/server.rs",
+        "fn f(out: &mut Vec<u8>, n: usize) {\n    out.drain(..n);\n    out.drain(n..);\n    out.drain(..);\n}\n",
+        "front-drain",
+        2,
+    );
+    // `bytes` is where the one implementation lives.
+    assert!(one(
+        "crates/bytes/src/lib.rs",
+        "fn f(v: &mut Vec<u8>, n: usize) {\n    v.drain(..n);\n}\n"
+    )
+    .is_empty());
+}
+
+#[test]
 fn seq_wrap_fires() {
     assert_fires(
         "crates/netsim/src/tcp.rs",
