@@ -78,14 +78,23 @@ pub struct BitReader<'a> {
 pub struct UnexpectedEof;
 
 impl<'a> BitReader<'a> {
-    /// Create a new, empty instance.
-    pub fn new(data: &'a [u8]) -> Self {
-        BitReader {
+    /// A reader positioned `bit` bits into `data` (at its end, if `data`
+    /// is shorter than that).
+    pub fn at_bit(data: &'a [u8], bit: usize) -> Self {
+        let mut r = BitReader {
             data,
-            pos: 0,
+            pos: bit / 8,
             bit_buf: 0,
             bit_count: 0,
-        }
+        };
+        // Past the end there is nothing to skip, and nothing to read after.
+        let _ = r.read_bits((bit % 8) as u32);
+        r
+    }
+
+    /// Bits of `data` consumed so far.
+    pub fn bit_position(&self) -> usize {
+        self.pos * 8 - self.bit_count as usize
     }
 
     fn fill(&mut self) {
@@ -104,7 +113,6 @@ impl<'a> BitReader<'a> {
             return Err(UnexpectedEof);
         }
         let v = (self.bit_buf & ((1u64 << count) - 1)) as u32;
-        let v = if count == 0 { 0 } else { v };
         self.bit_buf >>= count;
         self.bit_count -= count;
         Ok(v)
@@ -122,21 +130,13 @@ impl<'a> BitReader<'a> {
         self.bit_count -= drop;
     }
 
-    /// Read `n` raw bytes; the stream must be byte-aligned.
-    pub fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, UnexpectedEof> {
+    /// Read `n` raw bytes in place; the stream must be byte-aligned.
+    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], UnexpectedEof> {
         debug_assert_eq!(self.bit_count % 8, 0);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let b = self.read_bits(8)? as u8;
-            out.push(b);
-        }
-        Ok(out)
-    }
-
-    /// True when no more bits remain.
-    pub fn is_empty(&mut self) -> bool {
-        self.fill();
-        self.bit_count == 0
+        let start = self.pos - self.bit_count as usize / 8;
+        let bytes = self.data.get(start..start + n).ok_or(UnexpectedEof)?;
+        (self.pos, self.bit_buf, self.bit_count) = (start + n, 0, 0);
+        Ok(bytes)
     }
 }
 
@@ -161,7 +161,7 @@ mod tests {
         w.write_bits(0b1, 1);
         w.write_bits(12345, 20);
         let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
+        let mut r = BitReader::at_bit(&bytes, 0);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
         assert_eq!(r.read_bits(8).unwrap(), 0b11110000);
         assert_eq!(r.read_bits(1).unwrap(), 0b1);
@@ -186,7 +186,7 @@ mod tests {
         w.write_bytes(b"AB");
         let bytes = w.finish();
         assert_eq!(bytes, vec![0x01, b'A', b'B']);
-        let mut r = BitReader::new(&bytes);
+        let mut r = BitReader::at_bit(&bytes, 0);
         r.read_bit().unwrap();
         r.align_byte();
         assert_eq!(r.read_bytes(2).unwrap(), b"AB");
@@ -200,11 +200,24 @@ mod tests {
     }
 
     #[test]
+    fn resumes_at_a_bit_position() {
+        let bytes = [0b1010_1100, 0xF0, 0x0F];
+        let mut r = BitReader::at_bit(&bytes, 0);
+        r.read_bits(11).unwrap();
+        assert_eq!(r.bit_position(), 11);
+        let mut resumed = BitReader::at_bit(&bytes, 11);
+        assert_eq!(resumed.read_bits(9).unwrap(), r.read_bits(9).unwrap());
+        resumed.align_byte();
+        assert_eq!(resumed.bit_position(), 24);
+        // A position past the data reads as end of input.
+        assert!(BitReader::at_bit(&bytes[..1], 11).read_bit().is_err());
+    }
+
+    #[test]
     fn eof_detection() {
-        let mut r = BitReader::new(&[0xFF]);
+        let mut r = BitReader::at_bit(&[0xFF], 0);
         assert_eq!(r.read_bits(8).unwrap(), 0xFF);
         assert!(r.read_bits(1).is_err());
-        assert!(r.is_empty());
     }
 
     #[test]

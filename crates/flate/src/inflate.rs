@@ -48,51 +48,92 @@ impl std::fmt::Display for InflateError {
 
 impl std::error::Error for InflateError {}
 
-/// Decompress as much of a (possibly truncated) DEFLATE stream as
-/// possible. Used for *streaming* consumers — e.g. a browser parsing
-/// compressed HTML while it is still arriving — where a truncated tail is
-/// expected, not an error. Errors other than truncation still surface.
-pub fn inflate_prefix(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    inflate_inner(data, true)
+/// A resumable DEFLATE decompressor, for a stream that is still arriving
+/// — e.g. a browser parsing compressed HTML as it comes. A symbol (a
+/// literal, or a length with its distance), a stored block, and a block
+/// header with its code tables are each decoded whole or not at all: input
+/// that ends inside one leaves the cursor at its start.
+#[derive(Debug, Default)]
+pub struct Inflater {
+    out: Vec<u8>,
+    /// Stream position, in bits, of the first item not yet decoded.
+    bit_pos: usize,
+    /// Inside a Huffman block: its two tables, and whether it is the last.
+    block: Option<(Decoder, Decoder, bool)>,
+    done: bool,
+}
+
+impl Inflater {
+    /// Everything decoded so far.
+    pub fn output(&self) -> &[u8] {
+        &self.out
+    }
+
+    /// Give up the decoded bytes.
+    pub fn into_output(self) -> Vec<u8> {
+        self.out
+    }
+
+    /// Bytes of the stream the cursor is past (the last maybe in part).
+    pub fn consumed(&self) -> usize {
+        self.bit_pos.div_ceil(8)
+    }
+
+    /// Decode what is new in `stream_so_far` — the stream from its first
+    /// byte — and say whether the final block has ended. Truncation is
+    /// expected, not an error; any other error repeats on every later call.
+    pub fn advance(&mut self, stream_so_far: &[u8]) -> Result<bool, InflateError> {
+        let mut r = BitReader::at_bit(stream_so_far, self.bit_pos);
+        match self.decode(&mut r) {
+            Ok(()) | Err(InflateError::UnexpectedEof) => Ok(self.done),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Decode items to the end of the stream or of the input; `bit_pos`
+    /// moves only past items decoded whole.
+    fn decode(&mut self, r: &mut BitReader<'_>) -> Result<(), InflateError> {
+        while !self.done {
+            let Some((lit, dist, last)) = &self.block else {
+                let last = r.read_bit()? == 1;
+                let tables = match r.read_bits(2)? {
+                    0b00 => {
+                        stored_block(r, &mut self.out)?;
+                        self.done = last;
+                        None
+                    }
+                    0b01 => {
+                        let lit = Decoder::new(&fixed_litlen_lengths())
+                            .map_err(|_| InflateError::BadHuffmanTable)?;
+                        let dist = Decoder::new(&fixed_dist_lengths())
+                            .map_err(|_| InflateError::BadHuffmanTable)?;
+                        Some((lit, dist))
+                    }
+                    0b10 => Some(dynamic_tables(r)?),
+                    _ => return Err(InflateError::BadBlockType),
+                };
+                self.block = tables.map(|(lit, dist)| (lit, dist, last));
+                self.bit_pos = r.bit_position();
+                continue;
+            };
+            while symbol(r, &mut self.out, lit, dist)? {
+                self.bit_pos = r.bit_position();
+            }
+            self.bit_pos = r.bit_position();
+            self.done = *last;
+            self.block = None;
+        }
+        Ok(())
+    }
 }
 
 /// Decompress a raw DEFLATE stream.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    inflate_inner(data, false)
-}
-
-fn inflate_inner(data: &[u8], tolerate_eof: bool) -> Result<Vec<u8>, InflateError> {
-    let mut r = BitReader::new(data);
-    let mut out = Vec::new();
-    let result = (|| -> Result<(), InflateError> {
-        loop {
-            let bfinal = r.read_bit()?;
-            let btype = r.read_bits(2)?;
-            match btype {
-                0b00 => stored_block(&mut r, &mut out)?,
-                0b01 => {
-                    let lit = Decoder::new(&fixed_litlen_lengths())
-                        .map_err(|_| InflateError::BadHuffmanTable)?;
-                    let dist = Decoder::new(&fixed_dist_lengths())
-                        .map_err(|_| InflateError::BadHuffmanTable)?;
-                    huffman_block(&mut r, &mut out, &lit, &dist)?;
-                }
-                0b10 => {
-                    let (lit, dist) = dynamic_tables(&mut r)?;
-                    huffman_block(&mut r, &mut out, &lit, &dist)?;
-                }
-                _ => return Err(InflateError::BadBlockType),
-            }
-            if bfinal == 1 {
-                return Ok(());
-            }
-        }
-    })();
-    match result {
-        Ok(()) => Ok(out),
-        Err(InflateError::UnexpectedEof) if tolerate_eof => Ok(out),
-        Err(e) => Err(e),
+    let mut inflater = Inflater::default();
+    if !inflater.advance(data)? {
+        return Err(InflateError::UnexpectedEof);
     }
+    Ok(inflater.into_output())
 }
 
 fn stored_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), InflateError> {
@@ -102,8 +143,7 @@ fn stored_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), InflateE
     if len != !nlen {
         return Err(InflateError::BadStoredLength);
     }
-    let bytes = r.read_bytes(len as usize)?;
-    out.extend_from_slice(&bytes);
+    out.extend_from_slice(r.read_bytes(len as usize)?);
     Ok(())
 }
 
@@ -169,39 +209,40 @@ fn dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), InflateEr
     Ok((lit, dist))
 }
 
-fn huffman_block(
+/// Decode one symbol of a Huffman block into `out`; false at the
+/// end-of-block symbol. `out` changes only once the whole symbol is read.
+fn symbol(
     r: &mut BitReader<'_>,
     out: &mut Vec<u8>,
     lit: &Decoder,
     dist: &Decoder,
-) -> Result<(), InflateError> {
-    loop {
-        let sym = decode_symbol(r, lit)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let (extra, base) = LENGTH_TABLE[(sym - 257) as usize];
-                let len = base as usize + r.read_bits(extra)? as usize;
+) -> Result<bool, InflateError> {
+    let sym = decode_symbol(r, lit)?;
+    match sym {
+        0..=255 => out.push(sym as u8),
+        256 => return Ok(false),
+        257..=285 => {
+            let (extra, base) = LENGTH_TABLE[(sym - 257) as usize];
+            let len = base as usize + r.read_bits(extra)? as usize;
 
-                let dsym = decode_symbol(r, dist)?;
-                if dsym as usize >= DIST_TABLE.len() {
-                    return Err(InflateError::BadSymbol);
-                }
-                let (dextra, dbase) = DIST_TABLE[dsym as usize];
-                let d = dbase as usize + r.read_bits(dextra)? as usize;
-                if d > out.len() {
-                    return Err(InflateError::BadDistance);
-                }
-                let start = out.len() - d;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
+            let dsym = decode_symbol(r, dist)?;
+            if dsym as usize >= DIST_TABLE.len() {
+                return Err(InflateError::BadSymbol);
             }
-            _ => return Err(InflateError::BadSymbol),
+            let (dextra, dbase) = DIST_TABLE[dsym as usize];
+            let d = dbase as usize + r.read_bits(dextra)? as usize;
+            if d > out.len() {
+                return Err(InflateError::BadDistance);
+            }
+            let start = out.len() - d;
+            for k in 0..len {
+                let b = out[start + k];
+                out.push(b);
+            }
         }
+        _ => return Err(InflateError::BadSymbol),
     }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -272,13 +313,65 @@ mod tests {
         // Feeding ~60% of the compressed stream must reproduce a healthy
         // prefix of the original.
         let cut = full.len() * 6 / 10;
-        let partial = inflate_prefix(&full[..cut]).unwrap();
-        assert!(!partial.is_empty());
-        assert!(partial.len() < text.len());
-        assert_eq!(&text[..partial.len()], &partial[..]);
-        // The complete stream still roundtrips through the same path.
-        assert_eq!(inflate_prefix(&full).unwrap(), text);
-        // Non-EOF corruption still errors.
-        assert!(inflate_prefix(&[0b0000_0111u8]).is_err());
+        let mut inflater = Inflater::default();
+        assert_eq!(inflater.advance(&full[..cut]), Ok(false));
+        let partial = inflater.output().len();
+        assert!(0 < partial && partial < text.len());
+        assert_eq!(inflater.output(), &text[..partial]);
+        // The rest of the stream completes it from where it stopped.
+        assert_eq!(inflater.advance(&full), Ok(true));
+        assert_eq!(inflater.output(), text);
+        assert_eq!(inflater.consumed(), full.len());
+        // Non-EOF corruption still errors, on every call.
+        let mut bad = Inflater::default();
+        assert_eq!(
+            bad.advance(&[0b0000_0111u8]),
+            Err(InflateError::BadBlockType)
+        );
+        assert_eq!(
+            bad.advance(&[0b0000_0111u8, 0]),
+            Err(InflateError::BadBlockType)
+        );
+    }
+
+    /// Grow the stream a byte at a time: output only ever extends, and at
+    /// the end one `Inflater` has produced exactly what `inflate` does.
+    fn check_every_prefix(stream: &[u8]) {
+        let mut inflater = Inflater::default();
+        let mut last = Ok(false);
+        for len in 0..=stream.len() {
+            let before = inflater.output().to_vec();
+            let now = inflater.advance(&stream[..len]);
+            assert!(last.is_ok() || now == last, "an error must repeat");
+            assert!(inflater.output().starts_with(&before), "prefix {len}");
+            assert!(inflater.consumed() <= len);
+            last = now;
+        }
+        match inflate(stream) {
+            Ok(bytes) => assert_eq!((last, inflater.output()), (Ok(true), &bytes[..])),
+            Err(InflateError::UnexpectedEof) => assert_eq!(last, Ok(false)),
+            Err(e) => assert_eq!(last, Err(e)),
+        }
+    }
+
+    #[test]
+    fn every_prefix_of_stored_fixed_and_dynamic_streams() {
+        let text = b"<TD ALIGN=LEFT><IMG SRC=\"/images/dot.gif\"></TD> body text ".repeat(60);
+        for (input, level, btype) in [
+            (&text[..], Level::Store, 0b00),
+            (&b"abcabcabcabcabcabc fixed"[..], Level::Fast, 0b01),
+            (&text[..], Level::Default, 0b10),
+        ] {
+            let stream = deflate(input, level);
+            assert_eq!((stream[0] >> 1) & 0b11, btype, "{level:?}");
+            check_every_prefix(&stream);
+        }
+        // Streams that are wrong, not short: reserved block type after a
+        // good block, a stored length check, a distance before the start.
+        let mut bad = deflate(b"ok", Level::Store);
+        bad[0] &= !1; // not the last block after all
+        bad.push(0b0000_0111);
+        check_every_prefix(&bad);
+        check_every_prefix(&[0x01, 0x03, 0x00, 0x00, 0x00, b'a', b'b', b'c']);
     }
 }

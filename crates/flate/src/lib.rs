@@ -6,7 +6,8 @@
 //! from scratch:
 //!
 //! * [`deflate()`] / [`inflate()`] — raw RFC 1951 streams (stored, fixed
-//!   and dynamic Huffman blocks, LZ77 with lazy matching);
+//!   and dynamic Huffman blocks, LZ77 with lazy matching), and
+//!   [`Inflater`], the same decoder resumable over a stream still arriving;
 //! * [`zlib::compress`] / [`zlib::decompress`] — the RFC 1950 container
 //!   with Adler-32 integrity checking;
 //! * [`checksum`] — Adler-32 and CRC-32 (the latter shared with the PNG
@@ -40,5 +41,5 @@ pub mod zlib;
 
 pub use checksum::{adler32, crc32, Adler32, Crc32};
 pub use deflate::{deflate, Level};
-pub use inflate::{inflate, InflateError};
+pub use inflate::{inflate, InflateError, Inflater};
 pub use zlib::ZlibError;

@@ -4,7 +4,7 @@
 
 use crate::checksum::adler32;
 use crate::deflate::{deflate, Level};
-use crate::inflate::{inflate, InflateError};
+use crate::inflate::{InflateError, Inflater};
 
 /// Errors specific to the zlib wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,49 +61,75 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
     out
 }
 
-/// Decompress as much of a (possibly truncated) zlib stream as possible,
-/// skipping the trailer check — for streaming consumers that inspect data
-/// before the stream completes. Header errors still surface once two bytes
-/// are available.
-pub fn decompress_prefix(data: &[u8]) -> Result<Vec<u8>, ZlibError> {
-    if data.len() < 3 {
-        return Ok(Vec::new());
+/// A resumable zlib reader: checks the two header bytes once, then drives
+/// an [`Inflater`] over the DEFLATE stream behind them — for consumers
+/// that inspect the data before the stream completes.
+#[derive(Debug, Default)]
+pub struct Decompressor {
+    /// Bytes of the stream read so far; 0 until the header has been checked.
+    consumed: usize,
+    inflater: Inflater,
+}
+
+impl Decompressor {
+    /// Everything decompressed so far.
+    pub fn output(&self) -> &[u8] {
+        self.inflater.output()
     }
-    let cmf = data[0];
-    let flg = data[1];
-    if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
-        return Err(ZlibError::BadHeader);
+
+    /// Bytes of the stream read so far, header and trailer included.
+    pub fn consumed(&self) -> usize {
+        self.consumed
     }
-    if ((cmf as u16) << 8 | flg as u16) % 31 != 0 {
-        return Err(ZlibError::BadHeaderCheck);
+
+    /// Decompress what is new in `stream`, the stream from its first byte
+    /// as far as it has arrived. Short of `at_end` a stream that merely
+    /// stops short is not an error; at the end it is, and the Adler-32
+    /// trailer must match everything decompressed. A bad header or
+    /// invalid data is an error on this and every later call.
+    pub fn advance(&mut self, stream: &[u8], at_end: bool) -> Result<(), ZlibError> {
+        // A whole stream ends in four bytes that are not DEFLATE data.
+        if at_end && stream.len() < 6 {
+            return Err(ZlibError::Truncated);
+        }
+        let (framed, trailer) = stream.split_at(stream.len() - if at_end { 4 } else { 0 });
+        let [cmf, flg, deflated @ ..] = framed else {
+            return Ok(());
+        };
+        if self.consumed == 0 {
+            if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
+                return Err(ZlibError::BadHeader);
+            }
+            if ((*cmf as u16) << 8 | *flg as u16) % 31 != 0 {
+                return Err(ZlibError::BadHeaderCheck);
+            }
+            if flg & 0x20 != 0 {
+                return Err(ZlibError::NeedsDictionary);
+            }
+        }
+        let done = self
+            .inflater
+            .advance(deflated)
+            .map_err(ZlibError::Deflate)?;
+        self.consumed = 2 + self.inflater.consumed();
+        if at_end {
+            if !done {
+                return Err(ZlibError::Deflate(InflateError::UnexpectedEof));
+            }
+            if trailer != adler32(self.output()).to_be_bytes() {
+                return Err(ZlibError::BadChecksum);
+            }
+            self.consumed = stream.len();
+        }
+        Ok(())
     }
-    crate::inflate::inflate_prefix(&data[2..]).map_err(ZlibError::Deflate)
 }
 
 /// Decompress a zlib stream.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, ZlibError> {
-    if data.len() < 6 {
-        return Err(ZlibError::Truncated);
-    }
-    let cmf = data[0];
-    let flg = data[1];
-    if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
-        return Err(ZlibError::BadHeader);
-    }
-    if ((cmf as u16) << 8 | flg as u16) % 31 != 0 {
-        return Err(ZlibError::BadHeaderCheck);
-    }
-    if flg & 0x20 != 0 {
-        return Err(ZlibError::NeedsDictionary);
-    }
-    let body = &data[2..data.len() - 4];
-    let decompressed = inflate(body).map_err(ZlibError::Deflate)?;
-    let trailer = &data[data.len() - 4..];
-    let expect = u32::from_be_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    if adler32(&decompressed) != expect {
-        return Err(ZlibError::BadChecksum);
-    }
-    Ok(decompressed)
+    let mut reader = Decompressor::default();
+    reader.advance(data, true)?;
+    Ok(reader.inflater.into_output())
 }
 
 #[cfg(test)]
@@ -148,14 +174,36 @@ mod tests {
     fn prefix_decompress_streams() {
         let data = b"partial zlib payloads decode as a prefix ".repeat(30);
         let z = compress(&data, Level::Default);
-        let partial = decompress_prefix(&z[..z.len() / 2]).unwrap();
-        assert!(!partial.is_empty());
-        assert_eq!(&data[..partial.len()], &partial[..]);
-        assert_eq!(decompress_prefix(&z).unwrap(), data);
-        assert_eq!(decompress_prefix(&[]).unwrap(), Vec::<u8>::new());
+        let mut reader = Decompressor::default();
+        reader.advance(&[], false).unwrap();
+        reader.advance(&z[..1], false).unwrap();
+        assert_eq!((reader.output().len(), reader.consumed()), (0, 0));
+        reader.advance(&z[..z.len() / 2], false).unwrap();
+        let partial = reader.output().len();
+        assert!(partial > 0);
+        assert_eq!(reader.output(), &data[..partial]);
+        // The same reader finishes the stream: every byte read once, the
+        // trailer checked against all of the output.
+        reader.advance(&z, true).unwrap();
+        assert_eq!(reader.output(), data);
+        assert_eq!(reader.consumed(), z.len());
         assert_eq!(
-            decompress_prefix(&[0x79, 0x9C, 1]).unwrap_err(),
-            ZlibError::BadHeader
+            Decompressor::default().advance(&[0x79, 0x9C, 1], false),
+            Err(ZlibError::BadHeader)
+        );
+        let mut flipped = z.clone();
+        *flipped.last_mut().unwrap() ^= 0xFF;
+        let mut reader = Decompressor::default();
+        reader
+            .advance(&flipped[..flipped.len() / 2], false)
+            .unwrap();
+        assert_eq!(reader.advance(&flipped, true), Err(ZlibError::BadChecksum));
+        // A stream cut short is fine until it is said to be whole.
+        let mut reader = Decompressor::default();
+        reader.advance(&z[..z.len() - 5], false).unwrap();
+        assert_eq!(
+            reader.advance(&z[..z.len() - 1], true),
+            Err(ZlibError::Deflate(InflateError::UnexpectedEof))
         );
     }
 

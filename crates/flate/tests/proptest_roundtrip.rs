@@ -5,7 +5,7 @@
 //! zlib framings, and compressed output must respect the format's
 //! worst-case bounds.
 
-use flate::{deflate, inflate, Level};
+use flate::{deflate, inflate, Inflater, Level};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +91,7 @@ fn truncation_never_panics() {
         let cut = rng.gen_range(0..2048usize).min(compressed.len());
         // Must return (Ok or Err), never panic.
         let _ = inflate(&compressed[..cut]);
-        let _ = flate::inflate::inflate_prefix(&compressed[..cut]);
+        let _ = Inflater::default().advance(&compressed[..cut]);
     }
 }
 
@@ -102,7 +102,12 @@ fn garbage_never_panics() {
         let data = random_bytes(&mut rng, 512);
         let _ = inflate(&data);
         let _ = flate::zlib::decompress(&data);
-        let _ = flate::zlib::decompress_prefix(&data);
+        // The resumable reader, fed the garbage in two pieces: a typed
+        // error or short output, never a panic.
+        let mut reader = flate::zlib::Decompressor::default();
+        let _ = reader.advance(&data[..data.len() / 2], false);
+        let _ = reader.advance(&data, false);
+        let _ = reader.advance(&data, true);
     }
 }
 
@@ -115,10 +120,12 @@ fn prefix_decode_is_a_prefix() {
         let compressed = deflate(&data, Level::Default);
         let cut_pct = rng.gen_range(10..100usize);
         let cut = compressed.len() * cut_pct / 100;
-        if let Ok(partial) = flate::inflate::inflate_prefix(&compressed[..cut]) {
-            assert!(partial.len() <= data.len());
-            assert_eq!(&data[..partial.len()], &partial[..]);
-        }
+        let mut inflater = Inflater::default();
+        inflater.advance(&compressed[..cut]).expect("only short");
+        assert_eq!(inflater.output(), &data[..inflater.output().len()]);
+        // Resumed over the whole stream it ends where `inflate` does.
+        assert_eq!(inflater.advance(&compressed), Ok(true));
+        assert_eq!(inflater.output(), data);
     }
 }
 

@@ -107,6 +107,17 @@ struct Job {
     conditionals: Vec<(String, String)>,
 }
 
+impl Job {
+    /// A plain `GET` of `path`.
+    fn get(path: String) -> Job {
+        Job {
+            path,
+            method: Method::Get,
+            conditionals: Vec::new(),
+        }
+    }
+}
+
 /// Work scheduled on the client CPU.
 #[derive(Debug)]
 enum CpuOp {
@@ -158,6 +169,87 @@ impl Conn {
     }
 }
 
+/// The one pass over the start page as it arrives: each wire byte goes
+/// through the resumable zlib reader once (if the body is deflated), each
+/// page byte through `webcontent::html::walk` once. At most one such
+/// response is in flight per client, so the client owns the scan, not
+/// each connection; it starts over whenever the page's request is placed.
+#[derive(Debug, Default)]
+struct PageScan {
+    /// Decoded page bytes the walk is past.
+    cursor: usize,
+    /// The wire body's reader, once it has declared the `deflate` coding.
+    inflater: Option<Box<flate::zlib::Decompressor>>,
+    /// The `src` of every `<img>` walked past, in document order: the
+    /// cache's `embedded` list once the page is complete.
+    sources: Vec<String>,
+    /// Work done over the client's life, restarts included: page bytes
+    /// walked, wire body bytes read. Counted for the tests only — a field
+    /// here is paid for by every client of a fleet.
+    #[cfg(test)]
+    work: (usize, usize),
+}
+
+impl PageScan {
+    /// Take in what is new of `wire`, the page's body as received so far
+    /// — all of it when `at_end` — calling `found` with each image source
+    /// passed. Returns the decoded length so far.
+    ///
+    /// Mid-stream a coded body that will not decode shows nothing. At the
+    /// end it gets the forgiving reading a finished response always got
+    /// (a raw DEFLATE stream, else the bytes as sent), walked from the top.
+    fn advance(
+        &mut self,
+        wire: &[u8],
+        deflated: bool,
+        at_end: bool,
+        mut found: impl FnMut(&str),
+    ) -> usize {
+        let forgiven;
+        let mut page = wire;
+        if deflated {
+            let reader = self.inflater.get_or_insert_with(Box::default);
+            #[cfg(test)]
+            let before = reader.consumed();
+            let read = reader.advance(wire, at_end);
+            #[cfg(test)]
+            {
+                self.work.1 += reader.consumed() - before;
+            }
+            page = match read {
+                Ok(()) => reader.output(),
+                Err(_) if !at_end => return 0,
+                Err(_) => {
+                    (self.cursor, self.sources) = (0, Vec::new());
+                    forgiven = coding::decode(ContentCoding::Deflate, wire)
+                        .unwrap_or_else(|_| wire.to_vec());
+                    &forgiven
+                }
+            };
+        }
+        let used = webcontent::html::walk(&page[self.cursor..], at_end, |token| {
+            if let Some(src) = webcontent::html::image_source(&token) {
+                found(&src);
+                self.sources.push(src.into_owned());
+            }
+        });
+        self.cursor += used;
+        #[cfg(test)]
+        {
+            self.work.0 += used;
+            self.work.1 += if deflated { 0 } else { used };
+        }
+        page.len()
+    }
+
+    /// Forget the body being read — it is complete, or its connection is
+    /// gone — and give up the sources found in it.
+    fn restart(&mut self) -> Vec<String> {
+        (self.cursor, self.inflater) = (0, None);
+        std::mem::take(&mut self.sources)
+    }
+}
+
 /// The robot application. Install on a host with
 /// `sim.install_app(host, Box::new(client))`; read results back through
 /// [`HttpClient::stats`] after the run.
@@ -178,6 +270,8 @@ pub struct HttpClient {
     main_conn: Option<SocketId>,
     /// The single framed connection used by the multiplexed mode.
     mux: Option<mux::MuxState>,
+    /// The start-page response being read, if one is.
+    page: PageScan,
     /// Image paths discovered in the HTML so far.
     discovered: BTreeSet<String>,
     /// The HTML page has fully arrived and been parsed.
@@ -218,6 +312,7 @@ impl HttpClient {
             conns: BTreeMap::new(),
             main_conn: None,
             mux: None,
+            page: PageScan::default(),
             discovered: BTreeSet::new(),
             discovery_complete: false,
             flush_armed: false,
@@ -265,11 +360,7 @@ impl HttpClient {
     fn expand_workload(&mut self) {
         match self.workload.clone() {
             Workload::Browse { start } => {
-                self.pending.push_back(Job {
-                    path: start,
-                    method: Method::Get,
-                    conditionals: Vec::new(),
-                });
+                self.pending.push_back(Job::get(start));
                 // Images are discovered from the arriving HTML.
             }
             Workload::Revalidate { start, style } => {
@@ -279,55 +370,30 @@ impl HttpClient {
                     .get(&start)
                     .map(|e| e.embedded.clone())
                     .unwrap_or_default();
-                match style {
-                    RevalidationStyle::HeadRequests => {
-                        // Old libwww 4.1D: plain GET for the page, HEAD for
-                        // every image.
-                        self.pending.push_back(Job {
-                            path: start,
-                            method: Method::Get,
-                            conditionals: Vec::new(),
-                        });
-                        for path in embedded {
-                            self.pending.push_back(Job {
-                                path,
-                                method: Method::Head,
-                                conditionals: Vec::new(),
-                            });
-                        }
-                    }
-                    _ => {
-                        // IE's profile re-fetches the page unconditionally.
-                        let conds = if style == RevalidationStyle::ConditionalGetDateFullHtml {
-                            Vec::new()
-                        } else {
-                            self.conditionals_for(&start, style)
-                        };
-                        self.pending.push_back(Job {
-                            path: start,
-                            method: Method::Get,
-                            conditionals: conds,
-                        });
-                        for path in embedded {
-                            let conds = self.conditionals_for(&path, style);
-                            self.pending.push_back(Job {
-                                path,
-                                method: Method::Get,
-                                conditionals: conds,
-                            });
-                        }
-                    }
+                // IE's profile re-fetches the page unconditionally; old
+                // libwww 4.1D (`HeadRequests`, which has no conditionals)
+                // sends a plain GET for the page and HEAD for every image.
+                let mut page = Job::get(start);
+                if style != RevalidationStyle::ConditionalGetDateFullHtml {
+                    page.conditionals = self.conditionals_for(&page.path, style);
+                }
+                self.pending.push_back(page);
+                let method = match style {
+                    RevalidationStyle::HeadRequests => Method::Head,
+                    _ => Method::Get,
+                };
+                for path in embedded {
+                    let conditionals = self.conditionals_for(&path, style);
+                    self.pending.push_back(Job {
+                        path,
+                        method,
+                        conditionals,
+                    });
                 }
             }
             Workload::FetchList { paths } => {
                 self.discovery_complete = true;
-                for path in paths {
-                    self.pending.push_back(Job {
-                        path,
-                        method: Method::Get,
-                        conditionals: Vec::new(),
-                    });
-                }
+                self.pending.extend(paths.into_iter().map(Job::get));
             }
         }
     }
@@ -415,6 +481,10 @@ impl HttpClient {
 
     /// A generated request is ready: place it on a connection.
     fn place_request(&mut self, ctx: &mut Ctx<'_>, job: Job) {
+        if self.is_start_page(&job.path) {
+            // Whatever was read of an earlier answer will never complete.
+            self.page.restart();
+        }
         match self.config.mode {
             ProtocolMode::Http11Pipelined => {
                 self.ensure_main_conn(ctx);
@@ -586,33 +656,28 @@ impl HttpClient {
     // Response handling
     // ------------------------------------------------------------------
 
-    /// Decode a body according to its Content-Encoding.
-    fn decode_body(resp: &Response) -> (Vec<u8>, bool) {
-        match coding::declared_coding(&resp.headers) {
-            Ok(ContentCoding::Deflate) => (
-                coding::decode(ContentCoding::Deflate, &resp.body)
-                    .unwrap_or_else(|_| resp.body.to_vec()),
-                true,
-            ),
-            _ => (resp.body.to_vec(), false),
-        }
-    }
-
     /// Complete processing of a response (runs after the CPU proc delay).
     fn handle_response(&mut self, ctx: &mut Ctx<'_>, job: Job, resp: Response) {
         // A completed response proves the path works again.
         self.cautious = false;
-        let (body, deflated) = Self::decode_body(&resp);
-        let validated = resp.status.0 == 304;
-        self.stats.fetched.push(FetchRecord {
-            path: job.path.clone(),
-            status: resp.status.0,
-            body_len: body.len(),
-            wire_body_len: resp.body.len(),
-            deflated,
-            validated,
-        });
-        self.completed.insert(job.path.clone());
+        let deflated = coding::declared_coding(&resp.headers) == Ok(ContentCoding::Deflate);
+        let mut embedded = Vec::new();
+        let body_len = if self.is_start_page(&job.path) {
+            // The scan has read all but the last piece already: finish it.
+            let browsing = matches!(self.workload, Workload::Browse { .. });
+            let len = self.page.advance(&resp.body, deflated, true, |src| {
+                if browsing {
+                    queue_image(&mut self.discovered, &mut self.pending, src);
+                }
+            });
+            self.discovery_complete = true;
+            embedded = self.page.restart();
+            len
+        } else if deflated {
+            coding::decode(ContentCoding::Deflate, &resp.body).map_or(resp.body.len(), |b| b.len())
+        } else {
+            resp.body.len()
+        };
 
         // Update the cache from the response validators.
         if resp.status.0 == 200 {
@@ -626,11 +691,6 @@ impl HttpClient {
                 .get("Content-Type")
                 .unwrap_or("application/octet-stream")
                 .to_string();
-            let embedded = if self.is_start_page(&job.path) {
-                image_sources(&body)
-            } else {
-                Vec::new()
-            };
             self.cache.insert(
                 &job.path,
                 CacheEntry {
@@ -639,17 +699,20 @@ impl HttpClient {
                         last_modified,
                     },
                     content_type,
-                    body_len: body.len(),
+                    body_len,
                     embedded,
                 },
             );
         }
-
-        // Browse discovery: the HTML has fully arrived.
-        if self.is_start_page(&job.path) && matches!(self.workload, Workload::Browse { .. }) {
-            self.discover_from_html(&body);
-            self.discovery_complete = true;
-        }
+        self.completed.insert(job.path.clone());
+        self.stats.fetched.push(FetchRecord {
+            path: job.path,
+            status: resp.status.0,
+            body_len,
+            wire_body_len: resp.body.len(),
+            deflated,
+            validated: resp.status.0 == 304,
+        });
 
         self.pump(ctx);
         self.maybe_finish(ctx);
@@ -662,77 +725,28 @@ impl HttpClient {
         }
     }
 
-    /// Queue fetches for newly discovered image references.
-    fn discover_from_html(&mut self, partial_html: &[u8]) {
-        Self::discover_sources(&mut self.discovered, &mut self.pending, partial_html);
-    }
-
-    /// Scan `html_bytes` for `<img src>` references and queue each one
-    /// not seen before. Takes the two fields it mutates (not `&mut
-    /// self`) so streaming discovery can run it while the connection's
-    /// parse buffer is still borrowed — that's what lets the hot path
-    /// scan the received prefix in place instead of copying it. Only a
-    /// genuinely new source allocates (its path `String`, at most once
-    /// per image on the page); a re-scan that finds nothing new is
-    /// allocation-free.
-    fn discover_sources(
-        discovered: &mut BTreeSet<String>,
-        pending: &mut VecDeque<Job>,
-        html_bytes: &[u8],
-    ) {
-        let text = String::from_utf8_lossy(html_bytes);
-        webcontent::html::for_each_inline_image_source(&text, |src| {
-            if !discovered.contains(src) {
-                discovered.insert(src.to_string());
-                pending.push_back(Job {
-                    path: src.to_string(),
-                    method: Method::Get,
-                    conditionals: Vec::new(),
-                });
-            }
-        });
-    }
-
     /// Streaming discovery: look at the in-progress HTML response and
-    /// issue requests for images already visible.
-    fn streaming_discovery(&mut self, ctx: &mut Ctx<'_>, sock: SocketId) {
-        if self.discovery_complete || !matches!(self.workload, Workload::Browse { .. }) {
+    /// queue requests for images already visible (the caller pumps).
+    fn streaming_discovery(&mut self, sock: SocketId) {
+        let Workload::Browse { start } = &self.workload else {
             return;
-        }
+        };
         // Only the front-of-line response can be in progress; discovery
         // applies when that is the start page.
-        {
-            let Some(conn) = self.conns.get(&sock) else {
-                return;
-            };
-            let Some(front) = conn.sent.front() else {
-                return;
-            };
-            if !self.is_start_page(&front.path) {
-                return;
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&sock) else {
+        let Some((headers, partial)) = self
+            .conns
+            .get_mut(&sock)
+            .filter(|conn| conn.sent.front().is_some_and(|job| job.path == *start))
+            .and_then(|conn| conn.parser.in_progress())
+        else {
             return;
         };
-        let Some((headers, partial)) = conn.parser.in_progress() else {
-            return;
-        };
-        let deflated = matches!(coding::declared_coding(headers), Ok(ContentCoding::Deflate));
-        // A compressed prefix must be inflated into scratch, but a plain
-        // one is scanned in place — no per-chunk copy of the prefix.
-        let decompressed;
-        let visible: &[u8] = if deflated {
-            decompressed = flate::zlib::decompress_prefix(partial).unwrap_or_default();
-            &decompressed
-        } else {
-            partial
-        };
-        let before = self.pending.len();
-        Self::discover_sources(&mut self.discovered, &mut self.pending, visible);
-        if self.pending.len() > before {
-            self.pump(ctx);
-        }
+        // `page`, `discovered` and `pending` are disjoint fields from
+        // `conns`, so the body is read in place, still borrowed from there.
+        let deflated = coding::declared_coding(headers) == Ok(ContentCoding::Deflate);
+        self.page.advance(partial, deflated, false, |src| {
+            queue_image(&mut self.discovered, &mut self.pending, src)
+        });
     }
 
     /// Server went away with requests outstanding: requeue and retry.
@@ -813,7 +827,7 @@ impl HttpClient {
                 }
             }
         }
-        self.streaming_discovery(ctx, sock);
+        self.streaming_discovery(sock);
         self.pump(ctx);
         self.maybe_finish(ctx);
     }
@@ -824,9 +838,14 @@ fn is_html_path(path: &str) -> bool {
     path.ends_with(".html") || path.ends_with(".htm") || path.ends_with('/')
 }
 
-/// Extract `<img src>` references in document order.
-fn image_sources(html_bytes: &[u8]) -> Vec<String> {
-    webcontent::html::inline_image_sources(&String::from_utf8_lossy(html_bytes))
+/// Queue a fetch for an image reference unless one already was. Only a
+/// genuinely new source allocates (its path, once here and once in the
+/// set).
+fn queue_image(discovered: &mut BTreeSet<String>, pending: &mut VecDeque<Job>, src: &str) {
+    if !discovered.contains(src) {
+        discovered.insert(src.to_string());
+        pending.push_back(Job::get(src.to_string()));
+    }
 }
 
 impl App for HttpClient {
@@ -987,6 +1006,8 @@ impl App for HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpserver::{Entity, HttpServer, ServerConfig, SiteStore};
+    use netsim::{LinkConfig, SimDuration, Simulator, SockAddr};
 
     #[test]
     fn html_path_detection() {
@@ -1000,6 +1021,146 @@ mod tests {
     #[test]
     fn image_source_extraction() {
         let html = br#"<body><img src="/a.gif"><IMG SRC="/b.gif"></body>"#;
-        assert_eq!(image_sources(html), vec!["/a.gif", "/b.gif"]);
+        let mut scan = PageScan::default();
+        assert_eq!(scan.advance(html, false, true, |_| ()), html.len());
+        assert_eq!(scan.restart(), vec!["/a.gif", "/b.gif"]);
+    }
+
+    /// Browse `/index.html` on `server` over `link` until the run is idle,
+    /// then look at the client.
+    fn browse(
+        link: LinkConfig,
+        server: Box<dyn App>,
+        config: impl FnOnce(SockAddr) -> ClientConfig,
+        check: impl FnOnce(&HttpClient),
+    ) {
+        let mut sim = Simulator::new();
+        let client_host = sim.add_host("client");
+        let server_host = sim.add_host("server");
+        sim.add_link(client_host, server_host, link);
+        sim.install_app(server_host, server);
+        let start = "/index.html".to_string();
+        let client = HttpClient::new(
+            config(SockAddr::new(server_host, 80)),
+            Workload::Browse { start },
+        );
+        sim.install_app(client_host, Box::new(client));
+        sim.run_until_idle();
+        check(sim.app_mut::<HttpClient>(client_host).unwrap());
+    }
+
+    #[test]
+    fn each_page_byte_is_walked_and_inflated_once() {
+        // The Microscape page over a modem arrives in dozens of segments
+        // (DATA frames, on the framed transport). However many, the scan
+        // has walked each page byte once and read each wire byte once.
+        let site = webcontent::microscape::site();
+        let mut store = SiteStore::new();
+        let page = Entity::new(site.html.clone().into_bytes(), "text/html", 1000);
+        store.insert("/index.html", page.with_deflate());
+        for image in &site.images {
+            let body = image.body.clone();
+            store.insert(&image.path, Entity::new(body, image.content_type, 1000));
+        }
+        let store = store.into_shared();
+        for (mode, deflate) in [
+            (ProtocolMode::Http11Pipelined, true),
+            (ProtocolMode::Multiplexed { push: false }, false),
+        ] {
+            let server =
+                HttpServer::new(ServerConfig::apache(80).with_deflate(true), store.clone());
+            let config = |addr| ClientConfig::robot(mode, addr).with_deflate(deflate);
+            browse(LinkConfig::ppp(), Box::new(server), config, |client| {
+                assert!(client.stats.done, "{mode:?}");
+                assert_eq!(
+                    client.stats.fetched.len(),
+                    1 + site.images.len(),
+                    "{mode:?}"
+                );
+                let page = &client.stats.fetched[0];
+                assert_eq!((&*page.path, page.deflated), ("/index.html", deflate));
+                assert_eq!(page.body_len, site.html.len(), "{mode:?}");
+                assert_eq!(page.wire_body_len < page.body_len, deflate, "{mode:?}");
+                let each_once = (page.body_len, page.wire_body_len);
+                assert_eq!(client.page.work, each_once, "{mode:?}");
+                assert_eq!(
+                    client.cache.get("/index.html").unwrap().embedded,
+                    webcontent::html::inline_image_sources(&site.html),
+                    "{mode:?}"
+                );
+            });
+        }
+    }
+
+    /// A server whose first answer for the page is an older, longer
+    /// version that it resets halfway through; afterwards it serves the
+    /// current page and the images.
+    struct ResetsFirstPage {
+        inbox: BTreeMap<SocketId, Vec<u8>>,
+        doomed: Option<SocketId>,
+    }
+
+    const OLD_PAGE_SENT: usize = 4500;
+    const NEW_PAGE: &str = "<img src=/a.gif><img src=/b.gif>";
+
+    impl App for ResetsFirstPage {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: AppEvent) {
+            match event {
+                AppEvent::Start => ctx.listen(80),
+                AppEvent::Timer(_) => ctx.abort(self.doomed.expect("armed with the socket")),
+                AppEvent::Readable(sock) if self.doomed != Some(sock) => {
+                    let inbox = self.inbox.entry(sock).or_default();
+                    inbox.extend_from_slice(&ctx.recv(sock, usize::MAX));
+                    while let Some(end) = inbox.windows(4).position(|w| w == b"\r\n\r\n") {
+                        let head: Vec<u8> = inbox.drain(..end + 4).collect();
+                        let wants_page = head.starts_with(b"GET /index.html ");
+                        let (declared, body) = if wants_page && self.doomed.is_none() {
+                            self.doomed = Some(sock);
+                            ctx.set_timer(0, SimDuration::from_secs(1));
+                            let old = format!("<img src=/a.gif>{}", "x".repeat(OLD_PAGE_SENT));
+                            (2 * OLD_PAGE_SENT, old[..OLD_PAGE_SENT].to_string())
+                        } else if wants_page {
+                            (NEW_PAGE.len(), NEW_PAGE.to_string())
+                        } else {
+                            (3, "GIF".to_string())
+                        };
+                        let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {declared}\r\n\r\n");
+                        ctx.send(sock, head.as_bytes());
+                        ctx.send(sock, body.as_bytes());
+                        if self.doomed == Some(sock) {
+                            return; // nothing more is answered on this one
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn page_lost_mid_body_is_read_again_from_its_first_byte() {
+        let server = ResetsFirstPage {
+            inbox: BTreeMap::new(),
+            doomed: None,
+        };
+        let config = |addr| ClientConfig::robot(ProtocolMode::Http11Pipelined, addr);
+        browse(LinkConfig::lan(), Box::new(server), config, |client| {
+            assert!(client.stats.done);
+            assert_eq!(client.stats.resets, 1);
+            // The half-arrived old page showed /a.gif, and its request
+            // went down with the connection; the re-fetched page shows it
+            // again. It is fetched once all the same, and the scan,
+            // restarted, reads the shorter new page from the top instead
+            // of from offset 4500.
+            let mut fetched: Vec<_> = client.stats.fetched.iter().map(|f| &*f.path).collect();
+            fetched.sort_unstable();
+            assert_eq!(fetched, ["/a.gif", "/b.gif", "/index.html"]);
+            assert_eq!(client.stats.requests_sent, 2 + 3);
+            assert_eq!(client.page.work.0, OLD_PAGE_SENT + NEW_PAGE.len());
+            assert_eq!(
+                client.cache.get("/index.html").unwrap().embedded,
+                ["/a.gif", "/b.gif"]
+            );
+        });
     }
 }

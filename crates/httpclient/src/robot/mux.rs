@@ -15,7 +15,7 @@ use httpwire::{StatusCode, Version};
 #[derive(Debug, Default)]
 struct StreamResponse {
     status: u16,
-    headers: Vec<(String, String)>,
+    headers: httpwire::HeaderMap,
     body: Vec<u8>,
 }
 
@@ -31,8 +31,6 @@ pub(super) struct MuxState {
     promised: BTreeMap<u32, Job>,
     /// Responses under assembly, ours and pushed.
     resp: BTreeMap<u32, StreamResponse>,
-    /// The stream carrying the start page (streaming discovery).
-    html_stream: Option<u32>,
     first_byte_seen: bool,
 }
 
@@ -72,7 +70,6 @@ impl HttpClient {
             jobs: BTreeMap::new(),
             promised: BTreeMap::new(),
             resp: BTreeMap::new(),
-            html_stream: None,
             first_byte_seen: false,
         });
     }
@@ -80,7 +77,6 @@ impl HttpClient {
     /// A generated request is ready: open a stream for it.
     pub(super) fn mux_place(&mut self, ctx: &mut Ctx<'_>, job: Job) {
         self.mux_ensure_conn(ctx);
-        let is_start = self.is_start_page(&job.path);
         let mut fields = vec![
             (":method".to_string(), job.method.as_str().to_string()),
             (":path".to_string(), job.path.clone()),
@@ -108,9 +104,6 @@ impl HttpClient {
                 cause: FlushCause::App,
             },
         );
-        if is_start {
-            m.html_stream = Some(stream);
-        }
         m.jobs.insert(stream, job);
         self.stats.requests_sent += 1;
         self.mux_push_out(ctx);
@@ -168,7 +161,7 @@ impl HttpClient {
                             if name == ":status" {
                                 entry.status = value.parse().unwrap_or(200);
                             } else if !name.starts_with(':') {
-                                entry.headers.push((name, value));
+                                entry.headers.append(&name, value);
                             }
                         }
                     }
@@ -251,14 +244,7 @@ impl HttpClient {
         self.pending.retain(|j| j.path != path);
         self.discovered.insert(path.clone());
         if let Some(m) = self.mux.as_mut() {
-            m.promised.insert(
-                promised,
-                Job {
-                    path,
-                    method: Method::Get,
-                    conditionals: Vec::new(),
-                },
-            );
+            m.promised.insert(promised, Job::get(path));
         }
     }
 
@@ -278,18 +264,13 @@ impl HttpClient {
         else {
             return; // completion of a stream we already cancelled
         };
-        if m.html_stream == Some(stream) {
-            m.html_stream = None;
-        }
         m.first_byte_seen = false;
         if pushed {
             self.stats.pushed_responses += 1;
             self.stats.pushed_bytes += assembled.body.len() as u64;
         }
         let mut resp = Response::new(Version::Http11, StatusCode(assembled.status));
-        for (name, value) in &assembled.headers {
-            resp.headers.append(name, value.clone());
-        }
+        resp.headers = assembled.headers;
         resp.body = bytes::Bytes::pooled_copy_from_slice(&assembled.body);
         if ctx.probe_enabled() {
             ctx.probe_span(
@@ -307,26 +288,24 @@ impl HttpClient {
     }
 
     /// Issue requests for subresources already visible in the partial
-    /// HTML body of the start-page stream.
+    /// HTML body, if `stream` is the one carrying the start page.
     fn mux_streaming_discovery(&mut self, ctx: &mut Ctx<'_>, stream: u32) {
-        if self.discovery_complete || !matches!(self.workload, Workload::Browse { .. }) {
+        let Workload::Browse { start } = &self.workload else {
             return;
-        }
+        };
+        let Some(r) = self
+            .mux
+            .as_ref()
+            .filter(|m| m.jobs.get(&stream).is_some_and(|job| job.path == *start))
+            .and_then(|m| m.resp.get(&stream))
+        else {
+            return;
+        };
         let before = self.pending.len();
-        {
-            let Some(m) = self.mux.as_ref() else {
-                return;
-            };
-            if m.html_stream != Some(stream) {
-                return;
-            }
-            let Some(r) = m.resp.get(&stream) else {
-                return;
-            };
-            // `discovered`/`pending` are disjoint fields from `mux`, so
-            // the partial body is scanned in place.
-            Self::discover_sources(&mut self.discovered, &mut self.pending, &r.body);
-        }
+        let deflated = coding::declared_coding(&r.headers) == Ok(ContentCoding::Deflate);
+        self.page.advance(&r.body, deflated, false, |src| {
+            queue_image(&mut self.discovered, &mut self.pending, src)
+        });
         if self.pending.len() > before {
             self.pump(ctx);
         }

@@ -135,15 +135,16 @@ impl HttpServer {
             && resp.headers.get("Content-Type") == Some("text/html")
             && !resp.headers.contains("Content-Encoding")
         {
-            let html = String::from_utf8_lossy(&resp.body);
             let m = self
                 .conns
                 .get_mut(&sock)
                 .and_then(|c| c.mux.as_deref_mut())
                 .expect("mux conn still present");
-            webcontent::html::for_each_subresource(&html, |path| {
-                if !m.pushed_paths.contains(path) && !push_paths.iter().any(|p| p == path) {
-                    push_paths.push(path.to_string());
+            webcontent::html::walk(&resp.body, true, |token| {
+                if let Some(path) = webcontent::html::subresource(&token) {
+                    if !m.pushed_paths.contains(&*path) && !push_paths.iter().any(|p| *p == path) {
+                        push_paths.push(path.into_owned());
+                    }
                 }
             });
             push_paths.retain(|p| self.store.get(p).is_some());

@@ -3,90 +3,113 @@
 //! paper's compression observation), and strip images for the CSS
 //! experiment.
 
-/// A token of an HTML byte stream.
+use std::borrow::Cow;
+use std::ops::Range;
+
+/// A token of an HTML byte stream: owned as [`tokenize`] returns it,
+/// borrowed from the stream (`HtmlToken<&[u8]>`) as [`walk`] yields it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HtmlToken {
+pub enum HtmlToken<S = String> {
     /// Raw text between tags.
-    Text(String),
+    Text(S),
     /// A tag with its name and raw attribute string, e.g.
     /// `Tag { name: "img", attrs: " src=\"a.gif\" width=10", closing: false }`.
     Tag {
         /// Tag name as written.
-        name: String,
+        name: S,
         /// Raw attribute text (leading space included).
-        attrs: String,
+        attrs: S,
         /// True for `</...>` end tags.
         closing: bool,
     },
     /// `<!-- ... -->` comments and `<!DOCTYPE ...>` declarations.
-    Decl(String),
+    Decl(S),
+}
+
+/// The one walk over HTML: hand each complete token of `html` to `f` in
+/// document order and return the offset of the first byte not consumed,
+/// where a caller whose document is still arriving resumes.
+///
+/// Mid-stream (`at_end` false) the walk stops before the first `<` whose
+/// terminator has not arrived — a comment's `-->`, anything else's `>` —
+/// since what it opens cannot be known yet; text is handed over as it
+/// comes. At the end of the document the forgiving mid-90s reading
+/// applies instead: a comment never closed is a declaration ending at
+/// the first `>`, and a `<` with no `>` after it is text. Every decision
+/// rests on ASCII bytes alone, so the page need not be valid UTF-8.
+pub fn walk<'a>(html: &'a [u8], at_end: bool, mut f: impl FnMut(HtmlToken<&'a [u8]>)) -> usize {
+    let mut i = 0;
+    let mut text_start = 0;
+    while let Some(lt) = html[i..].iter().position(|&b| b == b'<') {
+        i += lt;
+        if text_start < i {
+            f(HtmlToken::Text(&html[text_start..i]));
+        }
+        text_start = i;
+        let rest = &html[i..];
+        let comment = rest.starts_with(b"<!--");
+        let closed = comment.then(|| rest.windows(3).position(|w| w == b"-->"));
+        let end = match closed.flatten() {
+            Some(dashes) => dashes + 3,
+            None if comment && !at_end => return i,
+            None => match rest.iter().position(|&b| b == b'>') {
+                Some(gt) => gt + 1,
+                None if at_end => break,
+                None => return i,
+            },
+        };
+        if rest.starts_with(b"<!") {
+            f(HtmlToken::Decl(&rest[..end]));
+        } else {
+            let inner = &rest[1..end - 1];
+            let closing = inner.first() == Some(&b'/');
+            let inner = &inner[usize::from(closing)..];
+            let name_end = inner
+                .iter()
+                .position(u8::is_ascii_whitespace)
+                .unwrap_or(inner.len());
+            if name_end == 0 {
+                // "<>" or "< " — treat as text.
+                i += 1;
+                continue;
+            }
+            let (name, attrs) = inner.split_at(name_end);
+            f(HtmlToken::Tag {
+                name,
+                attrs,
+                closing,
+            });
+        }
+        i += end;
+        text_start = i;
+    }
+    if text_start < html.len() {
+        f(HtmlToken::Text(&html[text_start..]));
+    }
+    html.len()
 }
 
 /// Tokenize HTML. Unterminated trailing constructs are emitted as text,
 /// which is what forgiving mid-90s parsers did.
 pub fn tokenize(html: &str) -> Vec<HtmlToken> {
-    let bytes = html.as_bytes();
+    // The walk cuts only at ASCII bytes, so every slice of a `str` is one.
+    let own = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
     let mut tokens = Vec::new();
-    let mut i = 0;
-    let mut text_start = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        if text_start < i {
-            tokens.push(HtmlToken::Text(html[text_start..i].to_string()));
-        }
-        text_start = i;
-        // Comment / declaration.
-        if bytes[i..].starts_with(b"<!--") {
-            if let Some(end) = html[i..].find("-->") {
-                tokens.push(HtmlToken::Decl(html[i..i + end + 3].to_string()));
-                i += end + 3;
-                text_start = i;
-                continue;
-            }
-        }
-        if bytes[i..].starts_with(b"<!") {
-            if let Some(end) = html[i..].find('>') {
-                tokens.push(HtmlToken::Decl(html[i..i + end + 1].to_string()));
-                i += end + 1;
-                text_start = i;
-                continue;
-            }
-        }
-        // Ordinary tag.
-        let Some(end) = html[i..].find('>') else {
-            // Unterminated: emit the remainder as text.
-            tokens.push(HtmlToken::Text(html[i..].to_string()));
-            return tokens;
-        };
-        let inner = &html[i + 1..i + end];
-        let (closing, inner) = match inner.strip_prefix('/') {
-            Some(rest) => (true, rest),
-            None => (false, inner),
-        };
-        let name_end = inner
-            .find(|c: char| c.is_ascii_whitespace())
-            .unwrap_or(inner.len());
-        let name = inner[..name_end].to_string();
-        let attrs = inner[name_end..].to_string();
-        if name.is_empty() {
-            // "<>" or "< " — treat as text.
-            i += 1;
-            continue;
-        }
-        tokens.push(HtmlToken::Tag {
-            name,
-            attrs,
-            closing,
-        });
-        i += end + 1;
-        text_start = i;
-    }
-    if text_start < html.len() {
-        tokens.push(HtmlToken::Text(html[text_start..].to_string()));
-    }
+    walk(html.as_bytes(), true, |token| {
+        tokens.push(match token {
+            HtmlToken::Text(text) => HtmlToken::Text(own(text)),
+            HtmlToken::Decl(decl) => HtmlToken::Decl(own(decl)),
+            HtmlToken::Tag {
+                name,
+                attrs,
+                closing,
+            } => HtmlToken::Tag {
+                name: own(name),
+                attrs: own(attrs),
+                closing,
+            },
+        })
+    });
     tokens
 }
 
@@ -115,45 +138,61 @@ pub fn serialize(tokens: &[HtmlToken]) -> String {
     out
 }
 
-/// Byte offset of the first case-insensitive occurrence of `needle=`
-/// in `haystack`, starting at `from`. ASCII case folding only, so byte
-/// offsets are valid `str` indices.
-fn find_attr_needle(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    let end = haystack.len().checked_sub(needle.len() + 1)?;
-    (from..=end).find(|&i| {
-        haystack[i + needle.len()] == b'='
-            && haystack[i..i + needle.len()].eq_ignore_ascii_case(needle)
-    })
+/// Where one attribute's value sits in a raw attribute string. Handles
+/// quoted and unquoted values, case-insensitive names (ASCII folding
+/// only). Both ends fall on ASCII bytes, so the range indexes a `str` too.
+fn attr_range(attrs: &[u8], name: &str) -> Option<Range<usize>> {
+    let needle = name.as_bytes();
+    let last = attrs.len().checked_sub(needle.len() + 1)?;
+    let idx = (0..=last).find(|&i| {
+        attrs[i + needle.len()] == b'='
+            && attrs[i..i + needle.len()].eq_ignore_ascii_case(needle)
+            // Must be preceded by whitespace (or start).
+            && (i == 0 || attrs[i - 1].is_ascii_whitespace())
+    })?;
+    let after = idx + needle.len() + 1;
+    let (start, closes): (usize, fn(&u8) -> bool) = match attrs.get(after) {
+        Some(b'"') => (after + 1, |b| *b == b'"'),
+        Some(b'\'') => (after + 1, |b| *b == b'\''),
+        _ => (after, u8::is_ascii_whitespace),
+    };
+    let len = attrs[start..].iter().position(closes);
+    Some(start..len.map_or(attrs.len(), |len| start + len))
 }
 
 /// Extract one attribute's value from a raw attribute string. Handles
 /// quoted and unquoted values, case-insensitive names. Allocation-free:
 /// the returned slice borrows from `attrs`.
 pub fn attr_value<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
-    let bytes = attrs.as_bytes();
-    let needle = name.as_bytes();
-    let mut search = 0;
-    loop {
-        let idx = find_attr_needle(bytes, needle, search)?;
-        // Must be preceded by whitespace (or start).
-        if idx > 0 && !bytes[idx - 1].is_ascii_whitespace() {
-            search = idx + needle.len() + 1;
-            continue;
+    attr_range(attrs.as_bytes(), name).map(|at| &attrs[at])
+}
+
+/// The value of `attr` on an opening `<tag>`, if `token` is one; borrowed
+/// unless the page is not UTF-8 there.
+fn tag_attr<'a>(token: &HtmlToken<&'a [u8]>, tag: &str, attr: &str) -> Option<Cow<'a, str>> {
+    match *token {
+        HtmlToken::Tag {
+            name,
+            attrs,
+            closing: false,
+        } if name.eq_ignore_ascii_case(tag.as_bytes()) => {
+            attr_range(attrs, attr).map(|at| String::from_utf8_lossy(&attrs[at]))
         }
-        let after = idx + needle.len() + 1;
-        let rest = &attrs[after..];
-        return Some(if let Some(stripped) = rest.strip_prefix('"') {
-            let end = stripped.find('"').unwrap_or(stripped.len());
-            &stripped[..end]
-        } else if let Some(stripped) = rest.strip_prefix('\'') {
-            let end = stripped.find('\'').unwrap_or(stripped.len());
-            &stripped[..end]
-        } else {
-            let end = rest
-                .find(|c: char| c.is_ascii_whitespace())
-                .unwrap_or(rest.len());
-            &rest[..end]
-        });
+        _ => None,
+    }
+}
+
+/// The `src` of an `<img>` tag: what a browser fetches on seeing `token`.
+pub fn image_source<'a>(token: &HtmlToken<&'a [u8]>) -> Option<Cow<'a, str>> {
+    tag_attr(token, "img", "src")
+}
+
+/// What a server may push on seeing `token`: an image source, or the
+/// `href` of a `<link rel=stylesheet>`.
+pub fn subresource<'a>(token: &HtmlToken<&'a [u8]>) -> Option<Cow<'a, str>> {
+    match tag_attr(token, "link", "rel") {
+        Some(rel) if rel.eq_ignore_ascii_case("stylesheet") => tag_attr(token, "link", "href"),
+        _ => image_source(token),
     }
 }
 
@@ -161,122 +200,10 @@ pub fn attr_value<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
 /// browser fetches after parsing the base document.
 pub fn inline_image_sources(html: &str) -> Vec<String> {
     let mut out = Vec::new();
-    for_each_inline_image_source(html, |src| out.push(src.to_string()));
+    walk(html.as_bytes(), true, |token| {
+        out.extend(image_source(&token).map(Cow::into_owned))
+    });
     out
-}
-
-/// Visit the `src` of every `<img>` tag in document order without
-/// building a token list — the hot path for streaming discovery, which
-/// re-scans the received prefix on every arriving chunk. Mirrors
-/// [`tokenize`]'s control flow exactly (comments and declarations are
-/// skipped whole, an unterminated trailing tag is text) so it yields
-/// precisely the sources [`inline_image_sources`] returns, with zero
-/// allocations.
-pub fn for_each_inline_image_source(html: &str, mut f: impl FnMut(&str)) {
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        // Comment / declaration: skipped whole, images inside don't count.
-        if bytes[i..].starts_with(b"<!--") {
-            if let Some(end) = html[i..].find("-->") {
-                i += end + 3;
-                continue;
-            }
-        }
-        if bytes[i..].starts_with(b"<!") {
-            if let Some(end) = html[i..].find('>') {
-                i += end + 1;
-                continue;
-            }
-        }
-        // Ordinary tag.
-        let Some(end) = html[i..].find('>') else {
-            // Unterminated: the remainder is text.
-            return;
-        };
-        let inner = &html[i + 1..i + end];
-        let (closing, inner) = match inner.strip_prefix('/') {
-            Some(rest) => (true, rest),
-            None => (false, inner),
-        };
-        let name_end = inner
-            .find(|c: char| c.is_ascii_whitespace())
-            .unwrap_or(inner.len());
-        let name = &inner[..name_end];
-        if name.is_empty() {
-            // "<>" or "< " — treat as text.
-            i += 1;
-            continue;
-        }
-        if !closing && name.eq_ignore_ascii_case("img") {
-            if let Some(src) = attr_value(&inner[name_end..], "src") {
-                f(src);
-            }
-        }
-        i += end + 1;
-    }
-}
-
-/// Visit every pushable subresource reference in document order: the
-/// `src` of `<img>` tags plus the `href` of `<link rel=stylesheet>`
-/// tags. This is the server-push discovery scan — same walk as
-/// [`for_each_inline_image_source`], zero allocations.
-pub fn for_each_subresource(html: &str, mut f: impl FnMut(&str)) {
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        if bytes[i..].starts_with(b"<!--") {
-            if let Some(end) = html[i..].find("-->") {
-                i += end + 3;
-                continue;
-            }
-        }
-        if bytes[i..].starts_with(b"<!") {
-            if let Some(end) = html[i..].find('>') {
-                i += end + 1;
-                continue;
-            }
-        }
-        let Some(end) = html[i..].find('>') else {
-            return;
-        };
-        let inner = &html[i + 1..i + end];
-        let (closing, inner) = match inner.strip_prefix('/') {
-            Some(rest) => (true, rest),
-            None => (false, inner),
-        };
-        let name_end = inner
-            .find(|c: char| c.is_ascii_whitespace())
-            .unwrap_or(inner.len());
-        let name = &inner[..name_end];
-        if name.is_empty() {
-            i += 1;
-            continue;
-        }
-        if !closing {
-            let attrs = &inner[name_end..];
-            if name.eq_ignore_ascii_case("img") {
-                if let Some(src) = attr_value(attrs, "src") {
-                    f(src);
-                }
-            } else if name.eq_ignore_ascii_case("link")
-                && attr_value(attrs, "rel").is_some_and(|r| r.eq_ignore_ascii_case("stylesheet"))
-            {
-                if let Some(href) = attr_value(attrs, "href") {
-                    f(href);
-                }
-            }
-        }
-        i += end + 1;
-    }
 }
 
 /// Rewrite every tag and attribute name to the given case. Attribute
@@ -301,15 +228,14 @@ pub fn rewrite_tag_case(html: &str, upper: bool) -> String {
 /// intact.
 fn rewrite_attr_names(attrs: &str, upper: bool) -> String {
     let mut out = String::with_capacity(attrs.len());
-    let mut chars = attrs.char_indices().peekable();
-    let bytes = attrs.as_bytes();
+    let mut chars = attrs.chars().peekable();
     let mut in_name = false;
-    while let Some((i, c)) = chars.next() {
+    while let Some(c) = chars.next() {
         match c {
             '"' | '\'' => {
                 // Copy the quoted value verbatim.
                 out.push(c);
-                for (_, c2) in chars.by_ref() {
+                for c2 in chars.by_ref() {
                     out.push(c2);
                     if c2 == c {
                         break;
@@ -321,9 +247,9 @@ fn rewrite_attr_names(attrs: &str, upper: bool) -> String {
                 out.push(c);
                 in_name = false;
                 // Unquoted value: copy until whitespace.
-                if let Some(&(_, next)) = chars.peek() {
+                if let Some(&next) = chars.peek() {
                     if next != '"' && next != '\'' {
-                        while let Some(&(_, c2)) = chars.peek() {
+                        while let Some(&c2) = chars.peek() {
                             if c2.is_ascii_whitespace() {
                                 break;
                             }
@@ -338,7 +264,6 @@ fn rewrite_attr_names(attrs: &str, upper: bool) -> String {
                 in_name = true;
             }
             _ => {
-                let _ = (i, bytes);
                 if in_name || out.is_empty() {
                     out.push(if upper {
                         c.to_ascii_uppercase()
@@ -384,8 +309,74 @@ mod tests {
         let html = r#"<LINK REL="stylesheet" HREF="/site.css"><img src=a.gif>
             <link rel=icon href=/fav.ico><link rel=StyleSheet href='/p.css'><img src=b.gif>"#;
         let mut found = Vec::new();
-        for_each_subresource(html, |s| found.push(s.to_string()));
+        walk(html.as_bytes(), true, |token| {
+            found.extend(subresource(&token))
+        });
         assert_eq!(found, vec!["/site.css", "a.gif", "/p.css", "b.gif"]);
+    }
+
+    #[test]
+    fn resuming_at_any_offset_finds_the_whole_documents_sources() {
+        // A `>` inside a comment whose `-->` has not arrived must not end
+        // it: the commented-out image is never a fetch.
+        let commented = "<p>x</p><!-- old banner > <img src=/old.gif> --><img src=/new.gif>";
+        assert_eq!(inline_image_sources(commented), vec!["/new.gif"]);
+        let site = crate::microscape::site();
+        for html in [commented, site.html.as_str()] {
+            let bytes = html.as_bytes();
+            let whole = inline_image_sources(html);
+            // The page arrives a byte at a time: every offset is resumed
+            // at once mid-stream, and from wherever that left the cursor
+            // the rest is read as the end of the document.
+            let (mut cursor, mut found, mut finished_from) = (0, Vec::new(), None);
+            for cut in 0..=bytes.len() {
+                cursor += walk(&bytes[cursor..cut], false, |token| {
+                    found.extend(image_source(&token).map(Cow::into_owned))
+                });
+                assert!(cursor <= cut);
+                if finished_from == Some(cursor) {
+                    continue; // same cursor, same rest: already checked
+                }
+                finished_from = Some(cursor);
+                let mut all = found.clone();
+                let rest = walk(&bytes[cursor..], true, |token| {
+                    all.extend(image_source(&token).map(Cow::into_owned))
+                });
+                assert_eq!(cursor + rest, bytes.len());
+                assert_eq!(all, whole, "cut at {cut}, resumed at {cursor}");
+            }
+        }
+    }
+
+    #[test]
+    fn mid_stream_walk_waits_at_an_open_comment() {
+        let arriving = b"<p>x</p><!-- old banner > <img src=/old.gif> ";
+        let mut tokens = Vec::new();
+        let resume = walk(arriving, false, |token| tokens.push(token));
+        assert_eq!(resume, 8, "stops before the `<!--`");
+        assert_eq!(tokens.len(), 3, "<p>, x, </p>: {tokens:?}");
+    }
+
+    #[test]
+    fn never_closed_comment_is_a_declaration_at_end_of_document() {
+        // End of document keeps the forgiving reading: the comment ends
+        // at the first `>`, and the tag after it counts.
+        let html = "<!-- never closed > <img src=a.gif> <b";
+        assert_eq!(
+            tokenize(html),
+            vec![
+                HtmlToken::Decl("<!-- never closed >".into()),
+                HtmlToken::Text(" ".into()),
+                HtmlToken::Tag {
+                    name: "img".into(),
+                    attrs: " src=a.gif".into(),
+                    closing: false
+                },
+                HtmlToken::Text(" ".into()),
+                HtmlToken::Text("<b".into()),
+            ]
+        );
+        assert_eq!(serialize(&tokenize(html)), html);
     }
 
     #[test]
