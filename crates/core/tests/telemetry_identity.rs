@@ -71,6 +71,30 @@ fn telemetry_is_invisible_to_fleet_runs() {
     assert_eq!(on.server_sockets, off.server_sockets);
 }
 
+/// Recording does not search: over a fleet the sink's index is consulted
+/// once per scope — each connection end, link direction and host — however
+/// many samples those scopes then take. (The count exists in debug builds.)
+#[cfg(debug_assertions)]
+#[test]
+fn a_fleet_resolves_each_scope_once() {
+    let mut spec = scale::ScalePoint {
+        env: NetEnv::Lan,
+        setup: ProtocolSetup::Http10,
+        n_clients: 32,
+    }
+    .spec();
+    spec.telemetry = true;
+    let out = run_fleet(spec);
+    let sink = out.sim.telemetry();
+    let mut scopes: Vec<_> = sink.series().iter().map(|s| s.key.scope).collect();
+    scopes.dedup();
+    assert_eq!(sink.resolutions(), scopes.len() as u64);
+    let summary = sink.summary();
+    let samples = summary.points + summary.hist_samples;
+    assert!(scopes.len() > 2 * 32 * 40, "a scope per connection end");
+    assert!(samples > 20 * scopes.len() as u64, "{samples} samples");
+}
+
 /// The robustness report (the digest CI gates on) renders identically
 /// whether the cells ran with telemetry enabled or disabled.
 #[test]

@@ -13,7 +13,7 @@ use crate::packet::{HostId, Segment, SockAddr};
 use crate::probe::{ProbeEventKind, ProbeRecord, ProbeSink, SpanEvent};
 use crate::queue::EventQueue;
 use crate::tcp::{Effects, SockNotify, State, Tcb, TcpConfig, TimerKind};
-use crate::telemetry::{Metric, Scope, TelemetrySink};
+use crate::telemetry::{Metric, Scope, ScopeId, TelemetrySink};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceMode, TraceStats};
 use bytes::{Bytes, BytesMut};
@@ -121,6 +121,12 @@ struct HostState {
     /// Parallel to `sockets`: which incremental counts each slot is
     /// still part of.
     counted: Vec<Counted>,
+    /// This host's telemetry scope, once something was recorded in it.
+    scope: Option<ScopeId>,
+    /// Parallel to `sockets` as far as it reaches: each connection's
+    /// telemetry scope, resolved at its first sample. It grows only while
+    /// the sink is on, so a socket opened before that has no entry yet.
+    conn_scopes: Vec<Option<ScopeId>>,
 }
 
 #[derive(Default)]
@@ -175,6 +181,11 @@ pub struct Kernel {
     trace: Trace,
     probe: ProbeSink,
     telemetry: TelemetrySink,
+    /// Parallel to `links` as far as it reaches: the telemetry scopes of
+    /// each link's b→a and a→b directions, resolved at first use.
+    link_scopes: Vec<[Option<ScopeId>; 2]>,
+    /// The telemetry scope of the simulation as a whole.
+    global_scope: Option<ScopeId>,
     pending: VecDeque<(HostId, AppEvent)>,
     /// Recycled [`Effects`] scratch: every event handler borrows one and
     /// returns it drained, so the per-event effect lists keep their
@@ -183,6 +194,21 @@ pub struct Kernel {
     events_processed: u64,
     /// Safety valve against runaway simulations.
     max_events: u64,
+}
+
+/// The id the kernel keeps beside the thing a telemetry scope describes:
+/// resolved through the sink's index the first time the thing is sampled
+/// while the sink is on — whenever that is — and never again.
+fn scope_id(kept: &mut Option<ScopeId>, sink: &mut TelemetrySink, scope: Scope) -> ScopeId {
+    *kept.get_or_insert_with(|| sink.resolve(scope))
+}
+
+/// `table[i]`, the table grown with defaults to reach it.
+fn grown_to<T: Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if table.len() <= i {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
 }
 
 impl Kernel {
@@ -196,6 +222,8 @@ impl Kernel {
             trace: Trace::new(),
             probe: ProbeSink::default(),
             telemetry: TelemetrySink::default(),
+            link_scopes: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
+            global_scope: None,
             pending: VecDeque::new(),
             fx_pool: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             events_processed: 0,
@@ -260,11 +288,20 @@ impl Kernel {
         fx.clear();
         self.fx_pool.push(fx);
         if self.telemetry.enabled() {
-            let now = self.now;
             let held = self.fx_pool.len() as u64;
+            let global = self.global_scope();
             self.telemetry
-                .gauge(now, Scope::Global, Metric::PoolEffects, held);
+                .gauge_in(self.now, global, Metric::PoolEffects, held);
         }
+    }
+
+    fn global_scope(&mut self) -> ScopeId {
+        scope_id(&mut self.global_scope, &mut self.telemetry, Scope::Global)
+    }
+
+    fn host_scope(&mut self, host: HostId) -> ScopeId {
+        let kept = &mut self.hosts[host.0 as usize].scope;
+        scope_id(kept, &mut self.telemetry, Scope::Host(host))
     }
 
     /// Sample per-link-direction telemetry after a submission:
@@ -275,19 +312,24 @@ impl Kernel {
             return;
         }
         let a_to_b = from != self.links[link].b;
-        let scope = Scope::Link {
-            link: link as u32,
-            a_to_b,
-        };
+        let scope = scope_id(
+            &mut grown_to(&mut self.link_scopes, link)[usize::from(a_to_b)],
+            &mut self.telemetry,
+            Scope::Link {
+                link: link as u32,
+                a_to_b,
+            },
+        );
         let now = self.now;
         if let Some(reason) = dropped {
             self.telemetry
-                .counter_add(now, scope, Metric::for_drop(reason), 1);
+                .counter_add_in(now, scope, Metric::for_drop(reason), 1);
         }
         let queued = self.links[link].queued_bytes(now, from);
-        self.telemetry.gauge(now, scope, Metric::QueueBytes, queued);
         self.telemetry
-            .observe(scope, Metric::QueueBytesHist, queued);
+            .gauge_in(now, scope, Metric::QueueBytes, queued);
+        self.telemetry
+            .observe_in(scope, Metric::QueueBytesHist, queued);
     }
 
     /// Sample a connection's congestion state after its TCB ran: cwnd,
@@ -296,12 +338,17 @@ impl Kernel {
         if !self.telemetry.enabled() {
             return;
         }
-        let tcb = &self.hosts[host.0 as usize].sockets[slot as usize];
-        let scope = Scope::Conn {
-            host,
-            local: tcb.local,
-            remote: tcb.remote,
-        };
+        let h = &mut self.hosts[host.0 as usize];
+        let tcb = &h.sockets[slot as usize];
+        let scope = scope_id(
+            grown_to(&mut h.conn_scopes, slot as usize),
+            &mut self.telemetry,
+            Scope::Conn {
+                host,
+                local: tcb.local,
+                remote: tcb.remote,
+            },
+        );
         let cwnd = tcb.cwnd() as u64;
         let ssthresh = tcb.ssthresh() as u64;
         let flight = tcb.bytes_in_flight();
@@ -309,20 +356,22 @@ impl Kernel {
         let in_recovery = tcb.cc_in_recovery();
         let variant = tcb.cc_variant();
         let now = self.now;
-        self.telemetry.gauge(now, scope, Metric::Cwnd, cwnd);
-        self.telemetry.gauge(now, scope, Metric::Ssthresh, ssthresh);
+        self.telemetry.gauge_in(now, scope, Metric::Cwnd, cwnd);
         self.telemetry
-            .gauge(now, scope, Metric::FlightBytes, flight);
-        self.telemetry.gauge(now, scope, Metric::RtoNs, rto);
-        self.telemetry.observe(scope, Metric::FlightHist, flight);
+            .gauge_in(now, scope, Metric::Ssthresh, ssthresh);
+        self.telemetry
+            .gauge_in(now, scope, Metric::FlightBytes, flight);
+        self.telemetry.gauge_in(now, scope, Metric::RtoNs, rto);
+        self.telemetry.observe_in(scope, Metric::FlightHist, flight);
         let level = u64::from(in_recovery);
         if self
             .telemetry
-            .gauge_changed(now, scope, Metric::CcRecoveryActive, level)
+            .gauge_changed_in(now, scope, Metric::CcRecoveryActive, level)
             && in_recovery
         {
+            let global = self.global_scope();
             self.telemetry
-                .counter_add(now, Scope::Global, Metric::CcRecoveries(variant), 1);
+                .counter_add_in(now, global, Metric::CcRecoveries(variant), 1);
         }
     }
 
@@ -560,9 +609,11 @@ impl Kernel {
                 if let Some(cap) = listener.backlog {
                     if h.syn_queue_len(seg.dst.port) >= cap {
                         self.host(host).stats.syn_drops += 1;
-                        let now = self.now;
-                        self.telemetry
-                            .counter_add(now, Scope::Host(host), Metric::SynDrops, 1);
+                        if self.telemetry.enabled() {
+                            let scope = self.host_scope(host);
+                            self.telemetry
+                                .counter_add_in(self.now, scope, Metric::SynDrops, 1);
+                        }
                         return;
                     }
                 }
@@ -780,11 +831,12 @@ impl<'a> Ctx<'a> {
     /// server concurrency or buffered memory). No-op unless the
     /// simulator's telemetry was enabled.
     pub fn telemetry_gauge(&mut self, metric: Metric, value: u64) {
+        if !self.kernel.telemetry.enabled() {
+            return;
+        }
+        let scope = self.kernel.host_scope(self.host);
         let now = self.kernel.now;
-        let host = self.host;
-        self.kernel
-            .telemetry
-            .gauge(now, Scope::Host(host), metric, value);
+        self.kernel.telemetry.gauge_in(now, scope, metric, value);
     }
 
     /// Arm an application timer; fires as [`AppEvent::Timer`] with `token`.
@@ -833,6 +885,8 @@ impl Simulator {
             stats: SocketStats::default(),
             open_now: 0,
             counted: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            scope: None,
+            conn_scopes: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
         });
         self.apps.push(None);
         id
@@ -922,7 +976,8 @@ impl Simulator {
     }
 
     /// Turn on the telemetry time-series sink with the default 10 ms
-    /// tick. Do this before traffic flows so series cover the whole run.
+    /// tick. Series start at the instant this is called: do it before
+    /// traffic flows to cover the whole run.
     pub fn enable_telemetry(&mut self) {
         self.kernel.telemetry.enable();
     }
@@ -1102,8 +1157,15 @@ mod tests {
         payload_len: usize,
         mode: TraceMode,
     ) -> (Simulator, HostId, HostId) {
-        let mut sim = Simulator::new();
+        let (mut sim, client, server) = echo_sim(cfg, payload_len);
         sim.set_trace_mode(mode);
+        sim.run_until_idle();
+        (sim, client, server)
+    }
+
+    /// An echo client and server on one link, not yet run.
+    fn echo_sim(cfg: LinkConfig, payload_len: usize) -> (Simulator, HostId, HostId) {
+        let mut sim = Simulator::new();
         let client = sim.add_host("client");
         let server = sim.add_host("server");
         sim.add_link(client, server, cfg);
@@ -1125,7 +1187,6 @@ mod tests {
                 sock: None,
             }),
         );
-        sim.run_until_idle();
         (sim, client, server)
     }
 
@@ -1368,6 +1429,86 @@ mod tests {
             "4 clients behind one 28.8k modem should take ~4x as long \
              (private {private_t:.2}s shared {shared_t:.2}s)"
         );
+    }
+
+    /// A 4-tuple opened again after its first connection closed takes a new
+    /// socket slot and continues the series its first life began.
+    #[test]
+    fn a_reopened_four_tuple_continues_its_series() {
+        let (mut sim, client, server) = echo_sim(LinkConfig::lan(), 5_000);
+        sim.enable_telemetry();
+        sim.run_until_idle();
+        let first_life = sim.telemetry().summary();
+
+        let remote = SockAddr::new(server, 80);
+        sim.kernel.host(client).next_ephemeral = 40_000;
+        let sock = sim.kernel.connect(client, remote);
+        assert_eq!((sock.slot, sim.kernel.sock(sock).local.port), (1, 40_000));
+        sim.run_until_idle();
+
+        let both_lives = sim.telemetry().summary();
+        assert_eq!(both_lives.series, first_life.series, "no series made twice");
+        assert!(both_lives.hist_samples > first_life.hist_samples);
+        let keys: Vec<_> = sim.telemetry().series().iter().map(|s| s.key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "one series per key");
+        let scope = Scope::Conn {
+            host: client,
+            local: SockAddr::new(client, 40_000),
+            remote,
+        };
+        let rto = sim.telemetry().get(scope, Metric::RtoNs).expect("recorded");
+        let ticks: Vec<u64> = rto.points().iter().map(|p| p.tick).collect();
+        assert!(
+            ticks.windows(2).all(|w| w[0] < w[1]),
+            "one timeline: {ticks:?}"
+        );
+    }
+
+    /// The sink may be enabled mid-run: sockets, links and hosts already in
+    /// use are resolved at their next sample, and every gauge then reads as
+    /// the always-on run's does from that instant — its held value first,
+    /// the same points after.
+    #[test]
+    fn enabling_late_records_from_that_instant() {
+        let run = |enable_at: Option<SimTime>| {
+            let (mut sim, client, _) = echo_sim(LinkConfig::wan(), 100_000);
+            if let Some(at) = enable_at {
+                sim.run_until(at);
+                assert!(sim.socket_stats(client).sockets_used > 0, "traffic flowed");
+            }
+            sim.enable_telemetry();
+            sim.run_until_idle();
+            sim
+        };
+        let enable_at = SimTime::from_nanos(500_000_000);
+        let whole = run(None);
+        let late = run(Some(enable_at));
+        let first_tick = enable_at.as_nanos() / crate::telemetry::DEFAULT_TICK.as_nanos();
+
+        let mut gauges = 0;
+        for s in late.telemetry().series() {
+            let whole_data = whole.telemetry().get(s.key.scope, s.key.metric);
+            let whole_points = whole_data
+                .expect("filed under the key it always had")
+                .points();
+            if s.key.metric.kind() != crate::telemetry::SeriesKind::Gauge {
+                continue;
+            }
+            gauges += 1;
+            let (first, rest) = s.data.points().split_first().expect("a series has a point");
+            assert!(first.tick >= first_tick, "{:?}", s.key);
+            let held = whole_points.iter().rev().find(|p| p.tick <= first.tick);
+            assert_eq!(held.map(|p| p.value), Some(first.value), "{:?}", s.key);
+            let after: Vec<_> = whole_points
+                .iter()
+                .filter(|p| p.tick > first.tick)
+                .collect();
+            assert!(rest.iter().eq(after), "{:?}", s.key);
+        }
+        // Both ends of the connection opened before the sink was on, both
+        // link directions and the effects pool: cwnd, ssthresh, flight, RTO
+        // and recovery on each end, two queues, one pool.
+        assert_eq!(gauges, 13);
     }
 
     /// A bounded listen backlog silently drops overflow SYNs; clients

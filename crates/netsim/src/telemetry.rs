@@ -11,16 +11,25 @@
 //!
 //! The sink obeys the same rules the probe established:
 //!
-//! * **Zero overhead when disabled.** Every record method starts with one
-//!   branch on [`TelemetrySink::enabled`] and returns immediately when
-//!   off. Off-runs are bit-identical to runs of a build without the
-//!   subsystem, proven field-for-field by differential tests.
+//! * **Zero overhead when disabled.** Every keyed record method starts
+//!   with one branch on [`TelemetrySink::enabled`] and returns immediately
+//!   when off; the kernel takes the same branch before it resolves a scope,
+//!   so no `ScopeId` exists on an off run. Off-runs are bit-identical to
+//!   runs of a build without the subsystem, proven field-for-field by
+//!   differential tests.
 //! * **Integer time only.** All times are integer nanoseconds or tick
 //!   indices; the module contains no floating point at all, and simlint's
 //!   `probe-determinism` rule enforces that (plus the hash-collection and
 //!   wall-clock bans) on this file.
-//! * **Deterministic storage.** Series live in a `Vec` kept sorted by
-//!   [`SeriesKey`]; iteration order is the key order, never a hash order.
+//! * **Deterministic storage, constant-time recording.** A scope is
+//!   resolved once, through an ordered index, to a `ScopeId`: the
+//!   position of its record in an append-only `Vec`. Whoever writes a scope
+//!   often (the kernel, for every connection, link direction and host)
+//!   keeps the id and records by it, so a write costs the same whether the
+//!   run holds ten series or a hundred thousand; nothing recorded is ever
+//!   searched or shifted (simlint's `recorder-search`). [`SeriesKey`] order
+//!   is made when the sink is read — a walk of the index — never a hash
+//!   order.
 //!
 //! ## Sampling rules
 //!
@@ -45,6 +54,8 @@ use crate::cc::CcVariant;
 use crate::impair::DropReason;
 use crate::packet::{HostId, SockAddr};
 use crate::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// The tick width: 10 ms of simulated time.
 pub const DEFAULT_TICK: SimDuration = SimDuration::from_millis(10);
@@ -76,16 +87,17 @@ pub enum Scope {
     },
 }
 
-impl Scope {
-    /// Stable textual form used in JSON/CSV output.
-    pub fn label(&self) -> String {
+/// The stable textual form used in JSON/CSV output: digits and fixed ASCII
+/// only, so it needs no escaping in either.
+impl fmt::Display for Scope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Scope::Global => "global".to_string(),
-            Scope::Host(h) => format!("h{}", h.0),
+            Scope::Global => f.write_str("global"),
+            Scope::Host(h) => write!(f, "h{}", h.0),
             Scope::Link { link, a_to_b } => {
-                format!("link{}:{}", link, if *a_to_b { "a>b" } else { "b>a" })
+                write!(f, "link{}:{}", link, if *a_to_b { "a>b" } else { "b>a" })
             }
-            Scope::Conn { local, remote, .. } => format!("{local}>{remote}"),
+            Scope::Conn { local, remote, .. } => write!(f, "{local}>{remote}"),
         }
     }
 }
@@ -343,13 +355,13 @@ impl SeriesData {
     }
 }
 
-/// One recorded series: key plus data.
-#[derive(Debug, Clone)]
-pub struct Series {
+/// One recorded series, as the sink's readers see it: key plus data.
+#[derive(Debug, Clone, Copy)]
+pub struct Series<'a> {
     /// What this series measures, about what.
     pub key: SeriesKey,
     /// The recorded points or histogram.
-    pub data: SeriesData,
+    pub data: &'a SeriesData,
 }
 
 /// Compact per-run roll-up carried on `CellResult` so fleet tables can
@@ -364,25 +376,40 @@ pub struct TelemetrySummary {
     pub hist_samples: u64,
 }
 
+/// A [`Scope`] the sink has resolved: the position of its record. Minted
+/// only by [`TelemetrySink::resolve`]; whoever holds one records in
+/// constant time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScopeId(u32);
+
 /// The telemetry sink: owned by the kernel, off (and allocation-free)
 /// unless explicitly enabled.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     enabled: bool,
-    /// Sorted by key; binary-searched on every record.
-    series: Vec<Series>,
+    /// Scope → its record. Only [`TelemetrySink::resolve`] consults it on
+    /// the write path; readers walk it for key order.
+    index: BTreeMap<Scope, ScopeId>,
+    /// One record per resolved scope, in the order the scopes were first
+    /// seen: the scope's series in first-write order. A scope carries a
+    /// handful of metrics (six on a connection), so finding one in its
+    /// record costs the same however long the run.
+    records: Vec<Vec<(Metric, SeriesData)>>,
+    /// Index consultations, for the tests that pin the record path's cost.
+    #[cfg(debug_assertions)]
+    resolutions: u64,
 }
 
 impl TelemetrySink {
-    /// Whether the sink is collecting. When false every record method is
-    /// a single-branch no-op.
+    /// Whether the sink is collecting. When false every keyed record
+    /// method is a single-branch no-op.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Turn collection on. Do this before traffic flows so series start
-    /// at the run's beginning.
+    /// Turn collection on. Series start at the instant this is called, so
+    /// do it before traffic flows to cover the whole run.
     pub fn enable(&mut self) {
         self.enabled = true;
     }
@@ -391,55 +418,54 @@ impl TelemetrySink {
         t.as_nanos() / DEFAULT_TICK.as_nanos()
     }
 
-    /// Locate (or create) the series for `key`.
-    fn slot(&mut self, key: SeriesKey) -> &mut SeriesData {
-        let idx = match self.series.binary_search_by(|s| s.key.cmp(&key)) {
-            Ok(i) => i,
-            Err(i) => {
-                self.series.insert(
-                    i,
-                    Series {
-                        key,
-                        data: SeriesData::new(key.metric.kind()),
-                    },
-                );
-                i
+    /// The id of `scope`'s record, made on first sight. The same scope
+    /// always resolves to the same id — a 4-tuple reopened after a close
+    /// continues its series — and this is the one ordered lookup of the
+    /// write path: callers that record a scope repeatedly keep the id.
+    pub(crate) fn resolve(&mut self, scope: Scope) -> ScopeId {
+        #[cfg(debug_assertions)]
+        {
+            self.resolutions += 1;
+        }
+        let next = ScopeId(self.records.len() as u32);
+        let id = *self.index.entry(scope).or_insert(next);
+        if id == next {
+            self.records.push(Vec::new());
+        }
+        id
+    }
+
+    /// How many times the index was consulted to resolve a scope.
+    #[cfg(debug_assertions)]
+    pub fn resolutions(&self) -> u64 {
+        self.resolutions
+    }
+
+    /// Locate (or create) the series for `metric` in a resolved scope.
+    fn slot(&mut self, id: ScopeId, metric: Metric) -> &mut SeriesData {
+        let record = &mut self.records[id.0 as usize];
+        let at = match record.iter().position(|(m, _)| *m == metric) {
+            Some(at) => at,
+            None => {
+                record.push((metric, SeriesData::new(metric.kind())));
+                record.len() - 1
             }
         };
-        &mut self.series[idx].data
+        &mut record[at].1
     }
 
-    /// Record a gauge value (last write in a tick wins).
-    pub fn gauge(&mut self, now: SimTime, scope: Scope, metric: Metric, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let tick = Self::tick_of(now);
-        let SeriesData::Gauge(points) = self.slot(SeriesKey { scope, metric }) else {
-            panic!("{} is not a gauge", metric.label());
-        };
-        match points.last_mut() {
-            Some(p) if p.tick == tick => p.value = value,
-            Some(p) if p.value == value => {}
-            _ => points.push(Point { tick, value }),
-        }
-    }
-
-    /// Record a gauge value and report whether it differs from the
-    /// series' previous value (true for the first write). Lets callers
-    /// turn level changes into edge-triggered counters.
-    pub fn gauge_changed(
+    /// Record a gauge value in a resolved scope (last write in a tick
+    /// wins) and report whether it differs from the series' previous value
+    /// (true for the first write).
+    pub(crate) fn gauge_changed_in(
         &mut self,
         now: SimTime,
-        scope: Scope,
+        id: ScopeId,
         metric: Metric,
         value: u64,
     ) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let tick = Self::tick_of(now);
-        let SeriesData::Gauge(points) = self.slot(SeriesKey { scope, metric }) else {
+        let SeriesData::Gauge(points) = self.slot(id, metric) else {
             panic!("{} is not a gauge", metric.label());
         };
         match points.last_mut() {
@@ -456,13 +482,17 @@ impl TelemetrySink {
         }
     }
 
-    /// Add to a counter; the cumulative total is stored per tick.
-    pub fn counter_add(&mut self, now: SimTime, scope: Scope, metric: Metric, delta: u64) {
-        if !self.enabled {
-            return;
-        }
+    /// [`TelemetrySink::gauge_changed_in`] for callers with no use for the
+    /// edge.
+    pub(crate) fn gauge_in(&mut self, now: SimTime, id: ScopeId, metric: Metric, value: u64) {
+        let _ = self.gauge_changed_in(now, id, metric, value);
+    }
+
+    /// Add to a counter in a resolved scope; the cumulative total is
+    /// stored per tick.
+    pub(crate) fn counter_add_in(&mut self, now: SimTime, id: ScopeId, metric: Metric, delta: u64) {
         let tick = Self::tick_of(now);
-        let SeriesData::Counter { total, points } = self.slot(SeriesKey { scope, metric }) else {
+        let SeriesData::Counter { total, points } = self.slot(id, metric) else {
             panic!("{} is not a counter", metric.label());
         };
         *total += delta;
@@ -473,39 +503,90 @@ impl TelemetrySink {
         }
     }
 
-    /// Fold one observation into a histogram.
-    pub fn observe(&mut self, scope: Scope, metric: Metric, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let SeriesData::Histogram(h) = self.slot(SeriesKey { scope, metric }) else {
+    /// Fold one observation into a histogram in a resolved scope.
+    pub(crate) fn observe_in(&mut self, id: ScopeId, metric: Metric, value: u64) {
+        let SeriesData::Histogram(h) = self.slot(id, metric) else {
             panic!("{} is not a histogram", metric.label());
         };
         h.observe(value);
     }
 
+    /// Record a gauge value (last write in a tick wins).
+    pub fn gauge(&mut self, now: SimTime, scope: Scope, metric: Metric, value: u64) {
+        let _ = self.gauge_changed(now, scope, metric, value);
+    }
+
+    /// Record a gauge value and report whether it differs from the
+    /// series' previous value (true for the first write). Lets callers
+    /// turn level changes into edge-triggered counters.
+    pub fn gauge_changed(
+        &mut self,
+        now: SimTime,
+        scope: Scope,
+        metric: Metric,
+        value: u64,
+    ) -> bool {
+        if !self.enabled {
+            return false;
+        }
+        let id = self.resolve(scope);
+        self.gauge_changed_in(now, id, metric, value)
+    }
+
+    /// Add to a counter; the cumulative total is stored per tick.
+    pub fn counter_add(&mut self, now: SimTime, scope: Scope, metric: Metric, delta: u64) {
+        if !self.enabled {
+            return;
+        }
+        let id = self.resolve(scope);
+        self.counter_add_in(now, id, metric, delta);
+    }
+
+    /// Fold one observation into a histogram.
+    pub fn observe(&mut self, scope: Scope, metric: Metric, value: u64) {
+        if !self.enabled {
+            return;
+        }
+        let id = self.resolve(scope);
+        self.observe_in(id, metric, value);
+    }
+
+    /// Call `f` with every recorded series in key order: scopes as the
+    /// index orders them, each scope's few series sorted by metric.
+    fn each_series<'a>(&'a self, mut f: impl FnMut(Series<'a>)) {
+        let mut by_metric: Vec<&(Metric, SeriesData)> = Vec::new();
+        for (&scope, &id) in &self.index {
+            by_metric.extend(&self.records[id.0 as usize]);
+            by_metric.sort_unstable_by_key(|(metric, _)| *metric);
+            for &(metric, ref data) in by_metric.drain(..) {
+                f(Series {
+                    key: SeriesKey { scope, metric },
+                    data,
+                });
+            }
+        }
+    }
+
     /// All recorded series in key order.
-    pub fn series(&self) -> &[Series] {
-        &self.series
+    pub fn series(&self) -> Vec<Series<'_>> {
+        let mut all = Vec::with_capacity(self.records.iter().map(Vec::len).sum());
+        self.each_series(|s| all.push(s));
+        all
     }
 
     /// The series for `key`, if any point or observation was recorded.
     pub fn get(&self, scope: Scope, metric: Metric) -> Option<&SeriesData> {
-        let key = SeriesKey { scope, metric };
-        self.series
-            .binary_search_by(|s| s.key.cmp(&key))
-            .ok()
-            .map(|i| &self.series[i].data)
+        let id = self.index.get(&scope)?;
+        let record = &self.records[id.0 as usize];
+        record.iter().find(|(m, _)| *m == metric).map(|(_, d)| d)
     }
 
     /// Compact roll-up for result tables.
     pub fn summary(&self) -> TelemetrySummary {
-        let mut s = TelemetrySummary {
-            series: self.series.len() as u32,
-            ..TelemetrySummary::default()
-        };
-        for series in &self.series {
-            match &series.data {
+        let mut s = TelemetrySummary::default();
+        for (_, data) in self.records.iter().flatten() {
+            s.series += 1;
+            match data {
                 SeriesData::Histogram(h) => s.hist_samples += h.total(),
                 other => s.points += other.points().len() as u64,
             }
@@ -518,47 +599,44 @@ impl TelemetrySink {
     /// field order and series order are fixed, so identical runs produce
     /// byte-identical documents.
     pub fn render_json(&self, label: &str) -> String {
+        // Writing into a `String` cannot fail: the `fmt::Result`s of this
+        // function and of `render_csv` are dropped.
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"cell\": \"{}\",\n",
-            crate::json::escape(label)
-        ));
-        out.push_str(&format!("  \"tick_ns\": {},\n", DEFAULT_TICK.as_nanos()));
+        let _ = writeln!(out, "{{\n  \"cell\": \"{}\",", crate::json::escape(label));
+        let _ = writeln!(out, "  \"tick_ns\": {},", DEFAULT_TICK.as_nanos());
         out.push_str("  \"series\": [\n");
-        for (i, s) in self.series.iter().enumerate() {
-            let comma = if i + 1 < self.series.len() { "," } else { "" };
-            let kind = s.key.metric.kind();
-            out.push_str(&format!(
-                "    {{\"scope\": \"{}\", \"metric\": \"{}\", \"kind\": \"{}\", ",
-                crate::json::escape(&s.key.scope.label()),
+        let mut between = "";
+        self.each_series(|s| {
+            let _ = write!(
+                out,
+                "{between}    {{\"scope\": \"{}\", \"metric\": \"{}\", \"kind\": \"{}\", ",
+                s.key.scope,
                 s.key.metric.label(),
-                kind.label(),
-            ));
-            match &s.data {
+                s.key.metric.kind().label(),
+            );
+            let mut sep = "";
+            match s.data {
                 SeriesData::Histogram(h) => {
-                    out.push_str(&format!("\"total\": {}, \"sum\": {}, ", h.total(), h.sum()));
+                    let _ = write!(out, "\"total\": {}, \"sum\": {}, ", h.total(), h.sum());
                     out.push_str("\"buckets\": [");
-                    for (j, (lo, count)) in h.buckets().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{lo}, {count}]"));
+                    for (lo, count) in h.buckets() {
+                        let _ = write!(out, "{sep}[{lo}, {count}]");
+                        sep = ", ";
                     }
-                    out.push(']');
                 }
                 other => {
                     out.push_str("\"points\": [");
-                    for (j, p) in other.points().iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{}, {}]", p.tick, p.value));
+                    for p in other.points() {
+                        let _ = write!(out, "{sep}[{}, {}]", p.tick, p.value);
+                        sep = ", ";
                     }
-                    out.push(']');
                 }
             }
-            out.push_str(&format!("}}{comma}\n"));
+            out.push_str("]}");
+            between = ",\n";
+        });
+        if !between.is_empty() {
+            out.push('\n');
         }
         out.push_str("  ]\n");
         out.push_str("}\n");
@@ -570,23 +648,31 @@ impl TelemetrySink {
     /// the bucket's lower bound).
     pub fn render_csv(&self) -> String {
         let mut out = String::from("scope,metric,kind,tick,value\n");
-        for s in &self.series {
-            let scope = s.key.scope.label();
-            let metric = s.key.metric.label();
-            let kind = s.key.metric.kind().label();
-            match &s.data {
+        // The three columns every row of one series starts with.
+        let mut head = String::new();
+        self.each_series(|s| {
+            head.clear();
+            let metric = s.key.metric;
+            let _ = write!(
+                head,
+                "{},{},{},",
+                s.key.scope,
+                metric.label(),
+                metric.kind().label()
+            );
+            match s.data {
                 SeriesData::Histogram(h) => {
                     for (lo, count) in h.buckets() {
-                        out.push_str(&format!("{scope},{metric},{kind},{lo},{count}\n"));
+                        let _ = writeln!(out, "{head}{lo},{count}");
                     }
                 }
                 other => {
                     for p in other.points() {
-                        out.push_str(&format!("{scope},{metric},{kind},{},{}\n", p.tick, p.value));
+                        let _ = writeln!(out, "{head}{},{}", p.tick, p.value);
                     }
                 }
             }
-        }
+        });
         out
     }
 }
@@ -758,6 +844,254 @@ mod tests {
         assert!(csv.contains("h0:40000>h1:80,cwnd_bytes,gauge,0,1460\n"));
         assert!(csv.contains("h1,syn_drops,counter,0,2\n"));
         assert!(csv.contains("h0:40000>h1:80,flight_bytes_hist,hist,1024,1\n"));
+    }
+
+    /// A scope resolves to the same record however often it is resolved:
+    /// a 4-tuple closed and opened again continues its series.
+    #[test]
+    fn a_scope_resolved_again_continues_its_series() {
+        let mut sink = TelemetrySink::default();
+        sink.enable();
+        let first = sink.resolve(conn_scope());
+        sink.gauge_in(at_ms(1), first, Metric::Cwnd, 1460);
+        let other = sink.resolve(Scope::Global);
+        sink.gauge_in(at_ms(2), other, Metric::PoolEffects, 1);
+        let again = sink.resolve(conn_scope());
+        assert_eq!(again, first);
+        sink.gauge_in(at_ms(35), again, Metric::Cwnd, 2920);
+        assert_eq!(sink.summary().series, 2);
+        assert_eq!(
+            sink.get(conn_scope(), Metric::Cwnd).unwrap().points(),
+            &[
+                Point {
+                    tick: 0,
+                    value: 1460
+                },
+                Point {
+                    tick: 3,
+                    value: 2920
+                }
+            ]
+        );
+    }
+
+    /// The sink as it was first written — one ordered map from key to
+    /// data, a `String` per rendered row — kept as the reference the
+    /// position-addressed sink must match byte for byte.
+    #[derive(Default)]
+    struct Reference(BTreeMap<SeriesKey, SeriesData>);
+
+    impl Reference {
+        fn slot(&mut self, scope: Scope, metric: Metric) -> &mut SeriesData {
+            self.0
+                .entry(SeriesKey { scope, metric })
+                .or_insert_with(|| SeriesData::new(metric.kind()))
+        }
+
+        fn gauge_changed(
+            &mut self,
+            now: SimTime,
+            scope: Scope,
+            metric: Metric,
+            value: u64,
+        ) -> bool {
+            let tick = TelemetrySink::tick_of(now);
+            let SeriesData::Gauge(points) = self.slot(scope, metric) else {
+                panic!("gauge expected");
+            };
+            match points.last_mut() {
+                Some(p) if p.tick == tick => std::mem::replace(&mut p.value, value) != value,
+                Some(p) if p.value == value => false,
+                _ => {
+                    points.push(Point { tick, value });
+                    true
+                }
+            }
+        }
+
+        fn counter_add(&mut self, now: SimTime, scope: Scope, metric: Metric, delta: u64) {
+            let tick = TelemetrySink::tick_of(now);
+            let SeriesData::Counter { total, points } = self.slot(scope, metric) else {
+                panic!("counter expected");
+            };
+            *total += delta;
+            match points.last_mut() {
+                Some(p) if p.tick == tick => p.value = *total,
+                _ => points.push(Point {
+                    tick,
+                    value: *total,
+                }),
+            }
+        }
+
+        fn observe(&mut self, scope: Scope, metric: Metric, value: u64) {
+            let SeriesData::Histogram(h) = self.slot(scope, metric) else {
+                panic!("histogram expected");
+            };
+            h.observe(value);
+        }
+
+        fn summary(&self) -> TelemetrySummary {
+            let mut s = TelemetrySummary {
+                series: self.0.len() as u32,
+                ..TelemetrySummary::default()
+            };
+            for data in self.0.values() {
+                match data {
+                    SeriesData::Histogram(h) => s.hist_samples += h.total(),
+                    other => s.points += other.points().len() as u64,
+                }
+            }
+            s
+        }
+
+        /// `[a, b]` rows of a series: its points, or its non-empty buckets.
+        fn rows(data: &SeriesData) -> Vec<(u64, u64)> {
+            match data {
+                SeriesData::Histogram(h) => h.buckets().collect(),
+                other => other.points().iter().map(|p| (p.tick, p.value)).collect(),
+            }
+        }
+
+        fn render_json(&self, label: &str) -> String {
+            let mut out = format!(
+                "{{\n  \"cell\": \"{label}\",\n  \"tick_ns\": {},\n  \"series\": [\n",
+                DEFAULT_TICK.as_nanos()
+            );
+            for (i, (key, data)) in self.0.iter().enumerate() {
+                out.push_str(&format!(
+                    "    {{\"scope\": \"{}\", \"metric\": \"{}\", \"kind\": \"{}\", ",
+                    key.scope,
+                    key.metric.label(),
+                    key.metric.kind().label()
+                ));
+                let rows: Vec<String> = Self::rows(data)
+                    .iter()
+                    .map(|(a, b)| format!("[{a}, {b}]"))
+                    .collect();
+                match data {
+                    SeriesData::Histogram(h) => out.push_str(&format!(
+                        "\"total\": {}, \"sum\": {}, \"buckets\": [{}]",
+                        h.total(),
+                        h.sum(),
+                        rows.join(", ")
+                    )),
+                    _ => out.push_str(&format!("\"points\": [{}]", rows.join(", "))),
+                }
+                let comma = if i + 1 < self.0.len() { "," } else { "" };
+                out.push_str(&format!("}}{comma}\n"));
+            }
+            out.push_str("  ]\n}\n");
+            out
+        }
+
+        fn render_csv(&self) -> String {
+            let mut out = String::from("scope,metric,kind,tick,value\n");
+            for (key, data) in &self.0 {
+                for (a, b) in Self::rows(data) {
+                    out.push_str(&format!(
+                        "{},{},{},{a},{b}\n",
+                        key.scope,
+                        key.metric.label(),
+                        key.metric.kind().label()
+                    ));
+                }
+            }
+            out
+        }
+    }
+
+    /// A seeded random run of every record method over scattered scopes
+    /// reads back exactly as the keyed reference does.
+    #[test]
+    fn random_records_read_back_as_the_keyed_reference_does() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const GAUGES: [Metric; 4] = [
+            Metric::Cwnd,
+            Metric::RtoNs,
+            Metric::QueueBytes,
+            Metric::ServerConnections,
+        ];
+        const COUNTERS: [Metric; 3] = [
+            Metric::DropsLoss,
+            Metric::SynDrops,
+            Metric::CcRecoveries(CcVariant::Sack),
+        ];
+        const HISTOGRAMS: [Metric; 2] = [Metric::FlightHist, Metric::QueueBytesHist];
+
+        for seed in [1, 1997] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sink = TelemetrySink::default();
+            sink.enable();
+            let mut reference = Reference::default();
+            let mut seen = Vec::new();
+            let mut now_ms = 0;
+            for _ in 0..4000 {
+                now_ms += rng.gen_range(0..8u64);
+                let now = at_ms(now_ms);
+                let scope = match rng.gen_range(0..8u32) {
+                    0 => Scope::Global,
+                    1 => Scope::Host(HostId(rng.gen_range(0..6u16))),
+                    2 => Scope::Link {
+                        link: rng.gen_range(0..3u32),
+                        a_to_b: rng.gen_range(0..2u32) == 1,
+                    },
+                    _ => {
+                        let host = HostId(rng.gen_range(0..8u16));
+                        Scope::Conn {
+                            host,
+                            local: SockAddr::new(host, 40_000 + rng.gen_range(0..24u16)),
+                            remote: SockAddr::new(HostId(9), 80),
+                        }
+                    }
+                };
+                let value = rng.gen_range(0..5u64) * 1460;
+                let pick = rng.gen_range(0..4usize);
+                let metric = match rng.gen_range(0..4u32) {
+                    0 => {
+                        let metric = GAUGES[pick];
+                        sink.gauge(now, scope, metric, value);
+                        reference.gauge_changed(now, scope, metric, value);
+                        metric
+                    }
+                    1 => {
+                        let metric = GAUGES[pick];
+                        assert_eq!(
+                            sink.gauge_changed(now, scope, metric, value),
+                            reference.gauge_changed(now, scope, metric, value)
+                        );
+                        metric
+                    }
+                    2 => {
+                        let metric = COUNTERS[pick % COUNTERS.len()];
+                        sink.counter_add(now, scope, metric, value);
+                        reference.counter_add(now, scope, metric, value);
+                        metric
+                    }
+                    _ => {
+                        let metric = HISTOGRAMS[pick % HISTOGRAMS.len()];
+                        sink.observe(scope, metric, value);
+                        reference.observe(scope, metric, value);
+                        metric
+                    }
+                };
+                seen.push((scope, metric));
+            }
+            assert_eq!(sink.render_csv(), reference.render_csv());
+            assert_eq!(sink.render_json("model"), reference.render_json("model"));
+            assert_eq!(sink.summary(), reference.summary());
+            let keys: Vec<SeriesKey> = sink.series().iter().map(|s| s.key).collect();
+            assert!(keys.iter().eq(reference.0.keys()));
+            for (scope, metric) in seen {
+                assert_eq!(
+                    format!("{:?}", sink.get(scope, metric)),
+                    format!("{:?}", reference.0.get(&SeriesKey { scope, metric }))
+                );
+            }
+            assert!(sink.get(Scope::Host(HostId(77)), Metric::Cwnd).is_none());
+        }
     }
 
     #[test]

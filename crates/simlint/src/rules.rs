@@ -25,6 +25,7 @@ pub const RULE_IDS: &[&str] = &[
     "probe-determinism",
     "hot-path-alloc",
     "front-drain",
+    "recorder-search",
     "seq-wrap",
     "time-unit",
     "tcp-state-machine",
@@ -306,6 +307,26 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
             );
         }
 
+        // --- recorder-search: a flight recorder is written on every
+        // event, so what it has recorded is addressed by position and
+        // appended to; a search or a positional insert there grows with
+        // the run. (A map's two-argument `insert` reads the same to a
+        // lexer: one that belongs there takes an allow marker.)
+        if is_recorder && i > 0 && toks[i - 1].is_op(".") && i + 1 < n && toks[i + 1].is_op("(") {
+            let searches = t.kind == TokKind::Ident && t.text.starts_with("binary_search");
+            if searches || (t.is_ident("insert") && call_has_two_args(sf, i + 1)) {
+                push(
+                    "recorder-search",
+                    t.line,
+                    t.col,
+                    format!(
+                        "`.{}(…)` in `{}`: a recorder's write path must not search or shift what it has recorded; resolve once, keep the position, append",
+                        t.text, file
+                    ),
+                );
+            }
+        }
+
         // --- seq-wrap: direct ordering/subtraction on sequence-space
         // values must use the netsim::seq wrapping helpers.
         if (file == "tcp.rs" || (file == "cc.rs" && crate_of(path) == "netsim"))
@@ -413,6 +434,30 @@ fn statement_bounds(sf: &ScopedFile, i: usize) -> (usize, usize) {
         hi += 1;
     }
     (lo, hi)
+}
+
+/// Does the call whose `(` is token `open` have a comma between its
+/// arguments? `v.insert(i, x)` places at a position; a set's
+/// `insert(x)` does not.
+fn call_has_two_args(sf: &ScopedFile, open: usize) -> bool {
+    let mut depth = 0i32;
+    for t in &sf.toks[open..] {
+        if t.kind != TokKind::Op {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            "," if depth == 1 => return true,
+            _ => {}
+        }
+    }
+    false
 }
 
 fn is_float_literal(t: &crate::lexer::Tok) -> bool {

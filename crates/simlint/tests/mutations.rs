@@ -147,6 +147,34 @@ fn front_drain_fires() {
 }
 
 #[test]
+fn recorder_search_fires() {
+    // The telemetry sink's first `slot`: a search of every series of the
+    // run on each record, a mid-`Vec` insert on each new one.
+    let slot = "\
+fn slot(&mut self, key: SeriesKey) -> &mut SeriesData {
+    let idx = match self.series.binary_search_by(|s| s.key.cmp(&key)) {
+        Ok(i) => i,
+        Err(i) => {
+            self.series.insert(i, Series::new(key));
+            i
+        }
+    };
+    self.index.insert(key.scope);
+    &mut self.series[idx].data
+}
+";
+    let diags = one("crates/netsim/src/telemetry.rs", slot);
+    let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
+    assert_eq!(
+        hits,
+        vec![("recorder-search", 2), ("recorder-search", 5)],
+        "{diags:?}"
+    );
+    // Only the flight recorders are held to it.
+    assert!(one("crates/netsim/src/trace.rs", slot).is_empty());
+}
+
+#[test]
 fn seq_wrap_fires() {
     assert_fires(
         "crates/netsim/src/tcp.rs",
