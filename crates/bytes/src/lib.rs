@@ -274,13 +274,20 @@ impl BytesMut {
         self.len() == 0
     }
 
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, data: &[u8]) {
-        if self.head > 0 && self.vec.len() + data.len() > self.vec.capacity() {
+    /// Make room for `additional` more bytes, so that a message written
+    /// in pieces grows the buffer at most once.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.head > 0 && self.vec.len() + additional > self.vec.capacity() {
             // The reclaim: shift the live bytes down rather than grow.
             self.vec.drain(..self.head);
             self.head = 0;
         }
+        self.vec.reserve(additional);
+    }
+
+    /// Append a slice.
+    pub fn extend_from_slice(&mut self, data: &[u8]) {
+        self.reserve(data.len());
         self.vec.extend_from_slice(data);
     }
 
@@ -354,6 +361,15 @@ impl fmt::Debug for BytesMut {
 impl From<Vec<u8>> for BytesMut {
     fn from(vec: Vec<u8>) -> BytesMut {
         BytesMut { vec, head: 0 }
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    /// The live bytes; a buffer nothing was consumed from gives up its
+    /// vector as it is.
+    fn from(mut buf: BytesMut) -> Vec<u8> {
+        buf.vec.drain(..buf.head);
+        buf.vec
     }
 }
 
@@ -463,6 +479,9 @@ mod tests {
         assert_eq!(m.clone().freeze_pooled(), Bytes::from_static(b"cdef"));
         assert_eq!(m.split_to_pooled(4), Bytes::from_static(b"cdef"));
         assert!(m.is_empty());
+        let mut m = BytesMut::from(b"abcdef".to_vec());
+        m.advance(2);
+        assert_eq!(Vec::from(m), b"cdef");
     }
 
     #[test]

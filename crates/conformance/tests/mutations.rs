@@ -812,13 +812,16 @@ fn fr(stream: u32, flags: u8, payload: FramePayload) -> Vec<u8> {
     .encode()
 }
 
+fn field_block(fields: &[(&str, &str)]) -> httpwire::HeaderMap {
+    let mut block = httpwire::HeaderMap::new();
+    for (name, value) in fields {
+        block.append(name, value);
+    }
+    block
+}
+
 fn headers(fields: &[(&str, &str)]) -> FramePayload {
-    FramePayload::Headers(
-        fields
-            .iter()
-            .map(|(n, v)| (n.to_string(), v.to_string()))
-            .collect(),
-    )
+    FramePayload::Headers(field_block(fields))
 }
 
 /// Client bytes: preface + SETTINGS + the given frames.
@@ -1014,7 +1017,7 @@ fn mutation_mux_push_promise_invalid() {
             0,
             FramePayload::PushPromise {
                 promised: 2,
-                fields: vec![(":path".to_string(), "/a.gif".to_string())],
+                fields: field_block(&[(":path", "/a.gif")]),
             },
         ),
         fr(1, FLAG_END_STREAM, headers(&[(":status", "200")])),
@@ -1034,7 +1037,7 @@ fn mutation_mux_push_promise_from_client() {
             0,
             FramePayload::PushPromise {
                 promised: 2,
-                fields: vec![(":path".to_string(), "/a.gif".to_string())],
+                fields: field_block(&[(":path", "/a.gif")]),
             },
         ),
     ]);

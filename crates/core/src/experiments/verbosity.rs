@@ -76,7 +76,7 @@ pub fn revalidation_request_study(style: RequestStyle) -> VerbosityStudy {
         let req = cfg
             .style
             .request(Method::Get, path, Version::Http11, &cfg.host)
-            .with_header("If-None-Match", etag.to_header_value());
+            .with_header("If-None-Match", &etag);
         wires.push(req.to_bytes());
     }
 

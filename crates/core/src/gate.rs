@@ -427,11 +427,11 @@ fn telemetry_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
     })
 }
 
-/// Allocations per packet the serial matrix may cost (15.9 since the
-/// arriving page is inflated and walked once and a plain body is no
-/// longer copied to be measured), and the two 16-client WAN fleets (15.5).
-const MATRIX_ALLOCS_PER_PACKET: f64 = 15.9;
-const FLEET16_ALLOCS_PER_PACKET: f64 = 15.5;
+/// Allocations per packet the serial matrix may cost (5.8 since a message
+/// head is one buffer and a span table; 15.9 while it was a `String` per
+/// name and per value), and the two 16-client WAN fleets (5.1, from 15.5).
+const MATRIX_ALLOCS_PER_PACKET: f64 = 5.8;
+const FLEET16_ALLOCS_PER_PACKET: f64 = 5.1;
 /// Slack on those ceilings. The simulation is deterministic but the
 /// thread-local buffer pools are warmed by whatever ran earlier in the
 /// process, so a counted pass can differ by a few pool misses. Real

@@ -158,7 +158,18 @@ pub fn custom_store(objects: &[(String, Vec<u8>, &'static str)]) -> Arc<SiteStor
 
 /// Prime a client cache as if a first visit had completed: validators
 /// derived exactly as the server derives them.
+///
+/// Like the store, the cache for the canonical site is built once (an
+/// entity tag hashes every byte of its object) and cloned out.
 pub fn primed_cache(site: &Microscape) -> ClientCache {
+    static CANONICAL: OnceLock<ClientCache> = OnceLock::new();
+    if std::ptr::eq(site, webcontent::microscape::site()) {
+        return CANONICAL.get_or_init(|| build_primed_cache(site)).clone();
+    }
+    build_primed_cache(site)
+}
+
+fn build_primed_cache(site: &Microscape) -> ClientCache {
     let mut cache = ClientCache::new();
     cache.prime(
         site.html_path(),
@@ -792,6 +803,20 @@ mod tests {
             assert!(i != 5, "boom at {i}");
             i
         });
+    }
+
+    #[test]
+    fn the_memoised_primed_cache_is_the_one_a_fresh_build_gives() {
+        let site = webcontent::microscape::site();
+        // A copy is another site as far as the memo can tell.
+        let (memoised, fresh) = (primed_cache(site), primed_cache(&site.clone()));
+        assert_eq!(memoised.len(), 1 + site.images.len());
+        assert_eq!(fresh.len(), memoised.len());
+        let paths = site.images.iter().map(|image| image.path.as_str());
+        for path in paths.chain([site.html_path()]) {
+            assert!(memoised.get(path).is_some(), "{path}");
+            assert_eq!(memoised.get(path), fresh.get(path), "{path}");
+        }
     }
 
     #[test]

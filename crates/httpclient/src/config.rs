@@ -290,6 +290,27 @@ mod tests {
     }
 
     #[test]
+    fn wire_len_is_the_serialized_length_in_every_style() {
+        for style in [
+            RequestStyle::Robot,
+            RequestStyle::Navigator,
+            RequestStyle::Explorer,
+        ] {
+            for version in [Version::Http10, Version::Http11] {
+                let req = style.request(Method::Get, "/images/x.gif", version, "h.example");
+                assert_eq!(req.wire_len(), req.to_bytes().len(), "{style:?}");
+                let mut bodied = req.clone();
+                bodied.body = vec![0u8; 1234].into();
+                assert_eq!(bodied.wire_len(), bodied.to_bytes().len(), "{style:?}");
+                assert_eq!(
+                    bodied.wire_len(),
+                    req.wire_len() + "Content-Length: 1234\r\n".len() + 1234
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mode_properties() {
         assert_eq!(
             ProtocolMode::Http10Parallel { max_connections: 4 }.version(),

@@ -29,7 +29,7 @@ use crate::config::{ClientConfig, ProtocolMode, RevalidationStyle, Workload};
 use bytes::BytesMut;
 use httpwire::coding;
 use httpwire::validators::Validators;
-use httpwire::{format_http_date, ContentCoding, ETag, Method, Request, Response, ResponseParser};
+use httpwire::{ContentCoding, ETag, HttpDate, Method, Request, Response, ResponseParser};
 use netsim::sim::{App, AppEvent, Ctx};
 use netsim::{FlushCause, SimTime, SocketId, SpanEvent};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -103,8 +103,9 @@ impl ClientStats {
 struct Job {
     path: String,
     method: Method,
-    /// Extra conditional headers, e.g. `If-None-Match`.
-    conditionals: Vec<(String, String)>,
+    /// The conditional revisit this request is part of, if any: which of
+    /// the cached copy's validators it offers, read when the head is written.
+    conditional: Option<RevalidationStyle>,
 }
 
 impl Job {
@@ -113,7 +114,7 @@ impl Job {
         Job {
             path,
             method: Method::Get,
-            conditionals: Vec::new(),
+            conditional: None,
         }
     }
 }
@@ -138,7 +139,7 @@ struct Conn {
     /// Jobs transmitted and awaiting responses (front = next response).
     sent: VecDeque<Job>,
     /// Request bytes not yet flushed to the socket (pipeline buffer).
-    reqbuf: Vec<u8>,
+    reqbuf: BytesMut,
     /// Flushed bytes the socket has not yet accepted.
     outbuf: BytesMut,
     connected: bool,
@@ -158,7 +159,7 @@ impl Conn {
         Conn {
             parser: ResponseParser::new(),
             sent: VecDeque::new(),
-            reqbuf: Vec::new(),
+            reqbuf: BytesMut::new(),
             outbuf: BytesMut::new(),
             connected: false,
             flushed_any: false,
@@ -335,28 +336,6 @@ impl HttpClient {
     // Workload expansion
     // ------------------------------------------------------------------
 
-    fn conditionals_for(&self, path: &str, style: RevalidationStyle) -> Vec<(String, String)> {
-        let Some(entry) = self.cache.get(path) else {
-            return Vec::new();
-        };
-        match style {
-            RevalidationStyle::ConditionalGetEtag => {
-                let mut v = Vec::new();
-                if let Some(etag) = &entry.validators.etag {
-                    v.push(("If-None-Match".to_string(), etag.to_header_value()));
-                }
-                v
-            }
-            RevalidationStyle::ConditionalGetDate
-            | RevalidationStyle::ConditionalGetDateFullHtml => entry
-                .validators
-                .last_modified
-                .map(|lm| vec![("If-Modified-Since".to_string(), format_http_date(lm))])
-                .unwrap_or_default(),
-            RevalidationStyle::HeadRequests => Vec::new(),
-        }
-    }
-
     fn expand_workload(&mut self) {
         match self.workload.clone() {
             Workload::Browse { start } => {
@@ -373,21 +352,20 @@ impl HttpClient {
                 // IE's profile re-fetches the page unconditionally; old
                 // libwww 4.1D (`HeadRequests`, which has no conditionals)
                 // sends a plain GET for the page and HEAD for every image.
+                let (method, conditional) = match style {
+                    RevalidationStyle::HeadRequests => (Method::Head, None),
+                    _ => (Method::Get, Some(style)),
+                };
                 let mut page = Job::get(start);
                 if style != RevalidationStyle::ConditionalGetDateFullHtml {
-                    page.conditionals = self.conditionals_for(&page.path, style);
+                    page.conditional = conditional;
                 }
                 self.pending.push_back(page);
-                let method = match style {
-                    RevalidationStyle::HeadRequests => Method::Head,
-                    _ => Method::Get,
-                };
                 for path in embedded {
-                    let conditionals = self.conditionals_for(&path, style);
                     self.pending.push_back(Job {
                         path,
                         method,
-                        conditionals,
+                        conditional,
                     });
                 }
             }
@@ -548,8 +526,21 @@ impl HttpClient {
         if self.config.accept_deflate && is_html_path(&job.path) {
             req.headers.append("Accept-Encoding", "deflate");
         }
-        for (name, value) in &job.conditionals {
-            req.headers.append(name, value);
+        self.finish_request(job, req)
+    }
+
+    /// What a request ends with on every transport: the job's conditional,
+    /// resolved against the cache, and the experiment's fixed headers.
+    fn finish_request(&self, job: &Job, mut req: Request) -> Request {
+        if let (Some(style), Some(entry)) = (job.conditional, self.cache.get(&job.path)) {
+            let validators = &entry.validators;
+            if style == RevalidationStyle::ConditionalGetEtag {
+                if let Some(etag) = &validators.etag {
+                    req.headers.append("If-None-Match", etag);
+                }
+            } else if let Some(modified) = validators.last_modified {
+                req.headers.append("If-Modified-Since", HttpDate(modified));
+            }
         }
         for (name, value) in &self.config.extra_headers {
             req.headers.append(name, value);
@@ -570,14 +561,8 @@ impl HttpClient {
         let req = self.build_request(&job);
         let conn = self.conns.get_mut(&sock).expect("live conn");
         conn.parser.expect(job.method);
-        // The robot's requests carry no body, so this is the head alone;
-        // it opens the batch as it is or joins the one being gathered.
-        let wire = req.to_bytes();
-        if conn.reqbuf.is_empty() {
-            conn.reqbuf = wire;
-        } else {
-            conn.reqbuf.extend_from_slice(&wire);
-        }
+        // Straight into the batch being gathered (or opening one).
+        req.write_to(&mut conn.reqbuf);
         conn.sent.push_back(job);
         conn.unwritten += 1;
         self.stats.requests_sent += 1;
@@ -600,8 +585,8 @@ impl HttpClient {
             return;
         };
         if !conn.reqbuf.is_empty() {
-            let reqs = std::mem::take(&mut conn.reqbuf);
-            conn.outbuf.extend_from_slice(&reqs);
+            conn.outbuf.extend_from_slice(&conn.reqbuf);
+            conn.reqbuf.clear();
             conn.flushed_any = true;
             let count = std::mem::take(&mut conn.unwritten);
             ctx.probe_span(sock, SpanEvent::RequestWritten { count, cause });

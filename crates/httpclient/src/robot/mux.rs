@@ -9,14 +9,12 @@
 
 use super::*;
 use httpmux::{MuxConn, MuxEvent, ERR_CANCEL};
-use httpwire::{StatusCode, Version};
+use httpwire::{HeaderMap, StatusCode, Version};
 
-/// Per-stream response under assembly.
-#[derive(Debug, Default)]
-struct StreamResponse {
-    status: u16,
-    headers: httpwire::HeaderMap,
-    body: Vec<u8>,
+/// What a stream has before its HEADERS arrive: a peer that sends DATA
+/// first, or nothing at all, gets a response nothing recognises.
+fn headless() -> (Response, Vec<u8>) {
+    (Response::new(Version::Http11, StatusCode(0)), Vec::new())
 }
 
 /// State of the single multiplexed connection.
@@ -29,8 +27,8 @@ pub(super) struct MuxState {
     jobs: BTreeMap<u32, Job>,
     /// Accepted push streams (server-initiated, even ids).
     promised: BTreeMap<u32, Job>,
-    /// Responses under assembly, ours and pushed.
-    resp: BTreeMap<u32, StreamResponse>,
+    /// Responses under assembly, ours and pushed: head and body so far.
+    resp: BTreeMap<u32, (Response, Vec<u8>)>,
     first_byte_seen: bool,
 }
 
@@ -77,16 +75,10 @@ impl HttpClient {
     /// A generated request is ready: open a stream for it.
     pub(super) fn mux_place(&mut self, ctx: &mut Ctx<'_>, job: Job) {
         self.mux_ensure_conn(ctx);
-        let mut fields = vec![
-            (":method".to_string(), job.method.as_str().to_string()),
-            (":path".to_string(), job.path.clone()),
-        ];
-        for (name, value) in &job.conditionals {
-            fields.push((name.clone(), value.clone()));
-        }
-        for (name, value) in &self.config.extra_headers {
-            fields.push((name.clone(), value.clone()));
-        }
+        // The stream's field block is the request: `:method`, `:path`,
+        // then its headers.
+        let req = Request::new(job.method, &job.path, Version::Http11);
+        let req = self.finish_request(&job, req);
         let m = self.mux.as_mut().expect("mux conn just ensured");
         if ctx.probe_enabled() {
             ctx.probe_span(
@@ -96,7 +88,7 @@ impl HttpClient {
                 },
             );
         }
-        let stream = m.engine.open_stream(&fields, true);
+        let stream = m.engine.open_stream(&req, true);
         ctx.probe_span(
             m.sock,
             SpanEvent::RequestWritten {
@@ -156,14 +148,14 @@ impl HttpClient {
                     end_stream,
                 } => {
                     if let Some(m) = self.mux.as_mut() {
-                        let entry = m.resp.entry(stream).or_default();
-                        for (name, value) in fields {
-                            if name == ":status" {
-                                entry.status = value.parse().unwrap_or(200);
-                            } else if !name.starts_with(':') {
-                                entry.headers.append(&name, value);
-                            }
+                        // The head is the block itself, less its `:status`.
+                        let (mut head, body) = m.resp.remove(&stream).unwrap_or_else(headless);
+                        if let Some(status) = fields.get(":status") {
+                            head.status = StatusCode(status.parse().unwrap_or(200));
                         }
+                        head.headers = fields;
+                        head.headers.remove(":status");
+                        m.resp.insert(stream, (head, body));
                     }
                     if end_stream {
                         self.mux_complete_stream(ctx, stream);
@@ -175,11 +167,8 @@ impl HttpClient {
                     end_stream,
                 } => {
                     if let Some(m) = self.mux.as_mut() {
-                        m.resp
-                            .entry(stream)
-                            .or_default()
-                            .body
-                            .extend_from_slice(&data);
+                        let (_, body) = m.resp.entry(stream).or_insert_with(headless);
+                        body.extend_from_slice(&data);
                     }
                     self.mux_streaming_discovery(ctx, stream);
                     if end_stream {
@@ -220,12 +209,8 @@ impl HttpClient {
     }
 
     /// Decide whether to accept a promised subresource.
-    fn mux_on_push_promise(&mut self, promised: u32, fields: Vec<(String, String)>) {
-        let path = fields
-            .iter()
-            .find(|(n, _)| n == ":path")
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default();
+    fn mux_on_push_promise(&mut self, promised: u32, fields: HeaderMap) {
+        let path = fields.get(":path").unwrap_or_default().to_string();
         let accept = self.config.mode.push_enabled()
             && !path.is_empty()
             && !self.completed.contains(&path)
@@ -255,7 +240,7 @@ impl HttpClient {
             return;
         };
         let sock = m.sock;
-        let assembled = m.resp.remove(&stream).unwrap_or_default();
+        let (mut resp, body) = m.resp.remove(&stream).unwrap_or_else(headless);
         let pushed = m.promised.contains_key(&stream);
         let Some(job) = m
             .jobs
@@ -265,13 +250,11 @@ impl HttpClient {
             return; // completion of a stream we already cancelled
         };
         m.first_byte_seen = false;
+        resp.body = bytes::Bytes::pooled_copy_from_slice(&body);
         if pushed {
             self.stats.pushed_responses += 1;
-            self.stats.pushed_bytes += assembled.body.len() as u64;
+            self.stats.pushed_bytes += resp.body.len() as u64;
         }
-        let mut resp = Response::new(Version::Http11, StatusCode(assembled.status));
-        resp.headers = assembled.headers;
-        resp.body = bytes::Bytes::pooled_copy_from_slice(&assembled.body);
         if ctx.probe_enabled() {
             ctx.probe_span(
                 sock,
@@ -293,7 +276,7 @@ impl HttpClient {
         let Workload::Browse { start } = &self.workload else {
             return;
         };
-        let Some(r) = self
+        let Some((head, body)) = self
             .mux
             .as_ref()
             .filter(|m| m.jobs.get(&stream).is_some_and(|job| job.path == *start))
@@ -302,8 +285,8 @@ impl HttpClient {
             return;
         };
         let before = self.pending.len();
-        let deflated = coding::declared_coding(&r.headers) == Ok(ContentCoding::Deflate);
-        self.page.advance(&r.body, deflated, false, |src| {
+        let deflated = coding::declared_coding(&head.headers) == Ok(ContentCoding::Deflate);
+        self.page.advance(body, deflated, false, |src| {
             queue_image(&mut self.discovered, &mut self.pending, src)
         });
         if self.pending.len() > before {

@@ -1,0 +1,121 @@
+//! What a message costs the allocator, as a budget: a head is one buffer
+//! and one span table however many fields it has, and an engine writes it
+//! into a buffer it already owns. One test, so nothing else in the process
+//! allocates while a region is counted.
+
+use bytes::BytesMut;
+use counting_alloc::{allocations, CountingAlloc};
+use httpclient::RequestStyle;
+use httpmux::{MuxConn, MuxEvent};
+use httpwire::{Method, Request, RequestParser, Response, ResponseParser, StatusCode, Version};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Allocations of the last of a few runs of `f` (the first ones warm the
+/// buffer pool and whatever `f` reuses).
+fn allocs(mut f: impl FnMut()) -> u64 {
+    let mut last = 0;
+    for _ in 0..3 {
+        let before = allocations();
+        f();
+        last = allocations() - before;
+    }
+    last
+}
+
+/// The six-header response the ledger's `httpwire.allocs_per_message`
+/// round-trips.
+fn gif_response() -> Response {
+    Response::new(Version::Http11, StatusCode::OK)
+        .with_header("Date", "Mon, 27 Oct 1997 12:00:00 GMT")
+        .with_header("Server", "Jigsaw/1.0beta2")
+        .with_header("Content-Type", "image/gif")
+        .with_header("ETag", "\"697-1761566400\"")
+        .with_header("Last-Modified", "Fri, 24 Oct 1997 12:00:00 GMT")
+        .with_header("Content-Length", 697)
+        .with_body(vec![0u8; 697])
+}
+
+fn robot_request() -> Request {
+    let host = "microscape.example";
+    RequestStyle::Robot.request(Method::Get, "/images/banner.gif", Version::Http11, host)
+}
+
+/// `streams` requests answered with `body` bytes each, between two
+/// engines, until both are idle.
+fn mux_exchange(streams: u32, body: &[u8]) {
+    let req = Request::new(Method::Get, "/x", Version::Http11);
+    let resp = Response::new(Version::Http11, StatusCode::OK);
+    let mut client = MuxConn::client(false);
+    let mut server = MuxConn::server();
+    for _ in 0..streams {
+        client.open_stream(&req, true);
+    }
+    let (mut answered, mut delivered) = (0, 0);
+    while answered < streams || !(client.idle() && server.idle()) {
+        server.feed(client.output());
+        client.consume_output(client.output().len());
+        while let Some(event) = server.poll_event() {
+            if let MuxEvent::Headers { stream, .. } = event {
+                server.send_headers(stream, &resp, false);
+                server.send_data(stream, body, true);
+                answered += 1;
+            }
+        }
+        client.feed(server.output());
+        server.consume_output(server.output().len());
+        while let Some(event) = client.poll_event() {
+            if let MuxEvent::Data { data, .. } = event {
+                delivered += data.len();
+            }
+        }
+    }
+    assert_eq!(delivered, streams as usize * body.len());
+}
+
+#[test]
+fn a_message_stays_inside_its_allocation_budget() {
+    // The response: its wire image, the parser's expectation queue, its
+    // parse buffer, the head's buffer and span table, the body's handle.
+    let resp = gif_response();
+    let round_trip = allocs(|| {
+        let wire = resp.to_bytes();
+        let mut parser = ResponseParser::new();
+        parser.expect(Method::Get);
+        parser.feed(&wire);
+        let parsed = parser.next().expect("parses").expect("complete");
+        assert_eq!(parsed.headers.len(), 6);
+    });
+    assert!(round_trip <= 6, "response round trip: {round_trip}");
+
+    // The request: built (buffer, span table) and written into a
+    // connection's buffer, as the robot does; two more for `to_bytes`'
+    // own buffer and nothing else.
+    let mut conn = BytesMut::new();
+    let build = allocs(|| {
+        conn.clear();
+        robot_request().write_to(&mut conn);
+    });
+    assert!(build <= 2, "request build + serialise: {build}");
+    let to_bytes = allocs(|| drop(robot_request().to_bytes()));
+    assert!(to_bytes <= 3, "request build + to_bytes: {to_bytes}");
+
+    // Parsed: the parse buffer, the head's buffer and span table.
+    let mut parser = RequestParser::new();
+    let parse = allocs(|| {
+        parser.feed(&conn);
+        let req = parser.next().expect("parses").expect("complete");
+        assert_eq!(req.target(), "/images/banner.gif");
+    });
+    assert!(parse <= 3, "request parse: {parse}");
+
+    // The ledger's `httpmux.allocs_per_stream` exchange: 64 streams,
+    // 8 KiB each.
+    let body = vec![0xC3u8; 8 * 1024];
+    let exchange = allocs(|| mux_exchange(64, &body));
+    assert!(
+        exchange <= 64 * 8,
+        "mux exchange: {exchange} for 64 streams"
+    );
+}

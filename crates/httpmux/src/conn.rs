@@ -13,10 +13,12 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::BytesMut;
+use httpwire::{Fields, HeaderMap};
 
 use crate::frame::{
-    Frame, FrameError, FrameParser, FramePayload, DEFAULT_WINDOW, FLAG_ACK, FLAG_END_STREAM,
-    MAX_FRAME_PAYLOAD, SETTING_ENABLE_PUSH, SETTING_INITIAL_WINDOW,
+    encode_fields, write_frame, Frame, FrameError, FrameParser, FramePayload, FrameType,
+    DEFAULT_WINDOW, FLAG_ACK, FLAG_END_STREAM, MAX_FRAME_PAYLOAD, SETTING_ENABLE_PUSH,
+    SETTING_INITIAL_WINDOW,
 };
 
 /// Which side of the connection this engine plays.
@@ -42,7 +44,7 @@ pub enum MuxEvent {
     /// HEADERS on a stream (request on server, response on client).
     Headers {
         stream: u32,
-        fields: Vec<(String, String)>,
+        fields: HeaderMap,
         end_stream: bool,
     },
     /// DATA on a live stream. The payload buffer is pool-recycled:
@@ -59,7 +61,7 @@ pub enum MuxEvent {
     PushPromise {
         stream: u32,
         promised: u32,
-        fields: Vec<(String, String)>,
+        fields: HeaderMap,
     },
     /// Peer reset a stream. `data_sent` is how many DATA payload bytes
     /// we had already emitted on it (waste accounting for pushes).
@@ -111,6 +113,9 @@ pub struct MuxConn {
     outbuf: BytesMut,
     /// Round-robin cursor: next DATA scheduling pass starts above this id.
     rr_last: u32,
+    /// The scheduler's snapshot of the streams with something to send,
+    /// kept between passes for its capacity.
+    ready: Vec<u32>,
     dead: bool,
 }
 
@@ -165,6 +170,9 @@ impl MuxConn {
             peer_enable_push: false,
             outbuf: BytesMut::new(),
             rr_last: 0,
+            // Empty `Vec::new()` never allocates.
+            // simlint: allow(hot-path-alloc)
+            ready: Vec::new(),
             dead: false,
         }
     }
@@ -198,8 +206,9 @@ impl MuxConn {
     // ---- sending ----------------------------------------------------
 
     /// Open a new locally-initiated stream with a HEADERS frame and
-    /// return its id (odd for clients, even for servers).
-    pub fn open_stream(&mut self, fields: &[(String, String)], end_stream: bool) -> u32 {
+    /// return its id (odd for clients, even for servers). `fields` is a
+    /// message, a [`HeaderMap`] or a slice of pairs, encoded where it is.
+    pub fn open_stream(&mut self, fields: &(impl Fields + ?Sized), end_stream: bool) -> u32 {
         let id = self.next_local_id;
         self.next_local_id += 2;
         self.insert_stream(id);
@@ -209,17 +218,16 @@ impl MuxConn {
 
     /// HEADERS on an existing stream (server response, or trailer-less
     /// pushed response headers).
-    pub fn send_headers(&mut self, stream: u32, fields: &[(String, String)], end_stream: bool) {
+    pub fn send_headers(&mut self, stream: u32, fields: &(impl Fields + ?Sized), end_stream: bool) {
         if self.cancelled.contains(&stream) {
             return; // stream was reset — don't resurrect it
         }
         if !self.streams.contains_key(&stream) {
             self.insert_stream(stream);
         }
-        self.queue_frame(&Frame {
-            stream,
-            flags: if end_stream { FLAG_END_STREAM } else { 0 },
-            payload: FramePayload::Headers(fields.to_vec()),
+        let flags = if end_stream { FLAG_END_STREAM } else { 0 };
+        write_frame(FrameType::Headers, flags, stream, &mut self.outbuf, |out| {
+            encode_fields(fields, out)
         });
         if end_stream {
             self.mark_local_done(stream);
@@ -229,18 +237,14 @@ impl MuxConn {
     /// Reserve an even stream for a push tied to client stream
     /// `parent`; serialized before any later frames, so callers emit the
     /// promise before the parent response HEADERS.
-    pub fn push_promise(&mut self, parent: u32, fields: &[(String, String)]) -> u32 {
+    pub fn push_promise(&mut self, parent: u32, fields: &(impl Fields + ?Sized)) -> u32 {
         debug_assert_eq!(self.role, Role::Server, "only servers push");
         let promised = self.next_local_id;
         self.next_local_id += 2;
         self.insert_stream(promised);
-        self.queue_frame(&Frame {
-            stream: parent,
-            flags: 0,
-            payload: FramePayload::PushPromise {
-                promised,
-                fields: fields.to_vec(),
-            },
+        write_frame(FrameType::PushPromise, 0, parent, &mut self.outbuf, |out| {
+            out.extend_from_slice(&promised.to_be_bytes());
+            encode_fields(fields, out);
         });
         promised
     }
@@ -544,16 +548,18 @@ impl MuxConn {
     /// stream, emit one ≤[`MAX_FRAME_PAYLOAD`] frame per eligible stream
     /// per pass while connection and stream windows allow.
     fn pump_data(&mut self) {
+        let mut ids = std::mem::take(&mut self.ready);
         loop {
             let mut progressed = false;
             // One pass: every stream with queued data gets at most one
             // frame, in id order starting above the round-robin cursor.
-            let ids: Vec<u32> = self
-                .streams
-                .iter()
-                .filter(|(_, s)| !s.sendq.is_empty() || (s.send_end && !s.local_done))
-                .map(|(&id, _)| id)
-                .collect();
+            ids.clear();
+            ids.extend(
+                self.streams
+                    .iter()
+                    .filter(|(_, s)| !s.sendq.is_empty() || (s.send_end && !s.local_done))
+                    .map(|(&id, _)| id),
+            );
             if ids.is_empty() || self.conn_send_window <= 0 {
                 // Bare END_STREAM frames (empty sendq) don't need window.
                 if !self.flush_bare_fins(&ids) {
@@ -573,6 +579,7 @@ impl MuxConn {
                 break;
             }
         }
+        self.ready = ids;
     }
 
     /// Emit END_STREAM-only DATA frames for streams whose queue drained
@@ -666,11 +673,10 @@ mod tests {
         out
     }
 
-    fn req(path: &str) -> Vec<(String, String)> {
-        vec![
-            (":method".into(), "GET".into()),
-            (":path".into(), path.into()),
-        ]
+    /// A request is its own field block (`:method`, `:path`, headers);
+    /// the responses below are caller-made pairs, the other kind.
+    fn req(path: &str) -> httpwire::Request {
+        httpwire::Request::new(httpwire::Method::Get, path, httpwire::Version::Http11)
     }
 
     #[test]
@@ -683,7 +689,7 @@ mod tests {
         let evs = drain(&mut server);
         assert!(matches!(evs[0], MuxEvent::Settings { enable_push: false }));
         assert!(
-            matches!(&evs[1], MuxEvent::Headers { stream: 1, end_stream: true, fields } if fields[1].1 == "/index.html")
+            matches!(&evs[1], MuxEvent::Headers { stream: 1, end_stream: true, fields } if fields.get(":path") == Some("/index.html"))
         );
         server.send_headers(1, &[(":status".into(), "200".into())], false);
         server.send_data(1, b"<html>hi</html>", true);
@@ -843,7 +849,7 @@ mod tests {
             flags: 0,
             payload: FramePayload::PushPromise {
                 promised: 7,
-                fields: vec![],
+                fields: HeaderMap::new(),
             },
         };
         client.feed(&bad.encode());

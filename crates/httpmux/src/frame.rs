@@ -6,6 +6,7 @@
 //! the request/response line.
 
 use bytes::{Bytes, BytesMut};
+use httpwire::{Fields, HeaderMap};
 
 /// Client connection preface, sent before any frame. Chosen so the first
 /// byte can never begin a valid HTTP/1.x method token parse on our
@@ -75,24 +76,18 @@ impl FrameType {
     }
 }
 
-/// A header block: ordered name/value pairs (no HPACK — insertion
-/// order is the wire order).
-pub type FieldList = Vec<(String, String)>;
-
 /// A decoded frame payload. DATA keeps raw bytes in a pool-recycled
 /// [`Bytes`] (one mux DATA frame arrives per TCP segment in steady
 /// state, so its buffer rides the same free list as segment payloads);
-/// the control frames are decoded into their structured forms.
+/// the control frames are decoded into their structured forms. A header
+/// block is the HTTP/1.x engines' own [`HeaderMap`], pseudo-fields included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FramePayload {
     Data(Bytes),
-    Headers(Vec<(String, String)>),
+    Headers(HeaderMap),
     RstStream(u32),
     Settings(Vec<(u16, u32)>),
-    PushPromise {
-        promised: u32,
-        fields: Vec<(String, String)>,
-    },
+    PushPromise { promised: u32, fields: HeaderMap },
     WindowUpdate(u32),
 }
 
@@ -132,34 +127,31 @@ impl Frame {
     /// Serialize onto `out`. Debug-asserts the payload fits one frame;
     /// callers chunk DATA and keep header blocks small.
     pub fn encode_into(&self, out: &mut BytesMut) {
-        let body_start = out.len() + FRAME_HEADER_LEN;
-        // Length patched below.
-        out.extend_from_slice(&[0, 0, 0, self.frame_type().code(), self.flags]);
-        out.extend_from_slice(&self.stream.to_be_bytes());
-        match &self.payload {
-            FramePayload::Data(data) => out.extend_from_slice(data),
-            FramePayload::Headers(fields) => encode_fields(fields, out),
-            FramePayload::RstStream(code) => out.extend_from_slice(&code.to_be_bytes()),
-            FramePayload::Settings(items) => {
-                for (id, value) in items {
-                    out.extend_from_slice(&id.to_be_bytes());
-                    out.extend_from_slice(&value.to_be_bytes());
+        let frame_type = self.frame_type();
+        write_frame(
+            frame_type,
+            self.flags,
+            self.stream,
+            out,
+            |out| match &self.payload {
+                FramePayload::Data(data) => out.extend_from_slice(data),
+                FramePayload::Headers(fields) => encode_fields(fields, out),
+                FramePayload::RstStream(code) => out.extend_from_slice(&code.to_be_bytes()),
+                FramePayload::Settings(items) => {
+                    for (id, value) in items {
+                        out.extend_from_slice(&id.to_be_bytes());
+                        out.extend_from_slice(&value.to_be_bytes());
+                    }
                 }
-            }
-            FramePayload::PushPromise { promised, fields } => {
-                out.extend_from_slice(&promised.to_be_bytes());
-                encode_fields(fields, out);
-            }
-            FramePayload::WindowUpdate(increment) => {
-                out.extend_from_slice(&increment.to_be_bytes())
-            }
-        }
-        let len = out.len() - body_start;
-        debug_assert!(len <= MAX_FRAME_PAYLOAD, "frame payload {len} too large");
-        let hdr = body_start - FRAME_HEADER_LEN;
-        out[hdr] = (len >> 16) as u8;
-        out[hdr + 1] = (len >> 8) as u8;
-        out[hdr + 2] = len as u8;
+                FramePayload::PushPromise { promised, fields } => {
+                    out.extend_from_slice(&promised.to_be_bytes());
+                    encode_fields(fields, out);
+                }
+                FramePayload::WindowUpdate(increment) => {
+                    out.extend_from_slice(&increment.to_be_bytes())
+                }
+            },
+        );
     }
 
     pub fn encode(&self) -> Vec<u8> {
@@ -175,29 +167,47 @@ impl Frame {
     /// the two slices come from a send queue's `VecDeque::as_slices`,
     /// so no intermediate payload vector is ever materialized.
     pub fn encode_data_into(stream: u32, flags: u8, head: &[u8], tail: &[u8], out: &mut BytesMut) {
-        let len = head.len() + tail.len();
-        debug_assert!(len <= MAX_FRAME_PAYLOAD, "frame payload {len} too large");
-        out.extend_from_slice(&[
-            (len >> 16) as u8,
-            (len >> 8) as u8,
-            len as u8,
-            FrameType::Data.code(),
-            flags,
-        ]);
-        out.extend_from_slice(&stream.to_be_bytes());
-        out.extend_from_slice(head);
-        out.extend_from_slice(tail);
+        write_frame(FrameType::Data, flags, stream, out, |out| {
+            out.extend_from_slice(head);
+            out.extend_from_slice(tail);
+        });
     }
 }
 
-fn encode_fields(fields: &[(String, String)], out: &mut BytesMut) {
-    out.extend_from_slice(&(fields.len() as u16).to_be_bytes());
-    for (name, value) in fields {
+/// A header block onto `out`, whatever holds it: the engine never owns
+/// the block it sends. (The field count is known once they are walked.)
+pub(crate) fn encode_fields(fields: &(impl Fields + ?Sized), out: &mut BytesMut) {
+    let count_at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    let mut count = 0u16;
+    fields.each_field(&mut |name, value| {
+        count += 1;
         out.extend_from_slice(&(name.len() as u16).to_be_bytes());
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(&(value.len() as u16).to_be_bytes());
         out.extend_from_slice(value.as_bytes());
-    }
+    });
+    out[count_at..count_at + 2].copy_from_slice(&count.to_be_bytes());
+}
+
+/// One frame onto `out`: the header, what `payload` writes, then the
+/// length patched in.
+pub(crate) fn write_frame(
+    frame_type: FrameType,
+    flags: u8,
+    stream: u32,
+    out: &mut BytesMut,
+    payload: impl FnOnce(&mut BytesMut),
+) {
+    let hdr = out.len();
+    out.extend_from_slice(&[0, 0, 0, frame_type.code(), flags]);
+    out.extend_from_slice(&stream.to_be_bytes());
+    payload(out);
+    let len = out.len() - hdr - FRAME_HEADER_LEN;
+    debug_assert!(len <= MAX_FRAME_PAYLOAD, "frame payload {len} too large");
+    out[hdr] = (len >> 16) as u8;
+    out[hdr + 1] = (len >> 8) as u8;
+    out[hdr + 2] = len as u8;
 }
 
 /// Why a byte stream failed to decode as frames. All errors are fatal to
@@ -312,9 +322,7 @@ impl FrameParser {
 fn decode_payload(ftype: FrameType, payload: &[u8]) -> Option<FramePayload> {
     match ftype {
         FrameType::Data => Some(FramePayload::Data(Bytes::pooled_copy_from_slice(payload))),
-        FrameType::Headers => {
-            decode_fields(payload).map(|(fields, _)| FramePayload::Headers(fields))
-        }
+        FrameType::Headers => decode_fields(payload).map(FramePayload::Headers),
         FrameType::RstStream => {
             let code = exact_u32(payload)?;
             Some(FramePayload::RstStream(code))
@@ -336,7 +344,7 @@ fn decode_payload(ftype: FrameType, payload: &[u8]) -> Option<FramePayload> {
                 return None;
             }
             let promised = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-            let (fields, _) = decode_fields(&payload[4..])?;
+            let fields = decode_fields(&payload[4..])?;
             Some(FramePayload::PushPromise { promised, fields })
         }
         FrameType::WindowUpdate => {
@@ -358,28 +366,27 @@ fn exact_u32(payload: &[u8]) -> Option<u32> {
     ]))
 }
 
-/// Decode a header block; `None` on any length overrun, trailing
-/// garbage, or non-UTF-8 field bytes.
-fn decode_fields(mut bytes: &[u8]) -> Option<(FieldList, &[u8])> {
+/// Decode a header block into a map sized from it; `None` on any length
+/// overrun, trailing garbage, or non-UTF-8 field bytes.
+fn decode_fields(mut bytes: &[u8]) -> Option<HeaderMap> {
     if bytes.len() < 2 {
         return None;
     }
     let count = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
     bytes = &bytes[2..];
-    let mut fields = Vec::with_capacity(count.min(64));
+    // A field is four length bytes on the wire and four of punctuation
+    // in the map, and no block holds more fields than it has room for.
+    let mut fields = HeaderMap::with_capacity(count.min(bytes.len() / 4), bytes.len());
     for _ in 0..count {
         let (name, rest) = take_str(bytes)?;
         let (value, rest) = take_str(rest)?;
         bytes = rest;
-        fields.push((name, value));
+        fields.append(name, value);
     }
-    if !bytes.is_empty() {
-        return None;
-    }
-    Some((fields, bytes))
+    bytes.is_empty().then_some(fields)
 }
 
-fn take_str(bytes: &[u8]) -> Option<(String, &[u8])> {
+fn take_str(bytes: &[u8]) -> Option<(&str, &[u8])> {
     if bytes.len() < 2 {
         return None;
     }
@@ -388,13 +395,20 @@ fn take_str(bytes: &[u8]) -> Option<(String, &[u8])> {
     if rest.len() < len {
         return None;
     }
-    let s = core::str::from_utf8(&rest[..len]).ok()?.to_string();
-    Some((s, &rest[len..]))
+    Some((core::str::from_utf8(&rest[..len]).ok()?, &rest[len..]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn field_block(fields: &[(&str, &str)]) -> HeaderMap {
+        let mut block = HeaderMap::new();
+        for (name, value) in fields {
+            block.append(name, value);
+        }
+        block
+    }
 
     fn roundtrip(frame: Frame) {
         let mut parser = FrameParser::new();
@@ -413,10 +427,10 @@ mod tests {
         roundtrip(Frame {
             stream: 3,
             flags: 0,
-            payload: FramePayload::Headers(vec![
-                (":method".into(), "GET".into()),
-                (":path".into(), "/index.html".into()),
-            ]),
+            payload: FramePayload::Headers(field_block(&[
+                (":method", "GET"),
+                (":path", "/index.html"),
+            ])),
         });
         roundtrip(Frame {
             stream: 5,
@@ -436,7 +450,7 @@ mod tests {
             flags: 0,
             payload: FramePayload::PushPromise {
                 promised: 2,
-                fields: vec![(":path".into(), "/a.gif".into())],
+                fields: field_block(&[(":path", "/a.gif")]),
             },
         });
         roundtrip(Frame {

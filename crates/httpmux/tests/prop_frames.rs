@@ -37,10 +37,14 @@ fn field_value(rng: &mut SmallRng) -> String {
     s
 }
 
-fn fields(rng: &mut SmallRng) -> Vec<(String, String)> {
-    (0..rng.gen_range(0..12usize))
-        .map(|_| (field_name(rng), field_value(rng)))
-        .collect()
+fn fields(rng: &mut SmallRng) -> httpwire::HeaderMap {
+    let mut block = httpwire::HeaderMap::new();
+    for _ in 0..rng.gen_range(0..12usize) {
+        // Name first, then value: the order the cases were seeded in.
+        let name = field_name(rng);
+        block.append(&name, field_value(rng));
+    }
+    block
 }
 
 fn random_frame(rng: &mut SmallRng) -> Frame {

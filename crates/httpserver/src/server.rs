@@ -24,7 +24,7 @@ use bytes::{Bytes, BytesMut};
 use httpwire::coding;
 use httpwire::range;
 use httpwire::validators::{evaluate_conditional, if_range_matches, CondResult};
-use httpwire::{format_http_date, Method, Request, RequestParser, Response, StatusCode, Version};
+use httpwire::{HttpDate, Method, Request, RequestParser, Response, StatusCode, Version};
 use netsim::sim::{App, AppEvent, Ctx};
 use netsim::{Metric, SimTime, SocketId};
 use std::collections::{BTreeMap, VecDeque};
@@ -160,9 +160,13 @@ impl HttpServer {
         &self.config
     }
 
-    /// Virtual wall-clock for the `Date` header.
-    fn http_date(&self, now: SimTime) -> String {
-        format_http_date(self.config.date_base + now.as_secs_f64() as u64)
+    /// What every response starts with: `Date` (the virtual wall clock)
+    /// and `Server`.
+    fn start_response(&self, version: Version, status: StatusCode, now: SimTime) -> Response {
+        let date = HttpDate(self.config.date_base + now.as_secs_f64() as u64);
+        Response::new(version, status)
+            .with_header("Date", date)
+            .with_header("Server", self.config.kind.server_header())
     }
 
     /// Recompute the connection's buffer footprint and fold the change
@@ -249,33 +253,29 @@ impl HttpServer {
     /// Build the response for one request.
     fn respond(&mut self, req: &Request, now: SimTime) -> Response {
         let version = req.version;
-        let Some(entity) = self.store.get(&req.target) else {
+        let Some(entity) = self.store.get(req.target()) else {
             self.stats.responses_4xx += 1;
             let body = Bytes::from_static(b"<HTML><BODY><H1>404 Not Found</H1></BODY></HTML>\n");
-            return Response::new(version, StatusCode::NOT_FOUND)
-                .with_header("Date", self.http_date(now))
-                .with_header("Server", self.config.kind.server_header())
+            return self
+                .start_response(version, StatusCode::NOT_FOUND, now)
                 .with_header("Content-Type", "text/html")
-                .with_header("Content-Length", body.len().to_string())
+                .with_header("Content-Length", body.len())
                 .with_body(body);
         };
 
         // Cache validation.
         if evaluate_conditional(&req.headers, &entity.validators) == CondResult::NotModified {
             self.stats.responses_304 += 1;
-            let mut resp = Response::new(version, StatusCode::NOT_MODIFIED)
-                .with_header("Date", self.http_date(now))
-                .with_header("Server", self.config.kind.server_header());
+            let mut resp = self.start_response(version, StatusCode::NOT_MODIFIED, now);
             if let Some(etag) = &entity.validators.etag {
-                resp.headers.set("ETag", etag.to_header_value());
+                resp.headers.set("ETag", etag);
             }
             if self.config.kind == ServerKind::Jigsaw {
                 // Jigsaw's 304s repeated the entity metadata.
                 if let Some(lm) = entity.validators.last_modified {
-                    resp.headers.set("Last-Modified", format_http_date(lm));
+                    resp.headers.set("Last-Modified", HttpDate(lm));
                 }
-                resp.headers
-                    .set("Content-Type", entity.content_type.clone());
+                resp.headers.set("Content-Type", &entity.content_type);
             }
             return resp;
         }
@@ -310,9 +310,8 @@ impl HttpServer {
                             }
                             None => {
                                 self.stats.responses_4xx += 1;
-                                return Response::new(version, StatusCode::RANGE_NOT_SATISFIABLE)
-                                    .with_header("Date", self.http_date(now))
-                                    .with_header("Server", self.config.kind.server_header())
+                                return self
+                                    .start_response(version, StatusCode::RANGE_NOT_SATISFIABLE, now)
                                     .with_header("Content-Length", "0");
                             }
                         }
@@ -321,15 +320,12 @@ impl HttpServer {
             }
         }
 
-        let mut resp = Response::new(version, status)
-            .with_header("Date", self.http_date(now))
-            .with_header("Server", self.config.kind.server_header());
+        let mut resp = self.start_response(version, status, now);
         if self.config.kind == ServerKind::Jigsaw {
             resp.headers.set("MIME-Version", "1.0");
         }
-        resp.headers
-            .set("Content-Type", entity.content_type.clone());
-        resp.headers.set("Content-Length", body.len().to_string());
+        resp.headers.set("Content-Type", &entity.content_type);
+        resp.headers.set("Content-Length", body.len());
         if let Some(enc) = content_encoding {
             resp.headers.set("Content-Encoding", enc);
             self.stats.deflate_responses += 1;
@@ -396,9 +392,9 @@ impl HttpServer {
             resp.headers.set("Connection", "Keep-Alive");
         }
 
-        // The head, then the body straight from the store's shared bytes.
-        conn.outbuf.extend_from_slice(&resp.head_to_bytes());
-        conn.outbuf.extend_from_slice(&resp.body);
+        // Head and body (the store's shared bytes) straight into the
+        // connection's buffer.
+        resp.write_to(&mut conn.outbuf);
         self.account(sock);
         self.flush(ctx, sock);
     }
@@ -494,7 +490,7 @@ impl HttpServer {
                     let resp = Response::new(Version::Http10, StatusCode::BAD_REQUEST)
                         .with_header("Content-Length", "0")
                         .with_header("Connection", "close");
-                    conn.outbuf.extend_from_slice(&resp.head_to_bytes());
+                    resp.write_to(&mut conn.outbuf);
                     conn.closing = true;
                     self.flush(ctx, sock);
                     break;
@@ -618,7 +614,7 @@ mod tests {
             .clone()
             .unwrap();
         let req = Request::new(Method::Get, "/a.gif", Version::Http11)
-            .with_header("If-None-Match", etag.to_header_value());
+            .with_header("If-None-Match", &etag);
         let resp = srv.respond(&req, SimTime::ZERO);
         assert_eq!(resp.status, StatusCode::NOT_MODIFIED);
         assert!(resp.body.is_empty());
@@ -629,7 +625,7 @@ mod tests {
     fn respond_200_on_stale_etag() {
         let mut srv = server();
         let req = Request::new(Method::Get, "/a.gif", Version::Http11)
-            .with_header("If-None-Match", ETag::strong("stale").to_header_value());
+            .with_header("If-None-Match", ETag::strong("stale"));
         let resp = srv.respond(&req, SimTime::ZERO);
         assert_eq!(resp.status, StatusCode::OK);
     }
@@ -711,7 +707,7 @@ mod tests {
         let st = store();
         let etag = st.get("/a.gif").unwrap().validators.etag.clone().unwrap();
         let req = Request::new(Method::Get, "/a.gif", Version::Http11)
-            .with_header("If-None-Match", etag.to_header_value());
+            .with_header("If-None-Match", &etag);
         let mut apache = HttpServer::new(ServerConfig::apache(80), st.clone());
         let mut jigsaw = HttpServer::new(ServerConfig::jigsaw(80), st);
         let a = apache.respond(&req, SimTime::ZERO).wire_len();

@@ -61,7 +61,7 @@ impl HttpServer {
                     m.push_ok = enable_push && self.config.mux_push;
                 }
                 MuxEvent::Headers { stream, fields, .. } => {
-                    let Some(req) = request_from_fields(&fields) else {
+                    let Some(req) = request_from(&fields) else {
                         // Unintelligible request stream: refuse it.
                         m.engine.reset_stream(stream, httpmux::ERR_PROTOCOL);
                         self.stats.responses_4xx += 1;
@@ -151,8 +151,9 @@ impl HttpServer {
         }
 
         // Emit: promises first (they must precede the parent HEADERS),
-        // then the parent response.
-        let mut promised_streams: Vec<(u32, String)> = Vec::new();
+        // then the parent response. A promise's field block is the
+        // request it stands for, a response's the response itself.
+        let mut promised_streams: Vec<(u32, Request)> = Vec::new();
         {
             let m = self
                 .conns
@@ -160,19 +161,13 @@ impl HttpServer {
                 .and_then(|c| c.mux.as_deref_mut())
                 .expect("mux conn still present");
             for path in push_paths {
-                let fields = vec![
-                    (":method".to_string(), "GET".to_string()),
-                    (":path".to_string(), path.clone()),
-                ];
-                let promised = m.engine.push_promise(stream, &fields);
-                m.pushed_paths.insert(path.clone());
-                promised_streams.push((promised, path));
+                let push_req = Request::new(Method::Get, &path, Version::Http11);
+                let promised = m.engine.push_promise(stream, &push_req);
+                m.pushed_paths.insert(path);
+                m.svc += 1;
+                promised_streams.push((promised, push_req));
             }
-            let mut fields = vec![(":status".to_string(), resp.status.0.to_string())];
-            for h in resp.headers.iter() {
-                fields.push((h.name.clone(), h.value.clone()));
-            }
-            m.engine.send_headers(stream, &fields, resp.body.is_empty());
+            m.engine.send_headers(stream, &resp, resp.body.is_empty());
             if !resp.body.is_empty() {
                 m.engine.send_data(stream, &resp.body, true);
             }
@@ -180,11 +175,7 @@ impl HttpServer {
 
         // Pushed responses cost CPU like any other: queue each behind
         // the service queue.
-        for (promised, path) in promised_streams {
-            if let Some(m) = self.conns.get_mut(&sock).and_then(|c| c.mux.as_deref_mut()) {
-                m.svc += 1;
-            }
-            let push_req = Request::new(Method::Get, path, Version::Http11);
+        for (promised, push_req) in promised_streams {
             self.schedule_request(ctx, sock, push_req, Some(promised), true);
         }
 
@@ -216,34 +207,14 @@ impl HttpServer {
     }
 }
 
-/// Synthesize an `httpwire::Request` from a HEADERS field list so the
-/// shared `respond()` path (conditionals, ranges, HEAD, deflate) works
-/// unchanged on framed requests.
-fn request_from_fields(fields: &[(String, String)]) -> Option<Request> {
-    let mut method = None;
-    let mut path = None;
-    for (name, value) in fields {
-        match name.as_str() {
-            ":method" => {
-                method = match value.as_str() {
-                    "GET" => Some(Method::Get),
-                    "HEAD" => Some(Method::Head),
-                    "POST" => Some(Method::Post),
-                    "PUT" => Some(Method::Put),
-                    "OPTIONS" => Some(Method::Options),
-                    "TRACE" => Some(Method::Trace),
-                    _ => None,
-                }
-            }
-            ":path" => path = Some(value.clone()),
-            _ => {}
-        }
-    }
-    let mut req = Request::new(method?, path?, Version::Http11);
-    for (name, value) in fields {
-        if !name.starts_with(':') {
-            req.headers.append(name, value.clone());
-        }
+/// The request a HEADERS field block describes (`:method`, `:path`, then
+/// its headers), so the shared `respond()` path (conditionals, ranges,
+/// HEAD, deflate) works unchanged on framed requests.
+fn request_from(fields: &httpwire::HeaderMap) -> Option<Request> {
+    let method = fields.get(":method")?.parse().ok()?;
+    let mut req = Request::new(method, fields.get(":path")?, Version::Http11);
+    for (name, value) in fields.iter().filter(|(name, _)| !name.starts_with(':')) {
+        req.headers.append(name, value);
     }
     Some(req)
 }

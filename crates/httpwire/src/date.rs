@@ -5,6 +5,8 @@
 //! simulator's experiments run against a fixed virtual calendar, so no
 //! system clock is ever consulted.
 
+use std::fmt;
+
 const DAYS: [&str; 7] = ["Thu", "Fri", "Sat", "Sun", "Mon", "Tue", "Wed"];
 const MONTHS: [&str; 12] = [
     "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
@@ -36,23 +38,28 @@ fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
     era * 146_097 + doe - 719_468
 }
 
-/// Format epoch seconds as an RFC 1123 HTTP-date,
-/// e.g. `Sun, 06 Nov 1994 08:49:37 GMT`.
-pub fn format_http_date(epoch_secs: u64) -> String {
-    let days = (epoch_secs / 86_400) as i64;
-    let secs = epoch_secs % 86_400;
-    let (y, m, d) = civil_from_days(days);
-    let weekday = DAYS[(days % 7) as usize];
-    format!(
-        "{}, {:02} {} {} {:02}:{:02}:{:02} GMT",
-        weekday,
-        d,
-        MONTHS[(m - 1) as usize],
-        y,
-        secs / 3600,
-        (secs / 60) % 60,
-        secs % 60
-    )
+/// Epoch seconds that display as an RFC 1123 HTTP-date, e.g.
+/// `Sun, 06 Nov 1994 08:49:37 GMT`: what a header value is written from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpDate(pub u64);
+
+impl fmt::Display for HttpDate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let days = (self.0 / 86_400) as i64;
+        let secs = self.0 % 86_400;
+        let (y, m, d) = civil_from_days(days);
+        write!(
+            f,
+            "{}, {:02} {} {} {:02}:{:02}:{:02} GMT",
+            DAYS[(days % 7) as usize],
+            d,
+            MONTHS[(m - 1) as usize],
+            y,
+            secs / 3600,
+            (secs / 60) % 60,
+            secs % 60
+        )
+    }
 }
 
 /// Parse an RFC 1123 HTTP-date back to epoch seconds. Returns `None` for
@@ -94,7 +101,7 @@ mod tests {
     fn rfc_example() {
         // The canonical example from RFC 2068.
         assert_eq!(
-            format_http_date(784_111_777),
+            HttpDate(784_111_777).to_string(),
             "Sun, 06 Nov 1994 08:49:37 GMT"
         );
         assert_eq!(
@@ -105,14 +112,14 @@ mod tests {
 
     #[test]
     fn epoch_is_thursday() {
-        assert_eq!(format_http_date(0), "Thu, 01 Jan 1970 00:00:00 GMT");
+        assert_eq!(HttpDate(0).to_string(), "Thu, 01 Jan 1970 00:00:00 GMT");
     }
 
     #[test]
     fn paper_era_date() {
         // 24 June 1997, the NOTE's date.
         let t = parse_http_date("Tue, 24 Jun 1997 12:00:00 GMT").unwrap();
-        assert_eq!(format_http_date(t), "Tue, 24 Jun 1997 12:00:00 GMT");
+        assert_eq!(HttpDate(t).to_string(), "Tue, 24 Jun 1997 12:00:00 GMT");
     }
 
     #[test]
@@ -126,7 +133,7 @@ mod tests {
             867_715_200,
             4_102_444_800,
         ] {
-            assert_eq!(parse_http_date(&format_http_date(t)), Some(t), "t={t}");
+            assert_eq!(parse_http_date(&HttpDate(t).to_string()), Some(t), "t={t}");
         }
     }
 
@@ -134,7 +141,7 @@ mod tests {
     fn leap_year_handling() {
         // 29 Feb 1996 existed.
         let t = parse_http_date("Thu, 29 Feb 1996 00:00:00 GMT").unwrap();
-        assert_eq!(format_http_date(t), "Thu, 29 Feb 1996 00:00:00 GMT");
+        assert_eq!(HttpDate(t).to_string(), "Thu, 29 Feb 1996 00:00:00 GMT");
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod types;
 pub mod validators;
 
 pub use coding::ContentCoding;
-pub use date::{format_http_date, parse_http_date};
-pub use headers::{Header, HeaderMap};
+pub use date::{parse_http_date, HttpDate};
+pub use headers::{Fields, HeaderMap};
 pub use message::{Request, Response};
 pub use parser::{ParseError, RequestParser, ResponseParser};
 pub use range::{parse_range_header, ByteRange};

@@ -1,64 +1,102 @@
-//! Request and response messages with wire serialization.
+//! Request and response messages with wire serialization: straight into
+//! a connection's `BytesMut`, or (`to_bytes`, `head_to_bytes`) the same
+//! writer over a buffer of the message's own, sized from its `wire_len`.
 
-use crate::headers::HeaderMap;
+use crate::headers::{Fields, HeaderMap, FIELDS_ROOM, LINES_ROOM};
 use crate::types::{Method, StatusCode, Version};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+
+/// `n` in decimal, written into `digits` from the back.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
+}
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Request method.
     pub method: Method,
-    /// Request-target (origin-form path).
-    pub target: String,
     /// Protocol version on the wire.
     pub version: Version,
-    /// Header block, order-preserving.
+    /// Header block, order-preserving. Its buffer also holds the
+    /// request-target, so a request keeps this map for life.
     pub headers: HeaderMap,
     /// Entity body (empty when none).
     pub body: Bytes,
 }
 
+/// The `Content-Length` line a bodied request gains when it has none.
+const IMPLICIT_LENGTH: &str = "Content-Length: ";
+
 impl Request {
     /// Create a new, empty instance.
-    pub fn new(method: Method, target: impl Into<String>, version: Version) -> Self {
+    pub fn new(method: Method, target: impl AsRef<str>, version: Version) -> Self {
         Request {
             method,
-            target: target.into(),
             version,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::with_lead(target.as_ref(), FIELDS_ROOM, LINES_ROOM),
             body: Bytes::new(),
         }
     }
 
+    /// Request-target (origin-form path).
+    pub fn target(&self) -> &str {
+        self.headers.lead()
+    }
+
     /// Builder-style header append.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub fn with_header(mut self, name: &str, value: impl std::fmt::Display) -> Self {
         self.headers.append(name, value);
         self
     }
 
-    /// Serialize onto the wire. A `Content-Length` header is added
-    /// automatically when a body is present and none was set.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.headers.wire_len() + self.body.len());
-        out.extend_from_slice(self.method.as_str().as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(self.target.as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(self.version.as_str().as_bytes());
-        out.extend_from_slice(b"\r\n");
-        self.headers.write_to(&mut out);
-        if !self.body.is_empty() && !self.headers.contains("Content-Length") {
-            out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
+    /// The body length an implicit `Content-Length` line must carry.
+    fn implicit_length(&self) -> Option<u64> {
+        (!self.body.is_empty() && !self.headers.contains("Content-Length"))
+            .then_some(self.body.len() as u64)
+    }
+
+    /// Serialize onto `out`, which grows at most once. A bodied request
+    /// gains a `Content-Length` header when none was set.
+    pub fn write_to(&self, out: &mut BytesMut) {
+        out.reserve(self.wire_len());
+        let (method, version) = (self.method.as_str(), self.version.as_str());
+        for part in [method, " ", self.target(), " ", version, "\r\n"] {
+            out.extend_from_slice(part.as_bytes());
+        }
+        self.headers.write_to(out);
+        if let Some(len) = self.implicit_length() {
+            out.extend_from_slice(IMPLICIT_LENGTH.as_bytes());
+            out.extend_from_slice(decimal(len, &mut [0; 20]).as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-        out
     }
 
-    /// Size on the wire.
+    /// Serialize into a buffer of its own.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        self.write_to(&mut out);
+        out.into()
+    }
+
+    /// Size on the wire: two spaces and two CRLFs around the parts.
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        let implicit = self.implicit_length().map_or(0, |len| {
+            IMPLICIT_LENGTH.len() + decimal(len, &mut [0; 20]).len() + 2
+        });
+        let first_line = self.method.as_str().len() + self.target().len() + 8;
+        first_line + 6 + self.headers.wire_len() + implicit + self.body.len()
     }
 
     /// Whether the sender wants the connection kept open after this
@@ -69,6 +107,15 @@ impl Request {
             return false;
         }
         self.version.persistent_by_default() || self.headers.has_token("Connection", "keep-alive")
+    }
+}
+
+/// A request as a framed transport's field block.
+impl Fields for Request {
+    fn each_field(&self, f: &mut dyn FnMut(&str, &str)) {
+        f(":method", self.method.as_str());
+        f(":path", self.target());
+        self.headers.each_field(f);
     }
 }
 
@@ -97,7 +144,7 @@ impl Response {
     }
 
     /// Builder-style header append.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub fn with_header(mut self, name: &str, value: impl std::fmt::Display) -> Self {
         self.headers.append(name, value);
         self
     }
@@ -108,31 +155,56 @@ impl Response {
         self
     }
 
-    /// Serialize the status line and headers only (the body follows as-is
-    /// unless chunked coding is applied by the caller).
-    pub fn head_to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.headers.wire_len());
-        out.extend_from_slice(self.version.as_str().as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(self.status.0.to_string().as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(self.status.reason().as_bytes());
+    /// Serialize the status line and headers only onto `out` (the body
+    /// follows as-is unless chunked coding is applied by the caller).
+    fn write_head_to(&self, out: &mut BytesMut) {
+        out.reserve(self.head_len());
+        let mut digits = [0; 20];
+        let status = decimal(self.status.0.into(), &mut digits);
+        for part in [
+            self.version.as_str(),
+            " ",
+            status,
+            " ",
+            self.status.reason(),
+            "\r\n",
+        ] {
+            out.extend_from_slice(part.as_bytes());
+        }
+        self.headers.write_to(out);
         out.extend_from_slice(b"\r\n");
-        self.headers.write_to(&mut out);
-        out.extend_from_slice(b"\r\n");
-        out
     }
 
-    /// Serialize head plus body.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.head_to_bytes();
+    /// Size of the head: two spaces and two CRLFs around the parts.
+    fn head_len(&self) -> usize {
+        let status = decimal(self.status.0.into(), &mut [0; 20]).len();
+        8 + status + self.status.reason().len() + 6 + self.headers.wire_len()
+    }
+
+    /// Serialize the status line and headers into a buffer of their own.
+    pub fn head_to_bytes(&self) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        self.write_head_to(&mut out);
+        out.into()
+    }
+
+    /// Serialize head plus body onto `out`, which grows at most once.
+    pub fn write_to(&self, out: &mut BytesMut) {
+        out.reserve(self.wire_len());
+        self.write_head_to(out);
         out.extend_from_slice(&self.body);
-        out
+    }
+
+    /// Serialize head plus body into a buffer of its own.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        self.write_to(&mut out);
+        out.into()
     }
 
     /// Serialized size in bytes.
     pub fn wire_len(&self) -> usize {
-        self.head_to_bytes().len() + self.body.len()
+        self.head_len() + self.body.len()
     }
 
     /// Whether the connection persists after this response.
@@ -141,6 +213,14 @@ impl Response {
             return false;
         }
         self.version.persistent_by_default() || self.headers.has_token("Connection", "keep-alive")
+    }
+}
+
+/// A response as a framed transport's field block.
+impl Fields for Response {
+    fn each_field(&self, f: &mut dyn FnMut(&str, &str)) {
+        f(":status", decimal(self.status.0.into(), &mut [0; 20]));
+        self.headers.each_field(f);
     }
 }
 
@@ -167,6 +247,50 @@ mod tests {
         let s = String::from_utf8(req.to_bytes()).unwrap();
         assert!(s.contains("Content-Length: 3\r\n"));
         assert!(s.ends_with("\r\n\r\na=1"));
+    }
+
+    #[test]
+    fn wire_len_is_the_serialized_length_without_serializing() {
+        let bodiless = Request::new(Method::Get, "/a/b.gif", Version::Http10)
+            .with_header("Host", "x")
+            .with_header("If-Modified-Since", crate::HttpDate(877_694_400));
+        assert_eq!(bodiless.wire_len(), bodiless.to_bytes().len());
+        for body_len in [1, 9, 10, 99_999, 100_000] {
+            // The implicit `Content-Length` line grows with its digits.
+            let mut bodied = bodiless.clone();
+            bodied.method = Method::Post;
+            bodied.body = Bytes::from(vec![b'x'; body_len]);
+            assert_eq!(bodied.wire_len(), bodied.to_bytes().len(), "{body_len}");
+            // An explicit one takes its place.
+            let explicit = bodied.clone().with_header("content-length", body_len);
+            assert_eq!(explicit.wire_len(), explicit.to_bytes().len());
+            assert_eq!(explicit.wire_len(), bodied.wire_len());
+        }
+        let resp = Response::new(Version::Http11, StatusCode::NOT_FOUND)
+            .with_header("Content-Length", 3)
+            .with_body(&b"404"[..]);
+        assert_eq!(resp.wire_len(), resp.to_bytes().len());
+        assert_eq!(resp.wire_len() - 3, resp.head_to_bytes().len());
+        assert_eq!(resp.head_to_bytes().capacity(), resp.wire_len() - 3);
+    }
+
+    #[test]
+    fn a_message_is_its_framed_field_block() {
+        let req = Request::new(Method::Head, "/x.gif", Version::Http11)
+            .with_header("If-None-Match", "\"v1\"")
+            .with_header("Range", "bytes=0-9");
+        let mut block = HeaderMap::new();
+        req.each_field(&mut |name, value| block.append(name, value));
+        let names: Vec<_> = block.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, [":method", ":path", "If-None-Match", "Range"]);
+        assert_eq!(block.get(":path"), Some(req.target()));
+
+        let resp =
+            Response::new(Version::Http11, StatusCode::NOT_MODIFIED).with_header("ETag", "\"v1\"");
+        let mut block = HeaderMap::new();
+        resp.each_field(&mut |name, value| block.append(name, value));
+        let lines: Vec<_> = block.iter().collect();
+        assert_eq!(lines, [(":status", "304"), ("ETag", "\"v1\"")]);
     }
 
     #[test]

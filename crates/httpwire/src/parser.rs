@@ -57,22 +57,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-fn parse_headers(lines: &str) -> Result<HeaderMap, ParseError> {
-    let mut headers = HeaderMap::new();
-    for line in lines.split('\n') {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or(ParseError::BadHeader)?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(ParseError::BadHeader);
-        }
-        headers.append(name, value.trim().to_string());
-    }
-    Ok(headers)
-}
-
 /// Room taken up front for a `Content-Length` body; a longer body grows
 /// the buffer as it arrives, so a declared length allocates nothing by
 /// itself.
@@ -274,7 +258,7 @@ impl RequestParser {
             .ok_or(ParseError::BadRequestLine)?
             .parse()
             .map_err(|_| ParseError::BadRequestLine)?;
-        let target = parts.next().ok_or(ParseError::BadRequestLine)?.to_string();
+        let target = parts.next().ok_or(ParseError::BadRequestLine)?;
         let version: Version = parts
             .next()
             .ok_or(ParseError::BadRequestLine)?
@@ -283,12 +267,12 @@ impl RequestParser {
         if parts.next().is_some() {
             return Err(ParseError::BadRequestLine);
         }
-        let headers = parse_headers(rest)?;
+        // The target and the header lines: the head's one copy.
+        let headers = HeaderMap::parse(target, rest).ok_or(ParseError::BadHeader)?;
         // Requests must have a determinate length.
         let framing = Framing::declared(&headers).unwrap_or(Framing::Length(0));
         let req = Request {
             method,
-            target,
             version,
             headers,
             body: Bytes::new(),
@@ -400,7 +384,7 @@ impl ResponseParser {
             .parse()
             .map_err(|_| ParseError::BadStatusLine)?;
         let status = StatusCode(code);
-        let headers = parse_headers(rest)?;
+        let headers = HeaderMap::parse("", rest).ok_or(ParseError::BadHeader)?;
         let framing = if !method.response_has_body() || status.bodyless() {
             Framing::Length(0)
         } else {
@@ -426,7 +410,7 @@ mod tests {
         p.feed(b"GET /index.html HTTP/1.1\r\nHost: a.example\r\n\r\n");
         let req = p.next().unwrap().unwrap();
         assert_eq!(req.method, Method::Get);
-        assert_eq!(req.target, "/index.html");
+        assert_eq!(req.target(), "/index.html");
         assert_eq!(req.version, Version::Http11);
         assert_eq!(req.headers.get("host"), Some("a.example"));
         assert!(p.next().unwrap().is_none());
@@ -440,8 +424,8 @@ mod tests {
         let a = p.next().unwrap().unwrap();
         let b = p.next().unwrap().unwrap();
         let c = p.next().unwrap().unwrap();
-        assert_eq!(a.target, "/a");
-        assert_eq!(b.target, "/b");
+        assert_eq!(a.target(), "/a");
+        assert_eq!(b.target(), "/b");
         assert_eq!(c.method, Method::Head);
         assert!(p.next().unwrap().is_none());
         assert_eq!(p.buffered(), 0);
@@ -457,7 +441,7 @@ mod tests {
             if i + 1 < wire.len() {
                 assert!(r.is_none(), "complete too early at {i}");
             } else {
-                assert_eq!(r.unwrap().target, "/slow");
+                assert_eq!(r.unwrap().target(), "/slow");
             }
         }
     }
@@ -644,5 +628,17 @@ mod tests {
             vec!["a", "b"]
         );
         assert_eq!(req.headers.get("x-spacey"), Some("v"));
+    }
+
+    #[test]
+    fn a_header_name_must_be_a_token() {
+        for bad in ["Ho\tst: x", "Ho st: x", ": x", "H\u{1}st: x", "Host : x"] {
+            let mut p = RequestParser::new();
+            p.feed(format!("GET / HTTP/1.1\r\n{bad}\r\n\r\n").as_bytes());
+            assert_eq!(p.next().unwrap_err(), ParseError::BadHeader, "{bad:?}");
+            let mut p = ResponseParser::new();
+            p.feed(format!("HTTP/1.1 200 OK\r\n{bad}\r\n\r\n").as_bytes());
+            assert_eq!(p.next().unwrap_err(), ParseError::BadHeader, "{bad:?}");
+        }
     }
 }

@@ -6,8 +6,9 @@
 //! `If-None-Match`; the HTTP/1.0 robot can only use `HEAD` or
 //! `If-Modified-Since`.
 
-use crate::date::{format_http_date, parse_http_date};
+use crate::date::{parse_http_date, HttpDate};
 use crate::headers::HeaderMap;
+use std::fmt;
 
 /// An entity tag. Strong unless marked weak (`W/"..."`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -52,26 +53,23 @@ impl ETag {
         ))
     }
 
-    /// Serialize with quotes (and `W/` prefix when weak).
-    pub fn to_header_value(&self) -> String {
-        if self.weak {
-            format!("W/\"{}\"", self.opaque)
-        } else {
-            format!("\"{}\"", self.opaque)
-        }
-    }
-
-    /// Parse a single entity-tag token.
-    pub fn parse(s: &str) -> Option<ETag> {
+    /// Whether a single entity-tag token is weak, and its opaque value,
+    /// still borrowed from the header it came in.
+    fn parts(s: &str) -> Option<(bool, &str)> {
         let s = s.trim();
         let (weak, rest) = match s.strip_prefix("W/") {
             Some(r) => (true, r),
             None => (false, s),
         };
-        let inner = rest.strip_prefix('"')?.strip_suffix('"')?;
+        Some((weak, rest.strip_prefix('"')?.strip_suffix('"')?))
+    }
+
+    /// Parse a single entity-tag token.
+    pub fn parse(s: &str) -> Option<ETag> {
+        let (weak, opaque) = ETag::parts(s)?;
         Some(ETag {
             weak,
-            opaque: inner.to_string(),
+            opaque: opaque.to_string(),
         })
     }
 
@@ -83,6 +81,14 @@ impl ETag {
     /// Weak comparison: identical opaque values regardless of weakness.
     pub fn weak_eq(&self, other: &ETag) -> bool {
         self.opaque == other.opaque
+    }
+}
+
+/// With quotes (and `W/` prefix when weak), as a header value has it.
+impl fmt::Display for ETag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let weak = if self.weak { "W/" } else { "" };
+        write!(f, "{weak}\"{}\"", self.opaque)
     }
 }
 
@@ -107,10 +113,10 @@ impl Validators {
     /// Write validator headers into a response header map.
     pub fn write_headers(&self, headers: &mut HeaderMap) {
         if let Some(etag) = &self.etag {
-            headers.set("ETag", etag.to_header_value());
+            headers.set("ETag", etag);
         }
         if let Some(lm) = self.last_modified {
-            headers.set("Last-Modified", format_http_date(lm));
+            headers.set("Last-Modified", HttpDate(lm));
         }
     }
 }
@@ -135,9 +141,9 @@ pub fn evaluate_conditional(request_headers: &HeaderMap, entity: &Validators) ->
         if let Some(etag) = &entity.etag {
             let matched = inm
                 .split(',')
-                .filter_map(ETag::parse)
+                .filter_map(ETag::parts)
                 // Weak comparison is permitted for GET conditionals.
-                .any(|candidate| candidate.weak_eq(etag));
+                .any(|(_, opaque)| opaque == etag.opaque);
             if matched {
                 return CondResult::NotModified;
             }
@@ -163,8 +169,9 @@ pub fn if_range_matches(request_headers: &HeaderMap, entity: &Validators) -> boo
     let Some(val) = request_headers.get("If-Range") else {
         return true; // no If-Range: the Range header stands on its own
     };
-    if let Some(tag) = ETag::parse(val) {
-        return entity.etag.as_ref().is_some_and(|e| e.strong_eq(&tag));
+    if let Some((weak, opaque)) = ETag::parts(val) {
+        let strong_eq = |e: &ETag| !weak && !e.weak && e.opaque == opaque;
+        return entity.etag.as_ref().is_some_and(strong_eq);
     }
     if let (Some(date), Some(lm)) = (parse_http_date(val), entity.last_modified) {
         return lm <= date;
@@ -178,8 +185,8 @@ mod tests {
 
     #[test]
     fn etag_serialization() {
-        assert_eq!(ETag::strong("abc").to_header_value(), "\"abc\"");
-        assert_eq!(ETag::weak("abc").to_header_value(), "W/\"abc\"");
+        assert_eq!(ETag::strong("abc").to_string(), "\"abc\"");
+        assert_eq!(ETag::weak("abc").to_string(), "W/\"abc\"");
         assert_eq!(ETag::parse("\"abc\"").unwrap(), ETag::strong("abc"));
         assert_eq!(ETag::parse("W/\"abc\"").unwrap(), ETag::weak("abc"));
         assert!(ETag::parse("abc").is_none());
@@ -246,7 +253,7 @@ mod tests {
         };
         let mut req = HeaderMap::new();
         req.set("If-None-Match", "\"v1\"");
-        req.set("If-Modified-Since", format_http_date(2000));
+        req.set("If-Modified-Since", HttpDate(2000));
         // ETag mismatch: serve even though the date would say 304.
         assert_eq!(evaluate_conditional(&req, &entity), CondResult::Serve);
     }
@@ -272,9 +279,9 @@ mod tests {
         assert!(if_range_matches(&req, &entity));
         req.set("If-Range", "\"v2\"");
         assert!(!if_range_matches(&req, &entity));
-        req.set("If-Range", format_http_date(1500));
+        req.set("If-Range", HttpDate(1500));
         assert!(if_range_matches(&req, &entity));
-        req.set("If-Range", format_http_date(500));
+        req.set("If-Range", HttpDate(500));
         assert!(!if_range_matches(&req, &entity));
     }
 

@@ -1,17 +1,21 @@
 //! High-volume property tests for the HTTP wire layer, complementing
 //! `proptest_parser.rs` with full serialize→parse *identity* (every field,
 //! every header, both message kinds) and parser no-panic robustness against
-//! mutated byte streams. Driven by the in-tree seeded PRNG; all cases are
-//! deterministic. Combined volume exceeds 10k cases.
+//! mutated byte streams, and the header map against a reference model
+//! under random operation sequences. Driven by the in-tree seeded PRNG; all
+//! cases are deterministic. Combined volume exceeds 10k cases.
 
-use bytes::Bytes;
-use httpwire::{Method, Request, RequestParser, Response, ResponseParser, StatusCode, Version};
+use bytes::{Bytes, BytesMut};
+use httpwire::{
+    HeaderMap, Method, Request, RequestParser, Response, ResponseParser, StatusCode, Version,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const REQUEST_CASES: usize = 4096;
 const RESPONSE_CASES: usize = 3072;
 const MUTATION_CASES: usize = 4096;
+const MODEL_CASES: usize = 512;
 
 const METHODS: [Method; 4] = [Method::Get, Method::Head, Method::Post, Method::Put];
 const VERSIONS: [Version; 2] = [Version::Http10, Version::Http11];
@@ -60,9 +64,9 @@ fn reserved(name: &str) -> bool {
     name.eq_ignore_ascii_case("content-length") || name.eq_ignore_ascii_case("transfer-encoding")
 }
 
-fn headers_of(h: &httpwire::HeaderMap) -> Vec<(String, String)> {
+fn headers_of(h: &HeaderMap) -> Vec<(String, String)> {
     h.iter()
-        .map(|hdr| (hdr.name.clone(), hdr.value.clone()))
+        .map(|(name, value)| (name.to_string(), value.to_string()))
         .collect()
 }
 
@@ -111,7 +115,7 @@ fn request_serialize_parse_identity() {
 
         let parsed = parse_request(&req.to_bytes(), frag);
         assert_eq!(parsed.method, req.method, "case {case}");
-        assert_eq!(parsed.target, req.target, "case {case}");
+        assert_eq!(parsed.target(), req.target(), "case {case}");
         assert_eq!(parsed.version, req.version, "case {case}");
         assert_eq!(
             headers_of(&parsed.headers),
@@ -163,6 +167,103 @@ fn response_serialize_parse_identity() {
         );
         assert_eq!(&parsed.body[..], &resp.body[..], "case {case}");
         assert_eq!(parser.buffered(), 0, "case {case}");
+    }
+}
+
+/// A name for the model test: drawn from a small pool, so operations
+/// collide, in a random case, so lookups must fold it. Half the pool are
+/// names the map resolves to a tag, half are compared where they lie.
+fn pooled_name(rng: &mut SmallRng) -> String {
+    const POOL: [&str; 8] = [
+        "Content-Length",
+        "ETag",
+        "Connection",
+        "If-Modified-Since",
+        "Host",
+        "X-A",
+        "X-AB",
+        "Content-Lengt",
+    ];
+    let name = POOL[rng.gen_range(0..POOL.len())];
+    match rng.gen_range(0..3u8) {
+        0 => name.to_string(),
+        1 => name.to_ascii_lowercase(),
+        _ => name.to_ascii_uppercase(),
+    }
+}
+
+/// `append` / `set` / `remove` on the span map agree with the same
+/// operations on a plain list of owned pairs, after every step: order,
+/// spelling, every lookup, and the wire form — which a parser reads back
+/// into an equal map.
+#[test]
+fn header_map_agrees_with_a_reference_model() {
+    let mut rng = SmallRng::seed_from_u64(0x5CA1_E004);
+    for case in 0..MODEL_CASES {
+        let mut map = HeaderMap::new();
+        let mut model: Vec<(String, String)> = Vec::new();
+        for step in 0..rng.gen_range(1..24usize) {
+            let name = pooled_name(&mut rng);
+            let same = |(n, _): &(String, String)| n.eq_ignore_ascii_case(&name);
+            match rng.gen_range(0..4u8) {
+                0 | 1 => {
+                    let value = header_value(&mut rng);
+                    map.append(&name, &value);
+                    model.push((name.clone(), value));
+                }
+                2 => {
+                    let value = rng.gen_range(0..100_000u32);
+                    map.set(&name, value);
+                    model.retain(|pair| !same(pair));
+                    model.push((name.clone(), value.to_string()));
+                }
+                _ => {
+                    let existed = model.iter().any(same);
+                    assert_eq!(map.remove(&name), existed, "case {case} step {step}");
+                    model.retain(|pair| !same(pair));
+                }
+            }
+
+            assert_eq!(headers_of(&map), model, "case {case} step {step}");
+            assert_eq!(map.len(), model.len());
+            assert_eq!(map.is_empty(), model.is_empty());
+            let probe = pooled_name(&mut rng);
+            let hits: Vec<&str> = model
+                .iter()
+                .filter(|(n, _)| n.eq_ignore_ascii_case(&probe))
+                .map(|(_, v)| v.as_str())
+                .collect();
+            assert_eq!(map.get_all(&probe).collect::<Vec<_>>(), hits, "{probe}");
+            assert_eq!(map.get(&probe), hits.first().copied(), "{probe}");
+            assert_eq!(map.contains(&probe), !hits.is_empty(), "{probe}");
+            let listed = |token: &str| {
+                hits.iter()
+                    .flat_map(|v| v.split(','))
+                    .any(|t| t.trim().eq_ignore_ascii_case(token))
+            };
+            for token in ["close", "a", "7"] {
+                assert_eq!(map.has_token(&probe, token), listed(token), "{probe}");
+            }
+        }
+
+        let wire: String = model.iter().map(|(n, v)| format!("{n}: {v}\r\n")).collect();
+        let mut out = BytesMut::new();
+        map.write_to(&mut out);
+        assert_eq!(&out[..], wire.as_bytes(), "case {case}");
+        assert_eq!(map.wire_len(), wire.len(), "case {case}");
+
+        // A parsed head is in the same canonical form, whatever spacing
+        // and line ends it arrived with. (The answer to a HEAD: whatever
+        // length the model's lines declare, no body follows.)
+        let sloppy: String = model.iter().map(|(n, v)| format!("{n}:  {v} \n")).collect();
+        let mut parser = ResponseParser::new();
+        parser.expect(Method::Head);
+        parser.feed(format!("HTTP/1.1 200 OK\n{sloppy}\n").as_bytes());
+        let parsed = parser.next().expect("parses").expect("complete");
+        let mut out = BytesMut::new();
+        parsed.headers.write_to(&mut out);
+        assert_eq!(&out[..], wire.as_bytes(), "case {case}");
+        assert_eq!(headers_of(&parsed.headers), model, "case {case}");
     }
 }
 

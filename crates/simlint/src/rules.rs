@@ -26,6 +26,7 @@ pub const RULE_IDS: &[&str] = &[
     "hot-path-alloc",
     "front-drain",
     "recorder-search",
+    "head-field-alloc",
     "seq-wrap",
     "time-unit",
     "tcp-state-machine",
@@ -50,6 +51,10 @@ const HOT_FILES: &[&str] = &[
 /// Crates whose byte queues give up their front through
 /// `bytes::BytesMut` (the one implementation lives in `bytes`).
 const BYTE_PATH_CRATES: &[&str] = &["netsim", "httpwire", "httpmux", "httpclient", "httpserver"];
+
+/// Crates that build message heads: a header value is written into the
+/// head's buffer from its `Display`, never through a `String` of its own.
+const HEAD_CRATES: &[&str] = &["httpwire", "httpclient", "httpserver", "httpmux"];
 
 /// Identifiers holding TCP sequence-space values in `tcp.rs` and the
 /// congestion-control module `cc.rs`. Direct ordering or subtraction on
@@ -327,6 +332,39 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
             }
         }
 
+        // --- head-field-alloc: `append` / `set` / `with_header` take any
+        // `Display` and write it in place; a `String` made for the call
+        // is an allocation per field.
+        if matches!(t.text.as_str(), "append" | "set" | "with_header")
+            && t.kind == TokKind::Ident
+            && i > 0
+            && toks[i - 1].is_op(".")
+            && i + 1 < n
+            && toks[i + 1].is_op("(")
+            && crate_in(path, HEAD_CRATES)
+        {
+            // Every index below is short of the call's `)`, or of the
+            // last two tokens of a file that never closes it.
+            for j in i + 2..call_end(sf, i + 1).min(n - 2) {
+                let made = (toks[j].is_ident("to_string") && toks[j - 1].is_op("."))
+                    || (toks[j].is_ident("format") && toks[j + 1].is_op("!"))
+                    || (toks[j].is_ident("String")
+                        && toks[j + 1].is_op("::")
+                        && toks[j + 2].is_ident("from"));
+                if made {
+                    push(
+                        "head-field-alloc",
+                        toks[j].line,
+                        toks[j].col,
+                        format!(
+                            "`{}` builds a `String` to hand to `.{}(…)`; pass the value itself, it is written into the head's buffer",
+                            toks[j].text, t.text
+                        ),
+                    );
+                }
+            }
+        }
+
         // --- seq-wrap: direct ordering/subtraction on sequence-space
         // values must use the netsim::seq wrapping helpers.
         if (file == "tcp.rs" || (file == "cc.rs" && crate_of(path) == "netsim"))
@@ -436,12 +474,11 @@ fn statement_bounds(sf: &ScopedFile, i: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Does the call whose `(` is token `open` have a comma between its
-/// arguments? `v.insert(i, x)` places at a position; a set's
-/// `insert(x)` does not.
-fn call_has_two_args(sf: &ScopedFile, open: usize) -> bool {
+/// Index of the `)` closing the call whose `(` is token `open` (the end
+/// of the file when it never closes).
+fn call_end(sf: &ScopedFile, open: usize) -> usize {
     let mut depth = 0i32;
-    for t in &sf.toks[open..] {
+    for (j, t) in sf.toks.iter().enumerate().skip(open) {
         if t.kind != TokKind::Op {
             continue;
         }
@@ -450,9 +487,27 @@ fn call_has_two_args(sf: &ScopedFile, open: usize) -> bool {
             ")" | "]" | "}" => {
                 depth -= 1;
                 if depth == 0 {
-                    return false;
+                    return j;
                 }
             }
+            _ => {}
+        }
+    }
+    sf.toks.len()
+}
+
+/// Does the call whose `(` is token `open` have a comma between its
+/// arguments? `v.insert(i, x)` places at a position; a set's
+/// `insert(x)` does not.
+fn call_has_two_args(sf: &ScopedFile, open: usize) -> bool {
+    let mut depth = 0i32;
+    for t in &sf.toks[open..call_end(sf, open)] {
+        if t.kind != TokKind::Op {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
             "," if depth == 1 => return true,
             _ => {}
         }
