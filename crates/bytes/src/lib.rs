@@ -9,12 +9,27 @@
 //!
 //! # Pooled buffers
 //!
-//! On top of the `bytes` API this stand-in adds an allocation pool for
-//! the simulator's per-segment hot path: [`Bytes::pooled_copy_from_slice`],
-//! [`BytesMut::split_to_pooled`] and the accumulator pair
-//! [`BytesMut::pooled`] / [`BytesMut::freeze_pooled`] back the returned
-//! `Bytes` with a `Vec<u8>` taken from a bounded thread-local free list,
-//! and the vector returns to the list when the last reference drops.
+//! On top of the `bytes` API this stand-in decides where buffer storage
+//! comes from, by one policy — *storage follows bytes*:
+//!
+//! 1. **An empty buffer owns nothing.** A [`BytesMut`] that empties
+//!    (`advance` to the end, `clear`, `split_to_pooled` of everything)
+//!    hands its vector to a thread-local pool; its next write takes one
+//!    sized for that write. Connections that are closed or idle therefore
+//!    pin no memory, however long their owners keep them.
+//! 2. **The pool hands storage out by size.** Free lists are kept per
+//!    power-of-two class, 64 B … 64 KiB, each bounded in bytes; a request
+//!    takes the smallest class that holds it, so a pooled buffer never
+//!    holds more than twice what was asked of it. Storage past the largest
+//!    class is never pooled: it is an ordinary `Vec` that stays with its
+//!    owner.
+//! 3. **Growth goes through the pool.** A buffer that must grow takes the
+//!    next class that fits, copies its live bytes and returns the old
+//!    vector; past the largest class it grows by `Vec::reserve`.
+//!
+//! [`Bytes::pooled_copy_from_slice`], [`BytesMut::split_to_pooled`] and
+//! [`BytesMut::freeze_pooled`] give out `Bytes` backed by such a vector;
+//! it returns to the pool of whichever thread drops the last reference.
 //! Pooled and shared buffers are observationally identical (equality and
 //! hashing go through the byte contents), so pooling can never change
 //! simulation results — it only recycles storage.
@@ -28,31 +43,54 @@ use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::{Arc, OnceLock};
 
-/// Buffers kept per thread; beyond this, returned vectors are freed.
-const POOL_MAX_BUFS: usize = 256;
-/// Buffers with more capacity than this are never pooled (one giant
-/// reassembled body must not pin memory for the rest of the run).
+/// Smallest storage class; a shorter write still takes this much.
+const POOL_MIN_CAP: usize = 1 << 6;
+/// Largest storage class. Storage with more capacity is never pooled
+/// (one giant reassembled body must not pin memory for the rest of the
+/// run): it stays with its owner and grows by `Vec::reserve`.
 const POOL_MAX_CAP: usize = 1 << 16;
+/// Power-of-two classes from [`POOL_MIN_CAP`] to [`POOL_MAX_CAP`].
+const POOL_CLASSES: usize = (POOL_MAX_CAP / POOL_MIN_CAP).trailing_zeros() as usize + 1;
+/// Bytes one class's free list may hold per thread; beyond this,
+/// returned vectors are freed.
+const POOL_CLASS_BYTES: usize = 1 << 20;
 
 thread_local! {
-    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// One free list per class; every vector on list `c` has capacity
+    /// exactly `POOL_MIN_CAP << c`.
+    static POOL: RefCell<[Vec<Vec<u8>>; POOL_CLASSES]> =
+        const { RefCell::new([const { Vec::new() }; POOL_CLASSES]) };
 }
 
-/// Take a cleared vector from this thread's pool (empty if none).
-fn pool_take() -> Vec<u8> {
-    POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
+/// The free list a vector of exactly `cap` bytes belongs on.
+fn class_of(cap: usize) -> usize {
+    (cap / POOL_MIN_CAP).trailing_zeros() as usize
 }
 
-/// Return a vector to this thread's pool, subject to the size bounds.
+/// An empty vector with room for `min` bytes (at most [`POOL_MAX_CAP`]):
+/// the smallest class that holds them, from this thread's pool if it has
+/// one, so storage is never more than twice what was asked for.
+fn pool_take(min: usize) -> Vec<u8> {
+    let cap = min.max(POOL_MIN_CAP).next_power_of_two();
+    POOL.with(|p| p.borrow_mut()[class_of(cap)].pop())
+        .unwrap_or_else(|| Vec::with_capacity(cap))
+}
+
+/// Return a vector to this thread's pool. Anything that is not exactly a
+/// class's size, or that would take the class past its byte bound, is
+/// freed instead.
 fn pool_put(mut v: Vec<u8>) {
-    if v.capacity() == 0 || v.capacity() > POOL_MAX_CAP {
+    let cap = v.capacity();
+    if !cap.is_power_of_two() || !(POOL_MIN_CAP..=POOL_MAX_CAP).contains(&cap) {
         return;
     }
     v.clear();
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < POOL_MAX_BUFS {
-            p.push(v);
+    // `try_with`: the last reference may drop while the thread's locals
+    // are being torn down, and then the vector is simply freed.
+    let _ = POOL.try_with(|p| {
+        let list = &mut p.borrow_mut()[class_of(cap)];
+        if (list.len() + 1) * cap <= POOL_CLASS_BYTES {
+            list.push(v);
         }
     });
 }
@@ -131,7 +169,7 @@ impl Bytes {
     /// free list. Indistinguishable from [`Bytes::copy_from_slice`]
     /// except for allocator traffic; meant for per-segment payloads.
     pub fn pooled_copy_from_slice(data: &[u8]) -> Bytes {
-        let mut buf = BytesMut::pooled(0);
+        let mut buf = BytesMut::new();
         buf.extend_from_slice(data);
         buf.freeze_pooled()
     }
@@ -150,6 +188,12 @@ impl Bytes {
     /// True when no bytes are contained.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
+    }
+
+    /// Discard the first `at` bytes.
+    pub fn advance(&mut self, at: usize) {
+        assert!(at <= self.len(), "advance {at} past {} bytes", self.len());
+        self.start += at;
     }
 
     /// A sub-slice sharing the same allocation. Panics when the range is
@@ -235,12 +279,13 @@ impl Hash for Bytes {
 /// A growable byte buffer appended at the back and consumed from the
 /// front.
 ///
-/// This is the one place that decides how consumed bytes leave a buffer:
-/// the live bytes are `vec[head..]`, and consuming moves the cursor
-/// `head` instead of shifting the remainder down. The dead prefix is
-/// reclaimed when the buffer empties, or when an append would otherwise
-/// have to grow the allocation — so capacity never exceeds what a buffer
-/// that shifted on every consume would have held.
+/// This is the one place that decides how consumed bytes leave a buffer
+/// and where a buffer's storage comes from. The live bytes are
+/// `vec[head..]`, and consuming moves the cursor `head` instead of
+/// shifting the remainder down; the dead prefix is reclaimed when an
+/// append would otherwise have to grow the allocation. Storage follows
+/// the bytes (see the module docs): a buffer that empties hands its
+/// vector to the pool, and the next write takes one sized for that write.
 #[derive(Clone, Default)]
 pub struct BytesMut {
     vec: Vec<u8>,
@@ -249,19 +294,18 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
-    /// Create a new, empty instance.
+    /// Create a new, empty instance. It owns no storage.
     pub fn new() -> BytesMut {
         BytesMut::default()
     }
 
-    /// An empty accumulator whose storage comes from the pool, with room
-    /// for `cap` bytes (a pooled vector too small for that grows to
-    /// exactly `cap`: the caller states the size it expects); finish it
-    /// with [`BytesMut::freeze_pooled`] so the storage goes back.
+    /// An empty accumulator with room for `cap` bytes (the caller states
+    /// the size it expects, so a body written in pieces grows at most
+    /// once); finish it with [`BytesMut::freeze_pooled`].
     pub fn pooled(cap: usize) -> BytesMut {
-        let mut vec = pool_take();
-        vec.reserve_exact(cap);
-        BytesMut { vec, head: 0 }
+        let mut buf = BytesMut::new();
+        buf.reserve(cap);
+        buf
     }
 
     /// Number of bytes.
@@ -274,15 +318,33 @@ impl BytesMut {
         self.len() == 0
     }
 
+    /// Bytes of storage the buffer owns: what it can hold without
+    /// reallocating, 0 once it has emptied.
+    pub fn capacity(&self) -> usize {
+        self.vec.capacity()
+    }
+
     /// Make room for `additional` more bytes, so that a message written
     /// in pieces grows the buffer at most once.
     pub fn reserve(&mut self, additional: usize) {
-        if self.head > 0 && self.vec.len() + additional > self.vec.capacity() {
-            // The reclaim: shift the live bytes down rather than grow.
-            self.vec.drain(..self.head);
-            self.head = 0;
+        if self.vec.len() + additional <= self.vec.capacity() {
+            return;
         }
-        self.vec.reserve(additional);
+        let need = self.len() + additional;
+        if need <= self.vec.capacity() || need > POOL_MAX_CAP {
+            // The reclaim: shift the live bytes down rather than grow;
+            // past the largest class, grow in place where the allocator
+            // can.
+            self.vec.drain(..self.head);
+            self.vec.reserve(additional);
+        } else {
+            // Growth goes through the pool: the next class up takes the
+            // live bytes and the old vector goes back.
+            let mut grown = pool_take(need);
+            grown.extend_from_slice(self);
+            pool_put(std::mem::replace(&mut self.vec, grown));
+        }
+        self.head = 0;
     }
 
     /// Append a slice.
@@ -301,13 +363,12 @@ impl BytesMut {
     }
 
     /// Remove and return the first `at` bytes as a pool-backed
-    /// [`Bytes`], allocation free in steady state: taking everything
-    /// moves the whole vector into the pooled buffer (the replacement
-    /// comes from the free list); taking a prefix copies it into a
-    /// pooled buffer and advances past it.
+    /// [`Bytes`]: taking everything moves the whole vector into the
+    /// pooled buffer and leaves this one owning nothing; taking a prefix
+    /// copies it into a pooled buffer of its size and advances past it.
     pub fn split_to_pooled(&mut self, at: usize) -> Bytes {
         if at == self.len() {
-            std::mem::replace(self, BytesMut::pooled(0)).freeze_pooled()
+            std::mem::take(self).freeze_pooled()
         } else {
             let head = Bytes::pooled_copy_from_slice(&self[..at]);
             self.advance(at);
@@ -315,10 +376,15 @@ impl BytesMut {
         }
     }
 
-    /// Drop all accumulated contents.
+    /// Drop all accumulated contents. The storage goes to the pool;
+    /// storage the pool would refuse stays, for the owner's next write.
     pub fn clear(&mut self) {
-        self.vec.clear();
         self.head = 0;
+        if self.vec.capacity() > POOL_MAX_CAP {
+            self.vec.clear();
+        } else {
+            pool_put(std::mem::take(&mut self.vec));
+        }
     }
 
     /// Convert into an immutable pool-backed [`Bytes`] without copying;
@@ -449,11 +515,103 @@ mod tests {
         m.advance(1000);
         assert_eq!(m.as_ptr(), before.wrapping_add(1000));
         assert_eq!(m.len(), 3096);
-        // Emptying the buffer reclaims the prefix: the next append
-        // starts at the front of the same allocation.
+        // Emptying the buffer gives the storage up: the next append is
+        // sized for itself.
         m.advance(3096);
+        assert_eq!(m.capacity(), 0);
         m.extend_from_slice(b"x");
-        assert_eq!(m.as_ptr(), before);
+        assert_eq!(m.capacity(), POOL_MIN_CAP);
+    }
+
+    #[test]
+    fn a_drained_buffer_owns_nothing() {
+        let filled = || {
+            let mut m = BytesMut::new();
+            m.extend_from_slice(&[1u8; 3000]);
+            assert_eq!(m.capacity(), 4096);
+            m
+        };
+        let mut m = filled();
+        m.advance(3000);
+        assert_eq!(m.capacity(), 0);
+        let mut m = filled();
+        m.clear();
+        assert_eq!(m.capacity(), 0);
+        let mut m = filled();
+        assert_eq!(m.split_to_pooled(3000).len(), 3000);
+        assert_eq!(m.capacity(), 0);
+        // A prefix taken leaves the rest, and its storage, where it was.
+        let mut m = filled();
+        assert_eq!(m.split_to_pooled(1000).len(), 1000);
+        assert_eq!((m.len(), m.capacity()), (2000, 4096));
+    }
+
+    /// Bytes of storage behind a pooled `Bytes`.
+    fn held(b: &Bytes) -> usize {
+        match &b.data {
+            Repr::Pooled(chunk) => chunk.buf.capacity(),
+            Repr::Shared(_) => panic!("not pooled"),
+        }
+    }
+
+    #[test]
+    fn a_payload_holds_at_most_twice_its_size() {
+        // Put the largest vectors there are on the free lists first.
+        let big: Vec<Bytes> = (0..4)
+            .map(|_| Bytes::pooled_copy_from_slice(&[0u8; POOL_MAX_CAP]))
+            .collect();
+        drop(big);
+        let payloads: Vec<Bytes> = (0..8)
+            .map(|_| Bytes::pooled_copy_from_slice(&[9u8; 1460]))
+            .collect();
+        assert!(payloads.iter().all(|p| held(p) == 2048));
+        assert_eq!(held(&Bytes::pooled_copy_from_slice(&[9u8; 40_000])), 65_536);
+        assert_eq!(held(&Bytes::pooled_copy_from_slice(b"x")), POOL_MIN_CAP);
+    }
+
+    #[test]
+    fn a_free_list_stops_at_its_byte_bound() {
+        let listed = |cap: usize| POOL.with(|p| p.borrow()[class_of(cap)].len());
+        for cap in [POOL_MIN_CAP, 2048, POOL_MAX_CAP] {
+            let bound = POOL_CLASS_BYTES / cap;
+            let all: Vec<Bytes> = (0..bound + 3)
+                .map(|_| Bytes::pooled_copy_from_slice(&vec![0u8; cap]))
+                .collect();
+            drop(all);
+            assert_eq!(listed(cap), bound, "class of {cap}");
+        }
+    }
+
+    #[test]
+    fn growth_goes_through_the_classes() {
+        let mut m = BytesMut::new();
+        for (len, cap) in [(1, 64), (64, 64), (65, 128), (5000, 8192), (65_536, 65_536)] {
+            m.extend_from_slice(&vec![3u8; len - m.len()]);
+            assert_eq!((m.len(), m.capacity()), (len, cap));
+        }
+        assert!(m.iter().all(|&b| b == 3));
+        // A dead prefix is not carried into the next class.
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&[1u8; 64]);
+        m.advance(60);
+        m.extend_from_slice(&[2u8; 70]);
+        assert_eq!((m.len(), m.capacity()), (74, 128));
+        assert_eq!((&m[..4], &m[4..]), (&[1u8; 4][..], &[2u8; 70][..]));
+    }
+
+    #[test]
+    fn storage_past_the_largest_class_stays_with_its_owner() {
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&vec![5u8; POOL_MAX_CAP + 1]);
+        let cap = m.capacity();
+        assert!(cap > POOL_MAX_CAP);
+        let pooled = || POOL.with(|p| p.borrow().iter().map(Vec::len).sum::<usize>());
+        let before = pooled();
+        m.clear();
+        assert_eq!((m.len(), m.capacity(), pooled()), (0, cap, before));
+        m.extend_from_slice(&[6u8; 100]);
+        m.advance(100);
+        assert_eq!((m.len(), m.capacity(), pooled()), (0, cap, before));
     }
 
     #[test]

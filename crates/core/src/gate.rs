@@ -23,10 +23,19 @@ use crate::result::CellResult;
 use netsim::{CcVariant, TraceMode};
 use std::fmt;
 
-/// Reads the process's running allocation count, where the binary has a
-/// counting allocator installed (`gate` does; test binaries do not, and
-/// pass `None` — the allocation ceilings are then skipped).
-pub type AllocCounter = fn() -> u64;
+/// Reads the process's counting allocator, where the binary has one
+/// installed (`gate` does; test binaries do not, and pass `None` — the
+/// allocation and memory ceilings are then skipped).
+#[derive(Debug, Clone, Copy)]
+pub struct AllocCounter {
+    /// The running allocation count.
+    pub allocations: fn() -> u64,
+    /// Restart the live-bytes high-water mark from the bytes live now,
+    /// and return those.
+    pub reset_peak: fn() -> u64,
+    /// The high-water mark since.
+    pub peak_live_bytes: fn() -> u64,
+}
 
 /// What one pass of a gate produced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -427,11 +436,12 @@ fn telemetry_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
     })
 }
 
-/// Allocations per packet the serial matrix may cost (5.8 since a message
-/// head is one buffer and a span table; 15.9 while it was a `String` per
-/// name and per value), and the two 16-client WAN fleets (5.1, from 15.5).
-const MATRIX_ALLOCS_PER_PACKET: f64 = 5.8;
-const FLEET16_ALLOCS_PER_PACKET: f64 = 5.1;
+/// Allocations per packet the serial matrix may cost (5.1 since buffer
+/// storage is pooled by size class; 5.8 since a message head is one
+/// buffer and a span table; 15.9 while it was a `String` per name and per
+/// value), and the two 16-client WAN fleets (4.7, from 5.1 and 15.5).
+const MATRIX_ALLOCS_PER_PACKET: f64 = 5.1;
+const FLEET16_ALLOCS_PER_PACKET: f64 = 4.7;
 /// Slack on those ceilings. The simulation is deterministic but the
 /// thread-local buffer pools are warmed by whatever ran earlier in the
 /// process, so a counted pass can differ by a few pool misses. Real
@@ -439,20 +449,31 @@ const FLEET16_ALLOCS_PER_PACKET: f64 = 5.1;
 /// is pool-warmth noise.
 const ALLOC_TOLERANCE: f64 = 0.2;
 
+/// Live heap the counted `fleet16` pass may add at its worst, in MiB:
+/// the measured 1.95 rounded up (5.3 while closed and drained
+/// connections kept their buffers' capacity).
+const FLEET16_PEAK_LIVE_MIB: u64 = 2;
+
 /// Run `run` twice on the calling thread — a warm-up that primes code
 /// paths and buffer pools, then a counted pass that must reproduce it —
-/// and hold allocations per packet (rounded to 0.1) to `ceiling`.
+/// and hold allocations per packet (rounded to 0.1) to `ceiling` and,
+/// where one is given, the live bytes the counted pass adds at its peak
+/// to `peak_ceiling_mib`.
 fn counted(
     run: impl Fn() -> Vec<CellResult>,
     ceiling: f64,
+    peak_ceiling_mib: Option<u64>,
     allocations: Option<AllocCounter>,
 ) -> Result<(Vec<CellResult>, String), String> {
     let cells = run();
-    let before = allocations.map(|count| count());
+    let before = allocations.map(|a| ((a.allocations)(), (a.reset_peak)()));
     let again = run();
-    let allocs = allocations.zip(before).map(|(count, b)| count() - b);
+    let counts = allocations.zip(before).map(|(a, (allocs, live))| {
+        let peak = (a.peak_live_bytes)().saturating_sub(live);
+        ((a.allocations)() - allocs, peak)
+    });
     ensure(again == cells, || "two serial passes disagree".into())?;
-    let Some(allocs) = allocs else {
+    let Some((allocs, peak)) = counts else {
         return Ok((cells, "allocs not counted".into()));
     };
     let packets: u64 = cells.iter().map(CellResult::packets).sum();
@@ -463,7 +484,15 @@ fn counted(
              (+{ALLOC_TOLERANCE} tolerance)"
         )
     })?;
-    Ok((cells, format!("{per_packet:.1} allocs/packet")))
+    let mut detail = format!("{per_packet:.1} allocs/packet");
+    if let Some(ceiling) = peak_ceiling_mib {
+        let mib = peak as f64 / (1u64 << 20) as f64;
+        ensure(peak <= ceiling << 20, || {
+            format!("peak live bytes increased: {mib:.2} MiB > pinned {ceiling} MiB")
+        })?;
+        detail += &format!(", peak {mib:.2} MiB live");
+    }
+    Ok((cells, detail))
 }
 
 /// The 44 cells of Tables 4–9, stats-only: every field of every cell
@@ -473,6 +502,7 @@ fn matrix_pass(allocations: Option<AllocCounter>) -> Result<Pass, String> {
     let (cells, detail) = counted(
         || run_cells_threaded(specs(), Some(1)),
         MATRIX_ALLOCS_PER_PACKET,
+        None,
         allocations,
     )?;
     ensure(run_cells_threaded(specs(), None) == cells, || {
@@ -487,7 +517,7 @@ fn matrix_pass(allocations: Option<AllocCounter>) -> Result<Pass, String> {
 
 /// The scale engine's hot path: two 16-client WAN fleets (pipelined and
 /// multiplexed) through the shared bottleneck, every client's cell
-/// digested, allocations held.
+/// digested, allocations and peak live bytes held.
 fn fleet16_pass(allocations: Option<AllocCounter>) -> Result<Pass, String> {
     let points = scale::grid(
         &[NetEnv::Wan],
@@ -502,6 +532,7 @@ fn fleet16_pass(allocations: Option<AllocCounter>) -> Result<Pass, String> {
                 .collect()
         },
         FLEET16_ALLOCS_PER_PACKET,
+        Some(FLEET16_PEAK_LIVE_MIB),
         allocations,
     )?;
     Ok(Pass {

@@ -14,20 +14,40 @@
 //! ```
 //!
 //! Counters are process-global relaxed atomics: cheap enough to leave
-//! enabled (one `fetch_add` per malloc), and exact for single-threaded
+//! enabled (a few `fetch_add`s per malloc), and exact for single-threaded
 //! measured regions, which is how the microbench suite uses them
 //! (allocations/packet is defined on the serial matrix run).
+//!
+//! Frees are counted too, so that memory — not only allocation pressure —
+//! can be held to a ceiling: [`live_bytes`] is what is allocated and not
+//! yet freed, [`peak_live_bytes`] its high-water mark since the last
+//! [`reset_peak`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Forwards to the system allocator, counting every allocation.
+fn grew(by: usize) {
+    let by = by as u64;
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(by, Ordering::Relaxed);
+    let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(by: usize) {
+    LIVE_BYTES.fetch_sub(by as u64, Ordering::Relaxed);
+}
+
+/// Forwards to the system allocator, counting every allocation and
+/// every free.
 ///
-/// `realloc` counts as one allocation (it may move); `dealloc` is not
-/// counted — the suite measures allocation pressure, not live bytes.
+/// `realloc` counts as one allocation of the new size (it may move) and
+/// one free of the old.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
@@ -47,24 +67,23 @@ impl Default for CountingAlloc {
 // that cannot alias or unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        shrank(layout.size());
+        grew(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -78,6 +97,26 @@ pub fn allocations() -> u64 {
 /// (monotonic; freed bytes are not subtracted).
 pub fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated and not yet freed.
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Highest value [`live_bytes`] has had since the last [`reset_peak`]
+/// (since process start if there was none).
+pub fn peak_live_bytes() -> u64 {
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restart the high-water mark from the current live bytes, which it
+/// returns: the next [`peak_live_bytes`] less this is what the region in
+/// between added at its worst.
+pub fn reset_peak() -> u64 {
+    let live = live_bytes();
+    PEAK_LIVE_BYTES.store(live, Ordering::Relaxed);
+    live
 }
 
 #[cfg(test)]
@@ -97,5 +136,20 @@ mod tests {
         let after = (super::allocations(), super::allocated_bytes());
         assert!(after.0 > before.0, "allocation not counted");
         assert!(after.1 >= before.1 + 4096, "bytes not counted");
+    }
+
+    #[test]
+    fn a_freed_buffer_raises_the_peak_but_not_the_live_count() {
+        // The other test's 4 KiB may come and go meanwhile: allow for it.
+        const MIB: u64 = 1 << 20;
+        const SLACK: u64 = 1 << 14;
+        let base = super::reset_peak();
+        let buf = std::hint::black_box(vec![0xA5u8; MIB as usize]);
+        let held = super::live_bytes();
+        drop(buf);
+        let (after, peak) = (super::live_bytes(), super::peak_live_bytes());
+        assert!(held >= base + MIB - SLACK, "the held buffer is live");
+        assert!(after <= base + SLACK, "the freed buffer is not");
+        assert!(peak >= base + MIB - SLACK, "the peak remembers it");
     }
 }

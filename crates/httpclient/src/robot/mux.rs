@@ -13,8 +13,11 @@ use httpwire::{HeaderMap, StatusCode, Version};
 
 /// What a stream has before its HEADERS arrive: a peer that sends DATA
 /// first, or nothing at all, gets a response nothing recognises.
-fn headless() -> (Response, Vec<u8>) {
-    (Response::new(Version::Http11, StatusCode(0)), Vec::new())
+fn headless() -> (Response, BytesMut) {
+    (
+        Response::new(Version::Http11, StatusCode(0)),
+        BytesMut::new(),
+    )
 }
 
 /// State of the single multiplexed connection.
@@ -28,7 +31,7 @@ pub(super) struct MuxState {
     /// Accepted push streams (server-initiated, even ids).
     promised: BTreeMap<u32, Job>,
     /// Responses under assembly, ours and pushed: head and body so far.
-    resp: BTreeMap<u32, (Response, Vec<u8>)>,
+    resp: BTreeMap<u32, (Response, BytesMut)>,
     first_byte_seen: bool,
 }
 
@@ -250,7 +253,7 @@ impl HttpClient {
             return; // completion of a stream we already cancelled
         };
         m.first_byte_seen = false;
-        resp.body = bytes::Bytes::pooled_copy_from_slice(&body);
+        resp.body = body.freeze_pooled();
         if pushed {
             self.stats.pushed_responses += 1;
             self.stats.pushed_bytes += resp.body.len() as u64;

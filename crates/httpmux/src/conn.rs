@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use httpwire::{Fields, HeaderMap};
 
 use crate::frame::{
@@ -74,10 +74,52 @@ pub enum MuxEvent {
     ProtocolError(MuxError),
 }
 
+/// Body bytes waiting for window, by reference: the chunks as the
+/// caller handed them over, consumed from the front.
+#[derive(Debug, Default)]
+struct SendQueue {
+    /// What is left of the chunk being emitted (empty: nothing queued).
+    /// Apart from `later`, so that a body queued whole costs no queue.
+    front: Bytes,
+    later: VecDeque<Bytes>,
+    /// Bytes still queued over all chunks.
+    len: usize,
+}
+
+impl SendQueue {
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn push(&mut self, data: Bytes) {
+        self.len += data.len();
+        if self.front.is_empty() {
+            self.front = data;
+        } else if !data.is_empty() {
+            self.later.push_back(data);
+        }
+    }
+
+    /// Append the first `n` queued bytes to `out` and drop them from
+    /// the queue.
+    fn drain_into(&mut self, mut n: usize, out: &mut BytesMut) {
+        self.len -= n;
+        while n > 0 {
+            let take = self.front.len().min(n);
+            out.extend_from_slice(&self.front[..take]);
+            self.front.advance(take);
+            n -= take;
+            if self.front.is_empty() {
+                self.front = self.later.pop_front().unwrap_or_default();
+            }
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Stream {
     send_window: i64,
-    sendq: VecDeque<u8>,
+    sendq: SendQueue,
     /// Caller finished writing; emit END_STREAM with the last chunk.
     send_end: bool,
     /// END_STREAM has gone out in this direction.
@@ -195,7 +237,7 @@ impl MuxConn {
 
     /// DATA bytes queued or in flight that flow control is holding back.
     pub fn pending_send_bytes(&self) -> usize {
-        self.streams.values().map(|s| s.sendq.len()).sum()
+        self.streams.values().map(|s| s.sendq.len).sum()
     }
 
     /// Whether a stream has been reset (locally or by the peer).
@@ -249,16 +291,21 @@ impl MuxConn {
         promised
     }
 
-    /// Queue body bytes on a stream; they drain through the round-robin
-    /// scheduler as windows allow. `end_stream` closes our direction
-    /// after the final queued byte is emitted.
-    pub fn send_data(&mut self, stream: u32, data: &[u8], end_stream: bool) {
+    /// Queue body bytes on a stream, by reference; they drain through
+    /// the round-robin scheduler as windows allow. `end_stream` closes
+    /// our direction after the final queued byte is emitted.
+    pub fn send_bytes(&mut self, stream: u32, data: Bytes, end_stream: bool) {
         let Some(st) = self.streams.get_mut(&stream) else {
             return; // stream already reset — drop silently
         };
-        st.sendq.extend(data.iter().copied());
+        st.sendq.push(data);
         st.send_end |= end_stream;
         self.pump_data();
+    }
+
+    /// [`MuxConn::send_bytes`] for a caller that holds only a slice.
+    pub fn send_data(&mut self, stream: u32, data: &[u8], end_stream: bool) {
+        self.send_bytes(stream, Bytes::pooled_copy_from_slice(data), end_stream);
     }
 
     /// Abort a stream. Unsent queued DATA is dropped; returns the DATA
@@ -591,12 +638,23 @@ impl MuxConn {
                 continue;
             };
             if st.sendq.is_empty() && st.send_end && !st.local_done {
-                Frame::encode_data_into(id, FLAG_END_STREAM, &[], &[], &mut self.outbuf);
-                self.mark_local_done(id);
+                self.emit_bare_fin(id);
                 any = true;
             }
         }
         any
+    }
+
+    /// An END_STREAM-only DATA frame: our direction of `id` is done.
+    fn emit_bare_fin(&mut self, id: u32) {
+        write_frame(
+            FrameType::Data,
+            FLAG_END_STREAM,
+            id,
+            &mut self.outbuf,
+            |_| {},
+        );
+        self.mark_local_done(id);
     }
 
     /// One scheduler step for `id`: emit up to one DATA frame within
@@ -608,15 +666,14 @@ impl MuxConn {
         };
         if st.sendq.is_empty() {
             if st.send_end && !st.local_done {
-                Frame::encode_data_into(id, FLAG_END_STREAM, &[], &[], &mut self.outbuf);
-                self.mark_local_done(id);
+                self.emit_bare_fin(id);
                 return true;
             }
             return false;
         }
         let allow = st
             .sendq
-            .len()
+            .len
             .min(MAX_FRAME_PAYLOAD)
             .min(st.send_window.max(0) as usize)
             .min(conn_window.max(0) as usize);
@@ -626,22 +683,13 @@ impl MuxConn {
         st.send_window -= allow as i64;
         st.data_sent += allow as u64;
         self.conn_send_window -= allow as i64;
-        let fin = st.sendq.len() == allow && st.send_end;
-        // Encode straight out of the send queue's two ring slices: the
-        // scheduler emits one DATA frame per pass with zero payload
-        // copies beyond the one onto the wire buffer.
-        let (head, tail) = st.sendq.as_slices();
-        let h = head.len().min(allow);
-        Frame::encode_data_into(
-            id,
-            if fin { FLAG_END_STREAM } else { 0 },
-            &head[..h],
-            &tail[..allow - h],
-            &mut self.outbuf,
-        );
-        // A ring buffer gives up its front in O(allow), nothing shifts.
-        // simlint: allow(front-drain)
-        st.sendq.drain(..allow);
+        let fin = st.sendq.len == allow && st.send_end;
+        // Encode straight out of the queued chunks: one DATA frame per
+        // pass, no payload copy beyond the one onto the wire buffer.
+        let flags = if fin { FLAG_END_STREAM } else { 0 };
+        write_frame(FrameType::Data, flags, id, &mut self.outbuf, |out| {
+            st.sendq.drain_into(allow, out)
+        });
         if fin {
             self.mark_local_done(id);
         }
@@ -880,5 +928,52 @@ mod tests {
             out
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn frames_do_not_depend_on_how_the_body_was_queued() {
+        // 40 000 bytes queued while the connection window is shut, so
+        // the scheduler meets them all at once: three DATA frames,
+        // whether they were queued in one piece, in ragged pieces a
+        // frame spans several of, or as a slice of a larger buffer.
+        let body: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        let wire = |queue: &dyn Fn(&mut MuxConn, u32)| {
+            let mut client = MuxConn::client(false);
+            let mut server = MuxConn::server();
+            let filler = client.open_stream(&req("/filler"), true);
+            let id = client.open_stream(&req("/x"), true);
+            pump(&mut client, &mut server);
+            drain(&mut server);
+            server.send_data(filler, &vec![0; DEFAULT_WINDOW as usize], true);
+            server.send_headers(id, &[(":status".into(), "200".into())], false);
+            queue(&mut server, id);
+            assert_eq!(server.pending_send_bytes(), body.len());
+            let mut sent = Vec::new();
+            loop {
+                let before = sent.len();
+                server.take_output(usize::MAX, &mut sent);
+                if sent.len() == before {
+                    break sent;
+                }
+                client.feed(&sent[before..]);
+                pump(&mut client, &mut server);
+            }
+        };
+        let whole = wire(&|server, id| server.send_data(id, &body, true));
+        let ragged = wire(&|server, id| {
+            let mut rest = &body[..];
+            for len in [1, 16_383, 0, 2, 9_000, 7, 14_607] {
+                let (piece, tail) = rest.split_at(len);
+                server.send_bytes(id, Bytes::copy_from_slice(piece), tail.is_empty());
+                rest = tail;
+            }
+            assert!(rest.is_empty());
+        });
+        let sliced = wire(&|server, id| {
+            let padded = Bytes::from([&[0xEE; 100][..], &body[..], &[0xEE; 100][..]].concat());
+            server.send_bytes(id, padded.slice(100..100 + body.len()), true);
+        });
+        assert_eq!(ragged.len(), whole.len());
+        assert!(ragged == whole && sliced == whole);
     }
 }

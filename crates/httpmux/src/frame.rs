@@ -161,17 +161,6 @@ impl Frame {
         self.encode_into(&mut out);
         out.to_vec()
     }
-
-    /// Serialize a DATA frame whose payload is `head` followed by
-    /// `tail`, straight onto `out`. This is the scheduler's hot path:
-    /// the two slices come from a send queue's `VecDeque::as_slices`,
-    /// so no intermediate payload vector is ever materialized.
-    pub fn encode_data_into(stream: u32, flags: u8, head: &[u8], tail: &[u8], out: &mut BytesMut) {
-        write_frame(FrameType::Data, flags, stream, out, |out| {
-            out.extend_from_slice(head);
-            out.extend_from_slice(tail);
-        });
-    }
 }
 
 /// A header block onto `out`, whatever holds it: the engine never owns
@@ -458,28 +447,6 @@ mod tests {
             flags: 0,
             payload: FramePayload::WindowUpdate(32_768),
         });
-    }
-
-    #[test]
-    fn split_data_encode_matches_whole_frame() {
-        let body = b"the quick brown fox";
-        for split in [0, 1, body.len() / 2, body.len()] {
-            let mut direct = BytesMut::new();
-            Frame::encode_data_into(
-                7,
-                FLAG_END_STREAM,
-                &body[..split],
-                &body[split..],
-                &mut direct,
-            );
-            let whole = Frame {
-                stream: 7,
-                flags: FLAG_END_STREAM,
-                payload: FramePayload::Data(Bytes::copy_from_slice(body)),
-            }
-            .encode();
-            assert_eq!(&direct[..], &whole[..], "split at {split}");
-        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl HttpServer {
             }
             m.engine.send_headers(stream, &resp, resp.body.is_empty());
             if !resp.body.is_empty() {
-                m.engine.send_data(stream, &resp.body, true);
+                m.engine.send_bytes(stream, resp.body.clone(), true);
             }
         }
 

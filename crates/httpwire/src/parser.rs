@@ -90,7 +90,7 @@ impl Framing {
 #[derive(Debug)]
 struct BodyReader {
     framing: Framing,
-    /// Decoded body so far; taken from the pool with the first byte.
+    /// Decoded body so far; there from the first byte.
     body: Option<BytesMut>,
     /// Wire bytes of this message (head included) taken out of the
     /// parse buffer so far.
@@ -114,13 +114,13 @@ impl BodyReader {
                 (take, *left == 0)
             }
             Framing::Chunked(dec) => {
-                let body = self.body.get_or_insert_with(|| BytesMut::pooled(0));
+                let body = self.body.get_or_insert_with(BytesMut::new);
                 let used = dec.feed(buf, body).map_err(|_| ParseError::BadChunk)?;
                 (used, dec.done())
             }
             Framing::ToClose => {
                 self.body
-                    .get_or_insert_with(|| BytesMut::pooled(0))
+                    .get_or_insert_with(BytesMut::new)
                     .extend_from_slice(buf);
                 (buf.len(), at_eof)
             }
@@ -192,14 +192,9 @@ impl<M> Assembly<M> {
         body.fill(&mut self.buf, at_eof)
     }
 
-    /// The completed message and its body. A parser left with nothing
-    /// buffered holds no storage either: a finished connection keeps its
-    /// parser until TCP lets go of it.
+    /// The completed message and its body.
     fn take(&mut self) -> (M, Bytes) {
         let (message, body) = self.current.take().expect("a message is complete");
-        if self.buf.is_empty() {
-            self.buf = BytesMut::new();
-        }
         (message, body.finish())
     }
 }

@@ -1008,6 +1008,17 @@ impl Simulator {
         &self.kernel.hosts[host.0 as usize].name
     }
 
+    /// How many sockets, over all hosts, are `Closed`, and the buffer
+    /// storage they still hold between them (for tests: a finished
+    /// connection pins none).
+    #[doc(hidden)]
+    pub fn closed_socket_storage(&self) -> (usize, usize) {
+        let sockets = self.kernel.hosts.iter().flat_map(|h| &h.sockets);
+        sockets
+            .filter(|t| t.state == State::Closed)
+            .fold((0, 0), |(n, bytes), t| (n + 1, bytes + t.held_storage()))
+    }
+
     fn dispatch_pending(&mut self) {
         while let Some((host, ev)) = self.kernel.pending.pop_front() {
             let Some(mut app) = self.apps[host.0 as usize].take() else {

@@ -481,6 +481,13 @@ impl Tcb {
         self.buf_base + self.send_buf.len() as u64
     }
 
+    /// Bytes of buffer storage this connection holds: the capacity of
+    /// its send and receive buffers and its out-of-order payloads.
+    pub(crate) fn held_storage(&self) -> usize {
+        let reassembly: usize = self.reassembly.values().map(Bytes::len).sum();
+        self.send_buf.capacity() + self.recv_buf.capacity() + reassembly
+    }
+
     // ------------------------------------------------------------------
     // Application entry points
     // ------------------------------------------------------------------

@@ -25,6 +25,7 @@ pub const RULE_IDS: &[&str] = &[
     "probe-determinism",
     "hot-path-alloc",
     "front-drain",
+    "parked-pool-buffer",
     "recorder-search",
     "head-field-alloc",
     "seq-wrap",
@@ -308,6 +309,28 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                 t.line,
                 t.col,
                 "`.drain(..n)` consumes from the front by shifting the rest; queue bytes in a `BytesMut` and `advance`"
+                    .to_string(),
+            );
+        }
+
+        // --- parked-pool-buffer: `BytesMut::pooled(0)` takes storage
+        // from the pool with nothing to write and parks it in whatever
+        // holds the buffer; an empty buffer is `BytesMut::new()`, and the
+        // first write sizes it.
+        if t.is_ident("pooled")
+            && i >= 2
+            && toks[i - 1].is_op("::")
+            && toks[i - 2].is_ident("BytesMut")
+            && i + 3 < n
+            && toks[i + 1].is_op("(")
+            && toks[i + 2].text == "0"
+            && toks[i + 3].is_op(")")
+        {
+            push(
+                "parked-pool-buffer",
+                t.line,
+                t.col,
+                "`BytesMut::pooled(0)` takes pool storage with nothing to write; an empty buffer is `BytesMut::new()`"
                     .to_string(),
             );
         }

@@ -147,6 +147,25 @@ fn front_drain_fires() {
 }
 
 #[test]
+fn parked_pool_buffer_fires() {
+    // `split_to_pooled` as it stood: taking everything left a vector of
+    // whatever capacity the pool had on top parked in the connection.
+    let split = "\
+pub fn split_to_pooled(&mut self, at: usize) -> Bytes {
+    if at == self.len() {
+        std::mem::replace(self, BytesMut::pooled(0)).freeze_pooled()
+    } else {
+        let sized = BytesMut::pooled(at);
+        self.split_prefix(at, sized)
+    }
+}
+";
+    for path in ["crates/bytes/src/lib.rs", "crates/httpwire/src/parser.rs"] {
+        assert_fires(path, split, "parked-pool-buffer", 3);
+    }
+}
+
+#[test]
 fn recorder_search_fires() {
     // The telemetry sink's first `slot`: a search of every series of the
     // run on each record, a mid-`Vec` insert on each new one.
