@@ -5,7 +5,8 @@
 //! [`Bytes`] (a cheaply cloneable, sliceable, immutable byte buffer) and
 //! [`BytesMut`] (a growable buffer appended at the back and consumed from
 //! the front through a read cursor). Semantics match the real crate for
-//! this surface; `clone`, `slice` and `advance` are O(1).
+//! this surface; `clone`, `slice` and `advance` are O(1). [`BytesQueue`]
+//! (below) is this workspace's own.
 //!
 //! # Pooled buffers
 //!
@@ -13,10 +14,10 @@
 //! comes from, by one policy — *storage follows bytes*:
 //!
 //! 1. **An empty buffer owns nothing.** A [`BytesMut`] that empties
-//!    (`advance` to the end, `clear`, `split_to_pooled` of everything)
-//!    hands its vector to a thread-local pool; its next write takes one
-//!    sized for that write. Connections that are closed or idle therefore
-//!    pin no memory, however long their owners keep them.
+//!    (`advance` to the end, `clear`) hands its vector to a thread-local
+//!    pool; its next write takes one sized for that write. Connections
+//!    that are closed or idle therefore pin no memory, however long their
+//!    owners keep them.
 //! 2. **The pool hands storage out by size.** Free lists are kept per
 //!    power-of-two class, 64 B … 64 KiB, each bounded in bytes; a request
 //!    takes the smallest class that holds it, so a pooled buffer never
@@ -27,17 +28,40 @@
 //!    next class that fits, copies its live bytes and returns the old
 //!    vector; past the largest class it grows by `Vec::reserve`.
 //!
-//! [`Bytes::pooled_copy_from_slice`], [`BytesMut::split_to_pooled`] and
-//! [`BytesMut::freeze_pooled`] give out `Bytes` backed by such a vector;
-//! it returns to the pool of whichever thread drops the last reference.
-//! Pooled and shared buffers are observationally identical (equality and
-//! hashing go through the byte contents), so pooling can never change
-//! simulation results — it only recycles storage.
+//! [`Bytes::pooled_copy_from_slice`] and [`BytesMut::freeze_pooled`] give
+//! out `Bytes` backed by such a vector; it returns to the pool of
+//! whichever thread drops the last reference. Pooled and shared buffers
+//! are observationally identical (equality and hashing go through the
+//! byte contents), so pooling can never change simulation results — it
+//! only recycles storage.
+//!
+//! # Queued bytes
+//!
+//! Bytes that wait — for a socket to take them, for a window to open,
+//! for an acknowledgement, for the application to read — wait in a
+//! [`BytesQueue`]: the `Bytes` chunks as they were handed over, first
+//! chunk inline (one chunk queued costs no deque), the rest in a
+//! `VecDeque` behind it. Every socket-side buffer of the workspace is
+//! one, so a body byte moves from the store to a segment payload, and
+//! from an arriving payload to the reader, by reference:
+//!
+//! * `push` queues a `Bytes` as it is; `extend_from_slice` is the copying
+//!   way in (one pooled chunk per call) for a caller with only a slice.
+//! * `advance` drops the chunks it covers — nothing shifts — and
+//!   `drain_into` moves a prefix to another queue, sharing the one chunk
+//!   it may end inside.
+//! * `slice(off, len)` is a refcounted view when the range lies inside
+//!   one chunk and a pooled gather copy only when it crosses a chunk
+//!   edge. That is the one place a queued byte can be copied, and what
+//!   decides it is where the chunks happen to end, nothing else.
+//! * A queue that empties holds no reference to any chunk; `clear` also
+//!   gives up the deque, so a cleared queue owns nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
@@ -362,20 +386,6 @@ impl BytesMut {
         }
     }
 
-    /// Remove and return the first `at` bytes as a pool-backed
-    /// [`Bytes`]: taking everything moves the whole vector into the
-    /// pooled buffer and leaves this one owning nothing; taking a prefix
-    /// copies it into a pooled buffer of its size and advances past it.
-    pub fn split_to_pooled(&mut self, at: usize) -> Bytes {
-        if at == self.len() {
-            std::mem::take(self).freeze_pooled()
-        } else {
-            let head = Bytes::pooled_copy_from_slice(&self[..at]);
-            self.advance(at);
-            head
-        }
-    }
-
     /// Drop all accumulated contents. The storage goes to the pool;
     /// storage the pool would refuse stays, for the owner's next write.
     pub fn clear(&mut self) {
@@ -439,6 +449,141 @@ impl From<BytesMut> for Vec<u8> {
     }
 }
 
+/// Bytes waiting to be sent or read, held by reference: the chunks as
+/// they were queued, consumed from the front. Nothing is copied on the
+/// way in, nothing shifts on the way out, and a range that lies inside
+/// one chunk is handed out as a view of it (see "Queued bytes" in the
+/// module docs).
+#[derive(Debug, Default)]
+pub struct BytesQueue {
+    /// What is left of the first chunk (empty: nothing is queued). Apart
+    /// from `later`, so that one chunk queued costs no deque.
+    front: Bytes,
+    /// The chunks behind it, none of them empty.
+    later: VecDeque<Bytes>,
+    /// Bytes queued over all chunks.
+    len: usize,
+}
+
+impl BytesQueue {
+    /// Create a new, empty instance. It owns nothing.
+    pub fn new() -> BytesQueue {
+        BytesQueue::default()
+    }
+
+    /// Number of bytes queued.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no bytes are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Queue `data` behind what is there, by reference.
+    pub fn push(&mut self, data: Bytes) {
+        self.len += data.len();
+        if self.front.is_empty() {
+            self.front = data;
+        } else if !data.is_empty() {
+            self.later.push_back(data);
+        }
+    }
+
+    /// Queue a copy of `data`, as one pooled chunk: the way in for a
+    /// caller that holds only a slice.
+    pub fn extend_from_slice(&mut self, data: &[u8]) {
+        if !data.is_empty() {
+            self.push(Bytes::pooled_copy_from_slice(data));
+        }
+    }
+
+    /// The first chunk: the longest run of queued bytes that is one
+    /// slice (empty when nothing is queued).
+    pub fn chunk(&self) -> &[u8] {
+        &self.front
+    }
+
+    /// The queued chunks, front to back.
+    pub fn chunks(&self) -> impl Iterator<Item = &Bytes> {
+        let front = (!self.front.is_empty()).then_some(&self.front);
+        front.into_iter().chain(&self.later)
+    }
+
+    /// Discard the first `n` bytes: chunks they cover are dropped, the
+    /// rest stay where they are.
+    pub fn advance(&mut self, mut n: usize) {
+        assert!(n <= self.len, "advance {n} past {} bytes", self.len);
+        self.len -= n;
+        while n > 0 {
+            let take = self.front.len().min(n);
+            self.front.advance(take);
+            n -= take;
+            if self.front.is_empty() {
+                self.front = self.later.pop_front().unwrap_or_default();
+            }
+        }
+    }
+
+    /// Move the first `n` bytes to the back of `out`, by reference: a
+    /// chunk they end inside is shared between the two queues.
+    pub fn drain_into(&mut self, mut n: usize, out: &mut BytesQueue) {
+        assert!(n <= self.len, "drain {n} of {} bytes", self.len);
+        self.len -= n;
+        while n > 0 {
+            if n < self.front.len() {
+                out.push(self.front.slice(..n));
+                self.front.advance(n);
+                return;
+            }
+            n -= self.front.len();
+            let next = self.later.pop_front().unwrap_or_default();
+            out.push(std::mem::replace(&mut self.front, next));
+        }
+    }
+
+    /// The `len` bytes starting `off` bytes into the queue: a view of
+    /// the chunk that holds them, or — only when the range crosses a
+    /// chunk edge — a pooled copy gathered from the chunks it covers.
+    pub fn slice(&self, off: usize, len: usize) -> Bytes {
+        assert!(
+            off <= self.len && len <= self.len - off,
+            "slice {off}+{len} of {} bytes",
+            self.len
+        );
+        if len == 0 {
+            return Bytes::new();
+        }
+        let mut chunks = self.chunks();
+        let mut skip = off;
+        let first = loop {
+            let chunk = chunks.next().expect("the range lies in the queue");
+            if skip < chunk.len() {
+                break chunk;
+            }
+            skip -= chunk.len();
+        };
+        if len <= first.len() - skip {
+            return first.slice(skip..skip + len);
+        }
+        let mut gathered = BytesMut::pooled(len);
+        gathered.extend_from_slice(&first[skip..]);
+        while gathered.len() < len {
+            let chunk = chunks.next().expect("the range lies in the queue");
+            let take = chunk.len().min(len - gathered.len());
+            gathered.extend_from_slice(&chunk[..take]);
+        }
+        gathered.freeze_pooled()
+    }
+
+    /// Drop everything queued, and the deque with it: a cleared queue
+    /// owns nothing.
+    pub fn clear(&mut self) {
+        *self = BytesQueue::default();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,20 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn bytesmut_advance_and_split_to_pooled() {
-        let mut m = BytesMut::new();
-        m.extend_from_slice(b"abcdef");
-        m.advance(2);
-        assert_eq!(&m[..], b"cdef");
-        let head = m.split_to_pooled(2);
-        assert_eq!(&head[..], b"cd");
-        assert_eq!(&m[..], b"ef");
-        let rest = m.split_to_pooled(2);
-        assert_eq!(&rest[..], b"ef");
-        assert!(m.is_empty());
-    }
-
-    #[test]
     fn advance_leaves_the_remainder_in_place() {
         let mut m = BytesMut::new();
         m.extend_from_slice(&[7u8; 4096]);
@@ -538,11 +669,11 @@ mod tests {
         m.clear();
         assert_eq!(m.capacity(), 0);
         let mut m = filled();
-        assert_eq!(m.split_to_pooled(3000).len(), 3000);
+        assert_eq!(std::mem::take(&mut m).freeze_pooled().len(), 3000);
         assert_eq!(m.capacity(), 0);
-        // A prefix taken leaves the rest, and its storage, where it was.
+        // A prefix consumed leaves the rest, and its storage, where it was.
         let mut m = filled();
-        assert_eq!(m.split_to_pooled(1000).len(), 1000);
+        m.advance(1000);
         assert_eq!((m.len(), m.capacity()), (2000, 4096));
     }
 
@@ -635,8 +766,6 @@ mod tests {
         assert_eq!(m, BytesMut::from(b"cdef".to_vec()));
         assert_eq!(format!("{m:?}"), format!("{:?}", b"cdef"));
         assert_eq!(m.clone().freeze_pooled(), Bytes::from_static(b"cdef"));
-        assert_eq!(m.split_to_pooled(4), Bytes::from_static(b"cdef"));
-        assert!(m.is_empty());
         let mut m = BytesMut::from(b"abcdef".to_vec());
         m.advance(2);
         assert_eq!(Vec::from(m), b"cdef");
@@ -648,6 +777,83 @@ mod tests {
         assert!(m.vec.capacity() >= 100);
         m.extend_from_slice(b"body");
         assert_eq!(&m.freeze_pooled()[..], b"body");
+    }
+
+    /// How many `Bytes` share the storage behind `b`, itself included.
+    fn refs(b: &Bytes) -> usize {
+        match &b.data {
+            Repr::Pooled(chunk) => Arc::strong_count(chunk),
+            Repr::Shared(slice) => Arc::strong_count(slice),
+        }
+    }
+
+    #[test]
+    fn a_slice_inside_one_chunk_shares_its_storage() {
+        let body = Bytes::from((0..=255u8).cycle().take(10_000).collect::<Vec<u8>>());
+        let mut q = BytesQueue::new();
+        q.extend_from_slice(b"head");
+        q.push(body.clone());
+        let pooled = || POOL.with(|p| p.borrow().iter().map(Vec::len).sum::<usize>());
+        let before = pooled();
+        let view = q.slice(4 + 1460, 1460);
+        assert_eq!(view.as_ptr(), body[1460..].as_ptr());
+        assert_eq!((view.len(), refs(&body), pooled()), (1460, 3, before));
+        // The same range once the chunks in front of it are gone.
+        q.advance(4 + 1460);
+        assert_eq!(q.slice(0, 1460).as_ptr(), view.as_ptr());
+        assert_eq!(q.chunk().as_ptr(), view.as_ptr());
+    }
+
+    #[test]
+    fn a_slice_across_a_chunk_edge_is_gathered_into_its_class() {
+        let mut q = BytesQueue::new();
+        let mut model = Vec::new();
+        for (i, len) in [200usize, 0, 700, 1, 3000].into_iter().enumerate() {
+            let piece = vec![i as u8 + 1; len];
+            q.push(Bytes::from(piece.clone()));
+            model.extend_from_slice(&piece);
+        }
+        assert_eq!(q.chunks().count(), 4, "the empty piece is not queued");
+        // Head and the first body bytes of a response: one segment.
+        let seg = q.slice(0, 1460);
+        assert_eq!(seg, Bytes::copy_from_slice(&model[..1460]));
+        assert_eq!(held(&seg), 2048);
+        let seg = q.slice(150, 800);
+        assert_eq!(seg, Bytes::copy_from_slice(&model[150..950]));
+        assert_eq!(held(&seg), 1024);
+        assert!(q.slice(901, 0).is_empty() && q.slice(model.len(), 0).is_empty());
+    }
+
+    #[test]
+    fn a_drained_queue_holds_no_reference_and_a_cleared_one_no_deque() {
+        let a = Bytes::from(vec![1u8; 100]);
+        let b = Bytes::from(vec![2u8; 100]);
+        let filled = || {
+            let mut q = BytesQueue::new();
+            q.push(a.clone());
+            q.push(b.slice(10..));
+            assert_eq!((q.len(), refs(&a), refs(&b)), (190, 2, 2));
+            q
+        };
+        let mut q = filled();
+        q.advance(100);
+        assert_eq!((q.len(), refs(&a), refs(&b)), (90, 1, 2));
+        q.advance(90);
+        assert_eq!((q.len(), refs(&a), refs(&b)), (0, 1, 1));
+        assert!(q.chunk().is_empty() && q.chunks().next().is_none());
+        // Moved whole, a chunk changes hands; cut, it is shared.
+        let (mut q, mut out) = (filled(), BytesQueue::new());
+        q.drain_into(150, &mut out);
+        assert_eq!((q.len(), out.len(), refs(&a), refs(&b)), (40, 150, 2, 3));
+        q.drain_into(40, &mut out);
+        assert_eq!((q.len(), out.len(), refs(&a), refs(&b)), (0, 190, 2, 3));
+        out.clear();
+        assert_eq!((out.len(), refs(&a), refs(&b)), (0, 1, 1));
+        assert_eq!(out.later.capacity(), 0);
+        // One chunk queued never had a deque.
+        let mut q = BytesQueue::new();
+        q.push(a.clone());
+        assert_eq!(q.later.capacity(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::cache::{CacheEntry, ClientCache};
 use crate::config::{ClientConfig, ProtocolMode, RevalidationStyle, Workload};
-use bytes::BytesMut;
+use bytes::{BytesMut, BytesQueue};
 use httpwire::coding;
 use httpwire::validators::Validators;
 use httpwire::{ContentCoding, ETag, HttpDate, Method, Request, Response, ResponseParser};
@@ -140,8 +140,8 @@ struct Conn {
     sent: VecDeque<Job>,
     /// Request bytes not yet flushed to the socket (pipeline buffer).
     reqbuf: BytesMut,
-    /// Flushed bytes the socket has not yet accepted.
-    outbuf: BytesMut,
+    /// Flushed request batches the socket has not yet accepted.
+    outbuf: BytesQueue,
     connected: bool,
     /// Anything has been flushed on this connection yet.
     flushed_any: bool,
@@ -160,7 +160,7 @@ impl Conn {
             parser: ResponseParser::new(),
             sent: VecDeque::new(),
             reqbuf: BytesMut::new(),
-            outbuf: BytesMut::new(),
+            outbuf: BytesQueue::new(),
             connected: false,
             flushed_any: false,
             finished: false,
@@ -585,8 +585,8 @@ impl HttpClient {
             return;
         };
         if !conn.reqbuf.is_empty() {
-            conn.outbuf.extend_from_slice(&conn.reqbuf);
-            conn.reqbuf.clear();
+            conn.outbuf
+                .push(std::mem::take(&mut conn.reqbuf).freeze_pooled());
             conn.flushed_any = true;
             let count = std::mem::take(&mut conn.unwritten);
             ctx.probe_span(sock, SpanEvent::RequestWritten { count, cause });

@@ -112,13 +112,8 @@ impl HttpClient {
         if !m.connected {
             return; // transmitted on Connected
         }
-        while !m.engine.output().is_empty() {
-            let n = ctx.send(m.sock, m.engine.output());
-            if n == 0 {
-                break; // socket buffer full: resume on SendSpace
-            }
-            m.engine.consume_output(n);
-        }
+        // What the socket does not take stays queued: resume on SendSpace.
+        ctx.send_from(m.sock, m.engine.outgoing());
     }
 
     pub(super) fn mux_on_connected(&mut self, ctx: &mut Ctx<'_>) {

@@ -42,6 +42,16 @@ fn robot_request() -> Request {
     RequestStyle::Robot.request(Method::Get, "/images/banner.gif", Version::Http11, host)
 }
 
+/// Everything `from` has queued for the wire, fed to `to` chunk by
+/// chunk, as a socket would deliver it.
+fn shuttle(from: &mut MuxConn, to: &mut MuxConn) {
+    let wire = from.outgoing();
+    while !wire.is_empty() {
+        to.feed(wire.chunk());
+        wire.advance(wire.chunk().len());
+    }
+}
+
 /// `streams` requests answered with `body` bytes each, between two
 /// engines, until both are idle.
 fn mux_exchange(streams: u32, body: &[u8]) {
@@ -54,8 +64,7 @@ fn mux_exchange(streams: u32, body: &[u8]) {
     }
     let (mut answered, mut delivered) = (0, 0);
     while answered < streams || !(client.idle() && server.idle()) {
-        server.feed(client.output());
-        client.consume_output(client.output().len());
+        shuttle(&mut client, &mut server);
         while let Some(event) = server.poll_event() {
             if let MuxEvent::Headers { stream, .. } = event {
                 server.send_headers(stream, &resp, false);
@@ -63,8 +72,7 @@ fn mux_exchange(streams: u32, body: &[u8]) {
                 answered += 1;
             }
         }
-        client.feed(server.output());
-        server.consume_output(server.output().len());
+        shuttle(&mut server, &mut client);
         while let Some(event) = client.poll_event() {
             if let MuxEvent::Data { data, .. } = event {
                 delivered += data.len();
@@ -76,8 +84,9 @@ fn mux_exchange(streams: u32, body: &[u8]) {
 
 #[test]
 fn a_message_stays_inside_its_allocation_budget() {
-    // The response: its wire image, the parser's expectation queue, its
-    // parse buffer, the head's buffer and span table, the body's handle.
+    // The response: its wire image, the parser's expectation queue, the
+    // head's buffer and span table, the body's handle (the parse buffer
+    // comes from the pool).
     let resp = gif_response();
     let round_trip = allocs(|| {
         let wire = resp.to_bytes();
@@ -87,7 +96,7 @@ fn a_message_stays_inside_its_allocation_budget() {
         let parsed = parser.next().expect("parses").expect("complete");
         assert_eq!(parsed.headers.len(), 6);
     });
-    assert!(round_trip <= 6, "response round trip: {round_trip}");
+    assert!(round_trip <= 5, "response round trip: {round_trip}");
 
     // The request: built (buffer, span table) and written into a
     // connection's buffer, as the robot does; two more for `to_bytes`'
@@ -101,21 +110,20 @@ fn a_message_stays_inside_its_allocation_budget() {
     let to_bytes = allocs(|| drop(robot_request().to_bytes()));
     assert!(to_bytes <= 3, "request build + to_bytes: {to_bytes}");
 
-    // Parsed: the parse buffer, the head's buffer and span table.
+    // Parsed: the head's buffer and span table.
     let mut parser = RequestParser::new();
     let parse = allocs(|| {
         parser.feed(&conn);
         let req = parser.next().expect("parses").expect("complete");
         assert_eq!(req.target(), "/images/banner.gif");
     });
-    assert!(parse <= 3, "request parse: {parse}");
+    assert!(parse <= 2, "request parse: {parse}");
 
     // The ledger's `httpmux.allocs_per_stream` exchange: 64 streams,
-    // 8 KiB each.
+    // 8 KiB each. 7.25 a stream: the written bytes of a hand-off are
+    // sealed once, however many DATA frames they head (a seal per frame
+    // read 521).
     let body = vec![0xC3u8; 8 * 1024];
     let exchange = allocs(|| mux_exchange(64, &body));
-    assert!(
-        exchange <= 64 * 8,
-        "mux exchange: {exchange} for 64 streams"
-    );
+    assert!(exchange <= 464, "mux exchange: {exchange} for 64 streams");
 }

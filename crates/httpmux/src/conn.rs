@@ -3,21 +3,23 @@
 //!
 //! The engine is sans-IO: callers `feed()` bytes received from the
 //! socket, drain semantic [`MuxEvent`]s with `poll_event()`, enqueue
-//! sends through the `send_*` methods, and send wire bytes straight
-//! from `output()`, reporting progress with `consume_output()`. Control
-//! frames (HEADERS, SETTINGS, WINDOW_UPDATE, RST_STREAM, PUSH_PROMISE)
-//! are serialized immediately in call order — which is what makes
-//! PUSH_PROMISE-before-parent-HEADERS ordering hold — while DATA is queued per stream and drained round-robin in
-//! [`MAX_FRAME_PAYLOAD`] chunks as the peer's windows allow.
+//! sends through the `send_*` methods, and hand the socket the queue
+//! `outgoing()` returns, which keeps whatever the socket did not take.
+//! Control frames (HEADERS, SETTINGS, WINDOW_UPDATE, RST_STREAM,
+//! PUSH_PROMISE) are serialized immediately in call order — which is what
+//! makes PUSH_PROMISE-before-parent-HEADERS ordering hold — while DATA is
+//! queued per stream and drained round-robin in [`MAX_FRAME_PAYLOAD`]
+//! chunks as the peer's windows allow: its 9-byte header is written, its
+//! payload moves to the output by reference.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesMut, BytesQueue};
 use httpwire::{Fields, HeaderMap};
 
 use crate::frame::{
-    encode_fields, write_frame, Frame, FrameError, FrameParser, FramePayload, FrameType,
-    DEFAULT_WINDOW, FLAG_ACK, FLAG_END_STREAM, MAX_FRAME_PAYLOAD, SETTING_ENABLE_PUSH,
+    encode_fields, write_frame, write_frame_header, Frame, FrameError, FrameParser, FramePayload,
+    FrameType, DEFAULT_WINDOW, FLAG_ACK, FLAG_END_STREAM, MAX_FRAME_PAYLOAD, SETTING_ENABLE_PUSH,
     SETTING_INITIAL_WINDOW,
 };
 
@@ -74,52 +76,52 @@ pub enum MuxEvent {
     ProtocolError(MuxError),
 }
 
-/// Body bytes waiting for window, by reference: the chunks as the
-/// caller handed them over, consumed from the front.
+/// Wire bytes on their way to the socket. Frames are written into `ctl`
+/// — all of a control frame, the 9-byte header of a DATA frame — while a
+/// DATA payload is moved, not written: `payloads` holds it and `cuts`
+/// where in `ctl` it belongs. A hand-off freezes `ctl` once and queues its
+/// pieces and the payloads in wire order, so the written bytes of any
+/// number of frames share one allocation.
 #[derive(Debug, Default)]
-struct SendQueue {
-    /// What is left of the chunk being emitted (empty: nothing queued).
-    /// Apart from `later`, so that a body queued whole costs no queue.
-    front: Bytes,
-    later: VecDeque<Bytes>,
-    /// Bytes still queued over all chunks.
-    len: usize,
+struct Output {
+    /// In wire order, ready for the socket.
+    sealed: BytesQueue,
+    /// Written since the last hand-off.
+    ctl: BytesMut,
+    /// DATA payloads queued since the last hand-off, in order…
+    payloads: BytesQueue,
+    /// …and for each, how much of `ctl` goes before it and its length.
+    cuts: Vec<(usize, usize)>,
 }
 
-impl SendQueue {
-    fn is_empty(&self) -> bool {
-        self.len == 0
+impl Output {
+    fn len(&self) -> usize {
+        self.sealed.len() + self.ctl.len() + self.payloads.len()
     }
 
-    fn push(&mut self, data: Bytes) {
-        self.len += data.len();
-        if self.front.is_empty() {
-            self.front = data;
-        } else if !data.is_empty() {
-            self.later.push_back(data);
-        }
-    }
-
-    /// Append the first `n` queued bytes to `out` and drop them from
-    /// the queue.
-    fn drain_into(&mut self, mut n: usize, out: &mut BytesMut) {
-        self.len -= n;
-        while n > 0 {
-            let take = self.front.len().min(n);
-            out.extend_from_slice(&self.front[..take]);
-            self.front.advance(take);
-            n -= take;
-            if self.front.is_empty() {
-                self.front = self.later.pop_front().unwrap_or_default();
+    /// Everything written or moved so far, as one queue in wire order.
+    fn seal(&mut self) -> &mut BytesQueue {
+        // A payload follows its header, so no `ctl` means no payloads.
+        if !self.ctl.is_empty() {
+            let ctl = std::mem::take(&mut self.ctl).freeze_pooled();
+            let mut at = 0;
+            for (cut, len) in self.cuts.drain(..) {
+                self.sealed.push(ctl.slice(at..cut));
+                self.payloads.drain_into(len, &mut self.sealed);
+                at = cut;
             }
+            self.sealed.push(ctl.slice(at..));
         }
+        &mut self.sealed
     }
 }
 
 #[derive(Debug, Default)]
 struct Stream {
     send_window: i64,
-    sendq: SendQueue,
+    /// Body bytes waiting for window, by reference: the chunks as the
+    /// caller handed them over.
+    sendq: BytesQueue,
     /// Caller finished writing; emit END_STREAM with the last chunk.
     send_end: bool,
     /// END_STREAM has gone out in this direction.
@@ -151,8 +153,8 @@ pub struct MuxConn {
     /// Peer's INITIAL_WINDOW_SIZE for streams we send on.
     peer_initial_window: u32,
     peer_enable_push: bool,
-    /// Serialized frames, consumed from the front by the socket.
-    outbuf: BytesMut,
+    /// Frames on their way to the socket.
+    tx: Output,
     /// Round-robin cursor: next DATA scheduling pass starts above this id.
     rr_last: u32,
     /// The scheduler's snapshot of the streams with something to send,
@@ -166,7 +168,7 @@ impl MuxConn {
     /// frame advertising whether pushes are welcome.
     pub fn client(accept_push: bool) -> MuxConn {
         let mut conn = MuxConn::new(Role::Client, FrameParser::new());
-        conn.outbuf.extend_from_slice(crate::PREFACE);
+        conn.tx.ctl.extend_from_slice(crate::PREFACE);
         conn.queue_frame(&Frame {
             stream: 0,
             flags: 0,
@@ -210,7 +212,7 @@ impl MuxConn {
             conn_recv_consumed: 0,
             peer_initial_window: DEFAULT_WINDOW,
             peer_enable_push: false,
-            outbuf: BytesMut::new(),
+            tx: Output::default(),
             rr_last: 0,
             // Empty `Vec::new()` never allocates.
             // simlint: allow(hot-path-alloc)
@@ -232,12 +234,12 @@ impl MuxConn {
     /// True once every queued byte has been consumed and no stream
     /// holds undrained DATA.
     pub fn idle(&self) -> bool {
-        self.outbuf.is_empty() && self.streams.values().all(|s| s.sendq.is_empty())
+        self.tx.len() == 0 && self.streams.values().all(|s| s.sendq.is_empty())
     }
 
     /// DATA bytes queued or in flight that flow control is holding back.
     pub fn pending_send_bytes(&self) -> usize {
-        self.streams.values().map(|s| s.sendq.len).sum()
+        self.streams.values().map(|s| s.sendq.len()).sum()
     }
 
     /// Whether a stream has been reset (locally or by the peer).
@@ -268,7 +270,7 @@ impl MuxConn {
             self.insert_stream(stream);
         }
         let flags = if end_stream { FLAG_END_STREAM } else { 0 };
-        write_frame(FrameType::Headers, flags, stream, &mut self.outbuf, |out| {
+        write_frame(FrameType::Headers, flags, stream, &mut self.tx.ctl, |out| {
             encode_fields(fields, out)
         });
         if end_stream {
@@ -284,7 +286,7 @@ impl MuxConn {
         let promised = self.next_local_id;
         self.next_local_id += 2;
         self.insert_stream(promised);
-        write_frame(FrameType::PushPromise, 0, parent, &mut self.outbuf, |out| {
+        write_frame(FrameType::PushPromise, 0, parent, &mut self.tx.ctl, |out| {
             out.extend_from_slice(&promised.to_be_bytes());
             encode_fields(fields, out);
         });
@@ -359,24 +361,30 @@ impl MuxConn {
 
     // ---- output -----------------------------------------------------
 
-    /// The queued wire bytes, in order; send from the front and report
-    /// what went with [`MuxConn::consume_output`].
-    pub fn output(&self) -> &[u8] {
-        &self.outbuf
+    /// The queued wire bytes, in order: hand the queue to the socket,
+    /// which moves off its front what it accepts; the rest stays queued.
+    pub fn outgoing(&mut self) -> &mut BytesQueue {
+        self.tx.seal()
     }
 
-    /// The first `n` bytes of [`MuxConn::output`] have been sent.
-    pub fn consume_output(&mut self, n: usize) {
-        self.outbuf.advance(n);
+    /// Wire bytes queued and not yet taken by the socket.
+    pub fn output_len(&self) -> usize {
+        self.tx.len()
     }
 
-    /// Move up to `max` queued wire bytes onto `out`: a copying wrapper
-    /// over `output()` / `consume_output()`, kept for callers that want
-    /// the bytes in a buffer of their own (tests, `benchmark/`).
+    /// Copy up to `max` queued wire bytes onto `out` and drop them from
+    /// the queue: for callers that want the bytes in a buffer of their
+    /// own (tests, `benchmark/`).
     pub fn take_output(&mut self, max: usize, out: &mut Vec<u8>) -> usize {
-        let n = self.outbuf.len().min(max);
-        out.extend_from_slice(&self.outbuf[..n]);
-        self.consume_output(n);
+        let queue = self.tx.seal();
+        let n = queue.len().min(max);
+        let mut left = n;
+        while left > 0 {
+            let take = queue.chunk().len().min(left);
+            out.extend_from_slice(&queue.chunk()[..take]);
+            queue.advance(take);
+            left -= take;
+        }
         n
     }
 
@@ -393,7 +401,7 @@ impl MuxConn {
     }
 
     fn queue_frame(&mut self, frame: &Frame) {
-        frame.encode_into(&mut self.outbuf);
+        frame.encode_into(&mut self.tx.ctl);
     }
 
     fn mark_local_done(&mut self, stream: u32) {
@@ -647,13 +655,7 @@ impl MuxConn {
 
     /// An END_STREAM-only DATA frame: our direction of `id` is done.
     fn emit_bare_fin(&mut self, id: u32) {
-        write_frame(
-            FrameType::Data,
-            FLAG_END_STREAM,
-            id,
-            &mut self.outbuf,
-            |_| {},
-        );
+        write_frame_header(FrameType::Data, FLAG_END_STREAM, id, 0, &mut self.tx.ctl);
         self.mark_local_done(id);
     }
 
@@ -673,7 +675,7 @@ impl MuxConn {
         }
         let allow = st
             .sendq
-            .len
+            .len()
             .min(MAX_FRAME_PAYLOAD)
             .min(st.send_window.max(0) as usize)
             .min(conn_window.max(0) as usize);
@@ -683,13 +685,13 @@ impl MuxConn {
         st.send_window -= allow as i64;
         st.data_sent += allow as u64;
         self.conn_send_window -= allow as i64;
-        let fin = st.sendq.len == allow && st.send_end;
-        // Encode straight out of the queued chunks: one DATA frame per
-        // pass, no payload copy beyond the one onto the wire buffer.
+        let fin = st.sendq.len() == allow && st.send_end;
+        // One DATA frame per pass: the header written, the payload moved
+        // out of the queued chunks to follow it.
         let flags = if fin { FLAG_END_STREAM } else { 0 };
-        write_frame(FrameType::Data, flags, id, &mut self.outbuf, |out| {
-            st.sendq.drain_into(allow, out)
-        });
+        write_frame_header(FrameType::Data, flags, id, allow, &mut self.tx.ctl);
+        self.tx.cuts.push((self.tx.ctl.len(), allow));
+        st.sendq.drain_into(allow, &mut self.tx.payloads);
         if fin {
             self.mark_local_done(id);
         }

@@ -179,6 +179,20 @@ pub(crate) fn encode_fields(fields: &(impl Fields + ?Sized), out: &mut BytesMut)
     out[count_at..count_at + 2].copy_from_slice(&count.to_be_bytes());
 }
 
+/// The header of a frame whose payload is `len` bytes, onto `out`.
+pub(crate) fn write_frame_header(
+    frame_type: FrameType,
+    flags: u8,
+    stream: u32,
+    len: usize,
+    out: &mut BytesMut,
+) {
+    debug_assert!(len <= MAX_FRAME_PAYLOAD, "frame payload {len} too large");
+    let [_, hi, mid, lo] = (len as u32).to_be_bytes();
+    out.extend_from_slice(&[hi, mid, lo, frame_type.code(), flags]);
+    out.extend_from_slice(&stream.to_be_bytes());
+}
+
 /// One frame onto `out`: the header, what `payload` writes, then the
 /// length patched in.
 pub(crate) fn write_frame(
@@ -189,8 +203,7 @@ pub(crate) fn write_frame(
     payload: impl FnOnce(&mut BytesMut),
 ) {
     let hdr = out.len();
-    out.extend_from_slice(&[0, 0, 0, frame_type.code(), flags]);
-    out.extend_from_slice(&stream.to_be_bytes());
+    write_frame_header(frame_type, flags, stream, 0, out);
     payload(out);
     let len = out.len() - hdr - FRAME_HEADER_LEN;
     debug_assert!(len <= MAX_FRAME_PAYLOAD, "frame payload {len} too large");

@@ -20,7 +20,7 @@ mod mux;
 
 use crate::config::{AdmissionPolicy, ServerConfig, ServerKind};
 use crate::store::SiteStore;
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesQueue};
 use httpwire::coding;
 use httpwire::range;
 use httpwire::validators::{evaluate_conditional, if_range_matches, CondResult};
@@ -78,8 +78,9 @@ pub struct ServerStats {
 #[derive(Debug)]
 struct Conn {
     parser: RequestParser,
-    /// Bytes generated but not yet accepted by the socket.
-    outbuf: BytesMut,
+    /// Responses generated but not yet accepted by the socket: heads
+    /// written, bodies by reference.
+    outbuf: BytesQueue,
     /// Requests received but not yet answered.
     in_service: u32,
     /// Responses generated on this connection.
@@ -105,7 +106,7 @@ impl Conn {
     fn new() -> Conn {
         Conn {
             parser: RequestParser::new(),
-            outbuf: BytesMut::new(),
+            outbuf: BytesQueue::new(),
             in_service: 0,
             served: 0,
             closing: false,
@@ -179,7 +180,7 @@ impl HttpServer {
             + conn.parser.buffered() as u64
             + conn.pre.len() as u64
             + conn.mux.as_ref().map_or(0, |m| {
-                (m.engine.output().len() + m.engine.pending_send_bytes()) as u64
+                (m.engine.output_len() + m.engine.pending_send_bytes()) as u64
             });
         self.total_mem = self.total_mem - conn.mem + mem;
         conn.mem = mem;
@@ -392,9 +393,10 @@ impl HttpServer {
             resp.headers.set("Connection", "Keep-Alive");
         }
 
-        // Head and body (the store's shared bytes) straight into the
-        // connection's buffer.
-        resp.write_to(&mut conn.outbuf);
+        // The head written, the body (the store's shared bytes) behind it
+        // by reference. Both reach the socket in one write: written apart,
+        // the head would leave in a segment of its own.
+        resp.queue_onto(&mut conn.outbuf);
         self.account(sock);
         self.flush(ctx, sock);
     }
@@ -490,7 +492,7 @@ impl HttpServer {
                     let resp = Response::new(Version::Http10, StatusCode::BAD_REQUEST)
                         .with_header("Content-Length", "0")
                         .with_header("Connection", "close");
-                    resp.write_to(&mut conn.outbuf);
+                    resp.queue_onto(&mut conn.outbuf);
                     conn.closing = true;
                     self.flush(ctx, sock);
                     break;

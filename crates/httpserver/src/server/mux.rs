@@ -192,13 +192,8 @@ impl HttpServer {
         let Some(m) = conn.mux.as_deref_mut() else {
             return;
         };
-        while !m.engine.output().is_empty() {
-            let n = ctx.send(sock, m.engine.output());
-            if n == 0 {
-                break; // socket buffer full: resume on SendSpace
-            }
-            m.engine.consume_output(n);
-        }
+        // What the socket does not take stays queued: resume on SendSpace.
+        ctx.send_from(sock, m.engine.outgoing());
         let done = conn.peer_closed && m.svc == 0 && m.engine.idle();
         self.account(sock);
         if done {

@@ -398,3 +398,35 @@ fn big_response_buffer_backpressure() {
         assert!(r.body.iter().all(|&b| b == 7));
     }
 }
+
+#[test]
+fn head_and_first_body_bytes_share_the_first_segment() {
+    // The head is written, the body queued behind it by reference; both
+    // must reach the socket in one write, or the head leaves in a short
+    // segment of its own and every packet count of the experiments moves.
+    let mut sim = Simulator::new();
+    let c = sim.add_host("client");
+    let s = sim.add_host("server");
+    sim.add_link(c, s, LinkConfig::lan());
+    sim.install_app(
+        s,
+        Box::new(HttpServer::new(ServerConfig::apache(80), store())),
+    );
+    let wire = b"GET /big.gif HTTP/1.1\r\nHost: x\r\n\r\n".to_vec();
+    let client = RawClient::new(SockAddr::new(s, 80), wire, vec![Method::Get]);
+    sim.install_app(c, Box::new(client));
+    sim.run_until_idle();
+    let resps = &sim.app_mut::<RawClient>(c).unwrap().responses;
+    assert_eq!(resps[0].body.len(), 20_000);
+    let head_len = resps[0].head_to_bytes().len();
+    let first = sim
+        .trace()
+        .records()
+        .iter()
+        .map(|r| &r.segment)
+        .find(|seg| seg.src.host == s && seg.has_payload())
+        .expect("the server sent data");
+    assert_eq!(first.payload.len(), 1460, "a full first segment");
+    assert!(first.payload.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    assert!(head_len < 1460 && first.payload[head_len..].iter().all(|&b| b == 7));
+}

@@ -1,10 +1,12 @@
-//! Request and response messages with wire serialization: straight into
-//! a connection's `BytesMut`, or (`to_bytes`, `head_to_bytes`) the same
-//! writer over a buffer of the message's own, sized from its `wire_len`.
+//! Request and response messages with wire serialization: a request
+//! straight into a connection's `BytesMut`, a response onto its output
+//! queue (the head written, the body by reference), or (`to_bytes`,
+//! `head_to_bytes`) the same writers over a buffer of the message's own,
+//! sized from its `wire_len`.
 
 use crate::headers::{Fields, HeaderMap, FIELDS_ROOM, LINES_ROOM};
 use crate::types::{Method, StatusCode, Version};
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesMut, BytesQueue};
 
 /// `n` in decimal, written into `digits` from the back.
 fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
@@ -188,17 +190,21 @@ impl Response {
         out.into()
     }
 
-    /// Serialize head plus body onto `out`, which grows at most once.
-    pub fn write_to(&self, out: &mut BytesMut) {
-        out.reserve(self.wire_len());
-        self.write_head_to(out);
-        out.extend_from_slice(&self.body);
+    /// Queue head plus body onto `out`: the head written into one pooled
+    /// chunk, the body behind it by reference.
+    pub fn queue_onto(&self, out: &mut BytesQueue) {
+        let mut head = BytesMut::new();
+        self.write_head_to(&mut head);
+        out.push(head.freeze_pooled());
+        out.push(self.body.clone());
     }
 
-    /// Serialize head plus body into a buffer of its own.
+    /// Serialize head plus body into a buffer of its own, which grows at
+    /// most once.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = BytesMut::new();
-        self.write_to(&mut out);
+        let mut out = BytesMut::pooled(self.wire_len());
+        self.write_head_to(&mut out);
+        out.extend_from_slice(&self.body);
         out.into()
     }
 

@@ -85,49 +85,55 @@ impl Framing {
 }
 
 /// The body of the message whose head has been parsed: the one reader
-/// both parsers share. Arriving body bytes move once, from the parse
-/// buffer into the pooled buffer the message hands out.
+/// both parsers share. Arriving body bytes are copied once, from where
+/// they arrived into the pooled buffer the message hands out.
 #[derive(Debug)]
 struct BodyReader {
     framing: Framing,
     /// Decoded body so far; there from the first byte.
     body: Option<BytesMut>,
-    /// Wire bytes of this message (head included) taken out of the
-    /// parse buffer so far.
+    /// Wire bytes of this message (head included) taken so far.
     wire: usize,
 }
 
 impl BodyReader {
-    /// Move what `buf` holds of this body into it. True once the body is
-    /// complete; a close-delimited body is complete only `at_eof`.
-    fn fill(&mut self, buf: &mut BytesMut, at_eof: bool) -> Result<bool, ParseError> {
-        let (used, complete) = match &mut self.framing {
+    /// Copy what `data` starts with of this body into it; returns how
+    /// many wire bytes that was. A chunked body's first error is sticky.
+    fn read(&mut self, data: &[u8]) -> Result<usize, ParseError> {
+        let used = match &mut self.framing {
             Framing::Length(left) => {
-                let take = (*left).min(buf.len() as u64) as usize;
+                let take = (*left).min(data.len() as u64) as usize;
                 if take > 0 {
                     let reserve = (*left).min(BODY_RESERVE) as usize;
                     self.body
                         .get_or_insert_with(|| BytesMut::pooled(reserve))
-                        .extend_from_slice(&buf[..take]);
+                        .extend_from_slice(&data[..take]);
                     *left -= take as u64;
                 }
-                (take, *left == 0)
+                take
             }
             Framing::Chunked(dec) => {
                 let body = self.body.get_or_insert_with(BytesMut::new);
-                let used = dec.feed(buf, body).map_err(|_| ParseError::BadChunk)?;
-                (used, dec.done())
+                dec.feed(data, body).map_err(|_| ParseError::BadChunk)?
             }
             Framing::ToClose => {
                 self.body
                     .get_or_insert_with(BytesMut::new)
-                    .extend_from_slice(buf);
-                (buf.len(), at_eof)
+                    .extend_from_slice(data);
+                data.len()
             }
         };
-        buf.advance(used);
         self.wire += used;
-        Ok(complete)
+        Ok(used)
+    }
+
+    /// Whether the body is all in; a close-delimited one only `at_eof`.
+    fn complete(&self, at_eof: bool) -> bool {
+        match &self.framing {
+            Framing::Length(left) => *left == 0,
+            Framing::Chunked(dec) => dec.done(),
+            Framing::ToClose => at_eof,
+        }
     }
 
     fn so_far(&self) -> &[u8] {
@@ -163,9 +169,22 @@ impl<M> Assembly<M> {
         self.buf.len() + self.current.as_ref().map_or(0, |(_, body)| body.wire)
     }
 
+    /// Bytes from the connection. With no unclaimed bytes ahead of them
+    /// they go straight to the body under assembly — the one copy a body
+    /// byte sees here — and only what that body does not claim (a
+    /// pipelined successor, a head) is buffered. A chunked body that
+    /// fails keeps the error for the next `poll`.
+    fn feed(&mut self, mut data: &[u8]) {
+        if let (true, Some((_, body))) = (self.buf.is_empty(), &mut self.current) {
+            let used = body.read(data).unwrap_or(data.len());
+            data = &data[used..];
+        }
+        self.buf.extend_from_slice(data);
+    }
+
     /// Parse the head once per message (`parse_head` gets the header
-    /// block as text) and take it out of `buf`, then move what has
-    /// arrived of the body. `Ok(false)` until the message is complete.
+    /// block as text) and take it out of `buf`, then move what `buf`
+    /// holds of the body. `Ok(false)` until the message is complete.
     fn poll(
         &mut self,
         at_eof: bool,
@@ -189,7 +208,9 @@ impl<M> Assembly<M> {
             ));
         }
         let (_, body) = self.current.as_mut().expect("filled above");
-        body.fill(&mut self.buf, at_eof)
+        let used = body.read(&self.buf)?;
+        self.buf.advance(used);
+        Ok(body.complete(at_eof))
     }
 
     /// The completed message and its body.
@@ -223,7 +244,7 @@ impl RequestParser {
 
     /// Append raw bytes from the connection.
     pub fn feed(&mut self, data: &[u8]) {
-        self.stream.buf.extend_from_slice(data);
+        self.stream.feed(data);
     }
 
     /// Bytes fed but not yet returned in a message.
@@ -315,7 +336,7 @@ impl ResponseParser {
 
     /// Append raw bytes from the connection.
     pub fn feed(&mut self, data: &[u8]) {
-        self.stream.buf.extend_from_slice(data);
+        self.stream.feed(data);
     }
 
     /// Bytes fed but not yet returned in a message.
@@ -603,6 +624,69 @@ mod tests {
         assert_eq!(p.buffered(), wire.len() - 40);
         assert!(p.finish().unwrap().is_none());
         assert_eq!(p.buffered(), wire.len() - 40);
+    }
+
+    #[test]
+    fn feeding_a_body_piecewise_equals_feeding_it_whole() {
+        let body: Vec<u8> = (0..5000u32).map(|i| (i % 253) as u8).collect();
+        let next = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+        let length = [
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n"[..],
+            &body,
+            next,
+        ]
+        .concat();
+        let chunked = [
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"[..],
+            &crate::chunked::encode(&body, 1000),
+            next,
+        ]
+        .concat();
+        let to_close = [&b"HTTP/1.0 200 OK\r\n\r\n"[..], &body].concat();
+        // (wire, wire length of each message in it)
+        let cases = [
+            (&length, vec![length.len() - next.len(), next.len()]),
+            (&chunked, vec![chunked.len() - next.len(), next.len()]),
+            (&to_close, vec![to_close.len()]),
+        ];
+        for (wire, message_lens) in cases {
+            // Fed in pieces and polled after each, a body's bytes go
+            // straight to it; the successor's first bytes come in the
+            // piece that ends the body.
+            let run = |piece: usize| {
+                let mut p = ResponseParser::new();
+                let (mut fed, mut returned, mut out) = (0, 0, Vec::new());
+                for part in wire.chunks(piece) {
+                    p.feed(part);
+                    fed += part.len();
+                    while let Some(resp) = p.next().expect("well-formed") {
+                        returned += message_lens[out.len()];
+                        out.push(resp);
+                    }
+                    assert_eq!(p.buffered(), fed - returned, "piece {piece} at {fed}");
+                    if let Some((_, so_far)) = p.in_progress() {
+                        assert!(body.starts_with(so_far) || b"ok".starts_with(so_far));
+                    }
+                }
+                out.extend(p.finish().expect("well-formed"));
+                assert_eq!(out.len(), message_lens.len(), "piece {piece}");
+                out
+            };
+            let whole = run(wire.len());
+            assert_eq!(&whole[0].body[..], &body[..]);
+            for piece in [1, 7, 1460, 4999] {
+                assert!(run(piece) == whole, "piece {piece}");
+            }
+        }
+
+        // A chunk that goes bad in bytes handed straight to the body is
+        // reported by the next poll, and by every one after it.
+        let mut p = ResponseParser::new();
+        p.feed(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc");
+        assert_eq!(p.next(), Ok(None));
+        p.feed(b"XY3\r\nabc\r\n");
+        assert_eq!(p.next(), Err(ParseError::BadChunk));
+        assert_eq!(p.next(), Err(ParseError::BadChunk));
     }
 
     #[test]

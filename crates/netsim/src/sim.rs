@@ -16,7 +16,7 @@ use crate::tcp::{Effects, SockNotify, State, Tcb, TcpConfig, TimerKind};
 use crate::telemetry::{Metric, Scope, ScopeId, TelemetrySink};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceMode, TraceStats};
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesQueue};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
@@ -724,28 +724,46 @@ impl<'a> Ctx<'a> {
         self.kernel.listen(self.host, port, Some(backlog));
     }
 
-    /// Queue bytes for transmission; returns the number accepted (bounded
-    /// by the socket send buffer).
+    /// Queue a copy of `data` for transmission; returns the number of
+    /// bytes accepted (bounded by the socket send buffer).
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> usize {
+        self.write(sock, |tcb, now, fx| tcb.app_send(now, data, fx))
+    }
+
+    /// Move bytes off the front of `from` into the socket, by reference,
+    /// until it is empty or the socket accepts no more (resume on
+    /// [`AppEvent::SendSpace`]).
+    pub fn send_from(&mut self, sock: SocketId, from: &mut BytesQueue) {
+        if from.is_empty() {
+            return;
+        }
+        let n = self.write(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
+        if n > 0 && !from.is_empty() {
+            // The socket took part of it and is now full. The loop this
+            // replaces found that out by writing once more, and that
+            // write, though it accepts nothing, runs `try_send` and
+            // `apply_effects`: telemetry samples flight size per
+            // `apply_effects` and the probe records the blocked send, so
+            // goldens see it. Kept until ROADMAP item 7 decides whether
+            // such an artefact may go.
+            self.write(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
+        }
+    }
+
+    /// The one write path: run `write` on the socket and apply what it
+    /// caused.
+    fn write(
+        &mut self,
+        sock: SocketId,
+        write: impl FnOnce(&mut Tcb, SimTime, &mut Effects) -> usize,
+    ) -> usize {
         debug_assert_eq!(sock.host, self.host, "cannot use another host's socket");
         let mut fx = self.kernel.take_fx();
         let now = self.kernel.now;
-        let n = self.kernel.sock(sock).app_send(now, data, &mut fx);
+        let n = write(self.kernel.sock(sock), now, &mut fx);
         self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
         self.kernel.recycle_fx(fx);
         n
-    }
-
-    /// [`Ctx::send`] from the front of `buf` until it is empty or the
-    /// socket accepts no more (resume on [`AppEvent::SendSpace`]).
-    pub fn send_from(&mut self, sock: SocketId, buf: &mut BytesMut) {
-        while !buf.is_empty() {
-            let n = self.send(sock, buf);
-            if n == 0 {
-                break;
-            }
-            buf.advance(n);
-        }
     }
 
     /// Read up to `max` buffered bytes.

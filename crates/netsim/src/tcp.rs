@@ -15,7 +15,7 @@ use crate::packet::{SackBlocks, Segment, SockAddr, TcpFlags};
 use crate::probe::{BlockReason, TcpProbeEvent};
 use crate::seq::{seq_ge, seq_gt, seq_lt, seq_sub};
 use crate::time::{SimDuration, SimTime};
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesQueue};
 use std::collections::BTreeMap;
 
 /// Tunable parameters of a TCP endpoint.
@@ -210,8 +210,9 @@ pub struct Tcb {
     snd_una: u64,
     /// Next sequence number to send.
     snd_nxt: u64,
-    /// Data buffer; `buf_base` is the sequence number of `send_buf[0]`.
-    send_buf: BytesMut,
+    /// Unacknowledged and unsent data, as the application queued it;
+    /// `buf_base` is the sequence number of its first byte.
+    send_buf: BytesQueue,
     buf_base: u64,
     /// Peer's advertised receive window.
     peer_window: usize,
@@ -224,8 +225,9 @@ pub struct Tcb {
     // --- receive side ---
     /// Next expected in-order sequence number.
     rcv_nxt: u64,
-    /// In-order data awaiting application reads.
-    recv_buf: BytesMut,
+    /// In-order data awaiting application reads: the payloads as they
+    /// arrived.
+    recv_buf: BytesQueue,
     /// Out-of-order segments keyed by sequence number.
     reassembly: BTreeMap<u64, Bytes>,
     /// Full segments received since the last ACK we sent (delayed-ACK rule:
@@ -327,7 +329,7 @@ impl Tcb {
             cfg,
             snd_una: 0,
             snd_nxt: 0,
-            send_buf: BytesMut::new(),
+            send_buf: BytesQueue::new(),
             buf_base: 1,
             peer_window: 0,
             fin_queued: false,
@@ -335,7 +337,7 @@ impl Tcb {
             fin_seq: None,
             send_blocked: false,
             rcv_nxt: 0,
-            recv_buf: BytesMut::new(),
+            recv_buf: BytesQueue::new(),
             reassembly: BTreeMap::new(),
             unacked_segments: 0,
             delack_armed: false,
@@ -481,20 +483,46 @@ impl Tcb {
         self.buf_base + self.send_buf.len() as u64
     }
 
-    /// Bytes of buffer storage this connection holds: the capacity of
-    /// its send and receive buffers and its out-of-order payloads.
+    /// Bytes of buffer storage this connection keeps alive: what its
+    /// send and receive queues and its out-of-order payloads refer to.
     pub(crate) fn held_storage(&self) -> usize {
         let reassembly: usize = self.reassembly.values().map(Bytes::len).sum();
-        self.send_buf.capacity() + self.recv_buf.capacity() + reassembly
+        self.send_buf.len() + self.recv_buf.len() + reassembly
     }
 
     // ------------------------------------------------------------------
     // Application entry points
     // ------------------------------------------------------------------
 
-    /// Queue application data for transmission. Returns how many bytes were
-    /// accepted (bounded by the send-buffer cap).
+    /// Queue a copy of application data for transmission. Returns how
+    /// many bytes were accepted (bounded by the send-buffer cap).
     pub fn app_send(&mut self, now: SimTime, data: &[u8], fx: &mut Effects) -> usize {
+        self.write(now, data.len(), fx, |buf, take| {
+            buf.extend_from_slice(&data[..take])
+        })
+    }
+
+    /// Queue application data for transmission by reference: what the
+    /// send-buffer cap admits moves off the front of `from`. Returns how
+    /// many bytes that was.
+    pub fn app_send_from(
+        &mut self,
+        now: SimTime,
+        from: &mut BytesQueue,
+        fx: &mut Effects,
+    ) -> usize {
+        self.write(now, from.len(), fx, |buf, take| from.drain_into(take, buf))
+    }
+
+    /// The one write path: of `offered` bytes, `queue` puts as many as
+    /// the send buffer has room for onto it, and one `try_send` follows.
+    fn write(
+        &mut self,
+        now: SimTime,
+        offered: usize,
+        fx: &mut Effects,
+        queue: impl FnOnce(&mut BytesQueue, usize),
+    ) -> usize {
         if !matches!(
             self.state,
             State::SynSent | State::SynRcvd | State::Established | State::CloseWait
@@ -503,11 +531,11 @@ impl Tcb {
             return 0;
         }
         let space = self.cfg.send_buffer.saturating_sub(self.unacked_bytes());
-        let take = data.len().min(space);
-        if take < data.len() {
+        let take = offered.min(space);
+        if take < offered {
             self.send_blocked = true;
         }
-        self.send_buf.extend_from_slice(&data[..take]);
+        queue(&mut self.send_buf, take);
         if matches!(self.state, State::Established | State::CloseWait) {
             self.try_send(now, fx);
         }
@@ -549,11 +577,13 @@ impl Tcb {
         }
     }
 
-    /// Read up to `max` buffered bytes.
+    /// Read up to `max` buffered bytes: a view of the payload they
+    /// arrived in, unless the read spans more than one.
     pub fn app_recv(&mut self, max: usize, fx: &mut Effects) -> Bytes {
         let take = self.recv_buf.len().min(max);
         let before = self.advertised_window();
-        let data = self.recv_buf.split_to_pooled(take);
+        let data = self.recv_buf.slice(0, take);
+        self.recv_buf.advance(take);
         // If the window had effectively closed and reading reopened it,
         // send a window update so the sender does not stall.
         let after = self.advertised_window();
@@ -707,6 +737,8 @@ impl Tcb {
                     State::LastAck => {
                         self.state = State::Closed;
                         self.cancel_all_timers();
+                        // All of it is acknowledged; the queue's deque goes too.
+                        self.send_buf.clear();
                         fx.notifications.push(SockNotify::Closed);
                     }
                     _ => {}
@@ -792,8 +824,8 @@ impl Tcb {
         let mut delivered = false;
         if !payload.is_empty() {
             self.bytes_received += payload.len() as u64;
-            self.recv_buf.extend_from_slice(&payload);
             self.rcv_nxt += payload.len() as u64;
+            self.recv_buf.push(payload);
             delivered = true;
         }
         if seg.flags.fin {
@@ -808,10 +840,10 @@ impl Tcb {
             let (s, data) = self.reassembly.pop_first().unwrap();
             let skip = seq_sub(self.rcv_nxt, s) as usize;
             if skip < data.len() {
-                let fresh = &data[skip..];
+                let fresh = data.slice(skip..);
                 self.bytes_received += fresh.len() as u64;
-                self.recv_buf.extend_from_slice(fresh);
                 self.rcv_nxt += fresh.len() as u64;
+                self.recv_buf.push(fresh);
                 delivered = true;
             }
         }
@@ -903,13 +935,14 @@ impl Tcb {
             TimerKind::TimeWait => {
                 self.state = State::Closed;
                 self.cancel_all_timers();
+                self.send_buf.clear();
                 fx.notifications.push(SockNotify::Closed);
             }
             TimerKind::Persist => {
                 if self.peer_window == 0 && seq_gt(self.send_limit(), self.snd_nxt) {
                     // One-byte window probe.
                     let off = seq_sub(self.snd_nxt, self.buf_base) as usize;
-                    let payload = Bytes::pooled_copy_from_slice(&self.send_buf[off..off + 1]);
+                    let payload = self.send_buf.slice(off, 1);
                     self.emit_data_segment(self.snd_nxt, payload, false, fx);
                     self.arm_timer(TimerKind::Persist, now + self.cc.rto, fx);
                 }
@@ -1085,7 +1118,7 @@ impl Tcb {
             }
 
             let off = seq_sub(self.snd_nxt, self.buf_base) as usize;
-            let payload = Bytes::pooled_copy_from_slice(&self.send_buf[off..off + len]);
+            let payload = self.send_buf.slice(off, len);
             if self.cc.rtt_sample.is_none() && (len > 0 || fin_now) {
                 self.cc.rtt_sample = Some((self.snd_nxt + len as u64 + u64::from(fin_now), now));
             }
@@ -1156,7 +1189,7 @@ impl Tcb {
                             len = len.min(seq_sub(cap, data_start) as usize);
                         }
                     }
-                    let payload = Bytes::pooled_copy_from_slice(&self.send_buf[off..off + len]);
+                    let payload = self.send_buf.slice(off, len);
                     let fin = self.fin_sent && self.fin_seq == Some(data_start + len as u64);
                     self.emit_data_segment(data_start, payload, fin, fx);
                 } else if self.fin_sent && self.fin_seq == Some(self.snd_una) {

@@ -26,6 +26,7 @@ pub const RULE_IDS: &[&str] = &[
     "hot-path-alloc",
     "front-drain",
     "parked-pool-buffer",
+    "byte-path-copy",
     "recorder-search",
     "head-field-alloc",
     "seq-wrap",
@@ -52,6 +53,10 @@ const HOT_FILES: &[&str] = &[
 /// Crates whose byte queues give up their front through
 /// `bytes::BytesMut` (the one implementation lives in `bytes`).
 const BYTE_PATH_CRATES: &[&str] = &["netsim", "httpwire", "httpmux", "httpclient", "httpserver"];
+
+/// Crates that queue a response body for the wire: it is a `Bytes` and
+/// goes onto the output queue by reference.
+const BODY_QUEUE_CRATES: &[&str] = &["httpserver", "httpmux"];
 
 /// Crates that build message heads: a header value is written into the
 /// head's buffer from its `Display`, never through a `String` of its own.
@@ -333,6 +338,50 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                 "`BytesMut::pooled(0)` takes pool storage with nothing to write; an empty buffer is `BytesMut::new()`"
                     .to_string(),
             );
+        }
+
+        // --- byte-path-copy: between the store and the reader a body
+        // byte is held by reference (`bytes::BytesQueue`) and copied
+        // once, into the body under assembly. Three copies that used to
+        // be on that path: a segment payload copied out of `send_buf`,
+        // an arriving payload copied into `recv_buf`, and a body copied
+        // into an output buffer.
+        if i + 1 < n && toks[i + 1].is_op("(") {
+            let args = || &toks[i + 2..call_end(sf, i + 1).min(n)];
+            let in_tcp = file == "tcp.rs" && crate_in(path, &["netsim"]);
+            let copied = if in_tcp
+                && matches!(
+                    t.text.as_str(),
+                    "copy_from_slice" | "pooled_copy_from_slice"
+                )
+                && args().iter().any(|a| a.is_ident("send_buf"))
+            {
+                Some("a segment payload is `send_buf.slice(off, len)`, a view of what was queued")
+            } else if in_tcp
+                && t.is_ident("extend_from_slice")
+                && i >= 2
+                && toks[i - 1].is_op(".")
+                && toks[i - 2].is_ident("recv_buf")
+            {
+                Some("an arriving payload is pushed onto `recv_buf` by reference")
+            } else if t.is_ident("extend_from_slice")
+                && i > 0
+                && toks[i - 1].is_op(".")
+                && crate_in(path, BODY_QUEUE_CRATES)
+                && args().iter().any(|a| a.is_ident("body"))
+            {
+                Some("a body is a `Bytes`: `push` it (or a clone) onto the output queue")
+            } else {
+                None
+            };
+            if let Some(instead) = copied {
+                push(
+                    "byte-path-copy",
+                    t.line,
+                    t.col,
+                    format!("`{}(…)` copies bytes on the socket path; {instead}", t.text),
+                );
+            }
         }
 
         // --- recorder-search: a flight recorder is written on every

@@ -166,6 +166,45 @@ pub fn split_to_pooled(&mut self, at: usize) -> Bytes {
 }
 
 #[test]
+fn byte_path_copy_fires() {
+    // `try_send` and `handle_data` as they stood: a pooled copy and an
+    // `Arc` per data segment going out, a copy per segment coming in.
+    let tcp = "\
+fn try_send(&mut self, off: usize, len: usize) -> Bytes {
+    Bytes::pooled_copy_from_slice(&self.send_buf[off..off + len])
+}
+fn handle_data(&mut self, payload: Bytes) {
+    self.recv_buf.extend_from_slice(&payload);
+    self.recv_buf.push(payload);
+}
+";
+    let diags = one("crates/netsim/src/tcp.rs", tcp);
+    let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
+    let rule = "byte-path-copy";
+    assert_eq!(hits, vec![(rule, 2), (rule, 5)], "{diags:?}");
+    // Only the socket's own buffers are held to it there.
+    assert!(one("crates/netsim/src/pcapng.rs", tcp).is_empty());
+
+    // `Response::write_to` as the server called it, and the mux emitting
+    // a DATA frame: the body copied into the output buffer.
+    let respond = "\
+fn queue(&mut self, resp: &Response, out: &mut BytesMut) {
+    self.outbuf.extend_from_slice(&resp.body);
+    out.extend_from_slice(&body[..take]);
+    out.extend_from_slice(&head);
+    self.outbuf.push(resp.body.clone());
+}
+";
+    for krate in ["httpserver", "httpmux"] {
+        let diags = one(&format!("crates/{krate}/src/server.rs"), respond);
+        let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(hits, vec![(rule, 2), (rule, 3)], "{diags:?}");
+    }
+    // A client assembling a body it received copies it: the one copy.
+    assert!(one("crates/httpclient/src/robot.rs", respond).is_empty());
+}
+
+#[test]
 fn recorder_search_fires() {
     // The telemetry sink's first `slot`: a search of every series of the
     // run on each record, a mid-`Vec` insert on each new one.
