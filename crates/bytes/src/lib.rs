@@ -55,7 +55,9 @@
 //!   edge. That is the one place a queued byte can be copied, and what
 //!   decides it is where the chunks happen to end, nothing else.
 //! * A queue that empties holds no reference to any chunk; `clear` also
-//!   gives up the deque, so a cleared queue owns nothing.
+//!   gives up the deque, so a cleared queue owns nothing. An empty chunk
+//!   is never queued, so clearing a queue that owns nothing already is
+//!   one test — a closing socket clears both of its queues.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -481,12 +483,16 @@ impl BytesQueue {
         self.len == 0
     }
 
-    /// Queue `data` behind what is there, by reference.
+    /// Queue `data` behind what is there, by reference. An empty `data`
+    /// is not kept, so an empty first chunk never holds storage.
     pub fn push(&mut self, data: Bytes) {
+        if data.is_empty() {
+            return;
+        }
         self.len += data.len();
         if self.front.is_empty() {
             self.front = data;
-        } else if !data.is_empty() {
+        } else {
             self.later.push_back(data);
         }
     }
@@ -578,9 +584,18 @@ impl BytesQueue {
     }
 
     /// Drop everything queued, and the deque with it: a cleared queue
-    /// owns nothing.
+    /// owns nothing. Clearing one that already owns nothing costs a test.
     pub fn clear(&mut self) {
-        *self = BytesQueue::default();
+        if !self.front.is_empty() || self.later.capacity() > 0 {
+            *self = BytesQueue::default();
+        }
+    }
+
+    /// Bytes of storage the queue's own bookkeeping holds: the deque
+    /// behind the first chunk (for tests of who gives it up).
+    #[doc(hidden)]
+    pub fn bookkeeping_bytes(&self) -> usize {
+        self.later.capacity() * std::mem::size_of::<Bytes>()
     }
 }
 

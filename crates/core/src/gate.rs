@@ -202,6 +202,9 @@ pub fn summary_json(threads: usize, verdicts: &[Verdict]) -> String {
 /// re-pinned once each when their reports grew a column (drops by reason;
 /// cancelled push bytes) — rendering only, the cells behind them are
 /// covered by the telemetry identity tests and the unchanged scale digest.
+/// `telemetry` was re-pinned once when a timer re-armed or cancelled
+/// since it was queued stopped running `apply_effects` (PR 25): its
+/// `flight_bytes_hist` rows counted those no-ops, and nothing else moved.
 pub static REGISTRY: [Gate; 9] = [
     Gate {
         name: "robustness",
@@ -235,7 +238,7 @@ pub static REGISTRY: [Gate; 9] = [
     },
     Gate {
         name: "telemetry",
-        pinned: 0x9c4f_d7cd_5d55_059a,
+        pinned: 0xede9_2141_86d6_32f7,
         pass: telemetry_pass,
     },
     Gate {
@@ -452,9 +455,10 @@ const FLEET16_ALLOCS_PER_PACKET: f64 = 3.9;
 const ALLOC_TOLERANCE: f64 = 0.2;
 
 /// Live heap the counted `fleet16` pass may add at its worst, in MiB:
-/// the measured 1.83 rounded up (1.95 while the send path copied; 5.3
-/// while closed and drained connections kept their buffers' capacity).
-const FLEET16_PEAK_LIVE_MIB: u64 = 2;
+/// the measured 1.26 rounded up (1.83 while every timer re-arm queued
+/// another 200-byte event; 1.95 while the send path copied; 5.3 while
+/// closed and drained connections kept their buffers' capacity).
+const FLEET16_PEAK_LIVE_MIB: f64 = 1.5;
 
 /// Run `run` twice on the calling thread — a warm-up that primes code
 /// paths and buffer pools, then a counted pass that must reproduce it —
@@ -464,7 +468,7 @@ const FLEET16_PEAK_LIVE_MIB: u64 = 2;
 fn counted(
     run: impl Fn() -> Vec<CellResult>,
     ceiling: f64,
-    peak_ceiling_mib: Option<u64>,
+    peak_ceiling_mib: Option<f64>,
     allocations: Option<AllocCounter>,
 ) -> Result<(Vec<CellResult>, String), String> {
     let cells = run();
@@ -489,7 +493,7 @@ fn counted(
     let mut detail = format!("{per_packet:.1} allocs/packet");
     if let Some(ceiling) = peak_ceiling_mib {
         let mib = peak as f64 / (1u64 << 20) as f64;
-        ensure(peak <= ceiling << 20, || {
+        ensure(mib <= ceiling, || {
             format!("peak live bytes increased: {mib:.2} MiB > pinned {ceiling} MiB")
         })?;
         detail += &format!(", peak {mib:.2} MiB live");

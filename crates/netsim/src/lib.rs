@@ -78,6 +78,7 @@
 #![warn(missing_docs)]
 
 pub mod cc;
+mod fxhash;
 pub mod impair;
 pub mod json;
 pub mod link;

@@ -7,11 +7,12 @@
 //! `close`) so the HTTP client and server crates read like ordinary
 //! event-driven network programs.
 
+use crate::fxhash::FxBuild;
 use crate::impair::DropReason;
 use crate::link::{Link, LinkConfig, Transmit};
 use crate::packet::{HostId, Segment, SockAddr};
 use crate::probe::{ProbeEventKind, ProbeRecord, ProbeSink, SpanEvent};
-use crate::queue::EventQueue;
+use crate::queue::{EventHandle, EventQueue};
 use crate::tcp::{Effects, SockNotify, State, Tcb, TcpConfig, TimerKind};
 use crate::telemetry::{Metric, Scope, ScopeId, TelemetrySink};
 use crate::time::{SimDuration, SimTime};
@@ -103,24 +104,37 @@ struct QueuedEvent {
     dup: bool,
 }
 
+impl QueuedEvent {
+    /// A timer: an event that carries no segment.
+    fn timer(host: HostId, kind: QueuedKind) -> Self {
+        QueuedEvent {
+            host,
+            kind,
+            segment: None,
+            sent: SimTime::ZERO,
+            physical: 0,
+            dup: false,
+        }
+    }
+}
+
 struct HostState {
     name: String,
     tcp_config: TcpConfig,
     sockets: Vec<Tcb>,
     /// (local port, remote addr) → socket slot.
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    demux: HashMap<(u16, SockAddr), u32>,
+    demux: HashMap<(u16, SockAddr), u32, FxBuild>,
     /// Listening ports.
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    listeners: HashMap<u16, Listener>,
+    listeners: HashMap<u16, Listener, FxBuild>,
     next_ephemeral: u16,
     stats: SocketStats,
     /// Number of currently open sockets, maintained incrementally so peak
     /// tracking stays O(1) with thousands of fleet connections.
     open_now: u64,
-    /// Parallel to `sockets`: which incremental counts each slot is
-    /// still part of.
-    counted: Vec<Counted>,
+    /// Parallel to `sockets`: what the kernel keeps beside each `Tcb`.
+    slots: Vec<SlotState>,
     /// This host's telemetry scope, once something was recorded in it.
     scope: Option<ScopeId>,
     /// Parallel to `sockets` as far as it reaches: each connection's
@@ -137,6 +151,16 @@ struct Listener {
     /// the socket table never shrinks, so a scan per SYN is quadratic over
     /// a fleet's connections.
     syn_queue: u32,
+}
+
+/// What the kernel keeps per socket slot beside its `Tcb`.
+#[derive(Clone, Copy)]
+struct SlotState {
+    /// Which incremental counts the slot is still part of.
+    counted: Counted,
+    /// The queue entry of each timer kind, there only while it carries
+    /// the kind's current epoch.
+    timers: [Option<EventHandle>; TimerKind::COUNT],
 }
 
 /// The incremental counts a socket slot is still part of.
@@ -177,7 +201,7 @@ pub struct Kernel {
     hosts: Vec<HostState>,
     links: Vec<Link>,
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    link_index: HashMap<(HostId, HostId), usize>,
+    link_index: HashMap<(HostId, HostId), usize, FxBuild>,
     trace: Trace,
     probe: ProbeSink,
     telemetry: TelemetrySink,
@@ -218,7 +242,7 @@ impl Kernel {
             queue: EventQueue::new(),
             hosts: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
             links: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
-            link_index: HashMap::new(), // simlint: allow(hash-collections)
+            link_index: HashMap::default(), // simlint: allow(hash-collections)
             trace: Trace::new(),
             probe: ProbeSink::default(),
             telemetry: TelemetrySink::default(),
@@ -234,20 +258,6 @@ impl Kernel {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    fn push(&mut self, at: SimTime, host: HostId, kind: QueuedKind) {
-        self.queue.push(
-            at,
-            QueuedEvent {
-                host,
-                kind,
-                segment: None,
-                sent: SimTime::ZERO,
-                physical: 0,
-                dup: false,
-            },
-        );
     }
 
     fn push_arrival(
@@ -459,9 +469,7 @@ impl Kernel {
         for seg in fx.segments.drain(..) {
             self.transmit(seg);
         }
-        for (kind, at, epoch) in fx.timers.drain(..) {
-            self.push(at, host, QueuedKind::TcpTimer { slot, kind, epoch });
-        }
+        self.queue_timers(host, slot, &mut fx.timers);
         let mut any_close = false;
         for n in fx.notifications.drain(..) {
             let sock = SocketId { host, slot };
@@ -495,7 +503,7 @@ impl Kernel {
         // (including notification-free aborts).
         let h = self.host(host);
         let tcb = &h.sockets[slot as usize];
-        let counted = &mut h.counted[slot as usize];
+        let counted = &mut h.slots[slot as usize].counted;
         if *counted == Counted::SynQueue && tcb.state != State::SynRcvd {
             *counted = Counted::Open;
             let listener = h.listeners.get_mut(&tcb.local.port);
@@ -547,7 +555,16 @@ impl Kernel {
         } else {
             Counted::Open
         };
-        h.counted.push(counted);
+        if h.slots.capacity() == 0 {
+            // Eight up front, where a `Vec` of 20-byte entries starts at
+            // four: a client's handful of sockets then grows it no more
+            // often than its socket count needs.
+            h.slots.reserve_exact(8);
+        }
+        h.slots.push(SlotState {
+            counted,
+            timers: [None; TimerKind::COUNT],
+        });
         h.sockets.push(tcb);
         let prev = h.demux.insert((local.port, remote), slot);
         debug_assert!(
@@ -557,7 +574,7 @@ impl Kernel {
         );
         h.stats.sockets_used += 1;
         h.open_now += 1;
-        debug_assert_eq!(h.counted.len(), h.sockets.len());
+        debug_assert_eq!(h.slots.len(), h.sockets.len());
         self.apply_effects(host, slot, &mut fx);
         self.recycle_fx(fx);
         self.update_peak(host);
@@ -636,10 +653,62 @@ impl Kernel {
         }
     }
 
+    /// The one owner of TCP timer entries. After a TCB call on `slot`
+    /// arms `timers`, each kind has at most one queued entry, there only
+    /// if it carries the kind's current epoch: the one entry an eager
+    /// push of every arm would have left live, at the `(at, seq)` that
+    /// push would have given it, so live events pop in the same order.
+    fn queue_timers(
+        &mut self,
+        host: HostId,
+        slot: u32,
+        timers: &mut Vec<(TimerKind, SimTime, u64)>,
+    ) {
+        // Every arm takes its sequence number in list order, after the
+        // segments this call transmitted; only a kind's last arm can
+        // still be current.
+        let mut last = [None; TimerKind::COUNT];
+        for (kind, at, epoch) in timers.drain(..) {
+            last[kind.index()] = Some((at, self.queue.reserve_seq(), epoch));
+        }
+        let h = &mut self.hosts[host.0 as usize];
+        let tcb = &h.sockets[slot as usize];
+        let held = &mut h.slots[slot as usize].timers;
+        for (i, kind) in TimerKind::ALL.into_iter().enumerate() {
+            let live = tcb.timer_epoch(kind);
+            match (held[i], last[i]) {
+                // Re-armed: the entry moves to the last arm's place.
+                (Some(entry), Some((at, seq, epoch))) if epoch == live => {
+                    self.queue.reschedule(entry, at, seq);
+                    let ev = self.queue.get_mut(entry);
+                    ev.kind = QueuedKind::TcpTimer { slot, kind, epoch };
+                }
+                (None, Some((at, seq, epoch))) if epoch == live => {
+                    let ev = QueuedEvent::timer(host, QueuedKind::TcpTimer { slot, kind, epoch });
+                    held[i] = Some(self.queue.push_at_seq(at, seq, ev));
+                }
+                // Cancelled, or re-armed and cancelled since: it leaves.
+                (Some(entry), _) => {
+                    let ev = self.queue.get_mut(entry);
+                    if !matches!(ev.kind, QueuedKind::TcpTimer { epoch, .. } if epoch == live) {
+                        self.queue.remove(entry);
+                        held[i] = None;
+                    }
+                }
+                // An arm cancelled within the call never enters the queue.
+                (None, _) => {}
+            }
+        }
+    }
+
     fn handle_tcp_timer(&mut self, host: HostId, slot: u32, kind: TimerKind, epoch: u64) {
+        // Its entry just popped.
+        self.host(host).slots[slot as usize].timers[kind.index()] = None;
         let mut fx = self.take_fx();
         let now = self.now;
-        self.host(host).sockets[slot as usize].on_timer(now, kind, epoch, &mut fx);
+        let tcb = &mut self.host(host).sockets[slot as usize];
+        debug_assert_eq!(tcb.timer_epoch(kind), epoch, "only live timers are queued");
+        tcb.on_timer(now, kind, epoch, &mut fx);
         self.apply_effects(host, slot, &mut fx);
         self.recycle_fx(fx);
     }
@@ -862,8 +931,8 @@ impl<'a> Ctx<'a> {
     /// independent firing.
     pub fn set_timer(&mut self, token: u64, delay: SimDuration) {
         let at = self.kernel.now + delay;
-        let host = self.host;
-        self.kernel.push(at, host, QueuedKind::AppTimer { token });
+        let ev = QueuedEvent::timer(self.host, QueuedKind::AppTimer { token });
+        self.kernel.queue.push(at, ev);
     }
 }
 
@@ -897,12 +966,12 @@ impl Simulator {
             name: name.to_string(),
             tcp_config: TcpConfig::default(),
             sockets: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
-            demux: HashMap::new(), // simlint: allow(hash-collections)
-            listeners: HashMap::new(), // simlint: allow(hash-collections)
+            demux: HashMap::default(), // simlint: allow(hash-collections)
+            listeners: HashMap::default(), // simlint: allow(hash-collections)
             next_ephemeral: 40_000,
             stats: SocketStats::default(),
             open_now: 0,
-            counted: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            slots: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
             scope: None,
             conn_scopes: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
         });
@@ -1109,6 +1178,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use QueuedKind::{AppTimer, Arrival, TcpTimer};
 
     /// Echo server: accepts connections and echoes every byte back; closes
     /// when the peer half-closes.
@@ -1538,6 +1608,319 @@ mod tests {
         // link directions and the effects pool: cwnd, ssthresh, flight, RTO
         // and recovery on each end, two queues, one pool.
         assert_eq!(gauges, 13);
+    }
+
+    /// The queued timer entries of one socket and kind.
+    fn queued_timers(kernel: &Kernel, sock: SocketId, kind: TimerKind) -> usize {
+        let of_sock = |ev: &&QueuedEvent| match ev.kind {
+            TcpTimer { slot, kind: k, .. } => {
+                ev.host == sock.host && slot == sock.slot && k == kind
+            }
+            _ => false,
+        };
+        kernel.queue.items().filter(of_sock).count()
+    }
+
+    fn timers_fired(sim: &Simulator, only: Option<TimerKind>) -> usize {
+        let fired = |r: &&ProbeRecord| match r.kind {
+            ProbeEventKind::Tcp(crate::probe::TcpProbeEvent::TimerFired { kind }) => {
+                only.is_none_or(|k| k == kind)
+            }
+            _ => false,
+        };
+        sim.probe_records().iter().filter(fired).count()
+    }
+
+    /// Every event the kernel pops does work: an arrival, or a timer
+    /// that fires. Re-armed timers moved their one entry and cancelled
+    /// ones left, so no socket ever has two entries of one kind queued.
+    #[test]
+    fn a_clean_bulk_transfer_queues_only_live_events() {
+        let (mut sim, client, _) = echo_sim(LinkConfig::wan(), 100_000);
+        sim.enable_probe();
+        let mut processed = sim.run_until(SimTime::ZERO);
+        let mut instants = 0;
+        while let Some(at) = sim.kernel.queue.next_at() {
+            processed += sim.run_until(at);
+            instants += 1;
+            let mut timers: Vec<_> = (sim.kernel.queue.items())
+                .filter_map(|ev| match ev.kind {
+                    TcpTimer { slot, kind, .. } => Some((ev.host, slot, kind.index())),
+                    _ => None,
+                })
+                .collect();
+            let queued = timers.len();
+            timers.sort_unstable();
+            timers.dedup();
+            assert_eq!(
+                timers.len(),
+                queued,
+                "one entry per (socket, kind) after {at:?}"
+            );
+        }
+        assert!(sim.app_mut::<EchoClient>(client).unwrap().done);
+        assert!(instants > 100, "stepped through the run: {instants}");
+        let arrivals = sim.trace().len();
+        let fired = timers_fired(&sim, None);
+        assert!(fired > 0, "TIME_WAIT at least");
+        assert_eq!(processed as usize, arrivals + fired, "no app timers here");
+        assert_eq!(processed, sim.kernel.events_processed);
+    }
+
+    /// Answers each request at once, so the answer carries the ACK the
+    /// request's delayed-ACK timer was waiting to send; records the queue
+    /// around that write.
+    struct Answer {
+        /// (queue length, delayed-ACK entries of the socket) before and
+        /// after each write.
+        seen: Vec<((usize, usize), (usize, usize))>,
+    }
+
+    impl App for Answer {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+            match ev {
+                AppEvent::Start => ctx.listen(80),
+                AppEvent::Readable(s) => {
+                    let data = ctx.recv(s, usize::MAX);
+                    let look = |k: &Kernel| (k.queue.len(), queued_timers(k, s, TimerKind::DelAck));
+                    let before = look(ctx.kernel);
+                    ctx.send(s, &data);
+                    self.seen.push((before, look(ctx.kernel)));
+                }
+                AppEvent::PeerFin(s) => ctx.shutdown_write(s),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_reaches_the_tcb() {
+        let (mut sim, client, server) = echo_sim(LinkConfig::wan(), 100);
+        sim.install_app(server, Box::new(Answer { seen: Vec::new() }));
+        sim.enable_probe();
+        sim.run_until_idle();
+        assert!(sim.app_mut::<EchoClient>(client).unwrap().done);
+        let seen = &sim.app_mut::<Answer>(server).unwrap().seen;
+        let [((before, delack_before), (after, delack_after))] = seen[..] else {
+            panic!("one request, one answer: {seen:?}");
+        };
+        assert_eq!((delack_before, delack_after), (1, 0));
+        // The write sends one segment (its arrival queued) and arms the
+        // retransmission timer; the delayed ACK it flushes leaves, where
+        // an eager queue would have kept it to pop as a no-op.
+        assert_eq!(after, before + 1);
+        let records = sim.probe_records();
+        let count =
+            |want: fn(&ProbeEventKind) -> bool| records.iter().filter(|r| want(&r.kind)).count();
+        let arms = count(|k| {
+            matches!(
+                k,
+                ProbeEventKind::Tcp(crate::probe::TcpProbeEvent::DelAckArm { .. })
+            )
+        });
+        let flushes = count(|k| {
+            matches!(
+                k,
+                ProbeEventKind::Tcp(crate::probe::TcpProbeEvent::DelAckFlush)
+            )
+        });
+        assert!(arms >= 2, "both ends armed one: {arms}");
+        assert_eq!(flushes, arms, "every arm was flushed by a piggy-backed ACK");
+        assert_eq!(timers_fired(&sim, Some(TimerKind::DelAck)), 0);
+    }
+
+    /// What popped, without running it.
+    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
+    enum Popped {
+        Arrival(HostId),
+        Timer(u32, TimerKind, u64),
+    }
+
+    /// Pop the next event and forget its handle, as `run_until` does,
+    /// without handling it.
+    fn pop_unhandled(sim: &mut Simulator) -> Option<(SimTime, Popped)> {
+        let (at, ev) = sim.kernel.queue.pop()?;
+        let popped = match ev.kind {
+            Arrival => Popped::Arrival(ev.host),
+            TcpTimer { slot, kind, epoch } => {
+                sim.kernel.host(ev.host).slots[slot as usize].timers[kind.index()] = None;
+                Popped::Timer(slot, kind, epoch)
+            }
+            AppTimer { .. } => unreachable!("no app timers here"),
+        };
+        Some((at, popped))
+    }
+
+    /// Timers of two sockets tie with arrivals at one nanosecond and are
+    /// re-armed (later, earlier, within one call), cancelled and armed
+    /// again in interleaved calls: live events pop exactly as from an
+    /// eager queue that pushes every arm and skips stale ones.
+    #[test]
+    fn a_rearm_keeps_the_eager_order() {
+        #[derive(Clone, Copy)]
+        enum Op {
+            Send,
+            Arm(TimerKind, u64),
+            Cancel(TimerKind),
+        }
+        use Op::*;
+        use TimerKind::{DelAck, Persist, Rto};
+
+        let d = SimDuration::from_micros(250);
+        let mut sim = Simulator::new();
+        let a = sim.add_host("a");
+        let b = sim.add_host("b");
+        sim.add_link(a, b, LinkConfig::ideal(d));
+        let socks = [80, 81].map(|port| sim.kernel.connect(a, SockAddr::new(b, port)));
+        while pop_unhandled(&mut sim).is_some() {}
+
+        let t0 = SimTime::from_nanos(1_000_000_000);
+        sim.kernel.now = t0;
+        let tie = (t0 + d).as_nanos();
+        // (socket, what one TCB call does), in call order.
+        let script: [(usize, &[Op]); 9] = [
+            (0, &[Send, Arm(Rto, tie), Arm(DelAck, tie)]),
+            (1, &[Arm(Rto, tie), Send]),
+            (0, &[Arm(Rto, tie)]),
+            (1, &[Arm(DelAck, tie), Cancel(DelAck), Arm(DelAck, tie)]),
+            (0, &[Cancel(DelAck), Send]),
+            (1, &[Arm(Rto, tie + 1)]),
+            (0, &[Arm(Persist, tie), Arm(Rto, tie - 1), Send]),
+            (1, &[Arm(Rto, tie), Arm(DelAck, tie), Arm(DelAck, tie - 1)]),
+            (0, &[Arm(DelAck, tie), Cancel(Persist), Arm(Rto, tie)]),
+        ];
+        // The eager reference: every arrival and every arm pushed, in
+        // the kernel's order — a call's segments, then its timers.
+        let mut eager: Vec<(SimTime, u64, Popped)> = Vec::new();
+        let mut seq = 0;
+        let mut push = |eager: &mut Vec<_>, at: SimTime, what: Popped| {
+            seq += 1;
+            eager.push((at, seq, what));
+        };
+        for (i, ops) in script {
+            let sock = socks[i];
+            let mut fx = Effects::default();
+            let tcb = sim.kernel.sock(sock);
+            for &op in ops {
+                match op {
+                    Send => fx.segments.push(Segment::rst(tcb.local, tcb.remote, 0)),
+                    Arm(kind, ns) => tcb.arm_timer(kind, SimTime::from_nanos(ns), &mut fx),
+                    Cancel(kind) => tcb.cancel_timer(kind),
+                }
+            }
+            for _ in &fx.segments {
+                push(&mut eager, t0 + d, Popped::Arrival(b));
+            }
+            for &(kind, at, epoch) in &fx.timers {
+                push(&mut eager, at, Popped::Timer(sock.slot, kind, epoch));
+            }
+            sim.kernel.apply_effects(a, sock.slot, &mut fx);
+        }
+        eager.sort_by_key(|&(at, seq, _)| (at, seq));
+        let pushed = eager.len();
+        let live = |sim: &mut Simulator, what: &Popped| match *what {
+            Popped::Arrival(_) => true,
+            Popped::Timer(slot, kind, epoch) => {
+                sim.kernel
+                    .sock(SocketId { host: a, slot })
+                    .timer_epoch(kind)
+                    == epoch
+            }
+        };
+        let want: Vec<_> = eager
+            .into_iter()
+            .filter(|(_, _, what)| live(&mut sim, what))
+            .map(|(at, _, what)| (at, what))
+            .collect();
+        assert_eq!(
+            sim.kernel.queue.len(),
+            want.len(),
+            "only live events are queued"
+        );
+        let got: Vec<_> = std::iter::from_fn(|| pop_unhandled(&mut sim)).collect();
+        assert_eq!(got, want);
+        assert!(
+            pushed > want.len() + 8,
+            "most arms were superseded: {want:?}"
+        );
+    }
+
+    /// Counts every call it makes into its socket.
+    struct Calls {
+        server: Option<SockAddr>,
+        made: usize,
+    }
+
+    impl App for Calls {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+            match (ev, self.server) {
+                (AppEvent::Start, Some(server)) => {
+                    ctx.connect(server);
+                    self.made += 1;
+                }
+                (AppEvent::Start, None) => ctx.listen(80),
+                (AppEvent::Connected(s), _) => {
+                    ctx.send(s, &[7; 40_000]);
+                    ctx.shutdown_write(s);
+                    self.made += 2;
+                }
+                (AppEvent::Readable(s), _) => {
+                    ctx.recv(s, usize::MAX);
+                    self.made += 1;
+                }
+                (AppEvent::PeerFin(s), None) => {
+                    ctx.send(s, &[9; 20_000]);
+                    ctx.shutdown_write(s);
+                    self.made += 2;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The flight-size histogram takes one sample per TCB call that ran
+    /// — a segment delivered, a timer fired, an application call — and
+    /// none for a timer entry superseded before it was due.
+    #[test]
+    fn flight_hist_counts_tcb_calls_not_queue_entries() {
+        let mut sim = Simulator::new();
+        let client = sim.add_host("client");
+        let server = sim.add_host("server");
+        sim.add_link(client, server, LinkConfig::wan());
+        let to = SockAddr::new(server, 80);
+        sim.install_app(
+            client,
+            Box::new(Calls {
+                server: Some(to),
+                made: 0,
+            }),
+        );
+        sim.install_app(
+            server,
+            Box::new(Calls {
+                server: None,
+                made: 0,
+            }),
+        );
+        sim.enable_probe();
+        sim.enable_telemetry();
+        sim.run_until_idle();
+        let samples: u64 = (sim.telemetry().series())
+            .iter()
+            .filter(|s| s.key.metric == Metric::FlightHist)
+            .map(|s| match s.data {
+                crate::telemetry::SeriesData::Histogram(h) => h.total(),
+                _ => unreachable!("a histogram"),
+            })
+            .sum();
+        let calls: usize = [client, server]
+            .map(|h| sim.app_mut::<Calls>(h).unwrap().made)
+            .iter()
+            .sum();
+        let arrivals = sim.trace().len();
+        let fired = timers_fired(&sim, None);
+        assert_eq!(samples as usize, arrivals + fired + calls);
+        assert!(fired > 0 && calls > 10, "fired {fired}, calls {calls}");
     }
 
     /// A bounded listen backlog silently drops overflow SYNs; clients

@@ -124,6 +124,13 @@ pub enum TimerKind {
 impl TimerKind {
     /// Number of distinct timer kinds.
     pub const COUNT: usize = 4;
+    /// Every kind, in [`TimerKind::index`] order.
+    pub(crate) const ALL: [TimerKind; TimerKind::COUNT] = [
+        TimerKind::Rto,
+        TimerKind::DelAck,
+        TimerKind::TimeWait,
+        TimerKind::Persist,
+    ];
     /// Stable array index for this timer kind.
     pub fn index(self) -> usize {
         match self {
@@ -484,10 +491,12 @@ impl Tcb {
     }
 
     /// Bytes of buffer storage this connection keeps alive: what its
-    /// send and receive queues and its out-of-order payloads refer to.
+    /// send and receive queues and its out-of-order payloads refer to,
+    /// and the queues' own deques.
     pub(crate) fn held_storage(&self) -> usize {
         let reassembly: usize = self.reassembly.values().map(Bytes::len).sum();
-        self.send_buf.len() + self.recv_buf.len() + reassembly
+        let deques = self.send_buf.bookkeeping_bytes() + self.recv_buf.bookkeeping_bytes();
+        self.send_buf.len() + self.recv_buf.len() + reassembly + deques
     }
 
     // ------------------------------------------------------------------
@@ -584,6 +593,7 @@ impl Tcb {
         let before = self.advertised_window();
         let data = self.recv_buf.slice(0, take);
         self.recv_buf.advance(take);
+        self.release_recv_buf();
         // If the window had effectively closed and reading reopened it,
         // send a window update so the sender does not stall.
         let after = self.advertised_window();
@@ -591,6 +601,16 @@ impl Tcb {
             self.emit_ack(fx);
         }
         data
+    }
+
+    /// A closed connection's receive queue, once read to the end, gives
+    /// up its deque too: nothing will be queued behind it again. (Unread
+    /// bytes outlive the connection; the read that takes the last of them
+    /// lets the deque go.)
+    fn release_recv_buf(&mut self) {
+        if !self.state.is_open() && self.recv_buf.is_empty() {
+            self.recv_buf.clear();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -739,6 +759,7 @@ impl Tcb {
                         self.cancel_all_timers();
                         // All of it is acknowledged; the queue's deque goes too.
                         self.send_buf.clear();
+                        self.release_recv_buf();
                         fx.notifications.push(SockNotify::Closed);
                     }
                     _ => {}
@@ -936,6 +957,7 @@ impl Tcb {
                 self.state = State::Closed;
                 self.cancel_all_timers();
                 self.send_buf.clear();
+                self.release_recv_buf();
                 fx.notifications.push(SockNotify::Closed);
             }
             TimerKind::Persist => {
@@ -950,13 +972,19 @@ impl Tcb {
         }
     }
 
-    fn arm_timer(&mut self, kind: TimerKind, at: SimTime, fx: &mut Effects) {
+    /// The epoch a queued timer of `kind` must carry to fire: one armed
+    /// before the latest arm or cancel of that kind carries an older one.
+    pub(crate) fn timer_epoch(&self, kind: TimerKind) -> u64 {
+        self.timer_epochs[kind.index()]
+    }
+
+    pub(crate) fn arm_timer(&mut self, kind: TimerKind, at: SimTime, fx: &mut Effects) {
         let e = &mut self.timer_epochs[kind.index()];
         *e += 1;
         fx.timers.push((kind, at, *e));
     }
 
-    fn cancel_timer(&mut self, kind: TimerKind) {
+    pub(crate) fn cancel_timer(&mut self, kind: TimerKind) {
         self.timer_epochs[kind.index()] += 1;
     }
 

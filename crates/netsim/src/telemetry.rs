@@ -44,7 +44,11 @@
 //!   the end of each tick it changed in (cumulative, monotone);
 //! * a **histogram** has no time axis: every observation lands in the
 //!   power-of-two bucket `⌊log2(value)⌋ + 1` (value 0 in bucket 0), so a
-//!   64-bucket array summarizes any `u64` stream.
+//!   64-bucket array summarizes any `u64` stream. The kernel observes a
+//!   connection's flight size once per TCB call that ran — a segment
+//!   delivered, a timer fired, an application call — so `flight_bytes_hist`
+//!   weighs network state by activity, never by how often a timer was
+//!   re-armed (a superseded timer is not an event and takes no sample).
 //!
 //! Ticks in which nothing changed store nothing: consumers reconstruct
 //! the full timeline by holding the previous value, which keeps a
@@ -120,8 +124,8 @@ pub enum Metric {
     /// Fast-recovery episodes entered, aggregated per congestion-control
     /// variant ([`Scope::Global`] counter).
     CcRecoveries(CcVariant),
-    /// Distribution of in-flight bytes at sample points (per-connection
-    /// histogram).
+    /// Distribution of in-flight bytes, one sample per TCB call that ran
+    /// (per-connection histogram).
     FlightHist,
     /// Bytes queued for serialization (per-link-direction gauge).
     QueueBytes,

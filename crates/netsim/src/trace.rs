@@ -15,6 +15,7 @@
 //! [`TraceRecord`] (required for [`Trace::dump`], [`Trace::xplot`] and
 //! [`Trace::time_sequence`]).
 
+use crate::fxhash::FxBuild;
 use crate::impair::DropReason;
 use crate::packet::{HostId, Segment, SockAddr, TCP_IP_HEADER_BYTES};
 use crate::time::SimTime;
@@ -71,7 +72,7 @@ struct PairState {
     /// Highest sequence-space end seen per flow; a data segment starting
     /// below it re-covers already-sent octets: a retransmission.
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    max_seq: HashMap<(SockAddr, SockAddr), u64>,
+    max_seq: HashMap<(SockAddr, SockAddr), u64, FxBuild>,
 }
 
 /// A full capture of a simulation run.
@@ -82,7 +83,7 @@ pub struct Trace {
     /// Online per-pair state, keyed by the (low, high) host pair.
     // simlint: allow(hash-collections): read per-pair via `stats()`,
     // never iterated.
-    pairs: HashMap<(HostId, HostId), PairState>,
+    pairs: HashMap<(HostId, HostId), PairState, FxBuild>,
     /// Dropped packets, retained only in [`TraceMode::Full`].
     dropped: Vec<DropRecord>,
     /// Packets observed regardless of mode.

@@ -126,3 +126,87 @@ fn a_reset_mid_transfer_leaves_nothing_behind() {
     assert!(sim.app_mut::<Quitter>(client).unwrap().sock.is_some());
     assert_eq!(sim.closed_socket_storage(), (2, 0));
 }
+
+/// Sends a request and reads the reply to the end once the connection
+/// has closed — or, with `read_first`, before it closes, and not after.
+struct LateReader {
+    server: SockAddr,
+    read_first: bool,
+    read: usize,
+    closed: bool,
+}
+
+impl LateReader {
+    fn drain(&mut self, ctx: &mut Ctx<'_>, s: SocketId) {
+        loop {
+            let got = ctx.recv(s, 1000).len();
+            if got == 0 {
+                break;
+            }
+            self.read += got;
+        }
+    }
+}
+
+impl App for LateReader {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+        match ev {
+            AppEvent::Start => {
+                ctx.connect(self.server);
+            }
+            AppEvent::Connected(s) => {
+                ctx.send(s, &[0xA5; 200]);
+            }
+            AppEvent::PeerFin(s) => {
+                if self.read_first {
+                    self.drain(ctx, s);
+                }
+                // Half-close, not close: unread bytes then outlive the
+                // connection instead of drawing a reset.
+                ctx.shutdown_write(s);
+            }
+            AppEvent::Closed(s) => {
+                self.closed = true;
+                if !self.read_first {
+                    self.drain(ctx, s);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_receive_queue_read_to_the_end_after_reassembly_holds_no_deque() {
+    const REPLY: usize = 30_000;
+    for read_first in [false, true] {
+        let mut sim = Simulator::new();
+        let server = sim.add_host("server");
+        let client = sim.add_host("client");
+        // Every fifth packet lost: later segments wait in reassembly and
+        // join the receive queue behind the retransmission that fills the
+        // hole, so the queue grows a deque.
+        sim.add_link(client, server, LinkConfig::lan().with_drop_every(5));
+        sim.install_app(server, Box::new(Server { reply: REPLY }));
+        let reader = LateReader {
+            server: SockAddr::new(server, 80),
+            read_first,
+            read: 0,
+            closed: false,
+        };
+        sim.install_app(client, Box::new(reader));
+        sim.run_until_idle();
+        assert!(
+            sim.stats(client, server).retransmitted_packets > 0,
+            "loss was repaired"
+        );
+        let reader = sim.app_mut::<LateReader>(client).unwrap();
+        assert!(reader.closed, "read_first {read_first}: closed gracefully");
+        assert_eq!(reader.read, REPLY, "read_first {read_first}");
+        assert_eq!(
+            sim.closed_socket_storage(),
+            (2, 0),
+            "read_first {read_first}"
+        );
+    }
+}

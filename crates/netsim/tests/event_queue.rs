@@ -4,25 +4,60 @@
 //! deterministic seeded PRNG (the build environment has no crates.io
 //! access, so `proptest` is unavailable).
 
-use netsim::queue::EventQueue;
+use netsim::queue::{EventHandle, EventQueue};
 use netsim::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// The ordering contract written the obvious way: a `Vec` kept sorted
-/// by deadline, a push going after every entry with the same or an
-/// earlier deadline, so equal deadlines stay in push order.
+/// The ordering contract written the obvious way: a `Vec` of
+/// `(at, seq, item)` kept sorted by `(at, seq)`, where a push takes the
+/// next sequence number, so equal deadlines stay in push order. A moved
+/// entry is taken out and inserted again at its new place.
 #[derive(Default)]
-struct Model(Vec<(SimTime, u64)>);
+struct Model {
+    entries: Vec<(SimTime, u64, u64)>,
+    next_seq: u64,
+}
 
 impl Model {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn reserve_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq
+    }
+
+    fn push_at_seq(&mut self, at: SimTime, seq: u64, item: u64) {
+        let i = self
+            .entries
+            .partition_point(|&(t, s, _)| (t, s) < (at, seq));
+        self.entries.insert(i, (at, seq, item));
+    }
+
     fn push(&mut self, at: SimTime, item: u64) {
-        let i = self.0.partition_point(|&(t, _)| t <= at);
-        self.0.insert(i, (at, item));
+        let seq = self.reserve_seq();
+        self.push_at_seq(at, seq, item);
+    }
+
+    /// Take `item` out wherever it is; returns its deadline.
+    fn take(&mut self, item: u64) -> SimTime {
+        let i = self.entries.iter().position(|e| e.2 == item);
+        self.entries.remove(i.expect("item is queued")).0
+    }
+
+    fn deadline_of(&self, item: u64) -> SimTime {
+        let e = self.entries.iter().find(|e| e.2 == item);
+        e.expect("item is queued").0
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
-        (self.0.first()?.0 <= deadline).then(|| self.0.remove(0))
+        let &(at, _, item) = self.entries.first()?;
+        (at <= deadline).then(|| {
+            self.entries.remove(0);
+            (at, item)
+        })
     }
 }
 
@@ -41,17 +76,44 @@ impl Pair {
         }
     }
 
-    fn push(&mut self, at: SimTime, item: u64) {
-        self.queue.push(at, item);
+    fn push(&mut self, at: SimTime, item: u64) -> EventHandle {
+        let handle = self.queue.push(at, item);
         self.model.push(at, item);
-        assert_eq!(self.queue.len(), self.model.0.len());
+        assert_eq!(self.queue.len(), self.model.len());
+        handle
+    }
+
+    fn reserve_seq(&mut self) -> u64 {
+        let seq = self.queue.reserve_seq();
+        assert_eq!(seq, self.model.reserve_seq(), "the next sequence number");
+        seq
+    }
+
+    fn push_at_seq(&mut self, at: SimTime, seq: u64, item: u64) -> EventHandle {
+        let handle = self.queue.push_at_seq(at, seq, item);
+        self.model.push_at_seq(at, seq, item);
+        assert_eq!(self.queue.len(), self.model.len());
+        handle
+    }
+
+    fn reschedule(&mut self, handle: EventHandle, item: u64, at: SimTime, seq: u64) {
+        self.queue.reschedule(handle, at, seq);
+        self.model.take(item);
+        self.model.push_at_seq(at, seq, item);
+        assert_eq!(self.queue.len(), self.model.len());
+    }
+
+    fn remove(&mut self, handle: EventHandle, item: u64) {
+        assert_eq!(self.queue.remove(handle), item, "the handle names the item");
+        self.model.take(item);
+        assert_eq!(self.queue.len(), self.model.len());
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
         let q = self.queue.pop_before(deadline);
         let m = self.model.pop_before(deadline);
         assert_eq!(q, m, "queue and model disagree at deadline {deadline:?}");
-        assert_eq!(self.queue.len(), self.model.0.len());
+        assert_eq!(self.queue.len(), self.model.len());
         q
     }
 
@@ -64,8 +126,18 @@ impl Pair {
 
     fn drain(&mut self) {
         while self.pop().is_some() {}
-        assert!(self.queue.is_empty() && self.model.0.is_empty());
+        assert!(self.queue.is_empty() && self.model.entries.is_empty());
     }
+}
+
+/// A deadline nearby, mid-range or far in the future of `now`.
+fn deadline_after(rng: &mut SmallRng, now: u64) -> SimTime {
+    let delta = match rng.gen_range(0u32..10) {
+        0..=5 => rng.gen_range(0u64..4_096),
+        6..=8 => rng.gen_range(0u64..10_000_000),
+        _ => rng.gen_range(0u64..30_000_000_000),
+    };
+    SimTime::from_nanos(now + delta)
 }
 
 #[test]
@@ -76,13 +148,8 @@ fn randomized_interleavings_match_heap_reference() {
         let mut now = 0u64;
         for _ in 0..2_000 {
             if rng.gen_bool(0.6) || pair.queue.is_empty() {
-                // Push at a time nearby, mid-range, or far future.
-                let delta = match rng.gen_range(0u32..10) {
-                    0..=5 => rng.gen_range(0u64..4_096),
-                    6..=8 => rng.gen_range(0u64..10_000_000),
-                    _ => rng.gen_range(0u64..30_000_000_000),
-                };
-                pair.push(SimTime::from_nanos(now + delta), rng.gen());
+                let at = deadline_after(&mut rng, now);
+                pair.push(at, rng.gen());
             } else if rng.gen_bool(0.5) {
                 if let Some((at, _)) = pair.pop() {
                     now = now.max(at.as_nanos());
@@ -169,10 +236,11 @@ fn far_future_rto_timers_order_correctly() {
 
 #[test]
 fn cancel_and_rearm_pattern_matches_reference() {
-    // The kernel cancels timers by epoch (a stale entry pops and is
-    // ignored), then re-arms at a new time: both the superseded and the
-    // replacement entry coexist in the queue. The queue must keep exact
-    // order among all of them.
+    // Timers cancelled by epoch alone (a stale entry pops and is ignored)
+    // and re-armed at a new time: the superseded and the replacement
+    // entry coexist in the queue, which must keep exact order among all
+    // of them. (The kernel now moves or removes the one entry instead;
+    // `handles_move_and_remove_entries_like_the_model` covers that.)
     let mut rng = SmallRng::seed_from_u64(0x0007_E003);
     let mut pair = Pair::new();
     let mut now = 0u64;
@@ -218,4 +286,65 @@ fn pushes_behind_the_current_time_keep_heap_order() {
     assert_eq!(pair.pop(), Some((SimTime::from_nanos(5), 5)));
     assert_eq!(pair.pop(), Some((SimTime::from_nanos(1_000_000), 1)));
     assert_eq!(pair.pop(), None);
+}
+
+#[test]
+fn handles_move_and_remove_entries_like_the_model() {
+    for seed in 0..32u64 {
+        let mut rng = SmallRng::seed_from_u64(0x0007_E004 + seed);
+        let mut pair = Pair::new();
+        let mut now = 0u64;
+        let mut next_item = 0u64;
+        // What is queued, by item, and sequence numbers reserved but not
+        // yet used.
+        let mut live: Vec<(u64, EventHandle)> = Vec::new();
+        let mut reserved: Vec<u64> = Vec::new();
+        for _ in 0..2_000 {
+            let item = next_item;
+            match rng.gen_range(0u32..10) {
+                0..=1 => {
+                    let at = deadline_after(&mut rng, now);
+                    live.push((item, pair.push(at, item)));
+                    next_item += 1;
+                }
+                2 => reserved.push(pair.reserve_seq()),
+                3 if !reserved.is_empty() => {
+                    let seq = reserved.swap_remove(rng.gen_range(0..reserved.len()));
+                    let at = deadline_after(&mut rng, now);
+                    live.push((item, pair.push_at_seq(at, seq, item)));
+                    next_item += 1;
+                }
+                4..=5 if !live.is_empty() => {
+                    // Earlier or later than where it is, with a fresh
+                    // sequence number or one reserved before.
+                    let (item, handle) = live[rng.gen_range(0..live.len())];
+                    let was = pair.model.deadline_of(item).as_nanos();
+                    let at = if rng.gen_bool(0.5) {
+                        SimTime::from_nanos(was - rng.gen_range(0..=was.min(1_000_000)))
+                    } else {
+                        deadline_after(&mut rng, was)
+                    };
+                    let seq = match reserved.len() {
+                        0 => pair.reserve_seq(),
+                        n if rng.gen_bool(0.5) => reserved.swap_remove(rng.gen_range(0..n)),
+                        _ => pair.reserve_seq(),
+                    };
+                    pair.reschedule(handle, item, at, seq);
+                }
+                6 if !live.is_empty() => {
+                    let (item, handle) = live.swap_remove(rng.gen_range(0..live.len()));
+                    pair.remove(handle, item);
+                }
+                _ => {
+                    let deadline = SimTime::from_nanos(now + rng.gen_range(0u64..5_000_000));
+                    if let Some((at, item)) = pair.pop_before(deadline) {
+                        now = now.max(at.as_nanos());
+                        live.retain(|&(i, _)| i != item);
+                    }
+                }
+            }
+            assert_eq!(pair.queue.len(), live.len(), "len() counts live entries");
+        }
+        pair.drain();
+    }
 }

@@ -28,6 +28,7 @@ pub const RULE_IDS: &[&str] = &[
     "parked-pool-buffer",
     "byte-path-copy",
     "recorder-search",
+    "timer-push",
     "head-field-alloc",
     "seq-wrap",
     "time-unit",
@@ -61,6 +62,11 @@ const BODY_QUEUE_CRATES: &[&str] = &["httpserver", "httpmux"];
 /// Crates that build message heads: a header value is written into the
 /// head's buffer from its `Display`, never through a `String` of its own.
 const HEAD_CRATES: &[&str] = &["httpwire", "httpclient", "httpserver", "httpmux"];
+
+/// The functions of `netsim/src/sim.rs` that may name a queued TCP timer:
+/// the one that owns the timer handles (each kind's entry moves or
+/// leaves there), and the event loop that pops it.
+const TIMER_QUEUE_FNS: &[&str] = &["queue_timers", "run_until"];
 
 /// Identifiers holding TCP sequence-space values in `tcp.rs` and the
 /// congestion-control module `cc.rs`. Direct ordering or subtraction on
@@ -399,6 +405,30 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                     format!(
                         "`.{}(…)` in `{}`: a recorder's write path must not search or shift what it has recorded; resolve once, keep the position, append",
                         t.text, file
+                    ),
+                );
+            }
+        }
+
+        // --- timer-push: a TCP timer enters the event queue in one place,
+        // the function that holds each kind's one entry; pushed anywhere
+        // else it would pop later as a no-op beside the live one.
+        if t.is_ident("TcpTimer")
+            && i >= 2
+            && toks[i - 1].is_op("::")
+            && toks[i - 2].is_ident("QueuedKind")
+            && file == "sim.rs"
+            && crate_in(path, &["netsim"])
+        {
+            let owner = sf.enclosing_fn(i).map(|f| sf.fns[f].name.as_str());
+            if !owner.is_some_and(|name| TIMER_QUEUE_FNS.contains(&name)) {
+                push(
+                    "timer-push",
+                    t.line,
+                    t.col,
+                    format!(
+                        "`QueuedKind::TcpTimer` in `{}`: timer entries are queued, moved and removed only by `queue_timers`, which keeps one per socket and kind",
+                        owner.unwrap_or("(no function)")
                     ),
                 );
             }

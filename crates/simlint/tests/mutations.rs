@@ -233,6 +233,37 @@ fn slot(&mut self, key: SeriesKey) -> &mut SeriesData {
 }
 
 #[test]
+fn timer_push_fires() {
+    // `apply_effects` as it stood: every arm pushed a fresh entry, and the
+    // one it superseded popped later as a no-op.
+    let kernel = "\
+fn apply_effects(&mut self, host: HostId, slot: u32, fx: &mut Effects) {
+    for (kind, at, epoch) in fx.timers.drain(..) {
+        self.push(at, host, QueuedKind::TcpTimer { slot, kind, epoch });
+    }
+}
+fn queue_timers(&mut self, host: HostId, slot: u32, kind: TimerKind, epoch: u64) {
+    let ev = QueuedEvent::timer(host, QueuedKind::TcpTimer { slot, kind, epoch });
+}
+fn run_until(&mut self, ev: QueuedEvent) {
+    match ev.kind {
+        QueuedKind::TcpTimer { slot, kind, epoch } => {}
+        _ => {}
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn pop(ev: QueuedEvent) {
+        if let QueuedKind::TcpTimer { slot, .. } = ev.kind {}
+    }
+}
+";
+    assert_fires("crates/netsim/src/sim.rs", kernel, "timer-push", 3);
+    // Only the kernel's event queue is held to it.
+    assert!(one("crates/netsim/src/probe.rs", kernel).is_empty());
+}
+
+#[test]
 fn head_field_alloc_fires() {
     // The server's 404 as it stood: a `String` per computed value.
     let respond = "\
