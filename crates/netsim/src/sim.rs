@@ -22,11 +22,18 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
 /// Identifies one socket on one host.
+///
+/// A `SocketId` names its socket until the application has handled the
+/// socket's [`AppEvent::Closed`] or [`AppEvent::Reset`]; the kernel then
+/// drops the connection, and a syscall on the id after that panics,
+/// naming the socket. Slots are never reused, so an id never comes to
+/// name a second socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId {
     /// Host the socket lives on.
     pub host: HostId,
-    /// Index into the host's socket table.
+    /// The host's socket slot: sockets are numbered in the order they
+    /// were opened.
     pub slot: u32,
 }
 
@@ -50,9 +57,12 @@ pub enum AppEvent {
     PeerFin(SocketId),
     /// Send-buffer space freed up after a short write.
     SendSpace(SocketId),
-    /// The connection was reset.
+    /// The connection was reset by the peer. This is the socket's last
+    /// event: once it has been handled, the socket cannot be used again.
     Reset(SocketId),
-    /// The connection closed gracefully.
+    /// The connection closed gracefully. This is the socket's last event:
+    /// read what is still buffered while handling it, because afterwards
+    /// the socket cannot be used again.
     Closed(SocketId),
     /// An application timer set with [`Ctx::set_timer`] fired.
     Timer(u64),
@@ -121,7 +131,9 @@ impl QueuedEvent {
 struct HostState {
     name: String,
     tcp_config: TcpConfig,
-    sockets: Vec<Tcb>,
+    /// The connections an application can still name, in no particular
+    /// order: each slot's `SlotState::tcb` says where its own is.
+    tcbs: Vec<Live>,
     /// (local port, remote addr) → socket slot.
     // simlint: allow(hash-collections): keyed lookup only; never iterated.
     demux: HashMap<(u16, SockAddr), u32, FxBuild>,
@@ -133,11 +145,12 @@ struct HostState {
     /// Number of currently open sockets, maintained incrementally so peak
     /// tracking stays O(1) with thousands of fleet connections.
     open_now: u64,
-    /// Parallel to `sockets`: what the kernel keeps beside each `Tcb`.
+    /// One per socket ever opened, indexed by `SocketId::slot`: what the
+    /// kernel keeps beside each `Tcb`, and after it.
     slots: Vec<SlotState>,
     /// This host's telemetry scope, once something was recorded in it.
     scope: Option<ScopeId>,
-    /// Parallel to `sockets` as far as it reaches: each connection's
+    /// Parallel to `slots` as far as it reaches: each connection's
     /// telemetry scope, resolved at its first sample. It grows only while
     /// the sink is on, so a socket opened before that has no entry yet.
     conn_scopes: Vec<Option<ScopeId>>,
@@ -148,14 +161,25 @@ struct Listener {
     /// SYN-queue bound (`None` accepts unconditionally).
     backlog: Option<u32>,
     /// Sockets on this port still mid-handshake, maintained incrementally:
-    /// the socket table never shrinks, so a scan per SYN is quadratic over
-    /// a fleet's connections.
+    /// a scan per SYN would cost as much as the host's connections.
     syn_queue: u32,
 }
+
+/// A connection not yet reaped, and the slot that names it.
+struct Live {
+    slot: u32,
+    tcb: Tcb,
+}
+
+/// `SlotState::tcb` of a slot whose connection was reaped.
+const REAPED: u32 = u32::MAX;
 
 /// What the kernel keeps per socket slot beside its `Tcb`.
 #[derive(Clone, Copy)]
 struct SlotState {
+    /// Where the slot's `Tcb` is in `HostState::tcbs`, or [`REAPED`] once
+    /// its application has handled its `Closed` or `Reset` event.
+    tcb: u32,
     /// Which incremental counts the slot is still part of.
     counted: Counted,
     /// The queue entry of each timer kind, there only while it carries
@@ -177,7 +201,7 @@ enum Counted {
 
 impl HostState {
     fn open_sockets(&self) -> u64 {
-        self.sockets.iter().filter(|t| t.state.is_open()).count() as u64
+        self.tcbs.iter().filter(|l| l.tcb.state.is_open()).count() as u64
     }
 
     /// Sockets on `port` still mid-handshake — the listener's SYN queue.
@@ -185,12 +209,32 @@ impl HostState {
         let len = self.listeners.get(&port).map_or(0, |l| l.syn_queue);
         debug_assert_eq!(
             len,
-            self.sockets
+            self.tcbs
                 .iter()
-                .filter(|t| t.state == State::SynRcvd && t.local.port == port)
+                .filter(|l| l.tcb.state == State::SynRcvd && l.tcb.local.port == port)
                 .count() as u32
         );
         len
+    }
+
+    /// Where the `Tcb` of `sock`, one of this host's sockets, is in
+    /// `tcbs`.
+    fn live(&self, sock: SocketId) -> usize {
+        let i = self.slots[sock.slot as usize].tcb;
+        assert!(
+            i != REAPED,
+            "socket {sock:?} used after its Closed/Reset event"
+        );
+        i as usize
+    }
+
+    fn tcb(&self, sock: SocketId) -> &Tcb {
+        &self.tcbs[self.live(sock)].tcb
+    }
+
+    fn tcb_mut(&mut self, sock: SocketId) -> &mut Tcb {
+        let i = self.live(sock);
+        &mut self.tcbs[i].tcb
     }
 }
 
@@ -349,7 +393,7 @@ impl Kernel {
             return;
         }
         let h = &mut self.hosts[host.0 as usize];
-        let tcb = &h.sockets[slot as usize];
+        let tcb = &h.tcbs[h.live(SocketId { host, slot })].tcb;
         let scope = scope_id(
             grown_to(&mut h.conn_scopes, slot as usize),
             &mut self.telemetry,
@@ -452,8 +496,9 @@ impl Kernel {
     /// Apply the side effects a TCB produced.
     fn apply_effects(&mut self, host: HostId, slot: u32, fx: &mut Effects) {
         self.telemetry_conn_sample(host, slot);
+        let sock = SocketId { host, slot };
         if !fx.probe.is_empty() {
-            let tcb = &self.hosts[host.0 as usize].sockets[slot as usize];
+            let tcb = self.hosts[host.0 as usize].tcb(sock);
             let (local, remote) = (tcb.local, tcb.remote);
             let now = self.now;
             for ev in fx.probe.drain(..) {
@@ -472,13 +517,10 @@ impl Kernel {
         self.queue_timers(host, slot, &mut fx.timers);
         let mut any_close = false;
         for n in fx.notifications.drain(..) {
-            let sock = SocketId { host, slot };
             let ev = match n {
                 SockNotify::Connected => AppEvent::Connected(sock),
                 SockNotify::Accepted => {
-                    let port = self.hosts[host.0 as usize].sockets[slot as usize]
-                        .local
-                        .port;
+                    let port = self.hosts[host.0 as usize].tcb(sock).local.port;
                     AppEvent::Accepted {
                         socket: sock,
                         listener_port: port,
@@ -502,7 +544,7 @@ impl Kernel {
         // with any state transition out of SYN-RCVD and to CLOSED
         // (including notification-free aborts).
         let h = self.host(host);
-        let tcb = &h.sockets[slot as usize];
+        let tcb = &h.tcbs[h.live(sock)].tcb;
         let counted = &mut h.slots[slot as usize].counted;
         if *counted == Counted::SynQueue && tcb.state != State::SynRcvd {
             *counted = Counted::Open;
@@ -517,7 +559,7 @@ impl Kernel {
             // Remove closed sockets from the demux table so the 4-tuple can
             // be reused.
             let h = self.host(host);
-            let tcb = &h.sockets[slot as usize];
+            let tcb = h.tcb(sock);
             if !tcb.state.is_open() {
                 let key = (tcb.local.port, tcb.remote);
                 h.demux.remove(&key);
@@ -547,7 +589,7 @@ impl Kernel {
             });
         }
         let h = self.host(host);
-        let slot = h.sockets.len() as u32;
+        let slot = h.slots.len() as u32;
         let counted = if tcb.state == State::SynRcvd {
             let listener = h.listeners.get_mut(&local.port);
             listener.expect("passive open has a listener").syn_queue += 1;
@@ -556,16 +598,17 @@ impl Kernel {
             Counted::Open
         };
         if h.slots.capacity() == 0 {
-            // Eight up front, where a `Vec` of 20-byte entries starts at
+            // Eight up front, where a `Vec` of 24-byte entries starts at
             // four: a client's handful of sockets then grows it no more
             // often than its socket count needs.
             h.slots.reserve_exact(8);
         }
         h.slots.push(SlotState {
+            tcb: h.tcbs.len() as u32,
             counted,
             timers: [None; TimerKind::COUNT],
         });
-        h.sockets.push(tcb);
+        h.tcbs.push(Live { slot, tcb });
         let prev = h.demux.insert((local.port, remote), slot);
         debug_assert!(
             prev.is_none(),
@@ -574,7 +617,6 @@ impl Kernel {
         );
         h.stats.sockets_used += 1;
         h.open_now += 1;
-        debug_assert_eq!(h.slots.len(), h.sockets.len());
         self.apply_effects(host, slot, &mut fx);
         self.recycle_fx(fx);
         self.update_peak(host);
@@ -610,7 +652,8 @@ impl Kernel {
         if let Some(&slot) = h.demux.get(&key) {
             let mut fx = self.take_fx();
             let now = self.now;
-            self.host(host).sockets[slot as usize].on_segment(now, &seg, &mut fx);
+            let tcb = self.host(host).tcb_mut(SocketId { host, slot });
+            tcb.on_segment(now, &seg, &mut fx);
             self.apply_effects(host, slot, &mut fx);
             self.recycle_fx(fx);
             self.update_peak(host);
@@ -672,7 +715,7 @@ impl Kernel {
             last[kind.index()] = Some((at, self.queue.reserve_seq(), epoch));
         }
         let h = &mut self.hosts[host.0 as usize];
-        let tcb = &h.sockets[slot as usize];
+        let tcb = &h.tcbs[h.live(SocketId { host, slot })].tcb;
         let held = &mut h.slots[slot as usize].timers;
         for (i, kind) in TimerKind::ALL.into_iter().enumerate() {
             let live = tcb.timer_epoch(kind);
@@ -706,7 +749,7 @@ impl Kernel {
         self.host(host).slots[slot as usize].timers[kind.index()] = None;
         let mut fx = self.take_fx();
         let now = self.now;
-        let tcb = &mut self.host(host).sockets[slot as usize];
+        let tcb = self.host(host).tcb_mut(SocketId { host, slot });
         debug_assert_eq!(tcb.timer_epoch(kind), epoch, "only live timers are queued");
         tcb.on_timer(now, kind, epoch, &mut fx);
         self.apply_effects(host, slot, &mut fx);
@@ -716,7 +759,22 @@ impl Kernel {
     // --- socket syscalls used by Ctx -----------------------------------
 
     fn sock(&mut self, id: SocketId) -> &mut Tcb {
-        &mut self.hosts[id.host.0 as usize].sockets[id.slot as usize]
+        self.host(id.host).tcb_mut(id)
+    }
+
+    /// Drop the `Tcb` of `sock`, whose application has just handled its
+    /// `Closed` or `Reset` event. The last held `Tcb` moves into its place.
+    fn reap(&mut self, sock: SocketId) {
+        let h = self.host(sock.host);
+        let i = h.live(sock);
+        let state = &mut h.slots[sock.slot as usize];
+        debug_assert_eq!(state.counted, Counted::Closed);
+        debug_assert!(state.timers.iter().all(Option::is_none), "no timer queued");
+        state.tcb = REAPED;
+        h.tcbs.swap_remove(i);
+        if let Some(moved) = h.tcbs.get(i) {
+            h.slots[moved.slot as usize].tcb = i as u32;
+        }
     }
 
     /// Ephemeral ports count up from 40000, wrapping back there after
@@ -796,7 +854,7 @@ impl<'a> Ctx<'a> {
     /// Queue a copy of `data` for transmission; returns the number of
     /// bytes accepted (bounded by the socket send buffer).
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> usize {
-        self.write(sock, |tcb, now, fx| tcb.app_send(now, data, fx))
+        self.call(sock, |tcb, now, fx| tcb.app_send(now, data, fx))
     }
 
     /// Move bytes off the front of `from` into the socket, by reference,
@@ -806,7 +864,7 @@ impl<'a> Ctx<'a> {
         if from.is_empty() {
             return;
         }
-        let n = self.write(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
+        let n = self.call(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
         if n > 0 && !from.is_empty() {
             // The socket took part of it and is now full. The loop this
             // replaces found that out by writing once more, and that
@@ -815,73 +873,64 @@ impl<'a> Ctx<'a> {
             // `apply_effects` and the probe records the blocked send, so
             // goldens see it. Kept until ROADMAP item 7 decides whether
             // such an artefact may go.
-            self.write(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
+            self.call(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
         }
     }
 
-    /// The one write path: run `write` on the socket and apply what it
-    /// caused.
-    fn write(
+    /// The `Tcb` behind `sock`, which must be one of this host's sockets
+    /// and not yet past its `Closed` or `Reset` event.
+    fn tcb(&mut self, sock: SocketId) -> &mut Tcb {
+        assert_eq!(sock.host, self.host, "socket {sock:?} is another host's");
+        self.kernel.sock(sock)
+    }
+
+    /// The one syscall path into a socket: run `call` on its `Tcb` and
+    /// apply what it caused.
+    fn call<R>(
         &mut self,
         sock: SocketId,
-        write: impl FnOnce(&mut Tcb, SimTime, &mut Effects) -> usize,
-    ) -> usize {
-        debug_assert_eq!(sock.host, self.host, "cannot use another host's socket");
+        call: impl FnOnce(&mut Tcb, SimTime, &mut Effects) -> R,
+    ) -> R {
         let mut fx = self.kernel.take_fx();
         let now = self.kernel.now;
-        let n = write(self.kernel.sock(sock), now, &mut fx);
+        let r = call(self.tcb(sock), now, &mut fx);
         self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
         self.kernel.recycle_fx(fx);
-        n
+        r
     }
 
     /// Read up to `max` buffered bytes.
     pub fn recv(&mut self, sock: SocketId, max: usize) -> Bytes {
-        let mut fx = self.kernel.take_fx();
-        let data = self.kernel.sock(sock).app_recv(max, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
-        data
+        self.call(sock, |tcb, _, fx| tcb.app_recv(max, fx))
     }
 
     /// Bytes currently buffered for reading.
     pub fn readable_bytes(&mut self, sock: SocketId) -> usize {
-        self.kernel.sock(sock).readable_bytes()
+        self.tcb(sock).readable_bytes()
     }
 
     /// Half-close the sending direction (graceful FIN after queued data).
     pub fn shutdown_write(&mut self, sock: SocketId) {
-        let mut fx = self.kernel.take_fx();
-        let now = self.kernel.now;
-        self.kernel.sock(sock).app_shutdown_write(now, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
+        self.call(sock, |tcb, now, fx| tcb.app_shutdown_write(now, fx));
         self.kernel.update_peak(sock.host);
     }
 
     /// Full close: also declares the application will never read again, so
     /// late-arriving data triggers a RST (the naive-close hazard).
     pub fn close(&mut self, sock: SocketId) {
-        let mut fx = self.kernel.take_fx();
-        let now = self.kernel.now;
-        self.kernel.sock(sock).app_close(now, &mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
+        self.call(sock, |tcb, now, fx| tcb.app_close(now, fx));
         self.kernel.update_peak(sock.host);
     }
 
     /// Abortive close: RST immediately.
     pub fn abort(&mut self, sock: SocketId) {
-        let mut fx = self.kernel.take_fx();
-        self.kernel.sock(sock).app_abort(&mut fx);
-        self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
-        self.kernel.recycle_fx(fx);
+        self.call(sock, |tcb, _, fx| tcb.app_abort(fx));
         self.kernel.update_peak(sock.host);
     }
 
     /// Set or clear TCP_NODELAY (the Nagle algorithm).
     pub fn set_nodelay(&mut self, sock: SocketId, nodelay: bool) {
-        self.kernel.sock(sock).set_nodelay(nodelay);
+        self.tcb(sock).set_nodelay(nodelay);
     }
 
     /// Whether the probe flight recorder is collecting. Lets callers skip
@@ -896,7 +945,7 @@ impl<'a> Ctx<'a> {
         if !self.kernel.probe.enabled() {
             return;
         }
-        let tcb = self.kernel.sock(sock);
+        let tcb = self.tcb(sock);
         let (local, remote) = (tcb.local, tcb.remote);
         let at = self.kernel.now;
         self.kernel.probe.record(ProbeRecord {
@@ -965,7 +1014,7 @@ impl Simulator {
         self.kernel.hosts.push(HostState {
             name: name.to_string(),
             tcp_config: TcpConfig::default(),
-            sockets: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            tcbs: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
             demux: HashMap::default(), // simlint: allow(hash-collections)
             listeners: HashMap::default(), // simlint: allow(hash-collections)
             next_ephemeral: 40_000,
@@ -1097,26 +1146,44 @@ impl Simulator {
 
     /// How many sockets, over all hosts, are `Closed`, and the buffer
     /// storage they still hold between them (for tests: a finished
-    /// connection pins none).
+    /// connection pins none). A reaped socket counts, holding nothing.
     #[doc(hidden)]
     pub fn closed_socket_storage(&self) -> (usize, usize) {
-        let sockets = self.kernel.hosts.iter().flat_map(|h| &h.sockets);
-        sockets
-            .filter(|t| t.state == State::Closed)
-            .fold((0, 0), |(n, bytes), t| (n + 1, bytes + t.held_storage()))
+        let hosts = &self.kernel.hosts;
+        let slots = hosts.iter().flat_map(|h| &h.slots);
+        let reaped = slots.filter(|s| s.tcb == REAPED).count();
+        let held = hosts.iter().flat_map(|h| &h.tcbs).map(|l| &l.tcb);
+        held.filter(|t| t.state == State::Closed)
+            .fold((reaped, 0), |(n, bytes), t| {
+                (n + 1, bytes + t.held_storage())
+            })
+    }
+
+    /// How many `Tcb`s the kernel holds, over all hosts: the sockets an
+    /// application can still name (for tests: a finished run holds only
+    /// the sockets their own application aborted).
+    #[doc(hidden)]
+    pub fn held_tcbs(&self) -> usize {
+        self.kernel.hosts.iter().map(|h| h.tcbs.len()).sum()
     }
 
     fn dispatch_pending(&mut self) {
         while let Some((host, ev)) = self.kernel.pending.pop_front() {
-            let Some(mut app) = self.apps[host.0 as usize].take() else {
-                continue;
-            };
-            let mut ctx = Ctx {
-                kernel: &mut self.kernel,
-                host,
-            };
-            app.on_event(&mut ctx, ev);
-            self.apps[host.0 as usize] = Some(app);
+            if let Some(mut app) = self.apps[host.0 as usize].take() {
+                let mut ctx = Ctx {
+                    kernel: &mut self.kernel,
+                    host,
+                };
+                app.on_event(&mut ctx, ev);
+                self.apps[host.0 as usize] = Some(app);
+            }
+            // The socket's last event is handled: nothing names it again.
+            // (A socket its own application aborted gets no event, and is
+            // held to the end: the application may still name it from an
+            // event queued before the abort.)
+            if let AppEvent::Closed(sock) | AppEvent::Reset(sock) = ev {
+                self.kernel.reap(sock);
+            }
         }
     }
 
@@ -1984,5 +2051,73 @@ mod tests {
         for &c in &clients {
             assert!(sim.app_mut::<EchoClient>(c).unwrap().done);
         }
+    }
+
+    /// Echoes like [`Echo`], keeps the id of the socket whose `Closed` it
+    /// handled, and reads from it again on a timer.
+    struct ReadsAfterClosed {
+        closed: Option<SocketId>,
+    }
+
+    impl App for ReadsAfterClosed {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+            match ev {
+                AppEvent::Start => ctx.listen(80),
+                AppEvent::Readable(s) => {
+                    let data = ctx.recv(s, usize::MAX);
+                    ctx.send(s, &data);
+                }
+                AppEvent::PeerFin(s) => ctx.shutdown_write(s),
+                AppEvent::Closed(s) => {
+                    // Still its socket while the event is handled.
+                    assert!(ctx.recv(s, usize::MAX).is_empty());
+                    self.closed = Some(s);
+                    ctx.set_timer(0, SimDuration::from_millis(1));
+                }
+                AppEvent::Timer(_) => {
+                    ctx.recv(self.closed.expect("closed first"), 1);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "after its Closed/Reset event")]
+    fn a_socket_used_after_its_closed_event_panics() {
+        let (mut sim, _, server) = echo_sim(LinkConfig::lan(), 100);
+        sim.install_app(server, Box::new(ReadsAfterClosed { closed: None }));
+        sim.run_until_idle();
+    }
+
+    #[test]
+    #[should_panic(expected = "is another host's")]
+    fn a_socket_of_another_host_cannot_be_used() {
+        struct Trespasser(SocketId);
+        impl App for Trespasser {
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+                if let AppEvent::Connected(_) = ev {
+                    ctx.readable_bytes(self.0);
+                }
+            }
+        }
+        let (mut sim, client, server) = echo_sim(LinkConfig::lan(), 100);
+        sim.kernel.connect(client, SockAddr::new(server, 80));
+        // By the time the client hears `Connected`, the server holds the
+        // other end in its slot 0.
+        let theirs = SocketId {
+            host: server,
+            slot: 0,
+        };
+        sim.install_app(client, Box::new(Trespasser(theirs)));
+        sim.run_until_idle();
+    }
+
+    /// What the kernel keeps per socket: the `Tcb` while it is held, and
+    /// a slot for the whole run.
+    #[test]
+    fn socket_table_entries_stay_small() {
+        assert!(std::mem::size_of::<SlotState>() <= 24);
+        assert!(std::mem::size_of::<Live>() <= std::mem::size_of::<Tcb>() + 8);
     }
 }

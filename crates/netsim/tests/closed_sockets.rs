@@ -1,8 +1,10 @@
-//! A finished connection pins no buffer storage: the kernel keeps every
-//! `Tcb` it ever made (a host's socket table never shrinks), so whatever
-//! a `Closed` one still holds is held until the simulator drops.
+//! A finished connection pins nothing: the kernel drops a `Tcb` once its
+//! application has handled the socket's `Closed` or `Reset` event. The
+//! one it keeps — a socket its own application aborted, which gets no
+//! such event — holds no buffer storage until the simulator drops.
 
 use netsim::sim::{App, AppEvent, Ctx};
+use netsim::tcp::Tcb;
 use netsim::{LinkConfig, Simulator, SockAddr, SocketId};
 
 /// Answers each request with `reply` bytes and closes, HTTP/1.0 style.
@@ -84,8 +86,10 @@ fn churned_connections_hold_nothing_once_closed() {
     for &c in &clients {
         assert_eq!(sim.app_mut::<Churn>(c).unwrap().completed, ROUNDS);
     }
-    // Both ends of every connection, all through TIME_WAIT by now.
+    // Both ends of every connection, all through TIME_WAIT by now, and
+    // all reaped.
     let sockets = 2 * CLIENTS * ROUNDS as usize;
+    assert_eq!(sim.held_tcbs(), 0);
     assert_eq!(sim.closed_socket_storage(), (sockets, 0));
 }
 
@@ -124,7 +128,16 @@ fn a_reset_mid_transfer_leaves_nothing_behind() {
     sim.install_app(client, Box::new(quitter));
     sim.run_until_idle();
     assert!(sim.app_mut::<Quitter>(client).unwrap().sock.is_some());
+    // The server's end was reaped at its `Reset`; the client's own abort
+    // is the one `Tcb` held, and it holds nothing.
+    assert_eq!(sim.held_tcbs(), 1);
     assert_eq!(sim.closed_socket_storage(), (2, 0));
+}
+
+/// What the kernel pays per held connection.
+#[test]
+fn a_tcb_stays_within_its_size() {
+    assert!(std::mem::size_of::<Tcb>() <= 528);
 }
 
 /// Sends a request and reads the reply to the end once the connection
