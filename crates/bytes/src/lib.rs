@@ -22,15 +22,17 @@
 //!    power-of-two class, 64 B … 64 KiB, each bounded in bytes; a request
 //!    takes the smallest class that holds it, so a pooled buffer never
 //!    holds more than twice what was asked of it. Storage past the largest
-//!    class is never pooled: it is an ordinary `Vec` that stays with its
-//!    owner.
-//! 3. **Growth goes through the pool.** A buffer that must grow takes the
-//!    next class that fits, copies its live bytes and returns the old
-//!    vector; past the largest class it grows by `Vec::reserve`.
+//!    class is never pooled: it is an ordinary `Vec` of the size asked
+//!    for, freed when its buffer empties.
+//! 3. **Growth goes through the pool.** A buffer that must grow takes at
+//!    least twice its storage — the next class that fits — copies its
+//!    live bytes and returns the old vector.
 //!
+//! Every [`Bytes`] is a view of one reference-counted vector, which goes
+//! to the pool of whichever thread drops the last reference (kept there
+//! only if it is exactly a class's size);
 //! [`Bytes::pooled_copy_from_slice`] and [`BytesMut::freeze_pooled`] give
-//! out `Bytes` backed by such a vector; it returns to the pool of
-//! whichever thread drops the last reference. Pooled and shared buffers
+//! out `Bytes` whose vector came from the pool. Pooled and other buffers
 //! are observationally identical (equality and hashing go through the
 //! byte contents), so pooling can never change simulation results — it
 //! only recycles storage.
@@ -42,22 +44,31 @@
 //! [`BytesQueue`]: the `Bytes` chunks as they were handed over, first
 //! chunk inline (one chunk queued costs no deque), the rest in a
 //! `VecDeque` behind it. Every socket-side buffer of the workspace is
-//! one, so a body byte moves from the store to a segment payload, and
-//! from an arriving payload to the reader, by reference:
+//! one, and so is every message body and every bit of a byte stream no
+//! parser has claimed yet, so a body byte moves from the store to a
+//! segment payload, from an arriving payload to the reader, and from
+//! the reader into the message, by reference:
 //!
-//! * `push` queues a `Bytes` as it is; `extend_from_slice` is the copying
-//!   way in (one pooled chunk per call) for a caller with only a slice.
+//! * `push` queues a `Bytes` as it is, joined onto the chunk before it
+//!   when the two are adjacent views of one storage: the segments of one
+//!   body, sent by reference, arrive as one chunk again.
+//!   `extend_from_slice` is the copying way in (one pooled chunk per
+//!   call) for a caller with only a slice.
 //! * `advance` drops the chunks it covers — nothing shifts — and
 //!   `drain_into` moves a prefix to another queue, sharing the one chunk
 //!   it may end inside.
 //! * `slice(off, len)` is a refcounted view when the range lies inside
 //!   one chunk and a pooled gather copy only when it crosses a chunk
-//!   edge. That is the one place a queued byte can be copied, and what
-//!   decides it is where the chunks happen to end, nothing else.
+//!   edge; `with_prefix` lends the front bytes as one slice the same way,
+//!   gathering into pooled storage it hands back at once. Those are the
+//!   places a queued byte can be copied, and what decides it is where the
+//!   chunks happen to end, nothing else.
 //! * A queue that empties holds no reference to any chunk; `clear` also
 //!   gives up the deque, so a cleared queue owns nothing. An empty chunk
 //!   is never queued, so clearing a queue that owns nothing already is
 //!   one test — a closing socket clears both of its queues.
+//! * Queues compare, and clone, by content: how the bytes are chunked is
+//!   never observable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,8 +83,8 @@ use std::sync::{Arc, OnceLock};
 /// Smallest storage class; a shorter write still takes this much.
 const POOL_MIN_CAP: usize = 1 << 6;
 /// Largest storage class. Storage with more capacity is never pooled
-/// (one giant reassembled body must not pin memory for the rest of the
-/// run): it stays with its owner and grows by `Vec::reserve`.
+/// (one giant buffer must not pin memory for the rest of the run): it is
+/// allocated at the size asked for and freed when it empties.
 const POOL_MAX_CAP: usize = 1 << 16;
 /// Power-of-two classes from [`POOL_MIN_CAP`] to [`POOL_MAX_CAP`].
 const POOL_CLASSES: usize = (POOL_MAX_CAP / POOL_MIN_CAP).trailing_zeros() as usize + 1;
@@ -93,10 +104,14 @@ fn class_of(cap: usize) -> usize {
     (cap / POOL_MIN_CAP).trailing_zeros() as usize
 }
 
-/// An empty vector with room for `min` bytes (at most [`POOL_MAX_CAP`]):
-/// the smallest class that holds them, from this thread's pool if it has
-/// one, so storage is never more than twice what was asked for.
+/// An empty vector with room for `min` bytes: the smallest class that
+/// holds them, from this thread's pool if it has one, so storage is never
+/// more than twice what was asked for; past the largest class, exactly
+/// `min`.
 fn pool_take(min: usize) -> Vec<u8> {
+    if min > POOL_MAX_CAP {
+        return Vec::with_capacity(min);
+    }
     let cap = min.max(POOL_MIN_CAP).next_power_of_two();
     POOL.with(|p| p.borrow_mut()[class_of(cap)].pop())
         .unwrap_or_else(|| Vec::with_capacity(cap))
@@ -121,42 +136,26 @@ fn pool_put(mut v: Vec<u8>) {
     });
 }
 
-/// A pooled allocation: hands its vector back to the free list of
-/// whichever thread drops the last reference.
-struct PoolChunk {
+/// The storage behind a [`Bytes`]: a vector, handed to the free list of
+/// whichever thread drops the last reference (which keeps it only if it
+/// is exactly a class's size).
+struct Chunk {
     buf: Vec<u8>,
 }
 
-impl Drop for PoolChunk {
+impl Drop for Chunk {
     fn drop(&mut self) {
         pool_put(std::mem::take(&mut self.buf));
     }
 }
 
-/// Backing storage of a [`Bytes`].
-#[derive(Clone)]
-enum Repr {
-    /// A plain shared slice.
-    Shared(Arc<[u8]>),
-    /// A pool-recycled vector (see the module docs).
-    Pooled(Arc<PoolChunk>),
-}
-
-impl Repr {
-    #[inline]
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Repr::Shared(a) => a,
-            Repr::Pooled(c) => &c.buf,
-        }
-    }
-}
-
 /// The process-wide empty buffer: `Bytes::new` bumps a refcount instead
-/// of allocating a fresh zero-length `Arc` header per call.
-fn empty_shared() -> Arc<[u8]> {
-    static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::from(&[][..])).clone()
+/// of allocating a fresh chunk per call.
+fn empty_chunk() -> Arc<Chunk> {
+    static EMPTY: OnceLock<Arc<Chunk>> = OnceLock::new();
+    EMPTY
+        .get_or_init(|| Arc::new(Chunk { buf: Vec::new() }))
+        .clone()
 }
 
 /// A cheaply cloneable, immutable slice of bytes.
@@ -164,7 +163,7 @@ fn empty_shared() -> Arc<[u8]> {
 /// Clones and sub-slices share one reference-counted allocation.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Repr,
+    data: Arc<Chunk>,
     start: usize,
     end: usize,
 }
@@ -172,7 +171,7 @@ pub struct Bytes {
 impl Default for Bytes {
     fn default() -> Bytes {
         Bytes {
-            data: Repr::Shared(empty_shared()),
+            data: empty_chunk(),
             start: 0,
             end: 0,
         }
@@ -245,12 +244,22 @@ impl Bytes {
             end: self.start + hi,
         }
     }
+
+    /// Grow over `next` when it is the view of the same storage that
+    /// starts where this one ends; returns whether it did.
+    fn join(&mut self, next: &Bytes) -> bool {
+        let joins = Arc::ptr_eq(&self.data, &next.data) && self.end == next.start;
+        if joins {
+            self.end = next.end;
+        }
+        joins
+    }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data.as_slice()[self.start..self.end]
+        &self.data.buf[self.start..self.end]
     }
 }
 
@@ -260,11 +269,12 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// The vector becomes the storage as it is, without a copy.
 impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+    fn from(buf: Vec<u8>) -> Bytes {
+        let end = buf.len();
         Bytes {
-            data: Repr::Shared(v.into()),
+            data: Arc::new(Chunk { buf }),
             start: 0,
             end,
         }
@@ -326,8 +336,8 @@ impl BytesMut {
     }
 
     /// An empty accumulator with room for `cap` bytes (the caller states
-    /// the size it expects, so a body written in pieces grows at most
-    /// once); finish it with [`BytesMut::freeze_pooled`].
+    /// the size it expects, so what it writes in pieces never makes it
+    /// grow); finish it with [`BytesMut::freeze_pooled`].
     pub fn pooled(cap: usize) -> BytesMut {
         let mut buf = BytesMut::new();
         buf.reserve(cap);
@@ -357,16 +367,14 @@ impl BytesMut {
             return;
         }
         let need = self.len() + additional;
-        if need <= self.vec.capacity() || need > POOL_MAX_CAP {
-            // The reclaim: shift the live bytes down rather than grow;
-            // past the largest class, grow in place where the allocator
-            // can.
+        if need <= self.vec.capacity() {
+            // The reclaim: shift the live bytes down rather than grow.
             self.vec.drain(..self.head);
-            self.vec.reserve(additional);
         } else {
-            // Growth goes through the pool: the next class up takes the
-            // live bytes and the old vector goes back.
-            let mut grown = pool_take(need);
+            // Growth goes through the pool: at least twice the storage,
+            // the next class up, takes the live bytes and the old vector
+            // goes back.
+            let mut grown = pool_take(need.max(2 * self.vec.capacity()));
             grown.extend_from_slice(self);
             pool_put(std::mem::replace(&mut self.vec, grown));
         }
@@ -388,15 +396,11 @@ impl BytesMut {
         }
     }
 
-    /// Drop all accumulated contents. The storage goes to the pool;
-    /// storage the pool would refuse stays, for the owner's next write.
+    /// Drop all accumulated contents, and the storage with them: to the
+    /// pool, or freed where the pool refuses it.
     pub fn clear(&mut self) {
         self.head = 0;
-        if self.vec.capacity() > POOL_MAX_CAP {
-            self.vec.clear();
-        } else {
-            pool_put(std::mem::take(&mut self.vec));
-        }
+        pool_put(std::mem::take(&mut self.vec));
     }
 
     /// Convert into an immutable pool-backed [`Bytes`] without copying;
@@ -405,7 +409,7 @@ impl BytesMut {
         Bytes {
             start: self.head,
             end: self.vec.len(),
-            data: Repr::Pooled(Arc::new(PoolChunk { buf: self.vec })),
+            data: Arc::new(Chunk { buf: self.vec }),
         }
     }
 }
@@ -451,12 +455,12 @@ impl From<BytesMut> for Vec<u8> {
     }
 }
 
-/// Bytes waiting to be sent or read, held by reference: the chunks as
-/// they were queued, consumed from the front. Nothing is copied on the
-/// way in, nothing shifts on the way out, and a range that lies inside
-/// one chunk is handed out as a view of it (see "Queued bytes" in the
-/// module docs).
-#[derive(Debug, Default)]
+/// Bytes waiting to be sent or read, or a message body, held by
+/// reference: the chunks as they were queued, consumed from the front.
+/// Nothing is copied on the way in, nothing shifts on the way out, and a
+/// range that lies inside one chunk is handed out as a view of it (see
+/// "Queued bytes" in the module docs).
+#[derive(Clone, Default)]
 pub struct BytesQueue {
     /// What is left of the first chunk (empty: nothing is queued). Apart
     /// from `later`, so that one chunk queued costs no deque.
@@ -483,16 +487,22 @@ impl BytesQueue {
         self.len == 0
     }
 
-    /// Queue `data` behind what is there, by reference. An empty `data`
-    /// is not kept, so an empty first chunk never holds storage.
+    /// Queue `data` behind what is there, by reference: joined onto the
+    /// last chunk when it is the view of the same storage that starts
+    /// where that chunk ends. An empty `data` is not kept, so an empty
+    /// first chunk never holds storage.
     pub fn push(&mut self, data: Bytes) {
         if data.is_empty() {
             return;
         }
         self.len += data.len();
-        if self.front.is_empty() {
-            self.front = data;
-        } else {
+        let last = match self.later.back_mut() {
+            Some(last) => last,
+            None => &mut self.front,
+        };
+        if last.is_empty() {
+            *last = data;
+        } else if !last.join(&data) {
             self.later.push_back(data);
         }
     }
@@ -575,12 +585,30 @@ impl BytesQueue {
         }
         let mut gathered = BytesMut::pooled(len);
         gathered.extend_from_slice(&first[skip..]);
-        while gathered.len() < len {
-            let chunk = chunks.next().expect("the range lies in the queue");
-            let take = chunk.len().min(len - gathered.len());
-            gathered.extend_from_slice(&chunk[..take]);
-        }
+        gather(&mut gathered, chunks, len);
         gathered.freeze_pooled()
+    }
+
+    /// Call `f` with the first `len` bytes as one slice: the first
+    /// chunk's own bytes when it holds them, else a copy gathered into
+    /// pooled storage, which goes back to the pool when `f` returns.
+    pub fn with_prefix<R>(&self, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        assert!(len <= self.len, "prefix {len} of {} bytes", self.len);
+        if len <= self.front.len() {
+            return f(&self.front[..len]);
+        }
+        let mut gathered = BytesMut::pooled(len);
+        gather(&mut gathered, self.chunks(), len);
+        let out = f(&gathered);
+        gathered.clear();
+        out
+    }
+
+    /// A copy of every queued byte, in one vector.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        self.chunks().for_each(|chunk| out.extend_from_slice(chunk));
+        out
     }
 
     /// Drop everything queued, and the deque with it: a cleared queue
@@ -596,6 +624,78 @@ impl BytesQueue {
     #[doc(hidden)]
     pub fn bookkeeping_bytes(&self) -> usize {
         self.later.capacity() * std::mem::size_of::<Bytes>()
+    }
+}
+
+/// Append the front of `chunks` to `out` until it holds `len` bytes.
+fn gather<'a>(out: &mut BytesMut, mut chunks: impl Iterator<Item = &'a Bytes>, len: usize) {
+    while out.len() < len {
+        let chunk = chunks.next().expect("the range lies in the queue");
+        let take = chunk.len().min(len - out.len());
+        out.extend_from_slice(&chunk[..take]);
+    }
+}
+
+impl From<Bytes> for BytesQueue {
+    fn from(data: Bytes) -> BytesQueue {
+        let mut queue = BytesQueue::new();
+        queue.push(data);
+        queue
+    }
+}
+
+impl From<Vec<u8>> for BytesQueue {
+    fn from(data: Vec<u8>) -> BytesQueue {
+        Bytes::from(data).into()
+    }
+}
+
+impl fmt::Debug for BytesQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.chunks().flat_map(|chunk| chunk.iter()))
+            .finish()
+    }
+}
+
+/// Queues are equal when their bytes are, however they are chunked.
+impl PartialEq for BytesQueue {
+    fn eq(&self, other: &BytesQueue) -> bool {
+        let mut theirs = other.chunks();
+        let mut pending: &[u8] = &[];
+        self.len == other.len
+            && self.chunks().all(|chunk| {
+                let mut mine = &chunk[..];
+                while !mine.is_empty() {
+                    if pending.is_empty() {
+                        pending = theirs.next().expect("the lengths are equal");
+                    }
+                    let n = mine.len().min(pending.len());
+                    if mine[..n] != pending[..n] {
+                        return false;
+                    }
+                    (mine, pending) = (&mine[n..], &pending[n..]);
+                }
+                true
+            })
+    }
+}
+impl Eq for BytesQueue {}
+
+impl PartialEq<[u8]> for BytesQueue {
+    fn eq(&self, mut other: &[u8]) -> bool {
+        self.len == other.len()
+            && self.chunks().all(|chunk| {
+                let (head, rest) = other.split_at(chunk.len());
+                other = rest;
+                head == &chunk[..]
+            })
+    }
+}
+
+impl PartialEq<Vec<u8>> for BytesQueue {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        *self == other[..]
     }
 }
 
@@ -694,10 +794,7 @@ mod tests {
 
     /// Bytes of storage behind a pooled `Bytes`.
     fn held(b: &Bytes) -> usize {
-        match &b.data {
-            Repr::Pooled(chunk) => chunk.buf.capacity(),
-            Repr::Shared(_) => panic!("not pooled"),
-        }
+        b.data.buf.capacity()
     }
 
     #[test]
@@ -746,18 +843,22 @@ mod tests {
     }
 
     #[test]
-    fn storage_past_the_largest_class_stays_with_its_owner() {
+    fn storage_past_the_largest_class_is_sized_and_freed_like_any_other() {
+        // Taken at the size asked for, grown to at least twice itself.
         let mut m = BytesMut::new();
         m.extend_from_slice(&vec![5u8; POOL_MAX_CAP + 1]);
-        let cap = m.capacity();
-        assert!(cap > POOL_MAX_CAP);
+        assert_eq!(m.capacity(), POOL_MAX_CAP + 1);
+        m.extend_from_slice(&[5u8; 10]);
+        assert_eq!(m.capacity(), 2 * (POOL_MAX_CAP + 1));
+        assert!(m.iter().all(|&b| b == 5));
+        // Emptied, it owns nothing, and the pool did not take it.
         let pooled = || POOL.with(|p| p.borrow().iter().map(Vec::len).sum::<usize>());
         let before = pooled();
         m.clear();
-        assert_eq!((m.len(), m.capacity(), pooled()), (0, cap, before));
-        m.extend_from_slice(&[6u8; 100]);
-        m.advance(100);
-        assert_eq!((m.len(), m.capacity(), pooled()), (0, cap, before));
+        assert_eq!((m.len(), m.capacity(), pooled()), (0, 0, before));
+        m.extend_from_slice(&vec![6u8; 2 * POOL_MAX_CAP]);
+        m.advance(2 * POOL_MAX_CAP);
+        assert_eq!((m.len(), m.capacity(), pooled()), (0, 0, before));
     }
 
     #[test]
@@ -796,10 +897,7 @@ mod tests {
 
     /// How many `Bytes` share the storage behind `b`, itself included.
     fn refs(b: &Bytes) -> usize {
-        match &b.data {
-            Repr::Pooled(chunk) => Arc::strong_count(chunk),
-            Repr::Shared(slice) => Arc::strong_count(slice),
-        }
+        Arc::strong_count(&b.data)
     }
 
     #[test]
@@ -856,12 +954,14 @@ mod tests {
         q.advance(90);
         assert_eq!((q.len(), refs(&a), refs(&b)), (0, 1, 1));
         assert!(q.chunk().is_empty() && q.chunks().next().is_none());
-        // Moved whole, a chunk changes hands; cut, it is shared.
+        // Moved whole, a chunk changes hands; cut, it is shared, and the
+        // two pieces are one chunk again once they meet.
         let (mut q, mut out) = (filled(), BytesQueue::new());
         q.drain_into(150, &mut out);
         assert_eq!((q.len(), out.len(), refs(&a), refs(&b)), (40, 150, 2, 3));
         q.drain_into(40, &mut out);
-        assert_eq!((q.len(), out.len(), refs(&a), refs(&b)), (0, 190, 2, 3));
+        assert_eq!((q.len(), out.len(), refs(&a), refs(&b)), (0, 190, 2, 2));
+        assert_eq!(out.chunks().count(), 2);
         out.clear();
         assert_eq!((out.len(), refs(&a), refs(&b)), (0, 1, 1));
         assert_eq!(out.later.capacity(), 0);

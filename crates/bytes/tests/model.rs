@@ -67,9 +67,9 @@ fn contents_follow_the_model_whatever_the_pool_does() {
             assert!(buf[..] == model[..], "seed {seed} step {step}");
             assert!(buf.capacity() >= buf.len());
             // An operation that emptied the buffer left it owning
-            // nothing, unless what it owns is past the largest class.
+            // nothing, whatever the size of what it owned.
             if op > 4 && buf.is_empty() {
-                assert!(buf.capacity() == 0 || buf.capacity() > 1 << 16);
+                assert_eq!(buf.capacity(), 0, "seed {seed} step {step}");
             }
             // Everyone else's bytes are where they were.
             if step % 8 == 0 {
@@ -156,10 +156,17 @@ fn a_queue_follows_the_model_wherever_its_chunks_end() {
                     let (queue, model) = &mut queues[which];
                     queue.clear();
                     model.clear();
+                    assert_eq!(
+                        queue.bookkeeping_bytes(),
+                        0,
+                        "{at}: a cleared queue owns nothing"
+                    );
                 }
             }
             assert_queue(&queues[which].0, &queues[which].1, &at);
             assert_queue(&queues[other].0, &queues[other].1, &at);
+            let (queue, model) = &queues[which];
+            assert!(*queue == model[..] && queue.clone() == *queue, "{at}");
             if step % 8 == 0 {
                 assert!(held.iter().all(|(bytes, model)| bytes[..] == model[..]));
             }
@@ -168,5 +175,133 @@ fn a_queue_follows_the_model_wherever_its_chunks_end() {
                 assert!(bytes[..] == model[..], "{at}");
             }
         }
+    }
+}
+
+/// Two shared buffers of distinct contents, as two stored bodies are.
+fn two_stores() -> [Bytes; 2] {
+    [0u8, 0x5A].map(|tag| {
+        Bytes::from(
+            (0..20_000u32)
+                .map(|i| (i % 251) as u8 ^ tag)
+                .collect::<Vec<u8>>(),
+        )
+    })
+}
+
+#[test]
+fn push_joins_adjacent_views_of_one_storage_and_nothing_else() {
+    let stores = two_stores();
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x701E);
+        let mut queue = BytesQueue::new();
+        let mut model = Vec::new();
+        // The chunks the queue must hold: (store, or `None` for a copy,
+        // start, end), adjacent views of one store merged.
+        let mut runs: Vec<(Option<usize>, usize, usize)> = Vec::new();
+        // Where the next adjacent piece of each store starts.
+        let mut next = [0usize; 2];
+        for step in 0..400 {
+            let s = rng.gen_range(0..2);
+            let op = rng.gen_range(0..10u32);
+            let mut start = next[s];
+            match op {
+                6 => start += rng.gen_range(1..50),                      // a gap
+                7 => start = start.saturating_sub(rng.gen_range(1..50)), // overlap
+                _ => {}
+            }
+            if start >= stores[s].len() {
+                next[s] = 0;
+                continue;
+            }
+            let end = (start + rng.gen_range(0..3_000)).min(stores[s].len());
+            if op == 8 {
+                // A copy of the very bytes that would have joined.
+                queue.extend_from_slice(&stores[s][start..end]);
+                if end > start {
+                    runs.push((None, start, end));
+                }
+            } else {
+                queue.push(stores[s].slice(start..end));
+                match runs.last_mut() {
+                    _ if end == start => {}
+                    Some((Some(t), _, last)) if *t == s && *last == start => *last = end,
+                    _ => runs.push((Some(s), start, end)),
+                }
+            }
+            model.extend_from_slice(&stores[s][start..end]);
+            next[s] = end;
+            assert_queue(&queue, &model, &format!("seed {seed} step {step}"));
+        }
+        assert_eq!(queue.chunks().count(), runs.len(), "seed {seed}");
+        let mut off = 0;
+        for (chunk, &(store, start, end)) in queue.chunks().zip(&runs) {
+            assert_eq!(chunk.len(), end - start, "seed {seed}");
+            let run_off = off;
+            off += end - start;
+            let Some(s) = store else { continue };
+            assert_eq!(chunk.as_ptr(), stores[s][start..].as_ptr(), "seed {seed}");
+            // Anywhere inside a joined run, a slice is a view of it.
+            let at = rng.gen_range(0..end - start);
+            let len = rng.gen_range(1..=end - start - at);
+            let view = queue.slice(run_off + at, len);
+            assert_eq!(
+                view.as_ptr(),
+                stores[s][start + at..].as_ptr(),
+                "seed {seed}"
+            );
+        }
+    }
+}
+
+#[test]
+fn equality_and_clone_go_by_content_whatever_the_chunking() {
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xE0);
+        let data = [some_bytes(&mut rng, 1), some_bytes(&mut rng, 2)].concat();
+        let shared = Bytes::from(data.clone());
+        let chop = |rng: &mut SmallRng| {
+            let mut queue = BytesQueue::new();
+            let mut at = 0;
+            while at < data.len() {
+                let end = (at + rng.gen_range(0..4_000)).min(data.len());
+                if rng.gen_range(0..2) == 0 {
+                    queue.push(shared.slice(at..end));
+                } else {
+                    queue.extend_from_slice(&data[at..end]);
+                }
+                at = end;
+            }
+            queue
+        };
+        let (a, b) = (chop(&mut rng), chop(&mut rng));
+        assert!(a == b && a == data && a == data[..], "seed {seed}");
+        assert_eq!(format!("{a:?}"), format!("{data:?}"));
+        // A clone is the same chunks, shared.
+        let copy = a.clone();
+        assert!(
+            copy == b
+                && copy
+                    .chunks()
+                    .map(|c| c.as_ptr())
+                    .eq(a.chunks().map(|c| c.as_ptr()))
+        );
+        // One byte more, one fewer or one different is another queue.
+        let mut longer = b.clone();
+        longer.extend_from_slice(b"x");
+        assert!(a != longer, "seed {seed}");
+        if let Some(last) = data.len().checked_sub(1) {
+            let mut shorter = b.clone();
+            shorter.advance(1);
+            let mut flipped = data.clone();
+            flipped[last] ^= 1;
+            assert!(a != shorter && a != flipped, "seed {seed}");
+        }
+        // Cleared, a clone or the original owns nothing.
+        let (mut a, mut copy) = (a, copy);
+        a.clear();
+        copy.clear();
+        assert!(a.is_empty() && a.bookkeeping_bytes() == 0 && copy.bookkeeping_bytes() == 0);
+        assert!(a == BytesQueue::new() && a.clone().bookkeeping_bytes() == 0);
     }
 }

@@ -172,11 +172,15 @@ impl Conn {
 
 /// The one pass over the start page as it arrives: each wire byte goes
 /// through the resumable zlib reader once (if the body is deflated), each
-/// page byte through `webcontent::html::walk` once. At most one such
+/// page byte through `webcontent::html::walk` once. Both read contiguous
+/// bytes, so the scan keeps its own copy of the wire body — the one copy
+/// a received body byte gets, and only this page's. At most one such
 /// response is in flight per client, so the client owns the scan, not
 /// each connection; it starts over whenever the page's request is placed.
 #[derive(Debug, Default)]
 struct PageScan {
+    /// The wire body so far: copied in as it arrives.
+    wire: BytesMut,
     /// Decoded page bytes the walk is past.
     cursor: usize,
     /// The wire body's reader, once it has declared the `deflate` coding.
@@ -192,7 +196,7 @@ struct PageScan {
 }
 
 impl PageScan {
-    /// Take in what is new of `wire`, the page's body as received so far
+    /// Take in what is new of `body`, the page's body as received so far
     /// — all of it when `at_end` — calling `found` with each image source
     /// passed. Returns the decoded length so far.
     ///
@@ -201,11 +205,17 @@ impl PageScan {
     /// (a raw DEFLATE stream, else the bytes as sent), walked from the top.
     fn advance(
         &mut self,
-        wire: &[u8],
+        body: &BytesQueue,
         deflated: bool,
         at_end: bool,
         mut found: impl FnMut(&str),
     ) -> usize {
+        let mut skip = self.wire.len();
+        for chunk in body.chunks() {
+            self.wire.extend_from_slice(&chunk[skip.min(chunk.len())..]);
+            skip = skip.saturating_sub(chunk.len());
+        }
+        let wire = &self.wire[..];
         let forgiven;
         let mut page = wire;
         if deflated {
@@ -246,6 +256,7 @@ impl PageScan {
     /// Forget the body being read — it is complete, or its connection is
     /// gone — and give up the sources found in it.
     fn restart(&mut self) -> Vec<String> {
+        self.wire.clear();
         (self.cursor, self.inflater) = (0, None);
         std::mem::take(&mut self.sources)
     }
@@ -659,7 +670,10 @@ impl HttpClient {
             embedded = self.page.restart();
             len
         } else if deflated {
-            coding::decode(ContentCoding::Deflate, &resp.body).map_or(resp.body.len(), |b| b.len())
+            let wire = resp.body.len();
+            resp.body.with_prefix(wire, |body| {
+                coding::decode(ContentCoding::Deflate, body).map_or(wire, |b| b.len())
+            })
         } else {
             resp.body.len()
         };
@@ -727,7 +741,8 @@ impl HttpClient {
             return;
         };
         // `page`, `discovered` and `pending` are disjoint fields from
-        // `conns`, so the body is read in place, still borrowed from there.
+        // `conns`, so the scan takes what is new of the body while it is
+        // still borrowed from there.
         let deflated = coding::declared_coding(headers) == Ok(ContentCoding::Deflate);
         self.page.advance(partial, deflated, false, |src| {
             queue_image(&mut self.discovered, &mut self.pending, src)
@@ -773,7 +788,7 @@ impl HttpClient {
             conn.first_byte_seen = true;
             ctx.probe_span(sock, SpanEvent::FirstByte);
         }
-        conn.parser.feed(&data);
+        conn.parser.push(data);
         loop {
             let Some(conn) = self.conns.get_mut(&sock) else {
                 return;
@@ -1007,7 +1022,8 @@ mod tests {
     fn image_source_extraction() {
         let html = br#"<body><img src="/a.gif"><IMG SRC="/b.gif"></body>"#;
         let mut scan = PageScan::default();
-        assert_eq!(scan.advance(html, false, true, |_| ()), html.len());
+        let body = BytesQueue::from(html.to_vec());
+        assert_eq!(scan.advance(&body, false, true, |_| ()), html.len());
         assert_eq!(scan.restart(), vec!["/a.gif", "/b.gif"]);
     }
 

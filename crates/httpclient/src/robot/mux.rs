@@ -13,11 +13,8 @@ use httpwire::{HeaderMap, StatusCode, Version};
 
 /// What a stream has before its HEADERS arrive: a peer that sends DATA
 /// first, or nothing at all, gets a response nothing recognises.
-fn headless() -> (Response, BytesMut) {
-    (
-        Response::new(Version::Http11, StatusCode(0)),
-        BytesMut::new(),
-    )
+fn headless() -> Response {
+    Response::new(Version::Http11, StatusCode(0))
 }
 
 /// State of the single multiplexed connection.
@@ -30,8 +27,9 @@ pub(super) struct MuxState {
     jobs: BTreeMap<u32, Job>,
     /// Accepted push streams (server-initiated, even ids).
     promised: BTreeMap<u32, Job>,
-    /// Responses under assembly, ours and pushed: head and body so far.
-    resp: BTreeMap<u32, (Response, BytesMut)>,
+    /// Responses under assembly, ours and pushed: the head, and the
+    /// body so far as the DATA payloads it arrived in.
+    resp: BTreeMap<u32, Response>,
     first_byte_seen: bool,
 }
 
@@ -133,7 +131,7 @@ impl HttpClient {
             m.first_byte_seen = true;
             ctx.probe_span(sock, SpanEvent::FirstByte);
         }
-        m.engine.feed(&data);
+        m.engine.push(data);
         loop {
             let Some(ev) = self.mux.as_mut().and_then(|m| m.engine.poll_event()) else {
                 break;
@@ -147,13 +145,12 @@ impl HttpClient {
                 } => {
                     if let Some(m) = self.mux.as_mut() {
                         // The head is the block itself, less its `:status`.
-                        let (mut head, body) = m.resp.remove(&stream).unwrap_or_else(headless);
+                        let head = m.resp.entry(stream).or_insert_with(headless);
                         if let Some(status) = fields.get(":status") {
                             head.status = StatusCode(status.parse().unwrap_or(200));
                         }
                         head.headers = fields;
                         head.headers.remove(":status");
-                        m.resp.insert(stream, (head, body));
                     }
                     if end_stream {
                         self.mux_complete_stream(ctx, stream);
@@ -161,12 +158,12 @@ impl HttpClient {
                 }
                 MuxEvent::Data {
                     stream,
-                    data,
+                    mut data,
                     end_stream,
                 } => {
                     if let Some(m) = self.mux.as_mut() {
-                        let (_, body) = m.resp.entry(stream).or_insert_with(headless);
-                        body.extend_from_slice(&data);
+                        let body = &mut m.resp.entry(stream).or_insert_with(headless).body;
+                        data.drain_into(data.len(), body);
                     }
                     self.mux_streaming_discovery(ctx, stream);
                     if end_stream {
@@ -238,7 +235,7 @@ impl HttpClient {
             return;
         };
         let sock = m.sock;
-        let (mut resp, body) = m.resp.remove(&stream).unwrap_or_else(headless);
+        let resp = m.resp.remove(&stream).unwrap_or_else(headless);
         let pushed = m.promised.contains_key(&stream);
         let Some(job) = m
             .jobs
@@ -248,7 +245,6 @@ impl HttpClient {
             return; // completion of a stream we already cancelled
         };
         m.first_byte_seen = false;
-        resp.body = body.freeze_pooled();
         if pushed {
             self.stats.pushed_responses += 1;
             self.stats.pushed_bytes += resp.body.len() as u64;
@@ -274,7 +270,7 @@ impl HttpClient {
         let Workload::Browse { start } = &self.workload else {
             return;
         };
-        let Some((head, body)) = self
+        let Some(resp) = self
             .mux
             .as_ref()
             .filter(|m| m.jobs.get(&stream).is_some_and(|job| job.path == *start))
@@ -283,8 +279,8 @@ impl HttpClient {
             return;
         };
         let before = self.pending.len();
-        let deflated = coding::declared_coding(&head.headers) == Ok(ContentCoding::Deflate);
-        self.page.advance(body, deflated, false, |src| {
+        let deflated = coding::declared_coding(&resp.headers) == Ok(ContentCoding::Deflate);
+        self.page.advance(&resp.body, deflated, false, |src| {
             queue_image(&mut self.discovered, &mut self.pending, src)
         });
         if self.pending.len() > before {

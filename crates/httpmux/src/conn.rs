@@ -1,10 +1,11 @@
 //! `MuxConn` — one endpoint's view of a multiplexed connection: stream
 //! table, flow-control accounting, and the outgoing byte scheduler.
 //!
-//! The engine is sans-IO: callers `feed()` bytes received from the
-//! socket, drain semantic [`MuxEvent`]s with `poll_event()`, enqueue
-//! sends through the `send_*` methods, and hand the socket the queue
-//! `outgoing()` returns, which keeps whatever the socket did not take.
+//! The engine is sans-IO: callers `push()` the bytes received from the
+//! socket (or `feed()` a copy), drain semantic [`MuxEvent`]s with
+//! `poll_event()`, enqueue sends through the `send_*` methods, and hand
+//! the socket the queue `outgoing()` returns, which keeps whatever the
+//! socket did not take.
 //! Control frames (HEADERS, SETTINGS, WINDOW_UPDATE, RST_STREAM,
 //! PUSH_PROMISE) are serialized immediately in call order — which is what
 //! makes PUSH_PROMISE-before-parent-HEADERS ordering hold — while DATA is
@@ -49,11 +50,10 @@ pub enum MuxEvent {
         fields: HeaderMap,
         end_stream: bool,
     },
-    /// DATA on a live stream. The payload buffer is pool-recycled:
-    /// dropping the event returns it to the free list.
+    /// DATA on a live stream: the payload as the chunks it arrived in.
     Data {
         stream: u32,
-        data: bytes::Bytes,
+        data: BytesQueue,
         end_stream: bool,
     },
     /// DATA that arrived for a stream we already reset (e.g. a cancelled
@@ -296,11 +296,13 @@ impl MuxConn {
     /// Queue body bytes on a stream, by reference; they drain through
     /// the round-robin scheduler as windows allow. `end_stream` closes
     /// our direction after the final queued byte is emitted.
-    pub fn send_bytes(&mut self, stream: u32, data: Bytes, end_stream: bool) {
+    pub fn send_bytes(&mut self, stream: u32, data: impl Into<BytesQueue>, end_stream: bool) {
         let Some(st) = self.streams.get_mut(&stream) else {
             return; // stream already reset — drop silently
         };
-        st.sendq.push(data);
+        let mut data = data.into();
+        let len = data.len();
+        data.drain_into(len, &mut st.sendq);
         st.send_end |= end_stream;
         self.pump_data();
     }
@@ -329,13 +331,26 @@ impl MuxConn {
 
     // ---- receiving --------------------------------------------------
 
-    /// Feed bytes received from the socket; semantic events become
-    /// available via [`MuxConn::poll_event`].
-    pub fn feed(&mut self, data: &[u8]) {
-        if self.dead {
-            return;
+    /// Bytes received from the socket, by reference: a DATA payload
+    /// among them reaches its [`MuxEvent::Data`] as it is. Semantic events
+    /// become available via [`MuxConn::poll_event`].
+    pub fn push(&mut self, data: Bytes) {
+        if !self.dead {
+            self.parser.push(data);
+            self.read_frames();
         }
-        self.parser.feed(data);
+    }
+
+    /// [`MuxConn::push`] for a caller that holds only a slice: a copy.
+    pub fn feed(&mut self, data: &[u8]) {
+        if !self.dead {
+            self.parser.feed(data);
+            self.read_frames();
+        }
+    }
+
+    /// Turn every complete frame the parser holds into events.
+    fn read_frames(&mut self) {
         loop {
             match self.parser.next_frame() {
                 Ok(Some(frame)) => self.handle_frame(frame),
@@ -755,7 +770,7 @@ mod tests {
             }
         ));
         assert!(
-            matches!(&evs[2], MuxEvent::Data { stream: 1, data, end_stream: true } if data[..] == b"<html>hi</html>"[..])
+            matches!(&evs[2], MuxEvent::Data { stream: 1, data, end_stream: true } if *data == b"<html>hi</html>"[..])
         );
         assert_eq!(client.open_streams(), 0);
         assert_eq!(server.open_streams(), 0);

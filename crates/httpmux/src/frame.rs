@@ -5,7 +5,7 @@
 //! value bytes). Pseudo-headers `:method` / `:path` / `:status` carry
 //! the request/response line.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesMut, BytesQueue};
 use httpwire::{Fields, HeaderMap};
 
 /// Client connection preface, sent before any frame. Chosen so the first
@@ -76,14 +76,13 @@ impl FrameType {
     }
 }
 
-/// A decoded frame payload. DATA keeps raw bytes in a pool-recycled
-/// [`Bytes`] (one mux DATA frame arrives per TCP segment in steady
-/// state, so its buffer rides the same free list as segment payloads);
-/// the control frames are decoded into their structured forms. A header
-/// block is the HTTP/1.x engines' own [`HeaderMap`], pseudo-fields included.
+/// A decoded frame payload. DATA is the chunks it arrived in, by
+/// reference, as an HTTP/1.x body is; the control frames are decoded into
+/// their structured forms. A header block is the HTTP/1.x engines' own
+/// [`HeaderMap`], pseudo-fields included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FramePayload {
-    Data(Bytes),
+    Data(BytesQueue),
     Headers(HeaderMap),
     RstStream(u32),
     Settings(Vec<(u16, u32)>),
@@ -134,7 +133,9 @@ impl Frame {
             self.stream,
             out,
             |out| match &self.payload {
-                FramePayload::Data(data) => out.extend_from_slice(data),
+                FramePayload::Data(data) => {
+                    data.chunks().for_each(|chunk| out.extend_from_slice(chunk))
+                }
                 FramePayload::Headers(fields) => encode_fields(fields, out),
                 FramePayload::RstStream(code) => out.extend_from_slice(&code.to_be_bytes()),
                 FramePayload::Settings(items) => {
@@ -237,11 +238,13 @@ impl core::fmt::Display for FrameError {
     }
 }
 
-/// Incremental frame decoder. Feed arbitrary byte chunks, pull complete
-/// frames. Never panics on hostile input; the first error is sticky.
+/// Incremental frame decoder. Give it byte chunks of any size, pull
+/// complete frames: a DATA payload is the chunks it arrived in, moved out
+/// by reference. Never panics on hostile input; the first error is sticky.
 #[derive(Debug, Default)]
 pub struct FrameParser {
-    buf: BytesMut,
+    /// Bytes no frame has claimed yet.
+    buf: BytesQueue,
     expect_preface: bool,
     failed: bool,
 }
@@ -260,6 +263,13 @@ impl FrameParser {
         }
     }
 
+    /// Bytes from the connection, by reference.
+    pub fn push(&mut self, data: Bytes) {
+        self.buf.push(data);
+    }
+
+    /// A copy of bytes from the connection, for a caller that holds only
+    /// a slice.
     pub fn feed(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
@@ -276,7 +286,7 @@ impl FrameParser {
         }
         if self.expect_preface {
             let have = self.buf.len().min(PREFACE.len());
-            if self.buf[..have] != PREFACE[..have] {
+            if !self.buf.with_prefix(have, |got| got == &PREFACE[..have]) {
                 self.failed = true;
                 return Err(FrameError::BadPreface);
             }
@@ -289,7 +299,9 @@ impl FrameParser {
         if self.buf.len() < FRAME_HEADER_LEN {
             return Ok(None);
         }
-        let head = &self.buf[..];
+        let head: [u8; FRAME_HEADER_LEN] = self.buf.with_prefix(FRAME_HEADER_LEN, |head| {
+            head.try_into().expect("a whole header")
+        });
         let len = ((head[0] as usize) << 16) | ((head[1] as usize) << 8) | head[2] as usize;
         if len > MAX_FRAME_PAYLOAD {
             self.failed = true;
@@ -304,9 +316,18 @@ impl FrameParser {
         }
         let flags = head[4];
         let stream = u32::from_be_bytes([head[5], head[6], head[7], head[8]]);
-        let payload = &head[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-        let decoded = decode_payload(ftype, payload);
-        self.buf.advance(FRAME_HEADER_LEN + len);
+        self.buf.advance(FRAME_HEADER_LEN);
+        let decoded = if ftype == FrameType::Data {
+            let mut data = BytesQueue::new();
+            self.buf.drain_into(len, &mut data);
+            Some(FramePayload::Data(data))
+        } else {
+            let decoded = self
+                .buf
+                .with_prefix(len, |payload| decode_control(ftype, payload));
+            self.buf.advance(len);
+            decoded
+        };
         match decoded {
             Some(payload) => Ok(Some(Frame {
                 stream,
@@ -321,9 +342,10 @@ impl FrameParser {
     }
 }
 
-fn decode_payload(ftype: FrameType, payload: &[u8]) -> Option<FramePayload> {
+/// A control frame's payload, decoded from its bytes.
+fn decode_control(ftype: FrameType, payload: &[u8]) -> Option<FramePayload> {
     match ftype {
-        FrameType::Data => Some(FramePayload::Data(Bytes::pooled_copy_from_slice(payload))),
+        FrameType::Data => unreachable!("a DATA payload is moved, not decoded"),
         FrameType::Headers => decode_fields(payload).map(FramePayload::Headers),
         FrameType::RstStream => {
             let code = exact_u32(payload)?;
@@ -424,7 +446,7 @@ mod tests {
         roundtrip(Frame {
             stream: 1,
             flags: FLAG_END_STREAM,
-            payload: FramePayload::Data(Bytes::copy_from_slice(b"hello")),
+            payload: FramePayload::Data(b"hello".to_vec().into()),
         });
         roundtrip(Frame {
             stream: 3,

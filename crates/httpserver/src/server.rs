@@ -447,31 +447,36 @@ impl HttpServer {
         let data = ctx.recv(sock, usize::MAX);
         let conn = self.conns.get_mut(&sock).expect("checked above");
         if conn.mux.is_some() {
-            self.mux_on_data(ctx, sock, &data);
+            self.mux_on_data(ctx, sock, data);
             return;
         }
         if !conn.decided {
             // We cannot tell an HTTP request line from the mux preface
-            // until enough bytes arrive: stash and compare.
-            conn.pre.extend_from_slice(&data);
-            if httpmux::preface_candidate(&conn.pre) {
-                if conn.pre.len() < httpmux::PREFACE.len() {
-                    self.account(sock);
-                    return; // could still be either; wait for more bytes
-                }
-                conn.decided = true;
-                let pre = std::mem::take(&mut conn.pre);
-                self.mux_start(ctx, sock, &pre);
-                return;
+            // until enough bytes arrive: stash and compare. Bytes that
+            // decide it by themselves go on as they are.
+            let data = if conn.pre.is_empty() {
+                data
+            } else {
+                conn.pre.extend_from_slice(&data);
+                Bytes::from(std::mem::take(&mut conn.pre))
+            };
+            let mux = httpmux::preface_candidate(&data);
+            if mux && data.len() < httpmux::PREFACE.len() {
+                conn.pre = data.to_vec();
+                self.account(sock);
+                return; // could still be either; wait for more bytes
             }
             conn.decided = true;
-            let pre = std::mem::take(&mut conn.pre);
-            conn.parser.feed(&pre);
+            if mux {
+                self.mux_start(ctx, sock, data);
+                return;
+            }
+            conn.parser.push(data);
         } else {
             if conn.draining {
                 return; // reading only to drain; requests beyond the limit are dropped
             }
-            conn.parser.feed(&data);
+            conn.parser.push(data);
         }
         self.account(sock);
         loop {

@@ -31,7 +31,7 @@ pub(super) struct MuxServerConn {
 impl HttpServer {
     /// Preface matched: switch the connection to framed mode and feed
     /// it everything received so far (preface included).
-    pub(super) fn mux_start(&mut self, ctx: &mut Ctx<'_>, sock: SocketId, bytes: &[u8]) {
+    pub(super) fn mux_start(&mut self, ctx: &mut Ctx<'_>, sock: SocketId, bytes: Bytes) {
         if let Some(conn) = self.conns.get_mut(&sock) {
             conn.mux = Some(Box::new(MuxServerConn {
                 engine: MuxConn::server(),
@@ -44,11 +44,11 @@ impl HttpServer {
     }
 
     /// Bytes arrived on a framed connection.
-    pub(super) fn mux_on_data(&mut self, ctx: &mut Ctx<'_>, sock: SocketId, data: &[u8]) {
+    pub(super) fn mux_on_data(&mut self, ctx: &mut Ctx<'_>, sock: SocketId, data: Bytes) {
         let Some(m) = self.conns.get_mut(&sock).and_then(|c| c.mux.as_deref_mut()) else {
             return;
         };
-        m.engine.feed(data);
+        m.engine.push(data);
         loop {
             let Some(m) = self.conns.get_mut(&sock).and_then(|c| c.mux.as_deref_mut()) else {
                 return;
@@ -120,7 +120,7 @@ impl HttpServer {
         }
         let push_ok = m.push_ok;
         let now = ctx.now();
-        let resp = self.respond(&req, now);
+        let mut resp = self.respond(&req, now);
         self.stats.requests += 1;
         if is_push {
             self.stats.pushed_responses += 1;
@@ -140,12 +140,16 @@ impl HttpServer {
                 .get_mut(&sock)
                 .and_then(|c| c.mux.as_deref_mut())
                 .expect("mux conn still present");
-            webcontent::html::walk(&resp.body, true, |token| {
-                if let Some(path) = webcontent::html::subresource(&token) {
-                    if !m.pushed_paths.contains(&*path) && !push_paths.iter().any(|p| *p == path) {
-                        push_paths.push(path.into_owned());
+            resp.body.with_prefix(resp.body.len(), |html| {
+                webcontent::html::walk(html, true, |token| {
+                    if let Some(path) = webcontent::html::subresource(&token) {
+                        if !m.pushed_paths.contains(&*path)
+                            && !push_paths.iter().any(|p| *p == path)
+                        {
+                            push_paths.push(path.into_owned());
+                        }
                     }
-                }
+                })
             });
             push_paths.retain(|p| self.store.get(p).is_some());
         }
@@ -169,7 +173,8 @@ impl HttpServer {
             }
             m.engine.send_headers(stream, &resp, resp.body.is_empty());
             if !resp.body.is_empty() {
-                m.engine.send_bytes(stream, resp.body.clone(), true);
+                m.engine
+                    .send_bytes(stream, std::mem::take(&mut resp.body), true);
             }
         }
 

@@ -2,7 +2,6 @@
 //! a raw-bytes test client (deliberately *not* the `httpclient` robot, so
 //! the server is exercised against an independent implementation).
 
-use bytes::Bytes;
 use httpserver::{AdmissionPolicy, Entity, HttpServer, ServerConfig, SiteStore};
 use httpwire::{Method, ResponseParser};
 use netsim::sim::{App, AppEvent, Ctx};
@@ -51,8 +50,7 @@ impl App for RawClient {
                 }
             }
             AppEvent::Readable(s) => {
-                let data = ctx.recv(s, usize::MAX);
-                self.parser.feed(&data);
+                self.parser.push(ctx.recv(s, usize::MAX));
                 while let Ok(Some(resp)) = self.parser.next() {
                     self.responses.push(resp);
                 }
@@ -173,7 +171,7 @@ fn deflate_served_when_negotiated() {
         vec![Method::Get],
     );
     assert_eq!(resps[0].headers.get("Content-Encoding"), Some("deflate"));
-    let body = httpwire::coding::decode(httpwire::ContentCoding::Deflate, &resps[0].body)
+    let body = httpwire::coding::decode(httpwire::ContentCoding::Deflate, &resps[0].body.to_vec())
         .expect("valid deflate body");
     assert!(String::from_utf8_lossy(&body).contains("test page body"));
 }
@@ -201,7 +199,7 @@ fn range_request_over_network() {
     let wire = b"GET /big.gif HTTP/1.1\r\nHost: x\r\nRange: bytes=100-199\r\n\r\n".to_vec();
     let resps = run_raw(ServerConfig::apache(80), wire, vec![Method::Get]);
     assert_eq!(resps[0].status.0, 206);
-    assert_eq!(resps[0].body, Bytes::from(vec![7u8; 100]));
+    assert_eq!(resps[0].body, vec![7u8; 100]);
     assert_eq!(
         resps[0].headers.get("Content-Range"),
         Some("bytes 100-199/20000")
@@ -248,8 +246,7 @@ impl App for AdmClient {
                 ctx.send(s, b"GET /big.gif HTTP/1.0\r\n\r\n");
             }
             AppEvent::Readable(s) => {
-                let data = ctx.recv(s, usize::MAX);
-                self.parser.feed(&data);
+                self.parser.push(ctx.recv(s, usize::MAX));
                 while let Ok(Some(_)) = self.parser.next() {
                     self.responses += 1;
                 }
@@ -395,7 +392,7 @@ fn big_response_buffer_backpressure() {
     assert_eq!(resps.len(), 10);
     for r in &resps {
         assert_eq!(r.body.len(), 20_000);
-        assert!(r.body.iter().all(|&b| b == 7));
+        assert_eq!(r.body, vec![7u8; 20_000]);
     }
 }
 

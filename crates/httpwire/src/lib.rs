@@ -21,7 +21,7 @@
 //! parser.expect(Method::Get);
 //! parser.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi");
 //! let resp = parser.next().unwrap().unwrap();
-//! assert_eq!(&resp.body[..], b"hi");
+//! assert_eq!(resp.body, b"hi"[..]);
 //! ```
 
 #![forbid(unsafe_code)]

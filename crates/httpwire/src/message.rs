@@ -2,7 +2,8 @@
 //! straight into a connection's `BytesMut`, a response onto its output
 //! queue (the head written, the body by reference), or (`to_bytes`,
 //! `head_to_bytes`) the same writers over a buffer of the message's own,
-//! sized from its `wire_len`.
+//! sized from its `wire_len`. A body is a [`BytesQueue`]: the chunks it
+//! was stored or received in, never copied into one.
 
 use crate::headers::{Fields, HeaderMap, FIELDS_ROOM, LINES_ROOM};
 use crate::types::{Method, StatusCode, Version};
@@ -33,7 +34,7 @@ pub struct Request {
     /// request-target, so a request keeps this map for life.
     pub headers: HeaderMap,
     /// Entity body (empty when none).
-    pub body: Bytes,
+    pub body: BytesQueue,
 }
 
 /// The `Content-Length` line a bodied request gains when it has none.
@@ -46,7 +47,7 @@ impl Request {
             method,
             version,
             headers: HeaderMap::with_lead(target.as_ref(), FIELDS_ROOM, LINES_ROOM),
-            body: Bytes::new(),
+            body: BytesQueue::new(),
         }
     }
 
@@ -82,7 +83,9 @@ impl Request {
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
+        self.body
+            .chunks()
+            .for_each(|chunk| out.extend_from_slice(chunk));
     }
 
     /// Serialize into a buffer of its own.
@@ -131,7 +134,7 @@ pub struct Response {
     /// Header block, order-preserving.
     pub headers: HeaderMap,
     /// Entity body (empty when none).
-    pub body: Bytes,
+    pub body: BytesQueue,
 }
 
 impl Response {
@@ -141,7 +144,7 @@ impl Response {
             version,
             status,
             headers: HeaderMap::new(),
-            body: Bytes::new(),
+            body: BytesQueue::new(),
         }
     }
 
@@ -151,9 +154,10 @@ impl Response {
         self
     }
 
-    /// Builder-style body assignment.
+    /// Builder-style body assignment: the body is `body`'s bytes, by
+    /// reference.
     pub fn with_body(mut self, body: impl Into<Bytes>) -> Self {
-        self.body = body.into();
+        self.body = body.into().into();
         self
     }
 
@@ -191,12 +195,12 @@ impl Response {
     }
 
     /// Queue head plus body onto `out`: the head written into one pooled
-    /// chunk, the body behind it by reference.
+    /// chunk, the body's chunks behind it by reference.
     pub fn queue_onto(&self, out: &mut BytesQueue) {
         let mut head = BytesMut::new();
         self.write_head_to(&mut head);
         out.push(head.freeze_pooled());
-        out.push(self.body.clone());
+        self.body.chunks().for_each(|chunk| out.push(chunk.clone()));
     }
 
     /// Serialize head plus body into a buffer of its own, which grows at
@@ -204,7 +208,9 @@ impl Response {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = BytesMut::pooled(self.wire_len());
         self.write_head_to(&mut out);
-        out.extend_from_slice(&self.body);
+        self.body
+            .chunks()
+            .for_each(|chunk| out.extend_from_slice(chunk));
         out.into()
     }
 
@@ -249,7 +255,7 @@ mod tests {
     #[test]
     fn request_with_body_gets_content_length() {
         let mut req = Request::new(Method::Post, "/submit", Version::Http11);
-        req.body = Bytes::from_static(b"a=1");
+        req.body = b"a=1".to_vec().into();
         let s = String::from_utf8(req.to_bytes()).unwrap();
         assert!(s.contains("Content-Length: 3\r\n"));
         assert!(s.ends_with("\r\n\r\na=1"));
@@ -265,7 +271,7 @@ mod tests {
             // The implicit `Content-Length` line grows with its digits.
             let mut bodied = bodiless.clone();
             bodied.method = Method::Post;
-            bodied.body = Bytes::from(vec![b'x'; body_len]);
+            bodied.body = vec![b'x'; body_len].into();
             assert_eq!(bodied.wire_len(), bodied.to_bytes().len(), "{body_len}");
             // An explicit one takes its place.
             let explicit = bodied.clone().with_header("content-length", body_len);

@@ -1,7 +1,8 @@
 //! Incremental, pipelining-safe HTTP message parsers.
 //!
-//! Both parsers accumulate raw bytes and yield complete messages on demand.
-//! Because HTTP/1.1 pipelining packs many messages into single TCP
+//! Both parsers hold the bytes they are given by reference and yield
+//! complete messages on demand; a message's body is the chunks it arrived
+//! in. Because HTTP/1.1 pipelining packs many messages into single TCP
 //! segments, the parsers are careful to consume exactly one message at a
 //! time and leave trailing bytes untouched.
 
@@ -9,7 +10,7 @@ use crate::chunked::ChunkedDecoder;
 use crate::headers::HeaderMap;
 use crate::message::{Request, Response};
 use crate::types::{Method, StatusCode, Version};
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesQueue};
 
 /// Parse failures. In a real server these map to `400 Bad Request`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,29 +39,26 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Find the end of the header block (`\r\n\r\n`); returns the offset just
-/// past it. Tolerates bare-LF line endings like most deployed servers.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < buf.len() {
-        if buf[i] == b'\n' {
-            // \n\n or \n\r\n
-            if i + 1 < buf.len() && buf[i + 1] == b'\n' {
-                return Some(i + 2);
-            }
-            if i + 2 < buf.len() && buf[i + 1] == b'\r' && buf[i + 2] == b'\n' {
-                return Some(i + 3);
-            }
+/// Find the end of the header block (`\r\n\r\n`) in `buf`, whatever its
+/// chunks; returns the offset just past it. Tolerates bare-LF line
+/// endings like most deployed servers (`\n\n` and `\n\r\n` end a head).
+fn find_head_end(buf: &BytesQueue) -> Option<usize> {
+    // Bytes of a terminator seen so far: 0, `\n`, or `\n\r`.
+    let mut seen = 0;
+    let mut at = 0;
+    for chunk in buf.chunks() {
+        for &b in chunk.iter() {
+            at += 1;
+            seen = match (seen, b) {
+                (1 | 2, b'\n') => return Some(at),
+                (_, b'\n') => 1,
+                (1, b'\r') => 2,
+                _ => 0,
+            };
         }
-        i += 1;
     }
     None
 }
-
-/// Room taken up front for a `Content-Length` body; a longer body grows
-/// the buffer as it arrives, so a declared length allocates nothing by
-/// itself.
-const BODY_RESERVE: u64 = 1 << 16;
 
 /// How the body of a message is delimited, and where its reader stands.
 #[derive(Debug)]
@@ -74,57 +72,86 @@ enum Framing {
 }
 
 impl Framing {
-    /// The framing a header block declares, if it declares one.
-    fn declared(headers: &HeaderMap) -> Option<Framing> {
+    /// The framing a header block declares, if it declares one:
+    /// `Transfer-Encoding: chunked` over any length, else the
+    /// `Content-Length` (RFC 9112 §6.3: every line `1*DIGIT`, and all of
+    /// them the same value, or the head is bad).
+    fn declared(headers: &HeaderMap) -> Result<Option<Framing>, ParseError> {
         if headers.has_token("Transfer-Encoding", "chunked") {
-            Some(Framing::Chunked(ChunkedDecoder::new()))
-        } else {
-            headers.get_int("Content-Length").map(Framing::Length)
+            return Ok(Some(Framing::Chunked(ChunkedDecoder::new())));
         }
+        let mut length = None;
+        for value in headers.get_all("Content-Length") {
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            let n = value.parse().ok().filter(|_| digits);
+            if n.is_none() || length.is_some_and(|first| Some(first) != n) {
+                return Err(ParseError::BadHeader);
+            }
+            length = n;
+        }
+        Ok(length.map(Framing::Length))
     }
 }
 
-/// The body of the message whose head has been parsed: the one reader
-/// both parsers share. Arriving body bytes are copied once, from where
-/// they arrived into the pooled buffer the message hands out.
+/// A message whose body is filled in where it will be handed out.
+trait Message {
+    fn body(&mut self) -> &mut BytesQueue;
+}
+
+impl Message for Request {
+    fn body(&mut self) -> &mut BytesQueue {
+        &mut self.body
+    }
+}
+
+impl Message for Response {
+    fn body(&mut self) -> &mut BytesQueue {
+        &mut self.body
+    }
+}
+
+/// Where the body of the message whose head has been parsed stands: the
+/// one reader both parsers share. A `Content-Length` or close-delimited
+/// body is the chunks it arrived in, moved into the message by
+/// reference; a chunked one is its decoded copy.
 #[derive(Debug)]
 struct BodyReader {
     framing: Framing,
-    /// Decoded body so far; there from the first byte.
-    body: Option<BytesMut>,
     /// Wire bytes of this message (head included) taken so far.
     wire: usize,
 }
 
 impl BodyReader {
-    /// Copy what `data` starts with of this body into it; returns how
-    /// many wire bytes that was. A chunked body's first error is sticky.
-    fn read(&mut self, data: &[u8]) -> Result<usize, ParseError> {
+    /// Move what `data` starts with of this body onto `body`. A chunked
+    /// body's first error is sticky.
+    fn read(&mut self, data: &mut BytesQueue, body: &mut BytesQueue) -> Result<(), ParseError> {
         let used = match &mut self.framing {
             Framing::Length(left) => {
                 let take = (*left).min(data.len() as u64) as usize;
-                if take > 0 {
-                    let reserve = (*left).min(BODY_RESERVE) as usize;
-                    self.body
-                        .get_or_insert_with(|| BytesMut::pooled(reserve))
-                        .extend_from_slice(&data[..take]);
-                    *left -= take as u64;
-                }
+                *left -= take as u64;
+                data.drain_into(take, body);
                 take
             }
             Framing::Chunked(dec) => {
-                let body = self.body.get_or_insert_with(BytesMut::new);
-                dec.feed(data, body).map_err(|_| ParseError::BadChunk)?
+                let mut used = 0;
+                for chunk in data.chunks() {
+                    let n = dec.feed(chunk, body).map_err(|_| ParseError::BadChunk)?;
+                    used += n;
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
+                data.advance(used);
+                used
             }
             Framing::ToClose => {
-                self.body
-                    .get_or_insert_with(BytesMut::new)
-                    .extend_from_slice(data);
-                data.len()
+                let all = data.len();
+                data.drain_into(all, body);
+                all
             }
         };
         self.wire += used;
-        Ok(used)
+        Ok(())
     }
 
     /// Whether the body is all in; a close-delimited one only `at_eof`.
@@ -135,56 +162,37 @@ impl BodyReader {
             Framing::ToClose => at_eof,
         }
     }
-
-    fn so_far(&self) -> &[u8] {
-        self.body.as_deref().unwrap_or(&[])
-    }
-
-    fn finish(self) -> Bytes {
-        self.body.map_or_else(Bytes::new, BytesMut::freeze_pooled)
-    }
 }
 
 /// What both parsers are: the bytes no message has claimed yet (a head
-/// under assembly, or pipelined successors), and the message whose head
-/// has been parsed out of them and whose body is under assembly.
+/// under assembly, or pipelined successors), held by reference, and the
+/// message whose head has been parsed out of them and whose body is
+/// under assembly.
 #[derive(Debug)]
 struct Assembly<M> {
-    buf: BytesMut,
+    buf: BytesQueue,
     current: Option<(M, BodyReader)>,
 }
 
 impl<M> Default for Assembly<M> {
     fn default() -> Self {
         Assembly {
-            buf: BytesMut::new(),
+            buf: BytesQueue::new(),
             current: None,
         }
     }
 }
 
-impl<M> Assembly<M> {
+impl<M: Message> Assembly<M> {
     /// Bytes fed and not yet returned in a message.
     fn buffered(&self) -> usize {
         self.buf.len() + self.current.as_ref().map_or(0, |(_, body)| body.wire)
     }
 
-    /// Bytes from the connection. With no unclaimed bytes ahead of them
-    /// they go straight to the body under assembly — the one copy a body
-    /// byte sees here — and only what that body does not claim (a
-    /// pipelined successor, a head) is buffered. A chunked body that
-    /// fails keeps the error for the next `poll`.
-    fn feed(&mut self, mut data: &[u8]) {
-        if let (true, Some((_, body))) = (self.buf.is_empty(), &mut self.current) {
-            let used = body.read(data).unwrap_or(data.len());
-            data = &data[used..];
-        }
-        self.buf.extend_from_slice(data);
-    }
-
     /// Parse the head once per message (`parse_head` gets the header
-    /// block as text) and take it out of `buf`, then move what `buf`
-    /// holds of the body. `Ok(false)` until the message is complete.
+    /// block as text; it is read where it lies unless it spans chunks)
+    /// and take it out of `buf`, then move what `buf` holds of the body.
+    /// `Ok(false)` until the message is complete.
     fn poll(
         &mut self,
         at_eof: bool,
@@ -195,28 +203,24 @@ impl<M> Assembly<M> {
             let Some(head_end) = find_head_end(&self.buf) else {
                 return Ok(false);
             };
-            let head = std::str::from_utf8(&self.buf[..head_end]).map_err(|_| bad_head)?;
-            let (message, framing) = parse_head(head)?;
+            let (message, framing) = self.buf.with_prefix(head_end, |head| {
+                parse_head(std::str::from_utf8(head).map_err(|_| bad_head)?)
+            })?;
             self.buf.advance(head_end);
-            self.current = Some((
-                message,
-                BodyReader {
-                    framing,
-                    body: None,
-                    wire: head_end,
-                },
-            ));
+            let reader = BodyReader {
+                framing,
+                wire: head_end,
+            };
+            self.current = Some((message, reader));
         }
-        let (_, body) = self.current.as_mut().expect("filled above");
-        let used = body.read(&self.buf)?;
-        self.buf.advance(used);
-        Ok(body.complete(at_eof))
+        let (message, reader) = self.current.as_mut().expect("filled above");
+        reader.read(&mut self.buf, message.body())?;
+        Ok(reader.complete(at_eof))
     }
 
-    /// The completed message and its body.
-    fn take(&mut self) -> (M, Bytes) {
-        let (message, body) = self.current.take().expect("a message is complete");
-        (message, body.finish())
+    /// The completed message.
+    fn take(&mut self) -> M {
+        self.current.take().expect("a message is complete").0
     }
 }
 
@@ -242,9 +246,16 @@ impl RequestParser {
         RequestParser::default()
     }
 
-    /// Append raw bytes from the connection.
+    /// Bytes from the connection, by reference: a body among them
+    /// becomes part of its request as it is.
+    pub fn push(&mut self, data: Bytes) {
+        self.stream.buf.push(data);
+    }
+
+    /// A copy of bytes from the connection, for a caller that holds only
+    /// a slice.
     pub fn feed(&mut self, data: &[u8]) {
-        self.stream.feed(data);
+        self.stream.buf.extend_from_slice(data);
     }
 
     /// Bytes fed but not yet returned in a message.
@@ -261,9 +272,7 @@ impl RequestParser {
         if !complete {
             return Ok(None);
         }
-        let (mut req, body) = self.stream.take();
-        req.body = body;
-        Ok(Some(req))
+        Ok(Some(self.stream.take()))
     }
 
     fn parse_head(head: &str) -> Result<(Request, Framing), ParseError> {
@@ -286,12 +295,12 @@ impl RequestParser {
         // The target and the header lines: the head's one copy.
         let headers = HeaderMap::parse(target, rest).ok_or(ParseError::BadHeader)?;
         // Requests must have a determinate length.
-        let framing = Framing::declared(&headers).unwrap_or(Framing::Length(0));
+        let framing = Framing::declared(&headers)?.unwrap_or(Framing::Length(0));
         let req = Request {
             method,
             version,
             headers,
-            body: Bytes::new(),
+            body: BytesQueue::new(),
         };
         Ok((req, framing))
     }
@@ -334,9 +343,16 @@ impl ResponseParser {
         self.expectations.len()
     }
 
-    /// Append raw bytes from the connection.
+    /// Bytes from the connection, by reference: a body among them
+    /// becomes part of its response as it is.
+    pub fn push(&mut self, data: Bytes) {
+        self.stream.buf.push(data);
+    }
+
+    /// A copy of bytes from the connection, for a caller that holds only
+    /// a slice.
     pub fn feed(&mut self, data: &[u8]) {
-        self.stream.feed(data);
+        self.stream.buf.extend_from_slice(data);
     }
 
     /// Bytes fed but not yet returned in a message.
@@ -352,15 +368,15 @@ impl ResponseParser {
     }
 
     /// Peek at the *in-progress* response: its headers plus however much
-    /// of its decoded body has arrived. Returns `None` until the header
-    /// block is complete (or if the message is malformed). This is what
-    /// lets a streaming client start parsing HTML (and issuing pipelined
-    /// image requests) before the document finishes arriving. Repeated
-    /// peeks are allocation-free.
-    pub fn in_progress(&mut self) -> Option<(&HeaderMap, &[u8])> {
+    /// of its decoded body has arrived, as the chunks it arrived in.
+    /// Returns `None` until the header block is complete (or if the
+    /// message is malformed). This is what lets a streaming client start
+    /// parsing HTML (and issuing pipelined image requests) before the
+    /// document finishes arriving. Repeated peeks are allocation-free.
+    pub fn in_progress(&mut self) -> Option<(&HeaderMap, &BytesQueue)> {
         self.poll(false).ok()?;
-        let (resp, body) = self.stream.current.as_ref()?;
-        Some((&resp.headers, body.so_far()))
+        let (resp, _) = self.stream.current.as_ref()?;
+        Some((&resp.headers, &resp.body))
     }
 
     /// The peer closed the connection: flush a close-delimited response if
@@ -380,10 +396,8 @@ impl ResponseParser {
         if !self.poll(at_eof)? {
             return Ok(None);
         }
-        let (mut resp, body) = self.stream.take();
-        resp.body = body;
         self.expectations.pop_front();
-        Ok(Some(resp))
+        Ok(Some(self.stream.take()))
     }
 
     fn parse_head(head: &str, method: Method) -> Result<(Response, Framing), ParseError> {
@@ -404,13 +418,13 @@ impl ResponseParser {
         let framing = if !method.response_has_body() || status.bodyless() {
             Framing::Length(0)
         } else {
-            Framing::declared(&headers).unwrap_or(Framing::ToClose)
+            Framing::declared(&headers)?.unwrap_or(Framing::ToClose)
         };
         let resp = Response {
             version,
             status,
             headers,
-            body: Bytes::new(),
+            body: BytesQueue::new(),
         };
         Ok((resp, framing))
     }
@@ -467,7 +481,7 @@ mod tests {
         let mut p = RequestParser::new();
         p.feed(b"POST /f HTTP/1.1\r\nContent-Length: 4\r\n\r\nwxyz");
         let req = p.next().unwrap().unwrap();
-        assert_eq!(&req.body[..], b"wxyz");
+        assert_eq!(req.body, b"wxyz"[..]);
     }
 
     #[test]
@@ -475,7 +489,7 @@ mod tests {
         let mut p = RequestParser::new();
         p.feed(b"POST /f HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n");
         let req = p.next().unwrap().unwrap();
-        assert_eq!(&req.body[..], b"abc");
+        assert_eq!(req.body, b"abc"[..]);
         assert_eq!(p.buffered(), 0);
     }
 
@@ -493,7 +507,7 @@ mod tests {
         p.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
         let resp = p.next().unwrap().unwrap();
         assert_eq!(resp.status, StatusCode::OK);
-        assert_eq!(&resp.body[..], b"hello");
+        assert_eq!(resp.body, b"hello"[..]);
         assert_eq!(p.outstanding(), 0);
     }
 
@@ -509,7 +523,7 @@ mod tests {
         assert!(head.body.is_empty());
         assert_eq!(head.headers.get_int("Content-Length"), Some(999));
         let get = p.next().unwrap().unwrap();
-        assert_eq!(&get.body[..], b"ok");
+        assert_eq!(get.body, b"ok"[..]);
     }
 
     #[test]
@@ -539,7 +553,7 @@ mod tests {
         p.feed(&wire);
         for i in 0..3u8 {
             let r = p.next().unwrap().unwrap();
-            assert_eq!(r.body[0], b'0' + i);
+            assert_eq!(r.body, [b'0' + i][..]);
         }
         assert!(p.next().unwrap().is_none());
     }
@@ -550,7 +564,7 @@ mod tests {
         p.expect(Method::Get);
         p.feed(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nwiki\r\n5\r\npedia\r\n0\r\n\r\n");
         let r = p.next().unwrap().unwrap();
-        assert_eq!(&r.body[..], b"wikipedia");
+        assert_eq!(r.body, b"wikipedia"[..]);
     }
 
     #[test]
@@ -562,7 +576,7 @@ mod tests {
         p.feed(b" more");
         assert!(p.next().unwrap().is_none());
         let r = p.finish().unwrap().unwrap();
-        assert_eq!(&r.body[..], b"partial body more");
+        assert_eq!(r.body, b"partial body more"[..]);
     }
 
     #[test]
@@ -572,7 +586,7 @@ mod tests {
         p.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n12345");
         assert!(p.next().unwrap().is_none());
         p.feed(b"67890");
-        assert_eq!(&p.next().unwrap().unwrap().body[..], b"1234567890");
+        assert_eq!(p.next().unwrap().unwrap().body, b"1234567890"[..]);
     }
 
     #[test]
@@ -582,7 +596,7 @@ mod tests {
         p.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial body so far");
         let (headers, body) = p.in_progress().expect("head complete");
         assert_eq!(headers.get_int("Content-Length"), Some(100));
-        assert_eq!(body, b"partial body so far");
+        assert_eq!(*body, b"partial body so far"[..]);
         // Not yet a complete response.
         assert!(p.next().unwrap().is_none());
 
@@ -604,10 +618,10 @@ mod tests {
         let cut = head_len + 3 * 13 + 1;
         p.feed(&wire[..cut]);
         let (_, body) = p.in_progress().expect("head complete");
-        assert_eq!(body, &html[..24], "decoded bytes, no chunk framing");
+        assert_eq!(*body, html[..24], "decoded bytes, no chunk framing");
         assert!(p.next().unwrap().is_none());
         p.feed(&wire[cut..]);
-        assert_eq!(&p.next().unwrap().unwrap().body[..], html);
+        assert_eq!(p.next().unwrap().unwrap().body, html[..]);
     }
 
     #[test]
@@ -665,7 +679,8 @@ mod tests {
                     }
                     assert_eq!(p.buffered(), fed - returned, "piece {piece} at {fed}");
                     if let Some((_, so_far)) = p.in_progress() {
-                        assert!(body.starts_with(so_far) || b"ok".starts_with(so_far));
+                        let so_far = so_far.to_vec();
+                        assert!(body.starts_with(&so_far) || b"ok".starts_with(&so_far));
                     }
                 }
                 out.extend(p.finish().expect("well-formed"));
@@ -673,7 +688,7 @@ mod tests {
                 out
             };
             let whole = run(wire.len());
-            assert_eq!(&whole[0].body[..], &body[..]);
+            assert_eq!(whole[0].body, body);
             for piece in [1, 7, 1460, 4999] {
                 assert!(run(piece) == whole, "piece {piece}");
             }
@@ -687,6 +702,79 @@ mod tests {
         p.feed(b"XY3\r\nabc\r\n");
         assert_eq!(p.next(), Err(ParseError::BadChunk));
         assert_eq!(p.next(), Err(ParseError::BadChunk));
+    }
+
+    /// What each parser makes of a message whose head carries `lines`,
+    /// followed by `rest`: the request and the response, or their errors.
+    fn framed_by(lines: &str, rest: &[u8]) -> [Result<Option<BytesQueue>, ParseError>; 2] {
+        let mut rp = RequestParser::new();
+        rp.feed(format!("POST /f HTTP/1.1\r\n{lines}\r\n").as_bytes());
+        rp.feed(rest);
+        let mut sp = ResponseParser::new();
+        sp.expect(Method::Get);
+        sp.feed(format!("HTTP/1.1 200 OK\r\n{lines}\r\n").as_bytes());
+        sp.feed(rest);
+        [
+            rp.next().map(|req| req.map(|req| req.body)),
+            sp.next().map(|resp| resp.map(|resp| resp.body)),
+        ]
+    }
+
+    #[test]
+    fn a_content_length_is_digits_only() {
+        for value in ["+5", "-5", "0x5", "5.0", "5e0", "five", "5,5", "5 5", ""] {
+            let lines = format!("Content-Length: {value}\r\n");
+            for side in framed_by(&lines, b"hello") {
+                assert_eq!(side, Err(ParseError::BadHeader), "{value:?}");
+            }
+        }
+        // Leading zeros are digits.
+        for side in framed_by("Content-Length: 005\r\n", b"hello") {
+            assert_eq!(side, Ok(Some(BytesQueue::from(b"hello".to_vec()))));
+        }
+    }
+
+    #[test]
+    fn differing_content_lengths_are_an_error() {
+        let differing = "Content-Length: 5\r\nContent-Length: 3\r\n";
+        for side in framed_by(differing, b"hello") {
+            assert_eq!(side, Err(ParseError::BadHeader));
+        }
+        let repeated = "Content-Length: 5\r\ncontent-length: 5\r\n";
+        for side in framed_by(repeated, b"hello") {
+            assert_eq!(side, Ok(Some(BytesQueue::from(b"hello".to_vec()))));
+        }
+    }
+
+    #[test]
+    fn an_invalid_content_length_frames_nothing_on_either_side() {
+        // Read as no length, the request's body would be the next request
+        // and the response's would run to the close; neither happens.
+        let smuggled = b"GET /admin HTTP/1.1\r\n\r\n";
+        for value in ["abc", "18446744073709551616"] {
+            let lines = format!("Content-Length: {value}\r\n");
+            for side in framed_by(&lines, smuggled) {
+                assert_eq!(side, Err(ParseError::BadHeader), "{value:?}");
+            }
+        }
+        // The largest length there is parses, and waits.
+        for side in framed_by("Content-Length: 18446744073709551615\r\n", b"body") {
+            assert_eq!(side, Ok(None));
+        }
+    }
+
+    #[test]
+    fn chunked_wins_over_a_content_length() {
+        for length in ["3", "+3", "abc"] {
+            let lines = format!("Content-Length: {length}\r\nTransfer-Encoding: chunked\r\n");
+            for side in framed_by(&lines, b"5\r\nhello\r\n0\r\n\r\n") {
+                assert_eq!(
+                    side,
+                    Ok(Some(BytesQueue::from(b"hello".to_vec()))),
+                    "{length}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn request_serialize_parse_identity() {
             // Set the framing header explicitly so the parsed header block
             // is byte-for-byte comparable to the one we built.
             req.headers.set("Content-Length", body.len().to_string());
-            req.body = Bytes::from(body);
+            req.body = body.into();
         }
         let frag = rng.gen_range(1..80usize);
 
@@ -122,7 +122,7 @@ fn request_serialize_parse_identity() {
             headers_of(&req.headers),
             "case {case}: header block must round-trip in order"
         );
-        assert_eq!(&parsed.body[..], &req.body[..], "case {case}");
+        assert_eq!(parsed.body, req.body, "case {case}");
     }
 }
 
@@ -165,7 +165,7 @@ fn response_serialize_parse_identity() {
             headers_of(&resp.headers),
             "case {case}"
         );
-        assert_eq!(&parsed.body[..], &resp.body[..], "case {case}");
+        assert_eq!(parsed.body, resp.body, "case {case}");
         assert_eq!(parser.buffered(), 0, "case {case}");
     }
 }

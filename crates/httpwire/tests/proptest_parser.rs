@@ -74,7 +74,7 @@ fn request_roundtrip_under_fragmentation() {
             req.headers.append(name, value.clone());
         }
         if method == Method::Post || method == Method::Put {
-            req.body = Bytes::from(body.clone());
+            req.body = body.clone().into();
         }
         let wire = req.to_bytes();
 
@@ -94,7 +94,7 @@ fn request_roundtrip_under_fragmentation() {
         assert_eq!(parsed.method, method, "case {case}");
         assert_eq!(parsed.target(), target, "case {case}");
         if method == Method::Post || method == Method::Put {
-            assert_eq!(&parsed.body[..], &body[..], "case {case}");
+            assert_eq!(parsed.body, body, "case {case}");
         }
         assert_eq!(parser.buffered(), 0, "case {case}");
     }
@@ -128,7 +128,7 @@ fn pipelined_responses_roundtrip() {
         }
         assert_eq!(got.len(), bodies.len(), "case {case}");
         for (resp, body) in got.iter().zip(&bodies) {
-            assert_eq!(&resp.body[..], &body[..], "case {case}");
+            assert_eq!(resp.body, *body, "case {case}");
         }
     }
 }
@@ -154,7 +154,7 @@ fn chunked_roundtrip_any_chunk_size() {
             }
         }
         let got = got.expect("chunked response completes");
-        assert_eq!(&got.body[..], &body[..], "case {case}");
+        assert_eq!(got.body, body, "case {case}");
     }
 }
 
@@ -195,7 +195,7 @@ fn every_split_point_yields_the_same_messages() {
     for (wire, count) in [(&chunked, 1), (&pipelined, 3)] {
         let whole = responses_from(&[wire], count);
         assert_eq!(whole.len(), count);
-        assert_eq!(&whole[count - 1].body[..], &chunked_body[..]);
+        assert_eq!(whole[count - 1].body, chunked_body);
         for at in 0..=wire.len() {
             let split = responses_from(&[&wire[..at], &wire[at..]], count);
             assert_eq!(split, whole, "split at {at}");

@@ -47,7 +47,9 @@ fn a_read_is_the_segment_payload() {
         assert_eq!(server.readable_bytes(), 0);
     }
     // A shorter read is a view of the front of it, the next one of the
-    // rest; only a read across two arrivals is gathered.
+    // rest. Two arrivals that are adjacent views of one buffer, as these
+    // two segments of one write are, are one chunk again: a read across
+    // them is a view too.
     for seg in &fx.segments {
         server.on_segment(
             NOW,
@@ -59,9 +61,21 @@ fn a_read_is_the_segment_payload() {
     assert_eq!(read.as_ptr(), fx.segments[0].payload.as_ptr());
     let read = server.app_recv(1000, &mut Effects::default());
     assert_eq!(read.len(), 1000);
-    assert_ne!(read.as_ptr(), fx.segments[0].payload[1000..].as_ptr());
+    assert_eq!(read.as_ptr(), fx.segments[0].payload[1000..].as_ptr());
     let read = server.app_recv(usize::MAX, &mut Effects::default());
     assert_eq!(read.as_ptr(), fx.segments[1].payload[540..].as_ptr());
+    // Only a read across two arrivals from different buffers is gathered.
+    let copies: Vec<Bytes> = fx
+        .segments
+        .iter()
+        .map(|seg| Bytes::copy_from_slice(&seg.payload))
+        .collect();
+    for (seg, copy) in fx.segments.iter().zip(&copies) {
+        server.on_segment(NOW, &data(seg.seq + 5840, copy), &mut Effects::default());
+    }
+    let read = server.app_recv(2000, &mut Effects::default());
+    assert_eq!((read.len(), server.readable_bytes()), (2000, 920));
+    assert!(!copies[0].as_ptr_range().contains(&read.as_ptr()));
 }
 
 /// A data segment from the client at `seq`.

@@ -55,8 +55,8 @@ const HOT_FILES: &[&str] = &[
 /// `bytes::BytesMut` (the one implementation lives in `bytes`).
 const BYTE_PATH_CRATES: &[&str] = &["netsim", "httpwire", "httpmux", "httpclient", "httpserver"];
 
-/// Crates that queue a response body for the wire: it is a `Bytes` and
-/// goes onto the output queue by reference.
+/// Crates that queue a response body for the wire: it is held by
+/// reference and its chunks go onto the output queue as they are.
 const BODY_QUEUE_CRATES: &[&str] = &["httpserver", "httpmux"];
 
 /// Crates that build message heads: a header value is written into the
@@ -346,12 +346,13 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
             );
         }
 
-        // --- byte-path-copy: between the store and the reader a body
-        // byte is held by reference (`bytes::BytesQueue`) and copied
-        // once, into the body under assembly. Three copies that used to
-        // be on that path: a segment payload copied out of `send_buf`,
-        // an arriving payload copied into `recv_buf`, and a body copied
-        // into an output buffer.
+        // --- byte-path-copy: from the store to the message a client
+        // reads, a body byte is held by reference (`bytes::BytesQueue`)
+        // and never copied. Three copies that used to be on that path: a
+        // segment payload copied out of `send_buf`, an arriving payload
+        // copied into `recv_buf`, and a body copied into an output
+        // buffer. (The receive side's are guarded by counts instead:
+        // `core/tests/body_alloc.rs`.)
         if i + 1 < n && toks[i + 1].is_op("(") {
             let args = || &toks[i + 2..call_end(sf, i + 1).min(n)];
             let in_tcp = file == "tcp.rs" && crate_in(path, &["netsim"]);
@@ -376,7 +377,7 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                 && crate_in(path, BODY_QUEUE_CRATES)
                 && args().iter().any(|a| a.is_ident("body"))
             {
-                Some("a body is a `Bytes`: `push` it (or a clone) onto the output queue")
+                Some("a body is held by reference: `push` its chunks onto the output queue")
             } else {
                 None
             };

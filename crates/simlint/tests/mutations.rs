@@ -200,7 +200,7 @@ fn queue(&mut self, resp: &Response, out: &mut BytesMut) {
         let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
         assert_eq!(hits, vec![(rule, 2), (rule, 3)], "{diags:?}");
     }
-    // A client assembling a body it received copies it: the one copy.
+    // The client is held to a count instead (`core/tests/body_alloc.rs`).
     assert!(one("crates/httpclient/src/robot.rs", respond).is_empty());
 }
 
