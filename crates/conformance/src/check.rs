@@ -1,10 +1,15 @@
-//! The causal replay engine: groups a trace into connections, replays
-//! departures and arrivals in time order, and checks the TCP invariants.
-//! HTTP-level checks over the reassembled streams live in [`crate::http`].
+//! The causal replay engine: groups a trace's captures by connection
+//! through one sorted index, replays each connection's departures and
+//! arrivals in time order, and checks the TCP invariants. HTTP-level
+//! checks over the reassembled streams live in [`crate::http`].
 
 use crate::{CheckConfig, InvariantKind, Report, Violation};
-use netsim::{CcVariant, DropRecord, Segment, SimTime, SockAddr, TraceRecord};
+use bytes::{Bytes, BytesQueue};
+use netsim::{CcVariant, DropRecord, HostId, Segment, SimTime, SockAddr, TraceRecord};
 use std::collections::BTreeMap;
+
+/// A connection: its endpoint pair, lower address first.
+type ConnKey = (SockAddr, SockAddr);
 
 /// Check every connection in a trace against the full invariant set.
 ///
@@ -12,32 +17,35 @@ use std::collections::BTreeMap;
 /// [`netsim::Trace::records`] (requires [`netsim::TraceMode::Full`]);
 /// `drops` are the link-dropped packets from
 /// [`netsim::Trace::drop_records`] — they still count as departures.
+///
+/// Nothing is copied out of the trace. One index of `(connection,
+/// capture number)`, sorted, lists each connection's captures in trace
+/// order, records before drops, and connections in key order. Each
+/// connection is then replayed on its own, over scratch state the next
+/// one reuses.
 pub fn check_trace(records: &[TraceRecord], drops: &[DropRecord], cfg: &CheckConfig) -> Report {
-    let mut conns: BTreeMap<(SockAddr, SockAddr), Conn> = BTreeMap::new();
-    for rec in records {
-        let key = conn_key(&rec.segment);
-        let conn = conns.entry(key).or_default();
-        let pkt = conn.intern(rec.sent, &rec.segment);
-        conn.arrivals.push((rec.received, pkt));
-    }
-    for d in drops {
-        let key = conn_key(&d.segment);
-        conns.entry(key).or_default().intern(d.at, &d.segment);
-    }
+    let trace = Captures { records, drops };
+    let captures = u32::try_from(records.len() + drops.len()).expect("at most u32::MAX captures");
+    let mut index: Vec<(ConnKey, u32)> = (0..captures)
+        .map(|n| (conn_key(trace.get(n).1), n))
+        .collect();
+    index.sort_unstable();
 
-    let mut report = Report {
-        connections: conns.len(),
-        ..Report::default()
-    };
-    for (key, conn) in &conns {
-        report.segments += conn.packets.len();
-        check_conn(*key, conn, cfg, &mut report);
+    let mut report = Report::default();
+    let mut replay = Replay::new(cfg);
+    let mut rest = &mut index[..];
+    while let Some(&(key, _)) = rest.first() {
+        let len = rest.iter().take_while(|&&(k, _)| k == key).count();
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        report.connections += 1;
+        replay.check_conn(trace, key, run, cfg, &mut report);
     }
     report
 }
 
 /// Normalized connection key: the endpoint pair, lower address first.
-fn conn_key(seg: &Segment) -> (SockAddr, SockAddr) {
+fn conn_key(seg: &Segment) -> ConnKey {
     if seg.src <= seg.dst {
         (seg.src, seg.dst)
     } else {
@@ -45,65 +53,172 @@ fn conn_key(seg: &Segment) -> (SockAddr, SockAddr) {
     }
 }
 
+/// A trace's captures, numbered: capture `n` is `records[n]`, or
+/// `drops[n - records.len()]` past them.
+#[derive(Clone, Copy)]
+struct Captures<'a> {
+    records: &'a [TraceRecord],
+    drops: &'a [DropRecord],
+}
+
+impl<'a> Captures<'a> {
+    /// When capture `n` departed, the segment, and when it arrived
+    /// (`None`: the link dropped it).
+    fn get(self, n: u32) -> (SimTime, &'a Segment, Option<SimTime>) {
+        let n = n as usize;
+        match self.records.get(n) {
+            Some(rec) => (rec.sent, &rec.segment, Some(rec.received)),
+            None => {
+                let d = &self.drops[n - self.records.len()];
+                (d.at, &d.segment, None)
+            }
+        }
+    }
+}
+
 /// Identity of one emission: (sent-nanos, src, seq, ack, flag bits,
-/// window, payload length). Two trace records matching on all of these
-/// are network copies of the same packet.
+/// payload length, window). Two captures matching on all of these are
+/// network copies of the same packet.
 type EmissionKey = (u64, SockAddr, u64, u64, u8, usize, usize);
 
-/// One unique emission. Network duplication delivers the same emission
-/// twice; both arrivals point at the same packet.
-struct Packet {
-    sent: SimTime,
-    seg: Segment,
+fn emission_key(sent: SimTime, seg: &Segment) -> EmissionKey {
+    let f = &seg.flags;
+    let flagbits = (f.syn as u8)
+        | (f.ack as u8) << 1
+        | (f.fin as u8) << 2
+        | (f.rst as u8) << 3
+        | (f.psh as u8) << 4;
+    (
+        sent.as_nanos(),
+        seg.src,
+        seg.seq,
+        seg.ack,
+        flagbits,
+        seg.payload.len(),
+        seg.window,
+    )
 }
 
-#[derive(Default)]
-struct Conn {
-    packets: Vec<Packet>,
-    /// (arrival time, packet index), in trace (arrival) order.
-    arrivals: Vec<(SimTime, usize)>,
-    /// Dedup map from emission identity to packet index.
-    interned: BTreeMap<EmissionKey, usize>,
+/// One connection's replay, and the scratch state every connection of a
+/// trace reuses in turn: each is cleared, not freed, so a whole check
+/// allocates what its largest connection needs.
+struct Replay {
+    /// The replay timeline.
+    events: Vec<Event>,
+    /// The two endpoints, lower address first.
+    ends: [EndState; 2],
 }
 
-impl Conn {
-    /// Fold an observed copy of a segment into its unique emission.
-    fn intern(&mut self, sent: SimTime, seg: &Segment) -> usize {
-        let f = &seg.flags;
-        let flagbits = (f.syn as u8)
-            | (f.ack as u8) << 1
-            | (f.fin as u8) << 2
-            | (f.rst as u8) << 3
-            | (f.psh as u8) << 4;
-        let key = (
-            sent.as_nanos(),
-            seg.src,
-            seg.seq,
-            seg.ack,
-            flagbits,
-            seg.payload.len(),
-            seg.window,
-        );
-        if let Some(&i) = self.interned.get(&key) {
-            return i;
+impl Replay {
+    fn new(cfg: &CheckConfig) -> Self {
+        // Each end is reset to its connection's address before use.
+        let unset = SockAddr::new(HostId(0), 0);
+        Replay {
+            events: Vec::new(),
+            ends: [EndState::new(unset, cfg), EndState::new(unset, cfg)],
         }
-        self.packets.push(Packet {
-            sent,
-            seg: seg.clone(),
+    }
+
+    /// Check connection `key`, whose captures are `run`.
+    fn check_conn(
+        &mut self,
+        trace: Captures<'_>,
+        key: ConnKey,
+        run: &mut [(ConnKey, u32)],
+        cfg: &CheckConfig,
+        report: &mut Report,
+    ) {
+        report.segments += self.load(trace, key, run, cfg);
+        let Replay { events, ends } = self;
+        // Arrivals before departures at equal instants; then by emission
+        // order (seq, seq_space) so same-instant batches replay as the TCB
+        // emitted them; packet last, so that only identical events (one
+        // emission's copies arriving together) tie. Packets order as
+        // their first copies were captured.
+        events.sort_unstable_by_key(|e| {
+            let p = match *e {
+                Event::Arrive { pkt, .. } | Event::Depart { pkt, .. } => pkt,
+            };
+            let seg = trace.get(p).1;
+            (e.at(), e.rank(), seg.seq, seg.seq_space(), p)
         });
-        let i = self.packets.len() - 1;
-        self.interned.insert(key, i);
-        i
+        replay(key, trace, events, ends, cfg, report);
+    }
+
+    /// Load connection `key` from its captures `run`, which this
+    /// reorders: lay out its timeline, and reset both endpoints with
+    /// room for what the replay will record. Network copies of one
+    /// emission fold into one packet, named by the copy captured first:
+    /// one departure, and an arrival per copy that arrived. Returns how
+    /// many packets there are.
+    fn load(
+        &mut self,
+        trace: Captures<'_>,
+        key: ConnKey,
+        run: &mut [(ConnKey, u32)],
+        cfg: &CheckConfig,
+    ) -> usize {
+        // Copies of one emission sort together, first capture first.
+        run.sort_unstable_by_key(|&(_, n)| {
+            let (sent, seg, _) = trace.get(n);
+            (emission_key(sent, seg), n)
+        });
+        self.events.clear();
+        self.events.reserve_exact(2 * run.len());
+        let mut sizes = [Sizes::default(); 2];
+        let mut packets = 0;
+        let mut last: Option<(EmissionKey, u32)> = None;
+        for &(_, n) in run.iter() {
+            let (sent, seg, arrived) = trace.get(n);
+            let emission = emission_key(sent, seg);
+            let pkt = match last {
+                Some((k, pkt)) if k == emission => pkt,
+                _ => {
+                    packets += 1;
+                    last = Some((emission, n));
+                    self.events.push(Event::Depart { at: sent, pkt: n });
+                    sizes[usize::from(seg.src != key.0)].departure(seg);
+                    n
+                }
+            };
+            if let Some(at) = arrived {
+                self.events.push(Event::Arrive { at, pkt });
+                sizes[usize::from(seg.dst != key.0)].deliveries += usize::from(seg.has_payload());
+            }
+        }
+        self.ends[0].reset(key.0, sizes[0], cfg);
+        self.ends[1].reset(key.1, sizes[1], cfg);
+        packets
+    }
+}
+
+/// Bounds on how many entries one endpoint's per-packet records take
+/// over a connection, counted as it is loaded, so that each is sized
+/// once.
+#[derive(Clone, Copy, Default)]
+struct Sizes {
+    txs: usize,
+    fresh_sent: usize,
+    ack_departures: usize,
+    deliveries: usize,
+}
+
+impl Sizes {
+    fn departure(&mut self, seg: &Segment) {
+        self.txs += usize::from(seg.seq_space() > 0);
+        self.fresh_sent += usize::from(seg.has_payload());
+        self.ack_departures += usize::from(seg.flags.ack);
     }
 }
 
 /// The replay timeline: arrivals are processed before departures at the
 /// same instant, matching the TCB (a segment arriving at `t` is handled
-/// before anything the TCB emits at `t`).
+/// before anything the TCB emits at `t`). A packet is named by the
+/// capture number of its first copy.
 #[derive(Clone, Copy)]
 enum Event {
-    Arrive { at: SimTime, pkt: usize },
-    Depart { at: SimTime, pkt: usize },
+    Arrive { at: SimTime, pkt: u32 },
+    Depart { at: SimTime, pkt: u32 },
 }
 
 impl Event {
@@ -172,8 +287,9 @@ struct EndState {
     /// --- receiver-side stream reassembly ---
     rcv_nxt: Option<u64>,
     peer_fin_seq: Option<u64>,
-    stash: BTreeMap<u64, bytes::Bytes>,
-    stream: Vec<u8>,
+    stash: BTreeMap<u64, Bytes>,
+    /// The contiguous stream: views of the segments' own payloads.
+    stream: BytesQueue,
     /// `(at, total stream bytes contiguous)` per advancing delivery.
     deliveries: Vec<(SimTime, u64)>,
 }
@@ -209,8 +325,65 @@ impl EndState {
             rcv_nxt: None,
             peer_fin_seq: None,
             stash: BTreeMap::new(),
-            stream: Vec::new(),
+            stream: BytesQueue::new(),
             deliveries: Vec::new(),
+        }
+    }
+
+    /// Start over as endpoint `addr` of the next connection, keeping the
+    /// vectors' storage and making room for `sizes` entries.
+    fn reset(&mut self, addr: SockAddr, sizes: Sizes, cfg: &CheckConfig) {
+        fn sized<T>(mut v: Vec<T>, n: usize) -> Vec<T> {
+            v.clear();
+            v.reserve_exact(n);
+            v
+        }
+        let old = std::mem::replace(self, EndState::new(addr, cfg));
+        self.txs = sized(old.txs, sizes.txs);
+        self.fresh_sent = sized(old.fresh_sent, sizes.fresh_sent);
+        self.ack_departures = sized(old.ack_departures, sizes.ack_departures);
+        self.deliveries = sized(old.deliveries, sizes.deliveries);
+        self.sacked = sized(old.sacked, 0);
+    }
+
+    /// Receiver-side reassembly of the peer's byte stream: append what
+    /// `seg`, arriving at `at`, makes contiguous, as views of the
+    /// payloads themselves. Data ahead of a hole waits in the stash.
+    fn reassemble(&mut self, at: SimTime, seg: &Segment) {
+        let Some(mut nxt) = self.rcv_nxt else { return };
+        if seg.payload.is_empty() {
+            return;
+        }
+        let mut advanced = false;
+        if seg.seq <= nxt {
+            let skip = (nxt - seg.seq) as usize;
+            if skip < seg.payload.len() {
+                self.stream.push(seg.payload.slice(skip..));
+                nxt += (seg.payload.len() - skip) as u64;
+                advanced = true;
+            }
+        } else {
+            self.stash
+                .entry(seg.seq)
+                .or_insert_with(|| seg.payload.clone());
+        }
+        // Drain any stashed out-of-order data that became contiguous.
+        while let Some(first) = self.stash.first_entry() {
+            if *first.key() > nxt {
+                break;
+            }
+            let (s, mut data) = first.remove_entry();
+            let skip = (nxt - s) as usize;
+            if skip < data.len() {
+                data.advance(skip);
+                nxt += data.len() as u64;
+                self.stream.push(data);
+                advanced = true;
+            }
+        }
+        self.rcv_nxt = Some(nxt);
+        if advanced {
+            self.deliveries.push((at, self.stream.len() as u64));
         }
     }
 
@@ -247,29 +420,17 @@ fn merge_sacked(v: &mut Vec<(u64, u64)>, start: u64, end: u64) {
     v.insert(i, new);
 }
 
-fn check_conn(key: (SockAddr, SockAddr), conn: &Conn, cfg: &CheckConfig, report: &mut Report) {
-    let mut events: Vec<Event> = Vec::with_capacity(conn.packets.len() + conn.arrivals.len());
-    for (i, _) in conn.packets.iter().enumerate() {
-        events.push(Event::Depart {
-            at: conn.packets[i].sent,
-            pkt: i,
-        });
-    }
-    for &(at, pkt) in &conn.arrivals {
-        events.push(Event::Arrive { at, pkt });
-    }
-    // Arrivals before departures at equal instants; then by emission
-    // order (seq, seq_space) so same-instant batches replay as the TCB
-    // emitted them; packet index last for stability.
-    events.sort_by_key(|e| {
-        let p = match *e {
-            Event::Arrive { pkt, .. } | Event::Depart { pkt, .. } => pkt,
-        };
-        let seg = &conn.packets[p].seg;
-        (e.at(), e.rank(), seg.seq, seg.seq_space(), p)
-    });
-
-    let mut ends = [EndState::new(key.0, cfg), EndState::new(key.1, cfg)];
+/// The replay proper: walk `events` over the two endpoints' state,
+/// checking each departure against what had causally reached its
+/// sender, then the timer and HTTP checks over what the walk recorded.
+fn replay(
+    key: ConnKey,
+    trace: Captures<'_>,
+    events: &[Event],
+    ends: &mut [EndState; 2],
+    cfg: &CheckConfig,
+    report: &mut Report,
+) {
     let mut any_packet_seen = false;
     let mut first_rst: Option<SimTime> = None;
     let v = |report: &mut Report, kind, at, detail: String| {
@@ -281,10 +442,10 @@ fn check_conn(key: (SockAddr, SockAddr), conn: &Conn, cfg: &CheckConfig, report:
         });
     };
 
-    for ev in &events {
+    for ev in events {
         match *ev {
             Event::Arrive { at, pkt } => {
-                let seg = &conn.packets[pkt].seg;
+                let seg = trace.get(pkt).1;
                 // The receiver is the endpoint the segment is addressed to.
                 let side = usize::from(seg.dst != key.0);
                 let e = &mut ends[side];
@@ -354,49 +515,13 @@ fn check_conn(key: (SockAddr, SockAddr), conn: &Conn, cfg: &CheckConfig, report:
                         }
                     }
                 }
-                // Receiver-side reassembly of the peer's byte stream.
                 if seg.flags.fin {
                     e.peer_fin_seq = Some(seg.seq_end() - 1);
                 }
-                if !seg.payload.is_empty() {
-                    if let Some(rcv_nxt) = e.rcv_nxt {
-                        let mut advanced = false;
-                        let mut nxt = rcv_nxt;
-                        if seg.seq <= nxt {
-                            let skip = (nxt - seg.seq) as usize;
-                            if skip < seg.payload.len() {
-                                e.stream.extend_from_slice(&seg.payload[skip..]);
-                                nxt += (seg.payload.len() - skip) as u64;
-                                advanced = true;
-                            }
-                        } else {
-                            e.stash
-                                .entry(seg.seq)
-                                .or_insert_with(|| seg.payload.clone());
-                        }
-                        // Drain any stashed out-of-order data that became
-                        // contiguous.
-                        while let Some((&s, _)) = e.stash.first_key_value() {
-                            if s > nxt {
-                                break;
-                            }
-                            let (s, data) = e.stash.pop_first().expect("non-empty stash");
-                            let skip = (nxt - s) as usize;
-                            if skip < data.len() {
-                                e.stream.extend_from_slice(&data[skip..]);
-                                nxt += (data.len() - skip) as u64;
-                                advanced = true;
-                            }
-                        }
-                        e.rcv_nxt = Some(nxt);
-                        if advanced {
-                            e.deliveries.push((at, e.stream.len() as u64));
-                        }
-                    }
-                }
+                e.reassemble(at, seg);
             }
             Event::Depart { at, pkt } => {
-                let seg = &conn.packets[pkt].seg;
+                let seg = trace.get(pkt).1;
                 let side = usize::from(seg.src != key.0);
                 let mss = cfg.tcp.mss;
 
@@ -799,7 +924,7 @@ fn check_conn(key: (SockAddr, SockAddr), conn: &Conn, cfg: &CheckConfig, report:
     // three deliveries may pass without *any* ACK departing. Connections
     // that end in an RST are only held to deadlines that expired before
     // the reset.
-    for recv in &ends {
+    for recv in ends.iter() {
         let iss_off = recv.rcv_nxt.map(|_| 1u64).unwrap_or(0);
         let deadline_cap = cfg.tcp.delayed_ack;
         for &(t, covered) in &recv.deliveries {
@@ -846,16 +971,28 @@ fn check_conn(key: (SockAddr, SockAddr), conn: &Conn, cfg: &CheckConfig, report:
     }
 
     if cfg.http {
-        if let Some((req, resp)) = http_sides(key, &ends, cfg.server_port) {
-            // A multiplexed connection announces itself with the httpmux
-            // preface; everything else is judged as HTTP/1.x.
-            if req.stream.len() >= httpmux::PREFACE.len() && httpmux::preface_candidate(req.stream)
-            {
-                crate::mux::check_mux(key, req, resp, first_rst, report);
-            } else {
-                crate::http::check_http(key, req, resp, first_rst, report);
-            }
-        }
+        check_streams(key, ends, first_rst, cfg, report);
+    }
+}
+
+/// The HTTP-level checks over the two reassembled streams.
+fn check_streams(
+    key: ConnKey,
+    ends: &[EndState; 2],
+    first_rst: Option<SimTime>,
+    cfg: &CheckConfig,
+    report: &mut Report,
+) {
+    let Some((req, resp)) = http_sides(key, ends, cfg.server_port) else {
+        return;
+    };
+    // A multiplexed connection announces itself with the httpmux
+    // preface; everything else is judged as HTTP/1.x.
+    let preface = httpmux::PREFACE.len();
+    if req.stream.len() >= preface && req.stream.with_prefix(preface, httpmux::preface_candidate) {
+        crate::mux::check_mux(key, req, resp, first_rst, report);
+    } else {
+        crate::http::check_http(key, req, resp, first_rst, report);
     }
 }
 
@@ -863,7 +1000,8 @@ fn check_conn(key: (SockAddr, SockAddr), conn: &Conn, cfg: &CheckConfig, report:
 /// stream, when each prefix became contiguous at the receiver, and when
 /// each byte first departed the sender.
 pub(crate) struct HttpSide<'a> {
-    pub stream: &'a [u8],
+    /// The stream, as views of the segments that carried it.
+    pub stream: &'a BytesQueue,
     /// `(at, contiguous stream bytes)` per advancing delivery at the
     /// receiver, in time order.
     pub deliveries: &'a [(SimTime, u64)],
@@ -874,7 +1012,15 @@ pub(crate) struct HttpSide<'a> {
     pub fin_seen: bool,
 }
 
-impl HttpSide<'_> {
+impl<'a> HttpSide<'a> {
+    /// The stream, to hand to a parser a chunk at a time.
+    pub fn feed(&self) -> Feed<impl Iterator<Item = &'a Bytes>> {
+        Feed {
+            chunks: self.stream.chunks(),
+            fed: 0,
+        }
+    }
+
     /// When the byte at `off` became contiguous at the receiver.
     pub fn covered_at(&self, off: u64) -> Option<SimTime> {
         self.deliveries
@@ -892,8 +1038,31 @@ impl HttpSide<'_> {
     }
 }
 
+/// A stream handed to a parser one chunk at a time, each when the parser
+/// has run out, so that the parser holds no more than the message it is
+/// on.
+pub(crate) struct Feed<I> {
+    chunks: I,
+    /// Stream bytes handed over so far: a message that leaves `n` bytes
+    /// buffered ends at offset `fed - n`.
+    pub fed: u64,
+}
+
+impl<'a, I: Iterator<Item = &'a Bytes>> Feed<I> {
+    /// Hand the next chunk, by reference, to `push`; false once the
+    /// stream is spent.
+    pub fn more(&mut self, push: impl FnOnce(Bytes)) -> bool {
+        let Some(chunk) = self.chunks.next() else {
+            return false;
+        };
+        self.fed += chunk.len() as u64;
+        push(chunk.clone());
+        true
+    }
+}
+
 fn http_sides<'a>(
-    key: (SockAddr, SockAddr),
+    key: ConnKey,
     ends: &'a [EndState; 2],
     server_port: u16,
 ) -> Option<(HttpSide<'a>, HttpSide<'a>)> {
@@ -921,4 +1090,202 @@ fn http_sides<'a>(
         fin_seen: ends[server_side].fin_end.is_some(),
     };
     Some((req, resp))
+}
+
+#[cfg(test)]
+mod tests {
+    //! Reassembly holds views of the segments' own payloads. Each case
+    //! checks that it yields exactly the bytes a reassembly copying every
+    //! payload into one vector yields, and the last two that the parsers
+    //! read a stream across the chunk edges views leave.
+
+    use super::*;
+    use httpmux::{Frame, FramePayload, FLAG_END_STREAM, PREFACE};
+    use httpwire::HeaderMap;
+    use netsim::{SackBlocks, TcpFlags};
+
+    const DATA: &[u8] = b"0123456789abcdefghij";
+
+    fn client() -> SockAddr {
+        SockAddr::new(HostId(0), 1000)
+    }
+
+    fn server() -> SockAddr {
+        SockAddr::new(HostId(1), 80)
+    }
+
+    fn segment(src: SockAddr, dst: SockAddr, seq: u64, payload: Bytes) -> Segment {
+        Segment {
+            src,
+            dst,
+            seq,
+            ack: 1,
+            flags: TcpFlags::ACK,
+            window: 65_535,
+            sack: SackBlocks::NONE,
+            payload,
+        }
+    }
+
+    /// The stream the same arrivals make when every payload is copied
+    /// into one vector, as reassembly once did.
+    fn copied(arrivals: &[(u64, Bytes)]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        let mut stash: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut nxt = 1;
+        for (seq, payload) in arrivals {
+            if *seq <= nxt {
+                let skip = (nxt - seq) as usize;
+                if skip < payload.len() {
+                    stream.extend_from_slice(&payload[skip..]);
+                    nxt += (payload.len() - skip) as u64;
+                }
+            } else {
+                stash.entry(*seq).or_insert_with(|| payload.to_vec());
+            }
+            while let Some((&s, _)) = stash.first_key_value() {
+                if s > nxt {
+                    break;
+                }
+                let (s, data) = stash.pop_first().expect("non-empty stash");
+                let skip = (nxt - s) as usize;
+                if skip < data.len() {
+                    stream.extend_from_slice(&data[skip..]);
+                    nxt += (data.len() - skip) as u64;
+                }
+            }
+        }
+        stream
+    }
+
+    /// Endpoint `to`, past a handshake in which the peer's ISS was 0,
+    /// after `arrivals` (sequence number, payload) from `from`, checked
+    /// against the copying reassembly and against `expected`.
+    #[track_caller]
+    fn reassembled(
+        from: SockAddr,
+        to: SockAddr,
+        arrivals: &[(u64, Bytes)],
+        expected: &[u8],
+    ) -> EndState {
+        let mut end = EndState::new(to, &CheckConfig::default());
+        end.rcv_nxt = Some(1);
+        for (at, (seq, payload)) in arrivals.iter().enumerate() {
+            let seg = segment(from, to, *seq, payload.clone());
+            end.reassemble(SimTime::from_nanos(at as u64), &seg);
+        }
+        assert_eq!(end.stream.to_vec(), copied(arrivals));
+        assert_eq!(end.stream.to_vec(), expected);
+        end
+    }
+
+    fn data(range: std::ops::Range<usize>) -> Bytes {
+        Bytes::copy_from_slice(&DATA[range])
+    }
+
+    #[test]
+    fn an_overlapping_retransmission_adds_only_its_new_bytes() {
+        let arrivals = [(1, data(0..10)), (6, data(5..15)), (16, data(15..20))];
+        let end = reassembled(server(), client(), &arrivals, DATA);
+        assert_eq!(end.deliveries.len(), 3);
+        assert_eq!(end.rcv_nxt, Some(21));
+    }
+
+    #[test]
+    fn stashed_data_drains_across_a_partial_overlap() {
+        // 11..21 arrives ahead of the hole; 1..16 fills it and overlaps
+        // the stashed segment's first five bytes.
+        let arrivals = [(11, data(10..20)), (1, data(0..15))];
+        let end = reassembled(server(), client(), &arrivals, DATA);
+        assert!(end.stash.is_empty());
+        assert_eq!(end.deliveries.len(), 1, "one arrival advanced the stream");
+    }
+
+    #[test]
+    fn a_network_duplicate_adds_nothing() {
+        let first = data(0..10);
+        let arrivals = [(1, first.clone()), (1, first), (11, data(10..20))];
+        let end = reassembled(server(), client(), &arrivals, DATA);
+        assert_eq!(end.deliveries.len(), 2, "the duplicate did not advance");
+    }
+
+    /// Both endpoints of a connection whose client sent `request` and
+    /// whose server sent `response`, each as the given segments, both
+    /// directions closed cleanly.
+    fn connection(request: &[Bytes], response: &[Bytes]) -> [EndState; 2] {
+        // Segments in order from sequence number 1, and their bytes.
+        let in_order = |segments: &[Bytes]| {
+            let mut seq = 1;
+            let arrivals: Vec<(u64, Bytes)> = segments
+                .iter()
+                .map(|payload| {
+                    seq += payload.len() as u64;
+                    (seq - payload.len() as u64, payload.clone())
+                })
+                .collect();
+            let bytes: Vec<&[u8]> = segments.iter().map(|b| &b[..]).collect();
+            (arrivals, bytes.concat(), seq)
+        };
+        let (req, req_bytes, req_fin) = in_order(request);
+        let (resp, resp_bytes, resp_fin) = in_order(response);
+        let mut ends = [
+            reassembled(server(), client(), &resp, &resp_bytes),
+            reassembled(client(), server(), &req, &req_bytes),
+        ];
+        ends[0].fin_end = Some(req_fin + 1);
+        ends[1].fin_end = Some(resp_fin + 1);
+        ends
+    }
+
+    fn check(ends: &[EndState; 2]) -> Report {
+        let mut report = Report::default();
+        check_streams(
+            (client(), server()),
+            ends,
+            None,
+            &CheckConfig::default(),
+            &mut report,
+        );
+        report
+    }
+
+    #[test]
+    fn a_response_parses_across_a_chunk_edge_inside_its_body() {
+        // The first segment gathers the head and the body's first four
+        // bytes; the second is a view of the stored entity, so the
+        // response stream is two chunks and the edge falls mid-body.
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n";
+        let entity = Bytes::copy_from_slice(&DATA[..10]);
+        let first = Bytes::from([&head[..], &entity[..4]].concat());
+        let request = Bytes::copy_from_slice(b"GET / HTTP/1.1\r\nHost: example.org\r\n\r\n");
+        let ends = connection(&[request], &[first, entity.slice(4..)]);
+        assert_eq!(ends[0].stream.chunks().count(), 2);
+        let report = check(&ends);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.http_requests, 1);
+    }
+
+    #[test]
+    fn a_mux_preface_split_across_segments_is_recognised() {
+        let mut fields = HeaderMap::new();
+        fields.append(":method", "GET");
+        fields.append(":path", "/");
+        let headers = Frame {
+            stream: 1,
+            flags: FLAG_END_STREAM,
+            payload: FramePayload::Headers(fields),
+        };
+        let request = [
+            Bytes::copy_from_slice(&PREFACE[..5]),
+            Bytes::from([&PREFACE[5..], &headers.encode()[..]].concat()),
+        ];
+        let ends = connection(&request, &[]);
+        assert_eq!(ends[1].stream.chunks().count(), 2);
+        let report = check(&ends);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(
+            report.http_requests, 1,
+            "judged as mux, its HEADERS counted"
+        );
+    }
 }

@@ -43,8 +43,7 @@ pub(crate) fn check_http(
     // --- Requests: the client→server stream must parse cleanly. ---
     let mut reqs: Vec<(httpwire::Request, Span)> = Vec::new();
     let mut rp = RequestParser::new();
-    rp.feed(req_side.stream);
-    let total = req_side.stream.len() as u64;
+    let mut feed = req_side.feed();
     loop {
         let before = rp.buffered() as u64;
         match rp.next() {
@@ -53,12 +52,16 @@ pub(crate) fn check_http(
                 reqs.push((
                     req,
                     Span {
-                        start: total - before,
-                        end: total - after,
+                        start: feed.fed - before,
+                        end: feed.fed - after,
                     },
                 ));
             }
-            Ok(None) => break,
+            Ok(None) => {
+                if !feed.more(|chunk| rp.push(chunk)) {
+                    break;
+                }
+            }
             Err(e) => {
                 v(
                     report,
@@ -87,8 +90,7 @@ pub(crate) fn check_http(
     for (req, _) in &reqs {
         pp.expect(req.method);
     }
-    pp.feed(resp_side.stream);
-    let rtotal = resp_side.stream.len() as u64;
+    let mut feed = resp_side.feed();
     let mut parse_err = false;
     loop {
         let before = pp.buffered() as u64;
@@ -98,12 +100,15 @@ pub(crate) fn check_http(
                 resps.push((
                     resp,
                     Span {
-                        start: rtotal - before,
-                        end: rtotal - after,
+                        start: feed.fed - before,
+                        end: feed.fed - after,
                     },
                 ));
             }
             Ok(None) => {
+                if feed.more(|chunk| pp.push(chunk)) {
+                    continue;
+                }
                 if pp.buffered() == 0 {
                     break;
                 }
@@ -118,8 +123,8 @@ pub(crate) fn check_http(
                             resps.push((
                                 resp,
                                 Span {
-                                    start: rtotal - before,
-                                    end: rtotal - after,
+                                    start: feed.fed - before,
+                                    end: feed.fed - after,
                                 },
                             ));
                             if pp.buffered() == 0 {

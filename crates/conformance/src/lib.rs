@@ -17,6 +17,17 @@
 //! it. Dropped packets count as departures (the sender did emit them);
 //! network-duplicated deliveries are folded back into one emission.
 //!
+//! It reads the trace where it lies. One sorted index of `(connection,
+//! capture number)` groups the captures, and the connections are
+//! replayed one at a time, in key order, over scratch state each reuses
+//! from the last; a packet is a reference to its capture, and a
+//! reassembled stream is a [`bytes::BytesQueue`] of views of the
+//! captured payloads, handed to the `httpwire` and `httpmux` parsers a
+//! chunk at a time. What a check allocates is therefore per packet, not
+//! per payload byte, and what it holds at once is bounded by its index
+//! and its largest connection (`httpipe-core`'s `tests/check_alloc.rs`
+//! pins both).
+//!
 //! Entry point: [`check_trace`]. The harness-facing wrapper lives in
 //! `httpipe-core::harness::run_cells_checked`.
 

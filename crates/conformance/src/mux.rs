@@ -58,15 +58,14 @@ pub(crate) fn check_mux(
         } else {
             FrameParser::new()
         };
-        parser.feed(side.stream);
-        let total = side.stream.len() as u64;
+        let mut feed = side.feed();
         loop {
             let before = parser.buffered() as u64;
             match parser.next_frame() {
                 Ok(Some(frame)) => {
                     let after = parser.buffered() as u64;
-                    let start = total - before;
-                    let end = total - after;
+                    let start = feed.fed - before;
+                    let end = feed.fed - after;
                     frames[dir].push(TimedFrame {
                         frame,
                         sent: side.first_sent_at(start),
@@ -74,6 +73,9 @@ pub(crate) fn check_mux(
                     });
                 }
                 Ok(None) => {
+                    if feed.more(|chunk| parser.push(chunk)) {
+                        continue;
+                    }
                     if parser.buffered() > 0 && side.fin_seen && !reset {
                         v(
                             report,

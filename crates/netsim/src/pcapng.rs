@@ -116,41 +116,66 @@ fn flags_from_byte(b: u8) -> TcpFlags {
     }
 }
 
-/// Synthesize one Ethernet frame for a segment. `ip_id` is the value for
-/// the IPv4 identification field.
-fn frame(seg: &Segment, ip_id: u16) -> Vec<u8> {
-    // TCP options: SACK re-encoded as RFC 2018 (NOP NOP kind=5 len 8·n+2).
-    let mut options = Vec::new();
-    let n_blocks = seg.sack.len();
-    if n_blocks > 0 {
-        options.push(1); // NOP
-        options.push(1); // NOP
-        options.push(5); // kind: SACK
-        options.push(2 + 8 * n_blocks as u8);
-        for (start, end) in seg.sack.iter() {
-            options.extend_from_slice(&(start as u32).to_be_bytes());
-            options.extend_from_slice(&(end as u32).to_be_bytes());
-        }
+/// Bytes of TCP options a segment carries: SACK re-encoded as RFC 2018
+/// (NOP NOP kind=5 len 8·n+2), a multiple of four.
+fn options_len(seg: &Segment) -> usize {
+    match seg.sack.len() {
+        0 => 0,
+        n => 4 + 8 * n,
     }
-    debug_assert_eq!(options.len() % 4, 0);
-    let data_offset_words = 5 + options.len() / 4;
+}
 
-    let mut tcp = Vec::with_capacity(20 + options.len());
-    tcp.extend_from_slice(&seg.src.port.to_be_bytes());
-    tcp.extend_from_slice(&seg.dst.port.to_be_bytes());
-    tcp.extend_from_slice(&(seg.seq as u32).to_be_bytes());
-    tcp.extend_from_slice(&(seg.ack as u32).to_be_bytes());
-    tcp.push((data_offset_words as u8) << 4);
-    tcp.push(flags_byte(seg.flags));
-    let window = seg.window.min(0xffff) as u16;
-    tcp.extend_from_slice(&window.to_be_bytes());
-    tcp.extend_from_slice(&[0, 0]); // checksum placeholder
-    tcp.extend_from_slice(&[0, 0]); // urgent pointer
-    tcp.extend_from_slice(&options);
+/// Bytes of the Ethernet frame synthesized for a segment.
+fn frame_len(seg: &Segment) -> usize {
+    14 + 20 + 20 + options_len(seg) + seg.payload.len()
+}
 
+/// Append the Ethernet frame for a segment to `out`. `ip_id` is the
+/// value for the IPv4 identification field. Each checksum is computed
+/// over the bytes already written and patched into its placeholder.
+fn write_frame(out: &mut Vec<u8>, seg: &Segment, ip_id: u16) {
     let src_ip = host_ip(seg.src.host);
     let dst_ip = host_ip(seg.dst.host);
-    let tcp_len = tcp.len() + seg.payload.len();
+    let options = options_len(seg);
+    let tcp_len = 20 + options + seg.payload.len();
+
+    out.extend_from_slice(&host_mac(seg.dst.host));
+    out.extend_from_slice(&host_mac(seg.src.host));
+    out.extend_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
+
+    let ip = out.len();
+    out.push(0x45); // version 4, IHL 5
+    out.push(0); // DSCP/ECN
+    out.extend_from_slice(&((20 + tcp_len) as u16).to_be_bytes());
+    out.extend_from_slice(&ip_id.to_be_bytes());
+    out.extend_from_slice(&0x4000u16.to_be_bytes()); // DF
+    out.push(64); // TTL
+    out.push(6); // protocol: TCP
+    out.extend_from_slice(&[0, 0]); // checksum placeholder
+    out.extend_from_slice(&src_ip);
+    out.extend_from_slice(&dst_ip);
+    let ip_csum = checksum(&[&out[ip..]]);
+    out[ip + 10..ip + 12].copy_from_slice(&ip_csum.to_be_bytes());
+
+    let tcp = out.len();
+    out.extend_from_slice(&seg.src.port.to_be_bytes());
+    out.extend_from_slice(&seg.dst.port.to_be_bytes());
+    out.extend_from_slice(&(seg.seq as u32).to_be_bytes());
+    out.extend_from_slice(&(seg.ack as u32).to_be_bytes());
+    out.push(((5 + options / 4) as u8) << 4); // data offset, words
+    out.push(flags_byte(seg.flags));
+    let window = seg.window.min(0xffff) as u16;
+    out.extend_from_slice(&window.to_be_bytes());
+    out.extend_from_slice(&[0, 0]); // checksum placeholder
+    out.extend_from_slice(&[0, 0]); // urgent pointer
+    if options > 0 {
+        out.extend_from_slice(&[1, 1, 5, (options - 2) as u8]); // NOP NOP SACK len
+        for (start, end) in seg.sack.iter() {
+            out.extend_from_slice(&(start as u32).to_be_bytes());
+            out.extend_from_slice(&(end as u32).to_be_bytes());
+        }
+    }
+    out.extend_from_slice(&seg.payload);
     let pseudo = {
         let mut p = [0u8; 12];
         p[..4].copy_from_slice(&src_ip);
@@ -159,85 +184,94 @@ fn frame(seg: &Segment, ip_id: u16) -> Vec<u8> {
         p[10..].copy_from_slice(&(tcp_len as u16).to_be_bytes());
         p
     };
-    let tcp_csum = checksum(&[&pseudo, &tcp, &seg.payload]);
-    tcp[16..18].copy_from_slice(&tcp_csum.to_be_bytes());
-
-    let mut ip = Vec::with_capacity(20);
-    ip.push(0x45); // version 4, IHL 5
-    ip.push(0); // DSCP/ECN
-    ip.extend_from_slice(&((20 + tcp_len) as u16).to_be_bytes());
-    ip.extend_from_slice(&ip_id.to_be_bytes());
-    ip.extend_from_slice(&0x4000u16.to_be_bytes()); // DF
-    ip.push(64); // TTL
-    ip.push(6); // protocol: TCP
-    ip.extend_from_slice(&[0, 0]); // checksum placeholder
-    ip.extend_from_slice(&src_ip);
-    ip.extend_from_slice(&dst_ip);
-    let ip_csum = checksum(&[&ip]);
-    ip[10..12].copy_from_slice(&ip_csum.to_be_bytes());
-
-    let mut out = Vec::with_capacity(14 + ip.len() + tcp_len);
-    out.extend_from_slice(&host_mac(seg.dst.host));
-    out.extend_from_slice(&host_mac(seg.src.host));
-    out.extend_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
-    out.extend_from_slice(&ip);
-    out.extend_from_slice(&tcp);
-    out.extend_from_slice(&seg.payload);
-    out
+    let tcp_csum = checksum(&[&pseudo, &out[tcp..]]);
+    out[tcp + 16..tcp + 18].copy_from_slice(&tcp_csum.to_be_bytes());
 }
 
-fn push_block(out: &mut Vec<u8>, block_type: u32, body: &[u8]) {
-    let pad = (4 - body.len() % 4) % 4;
-    let total = 12 + body.len() + pad;
+const BLOCK_SHB: u32 = 0x0A0D_0D0A;
+const BLOCK_IDB: u32 = 0x0000_0001;
+const BLOCK_EPB: u32 = 0x0000_0006;
+/// Body bytes of the section header and interface description blocks,
+/// and of an enhanced packet block ahead of its frame.
+const SHB_BODY: usize = 16;
+const IDB_BODY: usize = 20;
+const EPB_HEAD: usize = 20;
+
+/// Padding that brings a block body of `body` bytes to a multiple of 4.
+fn pad(body: usize) -> usize {
+    (4 - body % 4) % 4
+}
+
+/// Bytes a block with a `body`-byte body takes, framing included.
+fn block_len(body: usize) -> usize {
+    12 + body + pad(body)
+}
+
+/// Append one block: its type and length, the `body` bytes
+/// `write_body` appends, padding, and the length again.
+fn write_block(
+    out: &mut Vec<u8>,
+    block_type: u32,
+    body: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) {
+    let total = (block_len(body) as u32).to_le_bytes();
     out.extend_from_slice(&block_type.to_le_bytes());
-    out.extend_from_slice(&(total as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&[0u8; 3][..pad]);
-    out.extend_from_slice(&(total as u32).to_le_bytes());
+    out.extend_from_slice(&total);
+    let start = out.len();
+    write_body(out);
+    debug_assert_eq!(out.len() - start, body);
+    out.extend_from_slice(&[0u8; 3][..pad(body)]);
+    out.extend_from_slice(&total);
 }
 
 /// Serialize trace records to a pcapng capture (little-endian section,
-/// one Ethernet interface with nanosecond timestamps).
+/// one Ethernet interface with nanosecond timestamps). The capture's
+/// length is added up first, and every block is written straight into
+/// the one buffer of exactly that size.
 pub fn export(records: &[TraceRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let epb_len = |rec: &TraceRecord| block_len(EPB_HEAD + frame_len(&rec.segment));
+    let total =
+        block_len(SHB_BODY) + block_len(IDB_BODY) + records.iter().map(epb_len).sum::<usize>();
+    let mut out = Vec::with_capacity(total);
 
-    // Section Header Block.
-    let mut shb = Vec::new();
-    shb.extend_from_slice(&BYTE_ORDER_MAGIC.to_le_bytes());
-    shb.extend_from_slice(&1u16.to_le_bytes()); // major
-    shb.extend_from_slice(&0u16.to_le_bytes()); // minor
-    shb.extend_from_slice(&(-1i64).to_le_bytes()); // section length: unknown
-    push_block(&mut out, 0x0A0D_0D0A, &shb);
+    write_block(&mut out, BLOCK_SHB, SHB_BODY, |out| {
+        out.extend_from_slice(&BYTE_ORDER_MAGIC.to_le_bytes());
+        out.extend_from_slice(&1u16.to_le_bytes()); // major
+        out.extend_from_slice(&0u16.to_le_bytes()); // minor
+        out.extend_from_slice(&(-1i64).to_le_bytes()); // section length: unknown
+    });
 
     // Interface Description Block: Ethernet, unlimited snaplen,
     // if_tsresol option (code 9) = 9 → timestamps in nanoseconds.
-    let mut idb = Vec::new();
-    idb.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-    idb.extend_from_slice(&0u16.to_le_bytes()); // reserved
-    idb.extend_from_slice(&0u32.to_le_bytes()); // snaplen: no limit
-    idb.extend_from_slice(&9u16.to_le_bytes()); // option: if_tsresol
-    idb.extend_from_slice(&1u16.to_le_bytes()); // length 1
-    idb.extend_from_slice(&[9, 0, 0, 0]); // value 9, padded
-    idb.extend_from_slice(&0u16.to_le_bytes()); // opt_endofopt
-    idb.extend_from_slice(&0u16.to_le_bytes());
-    push_block(&mut out, 0x0000_0001, &idb);
+    write_block(&mut out, BLOCK_IDB, IDB_BODY, |out| {
+        out.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes()); // reserved
+        out.extend_from_slice(&0u32.to_le_bytes()); // snaplen: no limit
+        out.extend_from_slice(&9u16.to_le_bytes()); // option: if_tsresol
+        out.extend_from_slice(&1u16.to_le_bytes()); // length 1
+        out.extend_from_slice(&[9, 0, 0, 0]); // value 9, padded
+        out.extend_from_slice(&0u16.to_le_bytes()); // opt_endofopt
+        out.extend_from_slice(&0u16.to_le_bytes());
+    });
 
     // Enhanced Packet Blocks. The IPv4 id is a per-capture wrapping
     // counter, like a real stack's.
     let mut ip_id: u16 = 0;
     for rec in records {
-        let data = frame(&rec.segment, ip_id);
-        ip_id = ip_id.wrapping_add(1);
+        let data = frame_len(&rec.segment);
         let ts = rec.received.as_nanos();
-        let mut epb = Vec::with_capacity(20 + data.len());
-        epb.extend_from_slice(&0u32.to_le_bytes()); // interface 0
-        epb.extend_from_slice(&((ts >> 32) as u32).to_le_bytes());
-        epb.extend_from_slice(&(ts as u32).to_le_bytes());
-        epb.extend_from_slice(&(data.len() as u32).to_le_bytes()); // captured
-        epb.extend_from_slice(&(data.len() as u32).to_le_bytes()); // original
-        epb.extend_from_slice(&data);
-        push_block(&mut out, 0x0000_0006, &epb);
+        write_block(&mut out, BLOCK_EPB, EPB_HEAD + data, |out| {
+            out.extend_from_slice(&0u32.to_le_bytes()); // interface 0
+            out.extend_from_slice(&((ts >> 32) as u32).to_le_bytes());
+            out.extend_from_slice(&(ts as u32).to_le_bytes());
+            out.extend_from_slice(&(data as u32).to_le_bytes()); // captured
+            out.extend_from_slice(&(data as u32).to_le_bytes()); // original
+            write_frame(out, &rec.segment, ip_id);
+        });
+        ip_id = ip_id.wrapping_add(1);
     }
+    debug_assert_eq!(out.len(), total);
     out
 }
 
@@ -425,13 +459,13 @@ pub fn parse(bytes: &[u8]) -> Result<Vec<PcapPacket>, PcapError> {
             return Err(PcapError::Malformed("trailing block length"));
         }
         match block_type {
-            0x0A0D_0D0A => {
+            BLOCK_SHB => {
                 if body.len() < 16 || u32le(&body[..4]) != BYTE_ORDER_MAGIC {
                     return Err(PcapError::Malformed("section header"));
                 }
                 saw_shb = true;
             }
-            0x0000_0006 => {
+            BLOCK_EPB => {
                 if !saw_shb {
                     return Err(PcapError::Malformed("packet before section header"));
                 }

@@ -650,35 +650,59 @@ impl TelemetrySink {
     /// Render every series as CSV: one row per point (`tick` and `value`
     /// columns) or per non-empty histogram bucket (`tick` column holds
     /// the bucket's lower bound).
+    ///
+    /// Every row is a series' head and two integers, so the document's
+    /// length is added up first and it is written into one `String` of
+    /// exactly that size.
     pub fn render_csv(&self) -> String {
-        let mut out = String::from("scope,metric,kind,tick,value\n");
+        const COLUMNS: &str = "scope,metric,kind,tick,value\n";
         // The three columns every row of one series starts with.
         let mut head = String::new();
+        let mut len = COLUMNS.len();
         self.each_series(|s| {
-            head.clear();
-            let metric = s.key.metric;
-            let _ = write!(
-                head,
-                "{},{},{},",
-                s.key.scope,
-                metric.label(),
-                metric.kind().label()
-            );
-            match s.data {
-                SeriesData::Histogram(h) => {
-                    for (lo, count) in h.buckets() {
-                        let _ = writeln!(out, "{head}{lo},{count}");
-                    }
-                }
-                other => {
-                    for p in other.points() {
-                        let _ = writeln!(out, "{head}{},{}", p.tick, p.value);
-                    }
-                }
-            }
+            csv_head(&mut head, &s);
+            csv_rows(s.data, |a, b| len += head.len() + digits(a) + digits(b) + 2);
         });
+        let mut out = String::with_capacity(len);
+        out.push_str(COLUMNS);
+        self.each_series(|s| {
+            csv_head(&mut head, &s);
+            csv_rows(s.data, |a, b| {
+                let _ = writeln!(out, "{head}{a},{b}");
+            });
+        });
+        debug_assert_eq!(out.len(), len);
         out
     }
+}
+
+/// Write the `scope,metric,kind,` columns of a series' CSV rows into
+/// `head`, replacing what it held.
+fn csv_head(head: &mut String, s: &Series<'_>) {
+    head.clear();
+    let metric = s.key.metric;
+    let _ = write!(
+        head,
+        "{},{},{},",
+        s.key.scope,
+        metric.label(),
+        metric.kind().label()
+    );
+}
+
+/// Call `row` with the two integer columns of each of a series' CSV
+/// rows: `(tick, value)` per point, `(lower bound, count)` per non-empty
+/// histogram bucket.
+fn csv_rows(data: &SeriesData, mut row: impl FnMut(u64, u64)) {
+    match data {
+        SeriesData::Histogram(h) => h.buckets().for_each(|(lo, count)| row(lo, count)),
+        other => other.points().iter().for_each(|p| row(p.tick, p.value)),
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
 #[cfg(test)]
@@ -844,10 +868,19 @@ mod tests {
         assert!(json.contains("\"metric\": \"syn_drops\""));
         assert!(!json.contains('.'), "integer-only document:\n{json}");
         let csv = a.render_csv();
+        assert_eq!(csv.capacity(), csv.len(), "sized exactly before writing");
         assert!(csv.starts_with("scope,metric,kind,tick,value\n"));
         assert!(csv.contains("h0:40000>h1:80,cwnd_bytes,gauge,0,1460\n"));
         assert!(csv.contains("h1,syn_drops,counter,0,2\n"));
         assert!(csv.contains("h0:40000>h1:80,flight_bytes_hist,hist,1024,1\n"));
+    }
+
+    #[test]
+    fn digits_counts_what_formatting_writes() {
+        let widest = [10u64.pow(19) - 1, 10u64.pow(19), u64::MAX];
+        for n in [0, 9, 10, 99, 100, 1 << 32].into_iter().chain(widest) {
+            assert_eq!(digits(n), n.to_string().len(), "{n}");
+        }
     }
 
     /// A scope resolves to the same record however often it is resolved:
