@@ -362,10 +362,16 @@ impl BytesMut {
 
     /// Make room for `additional` more bytes, so that a message written
     /// in pieces grows the buffer at most once.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
-        if self.vec.len() + additional <= self.vec.capacity() {
-            return;
+        if self.vec.len() + additional > self.vec.capacity() {
+            self.make_room(additional);
         }
+    }
+
+    /// [`BytesMut::reserve`] when the room is not there already: reclaim
+    /// the dead prefix or grow.
+    fn make_room(&mut self, additional: usize) {
         let need = self.len() + additional;
         if need <= self.vec.capacity() {
             // The reclaim: shift the live bytes down rather than grow.
@@ -382,6 +388,7 @@ impl BytesMut {
     }
 
     /// Append a slice.
+    #[inline]
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.reserve(data.len());
         self.vec.extend_from_slice(data);

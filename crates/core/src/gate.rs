@@ -439,15 +439,16 @@ fn telemetry_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
     })
 }
 
-/// Allocations per packet the serial matrix may cost (4.5, the measured
-/// 4.436 rounded up, since a received body is the chunks it arrived in;
+/// Allocations per packet the serial matrix may cost (2.2, the measured
+/// 2.163 rounded up, since a message head's one buffer comes from the
+/// buffer pool; 4.5 since a received body is the chunks it arrived in;
 /// 4.6 since the socket-side buffers hold bytes by reference; 5.1 since
 /// buffer storage is pooled by size class; 5.8 since a message head is one
 /// buffer and a span table; 15.9 while it was a `String` per name and per
-/// value), and the two 16-client WAN fleets (3.8, the measured 3.718
-/// rounded up; from 3.9, 4.7, 5.1 and 15.5).
-const MATRIX_ALLOCS_PER_PACKET: f64 = 4.5;
-const FLEET16_ALLOCS_PER_PACKET: f64 = 3.8;
+/// value), and the two 16-client WAN fleets (2.1, the measured 2.076
+/// rounded up; from 3.8, 3.9, 4.7, 5.1 and 15.5).
+const MATRIX_ALLOCS_PER_PACKET: f64 = 2.2;
+const FLEET16_ALLOCS_PER_PACKET: f64 = 2.1;
 /// Slack on those ceilings. The simulation is deterministic but the
 /// thread-local buffer pools are warmed by whatever ran earlier in the
 /// process, so a counted pass can differ by a few pool misses. Real

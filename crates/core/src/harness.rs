@@ -160,7 +160,8 @@ pub fn custom_store(objects: &[(String, Vec<u8>, &'static str)]) -> Arc<SiteStor
 /// derived exactly as the server derives them.
 ///
 /// Like the store, the cache for the canonical site is built once (an
-/// entity tag hashes every byte of its object) and cloned out.
+/// entity tag hashes every byte of its object) and shared out: a clone is
+/// one reference count until a run writes to it.
 pub fn primed_cache(site: &Microscape) -> ClientCache {
     static CANONICAL: OnceLock<ClientCache> = OnceLock::new();
     if std::ptr::eq(site, webcontent::microscape::site()) {
@@ -362,11 +363,10 @@ fn run_topology(t: Topology) -> Ran {
         .map(|&host| {
             let trace_stats = sim.stats(host, server_host);
             let socket_stats = sim.socket_stats(host);
-            let stats = sim
-                .app_mut::<HttpClient>(host)
-                .expect("client app")
-                .stats
-                .clone();
+            // Moved out: nothing reads a robot's counters through the
+            // simulator a run hands back.
+            let robot = sim.app_mut::<HttpClient>(host).expect("client app");
+            let stats = std::mem::take(&mut robot.stats);
             let probe = t.probe.then(|| {
                 let start = trace_stats.first.unwrap_or(netsim::SimTime::ZERO);
                 let end = trace_stats.last.unwrap_or(start);

@@ -9,6 +9,7 @@
 
 use httpwire::validators::{ETag, Validators};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One cached entity.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,12 +25,13 @@ pub struct CacheEntry {
     pub embedded: Vec<String>,
 }
 
-/// Path-keyed client cache.
+/// Path-keyed client cache. Clones share the entries until one of them
+/// writes (a primed cache is cloned into every run that revalidates).
 #[derive(Debug, Clone, Default)]
 pub struct ClientCache {
     // simlint: allow(hash-collections): keyed lookup only (get/insert by
     // path); never iterated, so map order cannot leak into a run.
-    entries: HashMap<String, CacheEntry>,
+    entries: Arc<HashMap<String, CacheEntry>>,
 }
 
 impl ClientCache {
@@ -38,9 +40,10 @@ impl ClientCache {
         ClientCache::default()
     }
 
-    /// Store or replace an entry.
+    /// Store or replace an entry (copying the entries first when another
+    /// clone still shares them).
     pub fn insert(&mut self, path: &str, entry: CacheEntry) {
-        self.entries.insert(path.to_string(), entry);
+        Arc::make_mut(&mut self.entries).insert(path.to_string(), entry);
     }
 
     /// Look up a cached entry by path.
@@ -110,6 +113,17 @@ mod tests {
         c.prime("/a", b"same bytes", "text/plain", 42, vec![]);
         let server_side = ETag::derive(b"same bytes", 42);
         assert_eq!(c.get("/a").unwrap().validators.etag, Some(server_side));
+    }
+
+    #[test]
+    fn a_clone_shares_its_entries_until_written() {
+        let mut primed = ClientCache::new();
+        primed.prime("/a.gif", b"a", "image/gif", 1, vec![]);
+        let mut run = primed.clone();
+        assert!(Arc::ptr_eq(&run.entries, &primed.entries));
+        run.prime("/b.gif", b"b", "image/gif", 1, vec![]);
+        assert!(!Arc::ptr_eq(&run.entries, &primed.entries));
+        assert_eq!((primed.len(), run.len()), (1, 2));
     }
 
     #[test]

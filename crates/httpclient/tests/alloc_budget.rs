@@ -1,6 +1,7 @@
-//! What a message costs the allocator, as a budget: a head is one buffer
-//! and one span table however many fields it has, and an engine writes it
-//! into a buffer it already owns. One test, so nothing else in the process
+//! What a message costs the allocator, pinned as exact counts: a head is
+//! one buffer from the buffer pool however many fields it has, it goes
+//! back there when the message drops, and an engine writes it into a
+//! buffer it already owns. One test, so nothing else in the process
 //! allocates while a region is counted.
 
 use bytes::{Bytes, BytesMut};
@@ -85,9 +86,10 @@ fn mux_exchange(streams: u32, body: &[u8]) {
 
 #[test]
 fn a_message_stays_inside_its_allocation_budget() {
-    // The response: its wire image, the parser's expectation queue, the
-    // handle of the copy `feed` takes (its storage comes from the pool),
-    // the head's buffer and span table; the body is a view of that copy.
+    // The response: its wire image (handed out as a `Vec`, so it leaves
+    // the pool), the parser's expectation queue and the handle of the
+    // copy `feed` takes. The copy's storage and the parsed head's buffer
+    // come from the pool; the body is a view of the copy.
     let resp = gif_response();
     let round_trip = allocs(|| {
         let wire = resp.to_bytes();
@@ -97,22 +99,21 @@ fn a_message_stays_inside_its_allocation_budget() {
         let parsed = parser.next().expect("parses").expect("complete");
         assert_eq!(parsed.headers.len(), 6);
     });
-    assert!(round_trip <= 5, "response round trip: {round_trip}");
+    assert_eq!(round_trip, 3, "response round trip");
 
-    // The request: built (buffer, span table) and written into a
-    // connection's buffer, as the robot does; two more for `to_bytes`'
-    // own buffer and nothing else.
+    // The request: built in a pooled buffer and written into a
+    // connection's buffer, as the robot does; `to_bytes` costs its own
+    // buffer and nothing else.
     let mut conn = BytesMut::new();
     let build = allocs(|| {
         conn.clear();
         robot_request().write_to(&mut conn);
     });
-    assert!(build <= 2, "request build + serialise: {build}");
+    assert_eq!(build, 0, "request build + serialise");
     let to_bytes = allocs(|| drop(robot_request().to_bytes()));
-    assert!(to_bytes <= 3, "request build + to_bytes: {to_bytes}");
+    assert_eq!(to_bytes, 1, "request build + to_bytes");
 
-    // Parsed from the bytes as received: the head's buffer and span
-    // table.
+    // Parsed from the bytes as received: the head's buffer is pooled.
     let mut parser = RequestParser::new();
     let received = Bytes::copy_from_slice(&conn);
     let parse = allocs(|| {
@@ -120,14 +121,15 @@ fn a_message_stays_inside_its_allocation_budget() {
         let req = parser.next().expect("parses").expect("complete");
         assert_eq!(req.target(), "/images/banner.gif");
     });
-    assert!(parse <= 2, "request parse: {parse}");
+    assert_eq!(parse, 0, "request parse");
 
     // The ledger's `httpmux.allocs_per_stream` exchange: 64 streams,
-    // 8 KiB each. 6.1 a stream: the written bytes of a hand-off are
+    // 8 KiB each, 2.05 a stream. The written bytes of a hand-off are
     // sealed once, however many DATA frames they head (a seal per frame
-    // read 521), and a DATA payload arrives as a view of what was handed
-    // over (a pooled copy per frame read 460).
+    // read 521), a DATA payload arrives as a view of what was handed over
+    // (a pooled copy per frame read 460), and a field block's map is
+    // pooled (a buffer and a span table per block read 389).
     let body = vec![0xC3u8; 8 * 1024];
     let exchange = allocs(|| mux_exchange(64, &body));
-    assert!(exchange <= 392, "mux exchange: {exchange} for 64 streams");
+    assert_eq!(exchange, 131, "mux exchange for 64 streams");
 }

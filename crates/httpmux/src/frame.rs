@@ -391,7 +391,8 @@ fn exact_u32(payload: &[u8]) -> Option<u32> {
 }
 
 /// Decode a header block into a map sized from it; `None` on any length
-/// overrun, trailing garbage, or non-UTF-8 field bytes.
+/// overrun, trailing garbage, non-UTF-8 field bytes, or a field no map
+/// can hold (an empty name, a line feed).
 fn decode_fields(mut bytes: &[u8]) -> Option<HeaderMap> {
     if bytes.len() < 2 {
         return None;
@@ -399,12 +400,15 @@ fn decode_fields(mut bytes: &[u8]) -> Option<HeaderMap> {
     let count = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
     bytes = &bytes[2..];
     // A field is four length bytes on the wire and four of punctuation
-    // in the map, and no block holds more fields than it has room for.
-    let mut fields = HeaderMap::with_capacity(count.min(bytes.len() / 4), bytes.len());
+    // in the map.
+    let mut fields = HeaderMap::with_capacity(bytes.len());
     for _ in 0..count {
         let (name, rest) = take_str(bytes)?;
         let (value, rest) = take_str(rest)?;
         bytes = rest;
+        if !HeaderMap::can_hold(name, value) {
+            return None;
+        }
         fields.append(name, value);
     }
     bytes.is_empty().then_some(fields)

@@ -1,28 +1,28 @@
-//! An ordered, case-insensitive header map: one buffer and a span table.
+//! An ordered, case-insensitive header map: one pooled buffer and an
+//! index of the names the engines read.
 //!
 //! Header order matters for wire-size measurements (the paper's request
 //! profiles differ mostly in which headers products emit and how verbose
 //! they are), so insertion order is preserved exactly.
 //!
 //! The buffer holds the lines in canonical wire form (`Name: value\r\n`
-//! each, so writing the block out is one copy), the table one span per
-//! line. The names the engines branch on ([`KNOWN`]) resolve to a one-byte
-//! tag once, when a line is appended or parsed, and a lookup by one of them
-//! compares that tag; any other name is compared ASCII-case-insensitively
-//! where it lies.
+//! each, so writing the block out is one copy); its storage comes from
+//! `bytes`' size-class pool and goes back there when the map drops. The
+//! names the engines branch on ([`KNOWN`]) are indexed: the map keeps the
+//! offset of the first line of each, so a lookup by one starts there. Any
+//! other name is found by walking the lines, comparing it
+//! ASCII-case-insensitively where it lies.
 
 use bytes::BytesMut;
 use std::fmt::{self, Write as _};
 
-/// Room a map built line by line takes at its first line, in bytes and in
-/// lines: the heads the engines build fit, so building one is two
-/// allocations. (A parsed head is sized from the wire instead.)
+/// Room a map built line by line takes at its first line: the heads the
+/// engines build fit, so building one takes one buffer from the pool. (A
+/// parsed head is sized from the wire instead.)
 pub(crate) const LINES_ROOM: usize = 320;
-pub(crate) const FIELDS_ROOM: usize = 10;
 
-/// The header names the engines look up, in their canonical spelling. A
-/// line's tag is the position of its name here — [`OTHER`] for any other
-/// name — resolved once, when the line is appended or parsed.
+/// The header names the engines look up, in their canonical spelling. The
+/// map's index has one slot per name, in this order.
 const KNOWN: [&str; 12] = [
     "ETag",
     "Range",
@@ -37,13 +37,17 @@ const KNOWN: [&str; 12] = [
     "If-Modified-Since",
     "Transfer-Encoding",
 ];
-const OTHER: u8 = KNOWN.len() as u8;
 
-/// The tag `name` resolves to: one length comparison per known name,
-/// and a look at the text only where the length matches.
-fn tag_of(name: &str) -> u8 {
-    let known = |k: &&str| k.len() == name.len() && k.eq_ignore_ascii_case(name);
-    KNOWN.iter().position(known).map_or(OTHER, |i| i as u8)
+/// An index slot whose name has no line.
+const NONE: u32 = u32::MAX;
+
+/// The slot `name` has in the index, if it is a known name: one length
+/// comparison per known name, and a look at the text only where the
+/// length matches.
+fn known(name: &[u8]) -> Option<usize> {
+    KNOWN
+        .iter()
+        .position(|k| k.as_bytes().eq_ignore_ascii_case(name))
 }
 
 /// Is `name` an RFC 7230 `token` (one or more `tchar`s)?
@@ -52,38 +56,79 @@ fn is_token(name: &str) -> bool {
     !name.is_empty() && name.bytes().all(tchar)
 }
 
-/// Where one line lies in the buffer: `name`, `": "`, `value`, CRLF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    start: u32,
-    name_len: u32,
-    value_len: u32,
-    tag: u8,
+/// Bytes the map wrote from `&str`s and cut only at ASCII bytes, as text.
+fn text(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("a head holds the text it was given")
 }
 
-impl Span {
-    fn name<'a>(&self, buf: &'a str) -> &'a str {
-        &buf[self.start as usize..][..self.name_len as usize]
-    }
+/// Just past the line feed at or after `from`: where the next line
+/// starts.
+fn line_end(buf: &[u8], from: usize) -> usize {
+    let off = buf[from..].iter().position(|&b| b == b'\n');
+    from + off.expect("every line ends in a line feed") + 1
+}
 
-    fn value<'a>(&self, buf: &'a str) -> &'a str {
-        &buf[(self.start + self.name_len) as usize + 2..][..self.value_len as usize]
-    }
+/// Is the line at `at` named `name`? A line's name has no colon past its
+/// first byte, so it is `name` exactly when a colon follows that much of
+/// the line and that much matches.
+fn named(buf: &[u8], at: usize, name: &[u8]) -> bool {
+    buf.get(at + name.len()) == Some(&b':') && buf[at..at + name.len()].eq_ignore_ascii_case(name)
+}
 
-    /// Is this a line named `name`, which resolved to `tag`?
-    fn named(&self, buf: &str, name: &str, tag: u8) -> bool {
-        self.tag == tag && (tag != OTHER || self.name(buf).eq_ignore_ascii_case(name))
+/// The line that starts at `at`: where its name ends (at its first colon
+/// past its first byte, so `:path` is a name) and where the next line
+/// starts.
+fn split_line(buf: &[u8], at: usize) -> (usize, usize) {
+    let off = buf[at + 1..].iter().position(|&b| b == b':');
+    let name_end = at + 1 + off.expect("every line is `name: value\\r\\n`");
+    (name_end, line_end(buf, name_end))
+}
+
+/// The lines from an offset on, each as its offset, name and value.
+struct Lines<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a [u8], &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.at == self.buf.len() {
+            return None;
+        }
+        let start = self.at;
+        let (name_end, next) = split_line(self.buf, start);
+        self.at = next;
+        Some((
+            start,
+            &self.buf[start..name_end],
+            &self.buf[name_end + 2..next - 2],
+        ))
+    }
+}
+
+/// A [`fmt::Write`] over a map's buffer, so that a value is written where
+/// it will lie.
+struct Sink<'a>(&'a mut BytesMut);
+
+impl fmt::Write for Sink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 
 /// Ordered multimap of headers with case-insensitive name lookup.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HeaderMap {
     /// `lead` bytes that belong to the message that owns the map (a
-    /// request's target), then the lines.
-    buf: String,
+    /// request's target), then the lines. Pooled storage.
+    buf: BytesMut,
     lead: u32,
-    spans: Vec<Span>,
+    /// Where in `buf` the first line of each known name starts, or
+    /// [`NONE`].
+    first: [u32; KNOWN.len()],
 }
 
 /// Header fields in order, for an encoder that is handed a [`HeaderMap`],
@@ -107,63 +152,95 @@ impl<T: AsRef<[(String, String)]> + ?Sized> Fields for T {
     }
 }
 
+impl Default for HeaderMap {
+    fn default() -> Self {
+        HeaderMap::with_lead("", 0)
+    }
+}
+
+/// The storage goes back to the pool (a dropped `BytesMut` would free it).
+impl Drop for HeaderMap {
+    fn drop(&mut self) {
+        self.buf.clear();
+    }
+}
+
+impl fmt::Debug for HeaderMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.lead > 0 {
+            write!(f, "{:?} ", self.lead())?;
+        }
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl HeaderMap {
-    /// Create a new, empty instance.
+    /// Create a new, empty instance. It owns no storage until its first
+    /// line.
     pub fn new() -> Self {
         HeaderMap::default()
     }
 
-    /// An empty map with room for `fields` lines of `bytes` bytes in all
-    /// (each line is its name, its value and four bytes of punctuation).
-    pub fn with_capacity(fields: usize, bytes: usize) -> Self {
-        HeaderMap::with_lead("", fields, bytes)
+    /// An empty map with room for `bytes` bytes of lines (each line is its
+    /// name, its value and four bytes of punctuation).
+    pub fn with_capacity(bytes: usize) -> Self {
+        HeaderMap::with_lead("", bytes)
     }
 
-    /// A map whose buffer starts with `lead`, which is not a header line.
-    pub(crate) fn with_lead(lead: &str, fields: usize, bytes: usize) -> Self {
-        let mut buf = String::with_capacity(lead.len() + bytes);
-        buf.push_str(lead);
+    /// A map whose buffer starts with `lead`, which is not a header line,
+    /// with room for `bytes` bytes of lines after it.
+    pub(crate) fn with_lead(lead: &str, bytes: usize) -> Self {
+        let mut buf = BytesMut::pooled(lead.len() + bytes);
+        buf.extend_from_slice(lead.as_bytes());
         HeaderMap {
             buf,
             lead: u32::try_from(lead.len()).expect("a head is far below 4 GiB"),
-            spans: Vec::with_capacity(fields),
+            first: [NONE; KNOWN.len()],
         }
     }
 
     pub(crate) fn lead(&self) -> &str {
-        &self.buf[..self.lead as usize]
+        text(&self.buf[..self.lead as usize])
+    }
+
+    /// Whether a line `name: value` can be held: `name` is not empty and
+    /// has no colon past its first byte, and neither has a line feed. (A
+    /// parsed line always can; a decoder of another framing checks.)
+    pub fn can_hold(name: &str, value: &str) -> bool {
+        let lf = |s: &str| s.contains('\n');
+        !name.is_empty() && !name.as_bytes()[1..].contains(&b':') && !lf(name) && !lf(value)
     }
 
     /// Append a header, preserving any existing ones with the same name.
-    /// The value is written straight into the buffer.
+    /// The value is written straight into the buffer. The line must be one
+    /// the map can hold ([`HeaderMap::can_hold`]); a debug build checks.
     pub fn append(&mut self, name: &str, value: impl fmt::Display) {
-        let tag = tag_of(name);
-        self.push(name, tag, |buf| {
-            write!(buf, "{value}").expect("writing to a String");
+        debug_assert!(Self::can_hold(name, ""), "header name {name:?}");
+        let at = self.buf.len() + name.len() + 2;
+        self.push(name, |buf| {
+            write!(Sink(buf), "{value}").expect("writing to a buffer");
         });
+        let value = &self.buf[at..self.buf.len() - 2];
+        debug_assert!(!value.contains(&b'\n'), "a header value holds a line feed");
     }
 
-    /// A line whose name resolved to `tag`; `value` writes its value.
-    fn push(&mut self, name: &str, tag: u8, value: impl FnOnce(&mut String)) {
-        if self.buf.capacity() == self.buf.len() {
+    /// A line named `name`; `value` writes its value.
+    fn push(&mut self, name: &str, value: impl FnOnce(&mut BytesMut)) {
+        if self.buf.capacity() == 0 {
             self.buf.reserve(LINES_ROOM);
         }
-        if self.spans.capacity() == self.spans.len() {
-            self.spans.reserve(FIELDS_ROOM);
-        }
         let start = self.buf.len();
-        self.buf.push_str(name);
-        self.buf.push_str(": ");
+        self.buf.extend_from_slice(name.as_bytes());
+        self.buf.extend_from_slice(b": ");
         value(&mut self.buf);
-        self.buf.push_str("\r\n");
-        // Every offset and length of a head fits once its end does.
+        self.buf.extend_from_slice(b"\r\n");
+        // Every offset of a head fits once its end does.
         u32::try_from(self.buf.len()).expect("a head is far below 4 GiB");
-        self.spans.push(Span {
-            start: start as u32,
-            name_len: name.len() as u32,
-            value_len: (self.buf.len() - start - name.len() - 4) as u32,
-            tag,
-        });
+        if let Some(slot) = known(name.as_bytes()) {
+            if self.first[slot] == NONE {
+                self.first[slot] = start as u32;
+            }
+        }
     }
 
     /// Replace all headers named `name` with a single value.
@@ -172,42 +249,93 @@ impl HeaderMap {
         self.append(name, value);
     }
 
-    /// Remove all headers named `name`; returns whether any existed.
+    /// Remove all headers named `name`; returns whether any existed. The
+    /// lines after a cut one move up, and the index is rebuilt in one
+    /// walk.
     pub fn remove(&mut self, name: &str) -> bool {
-        let tag = tag_of(name);
-        let before = self.spans.len();
-        let mut cut = 0;
-        self.spans.retain_mut(|span| {
-            span.start -= cut;
-            let hit = span.named(&self.buf, name, tag);
-            if hit {
-                let len = span.name_len + span.value_len + 4;
-                let line = span.start as usize..(span.start + len) as usize;
-                self.buf.replace_range(line, "");
-                cut += len;
+        let Some(from) = self.first_of(name) else {
+            return false;
+        };
+        let mut buf = Vec::from(std::mem::take(&mut self.buf));
+        let (mut read, mut kept) = (from, from);
+        while read < buf.len() {
+            let next = line_end(&buf, read);
+            if !named(&buf, read, name.as_bytes()) {
+                buf.copy_within(read..next, kept);
+                kept += next - read;
             }
-            !hit
-        });
-        self.spans.len() != before
+            read = next;
+        }
+        let removed = kept < buf.len();
+        buf.truncate(kept);
+        self.buf = buf.into();
+        if removed {
+            let mut first = [NONE; KNOWN.len()];
+            for (start, name, _) in self.lines() {
+                if let Some(slot) = known(name) {
+                    if first[slot] == NONE {
+                        first[slot] = start as u32;
+                    }
+                }
+            }
+            self.first = first;
+        }
+        removed
+    }
+
+    /// Where the first line named `name` can start: for a known name, its
+    /// line's offset (`None`: there is none); for any other, the first
+    /// line's (`None` for a name no line can have).
+    fn first_of(&self, name: &str) -> Option<usize> {
+        match known(name.as_bytes()) {
+            Some(slot) => (self.first[slot] != NONE).then_some(self.first[slot] as usize),
+            None => Self::can_hold(name, "").then_some(self.lead as usize),
+        }
+    }
+
+    /// The first line named `name` from `at` on: where its value starts
+    /// and where the line ends.
+    fn find(&self, name: &[u8], mut at: usize) -> Option<(usize, usize)> {
+        let buf: &[u8] = &self.buf;
+        while at < buf.len() {
+            if named(buf, at, name) {
+                let value = at + name.len() + 2;
+                return Some((value, line_end(buf, value)));
+            }
+            at = line_end(buf, at);
+        }
+        None
+    }
+
+    fn lines(&self) -> Lines<'_> {
+        Lines {
+            buf: &self.buf,
+            at: self.lead as usize,
+        }
     }
 
     /// First value for `name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let tag = tag_of(name);
-        let span = self.spans.iter().find(|s| s.named(&self.buf, name, tag))?;
-        Some(span.value(&self.buf))
+        let (value, end) = self.find(name.as_bytes(), self.first_of(name)?)?;
+        Some(text(&self.buf[value..end - 2]))
     }
 
     /// All values for `name` in order.
     pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        let tag = tag_of(name);
-        let named = move |span: &&Span| span.named(&self.buf, name, tag);
-        self.spans.iter().filter(named).map(|s| s.value(&self.buf))
+        let first = self
+            .first_of(name)
+            .and_then(|at| self.find(name.as_bytes(), at));
+        std::iter::successors(first, move |&(_, end)| self.find(name.as_bytes(), end))
+            .map(|(value, end)| text(&self.buf[value..end - 2]))
     }
 
-    /// Whether an entry with this name exists.
+    /// Whether an entry with this name exists: for a known name, a look at
+    /// the index.
     pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
+        match known(name.as_bytes()) {
+            Some(slot) => self.first[slot] != NONE,
+            None => self.get(name).is_some(),
+        }
     }
 
     /// Parse a header's value as a decimal integer.
@@ -225,18 +353,21 @@ impl HeaderMap {
 
     /// Iterate over the `(name, value)` lines in order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        let line = |s: &Span| (s.name(&self.buf), s.value(&self.buf));
-        self.spans.iter().map(line)
+        self.lines()
+            .map(|(_, name, value)| (text(name), text(value)))
     }
 
     /// Number of contained elements.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.buf[self.lead as usize..]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
     }
 
     /// True when nothing is contained.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.wire_len() == 0
     }
 
     /// Serialized size in bytes, including each `: ` and CRLF.
@@ -246,13 +377,13 @@ impl HeaderMap {
 
     /// Write all header lines (without the terminating blank line).
     pub fn write_to(&self, out: &mut BytesMut) {
-        out.extend_from_slice(&self.buf.as_bytes()[self.lead as usize..]);
+        out.extend_from_slice(&self.buf[self.lead as usize..]);
     }
 
     /// The header block of a received head, every line but the first:
-    /// one copy into a map sized from the block, after `lead`. Bare LF
-    /// ends a line as CRLF does; `None` when a line has no colon or its
-    /// name is not an RFC 7230 token.
+    /// one copy into pooled storage sized from the block, after `lead`.
+    /// Bare LF ends a line as CRLF does; `None` when a line has no colon or
+    /// its name is not an RFC 7230 token.
     pub(crate) fn parse(lead: &str, block: &str) -> Option<HeaderMap> {
         let lines = || {
             block
@@ -261,18 +392,14 @@ impl HeaderMap {
                 .filter(|line| !line.is_empty())
                 .map(|line| line.split_once(':').map(|(n, v)| (n, v.trim())))
         };
-        let (mut fields, mut bytes) = (0, 0);
+        let mut bytes = 0;
         for line in lines() {
-            let (name, value) = line?;
-            fields += 1;
+            let (name, value) = line.filter(|(name, _)| is_token(name))?;
             bytes += name.len() + value.len() + 4;
         }
-        let mut map = HeaderMap::with_lead(lead, fields, bytes);
+        let mut map = HeaderMap::with_lead(lead, bytes);
         for (name, value) in lines().flatten() {
-            if !is_token(name) {
-                return None;
-            }
-            map.push(name, tag_of(name), |buf| buf.push_str(value));
+            map.push(name, |buf| buf.extend_from_slice(value.as_bytes()));
         }
         Some(map)
     }
@@ -355,19 +482,63 @@ mod tests {
 
     #[test]
     fn every_known_name_resolves_in_any_case_and_nothing_else_does() {
-        for (tag, spelling) in KNOWN.iter().enumerate() {
-            assert_eq!(tag_of(spelling), tag as u8);
-            assert_eq!(tag_of(&spelling.to_uppercase()), tag as u8);
-            assert_eq!(tag_of(&spelling[1..]), OTHER);
+        for (slot, spelling) in KNOWN.iter().enumerate() {
+            assert_eq!(known(spelling.as_bytes()), Some(slot));
+            assert_eq!(known(spelling.to_uppercase().as_bytes()), Some(slot));
+            assert_eq!(known(&spelling.as_bytes()[1..]), None);
             assert!(is_token(spelling));
         }
         for name in ["", "Ho\tst", "Content Length", ":path", "H\u{e9}"] {
-            assert_eq!((tag_of(name), is_token(name)), (OTHER, false), "{name:?}");
+            assert_eq!(
+                (known(name.as_bytes()), is_token(name)),
+                (None, false),
+                "{name:?}"
+            );
         }
     }
 
     #[test]
-    fn a_parsed_block_is_one_exactly_sized_copy_in_canonical_form() {
+    fn the_index_points_at_the_first_line_of_each_known_name() {
+        let mut h = HeaderMap::with_lead("/lead", 0);
+        h.append(":path", "/x: y");
+        h.append("etag", "\"a\"");
+        h.append("Range", "bytes=0-1");
+        h.append("ETag", "\"b\"");
+        let slot = |name: &str| h.first[known(name.as_bytes()).unwrap()];
+        assert_eq!(
+            (slot("ETag"), slot("Range"), slot("Connection")),
+            (19, 30, NONE)
+        );
+        assert_eq!(h.get(":path"), Some("/x: y"));
+        assert_eq!(h.get_all("ETAG").collect::<Vec<_>>(), ["\"a\"", "\"b\""]);
+        // Cutting a line moves the ones after it, and the index with them.
+        assert!(h.remove(":PATH"));
+        assert_eq!((h.first[0], h.first[1]), (5, 16));
+        assert!(h.remove("etag"));
+        assert_eq!((h.first[0], h.first[1]), (NONE, 5));
+        assert!(!h.remove("Connection"));
+        assert_eq!(h.lead(), "/lead");
+        assert_eq!(wire(&h), "Range: bytes=0-1\r\n");
+    }
+
+    #[test]
+    fn a_line_that_could_not_be_read_back_is_refused_and_never_found() {
+        assert!(HeaderMap::can_hold(":path", "/a:b"));
+        assert!(HeaderMap::can_hold("X", ""));
+        for (name, value) in [("", "v"), ("Ho:st", "v"), ("X\nY", "v"), ("X", "a\nb")] {
+            assert!(!HeaderMap::can_hold(name, value), "{name:?}: {value:?}");
+        }
+        // Nor is a name no line can have ever found.
+        let mut h = HeaderMap::new();
+        h.append("X", "a: b");
+        assert_eq!(
+            (h.get("X"), h.get("X: a"), h.get("")),
+            (Some("a: b"), None, None)
+        );
+    }
+
+    #[test]
+    fn a_parsed_block_is_one_pooled_copy_in_canonical_form() {
         let block = "Host:a.example\r\nX-Spacey:    v   \nETag: \"x\"\r\n\r\n";
         let h = HeaderMap::parse("/lead", block).unwrap();
         assert_eq!(h.lead(), "/lead");
@@ -375,11 +546,21 @@ mod tests {
             wire(&h),
             "Host: a.example\r\nX-Spacey: v\r\nETag: \"x\"\r\n"
         );
-        assert_eq!(h.buf.capacity(), h.buf.len());
-        assert_eq!(h.spans.capacity(), 3);
+        // Sized from the block: the smallest class that holds it.
+        assert_eq!((h.buf.len(), h.buf.capacity()), (46, 64));
         assert_eq!(h.get("etag"), Some("\"x\""));
         assert!(HeaderMap::parse("", "no colon here\r\n").is_none());
         assert!(HeaderMap::parse("", "Ho\tst: x\r\n").is_none());
         assert!(HeaderMap::parse("", ": x\r\n").is_none());
+    }
+
+    #[test]
+    fn a_dropped_map_hands_its_storage_back() {
+        let h = HeaderMap::parse("", "Host: a.example\r\n").unwrap();
+        let storage = h.buf.as_ptr();
+        drop(h);
+        let mut again = HeaderMap::with_capacity(20);
+        again.append("Host", "b.example");
+        assert_eq!(again.buf.as_ptr(), storage);
     }
 }

@@ -5,7 +5,7 @@
 //! sized from its `wire_len`. A body is a [`BytesQueue`]: the chunks it
 //! was stored or received in, never copied into one.
 
-use crate::headers::{Fields, HeaderMap, FIELDS_ROOM, LINES_ROOM};
+use crate::headers::{Fields, HeaderMap, LINES_ROOM};
 use crate::types::{Method, StatusCode, Version};
 use bytes::{Bytes, BytesMut, BytesQueue};
 
@@ -46,7 +46,7 @@ impl Request {
         Request {
             method,
             version,
-            headers: HeaderMap::with_lead(target.as_ref(), FIELDS_ROOM, LINES_ROOM),
+            headers: HeaderMap::with_lead(target.as_ref(), LINES_ROOM),
             body: BytesQueue::new(),
         }
     }

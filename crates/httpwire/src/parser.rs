@@ -263,9 +263,17 @@ impl RequestParser {
         self.stream.buffered()
     }
 
-    /// Try to parse the next complete request.
+    /// Try to parse the next complete request. Empty lines before a
+    /// request-line are skipped (RFC 9112 §2.2), as a stray CRLF after a
+    /// bodied request is.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Request>, ParseError> {
+        if self.stream.current.is_none() {
+            let buf = &mut self.stream.buf;
+            let empty = buf.chunks().flat_map(|chunk| chunk.iter());
+            let skip = empty.take_while(|&&b| b == b'\r' || b == b'\n').count();
+            buf.advance(skip);
+        }
         let complete = self
             .stream
             .poll(false, ParseError::BadRequestLine, Self::parse_head)?;
@@ -459,6 +467,27 @@ mod tests {
         assert_eq!(c.method, Method::Head);
         assert!(p.next().unwrap().is_none());
         assert_eq!(p.buffered(), 0);
+    }
+
+    #[test]
+    fn empty_lines_before_a_request_line_are_skipped() {
+        let wire = b"GET /a HTTP/1.1\r\n\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
+        for at in 0..=wire.len() {
+            let mut p = RequestParser::new();
+            let mut targets = Vec::new();
+            for piece in [&wire[..at], &wire[at..]] {
+                p.feed(piece);
+                while let Some(req) = p.next().expect("well-formed") {
+                    targets.push(req.target().to_string());
+                }
+            }
+            assert_eq!(targets, ["/a", "/b"], "split at {at}");
+            assert_eq!(p.buffered(), 0, "split at {at}");
+        }
+        // A status line gets no such leniency.
+        let mut p = ResponseParser::new();
+        p.feed(b"\r\nHTTP/1.1 304 Not Modified\r\n\r\n");
+        assert_eq!(p.next().unwrap_err(), ParseError::BadStatusLine);
     }
 
     #[test]

@@ -170,21 +170,36 @@ fn response_serialize_parse_identity() {
     }
 }
 
+/// The names the map indexes, one slot each (`KNOWN` in `headers.rs`).
+const KNOWN: [&str; 12] = [
+    "ETag",
+    "Range",
+    "If-Range",
+    "Connection",
+    "Content-Type",
+    "If-None-Match",
+    "Last-Modified",
+    "Content-Length",
+    "Accept-Encoding",
+    "Content-Encoding",
+    "If-Modified-Since",
+    "Transfer-Encoding",
+];
+
+/// Names the map finds by walking its lines, some a known name's prefix
+/// or extension.
+const OTHERS: [&str; 6] = ["Host", "X-A", "X-AB", "Content-Lengt", "ETags", "Range-X"];
+
 /// A name for the model test: drawn from a small pool, so operations
-/// collide, in a random case, so lookups must fold it. Half the pool are
-/// names the map resolves to a tag, half are compared where they lie.
+/// collide, in a random case, so lookups must fold it. Half the draws are
+/// names the map indexes, half are names it walks its lines for.
 fn pooled_name(rng: &mut SmallRng) -> String {
-    const POOL: [&str; 8] = [
-        "Content-Length",
-        "ETag",
-        "Connection",
-        "If-Modified-Since",
-        "Host",
-        "X-A",
-        "X-AB",
-        "Content-Lengt",
-    ];
-    let name = POOL[rng.gen_range(0..POOL.len())];
+    let pool: &[&str] = if rng.gen_range(0..2u8) == 0 {
+        &KNOWN
+    } else {
+        &OTHERS
+    };
+    let name = pool[rng.gen_range(0..pool.len())];
     match rng.gen_range(0..3u8) {
         0 => name.to_string(),
         1 => name.to_ascii_lowercase(),
@@ -192,10 +207,31 @@ fn pooled_name(rng: &mut SmallRng) -> String {
     }
 }
 
-/// `append` / `set` / `remove` on the span map agree with the same
+/// `get`, `get_all`, `contains` and `has_token` on `map` for `name` agree
+/// with the model.
+fn lookups_agree(map: &HeaderMap, model: &[(String, String)], name: &str, at: &str) {
+    let hits: Vec<&str> = model
+        .iter()
+        .filter(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+        .collect();
+    assert_eq!(map.get_all(name).collect::<Vec<_>>(), hits, "{at}: {name}");
+    assert_eq!(map.get(name), hits.first().copied(), "{at}: {name}");
+    assert_eq!(map.contains(name), !hits.is_empty(), "{at}: {name}");
+    let listed = |token: &str| {
+        hits.iter()
+            .flat_map(|v| v.split(','))
+            .any(|t| t.trim().eq_ignore_ascii_case(token))
+    };
+    for token in ["close", "a", "7"] {
+        assert_eq!(map.has_token(name, token), listed(token), "{at}: {name}");
+    }
+}
+
+/// `append` / `set` / `remove` on the indexed map agree with the same
 /// operations on a plain list of owned pairs, after every step: order,
-/// spelling, every lookup, and the wire form — which a parser reads back
-/// into an equal map.
+/// spelling, every lookup of every known name and of a drawn one, and the
+/// wire form — which a parser reads back into an equal map.
 #[test]
 fn header_map_agrees_with_a_reference_model() {
     let mut rng = SmallRng::seed_from_u64(0x5CA1_E004);
@@ -224,26 +260,14 @@ fn header_map_agrees_with_a_reference_model() {
                 }
             }
 
-            assert_eq!(headers_of(&map), model, "case {case} step {step}");
-            assert_eq!(map.len(), model.len());
-            assert_eq!(map.is_empty(), model.is_empty());
-            let probe = pooled_name(&mut rng);
-            let hits: Vec<&str> = model
-                .iter()
-                .filter(|(n, _)| n.eq_ignore_ascii_case(&probe))
-                .map(|(_, v)| v.as_str())
-                .collect();
-            assert_eq!(map.get_all(&probe).collect::<Vec<_>>(), hits, "{probe}");
-            assert_eq!(map.get(&probe), hits.first().copied(), "{probe}");
-            assert_eq!(map.contains(&probe), !hits.is_empty(), "{probe}");
-            let listed = |token: &str| {
-                hits.iter()
-                    .flat_map(|v| v.split(','))
-                    .any(|t| t.trim().eq_ignore_ascii_case(token))
-            };
-            for token in ["close", "a", "7"] {
-                assert_eq!(map.has_token(&probe, token), listed(token), "{probe}");
+            let at = format!("case {case} step {step}");
+            assert_eq!(headers_of(&map), model, "{at}");
+            assert_eq!(map.len(), model.len(), "{at}");
+            assert_eq!(map.is_empty(), model.is_empty(), "{at}");
+            for known in KNOWN {
+                lookups_agree(&map, &model, known, &at);
             }
+            lookups_agree(&map, &model, &pooled_name(&mut rng), &at);
         }
 
         let wire: String = model.iter().map(|(n, v)| format!("{n}: {v}\r\n")).collect();

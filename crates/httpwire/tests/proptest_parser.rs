@@ -190,12 +190,35 @@ fn every_split_point_yields_the_same_messages() {
             .with_body(Bytes::from(body));
         pipelined.extend_from_slice(&resp.to_bytes());
     }
+    // Heads as sloppy peers send them: no space after the colon, padded
+    // values, bare LF line ends.
+    let sloppy: &[u8] =
+        b"HTTP/1.1 200 OK\nContent-Length:3\nX-Pad:   padded  \r\nETag:\"s\"\n\nabc\
+HTTP/1.1 304 Not Modified\r\nConnection:  keep-alive \n\r\n";
+    pipelined.extend_from_slice(sloppy);
     pipelined.extend_from_slice(&chunked);
 
-    for (wire, count) in [(&chunked, 1), (&pipelined, 3)] {
+    let canonical = |resp: &Response| {
+        let mut out = bytes::BytesMut::new();
+        resp.headers.write_to(&mut out);
+        out.to_vec()
+    };
+    let sloppy_heads = responses_from(&[sloppy], 2);
+    assert_eq!(
+        canonical(&sloppy_heads[0]),
+        b"Content-Length: 3\r\nX-Pad: padded\r\nETag: \"s\"\r\n"
+    );
+    assert_eq!(sloppy_heads[0].body, b"abc"[..]);
+    assert!(sloppy_heads[1]
+        .headers
+        .has_token("connection", "keep-alive"));
+
+    for (wire, count) in [(&chunked[..], 1), (sloppy, 2), (&pipelined[..], 5)] {
         let whole = responses_from(&[wire], count);
         assert_eq!(whole.len(), count);
-        assert_eq!(whole[count - 1].body, chunked_body);
+        if wire != sloppy {
+            assert_eq!(whole[count - 1].body, chunked_body);
+        }
         for at in 0..=wire.len() {
             let split = responses_from(&[&wire[..at], &wire[at..]], count);
             assert_eq!(split, whole, "split at {at}");

@@ -29,7 +29,6 @@ pub const RULE_IDS: &[&str] = &[
     "byte-path-copy",
     "recorder-search",
     "timer-push",
-    "head-field-alloc",
     "seq-wrap",
     "time-unit",
     "tcp-state-machine",
@@ -58,10 +57,6 @@ const BYTE_PATH_CRATES: &[&str] = &["netsim", "httpwire", "httpmux", "httpclient
 /// Crates that queue a response body for the wire: it is held by
 /// reference and its chunks go onto the output queue as they are.
 const BODY_QUEUE_CRATES: &[&str] = &["httpserver", "httpmux"];
-
-/// Crates that build message heads: a header value is written into the
-/// head's buffer from its `Display`, never through a `String` of its own.
-const HEAD_CRATES: &[&str] = &["httpwire", "httpclient", "httpserver", "httpmux"];
 
 /// The functions of `netsim/src/sim.rs` that may name a queued TCP timer:
 /// the one that owns the timer handles (each kind's entry moves or
@@ -432,39 +427,6 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                         owner.unwrap_or("(no function)")
                     ),
                 );
-            }
-        }
-
-        // --- head-field-alloc: `append` / `set` / `with_header` take any
-        // `Display` and write it in place; a `String` made for the call
-        // is an allocation per field.
-        if matches!(t.text.as_str(), "append" | "set" | "with_header")
-            && t.kind == TokKind::Ident
-            && i > 0
-            && toks[i - 1].is_op(".")
-            && i + 1 < n
-            && toks[i + 1].is_op("(")
-            && crate_in(path, HEAD_CRATES)
-        {
-            // Every index below is short of the call's `)`, or of the
-            // last two tokens of a file that never closes it.
-            for j in i + 2..call_end(sf, i + 1).min(n - 2) {
-                let made = (toks[j].is_ident("to_string") && toks[j - 1].is_op("."))
-                    || (toks[j].is_ident("format") && toks[j + 1].is_op("!"))
-                    || (toks[j].is_ident("String")
-                        && toks[j + 1].is_op("::")
-                        && toks[j + 2].is_ident("from"));
-                if made {
-                    push(
-                        "head-field-alloc",
-                        toks[j].line,
-                        toks[j].col,
-                        format!(
-                            "`{}` builds a `String` to hand to `.{}(…)`; pass the value itself, it is written into the head's buffer",
-                            toks[j].text, t.text
-                        ),
-                    );
-                }
             }
         }
 

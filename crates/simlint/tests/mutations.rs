@@ -264,31 +264,6 @@ mod tests {
 }
 
 #[test]
-fn head_field_alloc_fires() {
-    // The server's 404 as it stood: a `String` per computed value.
-    let respond = "\
-fn not_found(body: Bytes, date: u64) -> Response {
-    let mut resp = Response::new(Version::Http11, StatusCode::NOT_FOUND)
-        .with_header(\"Content-Length\", body.len().to_string())
-        .with_body(body);
-    resp.headers.set(\"Date\", format!(\"{}\", HttpDate(date)));
-    resp.headers.append(\"Server\", String::from(\"Apache\"));
-    resp.headers.append(\"Content-Type\", \"text/html\");
-    let shown = resp.status.to_string();
-    resp
-}
-";
-    for krate in ["httpwire", "httpclient", "httpserver", "httpmux"] {
-        let diags = one(&format!("crates/{krate}/src/server.rs"), respond);
-        let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-        let rule = "head-field-alloc";
-        assert_eq!(hits, vec![(rule, 3), (rule, 5), (rule, 6)], "{diags:?}");
-    }
-    // Only the crates that build heads are held to it.
-    assert!(one("crates/core/src/harness.rs", respond).is_empty());
-}
-
-#[test]
 fn seq_wrap_fires() {
     assert_fires(
         "crates/netsim/src/tcp.rs",
