@@ -5,7 +5,7 @@
 
 use crate::{CheckConfig, InvariantKind, Report, Violation};
 use bytes::{Bytes, BytesQueue};
-use netsim::{CcVariant, DropRecord, HostId, Segment, SimTime, SockAddr, TraceRecord};
+use netsim::{CcVariant, DropRecord, HostId, Records, Segment, SimTime, SockAddr};
 use std::collections::BTreeMap;
 
 /// A connection: its endpoint pair, lower address first.
@@ -18,12 +18,17 @@ type ConnKey = (SockAddr, SockAddr);
 /// `drops` are the link-dropped packets from
 /// [`netsim::Trace::drop_records`] — they still count as departures.
 ///
-/// Nothing is copied out of the trace. One index of `(connection,
+/// Nothing is copied out of the trace: both are read where they lie,
+/// as [`Records`] views. One index of `(connection,
 /// capture number)`, sorted, lists each connection's captures in trace
 /// order, records before drops, and connections in key order. Each
 /// connection is then replayed on its own, over scratch state the next
 /// one reuses.
-pub fn check_trace(records: &[TraceRecord], drops: &[DropRecord], cfg: &CheckConfig) -> Report {
+pub fn check_trace(
+    records: Records<'_>,
+    drops: Records<'_, DropRecord>,
+    cfg: &CheckConfig,
+) -> Report {
     let trace = Captures { records, drops };
     let captures = u32::try_from(records.len() + drops.len()).expect("at most u32::MAX captures");
     let mut index: Vec<(ConnKey, u32)> = (0..captures)
@@ -57,8 +62,8 @@ fn conn_key(seg: &Segment) -> ConnKey {
 /// `drops[n - records.len()]` past them.
 #[derive(Clone, Copy)]
 struct Captures<'a> {
-    records: &'a [TraceRecord],
-    drops: &'a [DropRecord],
+    records: Records<'a>,
+    drops: Records<'a, DropRecord>,
 }
 
 impl<'a> Captures<'a> {
@@ -69,7 +74,10 @@ impl<'a> Captures<'a> {
         match self.records.get(n) {
             Some(rec) => (rec.sent, &rec.segment, Some(rec.received)),
             None => {
-                let d = &self.drops[n - self.records.len()];
+                let d = self
+                    .drops
+                    .get(n - self.records.len())
+                    .expect("a capture number");
                 (d.at, &d.segment, None)
             }
         }

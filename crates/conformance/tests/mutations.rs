@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use conformance::{check_trace, CheckConfig, InvariantKind, Report};
-use netsim::trace::{DropRecord, TraceRecord};
+use netsim::trace::{DropRecord, Records, TraceRecord};
 use netsim::{HostId, SackBlocks, Segment, SimTime, SockAddr, TcpFlags};
 
 const WIN: usize = 65535;
@@ -127,7 +127,7 @@ fn baseline() -> Vec<TraceRecord> {
 }
 
 fn check(recs: &[TraceRecord]) -> Report {
-    check_trace(recs, &[], &CheckConfig::default())
+    check_trace(recs.into(), Records::default(), &CheckConfig::default())
 }
 
 fn check_tcp(recs: &[TraceRecord]) -> Report {
@@ -135,7 +135,7 @@ fn check_tcp(recs: &[TraceRecord]) -> Report {
         http: false,
         ..CheckConfig::default()
     };
-    check_trace(recs, &[], &cfg)
+    check_trace(recs.into(), Records::default(), &cfg)
 }
 
 #[track_caller]
@@ -193,7 +193,7 @@ fn mutation_handshake_ordering() {
         http: false,
         ..CheckConfig::default()
     };
-    let report = check_trace(&recs, &drops, &cfg);
+    let report = check_trace((&recs).into(), (&drops).into(), &cfg);
     assert_fires(&report, InvariantKind::HandshakeOrdering);
 }
 
@@ -436,7 +436,7 @@ fn mutation_nagle_hold() {
         http: false,
         ..CheckConfig::default()
     };
-    let report = check_trace(&recs, &[], &cfg);
+    let report = check_trace((&recs).into(), Records::default(), &cfg);
     assert_fires(&report, InvariantKind::NagleHold);
     // The same trace is legal with TCP_NODELAY set.
     assert!(check_tcp(&recs).is_clean());
@@ -1066,7 +1066,7 @@ fn check_cc(recs: &[TraceRecord], drops: &[DropRecord], cc: CcVariant) -> Report
         },
         ..CheckConfig::default()
     };
-    check_trace(recs, drops, &cfg)
+    check_trace(recs.into(), drops.into(), &cfg)
 }
 
 fn drop_at(us: u64, segment: Segment) -> DropRecord {

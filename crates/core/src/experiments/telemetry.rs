@@ -20,7 +20,7 @@
 use crate::env::NetEnv;
 use crate::harness::{run_fleet, run_spec, ProtocolSetup, Scenario};
 use crate::result::Table;
-use netsim::telemetry::{Point, SeriesData, TelemetrySink};
+use netsim::telemetry::{Point, Points, SeriesData, TelemetrySink};
 use netsim::{CcVariant, HostId, Metric, Scope};
 use std::path::{Path, PathBuf};
 
@@ -42,29 +42,36 @@ pub fn sparkline(values: &[u64]) -> String {
         .collect()
 }
 
-/// Resample a gauge's sample-and-hold points onto `cols` columns
-/// covering ticks `0..ticks`: each column shows the gauge's value at the
-/// end of its tick range (0 before the first point).
-pub fn resample_gauge(points: &[Point], ticks: u64, cols: usize) -> Vec<u64> {
+/// Resample a gauge's sample-and-hold points, in tick order, onto `cols`
+/// columns covering ticks `0..ticks`: each column shows the gauge's value
+/// at the end of its tick range (0 before the first point).
+pub fn resample_gauge(
+    points: impl IntoIterator<Item = Point>,
+    ticks: u64,
+    cols: usize,
+) -> Vec<u64> {
     let ticks = ticks.max(1);
-    let mut out = Vec::with_capacity(cols);
-    let mut idx = 0;
+    let mut points = points.into_iter().peekable();
     let mut held = 0;
-    for c in 0..cols {
-        // End tick of this column, exclusive.
-        let end = (c as u64 + 1) * ticks / cols as u64;
-        while idx < points.len() && points[idx].tick < end {
-            held = points[idx].value;
-            idx += 1;
-        }
-        out.push(held);
-    }
-    out
+    (0..cols)
+        .map(|c| {
+            // End tick of this column, exclusive.
+            let end = (c as u64 + 1) * ticks / cols as u64;
+            while let Some(p) = points.next_if(|p| p.tick < end) {
+                held = p.value;
+            }
+            held
+        })
+        .collect()
 }
 
 /// Resample a counter's cumulative points onto `cols` columns as
 /// per-column increments (a rate view of the counter).
-pub fn resample_counter(points: &[Point], ticks: u64, cols: usize) -> Vec<u64> {
+pub fn resample_counter(
+    points: impl IntoIterator<Item = Point>,
+    ticks: u64,
+    cols: usize,
+) -> Vec<u64> {
     let totals = resample_gauge(points, ticks, cols);
     let mut out = Vec::with_capacity(cols);
     let mut prev = 0;
@@ -93,8 +100,9 @@ fn timeline_row(out: &mut String, label: &str, values: &[u64], unit: &str) {
     ));
 }
 
-fn gauge_points(sink: &TelemetrySink, scope: Scope, metric: Metric) -> &[Point] {
-    sink.get(scope, metric).map_or(&[], SeriesData::points)
+fn gauge_points(sink: &TelemetrySink, scope: Scope, metric: Metric) -> Points<'_> {
+    sink.get(scope, metric)
+        .map_or_else(Points::default, SeriesData::points)
 }
 
 /// The SYN-burst scene: N clients slam the server's bounded listen
@@ -189,14 +197,14 @@ pub fn rto_point(cc: CcVariant) -> RobustnessPoint {
 
 /// First connection of `host` carrying the given per-connection metric,
 /// in key order.
-fn first_conn_points(sink: &TelemetrySink, host: HostId, metric: Metric) -> &[Point] {
+fn first_conn_points(sink: &TelemetrySink, host: HostId, metric: Metric) -> Points<'_> {
     sink.series()
         .iter()
         .find(|s| {
             s.key.metric == metric
                 && matches!(s.key.scope, Scope::Conn { host: h, .. } if h == host)
         })
-        .map_or(&[], |s| s.data.points())
+        .map_or_else(Points::default, |s| s.data.points())
 }
 
 /// The RTO-stall scene: one cwnd timeline per congestion-control
@@ -219,7 +227,7 @@ pub fn rto_stall_timeline() -> String {
         let recoveries = sink
             .get(Scope::Global, Metric::CcRecoveries(cc))
             .map_or(0, |d| match d {
-                SeriesData::Counter { total, .. } => *total,
+                SeriesData::Counter { total, .. } => total,
                 _ => 0,
             });
         let max = cwnd.iter().copied().max().unwrap_or(0);
@@ -341,16 +349,16 @@ mod tests {
     fn resample_holds_and_carries_gauge_values() {
         let points = [Point { tick: 0, value: 5 }, Point { tick: 10, value: 9 }];
         // 20 ticks over 4 columns: boundaries at tick 5, 10, 15, 20.
-        assert_eq!(resample_gauge(&points, 20, 4), vec![5, 5, 9, 9]);
+        assert_eq!(resample_gauge(points, 20, 4), vec![5, 5, 9, 9]);
         // Before any point: zero.
         let late = [Point { tick: 15, value: 3 }];
-        assert_eq!(resample_gauge(&late, 20, 4), vec![0, 0, 0, 3]);
+        assert_eq!(resample_gauge(late, 20, 4), vec![0, 0, 0, 3]);
     }
 
     #[test]
     fn resample_counter_yields_increments() {
         let points = [Point { tick: 0, value: 2 }, Point { tick: 12, value: 7 }];
-        assert_eq!(resample_counter(&points, 16, 4), vec![2, 0, 0, 5]);
+        assert_eq!(resample_counter(points, 16, 4), vec![2, 0, 0, 5]);
     }
 
     #[test]

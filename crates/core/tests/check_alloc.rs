@@ -12,7 +12,11 @@
 //! * the checker's live heap at its worst, per captured packet, over a
 //!   16-client LAN HTTP/1.0 fleet: it replays one connection at a time,
 //!   so what it holds is bounded by the largest connection, not the trace;
-//! * the pcapng exporter: one allocation, of exactly the capture's size.
+//! * the pcapng exporter: one allocation, of exactly the capture's size;
+//! * what the flight recorders themselves cost on the same fleet, as
+//!   exact counts: the telemetry sink's allocations (on minus off), and
+//!   the bytes the trace retains (`Full` minus `StatsOnly`), which are
+//!   whole blocks of records.
 //!
 //! One test, so nothing else in the process allocates while a count runs.
 
@@ -21,7 +25,8 @@ use counting_alloc::{allocated_bytes, allocations, peak_live_bytes, reset_peak, 
 use httpipe_core::experiments::scale;
 use httpipe_core::harness::{check_config_for, run_fleet};
 use httpipe_core::prelude::*;
-use netsim::{HostId, TcpConfig, Trace, TraceMode};
+use netsim::trace::RECORDS_PER_BLOCK;
+use netsim::{HostId, TcpConfig, Trace, TraceMode, TraceRecord};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -112,4 +117,38 @@ fn the_checkers_read_the_trace_where_it_lies() {
     let capture = netsim::pcapng::export_trace(trace).expect("a full trace");
     assert_eq!(allocations() - before, 1, "allocations of one export");
     assert_eq!(capture.capacity(), capture.len());
+    drop(out);
+
+    // (d) What the two flight recorders cost the allocator on the same
+    // fleet: the sink's allocations, and the bytes the trace retains.
+    let run = |trace_mode, telemetry| {
+        let mut spec = point.spec();
+        spec.trace_mode = trace_mode;
+        spec.telemetry = telemetry;
+        let before = (allocations(), allocated_bytes());
+        let out = run_fleet(spec);
+        let counts = (allocations() - before.0, allocated_bytes() - before.1);
+        (counts, out.sim.trace().records().len())
+    };
+    run(TraceMode::StatsOnly, false);
+    let ((bare, bare_bytes), _) = run(TraceMode::StatsOnly, false);
+    let ((with_sink, _), _) = run(TraceMode::StatsOnly, true);
+    let ((_, full_bytes), records) = run(TraceMode::Full, false);
+    // The sink's 8 264 series on this fleet take no allocation of their
+    // own: what it allocates is its tables' blocks, its index and the
+    // kernel's scope-id tables (a `Vec` per series would add one a
+    // series).
+    assert_eq!(with_sink - bare, 347, "allocations the sink adds");
+    // The trace keeps its 9 198 records in whole blocks: the first of
+    // 32, the rest of 256 (37 blocks, 1 479 680 B), plus the block
+    // list's doublings (4 + 8 + … + 64 pointers of 24 B: 2 976 B).
+    assert_eq!(records, 9_198);
+    let first = RECORDS_PER_BLOCK / 8;
+    let slots = first + (records - first).div_ceil(RECORDS_PER_BLOCK) * RECORDS_PER_BLOCK;
+    let retained = full_bytes - bare_bytes;
+    assert_eq!(
+        retained,
+        (slots * size_of::<TraceRecord>()) as u64 + 2_976,
+        "bytes the trace retains"
+    );
 }

@@ -77,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blocks;
 pub mod cc;
 mod fxhash;
 pub mod impair;
@@ -108,4 +109,4 @@ pub use sim::{App, AppEvent, Ctx, Simulator, SocketId, SocketStats};
 pub use tcp::TcpConfig;
 pub use telemetry::{Metric, Scope, TelemetrySink, TelemetrySummary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{DropRecord, Trace, TraceMode, TraceModeError, TraceRecord, TraceStats};
+pub use trace::{DropRecord, Records, Trace, TraceMode, TraceModeError, TraceRecord, TraceStats};

@@ -3,7 +3,7 @@
 //!
 //! The paper's evidence was tcpdump captures read in packet analyzers;
 //! this module closes that loop for the simulator: a [`Trace`] captured
-//! in [`TraceMode::Full`] exports to a pcapng file that Wireshark,
+//! in [`crate::TraceMode::Full`] exports to a pcapng file that Wireshark,
 //! tshark and tcptrace open directly, with Ethernet/IPv4/TCP framing
 //! synthesized around the simulator's abstract [`Segment`]s.
 //!
@@ -33,7 +33,7 @@
 //!   strict analyzers see a clean capture.
 
 use crate::packet::{HostId, Segment, SockAddr, TcpFlags};
-use crate::trace::{Trace, TraceMode, TraceModeError, TraceRecord};
+use crate::trace::{Records, Trace, TraceModeError, TraceRecord};
 
 const ETHERTYPE_IPV4: u16 = 0x0800;
 const LINKTYPE_ETHERNET: u16 = 1;
@@ -226,10 +226,11 @@ fn write_block(
 }
 
 /// Serialize trace records to a pcapng capture (little-endian section,
-/// one Ethernet interface with nanosecond timestamps). The capture's
-/// length is added up first, and every block is written straight into
-/// the one buffer of exactly that size.
-pub fn export(records: &[TraceRecord]) -> Vec<u8> {
+/// one Ethernet interface with nanosecond timestamps). The records are
+/// read where they lie; the capture's length is added up first, and
+/// every block is written straight into the one buffer of exactly that
+/// size.
+pub fn export(records: Records<'_>) -> Vec<u8> {
     let epb_len = |rec: &TraceRecord| block_len(EPB_HEAD + frame_len(&rec.segment));
     let total =
         block_len(SHB_BODY) + block_len(IDB_BODY) + records.iter().map(epb_len).sum::<usize>();
@@ -275,13 +276,14 @@ pub fn export(records: &[TraceRecord]) -> Vec<u8> {
     out
 }
 
-/// Export a [`Trace`]'s packet records. Errors when the trace was
-/// captured in [`TraceMode::StatsOnly`] and holds no per-packet records.
+/// Export a [`Trace`]'s packet records.
+///
+/// # Errors
+/// [`TraceModeError`] unless the trace ran in
+/// [`crate::TraceMode::Full`] for every packet and drop it observed: a
+/// capture of what it retained would silently lack the rest.
 pub fn export_trace(trace: &Trace) -> Result<Vec<u8>, TraceModeError> {
-    if trace.mode() == TraceMode::StatsOnly {
-        return Err(TraceModeError);
-    }
-    Ok(export(trace.records()))
+    Ok(export(trace.complete_records()?))
 }
 
 /// One packet decoded from a pcapng capture.
@@ -563,7 +565,7 @@ mod tests {
                 30_000_000,
             ),
         ];
-        let bytes = export(&records);
+        let bytes = export((&records).into());
         let packets = parse(&bytes).expect("capture parses");
         assert_eq!(packets.len(), records.len());
         for (pkt, rec) in packets.iter().zip(&records) {
@@ -585,7 +587,7 @@ mod tests {
         let mut rec = record(c, s, 100, 5000, TcpFlags::ACK, 0, 1_000_000);
         assert!(rec.segment.sack.push(7300, 8760));
         assert!(rec.segment.sack.push(11_680, 13_140));
-        let packets = parse(&export(&[rec])).expect("capture parses");
+        let packets = parse(&export((&[rec]).into())).expect("capture parses");
         assert_eq!(packets[0].sack, vec![(7300, 8760), (11_680, 13_140)]);
     }
 
@@ -595,7 +597,7 @@ mod tests {
         let s = SockAddr::new(HostId(0), 80);
         let seq = (1u64 << 32) + 77;
         let rec = record(c, s, seq, 0, TcpFlags::ACK, 0, 1_000_000);
-        let packets = parse(&export(&[rec])).expect("capture parses");
+        let packets = parse(&export((&[rec]).into())).expect("capture parses");
         assert_eq!(packets[0].seq, 77);
     }
 
@@ -605,7 +607,7 @@ mod tests {
         let s = SockAddr::new(HostId(0), 80);
         let mut rec = record(c, s, 0, 0, TcpFlags::ACK, 0, 1_000_000);
         rec.segment.window = 1 << 20;
-        let packets = parse(&export(&[rec])).expect("capture parses");
+        let packets = parse(&export((&[rec]).into())).expect("capture parses");
         assert_eq!(packets[0].window, 0xffff);
     }
 
@@ -614,7 +616,7 @@ mod tests {
         let c = SockAddr::new(HostId(1), 40_000);
         let s = SockAddr::new(HostId(0), 80);
         let rec = record(c, s, 0, 0, TcpFlags::ACK, 64, 1_000_000);
-        let mut bytes = export(&[rec]);
+        let mut bytes = export((&[rec]).into());
         // Flip one payload byte inside the packet block.
         let last = bytes.len() - 8;
         bytes[last] ^= 0xff;
@@ -624,7 +626,7 @@ mod tests {
     #[test]
     fn stats_only_trace_is_rejected() {
         let mut trace = Trace::default();
-        trace.set_mode(TraceMode::StatsOnly);
+        trace.set_mode(crate::TraceMode::StatsOnly);
         assert!(export_trace(&trace).is_err());
     }
 
@@ -636,6 +638,6 @@ mod tests {
             record(c, s, 0, 0, TcpFlags::SYN, 0, 1_000_000),
             record(s, c, 0, 1, TcpFlags::SYN_ACK, 0, 2_000_000),
         ];
-        assert_eq!(export(&recs), export(&recs));
+        assert_eq!(export((&recs).into()), export((&recs).into()));
     }
 }

@@ -1654,22 +1654,22 @@ mod tests {
         let mut gauges = 0;
         for s in late.telemetry().series() {
             let whole_data = whole.telemetry().get(s.key.scope, s.key.metric);
-            let whole_points = whole_data
+            let whole_points: Vec<_> = whole_data
                 .expect("filed under the key it always had")
-                .points();
+                .points()
+                .iter()
+                .collect();
             if s.key.metric.kind() != crate::telemetry::SeriesKind::Gauge {
                 continue;
             }
             gauges += 1;
-            let (first, rest) = s.data.points().split_first().expect("a series has a point");
+            let mut points = s.data.points().iter();
+            let first = points.next().expect("a series has a point");
             assert!(first.tick >= first_tick, "{:?}", s.key);
             let held = whole_points.iter().rev().find(|p| p.tick <= first.tick);
             assert_eq!(held.map(|p| p.value), Some(first.value), "{:?}", s.key);
-            let after: Vec<_> = whole_points
-                .iter()
-                .filter(|p| p.tick > first.tick)
-                .collect();
-            assert!(rest.iter().eq(after), "{:?}", s.key);
+            let after = whole_points.iter().filter(|p| p.tick > first.tick);
+            assert!(points.eq(after.copied()), "{:?}", s.key);
         }
         // Both ends of the connection opened before the sink was on, both
         // link directions and the effects pool: cwnd, ssthresh, flight, RTO

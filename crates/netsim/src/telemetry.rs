@@ -23,13 +23,21 @@
 //!   wall-clock bans) on this file.
 //! * **Deterministic storage, constant-time recording.** A scope is
 //!   resolved once, through an ordered index, to a `ScopeId`: the
-//!   position of its record in an append-only `Vec`. Whoever writes a scope
+//!   position of its entry in the scope table. Whoever writes a scope
 //!   often (the kernel, for every connection, link direction and host)
 //!   keeps the id and records by it, so a write costs the same whether the
 //!   run holds ten series or a hundred thousand; nothing recorded is ever
 //!   searched or shifted (simlint's `recorder-search`). [`SeriesKey`] order
 //!   is made when the sink is read — a walk of the index — never a hash
 //!   order.
+//! * **Storage by the block.** Every table of the sink is append-only and
+//!   grows by fixed-size blocks that never move (`crate::blocks`): the
+//!   scope table; one table of series heads, each scope's on a ring its
+//!   entry points into; one arena of point blocks holding every gauge and counter
+//!   point, chained per series; and one arena of histogram runs, each the
+//!   dense counts of buckets `0..=highest` after the sum. Nothing is
+//!   allocated per series, and readers get borrowed views
+//!   ([`SeriesData`], [`Points`], [`Histogram`]).
 //!
 //! ## Sampling rules
 //!
@@ -54,6 +62,7 @@
 //! the full timeline by holding the previous value, which keeps a
 //! minutes-long PPP run from materializing millions of idle points.
 
+use crate::blocks::Blocks;
 use crate::cc::CcVariant;
 use crate::impair::DropReason;
 use crate::packet::{HostId, SockAddr};
@@ -95,14 +104,9 @@ pub enum Scope {
 /// only, so it needs no escaping in either.
 impl fmt::Display for Scope {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scope::Global => f.write_str("global"),
-            Scope::Host(h) => write!(f, "h{}", h.0),
-            Scope::Link { link, a_to_b } => {
-                write!(f, "link{}:{}", link, if *a_to_b { "a>b" } else { "b>a" })
-            }
-            Scope::Conn { local, remote, .. } => write!(f, "{local}>{remote}"),
-        }
+        let mut text = String::new();
+        push_scope(&mut text, *self);
+        f.write_str(&text)
     }
 }
 
@@ -258,25 +262,157 @@ pub struct Point {
 /// holds values with `⌊log2(v)⌋ = i - 1`.
 pub const HIST_BUCKETS: usize = 65;
 
-/// A streaming log2-bucketed histogram over `u64` observations.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    counts: [u64; HIST_BUCKETS],
-    total: u64,
-    sum: u64,
+/// "No series" / "no block": the end of a chain.
+const NONE: u32 = u32::MAX;
+
+/// Points per point block. Most gauges hold one to three points over a
+/// whole run, so a series' first block is most often its only one.
+const POINTS_PER_BLOCK: usize = 4;
+
+/// Slots of the longest histogram run: the sum, then every bucket.
+const RUN_SLOTS: usize = 1 + HIST_BUCKETS;
+
+/// Entries per block of the scope table, of the series heads, of the
+/// point-block arena and of the bucket arena (each table's first block
+/// holds an eighth as many).
+const SCOPES_PER_BLOCK: usize = 4096;
+const HEADS_PER_BLOCK: usize = 1024;
+const POINT_BLOCKS_PER_BLOCK: usize = 512;
+const SLOTS_PER_BLOCK: usize = 4096;
+
+/// One link of a series' point chain.
+#[derive(Debug, Clone, Copy)]
+struct PointBlock {
+    points: [Point; POINTS_PER_BLOCK],
+    /// The series' next block, or [`NONE`].
+    next: u32,
 }
 
-impl Default for LogHistogram {
+/// Where a series' data lies.
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    /// A gauge's or counter's `len` points, in the chain of point blocks
+    /// from `first` to `last` (both [`NONE`] before the first point).
+    Points { first: u32, last: u32, len: u32 },
+    /// A histogram's `width` slots at `at` in the bucket arena: its sum,
+    /// then the counts of buckets `0..width - 1` (`width` 0 before the
+    /// first observation).
+    Run { at: u32, width: u32 },
+}
+
+/// One series: its metric, the next series of its scope, and its data.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    metric: Metric,
+    /// The next series of the same scope's ring (itself when it is the
+    /// scope's only one).
+    next: u32,
+    store: Store,
+}
+
+/// A gauge's or counter's points in tick order, read where they lie.
+#[derive(Clone, Copy)]
+pub struct Points<'a> {
+    blocks: &'a Blocks<PointBlock, POINT_BLOCKS_PER_BLOCK>,
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+/// The arena no series' points lie in: what an empty [`Points`] reads.
+static NO_POINTS: Blocks<PointBlock, POINT_BLOCKS_PER_BLOCK> = Blocks::new();
+
+impl Default for Points<'_> {
     fn default() -> Self {
-        LogHistogram {
-            counts: [0; HIST_BUCKETS],
-            total: 0,
-            sum: 0,
+        Points {
+            blocks: &NO_POINTS,
+            first: NONE,
+            last: NONE,
+            len: 0,
         }
     }
 }
 
-impl LogHistogram {
+impl<'a> Points<'a> {
+    /// Number of points.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True when there are none.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Every point in tick order.
+    pub fn iter(self) -> PointsIter<'a> {
+        PointsIter {
+            blocks: self.blocks,
+            block: self.first,
+            at: 0,
+            left: self.len as usize,
+        }
+    }
+
+    /// The last point, read from the chain's last block.
+    pub fn last(self) -> Option<Point> {
+        let at = self.len.checked_sub(1)? as usize % POINTS_PER_BLOCK;
+        Some(self.blocks[self.last as usize].points[at])
+    }
+}
+
+impl<'a> IntoIterator for Points<'a> {
+    type Item = Point;
+    type IntoIter = PointsIter<'a>;
+
+    fn into_iter(self) -> PointsIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Points<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The iterator of [`Points::iter`]: a walk of the series' chain.
+pub struct PointsIter<'a> {
+    blocks: &'a Blocks<PointBlock, POINT_BLOCKS_PER_BLOCK>,
+    block: u32,
+    at: usize,
+    left: usize,
+}
+
+impl Iterator for PointsIter<'_> {
+    type Item = Point;
+
+    fn next(&mut self) -> Option<Point> {
+        self.left = self.left.checked_sub(1)?;
+        let block = &self.blocks[self.block as usize];
+        let point = block.points[self.at];
+        self.at += 1;
+        if self.at == POINTS_PER_BLOCK {
+            (self.block, self.at) = (block.next, 0);
+        }
+        Some(point)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for PointsIter<'_> {}
+
+/// A log2-bucketed distribution over `u64` observations, read where it
+/// lies: its sum, then the counts of buckets `0..=highest`.
+#[derive(Clone, Copy)]
+pub struct Histogram<'a> {
+    run: &'a [u64],
+}
+
+impl<'a> Histogram<'a> {
     /// Bucket index for a value.
     pub fn bucket_of(value: u64) -> usize {
         match value {
@@ -293,68 +429,59 @@ impl LogHistogram {
         }
     }
 
-    /// Record one observation.
-    pub fn observe(&mut self, value: u64) {
-        self.counts[Self::bucket_of(value)] += 1;
-        self.total += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
     /// Observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
+    pub fn total(self) -> u64 {
+        self.run[1..].iter().sum()
     }
 
     /// Sum of all observed values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
+    pub fn sum(self) -> u64 {
+        self.run[0]
     }
 
     /// Non-empty buckets as `(lower_bound, count)`, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
+    pub fn buckets(self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.run[1..]
             .iter()
             .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_lo(i), c))
+            .filter(|&(_, &count)| count > 0)
+            .map(|(i, &count)| (Self::bucket_lo(i), count))
     }
 }
 
-/// The data behind one series.
-#[derive(Debug, Clone)]
-pub enum SeriesData {
+impl fmt::Debug for Histogram<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Histogram")
+            .field("total", &self.total())
+            .field("sum", &self.sum())
+            .field("buckets", &self.buckets().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// The data behind one series, borrowed from the sink.
+#[derive(Debug, Clone, Copy)]
+pub enum SeriesData<'a> {
     /// Sample-and-hold points.
-    Gauge(Vec<Point>),
-    /// Cumulative totals; `total` is the running sum.
+    Gauge(Points<'a>),
+    /// Cumulative totals; `total` is the running sum (the last point's
+    /// value).
     Counter {
         /// Running total.
         total: u64,
         /// Totals as of each tick the counter changed in.
-        points: Vec<Point>,
+        points: Points<'a>,
     },
-    /// Distribution without a time axis. Boxed: the fixed bucket array
-    /// would otherwise dominate every variant's size.
-    Histogram(Box<LogHistogram>),
+    /// Distribution without a time axis.
+    Histogram(Histogram<'a>),
 }
 
-impl SeriesData {
-    fn new(kind: SeriesKind) -> SeriesData {
-        match kind {
-            SeriesKind::Gauge => SeriesData::Gauge(Vec::new()),
-            SeriesKind::Counter => SeriesData::Counter {
-                total: 0,
-                points: Vec::new(),
-            },
-            SeriesKind::Histogram => SeriesData::Histogram(Box::default()),
-        }
-    }
-
+impl<'a> SeriesData<'a> {
     /// Time-series points (empty for histograms).
-    pub fn points(&self) -> &[Point] {
+    pub fn points(self) -> Points<'a> {
         match self {
-            SeriesData::Gauge(p) => p,
-            SeriesData::Counter { points, .. } => points,
-            SeriesData::Histogram(_) => &[],
+            SeriesData::Gauge(points) | SeriesData::Counter { points, .. } => points,
+            SeriesData::Histogram(_) => Points::default(),
         }
     }
 }
@@ -365,7 +492,7 @@ pub struct Series<'a> {
     /// What this series measures, about what.
     pub key: SeriesKey,
     /// The recorded points or histogram.
-    pub data: &'a SeriesData,
+    pub data: SeriesData<'a>,
 }
 
 /// Compact per-run roll-up carried on `CellResult` so fleet tables can
@@ -380,28 +507,54 @@ pub struct TelemetrySummary {
     pub hist_samples: u64,
 }
 
-/// A [`Scope`] the sink has resolved: the position of its record. Minted
-/// only by [`TelemetrySink::resolve`]; whoever holds one records in
-/// constant time.
+/// A [`Scope`] the sink has resolved: the position of its entry in the
+/// scope table. Minted only by [`TelemetrySink::resolve`]; whoever holds
+/// one records in constant time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ScopeId(u32);
 
 /// The telemetry sink: owned by the kernel, off (and allocation-free)
 /// unless explicitly enabled.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TelemetrySink {
     enabled: bool,
-    /// Scope → its record. Only [`TelemetrySink::resolve`] consults it on
+    /// Scope → its entry. Only [`TelemetrySink::resolve`] consults it on
     /// the write path; readers walk it for key order.
     index: BTreeMap<Scope, ScopeId>,
-    /// One record per resolved scope, in the order the scopes were first
-    /// seen: the scope's series in first-write order. A scope carries a
-    /// handful of metrics (six on a connection), so finding one in its
-    /// record costs the same however long the run.
-    records: Vec<Vec<(Metric, SeriesData)>>,
+    /// Per resolved scope, in the order the scopes were first seen: the
+    /// series written last (or [`NONE`]), on the ring its `next` links
+    /// run through the scope's series. A scope carries a handful of
+    /// series (six on a connection), so finding one on its ring costs
+    /// the same however long the run.
+    scopes: Blocks<u32, SCOPES_PER_BLOCK>,
+    /// Every series, in the order they were made.
+    heads: Blocks<Head, HEADS_PER_BLOCK>,
+    /// Every gauge and counter point.
+    points: Blocks<PointBlock, POINT_BLOCKS_PER_BLOCK>,
+    /// Every histogram's run.
+    slots: Blocks<u64, SLOTS_PER_BLOCK>,
+    /// Per run width, the last run of that width a histogram outgrew, or
+    /// [`NONE`]; a given-up run's first slot holds the one before it.
+    free_runs: [u32; RUN_SLOTS + 1],
     /// Index consultations, for the tests that pin the record path's cost.
     #[cfg(debug_assertions)]
     resolutions: u64,
+}
+
+impl Default for TelemetrySink {
+    fn default() -> Self {
+        TelemetrySink {
+            enabled: false,
+            index: BTreeMap::new(),
+            scopes: Blocks::new(),
+            heads: Blocks::new(),
+            points: Blocks::new(),
+            slots: Blocks::new(),
+            free_runs: [NONE; RUN_SLOTS + 1],
+            #[cfg(debug_assertions)]
+            resolutions: 0,
+        }
+    }
 }
 
 impl TelemetrySink {
@@ -422,7 +575,7 @@ impl TelemetrySink {
         t.as_nanos() / DEFAULT_TICK.as_nanos()
     }
 
-    /// The id of `scope`'s record, made on first sight. The same scope
+    /// The id of `scope`'s entry, made on first sight. The same scope
     /// always resolves to the same id — a 4-tuple reopened after a close
     /// continues its series — and this is the one ordered lookup of the
     /// write path: callers that record a scope repeatedly keep the id.
@@ -431,10 +584,10 @@ impl TelemetrySink {
         {
             self.resolutions += 1;
         }
-        let next = ScopeId(self.records.len() as u32);
+        let next = ScopeId(self.scopes.len() as u32);
         let id = *self.index.entry(scope).or_insert(next);
         if id == next {
-            self.records.push(Vec::new());
+            self.scopes.push(NONE);
         }
         id
     }
@@ -445,17 +598,90 @@ impl TelemetrySink {
         self.resolutions
     }
 
-    /// Locate (or create) the series for `metric` in a resolved scope.
-    fn slot(&mut self, id: ScopeId, metric: Metric) -> &mut SeriesData {
-        let record = &mut self.records[id.0 as usize];
-        let at = match record.iter().position(|(m, _)| *m == metric) {
-            Some(at) => at,
-            None => {
-                record.push((metric, SeriesData::new(metric.kind())));
-                record.len() - 1
+    /// The series for `metric` in a resolved scope, made (empty) on first
+    /// write: its position, and where its data lies. `kind` is what the
+    /// caller records; a metric of another kind is a bug at the call site.
+    fn head(&mut self, id: ScopeId, metric: Metric, kind: SeriesKind) -> (usize, Store) {
+        assert!(
+            metric.kind() == kind,
+            "{} is not a {}",
+            metric.label(),
+            kind.label()
+        );
+        // The search starts at the series written last, then goes round
+        // the ring: a writer that repeats one series finds it at once, and
+        // one that records a scope's metrics in a cycle, as the kernel
+        // does, at the second step.
+        let cursor = &mut self.scopes[id.0 as usize];
+        if *cursor != NONE {
+            let mut at = *cursor;
+            loop {
+                let head = &self.heads[at as usize];
+                if head.metric == metric {
+                    *cursor = at;
+                    return (at as usize, head.store);
+                }
+                at = head.next;
+                if at == *cursor {
+                    break;
+                }
             }
+        }
+        // A new series joins the ring after the series written last, so a
+        // ring made in a writer's cycle runs in that cycle's order.
+        let made = self.heads.len() as u32;
+        let next = match *cursor {
+            NONE => made,
+            last => std::mem::replace(&mut self.heads[last as usize].next, made),
         };
-        &mut record[at].1
+        let store = match kind {
+            SeriesKind::Histogram => Store::Run { at: NONE, width: 0 },
+            _ => Store::Points {
+                first: NONE,
+                last: NONE,
+                len: 0,
+            },
+        };
+        *cursor = made;
+        let made = self.heads.push(Head {
+            metric,
+            next,
+            store,
+        });
+        (made, store)
+    }
+
+    /// The last point of the series whose data lies at `store`, if it
+    /// has one.
+    fn last_point(&mut self, store: Store) -> Option<&mut Point> {
+        let Store::Points { last, len, .. } = store else {
+            unreachable!("a histogram has no points");
+        };
+        let at = len.checked_sub(1)? as usize % POINTS_PER_BLOCK;
+        Some(&mut self.points[last as usize].points[at])
+    }
+
+    /// Append `point` to series `head`, chaining a new point block when
+    /// its last one is full.
+    fn push_point(&mut self, head: usize, point: Point) {
+        let Store::Points { first, last, len } = &mut self.heads[head].store else {
+            unreachable!("a histogram has no points");
+        };
+        let at = *len as usize % POINTS_PER_BLOCK;
+        if at == 0 {
+            let block = self.points.push(PointBlock {
+                points: [point; POINTS_PER_BLOCK],
+                next: NONE,
+            }) as u32;
+            match *len {
+                0 => *first = block,
+                _ => self.points[*last as usize].next = block,
+            }
+            *last = block;
+        } else {
+            self.points[*last as usize].points[at] = point;
+        }
+        *len += 1;
     }
 
     /// Record a gauge value in a resolved scope (last write in a tick
@@ -469,10 +695,8 @@ impl TelemetrySink {
         value: u64,
     ) -> bool {
         let tick = Self::tick_of(now);
-        let SeriesData::Gauge(points) = self.slot(id, metric) else {
-            panic!("{} is not a gauge", metric.label());
-        };
-        match points.last_mut() {
+        let (head, store) = self.head(id, metric, SeriesKind::Gauge);
+        match self.last_point(store) {
             Some(p) if p.tick == tick => {
                 let changed = p.value != value;
                 p.value = value;
@@ -480,7 +704,7 @@ impl TelemetrySink {
             }
             Some(p) if p.value == value => false,
             _ => {
-                points.push(Point { tick, value });
+                self.push_point(head, Point { tick, value });
                 true
             }
         }
@@ -496,23 +720,57 @@ impl TelemetrySink {
     /// stored per tick.
     pub(crate) fn counter_add_in(&mut self, now: SimTime, id: ScopeId, metric: Metric, delta: u64) {
         let tick = Self::tick_of(now);
-        let SeriesData::Counter { total, points } = self.slot(id, metric) else {
-            panic!("{} is not a counter", metric.label());
-        };
-        *total += delta;
-        let total = *total;
-        match points.last_mut() {
-            Some(p) if p.tick == tick => p.value = total,
-            _ => points.push(Point { tick, value: total }),
+        let (head, store) = self.head(id, metric, SeriesKind::Counter);
+        match self.last_point(store) {
+            Some(p) if p.tick == tick => p.value += delta,
+            last => {
+                let value = last.map_or(0, |p| p.value) + delta;
+                self.push_point(head, Point { tick, value });
+            }
         }
     }
 
     /// Fold one observation into a histogram in a resolved scope.
     pub(crate) fn observe_in(&mut self, id: ScopeId, metric: Metric, value: u64) {
-        let SeriesData::Histogram(h) = self.slot(id, metric) else {
-            panic!("{} is not a histogram", metric.label());
+        let (head, store) = self.head(id, metric, SeriesKind::Histogram);
+        let Store::Run { mut at, mut width } = store else {
+            unreachable!("a histogram is a run");
         };
-        h.observe(value);
+        let bucket = Histogram::bucket_of(value);
+        if 2 + bucket as u32 > width {
+            at = self.widen(at, width, 2 + bucket as u32);
+            width = 2 + bucket as u32;
+            self.heads[head].store = Store::Run { at, width };
+        }
+        let run = self.slots.run_mut(at as usize, width as usize);
+        run[0] = run[0].saturating_add(value);
+        run[1 + bucket] += 1;
+    }
+
+    /// Move a histogram's run of `width` slots at `at` (none when `width`
+    /// is 0) into a zeroed run of `wider` slots and return where that
+    /// lies. The run given up is kept for the next histogram that needs
+    /// one of its width.
+    fn widen(&mut self, at: u32, width: u32, wider: u32) -> u32 {
+        let moved = match self.free_runs[wider as usize] {
+            NONE => self.slots.push_run(wider as usize, 0) as u32,
+            reused => {
+                let run = self.slots.run_mut(reused as usize, wider as usize);
+                self.free_runs[wider as usize] = run[0] as u32;
+                run.fill(0);
+                reused
+            }
+        };
+        if width > 0 {
+            let (at, width) = (at as usize, width as usize);
+            let mut held = [0; RUN_SLOTS];
+            held[..width].copy_from_slice(self.slots.run(at, width));
+            self.slots
+                .run_mut(moved as usize, width)
+                .copy_from_slice(&held[..width]);
+            self.slots[at] = u64::from(std::mem::replace(&mut self.free_runs[width], at as u32));
+        }
+        moved
     }
 
     /// Record a gauge value (last write in a tick wins).
@@ -555,17 +813,58 @@ impl TelemetrySink {
         self.observe_in(id, metric, value);
     }
 
+    /// The data of series `head`, borrowed.
+    fn data(&self, head: &Head) -> SeriesData<'_> {
+        match head.store {
+            Store::Points { first, last, len } => {
+                let points = Points {
+                    blocks: &self.points,
+                    first,
+                    last,
+                    len,
+                };
+                match head.metric.kind() {
+                    SeriesKind::Counter => SeriesData::Counter {
+                        total: points.last().map_or(0, |p| p.value),
+                        points,
+                    },
+                    _ => SeriesData::Gauge(points),
+                }
+            }
+            Store::Run { at, width } => SeriesData::Histogram(Histogram {
+                run: self.slots.run(at as usize, width as usize),
+            }),
+        }
+    }
+
+    /// The series of a resolved scope: once round its ring.
+    fn scope_heads(&self, id: ScopeId) -> impl Iterator<Item = &Head> {
+        let start = self.scopes[id.0 as usize];
+        let mut at = start;
+        std::iter::from_fn(move || {
+            let head = (at != NONE).then(|| &self.heads[at as usize])?;
+            at = match head.next {
+                next if next == start => NONE,
+                next => next,
+            };
+            Some(head)
+        })
+    }
+
     /// Call `f` with every recorded series in key order: scopes as the
     /// index orders them, each scope's few series sorted by metric.
     fn each_series<'a>(&'a self, mut f: impl FnMut(Series<'a>)) {
-        let mut by_metric: Vec<&(Metric, SeriesData)> = Vec::new();
+        let mut by_metric: Vec<&Head> = Vec::new();
         for (&scope, &id) in &self.index {
-            by_metric.extend(&self.records[id.0 as usize]);
-            by_metric.sort_unstable_by_key(|(metric, _)| *metric);
-            for &(metric, ref data) in by_metric.drain(..) {
+            by_metric.extend(self.scope_heads(id));
+            by_metric.sort_unstable_by_key(|head| head.metric);
+            for head in by_metric.drain(..) {
                 f(Series {
-                    key: SeriesKey { scope, metric },
-                    data,
+                    key: SeriesKey {
+                        scope,
+                        metric: head.metric,
+                    },
+                    data: self.data(head),
                 });
             }
         }
@@ -573,24 +872,24 @@ impl TelemetrySink {
 
     /// All recorded series in key order.
     pub fn series(&self) -> Vec<Series<'_>> {
-        let mut all = Vec::with_capacity(self.records.iter().map(Vec::len).sum());
+        let mut all = Vec::with_capacity(self.heads.len());
         self.each_series(|s| all.push(s));
         all
     }
 
     /// The series for `key`, if any point or observation was recorded.
-    pub fn get(&self, scope: Scope, metric: Metric) -> Option<&SeriesData> {
-        let id = self.index.get(&scope)?;
-        let record = &self.records[id.0 as usize];
-        record.iter().find(|(m, _)| *m == metric).map(|(_, d)| d)
+    pub fn get(&self, scope: Scope, metric: Metric) -> Option<SeriesData<'_>> {
+        let &id = self.index.get(&scope)?;
+        let head = self.scope_heads(id).find(|head| head.metric == metric)?;
+        Some(self.data(head))
     }
 
     /// Compact roll-up for result tables.
     pub fn summary(&self) -> TelemetrySummary {
         let mut s = TelemetrySummary::default();
-        for (_, data) in self.records.iter().flatten() {
+        for head in self.heads.iter() {
             s.series += 1;
-            match data {
+            match self.data(head) {
                 SeriesData::Histogram(h) => s.hist_samples += h.total(),
                 other => s.points += other.points().len() as u64,
             }
@@ -603,39 +902,40 @@ impl TelemetrySink {
     /// field order and series order are fixed, so identical runs produce
     /// byte-identical documents.
     pub fn render_json(&self, label: &str) -> String {
-        // Writing into a `String` cannot fail: the `fmt::Result`s of this
-        // function and of `render_csv` are dropped.
+        // Writing into a `String` cannot fail.
         let mut out = String::new();
         let _ = writeln!(out, "{{\n  \"cell\": \"{}\",", crate::json::escape(label));
         let _ = writeln!(out, "  \"tick_ns\": {},", DEFAULT_TICK.as_nanos());
         out.push_str("  \"series\": [\n");
         let mut between = "";
         self.each_series(|s| {
-            let _ = write!(
-                out,
-                "{between}    {{\"scope\": \"{}\", \"metric\": \"{}\", \"kind\": \"{}\", ",
-                s.key.scope,
-                s.key.metric.label(),
-                s.key.metric.kind().label(),
-            );
-            let mut sep = "";
-            match s.data {
-                SeriesData::Histogram(h) => {
-                    let _ = write!(out, "\"total\": {}, \"sum\": {}, ", h.total(), h.sum());
-                    out.push_str("\"buckets\": [");
-                    for (lo, count) in h.buckets() {
-                        let _ = write!(out, "{sep}[{lo}, {count}]");
-                        sep = ", ";
-                    }
-                }
-                other => {
-                    out.push_str("\"points\": [");
-                    for p in other.points() {
-                        let _ = write!(out, "{sep}[{}, {}]", p.tick, p.value);
-                        sep = ", ";
-                    }
-                }
+            out.push_str(between);
+            out.push_str("    {\"scope\": \"");
+            push_scope(&mut out, s.key.scope);
+            out.push_str("\", \"metric\": \"");
+            out.push_str(s.key.metric.label());
+            out.push_str("\", \"kind\": \"");
+            out.push_str(s.key.metric.kind().label());
+            out.push_str("\", ");
+            if let SeriesData::Histogram(h) = s.data {
+                out.push_str("\"total\": ");
+                push_u64(&mut out, h.total());
+                out.push_str(", \"sum\": ");
+                push_u64(&mut out, h.sum());
+                out.push_str(", \"buckets\": [");
+            } else {
+                out.push_str("\"points\": [");
             }
+            let mut sep = "";
+            rows(s.data, |a, b| {
+                out.push_str(sep);
+                out.push('[');
+                push_u64(&mut out, a);
+                out.push_str(", ");
+                push_u64(&mut out, b);
+                out.push(']');
+                sep = ", ";
+            });
             out.push_str("]}");
             between = ",\n";
         });
@@ -661,14 +961,18 @@ impl TelemetrySink {
         let mut len = COLUMNS.len();
         self.each_series(|s| {
             csv_head(&mut head, &s);
-            csv_rows(s.data, |a, b| len += head.len() + digits(a) + digits(b) + 2);
+            rows(s.data, |a, b| len += head.len() + digits(a) + digits(b) + 2);
         });
         let mut out = String::with_capacity(len);
         out.push_str(COLUMNS);
         self.each_series(|s| {
             csv_head(&mut head, &s);
-            csv_rows(s.data, |a, b| {
-                let _ = writeln!(out, "{head}{a},{b}");
+            rows(s.data, |a, b| {
+                out.push_str(&head);
+                push_u64(&mut out, a);
+                out.push(',');
+                push_u64(&mut out, b);
+                out.push('\n');
             });
         });
         debug_assert_eq!(out.len(), len);
@@ -681,23 +985,64 @@ impl TelemetrySink {
 fn csv_head(head: &mut String, s: &Series<'_>) {
     head.clear();
     let metric = s.key.metric;
-    let _ = write!(
-        head,
-        "{},{},{},",
-        s.key.scope,
-        metric.label(),
-        metric.kind().label()
-    );
+    push_scope(head, s.key.scope);
+    head.push(',');
+    head.push_str(metric.label());
+    head.push(',');
+    head.push_str(metric.kind().label());
+    head.push(',');
 }
 
-/// Call `row` with the two integer columns of each of a series' CSV
-/// rows: `(tick, value)` per point, `(lower bound, count)` per non-empty
+/// Call `row` with the two integers of each of a series' rows:
+/// `(tick, value)` per point, `(lower bound, count)` per non-empty
 /// histogram bucket.
-fn csv_rows(data: &SeriesData, mut row: impl FnMut(u64, u64)) {
+fn rows(data: SeriesData<'_>, mut row: impl FnMut(u64, u64)) {
     match data {
         SeriesData::Histogram(h) => h.buckets().for_each(|(lo, count)| row(lo, count)),
         other => other.points().iter().for_each(|p| row(p.tick, p.value)),
     }
+}
+
+/// Append a scope's stable textual form (see [`Scope`]'s `Display`).
+fn push_scope(out: &mut String, scope: Scope) {
+    let push_addr = |out: &mut String, addr: SockAddr| {
+        out.push('h');
+        push_u64(out, addr.host.0.into());
+        out.push(':');
+        push_u64(out, addr.port.into());
+    };
+    match scope {
+        Scope::Global => out.push_str("global"),
+        Scope::Host(h) => {
+            out.push('h');
+            push_u64(out, h.0.into());
+        }
+        Scope::Link { link, a_to_b } => {
+            out.push_str("link");
+            push_u64(out, link.into());
+            out.push_str(if a_to_b { ":a>b" } else { ":b>a" });
+        }
+        Scope::Conn { local, remote, .. } => {
+            push_addr(out, local);
+            out.push('>');
+            push_addr(out, remote);
+        }
+    }
+}
+
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut text = [0u8; 20];
+    let mut at = text.len();
+    loop {
+        at -= 1;
+        text[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&text[at..]).expect("decimal digits"));
 }
 
 /// Decimal digits of `n`.
@@ -719,6 +1064,10 @@ mod tests {
             local: SockAddr::new(HostId(0), 40_000),
             remote: SockAddr::new(HostId(1), 80),
         }
+    }
+
+    fn points_of(data: Option<SeriesData<'_>>) -> Vec<Point> {
+        data.expect("recorded").points().iter().collect()
     }
 
     #[test]
@@ -745,12 +1094,12 @@ mod tests {
         sink.gauge(at_ms(35), s, Metric::Cwnd, 5840);
         // Unchanged value in a later tick stores nothing.
         sink.gauge(at_ms(45), s, Metric::Cwnd, 5840);
-        let SeriesData::Gauge(points) = sink.get(s, Metric::Cwnd).unwrap() else {
+        let Some(SeriesData::Gauge(points)) = sink.get(s, Metric::Cwnd) else {
             panic!("gauge expected");
         };
         assert_eq!(
-            points,
-            &[
+            points.iter().collect::<Vec<_>>(),
+            [
                 Point {
                     tick: 0,
                     value: 4380
@@ -774,13 +1123,13 @@ mod tests {
         sink.counter_add(at_ms(5), s, Metric::DropsLoss, 1);
         sink.counter_add(at_ms(7), s, Metric::DropsLoss, 1);
         sink.counter_add(at_ms(120), s, Metric::DropsLoss, 3);
-        let SeriesData::Counter { total, points } = sink.get(s, Metric::DropsLoss).unwrap() else {
+        let Some(SeriesData::Counter { total, points }) = sink.get(s, Metric::DropsLoss) else {
             panic!("counter expected");
         };
-        assert_eq!(*total, 5);
+        assert_eq!(total, 5);
         assert_eq!(
-            points,
-            &[Point { tick: 0, value: 2 }, Point { tick: 12, value: 5 }]
+            points.iter().collect::<Vec<_>>(),
+            [Point { tick: 0, value: 2 }, Point { tick: 12, value: 5 }]
         );
     }
 
@@ -798,23 +1147,60 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        assert_eq!(LogHistogram::bucket_of(0), 0);
-        assert_eq!(LogHistogram::bucket_of(1), 1);
-        assert_eq!(LogHistogram::bucket_of(2), 2);
-        assert_eq!(LogHistogram::bucket_of(3), 2);
-        assert_eq!(LogHistogram::bucket_of(1024), 11);
-        assert_eq!(LogHistogram::bucket_of(u64::MAX), 64);
-        assert_eq!(LogHistogram::bucket_lo(0), 0);
-        assert_eq!(LogHistogram::bucket_lo(11), 1024);
+        assert_eq!(Histogram::bucket_of(0), 0);
+        assert_eq!(Histogram::bucket_of(1), 1);
+        assert_eq!(Histogram::bucket_of(2), 2);
+        assert_eq!(Histogram::bucket_of(3), 2);
+        assert_eq!(Histogram::bucket_of(1024), 11);
+        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
+        assert_eq!(Histogram::bucket_lo(0), 0);
+        assert_eq!(Histogram::bucket_lo(11), 1024);
 
-        let mut h = LogHistogram::default();
-        for v in [0, 1, 3, 1024, 1500] {
-            h.observe(v);
+        let mut sink = TelemetrySink::default();
+        sink.enable();
+        for v in [1024, 0, 1, 3, 1500] {
+            sink.observe(conn_scope(), Metric::FlightHist, v);
         }
+        let Some(SeriesData::Histogram(h)) = sink.get(conn_scope(), Metric::FlightHist) else {
+            panic!("histogram expected");
+        };
         assert_eq!(h.total(), 5);
         assert_eq!(h.sum(), 2528);
         let buckets: Vec<(u64, u64)> = h.buckets().collect();
         assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 1), (1024, 2)]);
+        // The dense run ends at the highest bucket seen: its sum, then
+        // buckets 0..=11.
+        assert_eq!(h.run.len(), 1 + 12);
+        sink.observe(conn_scope(), Metric::FlightHist, u64::MAX);
+        let Some(SeriesData::Histogram(h)) = sink.get(conn_scope(), Metric::FlightHist) else {
+            panic!("histogram expected");
+        };
+        assert_eq!((h.total(), h.sum(), h.run.len()), (6, u64::MAX, RUN_SLOTS));
+    }
+
+    /// A run a histogram outgrew goes to the next histogram that needs
+    /// one of its width, so growing histograms leave no garbage behind.
+    #[test]
+    fn an_outgrown_run_is_reused() {
+        let mut sink = TelemetrySink::default();
+        sink.enable();
+        let scope = |host| Scope::Host(HostId(host));
+        for host in 0..20 {
+            for v in [1, 1460, 2920, 5840, 11_680] {
+                sink.observe(scope(host), Metric::QueueBytesHist, v);
+            }
+        }
+        // Each histogram ends 1 + 15 slots wide; every narrower run it
+        // passed through was handed on to the next.
+        let final_runs = 20 * (1 + 15);
+        let outgrown = 3 + 13 + 14 + 15;
+        assert_eq!(sink.slots.len(), final_runs + outgrown);
+        let h = sink.get(scope(7), Metric::QueueBytesHist);
+        assert_eq!(
+            format!("{h:?}"),
+            "Some(Histogram(Histogram { total: 5, sum: 21901, buckets: [(1, 1), (1024, 1), \
+             (2048, 1), (4096, 1), (8192, 1)] }))"
+        );
     }
 
     #[test]
@@ -875,15 +1261,46 @@ mod tests {
         assert!(csv.contains("h0:40000>h1:80,flight_bytes_hist,hist,1024,1\n"));
     }
 
+    /// The digit writer writes what formatting writes, and `digits`
+    /// counts it; a scope's text is every scope kind's stable form.
     #[test]
     fn digits_counts_what_formatting_writes() {
         let widest = [10u64.pow(19) - 1, 10u64.pow(19), u64::MAX];
         for n in [0, 9, 10, 99, 100, 1 << 32].into_iter().chain(widest) {
+            let mut text = String::from("x");
+            push_u64(&mut text, n);
+            assert_eq!(text, format!("x{n}"));
             assert_eq!(digits(n), n.to_string().len(), "{n}");
         }
+        let scopes = [
+            (Scope::Global, "global"),
+            (Scope::Host(HostId(65_535)), "h65535"),
+            (
+                Scope::Link {
+                    link: 7,
+                    a_to_b: true,
+                },
+                "link7:a>b",
+            ),
+            (
+                Scope::Link {
+                    link: 0,
+                    a_to_b: false,
+                },
+                "link0:b>a",
+            ),
+            (conn_scope(), "h0:40000>h1:80"),
+        ];
+        for (scope, text) in scopes {
+            assert_eq!(scope.to_string(), text);
+        }
+        let Scope::Conn { local, remote, .. } = conn_scope() else {
+            unreachable!()
+        };
+        assert_eq!(conn_scope().to_string(), format!("{local}>{remote}"));
     }
 
-    /// A scope resolves to the same record however often it is resolved:
+    /// A scope resolves to the same entry however often it is resolved:
     /// a 4-tuple closed and opened again continues its series.
     #[test]
     fn a_scope_resolved_again_continues_its_series() {
@@ -898,8 +1315,8 @@ mod tests {
         sink.gauge_in(at_ms(35), again, Metric::Cwnd, 2920);
         assert_eq!(sink.summary().series, 2);
         assert_eq!(
-            sink.get(conn_scope(), Metric::Cwnd).unwrap().points(),
-            &[
+            points_of(sink.get(conn_scope(), Metric::Cwnd)),
+            [
                 Point {
                     tick: 0,
                     value: 1460
@@ -912,17 +1329,87 @@ mod tests {
         );
     }
 
-    /// The sink as it was first written — one ordered map from key to
-    /// data, a `String` per rendered row — kept as the reference the
-    /// position-addressed sink must match byte for byte.
+    /// One series as the reference sink keeps it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum RefData {
+        Gauge(Vec<Point>),
+        Counter {
+            total: u64,
+            points: Vec<Point>,
+        },
+        Histogram {
+            counts: Box<[u64; HIST_BUCKETS]>,
+            total: u64,
+            sum: u64,
+        },
+    }
+
+    impl RefData {
+        fn new(kind: SeriesKind) -> RefData {
+            match kind {
+                SeriesKind::Gauge => RefData::Gauge(Vec::new()),
+                SeriesKind::Counter => RefData::Counter {
+                    total: 0,
+                    points: Vec::new(),
+                },
+                SeriesKind::Histogram => RefData::Histogram {
+                    counts: Box::new([0; HIST_BUCKETS]),
+                    total: 0,
+                    sum: 0,
+                },
+            }
+        }
+
+        /// A view of the real sink, copied into the reference's form.
+        fn of(data: SeriesData<'_>) -> RefData {
+            match data {
+                SeriesData::Gauge(points) => RefData::Gauge(points.iter().collect()),
+                SeriesData::Counter { total, points } => RefData::Counter {
+                    total,
+                    points: points.iter().collect(),
+                },
+                SeriesData::Histogram(h) => {
+                    let mut counts = Box::new([0; HIST_BUCKETS]);
+                    for (lo, count) in h.buckets() {
+                        counts[Histogram::bucket_of(lo)] = count;
+                    }
+                    RefData::Histogram {
+                        counts,
+                        total: h.total(),
+                        sum: h.sum(),
+                    }
+                }
+            }
+        }
+
+        /// `[a, b]` rows: the points, or the non-empty buckets.
+        fn rows(&self) -> Vec<(u64, u64)> {
+            match self {
+                RefData::Gauge(points) | RefData::Counter { points, .. } => {
+                    points.iter().map(|p| (p.tick, p.value)).collect()
+                }
+                RefData::Histogram { counts, .. } => counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &c)| (Histogram::bucket_lo(i), c))
+                    .collect(),
+            }
+        }
+    }
+
+    /// The sink as it was before its storage went by the block: a
+    /// `Vec` per series, found through one ordered map from key to data,
+    /// and a `String` per rendered row. The block-stored sink must match
+    /// it step for step and byte for byte.
     #[derive(Default)]
-    struct Reference(BTreeMap<SeriesKey, SeriesData>);
+    struct Reference(BTreeMap<SeriesKey, RefData>);
 
     impl Reference {
-        fn slot(&mut self, scope: Scope, metric: Metric) -> &mut SeriesData {
+        fn slot(&mut self, scope: Scope, metric: Metric) -> &mut RefData {
             self.0
                 .entry(SeriesKey { scope, metric })
-                .or_insert_with(|| SeriesData::new(metric.kind()))
+                .or_insert_with(|| RefData::new(metric.kind()))
         }
 
         fn gauge_changed(
@@ -933,7 +1420,7 @@ mod tests {
             value: u64,
         ) -> bool {
             let tick = TelemetrySink::tick_of(now);
-            let SeriesData::Gauge(points) = self.slot(scope, metric) else {
+            let RefData::Gauge(points) = self.slot(scope, metric) else {
                 panic!("gauge expected");
             };
             match points.last_mut() {
@@ -948,7 +1435,7 @@ mod tests {
 
         fn counter_add(&mut self, now: SimTime, scope: Scope, metric: Metric, delta: u64) {
             let tick = TelemetrySink::tick_of(now);
-            let SeriesData::Counter { total, points } = self.slot(scope, metric) else {
+            let RefData::Counter { total, points } = self.slot(scope, metric) else {
                 panic!("counter expected");
             };
             *total += delta;
@@ -962,10 +1449,12 @@ mod tests {
         }
 
         fn observe(&mut self, scope: Scope, metric: Metric, value: u64) {
-            let SeriesData::Histogram(h) = self.slot(scope, metric) else {
+            let RefData::Histogram { counts, total, sum } = self.slot(scope, metric) else {
                 panic!("histogram expected");
             };
-            h.observe(value);
+            counts[Histogram::bucket_of(value)] += 1;
+            *total += 1;
+            *sum = sum.saturating_add(value);
         }
 
         fn summary(&self) -> TelemetrySummary {
@@ -975,19 +1464,11 @@ mod tests {
             };
             for data in self.0.values() {
                 match data {
-                    SeriesData::Histogram(h) => s.hist_samples += h.total(),
-                    other => s.points += other.points().len() as u64,
+                    RefData::Histogram { total, .. } => s.hist_samples += total,
+                    other => s.points += other.rows().len() as u64,
                 }
             }
             s
-        }
-
-        /// `[a, b]` rows of a series: its points, or its non-empty buckets.
-        fn rows(data: &SeriesData) -> Vec<(u64, u64)> {
-            match data {
-                SeriesData::Histogram(h) => h.buckets().collect(),
-                other => other.points().iter().map(|p| (p.tick, p.value)).collect(),
-            }
         }
 
         fn render_json(&self, label: &str) -> String {
@@ -1002,15 +1483,14 @@ mod tests {
                     key.metric.label(),
                     key.metric.kind().label()
                 ));
-                let rows: Vec<String> = Self::rows(data)
+                let rows: Vec<String> = data
+                    .rows()
                     .iter()
                     .map(|(a, b)| format!("[{a}, {b}]"))
                     .collect();
                 match data {
-                    SeriesData::Histogram(h) => out.push_str(&format!(
-                        "\"total\": {}, \"sum\": {}, \"buckets\": [{}]",
-                        h.total(),
-                        h.sum(),
+                    RefData::Histogram { total, sum, .. } => out.push_str(&format!(
+                        "\"total\": {total}, \"sum\": {sum}, \"buckets\": [{}]",
                         rows.join(", ")
                     )),
                     _ => out.push_str(&format!("\"points\": [{}]", rows.join(", "))),
@@ -1025,7 +1505,7 @@ mod tests {
         fn render_csv(&self) -> String {
             let mut out = String::from("scope,metric,kind,tick,value\n");
             for (key, data) in &self.0 {
-                for (a, b) in Self::rows(data) {
+                for (a, b) in data.rows() {
                     out.push_str(&format!(
                         "{},{},{},{a},{b}\n",
                         key.scope,
@@ -1038,96 +1518,130 @@ mod tests {
         }
     }
 
-    /// A seeded random run of every record method over scattered scopes
-    /// reads back exactly as the keyed reference does.
+    /// Every metric, so every series kind and every `CcRecoveries` label.
+    const METRICS: [Metric; 20] = [
+        Metric::Cwnd,
+        Metric::Ssthresh,
+        Metric::FlightBytes,
+        Metric::RtoNs,
+        Metric::CcRecoveryActive,
+        Metric::CcRecoveries(CcVariant::Reno),
+        Metric::CcRecoveries(CcVariant::NewReno),
+        Metric::CcRecoveries(CcVariant::Sack),
+        Metric::CcRecoveries(CcVariant::Cubic),
+        Metric::FlightHist,
+        Metric::QueueBytes,
+        Metric::QueueBytesHist,
+        Metric::DropsLoss,
+        Metric::DropsOutage,
+        Metric::DropsQueue,
+        Metric::SynDrops,
+        Metric::ServerConnections,
+        Metric::ServerQueuedConnections,
+        Metric::ServerBufferedBytes,
+        Metric::PoolEffects,
+    ];
+
+    /// Seeded random write streams over 50 scopes and every metric, by
+    /// id and keyed, read back exactly as the `Vec`-per-series reference
+    /// does: `get` and `series` after every write, the summary and both
+    /// renderings at the end. Same-tick writes, equal values and
+    /// same-tick reverts are frequent by construction; values reach the
+    /// top bucket, so histogram runs widen and are reused.
     #[test]
     fn random_records_read_back_as_the_keyed_reference_does() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
-        const GAUGES: [Metric; 4] = [
-            Metric::Cwnd,
-            Metric::RtoNs,
-            Metric::QueueBytes,
-            Metric::ServerConnections,
-        ];
-        const COUNTERS: [Metric; 3] = [
-            Metric::DropsLoss,
-            Metric::SynDrops,
-            Metric::CcRecoveries(CcVariant::Sack),
-        ];
-        const HISTOGRAMS: [Metric; 2] = [Metric::FlightHist, Metric::QueueBytesHist];
+        let scopes: Vec<Scope> = std::iter::once(Scope::Global)
+            .chain((0..6).map(|h| Scope::Host(HostId(h))))
+            .chain((0..6).map(|l| Scope::Link {
+                link: l / 2,
+                a_to_b: l % 2 == 0,
+            }))
+            .chain((0..37).map(|c| {
+                let host = HostId(c % 5);
+                Scope::Conn {
+                    host,
+                    local: SockAddr::new(host, 40_000 + c),
+                    remote: SockAddr::new(HostId(9), 80),
+                }
+            }))
+            .collect();
+        assert_eq!(scopes.len(), 50);
 
         for seed in [1, 1997] {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut sink = TelemetrySink::default();
             sink.enable();
             let mut reference = Reference::default();
-            let mut seen = Vec::new();
             let mut now_ms = 0;
-            for _ in 0..4000 {
+            for step in 0..2500 {
                 now_ms += rng.gen_range(0..8u64);
                 let now = at_ms(now_ms);
-                let scope = match rng.gen_range(0..8u32) {
-                    0 => Scope::Global,
-                    1 => Scope::Host(HostId(rng.gen_range(0..6u16))),
-                    2 => Scope::Link {
-                        link: rng.gen_range(0..3u32),
-                        a_to_b: rng.gen_range(0..2u32) == 1,
-                    },
-                    _ => {
-                        let host = HostId(rng.gen_range(0..8u16));
-                        Scope::Conn {
-                            host,
-                            local: SockAddr::new(host, 40_000 + rng.gen_range(0..24u16)),
-                            remote: SockAddr::new(HostId(9), 80),
-                        }
-                    }
+                let scope = scopes[rng.gen_range(0..scopes.len())];
+                let metric = METRICS[rng.gen_range(0..METRICS.len())];
+                let value = match rng.gen_range(0..8u32) {
+                    0 => u64::MAX >> rng.gen_range(0..64u32),
+                    _ => rng.gen_range(0..4u64) * 1460,
                 };
-                let value = rng.gen_range(0..5u64) * 1460;
-                let pick = rng.gen_range(0..4usize);
-                let metric = match rng.gen_range(0..4u32) {
-                    0 => {
-                        let metric = GAUGES[pick];
-                        sink.gauge(now, scope, metric, value);
-                        reference.gauge_changed(now, scope, metric, value);
-                        metric
-                    }
-                    1 => {
-                        let metric = GAUGES[pick];
+                let by_id = rng.gen_range(0..2u32) == 0;
+                match metric.kind() {
+                    SeriesKind::Gauge => {
+                        let changed = if by_id {
+                            let id = sink.resolve(scope);
+                            sink.gauge_changed_in(now, id, metric, value)
+                        } else {
+                            sink.gauge_changed(now, scope, metric, value)
+                        };
                         assert_eq!(
-                            sink.gauge_changed(now, scope, metric, value),
-                            reference.gauge_changed(now, scope, metric, value)
+                            changed,
+                            reference.gauge_changed(now, scope, metric, value),
+                            "seed {seed} step {step}"
                         );
-                        metric
                     }
-                    2 => {
-                        let metric = COUNTERS[pick % COUNTERS.len()];
-                        sink.counter_add(now, scope, metric, value);
-                        reference.counter_add(now, scope, metric, value);
-                        metric
+                    SeriesKind::Counter => {
+                        let delta = value % 3;
+                        if by_id {
+                            let id = sink.resolve(scope);
+                            sink.counter_add_in(now, id, metric, delta);
+                        } else {
+                            sink.counter_add(now, scope, metric, delta);
+                        }
+                        reference.counter_add(now, scope, metric, delta);
                     }
-                    _ => {
-                        let metric = HISTOGRAMS[pick % HISTOGRAMS.len()];
-                        sink.observe(scope, metric, value);
+                    SeriesKind::Histogram => {
+                        if by_id {
+                            let id = sink.resolve(scope);
+                            sink.observe_in(id, metric, value);
+                        } else {
+                            sink.observe(scope, metric, value);
+                        }
                         reference.observe(scope, metric, value);
-                        metric
                     }
-                };
-                seen.push((scope, metric));
+                }
+                let key = SeriesKey { scope, metric };
+                assert_eq!(
+                    sink.get(scope, metric).map(RefData::of).as_ref(),
+                    reference.0.get(&key),
+                    "seed {seed} step {step}: {key:?}"
+                );
+                let series = sink.series();
+                assert_eq!(series.len(), reference.0.len());
+                for (s, (key, data)) in series.iter().zip(&reference.0) {
+                    assert_eq!(&s.key, key, "seed {seed} step {step}");
+                    assert_eq!(&RefData::of(s.data), data, "seed {seed} step {step}");
+                }
             }
+            assert_eq!(sink.summary(), reference.summary());
             assert_eq!(sink.render_csv(), reference.render_csv());
             assert_eq!(sink.render_json("model"), reference.render_json("model"));
-            assert_eq!(sink.summary(), reference.summary());
-            let keys: Vec<SeriesKey> = sink.series().iter().map(|s| s.key).collect();
-            assert!(keys.iter().eq(reference.0.keys()));
-            for (scope, metric) in seen {
-                assert_eq!(
-                    format!("{:?}", sink.get(scope, metric)),
-                    format!("{:?}", reference.0.get(&SeriesKey { scope, metric }))
-                );
-            }
             assert!(sink.get(Scope::Host(HostId(77)), Metric::Cwnd).is_none());
+            let unwritten = Scope::Link {
+                link: 9,
+                a_to_b: true,
+            };
+            assert!(sink.get(unwritten, Metric::QueueBytes).is_none());
         }
     }
 

@@ -14,7 +14,13 @@
 //! [`TraceMode::Full`] only *adds* retention: every packet is also kept as a
 //! [`TraceRecord`] (required for [`Trace::dump`], [`Trace::xplot`] and
 //! [`Trace::time_sequence`]).
+//!
+//! Retained records lie in blocks of [`RECORDS_PER_BLOCK`] that never
+//! move (the first holds an eighth as many): a capture grows by one block
+//! at a time and never copies what it holds. Readers get a [`Records`]
+//! view of the blocks, read where they lie.
 
+use crate::blocks::Blocks;
 use crate::fxhash::FxBuild;
 use crate::impair::DropReason;
 use crate::packet::{HostId, Segment, SockAddr, TCP_IP_HEADER_BYTES};
@@ -22,6 +28,122 @@ use crate::time::SimTime;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Index;
+
+/// Records per block of a trace's retained captures; the first block
+/// holds an eighth as many, so a short capture stays small.
+pub const RECORDS_PER_BLOCK: usize = 256;
+
+/// A capture's retained records or drops, in capture order: its blocks,
+/// or any slice, borrowed where they lie.
+pub struct Records<'a, T = TraceRecord> {
+    /// The first block, or the whole slice.
+    first: &'a [T],
+    /// Every later block: each [`RECORDS_PER_BLOCK`] long but the last.
+    rest: &'a [Vec<T>],
+    len: usize,
+}
+
+impl<'a, T> Records<'a, T> {
+    fn of(store: &'a Blocks<T, RECORDS_PER_BLOCK>) -> Self {
+        let blocks = store.blocks();
+        Records {
+            first: blocks.first().map_or(&[], Vec::as_slice),
+            rest: blocks.get(1..).unwrap_or(&[]),
+            len: store.len(),
+        }
+    }
+
+    /// Number of records.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// True when there are none.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Record `i`, if there are more than `i`.
+    pub fn get(self, i: usize) -> Option<&'a T> {
+        match i.checked_sub(self.first.len()) {
+            None => self.first.get(i),
+            Some(j) => self
+                .rest
+                .get(j / RECORDS_PER_BLOCK)?
+                .get(j % RECORDS_PER_BLOCK),
+        }
+    }
+
+    /// The first record.
+    pub fn first(self) -> Option<&'a T> {
+        self.get(0)
+    }
+
+    /// The last record.
+    pub fn last(self) -> Option<&'a T> {
+        self.get(self.len.checked_sub(1)?)
+    }
+
+    /// Every record in capture order (and, with `.rev()`, backwards).
+    pub fn iter(self) -> RecordsIter<'a, T> {
+        self.first.iter().chain(self.rest.iter().flatten())
+    }
+}
+
+/// The iterator of [`Records::iter`].
+pub type RecordsIter<'a, T> =
+    std::iter::Chain<std::slice::Iter<'a, T>, std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>>;
+
+// Manual impls: a view is a copy of three words whatever `T` is.
+impl<T> Clone for Records<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Records<'_, T> {}
+
+impl<T> Default for Records<'_, T> {
+    fn default() -> Self {
+        Records {
+            first: &[],
+            rest: &[],
+            len: 0,
+        }
+    }
+}
+
+impl<'a, T, S: AsRef<[T]> + ?Sized> From<&'a S> for Records<'a, T> {
+    fn from(records: &'a S) -> Self {
+        let first = records.as_ref();
+        Records {
+            first,
+            rest: &[],
+            len: first.len(),
+        }
+    }
+}
+
+impl<T> Index<usize> for Records<'_, T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match self.get(i) {
+            Some(rec) => rec,
+            None => panic!("record {i} of {}", self.len),
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for Records<'a, T> {
+    type Item = &'a T;
+    type IntoIter = RecordsIter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// How much of each captured packet the trace retains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -79,15 +201,17 @@ struct PairState {
 #[derive(Debug, Default)]
 pub struct Trace {
     mode: TraceMode,
-    records: Vec<TraceRecord>,
+    records: Blocks<TraceRecord, RECORDS_PER_BLOCK>,
     /// Online per-pair state, keyed by the (low, high) host pair.
     // simlint: allow(hash-collections): read per-pair via `stats()`,
     // never iterated.
     pairs: HashMap<(HostId, HostId), PairState, FxBuild>,
     /// Dropped packets, retained only in [`TraceMode::Full`].
-    dropped: Vec<DropRecord>,
+    dropped: Blocks<DropRecord, RECORDS_PER_BLOCK>,
     /// Packets observed regardless of mode.
     observed: u64,
+    /// Drops observed regardless of mode.
+    drops: u64,
 }
 
 impl Trace {
@@ -171,6 +295,7 @@ impl Trace {
     /// per-pair drop counters in both modes; [`TraceMode::Full`]
     /// additionally retains a [`DropRecord`] for [`Trace::dump`].
     pub fn observe_drop(&mut self, at: SimTime, segment: &Segment, reason: DropReason) {
+        self.drops += 1;
         let (key, _) = pair_key(segment.src.host, segment.dst.host);
         let stats = &mut self.pairs.entry(key).or_default().stats;
         match reason {
@@ -207,15 +332,15 @@ impl Trace {
 
     /// All captured packets in arrival order. Empty in
     /// [`TraceMode::StatsOnly`], which does not retain records.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records::of(&self.records)
     }
 
     /// Dropped packets in submission order (retained only in
     /// [`TraceMode::Full`]; the per-pair drop *counters* in
     /// [`TraceStats`] work in both modes).
-    pub fn drop_records(&self) -> &[DropRecord] {
-        &self.dropped
+    pub fn drop_records(&self) -> Records<'_, DropRecord> {
+        Records::of(&self.dropped)
     }
 
     /// Drop all accumulated contents.
@@ -224,6 +349,7 @@ impl Trace {
         self.pairs.clear();
         self.dropped.clear();
         self.observed = 0;
+        self.drops = 0;
     }
 
     /// Statistics over all packets flowing in either direction between the
@@ -243,23 +369,32 @@ impl Trace {
     /// empty otherwise.
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        for rec in &self.records {
+        for rec in self.records() {
             let _ = writeln!(out, "{} {}", rec.sent, rec.segment);
         }
-        if !self.dropped.is_empty() {
-            let _ = writeln!(out, "--- {} dropped ---", self.dropped.len());
-            for d in &self.dropped {
+        let dropped = self.drop_records();
+        if !dropped.is_empty() {
+            let _ = writeln!(out, "--- {} dropped ---", dropped.len());
+            for d in dropped {
                 let _ = writeln!(out, "{} DROP({}) {}", d.at, d.reason, d.segment);
             }
         }
         out
     }
 
-    /// Error unless the capture retains per-packet records.
-    fn require_full(&self) -> Result<(), TraceModeError> {
+    /// The retained records, provided they are the whole capture: the
+    /// trace is in [`TraceMode::Full`] and was in it for every packet and
+    /// drop it observed.
+    ///
+    /// # Errors
+    /// [`TraceModeError`] otherwise: a rendering of the records would
+    /// silently lack what was not retained.
+    pub(crate) fn complete_records(&self) -> Result<Records<'_>, TraceModeError> {
+        let retained_all =
+            self.records.len() as u64 == self.observed && self.dropped.len() as u64 == self.drops;
         match self.mode {
-            TraceMode::Full => Ok(()),
-            TraceMode::StatsOnly => Err(TraceModeError),
+            TraceMode::Full if retained_all => Ok(self.records()),
+            _ => Err(TraceModeError),
         }
     }
 
@@ -269,12 +404,12 @@ impl Trace {
     /// used to find its implementation bugs.
     ///
     /// # Errors
-    /// [`TraceModeError`] when the capture ran in [`TraceMode::StatsOnly`],
-    /// which retains no records — the result would be silently empty.
+    /// [`TraceModeError`] unless the whole capture ran in
+    /// [`TraceMode::Full`]: the result would silently lack every packet
+    /// not retained.
     pub fn time_sequence(&self, from: HostId) -> Result<Vec<(f64, u64)>, TraceModeError> {
-        self.require_full()?;
         Ok(self
-            .records
+            .complete_records()?
             .iter()
             .filter(|r| r.segment.src.host == from && r.segment.has_payload())
             .map(|r| (r.sent.as_secs_f64(), r.segment.seq_end()))
@@ -286,19 +421,19 @@ impl Trace {
     /// ACK series as yellow ticks.
     ///
     /// # Errors
-    /// [`TraceModeError`] when the capture ran in [`TraceMode::StatsOnly`]
-    /// (no records: the plot would be an empty frame).
+    /// [`TraceModeError`] unless the whole capture ran in
+    /// [`TraceMode::Full`] (the plot would silently miss packets).
     pub fn xplot(&self, from: HostId, title: &str) -> Result<String, TraceModeError> {
-        self.require_full()?;
+        let records = self.complete_records()?;
         use std::collections::HashSet;
         let mut out = String::new();
         out.push_str("timeval unsigned\n");
         let _ = writeln!(out, "title\n{title}");
         out.push_str("xlabel\ntime\nylabel\nsequence number\n");
         // simlint: allow(hash-collections): membership test only; output
-        // order comes from the records vector.
+        // order comes from the records.
         let mut seen: HashSet<(u64, u64)> = HashSet::new();
-        for rec in &self.records {
+        for rec in records {
             let seg = &rec.segment;
             if seg.src.host == from && seg.has_payload() {
                 let fresh = seen.insert((seg.seq, seg.seq_end()));
@@ -369,8 +504,9 @@ fn pair_key(from: HostId, to: HostId) -> ((HostId, HostId), bool) {
     }
 }
 
-/// A record-backed trace rendering was requested from a capture that ran
-/// in [`TraceMode::StatsOnly`] and therefore retained no records.
+/// A record-backed trace rendering was requested from a capture that did
+/// not retain every packet it observed: it ran in [`TraceMode::StatsOnly`]
+/// for all of the run or for part of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceModeError;
 
@@ -378,8 +514,9 @@ impl fmt::Display for TraceModeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "trace was captured in TraceMode::StatsOnly and retains no \
-             per-packet records; re-run with TraceMode::Full"
+            "trace was captured in TraceMode::StatsOnly for some or all of \
+             the run and lacks per-packet records; re-run with \
+             TraceMode::Full throughout"
         )
     }
 }
@@ -800,6 +937,96 @@ mod tests {
         full.record(r);
         assert!(full.time_sequence(HostId(0)).is_ok());
         assert!(full.xplot(HostId(0), "demo").is_ok());
+    }
+
+    /// A capture that missed packets or drops — retention switched on
+    /// after traffic flowed, or off for a while — refuses every
+    /// record-backed rendering; one that was `Full` throughout does not.
+    #[test]
+    fn a_capture_that_missed_packets_refuses_to_render() {
+        let r = rec(0, 1, TcpFlags::ACK, 100, 0);
+        let renders = |t: &Trace| {
+            [
+                t.time_sequence(HostId(0)).err(),
+                t.xplot(HostId(0), "demo").err(),
+                crate::pcapng::export_trace(t).err(),
+            ]
+        };
+        let refused = [Some(TraceModeError); 3];
+        let switched = |modes: &[TraceMode], drop_at: usize| {
+            let mut t = Trace::with_mode(modes[0]);
+            for (i, &mode) in modes.iter().enumerate() {
+                t.set_mode(mode);
+                if i == drop_at {
+                    t.observe_drop(r.sent, &r.segment, DropReason::Queue);
+                } else {
+                    t.record(r.clone());
+                }
+            }
+            t
+        };
+        use TraceMode::{Full, StatsOnly};
+        let none = usize::MAX;
+        // On after traffic flowed.
+        assert_eq!(renders(&switched(&[StatsOnly, Full, Full], none)), refused);
+        // Off after traffic flowed, and on again.
+        assert_eq!(renders(&switched(&[Full, StatsOnly], none)), refused);
+        assert_eq!(renders(&switched(&[Full, StatsOnly, Full], none)), refused);
+        // Every packet retained, but a drop was not.
+        assert_eq!(renders(&switched(&[Full, StatsOnly, Full], 1)), refused);
+        // Full throughout, a drop included; and off only while idle.
+        assert_eq!(renders(&switched(&[Full, Full, Full], 1)), [None; 3]);
+        let mut idle = switched(&[Full], none);
+        idle.set_mode(StatsOnly);
+        idle.set_mode(Full);
+        idle.record(r.clone());
+        assert_eq!(renders(&idle), [None; 3]);
+    }
+
+    /// The block view reads as the `Vec` it replaced, on both sides of
+    /// the first block's end and of a full block's.
+    #[test]
+    fn records_read_as_a_vec_does() {
+        const B: usize = RECORDS_PER_BLOCK;
+        const F: usize = B / 8;
+        let stamp = |r: &TraceRecord| (r.sent, r.received);
+        for n in [0, 1, F - 1, F, F + 1, B - 1, B, B + 1, F + B, 3 * B + 7] {
+            let mut trace = Trace::new();
+            let mut vec = Vec::new();
+            for i in 0..n as u64 {
+                let r = rec(0, 1, TcpFlags::ACK, 0, i * 1_000);
+                trace.record(r.clone());
+                vec.push(r);
+            }
+            for records in [trace.records(), Records::from(&vec)] {
+                assert_eq!(records.len(), n);
+                assert_eq!(records.is_empty(), n == 0);
+                for i in 0..n + 2 {
+                    assert_eq!(records.get(i).map(stamp), vec.get(i).map(stamp), "{n}: {i}");
+                }
+                assert!(records.iter().map(stamp).eq(vec.iter().map(stamp)));
+                assert!(records
+                    .iter()
+                    .rev()
+                    .map(stamp)
+                    .eq(vec.iter().rev().map(stamp)));
+                assert_eq!(records.first().map(stamp), vec.first().map(stamp));
+                assert_eq!(records.last().map(stamp), vec.last().map(stamp));
+                assert_eq!(records.iter().last().map(stamp), vec.last().map(stamp));
+                if let Some(i) = n.checked_sub(1) {
+                    assert_eq!(stamp(&records[i]), stamp(&vec[i]));
+                }
+            }
+            let blocks = trace.records.blocks();
+            let sizes: Vec<usize> = blocks.iter().map(Vec::capacity).collect();
+            let full = n.saturating_sub(F).div_ceil(B);
+            let expected: Vec<usize> = (n > 0)
+                .then_some(F)
+                .into_iter()
+                .chain([B].repeat(full))
+                .collect();
+            assert_eq!(sizes, expected, "{n} records: whole blocks, never regrown");
+        }
     }
 
     #[test]
