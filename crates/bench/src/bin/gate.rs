@@ -19,18 +19,6 @@ use httpipe_core::harness::worker_threads;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Counts every heap allocation and free the process makes, for the
-/// `matrix` and `fleet16` allocation ceilings and `fleet16`'s live-bytes
-/// ceiling (this binary only — the library crates never see it).
-#[global_allocator]
-static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc::new();
-
-const COUNTER: gate::AllocCounter = gate::AllocCounter {
-    allocations: counting_alloc::allocations,
-    reset_peak: counting_alloc::reset_peak,
-    peak_live_bytes: counting_alloc::peak_live_bytes,
-};
-
 // Wall-clock progress reporting, kept out of the summary. simlint: allow(wall-clock)
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +33,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|g| {
             let start = Instant::now();
-            let verdict = g.run(Some(COUNTER));
+            let verdict = g.run();
             let secs = start.elapsed().as_secs_f64();
             if verdict.ok() {
                 println!("{verdict}  ({secs:.2}s)");

@@ -25,8 +25,8 @@
 //! captured payloads, handed to the `httpwire` and `httpmux` parsers a
 //! chunk at a time. What a check allocates is therefore per packet, not
 //! per payload byte, and what it holds at once is bounded by its index
-//! and its largest connection (`httpipe-core`'s `tests/check_alloc.rs`
-//! pins both).
+//! and its largest connection (the `check …` rows of `httpipe-core`'s
+//! count table, `tests/count_table/mod.rs`, pin both).
 //!
 //! Entry point: [`check_trace`]. The harness-facing wrapper lives in
 //! `httpipe-core::harness::run_cells_checked`.

@@ -23,20 +23,6 @@ use crate::result::CellResult;
 use netsim::{CcVariant, TraceMode};
 use std::fmt;
 
-/// Reads the process's counting allocator, where the binary has one
-/// installed (`gate` does; test binaries do not, and pass `None` — the
-/// allocation and memory ceilings are then skipped).
-#[derive(Debug, Clone, Copy)]
-pub struct AllocCounter {
-    /// The running allocation count.
-    pub allocations: fn() -> u64,
-    /// Restart the live-bytes high-water mark from the bytes live now,
-    /// and return those.
-    pub reset_peak: fn() -> u64,
-    /// The high-water mark since.
-    pub peak_live_bytes: fn() -> u64,
-}
-
 /// What one pass of a gate produced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Pass {
@@ -56,7 +42,7 @@ pub struct Gate {
     /// The digest both passes must produce.
     pub pinned: u64,
     /// Run the reduced grid once; `Err` is a failed assertion.
-    pub pass: fn(Option<AllocCounter>) -> Result<Pass, String>,
+    pub pass: fn() -> Result<Pass, String>,
 }
 
 /// Why a gate failed.
@@ -148,8 +134,8 @@ pub fn check(
 
 impl Gate {
     /// Run this gate through [`check`].
-    pub fn run(&self, allocations: Option<AllocCounter>) -> Verdict {
-        check(self.name, self.pinned, || (self.pass)(allocations))
+    pub fn run(&self) -> Verdict {
+        check(self.name, self.pinned, self.pass)
     }
 }
 
@@ -273,7 +259,7 @@ fn ensure_clean(report: &conformance::Report, what: &str) -> Result<(), String> 
 
 /// The impairment pipeline: the reduced WAN loss grid (18 cells), whose
 /// lossy cells must actually lose and repair packets.
-fn robustness_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn robustness_pass() -> Result<Pass, String> {
     let cells = robustness::run_points(&robustness::reduced_grid());
     let lossy_rexmit: u64 = cells
         .iter()
@@ -293,7 +279,7 @@ fn robustness_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
 /// Every TCP and HTTP invariant over the full unimpaired matrix, the
 /// reduced loss grid and the jitter/reordering grid (44 + 18 + 9 cells).
 /// The digest is over the checker's traffic counts.
-fn conformance_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn conformance_pass() -> Result<Pass, String> {
     let mut specs = protocol_matrix::all_specs(TraceMode::Full);
     specs.extend(robustness::reduced_grid().iter().map(|p| p.spec()));
     specs.extend(robustness::jitter_grid().iter().map(|p| p.spec()));
@@ -317,7 +303,7 @@ fn conformance_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
 /// The fleet engine: LAN+WAN × three setups × N ∈ {1, 16, 64}. The
 /// contended cells must really contend — at N=64 the slowest client is
 /// slower than a lone one — yet everyone fetches the whole site.
-fn scale_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn scale_pass() -> Result<Pass, String> {
     let cells = scale::run_points(&scale::reduced_grid());
     for big in cells.iter().filter(|c| c.point.n_clients == 64) {
         let lone = cells
@@ -344,7 +330,7 @@ fn scale_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
 
 /// The framed transports: LAN matrix table, reduced WAN loss grid with
 /// its shared-fate extract, LAN stall probe. The push row must be live.
-fn mux_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn mux_pass() -> Result<Pass, String> {
     let tables = mux::reduced_report();
     let matrix = tables[0].render();
     ensure(
@@ -363,7 +349,7 @@ fn mux_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
 /// The congestion-control lab: 3 setups × {0, 2}% loss × 4 variants,
 /// plus one lossy pipelined cell per variant replayed under the full
 /// conformance checker (per-variant invariants included).
-fn cc_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn cc_pass() -> Result<Pass, String> {
     let cells = robustness::run_points(&cc::reduced_grid());
     for variant in cc::VARIANTS {
         let point = cells
@@ -393,7 +379,7 @@ fn cc_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
 
 /// The flight recorder: LAN × three setups; report table and every
 /// `PROBE_*.json` document digested, buckets summing to elapsed ± 1 %.
-fn probe_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn probe_pass() -> Result<Pass, String> {
     let cells = probe::run_points(&probe::reduced_grid());
     for cell in &cells {
         let sum = cell.analysis.report.buckets.sum();
@@ -410,7 +396,7 @@ fn probe_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
 
 /// The telemetry artefacts (JSON, CSV, pcapng), byte-for-byte against the
 /// committed goldens; the capture must re-parse.
-fn telemetry_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
+fn telemetry_pass() -> Result<Pass, String> {
     let art = telemetry::smoke_artifacts();
     let dir = telemetry::goldens_dir();
     let mut h = Fnv1a::new();
@@ -439,113 +425,38 @@ fn telemetry_pass(_: Option<AllocCounter>) -> Result<Pass, String> {
     })
 }
 
-/// Allocations per packet the serial matrix and the two 16-client WAN
-/// fleets may cost: their measured 1.246 and 1.207, rounded up. What sets
-/// them is a few allocations per request: a message head's one buffer
-/// comes from the buffer pool, a received body is the chunks it arrived
-/// in, a client makes each object's path once, and the applications keep
-/// their queues and tables in storage they reuse. A head's `Arc` header
-/// and a parsed `ETag` are most of what is left.
-const MATRIX_ALLOCS_PER_PACKET: f64 = 1.3;
-const FLEET16_ALLOCS_PER_PACKET: f64 = 1.3;
-/// Slack on those ceilings. The simulation is deterministic but the
-/// thread-local buffer pools are warmed by whatever ran earlier in the
-/// process, so a counted pass can differ by a few pool misses. Real
-/// regressions arrive in whole allocations per packet; a fraction of one
-/// is pool-warmth noise.
-const ALLOC_TOLERANCE: f64 = 0.2;
-
-/// Live heap the counted `fleet16` pass may add at its worst, in MiB:
-/// the measured 1.26 rounded up (1.83 while every timer re-arm queued
-/// another 200-byte event; 1.95 while the send path copied; 5.3 while
-/// closed and drained connections kept their buffers' capacity).
-const FLEET16_PEAK_LIVE_MIB: f64 = 1.5;
-
-/// Run `run` twice on the calling thread — a warm-up that primes code
-/// paths and buffer pools, then a counted pass that must reproduce it —
-/// and hold allocations per packet (rounded to 0.1) to `ceiling` and,
-/// where one is given, the live bytes the counted pass adds at its peak
-/// to `peak_ceiling_mib`.
-fn counted(
-    run: impl Fn() -> Vec<CellResult>,
-    ceiling: f64,
-    peak_ceiling_mib: Option<f64>,
-    allocations: Option<AllocCounter>,
-) -> Result<(Vec<CellResult>, String), String> {
-    let cells = run();
-    let before = allocations.map(|a| ((a.allocations)(), (a.reset_peak)()));
-    let again = run();
-    let counts = allocations.zip(before).map(|(a, (allocs, live))| {
-        let peak = (a.peak_live_bytes)().saturating_sub(live);
-        ((a.allocations)() - allocs, peak)
-    });
-    ensure(again == cells, || "two serial passes disagree".into())?;
-    let Some((allocs, peak)) = counts else {
-        return Ok((cells, "allocs not counted".into()));
-    };
-    let packets: u64 = cells.iter().map(CellResult::packets).sum();
-    let per_packet = (allocs as f64 / packets as f64 * 10.0).round() / 10.0;
-    ensure(per_packet <= ceiling + ALLOC_TOLERANCE + 1e-9, || {
-        format!(
-            "allocations/packet increased: {per_packet:.1} > pinned {ceiling:.1} \
-             (+{ALLOC_TOLERANCE} tolerance)"
-        )
-    })?;
-    let mut detail = format!("{per_packet:.1} allocs/packet");
-    if let Some(ceiling) = peak_ceiling_mib {
-        let mib = peak as f64 / (1u64 << 20) as f64;
-        ensure(mib <= ceiling, || {
-            format!("peak live bytes increased: {mib:.2} MiB > pinned {ceiling} MiB")
-        })?;
-        detail += &format!(", peak {mib:.2} MiB live");
-    }
-    Ok((cells, detail))
-}
-
 /// The 44 cells of Tables 4–9, stats-only: every field of every cell
-/// digested, serial and threaded executors agreeing, allocations held.
-fn matrix_pass(allocations: Option<AllocCounter>) -> Result<Pass, String> {
+/// digested, serial and threaded executors agreeing.
+fn matrix_pass() -> Result<Pass, String> {
     let specs = || protocol_matrix::all_specs(TraceMode::StatsOnly);
-    let (cells, detail) = counted(
-        || run_cells_threaded(specs(), Some(1)),
-        MATRIX_ALLOCS_PER_PACKET,
-        None,
-        allocations,
-    )?;
+    let cells = run_cells_threaded(specs(), Some(1));
     ensure(run_cells_threaded(specs(), None) == cells, || {
         "threaded executor disagrees with the serial one".into()
     })?;
     Ok(Pass {
         cells: cells.len(),
         digest: digest::cells(&cells),
-        detail,
+        detail: String::new(),
     })
 }
 
 /// The scale engine's hot path: two 16-client WAN fleets (pipelined and
 /// multiplexed) through the shared bottleneck, every client's cell
-/// digested, allocations and peak live bytes held.
-fn fleet16_pass(allocations: Option<AllocCounter>) -> Result<Pass, String> {
+/// digested.
+fn fleet16_pass() -> Result<Pass, String> {
     let points = scale::grid(
         &[NetEnv::Wan],
         &[ProtocolSetup::Http11Pipelined, ProtocolSetup::Multiplexed],
         &[16],
     );
-    let (cells, detail) = counted(
-        || {
-            points
-                .iter()
-                .flat_map(|p| run_fleet(p.spec()).per_client)
-                .collect()
-        },
-        FLEET16_ALLOCS_PER_PACKET,
-        Some(FLEET16_PEAK_LIVE_MIB),
-        allocations,
-    )?;
+    let cells: Vec<CellResult> = points
+        .iter()
+        .flat_map(|p| run_fleet(p.spec()).per_client)
+        .collect();
     Ok(Pass {
         cells: points.len(),
         digest: digest::cells(&cells),
-        detail,
+        detail: String::new(),
     })
 }
 

@@ -1,0 +1,201 @@
+//! Every exact count the workspace pins on the allocator, in one table,
+//! and the harness that measures a row.
+//!
+//! A row is one measured run: the packets it carried (or, for a reader of
+//! a finished trace, the records it read; 0 where no packet is involved)
+//! and what the run cost the allocator — allocations, bytes requested,
+//! and the live heap it added at its worst. Each run is counted on the
+//! test's own thread after one warm-up run of the same thing, which primes
+//! code paths and the thread-local buffer pools. The simulation is
+//! deterministic and a test measures its rows in a fixed order, so every
+//! count repeats exactly, in debug and release builds alike; a defect that
+//! costs one allocation per packet, per message or per object moves a
+//! row by thousands, and one that copies a body moves its bytes.
+//!
+//! The table is grouped by the test that measures the rows, one test per
+//! binary, so nothing else in the process allocates while a row is
+//! counted:
+//! - `alloc_budget`: one message through `httpwire`'s engines, and 64
+//!   8 KiB streams between two `httpmux` engines;
+//! - `counts`: the 44 cells of Tables 4–9, two 16-client WAN fleets, and
+//!   the congestion-control lab's lossy grid;
+//! - `head_alloc`: three clean LAN cells of 43 requests, whose cost is
+//!   their message heads and the robot's per-object state;
+//! - `body_alloc`: one clean LAN cell fetching a 1 KiB or a 1 MiB object
+//!   over HTTP/1.1, pipelined and multiplexed, with the full trace;
+//! - `check_alloc`: the conformance checker over each of those traces,
+//!   and a 16-client LAN HTTP/1.0 fleet with each flight recorder and
+//!   the two readers of its trace.
+//!
+//! A mismatch names the first row that moved and its fields, then prints
+//! the group as measured in [`TABLE`]'s syntax: a change meant to move a
+//! count replaces the group with it.
+
+use counting_alloc::{allocated_bytes, allocations, peak_live_bytes, reset_peak};
+use std::fmt::Write;
+
+/// Group, then its rows: name, then `[packets, allocations, allocated
+/// bytes, peak live bytes]`.
+type Group = (&'static str, &'static [(&'static str, [u64; 4])]);
+
+const TABLE: &[Group] = &[
+    (
+        "alloc_budget",
+        &[
+            ("wire round trip", [0, 3, 1_072, 1_072]),
+            ("wire build", [0, 0, 0, 0]),
+            ("wire to_bytes", [0, 1, 256, 256]),
+            ("wire parse", [0, 0, 0, 0]),
+            ("mux 64 streams", [0, 131, 78_160, 48_904]),
+        ],
+    ),
+    (
+        "counts",
+        &[
+            ("matrix", [8_870, 10_935, 4_925_136, 118_081]),
+            ("fleet16", [8_384, 10_121, 3_697_708, 976_861]),
+            ("cc lossy", [8_287, 8_739, 3_019_960, 126_687]),
+        ],
+    ),
+    (
+        "head_alloc",
+        &[
+            ("head pipelined", [210, 285, 92_359, 60_203]),
+            ("head mux", [281, 367, 84_487, 55_325]),
+            ("head revalidate", [429, 303, 192_319, 108_179]),
+        ],
+    ),
+    (
+        "body_alloc",
+        &[
+            ("body 1.1 1K", [9, 48, 36_516, 35_960]),
+            ("body 1.1 1M", [1_109, 55, 241_599, 240_851]),
+            ("body pipelined 1K", [9, 48, 36_516, 35_960]),
+            ("body pipelined 1M", [1_109, 55, 241_599, 240_851]),
+            ("body mux 1K", [13, 62, 40_404, 38_935]),
+            ("body mux 1M", [1_196, 272, 276_903, 257_999]),
+        ],
+    ),
+    (
+        "check_alloc",
+        &[
+            ("check 1.1 1K", [9, 13, 2_212, 2_212]),
+            ("check 1.1 1M", [1_109, 15, 121_180, 121_180]),
+            ("check pipelined 1K", [9, 13, 2_212, 2_212]),
+            ("check pipelined 1M", [1_109, 15, 121_180, 121_180]),
+            ("check mux 1K", [13, 23, 3_764, 3_380]),
+            ("check mux 1M", [1_196, 114, 261_400, 203_520]),
+            ("fleet10", [9_198, 7_415, 3_555_498, 1_830_081]),
+            ("fleet10 sink", [9_198, 7_762, 4_544_138, 2_802_209]),
+            ("fleet10 trace", [9_198, 7_457, 5_038_154, 3_363_275]),
+            ("check fleet10", [9_198, 2_778, 1_156_928, 116_744]),
+            ("pcapng fleet10", [9_198, 1, 3_818_700, 3_818_700]),
+        ],
+    ),
+];
+
+const FIELDS: [&str; 4] = ["packets", "allocations", "bytes", "peak"];
+
+/// What the allocator saw over one counted run.
+pub struct Cost {
+    pub allocations: u64,
+    pub bytes: u64,
+    pub peak: u64,
+}
+
+/// Run `run` on what `make` builds twice, the first time to warm up, and
+/// return the second run's output and cost. What `make` builds, and
+/// dropping the output, are not counted.
+pub fn measure<S, T>(mut make: impl FnMut() -> S, mut run: impl FnMut(S) -> T) -> (T, Cost) {
+    drop(run(make()));
+    let input = make();
+    let live = reset_peak();
+    let before = (allocations(), allocated_bytes());
+    let out = run(input);
+    let cost = Cost {
+        allocations: allocations() - before.0,
+        bytes: allocated_bytes() - before.1,
+        peak: peak_live_bytes() - live,
+    };
+    (out, cost)
+}
+
+/// One group of the table as measured, in measuring order.
+pub struct Measured {
+    group: &'static str,
+    rows: Vec<(String, [u64; 4])>,
+}
+
+impl Measured {
+    /// An empty measurement of [`TABLE`]'s `group`.
+    pub fn new(group: &'static str) -> Self {
+        Measured {
+            group,
+            rows: Vec::new(),
+        }
+    }
+
+    pub fn row(&mut self, name: impl Into<String>, packets: u64, cost: Cost) {
+        let counts = [packets, cost.allocations, cost.bytes, cost.peak];
+        self.rows.push((name.into(), counts));
+    }
+
+    /// Panic with the first difference from the group's rows in
+    /// [`TABLE`], followed by the group as measured.
+    pub fn verify(&self) {
+        if let Some(why) = self.mismatch() {
+            panic!("{why}");
+        }
+    }
+
+    fn mismatch(&self) -> Option<String> {
+        let (_, table) = TABLE
+            .iter()
+            .find(|(group, _)| *group == self.group)
+            .expect("a group of the table");
+        let rows = self.rows.len().max(table.len());
+        let mut why = (0..rows).find_map(|i| match (self.rows.get(i), table.get(i)) {
+            (Some((name, _)), Some((pinned, _))) if name != pinned => Some(format!(
+                "row {i} measured `{name}`; the table has `{pinned}`"
+            )),
+            (Some((name, counts)), Some((_, pinned))) if counts != pinned => {
+                let moved: Vec<String> = FIELDS
+                    .iter()
+                    .zip(pinned.iter().zip(counts))
+                    .filter(|(_, (was, is))| was != is)
+                    .map(|(field, (was, is))| {
+                        format!("{field} {} -> {}", grouped(*was), grouped(*is))
+                    })
+                    .collect();
+                Some(format!("row `{name}` moved: {}", moved.join(", ")))
+            }
+            (Some((name, _)), None) => Some(format!("row `{name}` is not in the table")),
+            (None, Some((name, _))) => Some(format!("row `{name}` was not measured")),
+            _ => None,
+        })?;
+        let _ = writeln!(
+            why,
+            "\nmeasured:\n    (\n        \"{}\",\n        &[",
+            self.group
+        );
+        for (name, counts) in &self.rows {
+            let counts: Vec<String> = counts.iter().map(|&c| grouped(c)).collect();
+            let _ = writeln!(why, "            (\"{name}\", [{}]),", counts.join(", "));
+        }
+        why.push_str("        ],\n    ),");
+        Some(why)
+    }
+}
+
+/// `1234567` as `1_234_567`.
+fn grouped(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push('_');
+        }
+        out.push(c);
+    }
+    out
+}

@@ -1,8 +1,5 @@
 //! Tier-1 cover for CI's one gate step: every registry entry through the
 //! shared runner (two passes, pinned digest, the entry's own assertions).
-//! No counting allocator is installed in a test binary, so the `matrix`
-//! and `fleet16` allocation ceilings are skipped here; the `gate` binary
-//! enforces them.
 
 use httpipe_core::gate::REGISTRY;
 
@@ -10,7 +7,7 @@ use httpipe_core::gate::REGISTRY;
 fn every_gate_passes() {
     let failed: Vec<String> = REGISTRY
         .iter()
-        .map(|gate| gate.run(None))
+        .map(|gate| gate.run())
         .filter(|verdict| !verdict.ok())
         .map(|verdict| verdict.to_string())
         .collect();

@@ -1,8 +1,10 @@
-//! A counting [`GlobalAlloc`] for benchmark builds.
+//! A counting [`GlobalAlloc`] for the test binaries that pin allocation
+//! counts (`httpipe-core`'s count table, `tests/count_table/mod.rs`, and
+//! `httpwire`'s `tests/declared_length.rs`).
 //!
 //! The simulator's determinism crates (`netsim`, `bytes`) forbid
 //! `unsafe`, so the one `unsafe impl` a counting allocator needs lives
-//! here, in a crate nothing links against except bench binaries:
+//! here, in a crate nothing links against except those test binaries:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -15,11 +17,10 @@
 //!
 //! Counters are process-global relaxed atomics: cheap enough to leave
 //! enabled (a few `fetch_add`s per malloc), and exact for single-threaded
-//! measured regions, which is how the microbench suite uses them
-//! (allocations/packet is defined on the serial matrix run).
+//! measured regions, which is how the count table uses them.
 //!
 //! Frees are counted too, so that memory — not only allocation pressure —
-//! can be held to a ceiling: [`live_bytes`] is what is allocated and not
+//! can be pinned: [`live_bytes`] is what is allocated and not
 //! yet freed, [`peak_live_bytes`] its high-water mark since the last
 //! [`reset_peak`].
 

@@ -172,8 +172,6 @@ impl MuxConn {
         conn.queue_frame(&Frame {
             stream: 0,
             flags: 0,
-            // Once per connection, off the per-frame path.
-            // simlint: allow(hot-path-alloc)
             payload: FramePayload::Settings(vec![
                 (SETTING_ENABLE_PUSH, accept_push as u32),
                 (SETTING_INITIAL_WINDOW, DEFAULT_WINDOW),
@@ -189,8 +187,6 @@ impl MuxConn {
         conn.queue_frame(&Frame {
             stream: 0,
             flags: 0,
-            // Once per connection, off the per-frame path.
-            // simlint: allow(hot-path-alloc)
             payload: FramePayload::Settings(vec![(SETTING_INITIAL_WINDOW, DEFAULT_WINDOW)]),
         });
         conn
@@ -214,8 +210,6 @@ impl MuxConn {
             peer_enable_push: false,
             tx: Output::default(),
             rr_last: 0,
-            // Empty `Vec::new()` never allocates.
-            // simlint: allow(hot-path-alloc)
             ready: Vec::new(),
             dead: false,
         }
@@ -465,8 +459,6 @@ impl MuxConn {
                 self.queue_frame(&Frame {
                     stream: 0,
                     flags: FLAG_ACK,
-                    // Empty Vec::new() never allocates.
-                    // simlint: allow(hot-path-alloc)
                     payload: FramePayload::Settings(Vec::new()),
                 });
                 self.events.push_back(MuxEvent::Settings {

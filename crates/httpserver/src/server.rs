@@ -307,10 +307,12 @@ impl HttpServer {
         }
 
         // Byte ranges (only single ranges; multipart/byteranges is beyond
-        // what the experiments need).
+        // what the experiments need). An empty entity has no non-empty
+        // range, so it is served whole: RFC 9110 §14.2 lets a server
+        // ignore `Range`.
         let mut status = StatusCode::OK;
         let mut content_range = None;
-        if let Some(raw_range) = req.headers.get("Range") {
+        if let Some(raw_range) = req.headers.get("Range").filter(|_| !body.is_empty()) {
             if if_range_matches(&req.headers, &entity.validators) {
                 if let Some(ranges) = range::parse_range_header(raw_range) {
                     if ranges.len() == 1 {
@@ -712,6 +714,21 @@ mod tests {
             .with_header("Range", "bytes=900-999");
         let resp = srv.respond(&req, SimTime::ZERO);
         assert_eq!(resp.status, StatusCode::RANGE_NOT_SATISFIABLE);
+    }
+
+    #[test]
+    fn a_range_of_an_empty_entity_serves_it_whole() {
+        let mut store = SiteStore::new();
+        store.insert("/empty.txt", Entity::new(Vec::new(), "text/plain", 1000));
+        let mut srv = HttpServer::new(ServerConfig::apache(80), store.into_shared());
+        for range in ["bytes=-5", "bytes=0-"] {
+            let req = Request::new(Method::Get, "/empty.txt", Version::Http11)
+                .with_header("Range", range);
+            let resp = srv.respond(&req, SimTime::ZERO);
+            assert_eq!(resp.status, StatusCode::OK, "{range}");
+            assert!(!resp.headers.contains("Content-Range"), "{range}");
+            assert_eq!(resp.headers.get_int("Content-Length"), Some(0));
+        }
     }
 
     #[test]

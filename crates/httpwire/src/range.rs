@@ -16,7 +16,8 @@ pub enum ByteRange {
 
 impl ByteRange {
     /// Resolve against an entity of `len` bytes into a concrete
-    /// `(offset, length)`, or `None` when unsatisfiable.
+    /// `(offset, length)` of at least one byte, or `None` when
+    /// unsatisfiable (every range of an empty entity is).
     pub fn resolve(self, len: u64) -> Option<(u64, u64)> {
         match self {
             ByteRange::FromTo(first, last) => {
@@ -30,11 +31,8 @@ impl ByteRange {
                 Some((first, last - first + 1))
             }
             ByteRange::Suffix(n) => {
-                if n == 0 {
-                    return None;
-                }
                 let n = n.min(len);
-                Some((len - n, n))
+                (n > 0).then(|| (len - n, n))
             }
         }
     }
@@ -136,6 +134,13 @@ mod tests {
         assert_eq!(ByteRange::Suffix(10).resolve(1000), Some((990, 10)));
         assert_eq!(ByteRange::Suffix(5000).resolve(1000), Some((0, 1000)));
         assert_eq!(ByteRange::Suffix(0).resolve(1000), None);
+    }
+
+    #[test]
+    fn no_range_of_an_empty_entity_resolves() {
+        assert_eq!(ByteRange::Suffix(10).resolve(0), None);
+        assert_eq!(ByteRange::FromTo(0, None).resolve(0), None);
+        assert_eq!(ByteRange::FromTo(0, Some(9)).resolve(0), None);
     }
 
     #[test]

@@ -332,7 +332,6 @@ pub struct Sack {
 }
 
 impl Sack {
-    // simlint: allow(hot-path-alloc)
     fn new(cwnd: usize, ssthresh: usize) -> Sack {
         Sack {
             reno: Reno::new(cwnd, ssthresh),
@@ -699,7 +698,6 @@ where
 /// Uncapped variant of [`wire_sack_blocks`] for tests and diagnostics:
 /// every merged span, not just the four that fit the option.
 // Diagnostic/test helper, not on the per-segment path.
-// simlint: allow(hot-path-alloc)
 pub fn merged_spans<I>(spans: I, rcv_nxt: u64) -> Vec<(u64, u64)>
 where
     I: Iterator<Item = (u64, u64)>,

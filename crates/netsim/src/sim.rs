@@ -284,16 +284,16 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            hosts: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
-            links: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
+            hosts: Vec::new(),
+            links: Vec::new(),
             link_index: HashMap::default(), // simlint: allow(hash-collections)
             trace: Trace::new(),
             probe: ProbeSink::default(),
             telemetry: TelemetrySink::default(),
-            link_scopes: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
+            link_scopes: Vec::new(),
             global_scope: None,
             pending: VecDeque::new(),
-            fx_pool: Vec::new(), // simlint: allow(hot-path-alloc) kernel setup
+            fx_pool: Vec::new(),
             events_processed: 0,
             max_events: 200_000_000,
         }
@@ -1003,7 +1003,7 @@ impl Simulator {
     pub fn new() -> Self {
         Simulator {
             kernel: Kernel::new(),
-            apps: Vec::new(), // simlint: allow(hot-path-alloc) sim setup
+            apps: Vec::new(),
             started: false,
         }
     }
@@ -1014,15 +1014,15 @@ impl Simulator {
         self.kernel.hosts.push(HostState {
             name: name.to_string(),
             tcp_config: TcpConfig::default(),
-            tcbs: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            tcbs: Vec::new(),
             demux: HashMap::default(), // simlint: allow(hash-collections)
             listeners: HashMap::default(), // simlint: allow(hash-collections)
             next_ephemeral: 40_000,
             stats: SocketStats::default(),
             open_now: 0,
-            slots: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            slots: Vec::new(),
             scope: None,
-            conn_scopes: Vec::new(), // simlint: allow(hot-path-alloc) per-host setup
+            conn_scopes: Vec::new(),
         });
         self.apps.push(None);
         id

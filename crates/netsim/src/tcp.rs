@@ -813,8 +813,8 @@ impl Tcb {
 
     fn handle_data(&mut self, now: SimTime, seg: &Segment, fx: &mut Effects) {
         let mut seq = seg.seq;
-        // simlint: allow(hot-path-alloc) -- `Bytes` clone is a refcount
-        // bump sharing the pooled buffer, not a copy.
+        // A `Bytes` clone is a refcount bump sharing the pooled buffer,
+        // not a copy.
         let mut payload = seg.payload.clone();
 
         // Trim any portion we already have.

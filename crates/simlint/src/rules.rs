@@ -7,7 +7,9 @@
 //!
 //! To add a rule: pick an id, add it to [`RULE_IDS`], emit diagnostics
 //! from [`lint_scoped`], and plant a violation for it in
-//! `tests/mutations.rs` so the rule is proven live.
+//! `tests/mutations.rs` so the rule is proven live. A defect that costs
+//! the allocator belongs in `httpipe-core`'s count table instead:
+//! a rule rejects one spelling of it, a count catches every spelling.
 
 use crate::lexer::TokKind;
 use crate::report::{Diagnostic, Severity};
@@ -23,12 +25,8 @@ pub const RULE_IDS: &[&str] = &[
     "float-time-cmp",
     "unwrap-impair",
     "probe-determinism",
-    "hot-path-alloc",
     "front-drain",
-    "parked-pool-buffer",
-    "byte-path-copy",
     "recorder-search",
-    "timer-push",
     "seq-wrap",
     "time-unit",
     "tcp-state-machine",
@@ -45,23 +43,9 @@ const HASH_CRATES: &[&str] = &["netsim", "core", "httpserver", "httpclient", "ht
 /// Crates where raw nanosecond arithmetic must go through SimTime ops.
 const TIME_CRATES: &[&str] = &["netsim", "httpmux"];
 
-/// Files that are on the per-segment hot path.
-const HOT_FILES: &[&str] = &[
-    "tcp.rs", "cc.rs", "link.rs", "sim.rs", "frame.rs", "conn.rs",
-];
-
 /// Crates whose byte queues give up their front through
 /// `bytes::BytesMut` (the one implementation lives in `bytes`).
 const BYTE_PATH_CRATES: &[&str] = &["netsim", "httpwire", "httpmux", "httpclient", "httpserver"];
-
-/// Crates that queue a response body for the wire: it is held by
-/// reference and its chunks go onto the output queue as they are.
-const BODY_QUEUE_CRATES: &[&str] = &["httpserver", "httpmux"];
-
-/// The functions of `netsim/src/sim.rs` that may name a queued TCP timer:
-/// the one that owns the timer handles (each kind's entry moves or
-/// leaves there), and the event loop that pops it.
-const TIMER_QUEUE_FNS: &[&str] = &["queue_timers", "run_until"];
 
 /// Identifiers holding TCP sequence-space values in `tcp.rs` and the
 /// congestion-control module `cc.rs`. Direct ordering or subtraction on
@@ -270,37 +254,9 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
             );
         }
 
-        // --- hot-path-alloc ("cc.rs" means the netsim congestion-control
-        // module, not the experiments module of the same name).
-        if HOT_FILES.contains(&file) && (file != "cc.rs" || crate_of(path) == "netsim") {
-            let hit = (t.is_ident("Box")
-                && i + 2 < n
-                && toks[i + 1].is_op("::")
-                && toks[i + 2].is_ident("new"))
-                || (t.is_ident("Vec")
-                    && i + 2 < n
-                    && toks[i + 1].is_op("::")
-                    && toks[i + 2].is_ident("new"))
-                || (t.is_ident("vec") && i + 1 < n && toks[i + 1].is_op("!"))
-                || (t.is_ident("payload")
-                    && i + 2 < n
-                    && toks[i + 1].is_op(".")
-                    && toks[i + 2].is_ident("clone"));
-            if hit {
-                push(
-                    "hot-path-alloc",
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{}` allocates on the per-segment hot path; use the pools",
-                        t.text
-                    ),
-                );
-            }
-        }
-
         // --- front-drain: `.drain(..n)` shifts everything behind `n`
-        // (`.drain(..)` takes everything and shifts nothing).
+        // (`.drain(..)` takes everything and shifts nothing). The shift is
+        // a memmove, not an allocation, so no allocation count sees it.
         if t.is_ident("drain")
             && i > 0
             && toks[i - 1].is_op(".")
@@ -319,78 +275,13 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
             );
         }
 
-        // --- parked-pool-buffer: `BytesMut::pooled(0)` takes storage
-        // from the pool with nothing to write and parks it in whatever
-        // holds the buffer; an empty buffer is `BytesMut::new()`, and the
-        // first write sizes it.
-        if t.is_ident("pooled")
-            && i >= 2
-            && toks[i - 1].is_op("::")
-            && toks[i - 2].is_ident("BytesMut")
-            && i + 3 < n
-            && toks[i + 1].is_op("(")
-            && toks[i + 2].text == "0"
-            && toks[i + 3].is_op(")")
-        {
-            push(
-                "parked-pool-buffer",
-                t.line,
-                t.col,
-                "`BytesMut::pooled(0)` takes pool storage with nothing to write; an empty buffer is `BytesMut::new()`"
-                    .to_string(),
-            );
-        }
-
-        // --- byte-path-copy: from the store to the message a client
-        // reads, a body byte is held by reference (`bytes::BytesQueue`)
-        // and never copied. Three copies that used to be on that path: a
-        // segment payload copied out of `send_buf`, an arriving payload
-        // copied into `recv_buf`, and a body copied into an output
-        // buffer. (The receive side's are guarded by counts instead:
-        // `core/tests/body_alloc.rs`.)
-        if i + 1 < n && toks[i + 1].is_op("(") {
-            let args = || &toks[i + 2..call_end(sf, i + 1).min(n)];
-            let in_tcp = file == "tcp.rs" && crate_in(path, &["netsim"]);
-            let copied = if in_tcp
-                && matches!(
-                    t.text.as_str(),
-                    "copy_from_slice" | "pooled_copy_from_slice"
-                )
-                && args().iter().any(|a| a.is_ident("send_buf"))
-            {
-                Some("a segment payload is `send_buf.slice(off, len)`, a view of what was queued")
-            } else if in_tcp
-                && t.is_ident("extend_from_slice")
-                && i >= 2
-                && toks[i - 1].is_op(".")
-                && toks[i - 2].is_ident("recv_buf")
-            {
-                Some("an arriving payload is pushed onto `recv_buf` by reference")
-            } else if t.is_ident("extend_from_slice")
-                && i > 0
-                && toks[i - 1].is_op(".")
-                && crate_in(path, BODY_QUEUE_CRATES)
-                && args().iter().any(|a| a.is_ident("body"))
-            {
-                Some("a body is held by reference: `push` its chunks onto the output queue")
-            } else {
-                None
-            };
-            if let Some(instead) = copied {
-                push(
-                    "byte-path-copy",
-                    t.line,
-                    t.col,
-                    format!("`{}(…)` copies bytes on the socket path; {instead}", t.text),
-                );
-            }
-        }
-
         // --- recorder-search: a flight recorder is written on every
         // event, so what it has recorded is addressed by position and
         // appended to; a search or a positional insert there grows with
-        // the run. (A map's two-argument `insert` reads the same to a
-        // lexer: one that belongs there takes an allow marker.)
+        // the run. A search or a shift costs time and no allocation, so no
+        // allocation count sees it. (A map's two-argument `insert` reads
+        // the same to a lexer: one that belongs there takes an allow
+        // marker.)
         if is_recorder && i > 0 && toks[i - 1].is_op(".") && i + 1 < n && toks[i + 1].is_op("(") {
             let searches = t.kind == TokKind::Ident && t.text.starts_with("binary_search");
             if searches || (t.is_ident("insert") && call_has_two_args(sf, i + 1)) {
@@ -401,30 +292,6 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
                     format!(
                         "`.{}(…)` in `{}`: a recorder's write path must not search or shift what it has recorded; resolve once, keep the position, append",
                         t.text, file
-                    ),
-                );
-            }
-        }
-
-        // --- timer-push: a TCP timer enters the event queue in one place,
-        // the function that holds each kind's one entry; pushed anywhere
-        // else it would pop later as a no-op beside the live one.
-        if t.is_ident("TcpTimer")
-            && i >= 2
-            && toks[i - 1].is_op("::")
-            && toks[i - 2].is_ident("QueuedKind")
-            && file == "sim.rs"
-            && crate_in(path, &["netsim"])
-        {
-            let owner = sf.enclosing_fn(i).map(|f| sf.fns[f].name.as_str());
-            if !owner.is_some_and(|name| TIMER_QUEUE_FNS.contains(&name)) {
-                push(
-                    "timer-push",
-                    t.line,
-                    t.col,
-                    format!(
-                        "`QueuedKind::TcpTimer` in `{}`: timer entries are queued, moved and removed only by `queue_timers`, which keeps one per socket and kind",
-                        owner.unwrap_or("(no function)")
                     ),
                 );
             }
@@ -726,14 +593,6 @@ mod tests {
         let src = "fn f(&self, ctx: &CcContext) {\n    let gap = ctx.snd_nxt - ctx.snd_una;\n}\n";
         let d = diags("crates/netsim/src/cc.rs", src);
         assert!(d.iter().any(|x| x.rule == "seq-wrap"));
-    }
-
-    #[test]
-    fn cc_module_is_on_the_hot_path() {
-        let src = "fn f(&mut self) {\n    let v: Vec<u64> = Vec::new();\n}\n";
-        assert!(diags("crates/netsim/src/cc.rs", src)
-            .iter()
-            .any(|x| x.rule == "hot-path-alloc"));
     }
 
     #[test]

@@ -372,7 +372,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const RULES: &[&str] = &["wall-clock", "hot-path-alloc"];
+    const RULES: &[&str] = &["wall-clock", "front-drain"];
 
     fn scoped(src: &str) -> ScopedFile {
         scope_file("test.rs", lex(src), RULES)
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn marker_above_statement_is_next_line_scoped() {
-        let src = "fn f() {\n    // simlint: allow(hot-path-alloc)\n    let v = Vec::new();\n}\n";
+        let src = "fn f() {\n    // simlint: allow(front-drain)\n    out.drain(..n);\n}\n";
         let sf = scoped(src);
         assert_eq!(sf.allows.len(), 1);
         assert_eq!(sf.allows[0].scope, AllowScope::Line(3));

@@ -121,16 +121,6 @@ fn telemetry_float_ban_is_unsuppressible() {
 }
 
 #[test]
-fn hot_path_alloc_fires() {
-    assert_fires(
-        "crates/netsim/src/link.rs",
-        "fn f(seg: &Segment) {\n    let p = seg.payload.clone();\n}\n",
-        "hot-path-alloc",
-        2,
-    );
-}
-
-#[test]
 fn front_drain_fires() {
     assert_fires(
         "crates/httpserver/src/server.rs",
@@ -144,64 +134,6 @@ fn front_drain_fires() {
         "fn f(v: &mut Vec<u8>, n: usize) {\n    v.drain(..n);\n}\n"
     )
     .is_empty());
-}
-
-#[test]
-fn parked_pool_buffer_fires() {
-    // `split_to_pooled` as it stood: taking everything left a vector of
-    // whatever capacity the pool had on top parked in the connection.
-    let split = "\
-pub fn split_to_pooled(&mut self, at: usize) -> Bytes {
-    if at == self.len() {
-        std::mem::replace(self, BytesMut::pooled(0)).freeze_pooled()
-    } else {
-        let sized = BytesMut::pooled(at);
-        self.split_prefix(at, sized)
-    }
-}
-";
-    for path in ["crates/bytes/src/lib.rs", "crates/httpwire/src/parser.rs"] {
-        assert_fires(path, split, "parked-pool-buffer", 3);
-    }
-}
-
-#[test]
-fn byte_path_copy_fires() {
-    // `try_send` and `handle_data` as they stood: a pooled copy and an
-    // `Arc` per data segment going out, a copy per segment coming in.
-    let tcp = "\
-fn try_send(&mut self, off: usize, len: usize) -> Bytes {
-    Bytes::pooled_copy_from_slice(&self.send_buf[off..off + len])
-}
-fn handle_data(&mut self, payload: Bytes) {
-    self.recv_buf.extend_from_slice(&payload);
-    self.recv_buf.push(payload);
-}
-";
-    let diags = one("crates/netsim/src/tcp.rs", tcp);
-    let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-    let rule = "byte-path-copy";
-    assert_eq!(hits, vec![(rule, 2), (rule, 5)], "{diags:?}");
-    // Only the socket's own buffers are held to it there.
-    assert!(one("crates/netsim/src/pcapng.rs", tcp).is_empty());
-
-    // `Response::write_to` as the server called it, and the mux emitting
-    // a DATA frame: the body copied into the output buffer.
-    let respond = "\
-fn queue(&mut self, resp: &Response, out: &mut BytesMut) {
-    self.outbuf.extend_from_slice(&resp.body);
-    out.extend_from_slice(&body[..take]);
-    out.extend_from_slice(&head);
-    self.outbuf.push(resp.body.clone());
-}
-";
-    for krate in ["httpserver", "httpmux"] {
-        let diags = one(&format!("crates/{krate}/src/server.rs"), respond);
-        let hits: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-        assert_eq!(hits, vec![(rule, 2), (rule, 3)], "{diags:?}");
-    }
-    // The client is held to a count instead (`core/tests/body_alloc.rs`).
-    assert!(one("crates/httpclient/src/robot.rs", respond).is_empty());
 }
 
 #[test]
@@ -230,37 +162,6 @@ fn slot(&mut self, key: SeriesKey) -> &mut SeriesData {
     );
     // Only the flight recorders are held to it.
     assert!(one("crates/netsim/src/trace.rs", slot).is_empty());
-}
-
-#[test]
-fn timer_push_fires() {
-    // `apply_effects` as it stood: every arm pushed a fresh entry, and the
-    // one it superseded popped later as a no-op.
-    let kernel = "\
-fn apply_effects(&mut self, host: HostId, slot: u32, fx: &mut Effects) {
-    for (kind, at, epoch) in fx.timers.drain(..) {
-        self.push(at, host, QueuedKind::TcpTimer { slot, kind, epoch });
-    }
-}
-fn queue_timers(&mut self, host: HostId, slot: u32, kind: TimerKind, epoch: u64) {
-    let ev = QueuedEvent::timer(host, QueuedKind::TcpTimer { slot, kind, epoch });
-}
-fn run_until(&mut self, ev: QueuedEvent) {
-    match ev.kind {
-        QueuedKind::TcpTimer { slot, kind, epoch } => {}
-        _ => {}
-    }
-}
-#[cfg(test)]
-mod tests {
-    fn pop(ev: QueuedEvent) {
-        if let QueuedKind::TcpTimer { slot, .. } = ev.kind {}
-    }
-}
-";
-    assert_fires("crates/netsim/src/sim.rs", kernel, "timer-push", 3);
-    // Only the kernel's event queue is held to it.
-    assert!(one("crates/netsim/src/probe.rs", kernel).is_empty());
 }
 
 #[test]
@@ -298,7 +199,7 @@ fn tcp_state_machine_fires() {
 fn stale_allow_fires_for_marker() {
     assert_fires(
         "crates/netsim/src/sim.rs",
-        "fn f() {\n    let x = 1; // simlint: allow(hot-path-alloc)\n}\n",
+        "fn f() {\n    let x = 1; // simlint: allow(wall-clock)\n}\n",
         "stale-allow",
         2,
     );
