@@ -105,82 +105,39 @@ pub fn initial_cwnd_ablation(env: NetEnv) -> Vec<(u32, CellResult)> {
     cwnds.into_iter().zip(run_cells(specs)).collect()
 }
 
-/// Render every ablation as one report; each sweep runs in the
-/// environment where its effect is visible (buffer/timer on the LAN,
-/// flush policy and initial cwnd on the latency-dominated WAN).
-pub fn ablation_tables() -> Vec<Table> {
-    let mut tables = Vec::new();
-
-    let env = NetEnv::Lan;
-    let mut t = Table::new(
-        &format!(
-            "Pipeline buffer threshold sweep - revalidation, {}",
-            env.name()
-        ),
-        &["Pa", "Bytes", "Sec"],
-    );
-    for (threshold, c) in buffer_threshold_sweep(env) {
-        t.push_row(
-            &format!("{threshold} B"),
-            vec![
-                c.packets().to_string(),
-                c.bytes.to_string(),
-                format!("{:.2}", c.secs),
-            ],
-        );
+/// The ablations section of EXPERIMENTS.md. Each sweep runs in the
+/// environment where its effect is visible: buffer and timer on the LAN,
+/// flush policy and initial cwnd on the latency-dominated WAN.
+pub(crate) fn section() -> String {
+    let pa_sec = |c: &CellResult| vec![c.packets().to_string(), format!("{:.2}", c.secs)];
+    let (lan, wan) = (NetEnv::Lan.name(), NetEnv::Wan.name());
+    let title = format!("Pipeline buffer threshold sweep - revalidation, {lan}");
+    let mut buffer = Table::new(&title, &["Pa", "Bytes", "Sec"]);
+    for (threshold, c) in buffer_threshold_sweep(NetEnv::Lan) {
+        let mut cols = pa_sec(&c);
+        cols.insert(1, c.bytes.to_string());
+        buffer.push_row(&format!("{threshold} B"), cols);
     }
-    tables.push(t);
-
-    let mut t = Table::new(
-        &format!(
-            "Flush timer sweep (no app flush) - revalidation, {}",
-            env.name()
-        ),
-        &["Pa", "Sec"],
-    );
-    for (ms, c) in flush_timer_sweep(env) {
-        t.push_row(
-            &format!("{ms} ms"),
-            vec![c.packets().to_string(), format!("{:.2}", c.secs)],
-        );
+    let title = format!("Flush timer sweep (no app flush) - revalidation, {lan}");
+    let mut timer = Table::new(&title, &["Pa", "Sec"]);
+    for (ms, c) in flush_timer_sweep(NetEnv::Lan) {
+        timer.push_row(&format!("{ms} ms"), pa_sec(&c));
     }
-    tables.push(t);
-
-    let env = NetEnv::Wan;
-    let (with, without) = app_flush_ablation(env);
-    let mut t = Table::new(
-        &format!("Application flush - first-time retrieval, {}", env.name()),
-        &["Pa", "Sec"],
-    );
-    t.push_row(
-        "explicit app flush",
-        vec![with.packets().to_string(), format!("{:.2}", with.secs)],
-    );
-    t.push_row(
-        "timer only (1s)",
-        vec![
-            without.packets().to_string(),
-            format!("{:.2}", without.secs),
-        ],
-    );
-    tables.push(t);
-
-    let mut t = Table::new(
-        &format!(
-            "Initial congestion window - first-time retrieval, {}",
-            env.name()
-        ),
-        &["Pa", "Sec"],
-    );
-    for (cwnd, c) in initial_cwnd_ablation(env) {
-        t.push_row(
-            &format!("{cwnd} segment(s)"),
-            vec![c.packets().to_string(), format!("{:.2}", c.secs)],
-        );
+    let (with, without) = app_flush_ablation(NetEnv::Wan);
+    let title = format!("Application flush - first-time retrieval, {wan}");
+    let mut flush = Table::new(&title, &["Pa", "Sec"]);
+    flush.push_row("explicit app flush", pa_sec(&with));
+    flush.push_row("timer only (1s)", pa_sec(&without));
+    let title = format!("Initial congestion window - first-time retrieval, {wan}");
+    let mut cwnd = Table::new(&title, &["Pa", "Sec"]);
+    for (n, c) in initial_cwnd_ablation(NetEnv::Wan) {
+        cwnd.push_row(&format!("{n} segment(s)"), pa_sec(&c));
     }
-    tables.push(t);
-
-    tables
+    let tables: String = [buffer, timer, flush, cwnd]
+        .iter()
+        .map(|t| t.render() + "\n")
+        .collect();
+    format!("## Design-choice ablations (`repro ablations`)\n\n```\n{tables}```\n")
 }
 
 #[cfg(test)]

@@ -193,6 +193,43 @@ pub fn probe_table(rows: &[(CcVariant, f64, netsim::ProbeAnalysis)]) -> Table {
     t
 }
 
+/// The recovery section of EXPERIMENTS.md: the full grid's recovery
+/// table and the per-variant stall probe.
+pub(crate) fn section() -> String {
+    let cells = robustness::run_points(&full_grid());
+    let blocks = [
+        recovery_table(&cells).render(),
+        probe_table(&probe_rows()).render(),
+    ];
+    format!(
+        "## Recovery matters (`repro cc`)\n\n\
+         Beyond the paper: every loss number above was measured under exactly\n\
+         one loss-recovery algorithm \u{2014} the Reno-style slow start + fast\n\
+         retransmit of 1997 stacks. Here the WAN first-time loss grid reruns\n\
+         under four pluggable `CongestionControl` variants on both endpoints:\n\
+         Reno (RFC 5681, bit-identical to the seed and digest-gated), NewReno\n\
+         (RFC 6582 partial-ACK recovery with window inflation), SACK\n\
+         (RFC 2018/6675 scoreboard \u{2014} holes only, never data the peer\n\
+         already holds) and a CUBIC-shaped grower on integer sim-time\n\
+         (RFC 8312, \u{3b2} = 0.7). Every variant at a coordinate faces the\n\
+         identical impairment draw sequence, so differences are recovery\n\
+         behavior, not luck. The shape to notice: recovery sophistication\n\
+         pays precisely where the paper's preferred transport concentrates\n\
+         traffic \u{2014} on HTTP/1.0's four short parallel connections the\n\
+         fast-retransmit variants are indistinguishable, while on the single\n\
+         pipelined connection NewReno/SACK cut Reno's inflation from +355%\n\
+         to +211% at 2% loss and to a quarter at 5% (the `cc_gate`\n\
+         ordering) by filling holes on partial ACKs\n\
+         instead of stalling into retransmission timeouts \u{2014} the probe\n\
+         decomposition below books the difference almost entirely against\n\
+         the `RTO` bucket.\n\n{}\n\
+         Report digest of the reduced grid (pinned by `gate`'s `cc` entry):\n\
+         `{:#018x}`.\n",
+        super::fenced(&blocks),
+        crate::digest::tables(&report(&robustness::run_points(&reduced_grid())))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
-use crate::result::{CellResult, Table};
+use crate::result::CellResult;
 use httpserver::ServerKind;
 
 /// Outcome of a pipelined first-time fetch against a server that closes
@@ -65,33 +65,28 @@ pub fn close_study(env: NetEnv, limit: u32) -> (CellResult, CloseOutcome, CloseO
     (unlimited, graceful, naive)
 }
 
-/// Render the study.
-pub fn close_table(env: NetEnv, limit: u32) -> Table {
-    let (unlimited, graceful, naive) = close_study(env, limit);
-    let mut t = Table::new(
-        &format!(
-            "Connection management - pipelined first-time fetch, server closes after {limit} requests ({})",
-            env.name()
-        ),
-        &["Pa", "Sec", "Conns", "Retries", "RSTs seen"],
+/// The connection-management section of EXPERIMENTS.md (PPP, limit 5).
+pub(crate) fn section() -> String {
+    let (unlimited, graceful, naive) = close_study(NetEnv::Ppp, 5);
+    let mut out = String::from(
+        "## Connection management (`repro closerst`)\n\n\
+         | Server behaviour | Pa | Sec | Conns | Retries | RSTs |\n|---|---|---|---|---|---|\n",
     );
     for (label, c) in [
-        ("No limit", &unlimited),
-        ("Limit, independent half-close", &graceful.cell),
-        ("Limit, naive close", &naive.cell),
+        ("No request limit", &unlimited),
+        ("Limit 5, independent half-close", &graceful.cell),
+        ("Limit 5, naive close", &naive.cell),
     ] {
-        t.push_row(
-            label,
-            vec![
-                c.packets().to_string(),
-                format!("{:.2}", c.secs),
-                c.sockets_used.to_string(),
-                c.retries.to_string(),
-                c.resets.to_string(),
-            ],
+        out += &format!(
+            "| {label} | {} | {:.1} | {} | {} | {} |\n",
+            c.packets(),
+            c.secs,
+            c.sockets_used,
+            c.retries,
+            c.resets
         );
     }
-    t
+    out
 }
 
 #[cfg(test)]

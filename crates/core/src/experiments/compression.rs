@@ -9,12 +9,13 @@
 //!   time"), and the tag-case study (lowercase tags compress to ≈.27,
 //!   mixed case to ≈.35).
 
+use super::{paper, row};
 use crate::env::NetEnv;
 use crate::harness::{microscape_store, run_spec, CellSpec};
-use crate::result::{CellResult, Table};
+use crate::result::CellResult;
 use flate::{deflate, Level};
 use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
-use httpserver::{ServerConfig, ServerKind};
+use httpserver::ServerConfig;
 use netsim::{HostId, ModemCompressor, SockAddr, TraceMode};
 
 /// Deflate statistics for the Microscape HTML — the paper's headline
@@ -53,18 +54,14 @@ pub fn html_deflate_study() -> HtmlDeflateStudy {
     }
 }
 
-/// One row of the §8.2.1 modem experiment: a single GET of the HTML over
-/// a 28.8k modem *with V.42bis link compression active* — once with the
-/// plain HTML, once with the pre-deflated entity.
-pub fn modem_cells(server_kind: ServerKind) -> (CellResult, CellResult) {
+/// The §8.2.1 modem experiment against Apache: a single GET of the HTML
+/// over a 28.8k modem *with V.42bis link compression active* — once with
+/// the plain HTML, once with the pre-deflated entity.
+pub fn modem_cells() -> (CellResult, CellResult) {
     let run_one = |deflate_on: bool| {
         let site = webcontent::microscape::site();
         let store = microscape_store(site);
-        let server = match server_kind {
-            ServerKind::Jigsaw => ServerConfig::jigsaw(80),
-            ServerKind::Apache => ServerConfig::apache(80),
-        }
-        .with_deflate(deflate_on);
+        let server = ServerConfig::apache(80).with_deflate(deflate_on);
         let addr = SockAddr::new(HostId(1), 80);
         let client =
             ClientConfig::robot(ProtocolMode::Http11Pipelined, addr).with_deflate(deflate_on);
@@ -90,72 +87,60 @@ pub fn modem_cells(server_kind: ServerKind) -> (CellResult, CellResult) {
     (run_one(false), run_one(true))
 }
 
-/// Render the §8.2.1 table for both servers.
-pub fn modem_table() -> Table {
-    let mut t = Table::new(
-        "Modem compression vs deflate - single HTML GET over 28.8k with V.42bis",
-        &["Jigsaw Pa", "Jigsaw Sec", "Apache Pa", "Apache Sec"],
+/// The §8.2.1 section of EXPERIMENTS.md (Apache).
+pub(crate) fn modem_section() -> String {
+    let (plain, deflated) = modem_cells();
+    let mut out = String::from(
+        "## §8.2.1 — deflate vs V.42bis modem compression (`repro modem`)\n\n\
+         | Case | Paper (Pa / Sec, Apache) | Measured |\n|---|---|---|\n",
     );
-    let (j_plain, j_deflate) = modem_cells(ServerKind::Jigsaw);
-    let (a_plain, a_deflate) = modem_cells(ServerKind::Apache);
-    t.push_row(
-        "Uncompressed HTML",
-        vec![
-            j_plain.packets().to_string(),
-            format!("{:.2}", j_plain.secs),
-            a_plain.packets().to_string(),
-            format!("{:.2}", a_plain.secs),
-        ],
-    );
-    t.push_row(
-        "Compressed HTML",
-        vec![
-            j_deflate.packets().to_string(),
-            format!("{:.2}", j_deflate.secs),
-            a_deflate.packets().to_string(),
-            format!("{:.2}", a_deflate.secs),
-        ],
-    );
-    let pct = |plain: &CellResult, comp: &CellResult| {
-        format!(
-            "{:.1}%",
-            (1.0 - comp.packets() as f64 / plain.packets() as f64) * 100.0
-        )
-    };
-    let secpct = |plain: &CellResult, comp: &CellResult| {
-        format!("{:.1}%", (1.0 - comp.secs / plain.secs) * 100.0)
-    };
-    t.push_row(
-        "Saved using compression",
-        vec![
-            pct(&j_plain, &j_deflate),
-            secpct(&j_plain, &j_deflate),
-            pct(&a_plain, &a_deflate),
-            secpct(&a_plain, &a_deflate),
-        ],
-    );
-    t
+    for (label, key, c) in [
+        ("Uncompressed HTML", "Uncompressed", plain),
+        ("Compressed HTML", "Compressed", deflated),
+    ] {
+        let p = paper::find("modem", key, "FirstTime");
+        out += &row(
+            label,
+            &format!("{:.0} / {:.2}", p.packets, p.seconds),
+            &format!("{} / {:.2}", c.packets(), c.secs),
+        );
+    }
+    let saved = |d: f64, p: f64| (1.0 - d / p) * 100.0;
+    out + &row(
+        "Saved",
+        "68.7% / 64.5%",
+        &format!(
+            "{:.1}% / {:.1}%",
+            saved(deflated.packets() as f64, plain.packets() as f64),
+            saved(deflated.secs, plain.secs)
+        ),
+    )
 }
 
-/// Render the deflate study table.
-pub fn deflate_table() -> Table {
-    let s = html_deflate_study();
-    let mut t = Table::new("HTML transport compression (zlib defaults)", &["Value"]);
-    t.push_row("HTML bytes", vec![s.html_bytes.to_string()]);
-    t.push_row("Deflated bytes", vec![s.deflated_bytes.to_string()]);
-    t.push_row(
-        "Ratio (mixed-case tags)",
-        vec![format!("{:.3}", s.ratio_mixed)],
-    );
-    t.push_row(
-        "Ratio (lowercase tags)",
-        vec![format!("{:.3}", s.ratio_lowercase)],
-    );
-    t.push_row(
-        "Share of total page payload saved",
-        vec![format!("{:.1}%", s.payload_saving_pct)],
-    );
-    t
+/// The HTML deflate section of EXPERIMENTS.md.
+pub(crate) fn deflate_section() -> String {
+    let d = html_deflate_study();
+    String::from(
+        "## HTML transport compression (`repro deflate`)\n\n\
+         | Quantity | Paper | Measured |\n|---|---|---|\n",
+    ) + &row(
+        "HTML compression",
+        "42K -> 11K (>3x)",
+        &format!(
+            "{} -> {} ({:.1}x)",
+            d.html_bytes,
+            d.deflated_bytes,
+            d.html_bytes as f64 / d.deflated_bytes as f64
+        ),
+    ) + &row(
+        "Share of total payload",
+        "~19%",
+        &format!("{:.1}%", d.payload_saving_pct),
+    ) + &row(
+        "Tag-case ratios (lower vs mixed)",
+        ".27 vs .35",
+        &format!("{:.2} vs {:.2}", d.ratio_lowercase, d.ratio_mixed),
+    )
 }
 
 #[cfg(test)]
@@ -194,7 +179,7 @@ mod tests {
     fn deflate_beats_modem_compression() {
         // Paper: ~68.7% packet saving, ~64% elapsed-time saving even
         // though the modem compresses the plain HTML too.
-        let (plain, deflated) = modem_cells(ServerKind::Apache);
+        let (plain, deflated) = modem_cells();
         assert!(plain.packets() > 0 && deflated.packets() > 0);
         let pkt_saving = 1.0 - deflated.packets() as f64 / plain.packets() as f64;
         let sec_saving = 1.0 - deflated.secs / plain.secs;

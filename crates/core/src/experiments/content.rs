@@ -2,9 +2,10 @@
 //! analysis, the GIF→PNG / GIF→MNG conversion study, and a full
 //! end-to-end browse of the CSS-converted page.
 
+use super::row;
 use crate::env::NetEnv;
 use crate::harness::{custom_store, microscape_store, run_spec, CellSpec};
-use crate::result::{CellResult, Table};
+use crate::result::CellResult;
 use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
 use httpserver::ServerConfig;
 use netsim::{HostId, SockAddr, TraceMode};
@@ -44,31 +45,42 @@ pub fn figure1() -> FigureOne {
     }
 }
 
-/// The CSS replacement analysis over the whole page.
-pub fn css_analysis_table() -> Table {
-    let site = webcontent::microscape::site();
-    let analysis = site.css_analysis();
-    let mut t = Table::new(
-        "CSS1 image replacement analysis (40 static images + 2 animations)",
-        &["Value"],
-    );
-    t.push_row(
-        "Images replaceable by HTML+CSS",
-        vec![analysis.replaced_count().to_string()],
-    );
-    t.push_row(
-        "HTTP requests eliminated",
-        vec![analysis.requests_saved().to_string()],
-    );
-    t.push_row(
-        "Net payload bytes saved",
-        vec![analysis.bytes_saved().to_string()],
-    );
-    t.push_row(
-        "Total image bytes on page",
-        vec![analysis.total_gif_bytes().to_string()],
-    );
-    t
+/// The Figure 1 + CSS section of EXPERIMENTS.md.
+pub(crate) fn figure1_section() -> String {
+    let f = figure1();
+    let analysis = webcontent::microscape::site().css_analysis();
+    let (orig, conv) = css_browse_cells();
+    String::from(
+        "## Figure 1 + CSS analysis (`repro figure1`)\n\n\
+         | Quantity | Paper | Measured |\n|---|---|---|\n",
+    ) + &row(
+        "'solutions' GIF vs HTML+CSS",
+        "682 B vs ~150 B (>4x)",
+        &format!(
+            "{} B vs {} B ({:.1}x)",
+            f.gif_bytes,
+            f.replacement_bytes,
+            f.gif_bytes as f64 / f.replacement_bytes as f64
+        ),
+    ) + &row(
+        "Replaceable images / requests saved",
+        "'many' of 40",
+        &format!(
+            "{} of 42, {} bytes net",
+            analysis.replaced_count(),
+            analysis.bytes_saved()
+        ),
+    ) + &row(
+        "End-to-end browse, PPP pipelined (Pa/Sec)",
+        "(not measured end-to-end in the paper)",
+        &format!(
+            "{}/{:.1}s -> {}/{:.1}s",
+            orig.packets(),
+            orig.secs,
+            conv.packets(),
+            conv.secs
+        ),
+    )
 }
 
 /// The GIF→PNG / GIF→MNG conversion report.
@@ -77,45 +89,41 @@ pub fn conversion_report() -> ConversionReport {
     ConversionReport::from_conversions(&convert_site(&site.images))
 }
 
-/// Render the conversion study.
-pub fn conversion_table() -> Table {
+/// The GIF→PNG / GIF→MNG section of EXPERIMENTS.md.
+pub(crate) fn png_section() -> String {
     let r = conversion_report();
-    let mut t = Table::new(
-        "GIF -> PNG / MNG conversion",
-        &["GIF bytes", "Converted", "Saved"],
-    );
-    t.push_row(
-        "40 static images (PNG)",
-        vec![
-            r.static_gif_bytes.to_string(),
-            r.static_png_bytes.to_string(),
-            r.static_saved().to_string(),
-        ],
-    );
-    t.push_row(
-        "2 animations (MNG)",
-        vec![
-            r.anim_gif_bytes.to_string(),
-            r.anim_mng_bytes.to_string(),
-            r.anim_saved().to_string(),
-        ],
-    );
-    t.push_row(
-        "Images that grew",
-        vec![r.grew.to_string(), String::new(), String::new()],
-    );
-    t
+    let change = |from: usize, to: usize| (to as f64 / from as f64 - 1.0) * 100.0;
+    String::from(
+        "## GIF→PNG / GIF→MNG (`repro png`)\n\n| Quantity | Paper | Measured |\n|---|---|---|\n",
+    ) + &row(
+        "40 static GIFs -> PNG",
+        "103,299 -> 92,096 B (-11%)",
+        &format!(
+            "{} -> {} B ({:+.1}%)",
+            r.static_gif_bytes,
+            r.static_png_bytes,
+            change(r.static_gif_bytes, r.static_png_bytes)
+        ),
+    ) + &row(
+        "2 animations -> MNG",
+        "24,988 -> 16,329 B (-35%)",
+        &format!(
+            "{} -> {} B ({:+.1}%)",
+            r.anim_gif_bytes,
+            r.anim_mng_bytes,
+            change(r.anim_gif_bytes, r.anim_mng_bytes)
+        ),
+    ) + &row(
+        "Tiny images grow under PNG",
+        "'sub-200 byte category' grows",
+        &format!("{} images grew", r.grew),
+    )
 }
 
-/// Simulated browse of the original vs the CSS-converted page over PPP:
-/// what style sheets buy end-to-end, HTTP version unchanged.
-pub fn css_browse_cells(pipelined: bool) -> (CellResult, CellResult) {
+/// Simulated browse of the original vs the CSS-converted page over PPP,
+/// pipelined HTTP/1.1 both times: what style sheets buy end-to-end.
+pub fn css_browse_cells() -> (CellResult, CellResult) {
     let site = webcontent::microscape::site();
-    let mode = if pipelined {
-        ProtocolMode::Http11Pipelined
-    } else {
-        ProtocolMode::Http10Parallel { max_connections: 4 }
-    };
     let addr = SockAddr::new(HostId(1), 80);
 
     let original = {
@@ -123,7 +131,7 @@ pub fn css_browse_cells(pipelined: bool) -> (CellResult, CellResult) {
             env: NetEnv::Ppp,
             server: ServerConfig::apache(80),
             store: microscape_store(site),
-            client: ClientConfig::robot(mode, addr),
+            client: ClientConfig::robot(ProtocolMode::Http11Pipelined, addr),
             workload: Workload::Browse {
                 start: site.html_path().into(),
             },
@@ -152,7 +160,7 @@ pub fn css_browse_cells(pipelined: bool) -> (CellResult, CellResult) {
             env: NetEnv::Ppp,
             server: ServerConfig::apache(80),
             store: custom_store(&objects),
-            client: ClientConfig::robot(mode, addr),
+            client: ClientConfig::robot(ProtocolMode::Http11Pipelined, addr),
             workload: Workload::Browse {
                 start: "/index.html".into(),
             },
@@ -167,27 +175,6 @@ pub fn css_browse_cells(pipelined: bool) -> (CellResult, CellResult) {
         run_spec(spec).cell
     };
     (original, converted)
-}
-
-/// Render the CSS end-to-end comparison.
-pub fn css_browse_table() -> Table {
-    let (orig, conv) = css_browse_cells(true);
-    let mut t = Table::new(
-        "First-time browse, PPP, HTTP/1.1 pipelined: original vs CSS-converted page",
-        &["Requests", "Pa", "Bytes", "Sec"],
-    );
-    for (label, c) in [("Original page", &orig), ("CSS-converted page", &conv)] {
-        t.push_row(
-            label,
-            vec![
-                c.fetched.to_string(),
-                c.packets().to_string(),
-                c.bytes.to_string(),
-                format!("{:.2}", c.secs),
-            ],
-        );
-    }
-    t
 }
 
 #[cfg(test)]
@@ -221,7 +208,7 @@ mod tests {
 
     #[test]
     fn css_page_saves_requests_and_time() {
-        let (orig, conv) = css_browse_cells(true);
+        let (orig, conv) = css_browse_cells();
         assert_eq!(orig.fetched, 43);
         assert!(
             conv.fetched < orig.fetched,

@@ -252,6 +252,45 @@ pub fn reduced_report() -> Vec<Table> {
     tables
 }
 
+/// The multiplexing section of EXPERIMENTS.md: the mux matrix, the loss
+/// grid and its shared-fate tables, the fleets and the stall probe.
+pub(crate) fn section() -> String {
+    let mut tables: Vec<Table> = NetEnv::ALL
+        .into_iter()
+        .flat_map(|env| [ServerKind::Jigsaw, ServerKind::Apache].map(|s| matrix_table(env, s)))
+        .collect();
+    let loss = robustness::run_points(&loss_grid());
+    tables.extend(robustness::report(&loss));
+    tables.extend(NetEnv::ALL.map(|env| shared_fate_table(&loss, env)));
+    tables.extend(scale::report(&scale::run_points(&fleet_grid())));
+    tables.push(probe::report(&probe::run_points(&probe_grid())));
+    let blocks: Vec<String> = tables.iter().map(Table::render).collect();
+    format!(
+        "## Multiplexing and server push (`repro mux`)\n\n\
+         Beyond the paper, twenty years forward: a binary-framed multiplexed\n\
+         transport (HEADERS / DATA / SETTINGS / WINDOW_UPDATE / RST_STREAM /\n\
+         PUSH_PROMISE over one connection, HTTP/2-style but simplified — see\n\
+         DESIGN.md) joins HTTP/1.0\u{d7}4, persistent and pipelined as a fourth\n\
+         setup, with an optional server push policy (inline images and CSS\n\
+         discovered in served HTML are pushed alongside it). `FT`/`CV`\n\
+         columns are the first-time and cache-validation scenarios; `PushB`\n\
+         is pushed payload bytes. The shapes to notice: on the unimpaired\n\
+         matrix mux tracks pipelining closely (framing overhead is noise)\n\
+         and push pays only on first-time retrieval, where it collapses the\n\
+         HTML-parse discovery round trip; under loss the single multiplexed\n\
+         connection shares fate — every stream stalls behind each drop, so\n\
+         its elapsed-time inflation exceeds HTTP/1.0\u{d7}4's at 2%+ loss in\n\
+         the shared-fate tables (the SPDY-era finding, and the gated\n\
+         `shared_fate_mux_degrades_more_than_parallel_connections` test);\n\
+         and in fleets one connection per client holds server state at ~N\n\
+         while matching pipelining's aggregate packet economy.\n\n{}\n\
+         Report digest of the reduced mux report (pinned by `gate`'s `mux`\n\
+         entry): `{:#018x}`.\n",
+        super::fenced(&blocks),
+        crate::digest::tables(&reduced_report())
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

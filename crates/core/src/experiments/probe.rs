@@ -176,6 +176,36 @@ pub fn report_digest(cells: &[ProbeCell]) -> u64 {
     h.finish()
 }
 
+/// The stall-attribution section of EXPERIMENTS.md: the canonical grid.
+pub(crate) fn section() -> String {
+    let cells = run_points(&canonical_grid());
+    format!(
+        "## Where the time goes (`diagnose`)\n\n\
+         Beyond the paper: the elapsed-time columns above, decomposed by cause.\n\
+         The paper explained its timings by hand from tcpdump output; the\n\
+         `netsim::probe` flight recorder automates that analysis, attributing\n\
+         every wall-clock nanosecond of a run to exactly one of nine causes —\n\
+         connection setup, slow-start/RTT waits, Nagle holds, delayed-ACK\n\
+         waits, RTO recovery, receiver-window backpressure, server think time,\n\
+         wire serialization, or idle — so the buckets sum to the elapsed time\n\
+         (`Sum` = `Sec` on every row). The shape to notice: the WAN rows are\n\
+         dominated by connection setup + slow start (exactly the paper's case\n\
+         for persistence and pipelining), while PPP is wire-serialization\n\
+         bound, which is why compression is the only lever that helps there.\n\
+         The PPP HTTP/1.0 row also books real RTO time: four parallel\n\
+         connections push the modem's queueing delay past the 3 s initial\n\
+         RTO, a spurious-retransmission regime the single-connection setups\n\
+         never enter (one more reason the paper dropped that row).\n\
+         Full per-request timelines and machine-readable `PROBE_*.json`\n\
+         documents come from `cargo run --release -p httpipe-bench --bin\n\
+         diagnose`.\n\n{}\n\
+         Report digest of the full grid above (the reduced grid's is pinned by\n\
+         `gate`'s `probe` entry): `{:#018x}`.\n",
+        super::fenced(&[report(&cells).render()]),
+        report_digest(&cells)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

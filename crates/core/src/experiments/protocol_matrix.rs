@@ -7,6 +7,8 @@
 //! over {Jigsaw, Apache} × {LAN, WAN, PPP} × four protocol setups ×
 //! {first-time, revalidation}.
 
+use super::paper::{self, PaperError, Published};
+use super::{row, triplet};
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
@@ -32,14 +34,15 @@ pub fn table1() -> Table {
     t
 }
 
-/// One row of Table 3.
-#[derive(Debug, Clone)]
-pub struct Table3Row {
-    /// Protocol row label.
-    pub label: &'static str,
-    /// Metrics of the run.
-    pub cell: CellResult,
-}
+/// Table 3's rows: protocol setup and row label.
+const TABLE3: [(ProtocolSetup, &str); 3] = [
+    (ProtocolSetup::Http10, "HTTP/1.0"),
+    (ProtocolSetup::Http11, "HTTP/1.1 persistent"),
+    (
+        ProtocolSetup::Http11Pipelined,
+        "HTTP/1.1 pipelined (untuned)",
+    ),
+];
 
 /// Table 3: the initial (untuned) high-bandwidth low-latency cache
 /// revalidation test against Jigsaw, before any of the paper's tuning:
@@ -51,15 +54,12 @@ pub struct Table3Row {
 ///   application-driven flush;
 /// * the HTTP/1.0 row is the older libwww 4.1D with no persistent cache
 ///   at all (hence its HEAD-based revalidation and small CPU costs).
-pub fn table3_cells() -> Vec<Table3Row> {
-    let setups = [
-        ProtocolSetup::Http10,
-        ProtocolSetup::Http11,
-        ProtocolSetup::Http11Pipelined,
-    ];
-    let specs = setups
+///
+/// The cells come in row order: HTTP/1.0, persistent, pipelined.
+pub fn table3_cells() -> Vec<CellResult> {
+    let specs = TABLE3
         .iter()
-        .map(|&setup| {
+        .map(|&(setup, _)| {
             let mut spec =
                 matrix_spec(NetEnv::Lan, ServerKind::Jigsaw, setup, Scenario::Revalidate);
             spec.server = httpserver::ServerConfig::jigsaw_initial(80);
@@ -76,44 +76,29 @@ pub fn table3_cells() -> Vec<Table3Row> {
             spec
         })
         .collect();
-    setups
-        .iter()
-        .zip(run_cells(specs))
-        .map(|(setup, cell)| Table3Row {
-            label: setup.label(),
-            cell,
-        })
-        .collect()
+    run_cells(specs)
 }
 
-/// Render Table 3 in the paper's layout.
-pub fn table3() -> Table {
-    let rows = table3_cells();
-    let mut t = Table::new(
-        "Table 3 - Jigsaw - Initial High Bandwidth, Low Latency Cache Revalidation Test",
-        &[
-            "Max sockets",
-            "Sockets used",
-            "Pkts c>s",
-            "Pkts s>c",
-            "Total pkts",
-            "Secs",
-        ],
+/// The Table 3 section of EXPERIMENTS.md.
+pub(crate) fn table3_section() -> String {
+    let mut out = String::from(
+        "## Table 3 — initial (untuned) LAN revalidation, Jigsaw (`repro table3`)\n\n\
+         | Row | Paper (sockets / packets / secs) | Measured |\n|---|---|---|\n",
     );
-    for row in rows {
-        t.push_row(
-            row.label,
-            vec![
-                row.cell.max_sockets.to_string(),
-                row.cell.sockets_used.to_string(),
-                row.cell.packets_c2s.to_string(),
-                row.cell.packets_s2c.to_string(),
-                row.cell.packets().to_string(),
-                format!("{:.2}", row.cell.secs),
-            ],
+    for ((setup, label), c) in TABLE3.iter().zip(table3_cells()) {
+        let p = paper::find("table3", &format!("{setup:?}"), "Revalidate");
+        let socks = p.sockets.expect("Table 3 reports sockets");
+        out += &row(
+            label,
+            &format!("{socks:.0} / {:.0} / {:.2}", p.packets, p.seconds),
+            &format!("{} / {} / {:.2}", c.sockets_used, c.packets(), c.secs),
         );
     }
-    t
+    out + "\nShape reproduced: dramatic packet savings from persistence and again from\n\
+           pipelining, while *elapsed time* inverts — the serialized client and the\n\
+           untuned pipeline (1 s flush timer, disk-backed cache) lose to HTTP/1.0.\n\
+           Our persistent row shows fewer packets than the paper's 223 because our\n\
+           initial server already buffers each response into one segment.\n"
 }
 
 /// The cells of one of Tables 4–9: every protocol setup for one
@@ -122,7 +107,7 @@ pub fn table3() -> Table {
 pub fn matrix_cells(
     env: NetEnv,
     server: ServerKind,
-) -> Vec<(&'static str, CellResult, CellResult)> {
+) -> Vec<(ProtocolSetup, CellResult, CellResult)> {
     let setups = matrix_setups(env);
     let specs = setups
         .iter()
@@ -137,7 +122,7 @@ pub fn matrix_cells(
     setups
         .iter()
         .zip(cells.chunks_exact(2))
-        .map(|(&setup, pair)| (setup.label(), pair[0], pair[1]))
+        .map(|(&setup, pair)| (setup, pair[0], pair[1]))
         .collect()
 }
 
@@ -150,23 +135,52 @@ pub fn matrix_setups(env: NetEnv) -> &'static [ProtocolSetup] {
     }
 }
 
-/// Every cell of Tables 4–9 (44 specs) in table order — environment,
-/// then Jigsaw before Apache, then protocol row, then first-time before
-/// revalidation — with the given trace retention.
+/// The (environment, server, setup, scenario) of every cell of Tables
+/// 4–9 in table order: environment, then Jigsaw before Apache, then
+/// protocol row, then first-time before revalidation.
+fn matrix_keys() -> impl Iterator<Item = (NetEnv, ServerKind, ProtocolSetup, Scenario)> {
+    NetEnv::ALL.into_iter().flat_map(|env| {
+        [ServerKind::Jigsaw, ServerKind::Apache]
+            .into_iter()
+            .flat_map(move |server| {
+                matrix_setups(env).iter().flat_map(move |&setup| {
+                    [Scenario::FirstTime, Scenario::Revalidate]
+                        .map(|scenario| (env, server, setup, scenario))
+                })
+            })
+    })
+}
+
+/// Every cell of Tables 4–9 (44 specs) in table order, with the given
+/// trace retention.
 pub fn all_specs(trace_mode: TraceMode) -> Vec<CellSpec> {
-    let mut specs = Vec::new();
-    for env in NetEnv::ALL {
-        for server in [ServerKind::Jigsaw, ServerKind::Apache] {
-            for &setup in matrix_setups(env) {
-                for scenario in [Scenario::FirstTime, Scenario::Revalidate] {
-                    let mut spec = matrix_spec(env, server, setup, scenario);
-                    spec.trace_mode = trace_mode;
-                    specs.push(spec);
-                }
-            }
-        }
-    }
-    specs
+    matrix_keys()
+        .map(|(env, server, setup, scenario)| {
+            let mut spec = matrix_spec(env, server, setup, scenario);
+            spec.trace_mode = trace_mode;
+            spec
+        })
+        .collect()
+}
+
+/// The published row of one cell of Tables 4–9.
+fn paper_row(
+    env: NetEnv,
+    server: ServerKind,
+    setup: ProtocolSetup,
+    scenario: Scenario,
+) -> &'static Published {
+    let id = format!("table{}", table_number(env, server));
+    paper::find(&id, &format!("{setup:?}"), &format!("{scenario:?}"))
+}
+
+/// The distance of the 44 cells of Tables 4–9 from the paper: the
+/// ledger's `paper_err_pct` and its three quantities.
+pub fn paper_error() -> PaperError {
+    let cells = run_cells(all_specs(TraceMode::StatsOnly));
+    let rows =
+        matrix_keys().map(|(env, srv, setup, scenario)| paper_row(env, srv, setup, scenario));
+    paper::error(rows.zip(&cells))
 }
 
 /// The paper's table number for a (env, server) pair.
@@ -181,31 +195,31 @@ pub fn table_number(env: NetEnv, server: ServerKind) -> u8 {
     }
 }
 
-/// Render one of Tables 4–9.
-pub fn matrix_table(env: NetEnv, server: ServerKind) -> Table {
-    let n = table_number(env, server);
-    let server_name = match server {
-        ServerKind::Jigsaw => "Jigsaw",
-        ServerKind::Apache => "Apache",
-    };
-    let mut t = Table::new(
-        &format!("Table {n} - {server_name} - {}", env.channel()),
-        &[
-            "FT Pa", "FT Bytes", "FT Sec", "FT 1stB", "FT %ov", "CV Pa", "CV Bytes", "CV Sec",
-            "CV 1stB", "CV %ov",
-        ],
-    );
-    for (label, first, reval) in matrix_cells(env, server) {
-        let mut cols = Vec::with_capacity(10);
-        for cell in [&first, &reval] {
-            let mut group = Table::cell_columns(cell);
-            // Slot the first-response-byte latency between Sec and %ov.
-            group.insert(3, format!("{:.2}", cell.first_byte_secs));
-            cols.extend(group);
+/// The section of EXPERIMENTS.md for one of Tables 4–9.
+pub(crate) fn matrix_section(env: NetEnv, server: ServerKind) -> String {
+    let cells = matrix_cells(env, server);
+    let table = |heading: &str, scenario: Scenario| {
+        let mut out = format!(
+            "### {heading} (Pa / Bytes / Sec)\n\n| Protocol | Paper | Measured |\n|---|---|---|\n"
+        );
+        for &(setup, first, reval) in &cells {
+            let cell = if scenario == Scenario::FirstTime {
+                first
+            } else {
+                reval
+            };
+            let paper = paper_row(env, server, setup, scenario);
+            out += &row(setup.label(), &paper.triplet(), &triplet(&cell));
         }
-        t.push_row(label, cols);
-    }
-    t
+        out
+    };
+    format!(
+        "## Table {n} — {server:?}, {} (`repro table{n}`)\n\n{}\n{}",
+        env.channel(),
+        table("First-time retrieval", Scenario::FirstTime),
+        table("Cache validation", Scenario::Revalidate),
+        n = table_number(env, server),
+    )
 }
 
 #[cfg(test)]
@@ -220,18 +234,16 @@ mod tests {
     }
 
     #[test]
-    fn matrix_table_surfaces_first_byte() {
-        let t = matrix_table(NetEnv::Lan, ServerKind::Apache);
-        assert_eq!(t.columns.len(), 10);
-        assert_eq!(t.columns[3], "FT 1stB");
-        assert_eq!(t.columns[8], "CV 1stB");
-        for (label, vals) in &t.rows {
-            let first_byte: f64 = vals[3].parse().unwrap();
-            let secs: f64 = vals[2].parse().unwrap();
-            assert!(
-                first_byte > 0.0 && first_byte <= secs,
-                "{label}: first byte {first_byte} outside (0, {secs}]"
-            );
+    fn matrix_cells_first_byte_within_elapsed() {
+        for (setup, first, reval) in matrix_cells(NetEnv::Lan, ServerKind::Apache) {
+            for cell in [first, reval] {
+                assert!(
+                    cell.first_byte_secs > 0.0 && cell.first_byte_secs <= cell.secs,
+                    "{setup:?}: first byte {} outside (0, {}]",
+                    cell.first_byte_secs,
+                    cell.secs
+                );
+            }
         }
     }
 
@@ -242,9 +254,7 @@ mod tests {
         // HTTP/1.1 costs elapsed time.
         let rows = table3_cells();
         assert_eq!(rows.len(), 3);
-        let http10 = &rows[0].cell;
-        let persistent = &rows[1].cell;
-        let pipelined = &rows[2].cell;
+        let (http10, persistent, pipelined) = (&rows[0], &rows[1], &rows[2]);
 
         // Socket counts: 43 vs 1 vs 1.
         assert!(http10.sockets_used >= 40);

@@ -15,7 +15,7 @@
 
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
-use crate::result::{CellResult, Table};
+use crate::result::CellResult;
 use httpserver::{Entity, ServerKind, SiteStore};
 use webcontent::microscape::SITE_MTIME;
 
@@ -82,28 +82,26 @@ pub fn run_revisit_cell(env: NetEnv, idiom: RevisitIdiom) -> CellResult {
     run_spec(spec).cell
 }
 
-/// Render the comparison.
-pub fn range_table(env: NetEnv) -> Table {
-    let mut t = Table::new(
-        &format!(
-            "Revised-site revalidation, pipelined HTTP/1.1, {}: full transfers vs leading ranges",
-            env.name()
-        ),
-        &["Pa", "Bytes", "Sec", "Body bytes"],
+/// The range-request section of EXPERIMENTS.md (PPP).
+pub(crate) fn section() -> String {
+    let mut out = String::from(
+        "## Poor man's multiplexing (`repro ranges`)\n\n\
+         The paper's §\"Range Requests and Validation\" idiom, exercised on a\n\
+         *revised* site (every validator misses):\n\n\
+         | Idiom (PPP, pipelined) | Pa | Bytes | Sec | Body bytes |\n|---|---|---|---|---|\n",
     );
     for idiom in [RevisitIdiom::FullOnChange, RevisitIdiom::RangeMetadata] {
-        let c = run_revisit_cell(env, idiom);
-        t.push_row(
+        let c = run_revisit_cell(NetEnv::Ppp, idiom);
+        out += &format!(
+            "| {} | {} | {} | {:.1} | {} |\n",
             idiom.label(),
-            vec![
-                c.packets().to_string(),
-                c.bytes.to_string(),
-                format!("{:.2}", c.secs),
-                c.body_bytes.to_string(),
-            ],
+            c.packets(),
+            c.bytes,
+            c.secs,
+            c.body_bytes
         );
     }
-    t
+    out
 }
 
 #[cfg(test)]

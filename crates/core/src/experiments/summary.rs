@@ -4,9 +4,10 @@
 //! modem "in approximately 60% of the time of HTTP/1.0 browsers without
 //! significant change to the visual appearance".
 
+use super::row;
 use crate::env::NetEnv;
 use crate::harness::{custom_store, microscape_store, run_spec, CellSpec};
-use crate::result::{CellResult, Table};
+use crate::result::CellResult;
 use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
 use httpserver::ServerConfig;
 use netsim::{HostId, SockAddr, TraceMode};
@@ -92,42 +93,17 @@ pub fn all_techniques_cell() -> CellResult {
     run_spec(spec).cell
 }
 
-/// The summary comparison.
-pub fn summary_table() -> Table {
-    let base = baseline_cell();
-    let all = all_techniques_cell();
-    let mut t = Table::new(
-        "Back of the envelope - modem download of the test page",
-        &["Requests", "Pa", "Bytes", "Sec"],
-    );
-    t.push_row(
-        "HTTP/1.0 browser, original page",
-        vec![
-            base.fetched.to_string(),
-            base.packets().to_string(),
-            base.bytes.to_string(),
-            format!("{:.1}", base.secs),
-        ],
-    );
-    t.push_row(
-        "HTTP/1.1 pipelined + deflate + CSS + PNG/MNG",
-        vec![
-            all.fetched.to_string(),
-            all.packets().to_string(),
-            all.bytes.to_string(),
-            format!("{:.1}", all.secs),
-        ],
-    );
-    t.push_row(
-        "Remaining fraction of download time",
-        vec![
-            String::new(),
-            String::new(),
-            String::new(),
-            format!("{:.0}%", all.secs / base.secs * 100.0),
-        ],
-    );
-    t
+/// The back-of-the-envelope section of EXPERIMENTS.md.
+pub(crate) fn section() -> String {
+    let (base, all) = (baseline_cell(), all_techniques_cell());
+    String::from(
+        "## Back of the envelope (`repro summary`)\n\n\
+         | Configuration | Paper | Measured |\n|---|---|---|\n",
+    ) + &row(
+        "All techniques vs HTTP/1.0, modem download time",
+        "~60%",
+        &format!("{:.0}%", all.secs / base.secs * 100.0),
+    )
 }
 
 #[cfg(test)]

@@ -333,6 +333,35 @@ pub fn smoke_artifacts() -> SmokeArtifacts {
     SmokeArtifacts { json, csv, pcapng }
 }
 
+/// The fleet-observatory section of EXPERIMENTS.md: the N=256 scenes and
+/// the telemetry volume table.
+pub(crate) fn section() -> String {
+    format!(
+        "## Fleet observatory (`telemetry`)\n\n\
+         Beyond the paper: the tables above are endpoints \u{2014} one number per\n\
+         run. The telemetry subsystem records how those numbers came to be:\n\
+         per-connection cwnd/ssthresh/flight/RTO, per-link-direction queue\n\
+         depth and drops by reason, and server accept/backlog/memory gauges,\n\
+         all sampled on 10 ms sim-time ticks into deterministic integer\n\
+         series (zero overhead and bit-identical results when disabled \u{2014}\n\
+         differential-tested). Timelines are rendered below as sparklines,\n\
+         each column one slice of the run. The first scene replays the scale\n\
+         family's listen-backlog overflow: 256 HTTP/1.0 clients connect at\n\
+         once, the accept curve saturates, SYN drops burst, the bottleneck\n\
+         queue drains. The second replays the congestion-control story: the\n\
+         same 2%-loss WAN pipelined cell per variant, where Reno's cwnd\n\
+         collapses into RTO stalls that NewReno/SACK ride through. The same\n\
+         runs export pcapng (`--bin telemetry` writes `TELEMETRY_*.json/csv/\n\
+         pcapng`), so any simulated connection opens in Wireshark/tcptrace\n\
+         with real checksums, RFC 2018 SACK options and nanosecond\n\
+         timestamps.\n\n{}\n\
+         `gate`'s `telemetry` entry renders the reduced scene twice and\n\
+         byte-compares JSON/CSV/pcapng across passes and against the goldens\n\
+         committed under `crates/bench/goldens/telemetry/`.\n",
+        super::fenced(&[report(256), volume_table().render()])
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

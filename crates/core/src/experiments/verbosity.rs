@@ -9,7 +9,6 @@
 //! the byte-level redundancy between consecutive requests, and what a
 //! shared-dictionary compressor (deflate over the whole batch) achieves.
 
-use crate::result::Table;
 use flate::{deflate, Level};
 use httpclient::{ClientConfig, ProtocolMode, RequestStyle};
 use httpwire::{ETag, Method, Version};
@@ -96,36 +95,31 @@ pub fn revalidation_request_study(style: RequestStyle) -> VerbosityStudy {
     }
 }
 
-/// Render the study for the robot and both browser header profiles.
-pub fn verbosity_table() -> Table {
-    let mut t = Table::new(
-        "HTTP request verbosity - 43 pipelined revalidation requests",
-        &[
-            "Total B",
-            "Changed B",
-            "Change %",
-            "Deflated B",
-            "Compaction",
-        ],
+/// The request-verbosity section of EXPERIMENTS.md: the robot and both
+/// browser header profiles.
+pub(crate) fn section() -> String {
+    let mut out = String::from(
+        "## Request verbosity (`repro verbosity`)\n\n\
+         The future-work back-of-envelope: \"the actual number of bytes that\n\
+         changes between requests can be as small as 10%\", suggesting 5-10x\n\
+         headroom for a compact HTTP encoding.\n\n\
+         | Profile | Total B | Changed | Deflated | Compaction |\n|---|---|---|---|---|\n",
     );
     for (label, style) in [
         ("libwww robot", RequestStyle::Robot),
-        ("Navigator headers", RequestStyle::Navigator),
-        ("MSIE headers", RequestStyle::Explorer),
+        ("Navigator", RequestStyle::Navigator),
+        ("MSIE", RequestStyle::Explorer),
     ] {
         let s = revalidation_request_study(style);
-        t.push_row(
-            label,
-            vec![
-                s.total_bytes.to_string(),
-                s.changed_bytes.to_string(),
-                format!("{:.0}%", s.change_fraction() * 100.0),
-                s.deflated_bytes.to_string(),
-                format!("{:.1}x", s.compaction_factor()),
-            ],
+        out += &format!(
+            "| {label} | {} | {:.0}% | {} | {:.1}x |\n",
+            s.total_bytes,
+            s.change_fraction() * 100.0,
+            s.deflated_bytes,
+            s.compaction_factor()
         );
     }
-    t
+    out
 }
 
 #[cfg(test)]

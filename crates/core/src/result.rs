@@ -102,17 +102,6 @@ impl Table {
         self.rows.push((label.to_string(), values));
     }
 
-    /// Append the paper-style metric columns for one cell:
-    /// Pa / Bytes / Sec / %ov.
-    pub fn cell_columns(cell: &CellResult) -> Vec<String> {
-        vec![
-            cell.packets().to_string(),
-            cell.bytes.to_string(),
-            format!("{:.2}", cell.secs),
-            format!("{:.1}", cell.overhead_pct),
-        ]
-    }
-
     /// Render as aligned plain text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = Vec::new();
@@ -184,19 +173,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("Demo", &["A", "B"]);
         t.push_row("x", vec!["1".into()]);
-    }
-
-    #[test]
-    fn cell_columns_format() {
-        let c = CellResult {
-            packets_c2s: 10,
-            packets_s2c: 20,
-            bytes: 12345,
-            secs: 1.234,
-            overhead_pct: 8.55,
-            ..Default::default()
-        };
-        assert_eq!(Table::cell_columns(&c), vec!["30", "12345", "1.23", "8.6"]);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! "Observations on HTTP/1.0 and 1.1 Data" section, and the conclusions.
 
 use httpipe_core::env::NetEnv;
+use httpipe_core::experiments::paper::{self, Published};
+use httpipe_core::experiments::protocol_matrix;
 use httpipe_core::harness::{run_matrix_cell, ProtocolSetup, Scenario};
 use httpipe_core::result::CellResult;
 use httpserver::ServerKind;
@@ -315,4 +317,68 @@ fn deterministic_experiments() {
         Scenario::FirstTime,
     );
     assert_eq!(a, b);
+}
+
+#[test]
+fn distance_from_tables_4_to_9_is_pinned() {
+    // The ledger's `paper_err_pct` and its three quantities, scored from
+    // the workspace's copy of the published numbers.
+    let e = protocol_matrix::paper_error();
+    assert_eq!(e.cells, 44);
+    let pct = |x: f64| format!("{x:.2}");
+    assert_eq!(
+        [pct(e.packets_pct), pct(e.bytes_pct), pct(e.seconds_pct)],
+        ["11.93", "7.54", "25.71"]
+    );
+    assert_eq!(format!("{:.3}", e.overall_pct()), "15.058");
+}
+
+#[test]
+fn the_ledger_reference_matches_the_published_tables_4_to_9() {
+    // `benchmark/reference/paper_tables_4_9.tsv` is the ledger's copy of
+    // the same 44 rows; the two must not drift apart.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmark/reference/paper_tables_4_9.tsv"
+    );
+    let ledger = std::fs::read_to_string(path).expect("read the ledger's reference");
+    let ledger: Vec<Vec<&str>> = ledger
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| l.split('\t').collect())
+        .collect();
+    let ours: Vec<&Published> = paper::published()
+        .iter()
+        .filter(|p| (4..=9).any(|n| p.id == format!("table{n}")))
+        .collect();
+    assert_eq!((ledger.len(), ours.len()), (44, 44));
+    for (l, p) in ledger.iter().zip(ours) {
+        let server = if l[1] == "Jigsaw" {
+            ServerKind::Jigsaw
+        } else {
+            ServerKind::Apache
+        };
+        let env = match l[0] {
+            "LAN" => NetEnv::Lan,
+            "WAN" => NetEnv::Wan,
+            _ => NetEnv::Ppp,
+        };
+        let setup = match l[2] {
+            "Pipelined" => "Http11Pipelined",
+            "PipelinedDeflate" => "Http11PipelinedDeflate",
+            other => other,
+        };
+        let id = format!("table{}", protocol_matrix::table_number(env, server));
+        let num = |s: &str| -> f64 { s.parse().unwrap() };
+        assert_eq!(
+            (id.as_str(), setup, l[3]),
+            (p.id, p.row, p.scenario),
+            "{l:?}"
+        );
+        assert_eq!(
+            (num(l[4]), Some(num(l[5])), num(l[6])),
+            (p.packets, p.bytes, p.seconds),
+            "{l:?}"
+        );
+    }
 }
