@@ -15,6 +15,7 @@
 //! entry of `gate` (reduced LAN-only grid, digest pinned).
 
 use httpipe_core::experiments::probe::{self, ProbeCell};
+use httpipe_core::experiments::Size;
 use netsim::Diagnosis;
 
 fn fmt_opt(t: Option<netsim::SimTime>, start: netsim::SimTime) -> String {
@@ -37,7 +38,7 @@ fn print_cell(cell: &ProbeCell) {
     println!(
         "  (sum {:.2}, elapsed {:.2})",
         a.report.buckets.sum(),
-        cell.secs
+        cell.cell.secs
     );
     println!(
         "  connections: {} open, {} requests",
@@ -87,7 +88,7 @@ fn print_cell(cell: &ProbeCell) {
 }
 
 fn main() {
-    let cells = probe::run_points(&probe::canonical_grid());
+    let cells = probe::run_points(&probe::points(Size::Full), None);
     println!("{}", probe::report(&cells).render());
     for cell in &cells {
         print_cell(cell);

@@ -1,10 +1,12 @@
 //! `gate` — the one CI gate: every entry of `httpipe_core::gate`'s
 //! registry, or the ones named on the command line.
 //!
-//! Each gate runs its reduced grid twice (thread count from
-//! `HTTPIPE_THREADS`, as in CI); both passes must produce the digest
-//! pinned in the registry and satisfy the gate's own assertions. One line
-//! per gate, then — as the last line of stdout — one JSON summary holding
+//! Each gate runs its experiment's `Size::Gate` points twice: on the cell
+//! pool (at least two workers; `HTTPIPE_THREADS` sets the size, as in
+//! CI), then serially. The passes must agree point for point, produce the
+//! digest pinned in the registry and satisfy the gate's own assertions; a
+//! pass that panics fails its gate and the rest still run. One line per
+//! gate, then — as the last line of stdout — one JSON summary holding
 //! only deterministic fields, so two runs of an unchanged tree print the
 //! same line. Exit 0 when every gate passed, 1 when one failed, 2 for an
 //! unknown gate name.

@@ -2,7 +2,7 @@
 //! synthetic trace that deliberately breaks it — and nothing else fires
 //! on the clean baseline exchange. These are the proof that each
 //! invariant has teeth; the proof they don't fire spuriously is the
-//! matrix gate in `httpipe-core/tests/conformance_gate.rs`.
+//! `conformance` entry of `httpipe_core::gate`, over the whole matrix.
 
 use bytes::Bytes;
 use conformance::{check_trace, CheckConfig, InvariantKind, Report};

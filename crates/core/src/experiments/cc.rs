@@ -15,8 +15,9 @@
 //! measured differences are recovery behavior, not luck. The shape to
 //! notice: SACK-based recovery retransmits only the holes, recovering
 //! part of pipelining's per-lost-packet penalty relative to Reno at 2%+
-//! loss — the gated ordering in `crates/core/tests/cc_gate.rs`.
+//! loss — the ordering `gate`'s `cc` entry asserts.
 
+use super::Size;
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
 use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
@@ -53,16 +54,14 @@ pub fn grid(losses_pct: &[f64]) -> Vec<RobustnessPoint> {
     points
 }
 
-/// The full CC grid: 3 setups × {0, 2, 5}% uniform × 4 variants
-/// (36 cells).
-pub fn full_grid() -> Vec<RobustnessPoint> {
-    grid(&LOSS_PCT)
-}
-
-/// A reduced grid for the `cc` gate: 3 setups × {0, 2}% uniform ×
-/// 4 variants (24 cells).
-pub fn reduced_grid() -> Vec<RobustnessPoint> {
-    grid(&[0.0, 2.0])
+/// The CC grid at `size`: 3 setups × {0, 2, 5}% uniform × 4 variants
+/// (36 cells); for the gate, {0, 2}% (24 cells). Run it with
+/// [`robustness::run_points`].
+pub fn points(size: Size) -> Vec<RobustnessPoint> {
+    match size {
+        Size::Gate => grid(&[0.0, 2.0]),
+        Size::Full => grid(&LOSS_PCT),
+    }
 }
 
 /// Elapsed-time inflation of the (setup, loss, variant) cell over its
@@ -196,7 +195,7 @@ pub fn probe_table(rows: &[(CcVariant, f64, netsim::ProbeAnalysis)]) -> Table {
 /// The recovery section of EXPERIMENTS.md: the full grid's recovery
 /// table and the per-variant stall probe.
 pub(crate) fn section() -> String {
-    let cells = robustness::run_points(&full_grid());
+    let cells = robustness::run_points(&points(Size::Full), None);
     let blocks = [
         recovery_table(&cells).render(),
         probe_table(&probe_rows()).render(),
@@ -226,7 +225,7 @@ pub(crate) fn section() -> String {
          Report digest of the reduced grid (pinned by `gate`'s `cc` entry):\n\
          `{:#018x}`.\n",
         super::fenced(&blocks),
-        crate::digest::tables(&report(&robustness::run_points(&reduced_grid())))
+        crate::digest::tables(&report(&robustness::run_points(&points(Size::Gate), None)))
     )
 }
 
@@ -236,13 +235,13 @@ mod tests {
 
     #[test]
     fn grid_shapes() {
-        assert_eq!(full_grid().len(), 36);
-        assert_eq!(reduced_grid().len(), 24);
+        assert_eq!(points(Size::Full).len(), 36);
+        assert_eq!(points(Size::Gate).len(), 24);
     }
 
     #[test]
     fn reno_points_match_seed_robustness_cells() {
-        for p in reduced_grid() {
+        for p in points(Size::Gate) {
             if p.cc == CcVariant::Reno {
                 // Reno rows must be spec-identical to the seed grid: no
                 // TCP override, no variant suffix in the label.
@@ -257,7 +256,7 @@ mod tests {
 
     #[test]
     fn seeds_ignore_variant() {
-        let g = reduced_grid();
+        let g = points(Size::Gate);
         for p in &g {
             let mut reno = *p;
             reno.cc = CcVariant::Reno;

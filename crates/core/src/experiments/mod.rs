@@ -27,6 +27,16 @@ pub mod summary;
 pub mod telemetry;
 pub mod verbosity;
 
+/// Which of a grid-backed experiment's point sets to run: each of
+/// `robustness`, `cc`, `scale`, `probe` and `mux` has one `points(Size)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// The reduced points its `gate` entry digests, a subset of `Full`.
+    Gate,
+    /// Every point its EXPERIMENTS.md section renders.
+    Full,
+}
+
 /// One section of EXPERIMENTS.md.
 #[derive(Debug)]
 pub struct Experiment {

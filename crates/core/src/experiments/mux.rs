@@ -21,10 +21,11 @@
 //!   argument the robustness family makes for pipelining, sharpened by
 //!   push putting even more bytes behind the same loss.
 
+use super::Size;
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
 use crate::experiments::{probe, scale};
-use crate::harness::{matrix_spec, run_cells, ProtocolSetup, Scenario};
+use crate::harness::{matrix_spec, run_cells_threaded, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
 use httpserver::ServerKind;
 
@@ -50,34 +51,43 @@ pub const LOSS_SETUPS: [ProtocolSetup; 4] = [
 // Matrix (Tables 4–9 with the mux setups)
 // ---------------------------------------------------------------------
 
-/// The cells of one mux matrix table: every [`SETUPS`] entry for one
-/// (environment, server) pair, both scenarios, run in parallel.
-pub fn matrix_cells(
-    env: NetEnv,
-    server: ServerKind,
-) -> Vec<(&'static str, CellResult, CellResult)> {
-    let specs = SETUPS
+/// One cell of a mux matrix table.
+type MatrixKey = (NetEnv, ServerKind, ProtocolSetup, Scenario);
+
+/// The cells of the matrix tables for `envs` × `servers`: one table per
+/// pair, [`SETUPS`] × both scenarios each.
+fn matrix_keys(envs: &[NetEnv], servers: &[ServerKind]) -> Vec<MatrixKey> {
+    let mut keys = Vec::new();
+    for &env in envs {
+        for &server in servers {
+            for setup in SETUPS {
+                for scenario in [Scenario::FirstTime, Scenario::Revalidate] {
+                    keys.push((env, server, setup, scenario));
+                }
+            }
+        }
+    }
+    keys
+}
+
+fn run_matrix(keys: &[MatrixKey], threads: Option<usize>) -> Vec<(MatrixKey, CellResult)> {
+    let specs = keys
         .iter()
-        .flat_map(|&setup| {
-            [
-                matrix_spec(env, server, setup, Scenario::FirstTime),
-                matrix_spec(env, server, setup, Scenario::Revalidate),
-            ]
-        })
+        .map(|&(env, server, setup, scenario)| matrix_spec(env, server, setup, scenario))
         .collect();
-    let cells = run_cells(specs);
-    SETUPS
-        .iter()
-        .zip(cells.chunks_exact(2))
-        .map(|(&setup, pair)| (setup.label(), pair[0], pair[1]))
+    keys.iter()
+        .copied()
+        .zip(run_cells_threaded(specs, threads))
         .collect()
 }
 
-/// Render one mux matrix table. The extra `PushB` column is the bytes
-/// the server volunteered on promised streams (zero for non-push rows);
-/// `CxlB` is the push DATA bytes already in flight when the client
-/// cancelled the stream — pure wire waste.
-pub fn matrix_table(env: NetEnv, server: ServerKind) -> Table {
+/// Render one mux matrix table from its cells, in [`matrix_keys`] order.
+/// The extra `PushB` column is the bytes the server volunteered on
+/// promised streams (zero for non-push rows); `CxlB` is the push DATA
+/// bytes already in flight when the client cancelled the stream — pure
+/// wire waste.
+fn render_matrix(cells: &[(MatrixKey, CellResult)]) -> Table {
+    let (env, server, ..) = cells[0].0;
     let server_name = match server {
         ServerKind::Jigsaw => "Jigsaw",
         ServerKind::Apache => "Apache",
@@ -89,46 +99,28 @@ pub fn matrix_table(env: NetEnv, server: ServerKind) -> Table {
             "CV PushB", "CV CxlB",
         ],
     );
-    for (label, first, reval) in matrix_cells(env, server) {
+    for pair in cells.chunks_exact(2) {
         let mut cols = Vec::with_capacity(10);
-        for cell in [&first, &reval] {
+        for (_, cell) in pair {
             cols.push(cell.packets().to_string());
             cols.push(cell.bytes.to_string());
             cols.push(format!("{:.2}", cell.secs));
             cols.push(cell.pushed_bytes.to_string());
             cols.push(cell.cancelled_push_bytes.to_string());
         }
-        t.push_row(label, cols);
+        t.push_row(pair[0].0 .2.label(), cols);
     }
     t
+}
+
+/// Run and render the mux matrix table of one (environment, server).
+pub fn matrix_table(env: NetEnv, server: ServerKind) -> Table {
+    render_matrix(&run_matrix(&matrix_keys(&[env], &[server]), None))
 }
 
 // ---------------------------------------------------------------------
 // Loss grid and shared fate
 // ---------------------------------------------------------------------
-
-/// The mux loss grid: every environment, the full loss ladder, both
-/// shapes, [`LOSS_SETUPS`], first-time retrieval (84 cells). Reuses the
-/// robustness machinery point for point, so every cell is reproducible
-/// in isolation from its coordinate-derived seed.
-pub fn loss_grid() -> Vec<RobustnessPoint> {
-    robustness::grid(
-        &NetEnv::ALL,
-        &robustness::LOSS_GRID_PCT,
-        &LOSS_SETUPS,
-        &[Scenario::FirstTime],
-    )
-}
-
-/// A reduced WAN-only loss grid for the `mux` gate (12 cells).
-pub fn reduced_loss_grid() -> Vec<RobustnessPoint> {
-    robustness::grid(
-        &[NetEnv::Wan],
-        &[0.0, 2.0],
-        &LOSS_SETUPS,
-        &[Scenario::FirstTime],
-    )
-}
 
 /// One shared-fate comparison point: elapsed-time inflation over the
 /// zero-loss baseline for HTTP/1.0×4 versus multiplexed, same loss rate
@@ -202,69 +194,89 @@ pub fn shared_fate_table(cells: &[RobustnessCell], env: NetEnv) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// Fleet and probe grids
+// The family's points
 // ---------------------------------------------------------------------
 
-/// The mux fleet matrix: every environment × both mux setups × the
-/// standard fleet sizes (30 fleets). [`scale::ScalePoint::spec`] wires
-/// the push-enabled server config for the push setup.
-pub fn fleet_grid() -> Vec<scale::ScalePoint> {
-    scale::grid(&NetEnv::ALL, &ProtocolSetup::MUX, &scale::N_GRID)
+/// The family's points at one size, one list per kind of table.
+pub(crate) struct Points {
+    /// The matrix tables' cells ([`matrix_keys`]).
+    pub(crate) matrix: Vec<MatrixKey>,
+    /// The loss grid: [`LOSS_SETUPS`], first-time retrieval.
+    pub(crate) loss: Vec<RobustnessPoint>,
+    /// The fleets: both mux setups. [`scale::ScalePoint::spec`] wires the
+    /// push-enabled server config for the push setup.
+    pub(crate) fleets: Vec<scale::ScalePoint>,
+    /// The stall-attribution grid: both mux setups, first-time retrieval.
+    pub(crate) probe: Vec<probe::ProbePoint>,
 }
 
-/// The mux stall-attribution grid: every environment × both mux setups,
-/// first-time retrieval (6 cells).
-pub fn probe_grid() -> Vec<probe::ProbePoint> {
-    let mut points = Vec::new();
-    for env in NetEnv::ALL {
-        for &setup in &ProtocolSetup::MUX {
-            points.push(probe::ProbePoint {
-                env,
-                setup,
-                scenario: Scenario::FirstTime,
-            });
-        }
+/// What [`run_points`] measured, list for list.
+pub(crate) struct Cells {
+    pub(crate) matrix: Vec<(MatrixKey, CellResult)>,
+    pub(crate) loss: Vec<RobustnessCell>,
+    pub(crate) fleets: Vec<scale::ScaleCell>,
+    pub(crate) probe: Vec<probe::ProbeCell>,
+}
+
+/// The points at `size`. Full: the matrix over every environment and
+/// both servers (36 cells), the loss grid over every environment, the
+/// full loss ladder and both shapes (84 cells), 30 fleets and 6 probe
+/// cells. Gate: the LAN Apache matrix (6 cells), WAN at {0, 2}%
+/// (12 cells), no fleets and the LAN probe (2 cells). The loss points
+/// reuse the robustness machinery, so every cell is reproducible in
+/// isolation from its coordinate-derived seed.
+pub(crate) fn points(size: Size) -> Points {
+    let loss = |envs: &[NetEnv], losses: &[f64]| {
+        robustness::grid(envs, losses, &LOSS_SETUPS, &[Scenario::FirstTime])
+    };
+    match size {
+        Size::Gate => Points {
+            matrix: matrix_keys(&[NetEnv::Lan], &[ServerKind::Apache]),
+            loss: loss(&[NetEnv::Wan], &[0.0, 2.0]),
+            fleets: Vec::new(),
+            probe: probe::grid(&[NetEnv::Lan], &ProtocolSetup::MUX),
+        },
+        Size::Full => Points {
+            matrix: matrix_keys(&NetEnv::ALL, &[ServerKind::Jigsaw, ServerKind::Apache]),
+            loss: loss(&NetEnv::ALL, &robustness::LOSS_GRID_PCT),
+            fleets: scale::grid(&NetEnv::ALL, &ProtocolSetup::MUX, &scale::N_GRID),
+            probe: probe::grid(&NetEnv::ALL, &ProtocolSetup::MUX),
+        },
     }
-    points
 }
 
-/// A reduced LAN-only probe grid for the `mux` gate (2 cells).
-pub fn reduced_probe_grid() -> Vec<probe::ProbePoint> {
-    probe_grid()
+/// Run every list of `points` on the cell pool (`threads` as in
+/// [`run_cells_threaded`]).
+pub(crate) fn run_points(points: &Points, threads: Option<usize>) -> Cells {
+    Cells {
+        matrix: run_matrix(&points.matrix, threads),
+        loss: robustness::run_points(&points.loss, threads),
+        fleets: scale::run_points(&points.fleets, threads),
+        probe: probe::run_points(&points.probe, threads),
+    }
+}
+
+/// The family's tables: a matrix table per (environment, server), the
+/// loss grid with a shared-fate table per environment it covers, the
+/// fleets and the stall probe.
+pub(crate) fn report(cells: &Cells) -> Vec<Table> {
+    let per_table = 2 * SETUPS.len();
+    let mut tables: Vec<Table> = cells.matrix.chunks(per_table).map(render_matrix).collect();
+    tables.extend(robustness::report(&cells.loss));
+    let lossy_envs = NetEnv::ALL
         .into_iter()
-        .filter(|p| p.env == NetEnv::Lan)
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Reduced report
-// ---------------------------------------------------------------------
-
-/// The reduced mux report for CI: the LAN Apache matrix table, the
-/// reduced WAN loss grid with its shared-fate extract, and the LAN probe
-/// decomposition. Cheap enough to run twice back to back.
-pub fn reduced_report() -> Vec<Table> {
-    let mut tables = vec![matrix_table(NetEnv::Lan, ServerKind::Apache)];
-    let loss_cells = robustness::run_points(&reduced_loss_grid());
-    tables.extend(robustness::report(&loss_cells));
-    tables.push(shared_fate_table(&loss_cells, NetEnv::Wan));
-    tables.push(probe::report(&probe::run_points(&reduced_probe_grid())));
+        .filter(|&env| cells.loss.iter().any(|c| c.point.env == env));
+    tables.extend(lossy_envs.map(|env| shared_fate_table(&cells.loss, env)));
+    tables.extend(scale::report(&cells.fleets));
+    tables.push(probe::report(&cells.probe));
     tables
 }
 
 /// The multiplexing section of EXPERIMENTS.md: the mux matrix, the loss
 /// grid and its shared-fate tables, the fleets and the stall probe.
 pub(crate) fn section() -> String {
-    let mut tables: Vec<Table> = NetEnv::ALL
-        .into_iter()
-        .flat_map(|env| [ServerKind::Jigsaw, ServerKind::Apache].map(|s| matrix_table(env, s)))
-        .collect();
-    let loss = robustness::run_points(&loss_grid());
-    tables.extend(robustness::report(&loss));
-    tables.extend(NetEnv::ALL.map(|env| shared_fate_table(&loss, env)));
-    tables.extend(scale::report(&scale::run_points(&fleet_grid())));
-    tables.push(probe::report(&probe::run_points(&probe_grid())));
-    let blocks: Vec<String> = tables.iter().map(Table::render).collect();
+    let tables = |size| report(&run_points(&points(size), None));
+    let blocks: Vec<String> = tables(Size::Full).iter().map(Table::render).collect();
     format!(
         "## Multiplexing and server push (`repro mux`)\n\n\
          Beyond the paper, twenty years forward: a binary-framed multiplexed\n\
@@ -287,7 +299,7 @@ pub(crate) fn section() -> String {
          Report digest of the reduced mux report (pinned by `gate`'s `mux`\n\
          entry): `{:#018x}`.\n",
         super::fenced(&blocks),
-        crate::digest::tables(&reduced_report())
+        crate::digest::tables(&tables(Size::Gate))
     )
 }
 
@@ -297,20 +309,17 @@ mod tests {
 
     #[test]
     fn grid_shapes() {
-        assert_eq!(loss_grid().len(), 84);
-        assert_eq!(reduced_loss_grid().len(), 12);
-        assert_eq!(fleet_grid().len(), 30);
-        assert_eq!(probe_grid().len(), 6);
-        assert_eq!(reduced_probe_grid().len(), 2);
+        let lens = |p: Points| [p.matrix.len(), p.loss.len(), p.fleets.len(), p.probe.len()];
+        assert_eq!(lens(points(Size::Full)), [36, 84, 30, 6]);
+        assert_eq!(lens(points(Size::Gate)), [6, 12, 0, 2]);
     }
 
     #[test]
     fn lan_matrix_shows_push_bytes() {
-        let cells = matrix_cells(NetEnv::Lan, ServerKind::Apache);
-        assert_eq!(cells.len(), 3);
-        let (_, pipelined_ft, _) = &cells[0];
-        let (_, mux_ft, _) = &cells[1];
-        let (_, push_ft, _) = &cells[2];
+        let cells = run_matrix(&matrix_keys(&[NetEnv::Lan], &[ServerKind::Apache]), None);
+        assert_eq!(cells.len(), 6);
+        let first_time = |i: usize| cells[2 * i].1;
+        let (pipelined_ft, mux_ft, push_ft) = (first_time(0), first_time(1), first_time(2));
         assert_eq!(pipelined_ft.pushed_bytes, 0);
         assert_eq!(mux_ft.pushed_bytes, 0);
         assert!(

@@ -10,10 +10,11 @@
 //! to the measured elapsed time, plus the typed [`netsim::Diagnosis`]
 //! pathologies.
 
+use super::Size;
 use crate::digest::Fnv1a;
 use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
-use crate::result::Table;
+use crate::result::{CellResult, Table};
 use httpserver::ServerKind;
 use netsim::ProbeAnalysis;
 
@@ -73,63 +74,52 @@ impl ProbePoint {
 pub struct ProbeCell {
     /// The coordinate.
     pub point: ProbePoint,
-    /// Elapsed seconds of the run (trace-derived, same as `CellResult::secs`).
-    pub secs: f64,
+    /// The run's measurements (its `probe` is the analysis's report).
+    pub cell: CellResult,
     /// The full stall attribution.
     pub analysis: ProbeAnalysis,
 }
 
-/// The canonical grid: {LAN, WAN, PPP} × {HTTP/1.0×4, persistent,
-/// pipelined}, first-time retrieval (9 cells).
-pub fn canonical_grid() -> Vec<ProbePoint> {
-    let mut points = Vec::new();
-    for env in NetEnv::ALL {
-        for setup in SETUPS {
-            points.push(ProbePoint {
-                env,
-                setup,
-                scenario: Scenario::FirstTime,
-            });
-        }
-    }
-    points
-}
-
-/// A reduced LAN-only grid for the `probe` gate (3 cells).
-pub fn reduced_grid() -> Vec<ProbePoint> {
-    canonical_grid()
-        .into_iter()
-        .filter(|p| p.env == NetEnv::Lan)
-        .collect()
-}
-
-/// Run a set of probe points on the work-stealing cell pool.
-pub fn run_points(points: &[ProbePoint]) -> Vec<ProbeCell> {
-    run_points_threaded(points, None)
-}
-
-/// [`run_points`] with an explicit thread count (`None` = automatic;
-/// the determinism tests compare serial and parallel output).
-pub fn run_points_threaded(points: &[ProbePoint], threads: Option<usize>) -> Vec<ProbeCell> {
-    let specs = points.iter().map(|p| p.spec()).collect();
-    let outputs = run_cells_map(specs, threads, |spec| {
-        let out = run_spec(spec);
-        (out.cell.secs, out.probe.expect("probe was enabled"))
-    });
-    points
-        .iter()
-        .zip(outputs)
-        .map(|(&point, (secs, analysis))| ProbeCell {
-            point,
-            secs,
-            analysis,
+/// Build a first-time retrieval grid over the given axes, env-major.
+pub fn grid(envs: &[NetEnv], setups: &[ProtocolSetup]) -> Vec<ProbePoint> {
+    let scenario = Scenario::FirstTime;
+    envs.iter()
+        .flat_map(|&env| setups.iter().map(move |&setup| (env, setup)))
+        .map(|(env, setup)| ProbePoint {
+            env,
+            setup,
+            scenario,
         })
         .collect()
 }
 
-/// Run one probe point.
-pub fn run_point(point: ProbePoint) -> ProbeCell {
-    run_points(&[point]).remove(0)
+/// The grid at `size`: {LAN, WAN, PPP} × {HTTP/1.0×4, persistent,
+/// pipelined}, first-time retrieval (9 cells); for the gate, LAN only
+/// (3 cells).
+pub fn points(size: Size) -> Vec<ProbePoint> {
+    match size {
+        Size::Gate => grid(&[NetEnv::Lan], &SETUPS),
+        Size::Full => grid(&NetEnv::ALL, &SETUPS),
+    }
+}
+
+/// Run a set of probe points on the work-stealing cell pool (`threads`
+/// as in [`run_cells_map`]).
+pub fn run_points(points: &[ProbePoint], threads: Option<usize>) -> Vec<ProbeCell> {
+    let specs = points.iter().map(|p| p.spec()).collect();
+    let outputs = run_cells_map(specs, threads, |spec| {
+        let out = run_spec(spec);
+        (out.cell, out.probe.expect("probe was enabled"))
+    });
+    points
+        .iter()
+        .zip(outputs)
+        .map(|(&point, (cell, analysis))| ProbeCell {
+            point,
+            cell,
+            analysis,
+        })
+        .collect()
 }
 
 /// Render the "where the time goes" table: one row per cell, one column
@@ -157,7 +147,7 @@ pub fn report(cells: &[ProbeCell]) -> Table {
                 format!("{:.2}", b.serialization),
                 format!("{:.2}", b.idle),
                 format!("{:.2}", b.sum()),
-                format!("{:.2}", c.secs),
+                format!("{:.2}", c.cell.secs),
             ],
         );
     }
@@ -178,7 +168,7 @@ pub fn report_digest(cells: &[ProbeCell]) -> u64 {
 
 /// The stall-attribution section of EXPERIMENTS.md: the canonical grid.
 pub(crate) fn section() -> String {
-    let cells = run_points(&canonical_grid());
+    let cells = run_points(&points(Size::Full), None);
     format!(
         "## Where the time goes (`diagnose`)\n\n\
          Beyond the paper: the elapsed-time columns above, decomposed by cause.\n\
@@ -212,9 +202,9 @@ mod tests {
 
     #[test]
     fn grid_shapes_and_ids() {
-        let grid = canonical_grid();
+        let grid = points(Size::Full);
         assert_eq!(grid.len(), 9);
-        assert_eq!(reduced_grid().len(), 3);
+        assert_eq!(points(Size::Gate).len(), 3);
         assert_eq!(grid[0].id(), "lan_http10x4_first");
         let ids: std::collections::BTreeSet<String> = grid.iter().map(|p| p.id()).collect();
         assert_eq!(ids.len(), 9, "ids are unique");
@@ -222,16 +212,16 @@ mod tests {
 
     #[test]
     fn lan_pipelined_buckets_sum_to_elapsed() {
-        let cell = run_point(ProbePoint {
+        let point = ProbePoint {
             env: NetEnv::Lan,
             setup: ProtocolSetup::Http11Pipelined,
             scenario: Scenario::FirstTime,
-        });
-        let sum = cell.analysis.report.buckets.sum();
+        };
+        let cell = run_points(&[point], None).remove(0);
+        let (sum, secs) = (cell.analysis.report.buckets.sum(), cell.cell.secs);
         assert!(
-            (sum - cell.secs).abs() <= cell.secs * 0.01,
-            "buckets {sum} vs elapsed {}",
-            cell.secs
+            (sum - secs).abs() <= secs * 0.01,
+            "buckets {sum} vs elapsed {secs}"
         );
         assert!(cell.analysis.report.connections >= 1);
         assert_eq!(cell.analysis.report.requests, 43);
@@ -239,7 +229,7 @@ mod tests {
 
     #[test]
     fn report_has_one_row_per_cell() {
-        let cells = run_points(&reduced_grid());
+        let cells = run_points(&points(Size::Gate), None);
         let t = report(&cells);
         assert_eq!(t.rows.len(), 3);
         assert_eq!(t.columns.len(), 11);

@@ -138,7 +138,7 @@ pub fn matrix_setups(env: NetEnv) -> &'static [ProtocolSetup] {
 /// The (environment, server, setup, scenario) of every cell of Tables
 /// 4–9 in table order: environment, then Jigsaw before Apache, then
 /// protocol row, then first-time before revalidation.
-fn matrix_keys() -> impl Iterator<Item = (NetEnv, ServerKind, ProtocolSetup, Scenario)> {
+pub(crate) fn matrix_keys() -> impl Iterator<Item = (NetEnv, ServerKind, ProtocolSetup, Scenario)> {
     NetEnv::ALL.into_iter().flat_map(|env| {
         [ServerKind::Jigsaw, ServerKind::Apache]
             .into_iter()

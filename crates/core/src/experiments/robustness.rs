@@ -18,9 +18,12 @@
 //! impairment seed from its own coordinates, so any cell can be re-run
 //! bit-identically in isolation.
 
+use super::Size;
 use crate::digest;
 use crate::env::NetEnv;
-use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
+use crate::harness::{
+    matrix_spec, run_cells, run_cells_threaded, CellSpec, ProtocolSetup, Scenario,
+};
 use crate::result::{CellResult, Table};
 use httpserver::ServerKind;
 use netsim::{CcVariant, ImpairConfig, JitterModel, LossModel, SimDuration};
@@ -75,7 +78,7 @@ impl LossShape {
 }
 
 /// One coordinate of the robustness grid.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessPoint {
     /// Network environment.
     pub env: NetEnv,
@@ -194,23 +197,23 @@ pub fn grid(
     points
 }
 
-/// The full grid: every environment, every loss rate, both shapes, three
-/// protocol setups, both scenarios (126 cells).
-pub fn full_grid() -> Vec<RobustnessPoint> {
-    grid(&NetEnv::ALL, &LOSS_GRID_PCT, &SETUPS, &SCENARIOS)
+/// The grid at `size`: every environment, every loss rate, both shapes,
+/// three protocol setups, both scenarios (126 cells); for the gate, WAN
+/// at {0, 2}% (18 cells).
+pub fn points(size: Size) -> Vec<RobustnessPoint> {
+    match size {
+        Size::Gate => grid(&[NetEnv::Wan], &[0.0, 2.0], &SETUPS, &SCENARIOS),
+        Size::Full => grid(&NetEnv::ALL, &LOSS_GRID_PCT, &SETUPS, &SCENARIOS),
+    }
 }
 
-/// A reduced WAN-only grid for the `robustness` gate (18 cells).
-pub fn reduced_grid() -> Vec<RobustnessPoint> {
-    grid(&[NetEnv::Wan], &[0.0, 2.0], &SETUPS, &SCENARIOS)
-}
-
-/// Run a set of grid points (parallel via [`run_cells`]).
-pub fn run_points(points: &[RobustnessPoint]) -> Vec<RobustnessCell> {
+/// Run a set of grid points on the cell pool (`threads` as in
+/// [`run_cells_threaded`]).
+pub fn run_points(points: &[RobustnessPoint], threads: Option<usize>) -> Vec<RobustnessCell> {
     let specs = points.iter().map(|p| p.spec()).collect();
     points
         .iter()
-        .zip(run_cells(specs))
+        .zip(run_cells_threaded(specs, threads))
         .map(|(&point, cell)| RobustnessCell { point, cell })
         .collect()
 }
@@ -372,7 +375,7 @@ pub fn jitter_table(results: &[(JitterPoint, CellResult)]) -> Table {
 /// The robustness section of EXPERIMENTS.md: the full loss grid and the
 /// jitter study.
 pub(crate) fn section() -> String {
-    let cells = run_points(&full_grid());
+    let cells = run_points(&points(Size::Full), None);
     let mut blocks: Vec<String> = report(&cells).iter().map(Table::render).collect();
     blocks.push(jitter_table(&jitter_study()).render());
     format!(
@@ -398,8 +401,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_grid_shape() {
-        let g = full_grid();
+    fn full_points_shape() {
+        let g = points(Size::Full);
         // 3 envs x 2 scenarios x 3 setups x (1 + 3*2) loss-shape combos.
         assert_eq!(g.len(), 126);
         // Zero-loss points exist exactly once per (env, scenario, setup).
@@ -409,7 +412,7 @@ mod tests {
 
     #[test]
     fn seeds_are_stable_and_distinct() {
-        let g = reduced_grid();
+        let g = points(Size::Gate);
         let seeds: Vec<u64> = g.iter().map(|p| p.seed()).collect();
         let again: Vec<u64> = g.iter().map(|p| p.seed()).collect();
         assert_eq!(seeds, again, "seed derivation is pure");

@@ -18,12 +18,13 @@
 //! and its row must reproduce the unimpaired protocol-matrix numbers
 //! exactly.
 
+use super::Size;
 use crate::digest;
 use crate::env::NetEnv;
 use crate::harness::{
     microscape_store, run_cells_map, run_fleet, FleetOutput, FleetSpec, ProtocolSetup,
 };
-use crate::result::Table;
+use crate::result::{CellResult, Table};
 use httpclient::Workload;
 use httpserver::ServerConfig;
 use netsim::{SimDuration, TraceMode};
@@ -103,8 +104,8 @@ impl ScalePoint {
 pub struct ScaleCell {
     /// The coordinate.
     pub point: ScalePoint,
-    /// Per-client elapsed seconds, in client order.
-    pub client_secs: Vec<f64>,
+    /// Per-client results, in client order.
+    pub per_client: Vec<CellResult>,
     /// Median per-client elapsed time.
     pub p50: f64,
     /// 95th-percentile per-client elapsed time.
@@ -147,7 +148,7 @@ pub fn jain_index(samples: &[f64]) -> f64 {
 }
 
 /// Reduce one fleet run to its scale-cell summary.
-pub fn summarize(point: ScalePoint, out: &FleetOutput) -> ScaleCell {
+pub fn summarize(point: ScalePoint, out: FleetOutput) -> ScaleCell {
     let client_secs: Vec<f64> = out.per_client.iter().map(|c| c.secs).collect();
     ScaleCell {
         point,
@@ -160,14 +161,8 @@ pub fn summarize(point: ScalePoint, out: &FleetOutput) -> ScaleCell {
         packets: out.per_client.iter().map(|c| c.packets()).sum(),
         retransmits: out.per_client.iter().map(|c| c.retransmits).sum(),
         fetched: out.per_client.iter().map(|c| c.fetched).sum(),
-        client_secs,
+        per_client: out.per_client,
     }
-}
-
-/// Run one scale cell.
-pub fn run_point(point: ScalePoint) -> ScaleCell {
-    let out = run_fleet(point.spec());
-    summarize(point, &out)
 }
 
 /// Build a matrix over the given axes, env-major then setup then N.
@@ -187,28 +182,23 @@ pub fn grid(envs: &[NetEnv], setups: &[ProtocolSetup], ns: &[usize]) -> Vec<Scal
     points
 }
 
-/// The full matrix: 3 environments × 3 setups × 5 fleet sizes (45 cells).
-pub fn full_grid() -> Vec<ScalePoint> {
-    grid(&NetEnv::ALL, &SETUPS, &N_GRID)
-}
-
-/// A reduced LAN+WAN grid for the `scale` gate (18 cells).
-pub fn reduced_grid() -> Vec<ScalePoint> {
-    grid(&[NetEnv::Lan, NetEnv::Wan], &SETUPS, &[1, 16, 64])
+/// The matrix at `size`: 3 environments × 3 setups × 5 fleet sizes
+/// (45 cells); for the gate, LAN+WAN × N ∈ {1, 16, 64} (18 cells).
+pub fn points(size: Size) -> Vec<ScalePoint> {
+    match size {
+        Size::Gate => grid(&[NetEnv::Lan, NetEnv::Wan], &SETUPS, &[1, 16, 64]),
+        Size::Full => grid(&NetEnv::ALL, &SETUPS, &N_GRID),
+    }
 }
 
 /// Run a set of scale points. Fleet cells vary wildly in weight (N=256
 /// PPP versus N=1 LAN), so they fan out on the same work-stealing pool
-/// the cell runner uses, one fleet per worker.
-pub fn run_points(points: &[ScalePoint]) -> Vec<ScaleCell> {
-    run_points_threaded(points, None)
-}
-
-/// [`run_points`] with an explicit thread count (`None` = automatic;
-/// `Some(1)` forces a serial loop — the differential tests compare the
-/// two).
-pub fn run_points_threaded(points: &[ScalePoint], threads: Option<usize>) -> Vec<ScaleCell> {
-    run_cells_map(points.to_vec(), threads, run_point)
+/// the cell runner uses, one fleet per worker (`threads` as in
+/// [`run_cells_map`]).
+pub fn run_points(points: &[ScalePoint], threads: Option<usize>) -> Vec<ScaleCell> {
+    run_cells_map(points.to_vec(), threads, |p| {
+        summarize(p, run_fleet(p.spec()))
+    })
 }
 
 /// Render one table per environment present in `cells`, in grid order.
@@ -256,7 +246,7 @@ pub fn report_digest(cells: &[ScaleCell]) -> u64 {
 
 /// The many-client section of EXPERIMENTS.md: the full fleet grid.
 pub(crate) fn section() -> String {
-    let cells = run_points(&full_grid());
+    let cells = run_points(&points(Size::Full), None);
     let tables: String = report(&cells).iter().map(|t| t.render() + "\n").collect();
     format!(
         "## Many-client scale (`repro scale`)\n\n\
@@ -284,8 +274,8 @@ mod tests {
 
     #[test]
     fn grid_shapes() {
-        assert_eq!(full_grid().len(), 45);
-        assert_eq!(reduced_grid().len(), 18);
+        assert_eq!(points(Size::Full).len(), 45);
+        assert_eq!(points(Size::Gate).len(), 18);
     }
 
     #[test]
@@ -303,11 +293,12 @@ mod tests {
 
     #[test]
     fn single_client_lan_fleet_completes() {
-        let cell = run_point(ScalePoint {
+        let point = ScalePoint {
             env: NetEnv::Lan,
             setup: ProtocolSetup::Http11Pipelined,
             n_clients: 1,
-        });
+        };
+        let cell = run_points(&[point], None).remove(0);
         assert_eq!(cell.fetched, 43);
         assert_eq!(cell.syn_drops, 0);
         assert!(
@@ -319,16 +310,8 @@ mod tests {
 
     #[test]
     fn contention_slows_the_fleet_but_everyone_finishes() {
-        let base = run_point(ScalePoint {
-            env: NetEnv::Wan,
-            setup: ProtocolSetup::Http11Pipelined,
-            n_clients: 1,
-        });
-        let fleet = run_point(ScalePoint {
-            env: NetEnv::Wan,
-            setup: ProtocolSetup::Http11Pipelined,
-            n_clients: 16,
-        });
+        let points = grid(&[NetEnv::Wan], &[ProtocolSetup::Http11Pipelined], &[1, 16]);
+        let [base, fleet] = <[ScaleCell; 2]>::try_from(run_points(&points, None)).unwrap();
         assert_eq!(fleet.fetched, 16 * 43, "every client fetched the site");
         assert!(
             fleet.p99 > base.p50,

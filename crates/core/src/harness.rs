@@ -650,12 +650,15 @@ pub fn run_spec_checked(spec: CellSpec) -> (RunOutput, conformance::Report) {
     (ran.into(), report)
 }
 
-/// [`run_cells`] with every cell run under the trace-invariant checker.
+/// [`run_cells_threaded`] with every cell run under the trace-invariant checker.
 /// Returns the per-cell results plus one merged [`conformance::Report`]
 /// across all cells (violations keep their connection addresses; cells
 /// are checked independently so the merge loses no information).
-pub fn run_cells_checked(specs: Vec<CellSpec>) -> (Vec<CellResult>, conformance::Report) {
-    let outcomes = run_cells_map(specs, None, |spec| {
+pub fn run_cells_checked(
+    specs: Vec<CellSpec>,
+    threads: Option<usize>,
+) -> (Vec<CellResult>, conformance::Report) {
+    let outcomes = run_cells_map(specs, threads, |spec| {
         let (out, report) = run_spec_checked(spec);
         (out.cell, report)
     });
@@ -770,12 +773,7 @@ where
                     }
                 }
                 Err((i, payload)) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("non-string panic payload");
-                    panic!("job {i} of {n} panicked: {msg}");
+                    panic!("job {i} of {n} panicked: {}", panic_message(&*payload))
                 }
             }
         }
@@ -784,6 +782,15 @@ where
         .into_iter()
         .map(|r| r.expect("every job produced a result"))
         .collect()
+}
+
+/// The text of a caught panic's payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]

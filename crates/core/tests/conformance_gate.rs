@@ -1,11 +1,10 @@
-//! Gate: every unimpaired protocol-matrix cell must produce a trace
-//! that satisfies all TCP and HTTP conformance invariants.
+//! One cell's trace under every TCP and HTTP conformance invariant. The
+//! whole unimpaired matrix, the impaired robustness grid and the jitter
+//! grid are checked by `gate`'s `conformance` entry.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::protocol_matrix;
-use httpipe_core::harness::{matrix_spec, run_cells_checked, run_spec_checked, Scenario};
+use httpipe_core::harness::{matrix_spec, run_spec_checked, Scenario};
 use httpserver::ServerKind;
-use netsim::TraceMode;
 
 #[test]
 fn lan_pipelined_first_time_is_conformant() {
@@ -23,34 +22,4 @@ fn lan_pipelined_first_time_is_conformant() {
     );
     assert!(report.connections > 0);
     assert!(report.http_requests >= 43);
-}
-
-#[test]
-fn full_unimpaired_matrix_is_conformant() {
-    let specs = protocol_matrix::all_specs(TraceMode::Full);
-    let n = specs.len();
-    let (cells, report) = run_cells_checked(specs);
-    assert_eq!(cells.len(), n);
-    assert!(
-        report.is_clean(),
-        "violations across the {n}-cell unimpaired matrix:\n{}",
-        report.summary()
-    );
-}
-
-#[test]
-fn impaired_reduced_grid_is_conformant() {
-    use httpipe_core::experiments::robustness;
-    let specs: Vec<_> = robustness::reduced_grid()
-        .iter()
-        .map(|p| p.spec())
-        .collect();
-    let n = specs.len();
-    let (cells, report) = run_cells_checked(specs);
-    assert_eq!(cells.len(), n);
-    assert!(
-        report.is_clean(),
-        "violations across the {n}-cell impaired grid:\n{}",
-        report.summary()
-    );
 }

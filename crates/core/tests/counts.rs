@@ -11,7 +11,7 @@ mod count_table;
 
 use count_table::{measure, Measured};
 use counting_alloc::CountingAlloc;
-use httpipe_core::experiments::{cc, protocol_matrix, scale};
+use httpipe_core::experiments::{cc, protocol_matrix, scale, Size};
 use httpipe_core::harness::{run_cells_threaded, run_fleet};
 use httpipe_core::prelude::*;
 use netsim::TraceMode;
@@ -43,7 +43,7 @@ fn every_count_matches_the_table() {
     };
     let (cells, cost) = measure(fleets, run_fleets);
     table.row("fleet16", packets(&cells), cost);
-    let lossy = || cc::reduced_grid().iter().map(|p| p.spec()).collect();
+    let lossy = || cc::points(Size::Gate).iter().map(|p| p.spec()).collect();
     let (cells, cost) = measure(lossy, |specs| run_cells_threaded(specs, Some(1)));
     table.row("cc lossy", packets(&cells), cost);
     table.verify();

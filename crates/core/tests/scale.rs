@@ -1,12 +1,13 @@
 //! Integration tests for the many-client scale engine: the N=1 anchor
-//! against the single-client protocol matrix, stats-mode and thread-count
-//! differential checks, the conformance gate over multi-connection fleet
+//! against the single-client protocol matrix, the stats-mode differential
+//! check, the conformance gate over multi-connection fleet
 //! traces, and the headline scalability claim — pipelining needs several
 //! times fewer simultaneous server connections than HTTP/1.0×4 under a
 //! 256-client burst.
 
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::scale::{self, ScalePoint, N_GRID, SETUPS};
+use httpipe_core::experiments::Size;
 use httpipe_core::harness::{
     run_fleet, run_fleet_checked, run_matrix_cell, ProtocolSetup, Scenario,
 };
@@ -82,28 +83,6 @@ fn stats_only_and_full_fleet_traces_agree() {
             full.server_sockets.syn_drops
         );
     }
-}
-
-/// Differential: the scale matrix run serially and on an 8-thread pool
-/// must render bit-identical reports.
-#[test]
-fn threaded_and_serial_scale_runs_are_identical() {
-    let points = scale::grid(&[NetEnv::Lan, NetEnv::Wan], &SETUPS, &[1, 4]);
-    assert_eq!(points.len(), 12);
-    let serial = scale::run_points_threaded(&points, Some(1));
-    let pooled = scale::run_points_threaded(&points, Some(8));
-    for (a, b) in serial.iter().zip(&pooled) {
-        assert_eq!(a.point, b.point);
-        assert_eq!(a.client_secs, b.client_secs, "cell {:?}", a.point);
-        assert_eq!(a.peak_connections, b.peak_connections);
-        assert_eq!(a.syn_drops, b.syn_drops);
-        assert_eq!(a.packets, b.packets);
-    }
-    assert_eq!(
-        scale::report_digest(&serial),
-        scale::report_digest(&pooled),
-        "serial and 8-thread scale reports must be bit-identical"
-    );
 }
 
 /// Conformance gate: a 64-client fleet trace — hundreds of interleaved
@@ -182,5 +161,5 @@ fn pipelining_cuts_peak_server_connections_three_fold_at_256_clients() {
 fn matrix_axes_match_the_design() {
     assert_eq!(N_GRID, [1, 4, 16, 64, 256]);
     assert_eq!(SETUPS.len(), 3);
-    assert_eq!(scale::full_grid().len(), 45);
+    assert_eq!(scale::points(Size::Full).len(), 45);
 }

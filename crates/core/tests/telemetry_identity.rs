@@ -5,7 +5,7 @@
 //! telemetry-off runs of the same grids.
 
 use httpipe_core::env::NetEnv;
-use httpipe_core::experiments::{mux, robustness, scale, telemetry};
+use httpipe_core::experiments::{mux, robustness, scale, telemetry, Size};
 use httpipe_core::harness::{matrix_spec, run_fleet, run_spec, ProtocolSetup, Scenario};
 use httpserver::ServerKind;
 use netsim::CcVariant;
@@ -99,8 +99,8 @@ fn a_fleet_resolves_each_scope_once() {
 /// whether the cells ran with telemetry enabled or disabled.
 #[test]
 fn robustness_report_is_unchanged_by_telemetry() {
-    let points: Vec<_> = robustness::reduced_grid().into_iter().take(6).collect();
-    let off = robustness::run_points(&points);
+    let points: Vec<_> = robustness::points(Size::Gate).into_iter().take(6).collect();
+    let off = robustness::run_points(&points, None);
     let on: Vec<_> = points
         .iter()
         .map(|p| {
