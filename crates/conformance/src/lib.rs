@@ -28,8 +28,8 @@
 //! and its largest connection (the `check …` rows of `httpipe-core`'s
 //! count table, `tests/count_table/mod.rs`, pin both).
 //!
-//! Entry point: [`check_trace`]. The harness-facing wrapper lives in
-//! `httpipe-core::harness::run_cells_checked`.
+//! Entry point: [`check_trace`]. The harness runs a cell under it with
+//! `httpipe-core::harness::run_spec_checked`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,13 +12,10 @@
 
 use super::{paper, row, triplet};
 use crate::env::NetEnv;
-use crate::harness::{microscape_store, primed_cache, run_cells, run_spec, CellSpec};
+use crate::harness::{matrix_spec, run_cells, run_spec, CellSpec, ProtocolSetup, Scenario};
 use crate::result::CellResult;
-use httpclient::{
-    ClientCache, ClientConfig, ProtocolMode, RequestStyle, RevalidationStyle, Workload,
-};
-use httpserver::{ServerConfig, ServerKind};
-use netsim::{HostId, SockAddr, TraceMode};
+use httpclient::{RequestStyle, RevalidationStyle, Workload};
+use httpserver::ServerKind;
 
 /// The browser under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,49 +53,21 @@ impl Browser {
     }
 }
 
-/// Build the browser client spec for one scenario.
+/// Build the browser client spec for one scenario: the PPP HTTP/1.0 cell
+/// of Tables 8–9 with the browser's request headers and revalidation
+/// style.
 fn browser_spec(browser: Browser, server_kind: ServerKind, first_time: bool) -> CellSpec {
-    let site = webcontent::microscape::site();
-    let store = microscape_store(site);
-    let server = match server_kind {
-        ServerKind::Jigsaw => ServerConfig::jigsaw(80),
-        ServerKind::Apache => ServerConfig::apache(80),
-    };
-    let addr = SockAddr::new(HostId(1), 80);
-    let client = ClientConfig::robot(ProtocolMode::Http10Parallel { max_connections: 4 }, addr)
-        .with_style(browser.style());
-
-    let (workload, cache) = if first_time {
-        (
-            Workload::Browse {
-                start: site.html_path().into(),
-            },
-            ClientCache::new(),
-        )
+    let scenario = if first_time {
+        Scenario::FirstTime
     } else {
-        (
-            Workload::Revalidate {
-                start: site.html_path().into(),
-                style: browser.revalidation(),
-            },
-            primed_cache(site),
-        )
+        Scenario::Revalidate
     };
-
-    CellSpec {
-        env: NetEnv::Ppp,
-        server,
-        store,
-        client,
-        workload,
-        cache,
-        link_codec: None,
-        impair: None,
-        tcp: None,
-        trace_mode: TraceMode::StatsOnly,
-        probe: false,
-        telemetry: false,
+    let mut spec = matrix_spec(NetEnv::Ppp, server_kind, ProtocolSetup::Http10, scenario);
+    spec.client = spec.client.with_style(browser.style());
+    if let Workload::Revalidate { style, .. } = &mut spec.workload {
+        *style = browser.revalidation();
     }
+    spec
 }
 
 /// Run one browser cell.

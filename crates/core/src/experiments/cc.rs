@@ -217,15 +217,12 @@ pub(crate) fn section() -> String {
          traffic \u{2014} on HTTP/1.0's four short parallel connections the\n\
          fast-retransmit variants are indistinguishable, while on the single\n\
          pipelined connection NewReno/SACK cut Reno's inflation from +355%\n\
-         to +211% at 2% loss and to a quarter at 5% (the `cc_gate`\n\
-         ordering) by filling holes on partial ACKs\n\
+         to +211% at 2% loss and to a quarter at 5% (the ordering `gate`'s\n\
+         `cc` entry asserts) by filling holes on partial ACKs\n\
          instead of stalling into retransmission timeouts \u{2014} the probe\n\
          decomposition below books the difference almost entirely against\n\
-         the `RTO` bucket.\n\n{}\n\
-         Report digest of the reduced grid (pinned by `gate`'s `cc` entry):\n\
-         `{:#018x}`.\n",
-        super::fenced(&blocks),
-        crate::digest::tables(&report(&robustness::run_points(&points(Size::Gate), None)))
+         the `RTO` bucket.\n\n{}",
+        super::fenced(&blocks)
     )
 }
 

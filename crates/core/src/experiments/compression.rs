@@ -11,12 +11,12 @@
 
 use super::{paper, row};
 use crate::env::NetEnv;
-use crate::harness::{microscape_store, run_spec, CellSpec};
+use crate::harness::{matrix_spec, run_spec, ProtocolSetup, Scenario};
 use crate::result::CellResult;
 use flate::{deflate, Level};
-use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
-use httpserver::ServerConfig;
-use netsim::{HostId, ModemCompressor, SockAddr, TraceMode};
+use httpclient::Workload;
+use httpserver::ServerKind;
+use netsim::ModemCompressor;
 
 /// Deflate statistics for the Microscape HTML — the paper's headline
 /// compression claim.
@@ -58,33 +58,19 @@ pub fn html_deflate_study() -> HtmlDeflateStudy {
 /// over a 28.8k modem *with V.42bis link compression active* — once with
 /// the plain HTML, once with the pre-deflated entity.
 pub fn modem_cells() -> (CellResult, CellResult) {
-    let run_one = |deflate_on: bool| {
-        let site = webcontent::microscape::site();
-        let store = microscape_store(site);
-        let server = ServerConfig::apache(80).with_deflate(deflate_on);
-        let addr = SockAddr::new(HostId(1), 80);
-        let client =
-            ClientConfig::robot(ProtocolMode::Http11Pipelined, addr).with_deflate(deflate_on);
-        let spec = CellSpec {
-            env: NetEnv::Ppp,
-            server,
-            store,
-            client,
-            workload: Workload::FetchList {
-                paths: vec![site.html_path().to_string()],
-            },
-            cache: ClientCache::new(),
-            // The modem pair compresses the PPP stream either way.
-            link_codec: Some(|| Box::new(ModemCompressor::new())),
-            impair: None,
-            tcp: None,
-            trace_mode: TraceMode::StatsOnly,
-            probe: false,
-            telemetry: false,
+    let run_one = |setup| {
+        let mut spec = matrix_spec(NetEnv::Ppp, ServerKind::Apache, setup, Scenario::FirstTime);
+        spec.workload = Workload::FetchList {
+            paths: vec![webcontent::microscape::site().html_path().to_string()],
         };
+        // The modem pair compresses the PPP stream either way.
+        spec.link_codec = Some(|| Box::new(ModemCompressor::new()));
         run_spec(spec).cell
     };
-    (run_one(false), run_one(true))
+    (
+        run_one(ProtocolSetup::Http11Pipelined),
+        run_one(ProtocolSetup::Http11PipelinedDeflate),
+    )
 }
 
 /// The §8.2.1 section of EXPERIMENTS.md (Apache).

@@ -4,11 +4,10 @@
 
 use super::row;
 use crate::env::NetEnv;
-use crate::harness::{custom_store, microscape_store, run_spec, CellSpec};
+use crate::harness::{custom_store, matrix_spec, run_spec, ProtocolSetup, Scenario};
 use crate::result::CellResult;
-use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
-use httpserver::ServerConfig;
-use netsim::{HostId, SockAddr, TraceMode};
+use httpclient::Workload;
+use httpserver::ServerKind;
 use webcontent::convert::{convert_site, ConversionReport};
 use webcontent::css;
 use webcontent::synth::ImageRole;
@@ -121,33 +120,17 @@ pub(crate) fn png_section() -> String {
 }
 
 /// Simulated browse of the original vs the CSS-converted page over PPP,
-/// pipelined HTTP/1.1 both times: what style sheets buy end-to-end.
+/// pipelined HTTP/1.1 both times (the original is Table 9's pipelined
+/// first-time cell): what style sheets buy end-to-end.
 pub fn css_browse_cells() -> (CellResult, CellResult) {
-    let site = webcontent::microscape::site();
-    let addr = SockAddr::new(HostId(1), 80);
-
-    let original = {
-        let spec = CellSpec {
-            env: NetEnv::Ppp,
-            server: ServerConfig::apache(80),
-            store: microscape_store(site),
-            client: ClientConfig::robot(ProtocolMode::Http11Pipelined, addr),
-            workload: Workload::Browse {
-                start: site.html_path().into(),
-            },
-            cache: ClientCache::new(),
-            link_codec: None,
-            impair: None,
-            tcp: None,
-            trace_mode: TraceMode::StatsOnly,
-            probe: false,
-            telemetry: false,
-        };
-        run_spec(spec).cell
+    let spec = || {
+        let setup = ProtocolSetup::Http11Pipelined;
+        matrix_spec(NetEnv::Ppp, ServerKind::Apache, setup, Scenario::FirstTime)
     };
+    let original = run_spec(spec()).cell;
 
     let converted = {
-        let variant = site.css_variant();
+        let variant = webcontent::microscape::site().css_variant();
         let mut objects: Vec<(String, Vec<u8>, &'static str)> = vec![(
             "/index.html".to_string(),
             variant.html.clone().into_bytes(),
@@ -156,21 +139,10 @@ pub fn css_browse_cells() -> (CellResult, CellResult) {
         for obj in &variant.kept {
             objects.push((obj.path.clone(), obj.body.clone(), "image/gif"));
         }
-        let spec = CellSpec {
-            env: NetEnv::Ppp,
-            server: ServerConfig::apache(80),
-            store: custom_store(&objects),
-            client: ClientConfig::robot(ProtocolMode::Http11Pipelined, addr),
-            workload: Workload::Browse {
-                start: "/index.html".into(),
-            },
-            cache: ClientCache::new(),
-            link_codec: None,
-            impair: None,
-            tcp: None,
-            trace_mode: TraceMode::StatsOnly,
-            probe: false,
-            telemetry: false,
+        let mut spec = spec();
+        spec.store = custom_store(&objects);
+        spec.workload = Workload::Browse {
+            start: "/index.html".into(),
         };
         run_spec(spec).cell
     };

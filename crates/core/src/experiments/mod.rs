@@ -220,8 +220,8 @@ fn speed_section() -> String {
      workloads, metrics (simulated packets per second, allocations per\n\
      packet, per-layer costs) and the measured baseline are in\n\
      `benchmark/README.md`; `benchmark/run.sh` re-measures them. The\n\
-     deterministic half \u{2014} the digests quoted above, plus the matrix\n\
-     and 16-client-fleet digests \u{2014} is pinned in `httpipe_core::gate` and\n\
+     deterministic half \u{2014} a digest of each study's reduced grid, plus\n\
+     the matrix and 16-client-fleet digests \u{2014} is pinned in `httpipe_core::gate` and\n\
      checked by `cargo run --release -p httpipe-bench --bin gate`; exact\n\
      allocation counts are one table, `crates/core/tests/count_table/mod.rs`,\n\
      checked by `cargo test`.\n"

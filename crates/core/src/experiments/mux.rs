@@ -275,8 +275,8 @@ pub(crate) fn report(cells: &Cells) -> Vec<Table> {
 /// The multiplexing section of EXPERIMENTS.md: the mux matrix, the loss
 /// grid and its shared-fate tables, the fleets and the stall probe.
 pub(crate) fn section() -> String {
-    let tables = |size| report(&run_points(&points(size), None));
-    let blocks: Vec<String> = tables(Size::Full).iter().map(Table::render).collect();
+    let cells = run_points(&points(Size::Full), None);
+    let blocks: Vec<String> = report(&cells).iter().map(Table::render).collect();
     format!(
         "## Multiplexing and server push (`repro mux`)\n\n\
          Beyond the paper, twenty years forward: a binary-framed multiplexed\n\
@@ -295,11 +295,8 @@ pub(crate) fn section() -> String {
          the shared-fate tables (the SPDY-era finding, and the gated\n\
          `shared_fate_mux_degrades_more_than_parallel_connections` test);\n\
          and in fleets one connection per client holds server state at ~N\n\
-         while matching pipelining's aggregate packet economy.\n\n{}\n\
-         Report digest of the reduced mux report (pinned by `gate`'s `mux`\n\
-         entry): `{:#018x}`.\n",
-        super::fenced(&blocks),
-        crate::digest::tables(&tables(Size::Gate))
+         while matching pipelining's aggregate packet economy.\n\n{}",
+        super::fenced(&blocks)
     )
 }
 

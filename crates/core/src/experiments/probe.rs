@@ -170,7 +170,7 @@ pub fn report_digest(cells: &[ProbeCell]) -> u64 {
 pub(crate) fn section() -> String {
     let cells = run_points(&points(Size::Full), None);
     format!(
-        "## Where the time goes (`diagnose`)\n\n\
+        "## Where the time goes (`repro probe`)\n\n\
          Beyond the paper: the elapsed-time columns above, decomposed by cause.\n\
          The paper explained its timings by hand from tcpdump output; the\n\
          `netsim::probe` flight recorder automates that analysis, attributing\n\
@@ -187,12 +187,8 @@ pub(crate) fn section() -> String {
          RTO, a spurious-retransmission regime the single-connection setups\n\
          never enter (one more reason the paper dropped that row).\n\
          Full per-request timelines and machine-readable `PROBE_*.json`\n\
-         documents come from `cargo run --release -p httpipe-bench --bin\n\
-         diagnose`.\n\n{}\n\
-         Report digest of the full grid above (the reduced grid's is pinned by\n\
-         `gate`'s `probe` entry): `{:#018x}`.\n",
-        super::fenced(&[report(&cells).render()]),
-        report_digest(&cells)
+         documents come from `repro diagnose`.\n\n{}",
+        super::fenced(&[report(&cells).render()])
     )
 }
 

@@ -6,38 +6,24 @@
 
 use super::row;
 use crate::env::NetEnv;
-use crate::harness::{custom_store, microscape_store, run_spec, CellSpec};
+use crate::harness::{custom_store, matrix_spec, run_spec, ProtocolSetup, Scenario};
 use crate::result::CellResult;
-use httpclient::{ClientCache, ClientConfig, ProtocolMode, Workload};
-use httpserver::ServerConfig;
-use netsim::{HostId, SockAddr, TraceMode};
+use httpclient::Workload;
+use httpserver::ServerKind;
 use webcontent::convert::{gif_to_mng, gif_to_png};
 use webcontent::synth::ImageRole;
 
 /// Baseline: an HTTP/1.0 browser (4 parallel connections) fetching the
-/// original page over PPP.
+/// original page over PPP, Table 9's HTTP/1.0 first-time cell.
 pub fn baseline_cell() -> CellResult {
-    let site = webcontent::microscape::site();
-    let spec = CellSpec {
-        env: NetEnv::Ppp,
-        server: ServerConfig::apache(80),
-        store: microscape_store(site),
-        client: ClientConfig::robot(
-            ProtocolMode::Http10Parallel { max_connections: 4 },
-            SockAddr::new(HostId(1), 80),
-        ),
-        workload: Workload::Browse {
-            start: site.html_path().into(),
-        },
-        cache: ClientCache::new(),
-        link_codec: None,
-        impair: None,
-        tcp: None,
-        trace_mode: TraceMode::StatsOnly,
-        probe: false,
-        telemetry: false,
-    };
-    run_spec(spec).cell
+    let setup = ProtocolSetup::Http10;
+    run_spec(matrix_spec(
+        NetEnv::Ppp,
+        ServerKind::Apache,
+        setup,
+        Scenario::FirstTime,
+    ))
+    .cell
 }
 
 /// Everything applied: the CSS-converted page (fewer images), remaining
@@ -73,22 +59,11 @@ pub fn all_techniques_cell() -> CellResult {
         objects.push((obj.path.clone(), body, ct));
     }
 
-    let spec = CellSpec {
-        env: NetEnv::Ppp,
-        server: ServerConfig::apache(80).with_deflate(true),
-        store: custom_store(&objects),
-        client: ClientConfig::robot(ProtocolMode::Http11Pipelined, SockAddr::new(HostId(1), 80))
-            .with_deflate(true),
-        workload: Workload::Browse {
-            start: "/index.html".into(),
-        },
-        cache: ClientCache::new(),
-        link_codec: None,
-        impair: None,
-        tcp: None,
-        trace_mode: TraceMode::StatsOnly,
-        probe: false,
-        telemetry: false,
+    let setup = ProtocolSetup::Http11PipelinedDeflate;
+    let mut spec = matrix_spec(NetEnv::Ppp, ServerKind::Apache, setup, Scenario::FirstTime);
+    spec.store = custom_store(&objects);
+    spec.workload = Workload::Browse {
+        start: "/index.html".into(),
     };
     run_spec(spec).cell
 }

@@ -300,7 +300,7 @@ impl SmokeArtifacts {
 }
 
 /// Where the committed goldens of [`smoke_artifacts`] live: the gate
-/// reads them, `telemetry --bless` rewrites them.
+/// reads them, `repro bless` rewrites them.
 pub fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/goldens/telemetry")
 }
@@ -337,7 +337,7 @@ pub fn smoke_artifacts() -> SmokeArtifacts {
 /// the telemetry volume table.
 pub(crate) fn section() -> String {
     format!(
-        "## Fleet observatory (`telemetry`)\n\n\
+        "## Fleet observatory (`repro telemetry`)\n\n\
          Beyond the paper: the tables above are endpoints \u{2014} one number per\n\
          run. The telemetry subsystem records how those numbers came to be:\n\
          per-connection cwnd/ssthresh/flight/RTO, per-link-direction queue\n\
@@ -351,7 +351,7 @@ pub(crate) fn section() -> String {
          queue drains. The second replays the congestion-control story: the\n\
          same 2%-loss WAN pipelined cell per variant, where Reno's cwnd\n\
          collapses into RTO stalls that NewReno/SACK ride through. The same\n\
-         runs export pcapng (`--bin telemetry` writes `TELEMETRY_*.json/csv/\n\
+         runs export pcapng (`repro capture` writes `TELEMETRY_*.json/csv/\n\
          pcapng`), so any simulated connection opens in Wireshark/tcptrace\n\
          with real checksums, RFC 2018 SACK options and nanosecond\n\
          timestamps.\n\n{}\n\

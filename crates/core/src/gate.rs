@@ -23,8 +23,8 @@ use crate::experiments::robustness::RobustnessCell;
 use crate::experiments::scale::ScaleCell;
 use crate::experiments::{cc, mux, probe, protocol_matrix, robustness, scale, telemetry, Size};
 use crate::harness::{
-    panic_message, run_cells_checked, run_cells_map, run_cells_threaded, run_spec_checked,
-    worker_threads, ProtocolSetup,
+    panic_message, run_cells_map, run_cells_threaded, run_spec_checked, worker_threads,
+    ProtocolSetup,
 };
 use crate::result::CellResult;
 use netsim::{CcVariant, TraceMode};
@@ -345,7 +345,16 @@ fn conformance_pass(threads: usize) -> Result<Pass, String> {
     let mut specs = protocol_matrix::all_specs(TraceMode::Full);
     specs.extend(lossy.iter().map(|p| p.spec()));
     specs.extend(jitter.iter().map(|p| p.spec()));
-    let (cells, report) = run_cells_checked(specs, Some(threads));
+    let checked = run_cells_map(specs, Some(threads), |spec| {
+        let (out, report) = run_spec_checked(spec);
+        (out.cell, report)
+    });
+    let mut report = conformance::Report::default();
+    let mut cells = Vec::with_capacity(checked.len());
+    for (cell, checked) in checked {
+        report.merge(checked);
+        cells.push(cell);
+    }
     ensure_clean(&report, "conformance violations")?;
     ensure(
         report.connections > 0 && report.segments > 0 && report.http_requests > 0,
@@ -529,7 +538,7 @@ fn telemetry_pass(_threads: usize) -> Result<Pass, String> {
             .map_err(|e| format!("cannot read golden {}: {e}", path.display()))?;
         ensure(bytes == golden.as_slice(), || {
             format!(
-                "{name} differs from golden {} ({} vs {} bytes); run `telemetry --bless` \
+                "{name} differs from golden {} ({} vs {} bytes); run `repro bless` \
                  after an intentional change",
                 path.display(),
                 bytes.len(),

@@ -650,27 +650,6 @@ pub fn run_spec_checked(spec: CellSpec) -> (RunOutput, conformance::Report) {
     (ran.into(), report)
 }
 
-/// [`run_cells_threaded`] with every cell run under the trace-invariant checker.
-/// Returns the per-cell results plus one merged [`conformance::Report`]
-/// across all cells (violations keep their connection addresses; cells
-/// are checked independently so the merge loses no information).
-pub fn run_cells_checked(
-    specs: Vec<CellSpec>,
-    threads: Option<usize>,
-) -> (Vec<CellResult>, conformance::Report) {
-    let outcomes = run_cells_map(specs, threads, |spec| {
-        let (out, report) = run_spec_checked(spec);
-        (out.cell, report)
-    });
-    let mut merged = conformance::Report::default();
-    let mut cells = Vec::with_capacity(outcomes.len());
-    for (cell, report) in outcomes {
-        merged.merge(report);
-        cells.push(cell);
-    }
-    (cells, merged)
-}
-
 /// Run one matrix cell.
 pub fn run_matrix_cell(
     env: NetEnv,
@@ -717,8 +696,8 @@ pub fn run_cells_threaded(specs: Vec<CellSpec>, threads: Option<usize>) -> Vec<C
 /// Map a function across independent jobs on the work-stealing pool,
 /// returning the outputs in input order.
 ///
-/// The engine behind [`run_cells_threaded`], [`run_cells_checked`] and
-/// the fleet grids: each worker claims the next unstarted job off a
+/// The engine behind [`run_cells_threaded`], the checked grids and the
+/// fleet grids: each worker claims the next unstarted job off a
 /// shared counter, so long jobs (PPP cells, N=256 fleets) don't
 /// serialize behind a static partition. With one thread (or one job) it
 /// degrades to a plain serial loop. A job that panics on a worker is

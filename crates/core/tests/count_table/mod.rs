@@ -4,32 +4,18 @@
 //! A row is one measured run: the packets it carried (or, for a reader of
 //! a finished trace, the records it read; 0 where no packet is involved)
 //! and what the run cost the allocator — allocations, bytes requested,
-//! and the live heap it added at its worst. Each run is counted on the
-//! test's own thread after one warm-up run of the same thing, which primes
+//! and the live heap it added at its worst. Each run is counted on its
+//! group's thread after one warm-up run of the same thing, which primes
 //! code paths and the thread-local buffer pools. The simulation is
-//! deterministic and a test measures its rows in a fixed order, so every
-//! count repeats exactly, in debug and release builds alike; a defect that
-//! costs one allocation per packet, per message or per object moves a
-//! row by thousands, and one that copies a body moves its bytes.
+//! deterministic and `counts.rs` measures the groups in a fixed order, so
+//! every count repeats exactly, in debug and release builds alike.
 //!
-//! The table is grouped by the test that measures the rows, one test per
-//! binary, so nothing else in the process allocates while a row is
-//! counted:
-//! - `alloc_budget`: one message through `httpwire`'s engines, and 64
-//!   8 KiB streams between two `httpmux` engines;
-//! - `counts`: the 44 cells of Tables 4–9, two 16-client WAN fleets, and
-//!   the congestion-control lab's lossy grid;
-//! - `head_alloc`: three clean LAN cells of 43 requests, whose cost is
-//!   their message heads and the robot's per-object state;
-//! - `body_alloc`: one clean LAN cell fetching a 1 KiB or a 1 MiB object
-//!   over HTTP/1.1, pipelined and multiplexed, with the full trace;
-//! - `check_alloc`: the conformance checker over each of those traces,
-//!   and a 16-client LAN HTTP/1.0 fleet with each flight recorder and
-//!   the two readers of its trace.
-//!
-//! A mismatch names the first row that moved and its fields, then prints
-//! the group as measured in [`TABLE`]'s syntax: a change meant to move a
-//! count replaces the group with it.
+//! The table is grouped by what the rows measure, and each group by the
+//! function of the same name in `counts.rs`, which says what its rows
+//! cost and what moves them. A mismatch names the first row that moved
+//! in each group and its fields, then prints the group as measured in
+//! [`TABLE`]'s syntax: a change meant to move a count replaces the group
+//! with it.
 
 use counting_alloc::{allocated_bytes, allocations, peak_live_bytes, reset_peak};
 use std::fmt::Write;
@@ -140,14 +126,6 @@ impl Measured {
         self.rows.push((name.into(), counts));
     }
 
-    /// Panic with the first difference from the group's rows in
-    /// [`TABLE`], followed by the group as measured.
-    pub fn verify(&self) {
-        if let Some(why) = self.mismatch() {
-            panic!("{why}");
-        }
-    }
-
     fn mismatch(&self) -> Option<String> {
         let (_, table) = TABLE
             .iter()
@@ -185,6 +163,16 @@ impl Measured {
         why.push_str("        ],\n    ),");
         Some(why)
     }
+}
+
+/// Panic unless `measured` holds [`TABLE`]'s groups in order, each as
+/// pinned, naming every group that differs.
+pub fn verify(measured: &[Measured]) {
+    let groups: Vec<&str> = measured.iter().map(|m| m.group).collect();
+    let pinned: Vec<&str> = TABLE.iter().map(|(group, _)| *group).collect();
+    assert_eq!(groups, pinned, "the groups measured");
+    let why: Vec<String> = measured.iter().filter_map(Measured::mismatch).collect();
+    assert!(why.is_empty(), "{}", why.join("\n\n"));
 }
 
 /// `1234567` as `1_234_567`.

@@ -7,7 +7,7 @@
 use httpipe_core::env::NetEnv;
 use httpipe_core::experiments::{mux, robustness, scale};
 use httpipe_core::harness::{
-    matrix_spec, run_cells_checked, run_spec_checked, ProtocolSetup, Scenario,
+    matrix_spec, run_cells_map, run_spec_checked, ProtocolSetup, Scenario,
 };
 use httpserver::ServerKind;
 
@@ -24,8 +24,12 @@ fn mux_matrix_is_conformant() {
         }
     }
     let n = specs.len();
-    let (cells, report) = run_cells_checked(specs, None);
-    assert_eq!(cells.len(), n);
+    let reports = run_cells_map(specs, None, |spec| run_spec_checked(spec).1);
+    assert_eq!(reports.len(), n);
+    let mut report = conformance::Report::default();
+    for checked in reports {
+        report.merge(checked);
+    }
     assert!(
         report.is_clean(),
         "violations across the {n}-cell mux matrix:\n{}",

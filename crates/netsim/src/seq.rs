@@ -7,8 +7,8 @@
 //! helpers are behavior-identical to the direct operators for every
 //! reachable distance — but the `seq-wrap` simlint rule still requires
 //! them in `tcp.rs` so the TCB stays correct if sequence numbers are
-//! ever narrowed to the wire's 32 bits (ROADMAP item 1 moves the TCB
-//! into a packed per-client layout where that is the plan of record).
+//! ever narrowed to the wire's 32 bits, as a packed per-connection TCB
+//! layout would.
 //!
 //! All comparisons are strict serial-number comparisons: `a` is "less
 //! than" `b` when the signed distance `a - b` is negative, i.e. `a` is
