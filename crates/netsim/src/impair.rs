@@ -25,7 +25,10 @@
 //! traces — impairment decisions are part of the discrete-event state, never
 //! wall-clock dependent. A configuration where every model is disabled draws
 //! no random numbers at all and leaves packet timing bit-identical to an
-//! unimpaired link.
+//! unimpaired link. The pipeline degrades deterministically instead of
+//! panicking: its non-test code may not `unwrap()`.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;

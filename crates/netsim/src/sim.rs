@@ -201,7 +201,7 @@ enum Counted {
 
 impl HostState {
     fn open_sockets(&self) -> u64 {
-        self.tcbs.iter().filter(|l| l.tcb.state.is_open()).count() as u64
+        self.tcbs.iter().filter(|l| l.tcb.state().is_open()).count() as u64
     }
 
     /// Sockets on `port` still mid-handshake — the listener's SYN queue.
@@ -211,7 +211,7 @@ impl HostState {
             len,
             self.tcbs
                 .iter()
-                .filter(|l| l.tcb.state == State::SynRcvd && l.tcb.local.port == port)
+                .filter(|l| l.tcb.state() == State::SynRcvd && l.tcb.local.port == port)
                 .count() as u32
         );
         len
@@ -546,12 +546,12 @@ impl Kernel {
         let h = self.host(host);
         let tcb = &h.tcbs[h.live(sock)].tcb;
         let counted = &mut h.slots[slot as usize].counted;
-        if *counted == Counted::SynQueue && tcb.state != State::SynRcvd {
+        if *counted == Counted::SynQueue && tcb.state() != State::SynRcvd {
             *counted = Counted::Open;
             let listener = h.listeners.get_mut(&tcb.local.port);
             listener.expect("passive open has a listener").syn_queue -= 1;
         }
-        if *counted == Counted::Open && !tcb.state.is_open() {
+        if *counted == Counted::Open && !tcb.state().is_open() {
             *counted = Counted::Closed;
             h.open_now -= 1;
         }
@@ -560,7 +560,7 @@ impl Kernel {
             // be reused.
             let h = self.host(host);
             let tcb = h.tcb(sock);
-            if !tcb.state.is_open() {
+            if !tcb.state().is_open() {
                 let key = (tcb.local.port, tcb.remote);
                 h.demux.remove(&key);
             }
@@ -590,7 +590,7 @@ impl Kernel {
         }
         let h = self.host(host);
         let slot = h.slots.len() as u32;
-        let counted = if tcb.state == State::SynRcvd {
+        let counted = if tcb.state() == State::SynRcvd {
             let listener = h.listeners.get_mut(&local.port);
             listener.expect("passive open has a listener").syn_queue += 1;
             Counted::SynQueue
@@ -1153,7 +1153,7 @@ impl Simulator {
         let slots = hosts.iter().flat_map(|h| &h.slots);
         let reaped = slots.filter(|s| s.tcb == REAPED).count();
         let held = hosts.iter().flat_map(|h| &h.tcbs).map(|l| &l.tcb);
-        held.filter(|t| t.state == State::Closed)
+        held.filter(|t| t.state() == State::Closed)
             .fold((reaped, 0), |(n, bytes), t| {
                 (n + 1, bytes + t.held_storage())
             })

@@ -108,6 +108,39 @@ impl State {
     }
 }
 
+/// Every transition a [`Tcb`] may take, as (from, to); from `None` is
+/// from any state. It is the RFC 793 §3.2 diagram restricted to the paths
+/// this simulator models: a TCB is born in SYN-SENT ([`Tcb::open_active`])
+/// or SYN-RECEIVED ([`Tcb::open_passive`]), LISTEN is the kernel's port
+/// table, and there is no simultaneous open. [`Tcb::enter`] panics on any
+/// other edge.
+const RFC793: [(Option<State>, State); 13] = {
+    use State::*;
+    [
+        (Some(SynSent), Established),   // SYN-ACK received, ACK sent
+        (Some(SynRcvd), Established),   // ACK of our SYN-ACK received
+        (Some(Established), FinWait1),  // local close, FIN sent
+        (Some(Established), CloseWait), // FIN received
+        (Some(CloseWait), LastAck),     // local close, FIN sent
+        (Some(FinWait1), FinWait2),     // our FIN acked
+        (Some(FinWait1), Closing),      // FIN received before our FIN acked
+        (Some(FinWait1), TimeWait),     // our FIN acked, peer FIN already seen
+        (Some(FinWait2), TimeWait),     // FIN received
+        (Some(Closing), TimeWait),      // our FIN acked
+        (Some(LastAck), Closed),        // our FIN acked
+        (Some(TimeWait), Closed),       // 2MSL timer expiry
+        (None, Closed),                 // RST received or local abort (§3.4)
+    ]
+};
+
+#[cfg(test)]
+thread_local! {
+    /// The edges TCBs on this thread have taken, each once, for the test
+    /// that every row of [`RFC793`] is exercised.
+    static TAKEN: std::cell::RefCell<Vec<(State, State)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Per-connection timers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
@@ -208,8 +241,8 @@ pub struct Tcb {
     pub local: SockAddr,
     /// The peer's address.
     pub remote: SockAddr,
-    /// Current RFC 793 connection state.
-    pub state: State,
+    /// Current RFC 793 connection state; only [`Tcb::enter`] changes it.
+    state: State,
     cfg: TcpConfig,
 
     // --- send side ---
@@ -372,6 +405,41 @@ impl Tcb {
     /// The parameters this endpoint runs with.
     pub fn config(&self) -> &TcpConfig {
         &self.cfg
+    }
+
+    /// Current RFC 793 connection state.
+    pub fn state(&self) -> State {
+        self.state
+    }
+
+    /// Move to state `to`: the one place the state changes. Panics on an
+    /// edge [`RFC793`] does not list.
+    fn enter(&mut self, to: State) {
+        let from = self.state;
+        assert!(
+            RFC793.contains(&(Some(from), to)) || RFC793.contains(&(None, to)),
+            "TCB {} -> {} took {from:?} -> {to:?}, a transition RFC 793 does not allow",
+            self.local,
+            self.remote
+        );
+        #[cfg(test)]
+        TAKEN.with(|taken| {
+            let mut taken = taken.borrow_mut();
+            if !taken.contains(&(from, to)) {
+                taken.push((from, to));
+            }
+        });
+        self.state = to;
+    }
+
+    /// A Closed TCB sends nothing but the RST [`Tcb::reset`] builds.
+    fn assert_may_send(&self) {
+        assert!(
+            self.state.is_open(),
+            "TCB {} -> {} sent a segment after Closed",
+            self.local,
+            self.remote
+        );
     }
 
     /// Enable or disable probe-event emission into [`Effects::probe`].
@@ -633,7 +701,7 @@ impl Tcb {
                     self.rcv_nxt = seg.seq + 1;
                     self.peer_window = seg.window;
                     self.snd_una = seg.ack;
-                    self.state = State::Established;
+                    self.enter(State::Established);
                     self.buf_base = self.snd_nxt;
                     self.take_rtt_sample(now, seg.ack);
                     self.cancel_timer(TimerKind::Rto);
@@ -648,7 +716,7 @@ impl Tcb {
             State::SynRcvd => {
                 if seg.flags.ack && seg.ack == self.snd_nxt {
                     self.snd_una = seg.ack;
-                    self.state = State::Established;
+                    self.enter(State::Established);
                     self.buf_base = self.snd_nxt;
                     self.peer_window = seg.window;
                     self.take_rtt_sample(now, seg.ack);
@@ -690,15 +758,12 @@ impl Tcb {
         // Data already buffered but not yet read by the application is
         // discarded: the paper's observation that a server RST destroys
         // responses the client TCP had successfully received.
-        self.recv_buf.clear();
-        self.reassembly.clear();
-        self.send_buf.clear();
-        self.was_reset = true;
-        self.state = State::Closed;
-        self.cancel_all_timers();
+        self.reset(fx, false);
         fx.notifications.push(SockNotify::Reset);
     }
 
+    /// Abort from any state: discard every buffer and, if `notify_peer`,
+    /// send the peer a RST.
     fn reset(&mut self, fx: &mut Effects, notify_peer: bool) {
         if notify_peer {
             fx.segments
@@ -709,8 +774,18 @@ impl Tcb {
         self.reassembly.clear();
         self.send_buf.clear();
         self.was_reset = true;
-        self.state = State::Closed;
+        self.enter(State::Closed);
         self.cancel_all_timers();
+    }
+
+    /// Close gracefully (our FIN acked in LAST-ACK, or TIME-WAIT over):
+    /// all sent data is acknowledged, so the send queue's deque goes too.
+    fn finish(&mut self, fx: &mut Effects) {
+        self.enter(State::Closed);
+        self.cancel_all_timers();
+        self.send_buf.clear();
+        self.release_recv_buf();
+        fx.notifications.push(SockNotify::Closed);
     }
 
     fn handle_ack(&mut self, now: SimTime, seg: &Segment, fx: &mut Effects) {
@@ -742,26 +817,10 @@ impl Tcb {
             let fin_acked = self.fin_seq.is_some_and(|f| seq_gt(ack, f));
             if fin_acked {
                 match self.state {
-                    State::FinWait1 => {
-                        self.state = if self.peer_fin_seq.is_some() {
-                            self.enter_time_wait(now, fx);
-                            State::TimeWait
-                        } else {
-                            State::FinWait2
-                        }
-                    }
-                    State::Closing => {
-                        self.enter_time_wait(now, fx);
-                        self.state = State::TimeWait;
-                    }
-                    State::LastAck => {
-                        self.state = State::Closed;
-                        self.cancel_all_timers();
-                        // All of it is acknowledged; the queue's deque goes too.
-                        self.send_buf.clear();
-                        self.release_recv_buf();
-                        fx.notifications.push(SockNotify::Closed);
-                    }
+                    State::FinWait1 if self.peer_fin_seq.is_some() => self.enter_time_wait(now, fx),
+                    State::FinWait1 => self.enter(State::FinWait2),
+                    State::Closing => self.enter_time_wait(now, fx),
+                    State::LastAck => self.finish(fx),
                     _ => {}
                 }
             }
@@ -893,15 +952,10 @@ impl Tcb {
             self.peer_fin_delivered = true;
             fx.notifications.push(SockNotify::PeerFin);
             match self.state {
-                State::Established => self.state = State::CloseWait,
-                State::FinWait1 => {
-                    // Our FIN is still unacked.
-                    self.state = State::Closing;
-                }
-                State::FinWait2 => {
-                    self.enter_time_wait(now, fx);
-                    self.state = State::TimeWait;
-                }
+                State::Established => self.enter(State::CloseWait),
+                // Our FIN is still unacked.
+                State::FinWait1 => self.enter(State::Closing),
+                State::FinWait2 => self.enter_time_wait(now, fx),
                 _ => {}
             }
             // FIN is acknowledged immediately.
@@ -953,13 +1007,7 @@ impl Tcb {
                     self.retransmit(now, fx);
                 }
             }
-            TimerKind::TimeWait => {
-                self.state = State::Closed;
-                self.cancel_all_timers();
-                self.send_buf.clear();
-                self.release_recv_buf();
-                fx.notifications.push(SockNotify::Closed);
-            }
+            TimerKind::TimeWait => self.finish(fx),
             TimerKind::Persist => {
                 if self.peer_window == 0 && seq_gt(self.send_limit(), self.snd_nxt) {
                     // One-byte window probe.
@@ -1003,6 +1051,7 @@ impl Tcb {
     }
 
     fn enter_time_wait(&mut self, now: SimTime, fx: &mut Effects) {
+        self.enter(State::TimeWait);
         let tw = self.cfg.time_wait;
         self.arm_timer(TimerKind::TimeWait, now + tw, fx);
     }
@@ -1048,6 +1097,7 @@ impl Tcb {
     }
 
     fn emit_ack(&mut self, fx: &mut Effects) {
+        self.assert_may_send();
         if self.delack_armed {
             self.probe(fx, TcpProbeEvent::DelAckFlush);
         }
@@ -1068,6 +1118,7 @@ impl Tcb {
     }
 
     fn emit_data_segment(&mut self, seq: u64, payload: Bytes, fin: bool, fx: &mut Effects) {
+        self.assert_may_send();
         let flags = TcpFlags {
             syn: false,
             ack: true,
@@ -1157,8 +1208,8 @@ impl Tcb {
                 self.snd_nxt += 1;
                 self.fin_sent = true;
                 match self.state {
-                    State::Established => self.state = State::FinWait1,
-                    State::CloseWait => self.state = State::LastAck,
+                    State::Established => self.enter(State::FinWait1),
+                    State::CloseWait => self.enter(State::LastAck),
                     _ => {}
                 }
             }
@@ -1259,13 +1310,13 @@ mod tests {
 
         let mut cfx = fx();
         client.on_segment(now, &synack, &mut cfx);
-        assert_eq!(client.state, State::Established);
+        assert_eq!(client.state(), State::Established);
         assert!(cfx.notifications.contains(&SockNotify::Connected));
         let ack = cfx.segments.pop().unwrap();
 
         let mut sfx = fx();
         server.on_segment(now, &ack, &mut sfx);
-        assert_eq!(server.state, State::Established);
+        assert_eq!(server.state(), State::Established);
         assert!(sfx.notifications.contains(&SockNotify::Accepted));
         (client, server)
     }
@@ -1304,8 +1355,8 @@ mod tests {
     #[test]
     fn handshake_establishes_both_sides() {
         let (c, s) = established();
-        assert_eq!(c.state, State::Established);
-        assert_eq!(s.state, State::Established);
+        assert_eq!(c.state(), State::Established);
+        assert_eq!(s.state(), State::Established);
     }
 
     #[test]
@@ -1435,32 +1486,162 @@ mod tests {
         c.app_shutdown_write(now, &mut e);
         let finseg = e.segments.pop().unwrap();
         assert!(finseg.flags.fin);
-        assert_eq!(c.state, State::FinWait1);
+        assert_eq!(c.state(), State::FinWait1);
 
         let mut sfx = fx();
         s.on_segment(now, &finseg, &mut sfx);
-        assert_eq!(s.state, State::CloseWait);
+        assert_eq!(s.state(), State::CloseWait);
         assert!(sfx.notifications.contains(&SockNotify::PeerFin));
         let ack = sfx.segments.pop().unwrap();
 
         let mut e = fx();
         c.on_segment(now, &ack, &mut e);
-        assert_eq!(c.state, State::FinWait2);
+        assert_eq!(c.state(), State::FinWait2);
 
         // Server closes its half.
         let mut sfx = fx();
         s.app_shutdown_write(now, &mut sfx);
-        assert_eq!(s.state, State::LastAck);
+        assert_eq!(s.state(), State::LastAck);
         let fin2 = sfx.segments.pop().unwrap();
         let mut e = fx();
         c.on_segment(now, &fin2, &mut e);
-        assert_eq!(c.state, State::TimeWait);
+        assert_eq!(c.state(), State::TimeWait);
         let last_ack = e.segments.pop().unwrap();
         let mut sfx = fx();
         s.on_segment(now, &last_ack, &mut sfx);
-        assert_eq!(s.state, State::Closed);
+        assert_eq!(s.state(), State::Closed);
         assert!(sfx.notifications.contains(&SockNotify::Closed));
         assert!(s.fully_closed());
+
+        // 2MSL later the client's TIME_WAIT ends.
+        let epoch = c.timer_epoch(TimerKind::TimeWait);
+        let mut e = fx();
+        c.on_timer(now + c.cfg.time_wait, TimerKind::TimeWait, epoch, &mut e);
+        assert_eq!(c.state(), State::Closed);
+        assert!(e.notifications.contains(&SockNotify::Closed));
+    }
+
+    /// Both ends close at once: the crossing FINs take each side through
+    /// CLOSING into TIME_WAIT — neither sees the other's ACK first.
+    #[test]
+    fn simultaneous_close_passes_through_closing() {
+        let (mut c, mut s) = established();
+        let now = SimTime::ZERO;
+        let mut cfx = fx();
+        c.app_shutdown_write(now, &mut cfx);
+        let fin_c = cfx.segments.pop().unwrap();
+        let mut sfx = fx();
+        s.app_shutdown_write(now, &mut sfx);
+        let fin_s = sfx.segments.pop().unwrap();
+        assert!(fin_c.flags.fin && fin_s.flags.fin);
+        assert_eq!(c.state(), State::FinWait1);
+        assert_eq!(s.state(), State::FinWait1);
+
+        // The FINs cross in flight: each side sees the peer's FIN before any
+        // ACK of its own.
+        let mut cfx = fx();
+        c.on_segment(now, &fin_s, &mut cfx);
+        assert_eq!(c.state(), State::Closing);
+        let ack_c = cfx.segments.pop().expect("peer FIN is acked");
+        let mut sfx = fx();
+        s.on_segment(now, &fin_c, &mut sfx);
+        assert_eq!(s.state(), State::Closing);
+        let ack_s = sfx.segments.pop().expect("peer FIN is acked");
+
+        // The crossing ACKs complete both closes into TIME_WAIT.
+        let mut cfx = fx();
+        c.on_segment(now, &ack_s, &mut cfx);
+        assert_eq!(c.state(), State::TimeWait);
+        let mut sfx = fx();
+        s.on_segment(now, &ack_c, &mut sfx);
+        assert_eq!(s.state(), State::TimeWait);
+    }
+
+    /// The peer's FIN arrives ahead of a lost data segment, so it is
+    /// seen but not yet consumed. The retransmission that fills the gap
+    /// also acks our FIN: FIN_WAIT_1 goes straight to TIME_WAIT, and every
+    /// byte and the FIN still reach the application.
+    #[test]
+    fn gap_filled_with_the_ack_of_our_fin_goes_to_time_wait() {
+        let (mut c, mut s) = established();
+        let now = SimTime::ZERO;
+        let mut sfx = fx();
+        s.app_send(now, b"abc", &mut sfx);
+        s.app_shutdown_write(now, &mut sfx);
+        let fin_s = sfx.segments.pop().unwrap();
+        assert!(
+            fin_s.flags.fin && !fin_s.has_payload(),
+            "a bare FIN follows the data"
+        );
+        let mut cfx = fx();
+        c.app_shutdown_write(now, &mut cfx);
+        let fin_c = cfx.segments.pop().unwrap();
+
+        // The data segment is lost; the client sees the server's FIN out
+        // of order and the server sees the client's FIN, whose ACK is lost.
+        let mut cfx = fx();
+        c.on_segment(now, &fin_s, &mut cfx);
+        assert_eq!(c.state(), State::FinWait1);
+        let mut sfx = fx();
+        s.on_segment(now, &fin_c, &mut sfx);
+        assert_eq!(s.state(), State::Closing);
+
+        // The server's RTO resends the data, now acking the client's FIN.
+        let epoch = s.timer_epoch(TimerKind::Rto);
+        let mut sfx = fx();
+        s.on_timer(now, TimerKind::Rto, epoch, &mut sfx);
+        let resent = sfx.segments.pop().unwrap();
+        let mut cfx = fx();
+        c.on_segment(now, &resent, &mut cfx);
+        assert_eq!(c.state(), State::TimeWait);
+        assert!(cfx.notifications.contains(&SockNotify::PeerFin));
+        assert_eq!(c.readable_bytes(), 3);
+    }
+
+    /// Every row of [`RFC793`] is taken by a scenario of this module, each
+    /// edge from its real state: the (any, Closed) row by an abort from a
+    /// state no other row leaves for Closed.
+    #[test]
+    fn every_rfc793_transition_is_taken() {
+        TAKEN.with(|taken| taken.borrow_mut().clear());
+        handshake_establishes_both_sides();
+        graceful_close_both_ways();
+        simultaneous_close_passes_through_closing();
+        gap_filled_with_the_ack_of_our_fin_goes_to_time_wait();
+        close_with_unread_data_sends_rst();
+        let rows: Vec<usize> = TAKEN.with(|taken| {
+            taken
+                .borrow()
+                .iter()
+                .filter_map(|&(from, to)| {
+                    let row = |from| RFC793.iter().position(|&r| r == (from, to));
+                    row(Some(from)).or_else(|| row(None))
+                })
+                .collect()
+        });
+        let missing: Vec<String> = (0..RFC793.len())
+            .filter(|i| !rows.contains(i))
+            .map(|i| format!("{:?} -> {:?}", RFC793[i].0, RFC793[i].1))
+            .collect();
+        assert!(missing.is_empty(), "no scenario takes {missing:?}");
+    }
+
+    /// The edge a broken machine might take: a reopen from ESTABLISHED.
+    #[test]
+    #[should_panic(expected = "took Established -> SynSent")]
+    fn a_transition_outside_the_table_panics() {
+        let (mut c, _) = established();
+        c.enter(State::SynSent);
+    }
+
+    #[test]
+    #[should_panic(expected = "sent a segment after Closed")]
+    fn a_closed_tcb_sends_nothing_but_its_rst() {
+        let (mut c, _) = established();
+        let mut e = fx();
+        c.app_abort(&mut e);
+        assert!(e.segments.len() == 1 && e.segments[0].flags.rst);
+        c.emit_ack(&mut e);
     }
 
     #[test]
@@ -1495,7 +1676,7 @@ mod tests {
         s.app_close(now, &mut sfx);
         assert_eq!(sfx.segments.len(), 1);
         assert!(sfx.segments[0].flags.rst);
-        assert_eq!(s.state, State::Closed);
+        assert_eq!(s.state(), State::Closed);
     }
 
     #[test]

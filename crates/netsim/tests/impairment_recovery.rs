@@ -32,8 +32,8 @@ fn handshake() -> (Tcb, Tcb) {
     let ack = cfx.segments.pop().unwrap();
     let mut sfx = fx();
     server.on_segment(now, &ack, &mut sfx);
-    assert_eq!(client.state, State::Established);
-    assert_eq!(server.state, State::Established);
+    assert_eq!(client.state(), State::Established);
+    assert_eq!(server.state(), State::Established);
     (client, server)
 }
 

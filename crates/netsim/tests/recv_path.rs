@@ -26,8 +26,8 @@ fn handshake(recv_window: usize) -> (Tcb, Tcb) {
     client.on_segment(NOW, &synack, &mut cfx);
     let ack = cfx.segments.pop().unwrap();
     server.on_segment(NOW, &ack, &mut Effects::default());
-    assert_eq!(client.state, State::Established);
-    assert_eq!(server.state, State::Established);
+    assert_eq!(client.state(), State::Established);
+    assert_eq!(server.state(), State::Established);
     (client, server)
 }
 

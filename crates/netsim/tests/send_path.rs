@@ -26,8 +26,8 @@ fn handshake() -> (Tcb, Tcb) {
     client.on_segment(now, &synack, &mut cfx);
     let ack = cfx.segments.pop().unwrap();
     server.on_segment(now, &ack, &mut Effects::default());
-    assert_eq!(client.state, State::Established);
-    assert_eq!(server.state, State::Established);
+    assert_eq!(client.state(), State::Established);
+    assert_eq!(server.state(), State::Established);
     (client, server)
 }
 

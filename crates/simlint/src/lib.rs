@@ -1,11 +1,10 @@
 //! simlint: scope-aware static analysis for the simulator workspace.
 //!
 //! A dependency-free lint engine built from a minimal Rust lexer
-//! ([`lexer`]), a brace/item-aware scoper ([`scope`]), a typed rule
-//! catalog ([`rules`]), and an embedded RFC 793 transition spec
-//! ([`spec`]). Because rules run over tokens — not lines — needles in
-//! comments and string literals never fire, reformatting cannot hide a
-//! violation, and allow markers can be function-granular.
+//! ([`lexer`]), a brace/item-aware scoper ([`scope`]) and a typed rule
+//! catalog ([`rules`]). Because rules run over tokens — not lines —
+//! needles in comments and string literals never fire, reformatting
+//! cannot hide a violation, and allow markers can be function-granular.
 //!
 //! Entry points: [`lint_workspace`] for the real tree (invoked by
 //! `cargo run -p simlint`), [`lint_sources`] for in-memory inputs
@@ -15,7 +14,6 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod scope;
-pub mod spec;
 
 use std::fs;
 use std::io;

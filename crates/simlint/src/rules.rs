@@ -14,7 +14,6 @@
 use crate::lexer::TokKind;
 use crate::report::{Diagnostic, Severity};
 use crate::scope::ScopedFile;
-use crate::spec;
 
 /// Every valid rule id. Allow markers naming anything else are treated
 /// as prose and ignored.
@@ -23,18 +22,16 @@ pub const RULE_IDS: &[&str] = &[
     "wall-clock",
     "thread-rng",
     "float-time-cmp",
-    "unwrap-impair",
     "probe-determinism",
     "front-drain",
     "recorder-search",
     "seq-wrap",
     "time-unit",
-    "tcp-state-machine",
     "stale-allow",
 ];
 
 /// Rules that cannot be suppressed by allow markers.
-pub const UNSUPPRESSIBLE: &[&str] = &["probe-determinism", "tcp-state-machine", "stale-allow"];
+pub const UNSUPPRESSIBLE: &[&str] = &["probe-determinism", "stale-allow"];
 
 /// Crates where nondeterministic hash iteration can change simulation
 /// results or output ordering.
@@ -243,17 +240,6 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
             }
         }
 
-        // --- unwrap-impair
-        if file == "impair.rs" && t.is_ident("unwrap") && i + 1 < n && toks[i + 1].is_op("(") {
-            push(
-                "unwrap-impair",
-                t.line,
-                t.col,
-                "`unwrap()` in the impairment layer; degrade deterministically instead of panicking"
-                    .to_string(),
-            );
-        }
-
         // --- front-drain: `.drain(..n)` shifts everything behind `n`
         // (`.drain(..)` takes everything and shifts nothing). The shift is
         // a memmove, not an allocation, so no allocation count sees it.
@@ -370,15 +356,6 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
     // the same token position.
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out.dedup_by(|a, b| a.rule == b.rule && a.line == b.line && a.col == b.col);
-
-    // --- tcp-state-machine (netsim's cc.rs holds no state paths today,
-    // but any recovery state machine grown there inherits the spec check).
-    if file == "tcp.rs" || (file == "cc.rs" && crate_of(path) == "netsim") {
-        let ex = spec::extract(sf);
-        if ex.has_state_paths {
-            out.extend(spec::check(path, &ex, spec::RFC793_SPEC));
-        }
-    }
 
     out
 }

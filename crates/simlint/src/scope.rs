@@ -79,7 +79,7 @@ impl ScopedFile {
 
 /// For each `{` token index, the index of its matching `}` (usize::MAX
 /// when unbalanced).
-pub fn brace_partners(toks: &[Tok]) -> Vec<usize> {
+fn brace_partners(toks: &[Tok]) -> Vec<usize> {
     let mut close = vec![usize::MAX; toks.len()];
     let mut stack: Vec<usize> = Vec::new();
     for (i, t) in toks.iter().enumerate() {

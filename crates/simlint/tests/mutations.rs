@@ -68,16 +68,6 @@ fn float_time_cmp_fires() {
 }
 
 #[test]
-fn unwrap_impair_fires() {
-    assert_fires(
-        "crates/netsim/src/impair.rs",
-        "fn f(x: Option<u8>) {\n    let v = x.unwrap();\n}\n",
-        "unwrap-impair",
-        2,
-    );
-}
-
-#[test]
 fn probe_determinism_fires() {
     assert_fires(
         "crates/netsim/src/probe.rs",
@@ -181,17 +171,6 @@ fn time_unit_fires() {
         "fn f(d: SimDuration) -> f64 {\n    d.as_nanos() as f64\n}\n",
         "time-unit",
         2,
-    );
-}
-
-#[test]
-fn tcp_state_machine_fires() {
-    // An undeclared transition in a state-match over the TCB state.
-    assert_fires(
-        "crates/netsim/src/tcp.rs",
-        "fn f(&mut self) {\n    match self.state {\n        State::Established => self.state = State::SynSent,\n        _ => {}\n    }\n}\n",
-        "tcp-state-machine",
-        3,
     );
 }
 
