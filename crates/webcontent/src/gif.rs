@@ -49,6 +49,62 @@ pub fn lzw_compress(data: &[u8], min_code_size: u32) -> Vec<u8> {
 
     let mut out = BitPacker::new();
     let mut width = min_code_size + 1;
+    out.push(clear, width);
+    let Some((&first, rest)) = data.split_first() else {
+        out.push(eoi, width);
+        return out.finish();
+    };
+    // The dictionary maps (prefix code, byte) to a code through one flat
+    // table indexed by `prefix << min_code_size | byte`; 0 is absent, as
+    // every dictionary code is above `eoi`. A prefix is below `next`,
+    // which a stream of n bytes takes no further than `eoi + n`. A reset
+    // clears only the entries it drops, from `added`.
+    let codes = (MAX_CODE as usize).min(eoi as usize + data.len());
+    let mut dict: Vec<u16> = vec![0; codes << min_code_size];
+    let mut added: Vec<u32> = Vec::with_capacity(codes - eoi as usize);
+    let mut next: u16 = eoi + 1;
+    let mut cur: u16 = first as u16;
+
+    for &k in rest {
+        let key = (cur as u32) << min_code_size | k as u32;
+        let c = dict[key as usize];
+        if c != 0 {
+            cur = c;
+            continue;
+        }
+        out.push(cur, width);
+        if next < MAX_CODE {
+            dict[key as usize] = next;
+            added.push(key);
+            next += 1;
+            if next == (1 << width) && width < 12 {
+                width += 1;
+            }
+            if next == MAX_CODE {
+                out.push(clear, width);
+                for key in added.drain(..) {
+                    dict[key as usize] = 0;
+                }
+                next = eoi + 1;
+                width = min_code_size + 1;
+            }
+        }
+        cur = k as u16;
+    }
+    out.push(cur, width);
+    out.push(eoi, width);
+    out.finish()
+}
+
+/// The encoder as first written, over a SipHash map: the reference the
+/// flat table must match byte for byte.
+#[cfg(test)]
+fn lzw_compress_reference(data: &[u8], min_code_size: u32) -> Vec<u8> {
+    let clear: u16 = 1 << min_code_size;
+    let eoi: u16 = clear + 1;
+
+    let mut out = BitPacker::new();
+    let mut width = min_code_size + 1;
     let mut dict: std::collections::HashMap<(u16, u8), u16> = std::collections::HashMap::new();
     let mut next: u16 = eoi + 1;
 
@@ -496,6 +552,59 @@ mod tests {
             .collect();
         let c = lzw_compress(&data, 8);
         assert_eq!(lzw_decompress(&c, 8).unwrap(), data);
+    }
+
+    /// Panics naming the case and the first byte where the flat-table
+    /// encoder leaves the map encoder's output; returns that output.
+    fn matches_reference(data: &[u8], mcs: u32, case: &str) -> Vec<u8> {
+        let want = lzw_compress_reference(data, mcs);
+        let got = lzw_compress(data, mcs);
+        if got != want {
+            let at = got.iter().zip(&want).take_while(|(a, b)| a == b).count();
+            panic!(
+                "{case}, mcs={mcs}, {} input bytes: output differs from byte {at} \
+                 ({} vs {} bytes)",
+                data.len(),
+                got.len(),
+                want.len()
+            );
+        }
+        got
+    }
+
+    #[test]
+    fn flat_table_matches_the_map_encoder() {
+        // Between two clear codes the encoder emits MAX_CODE - eoi - 1
+        // codes of at most 12 bits, so past this many bytes a stream has
+        // crossed at least three dictionary resets.
+        let three_resets = 3 * (MAX_CODE as usize * 12 / 8);
+        let mut x = 0x5EED_u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as u32
+        };
+        for mcs in 2..=8u32 {
+            let symbols = 1u32 << mcs;
+            matches_reference(&[], mcs, "empty");
+            for s in 0..symbols {
+                matches_reference(&[s as u8], mcs, "one byte");
+            }
+            for len in [2, 3, 4, 10, 100, 1_000] {
+                let s = (next() % symbols) as u8;
+                matches_reference(&vec![s; len], mcs, "single-symbol run");
+            }
+            let uniform: Vec<u8> = (0..100_000).map(|_| (next() % symbols) as u8).collect();
+            let c = matches_reference(&uniform, mcs, "uniform");
+            assert!(c.len() > three_resets, "mcs={mcs}: only {} bytes", c.len());
+            let mut runs = Vec::new();
+            while runs.len() < 100_000 {
+                let s = (next() % symbols) as u8;
+                runs.resize(runs.len() + 1 + next() as usize % 8, s);
+            }
+            matches_reference(&runs, mcs, "runs");
+        }
     }
 
     #[test]
