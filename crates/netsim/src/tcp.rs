@@ -124,7 +124,7 @@ const RFC793: [(Option<State>, State); 13] = {
         (Some(CloseWait), LastAck),     // local close, FIN sent
         (Some(FinWait1), FinWait2),     // our FIN acked
         (Some(FinWait1), Closing),      // FIN received before our FIN acked
-        (Some(FinWait1), TimeWait),     // our FIN acked, peer FIN already seen
+        (Some(FinWait1), TimeWait),     // peer FIN consumed by a segment acking ours
         (Some(FinWait2), TimeWait),     // FIN received
         (Some(Closing), TimeWait),      // our FIN acked
         (Some(LastAck), Closed),        // our FIN acked
@@ -749,6 +749,11 @@ impl Tcb {
         if seg.has_payload() || seg.flags.fin {
             self.handle_data(now, seg, fx);
         }
+        // Our FIN acked with the peer's FIN still unconsumed, perhaps
+        // behind a hole: the peer may send more.
+        if self.state == State::FinWait1 && self.fin_acked() {
+            self.enter(State::FinWait2);
+        }
         if self.state.is_open() {
             self.try_send(now, fx);
         }
@@ -814,11 +819,10 @@ impl Tcb {
                 fx.notifications.push(SockNotify::SendSpace);
             }
 
-            let fin_acked = self.fin_seq.is_some_and(|f| seq_gt(ack, f));
-            if fin_acked {
+            // FIN_WAIT_1 leaves once the segment's data is handled: see
+            // `on_segment`.
+            if self.fin_acked() {
                 match self.state {
-                    State::FinWait1 if self.peer_fin_seq.is_some() => self.enter_time_wait(now, fx),
-                    State::FinWait1 => self.enter(State::FinWait2),
                     State::Closing => self.enter_time_wait(now, fx),
                     State::LastAck => self.finish(fx),
                     _ => {}
@@ -953,6 +957,8 @@ impl Tcb {
             fx.notifications.push(SockNotify::PeerFin);
             match self.state {
                 State::Established => self.enter(State::CloseWait),
+                // This segment acked our FIN too (RFC 9293 §3.10.7.4).
+                State::FinWait1 if self.fin_acked() => self.enter_time_wait(now, fx),
                 // Our FIN is still unacked.
                 State::FinWait1 => self.enter(State::Closing),
                 State::FinWait2 => self.enter_time_wait(now, fx),
@@ -1048,6 +1054,11 @@ impl Tcb {
             .rto
             .saturating_mul(1u64 << self.cc.rto_backoff.min(6));
         self.arm_timer(TimerKind::Rto, now + rto, fx);
+    }
+
+    /// Whether the peer has acked our FIN.
+    fn fin_acked(&self) -> bool {
+        self.fin_seq.is_some_and(|f| seq_gt(self.snd_una, f))
     }
 
     fn enter_time_wait(&mut self, now: SimTime, fx: &mut Effects) {
@@ -1587,6 +1598,46 @@ mod tests {
         assert_eq!(s.state(), State::Closing);
 
         // The server's RTO resends the data, now acking the client's FIN.
+        let epoch = s.timer_epoch(TimerKind::Rto);
+        let mut sfx = fx();
+        s.on_timer(now, TimerKind::Rto, epoch, &mut sfx);
+        let resent = sfx.segments.pop().unwrap();
+        let mut cfx = fx();
+        c.on_segment(now, &resent, &mut cfx);
+        assert_eq!(c.state(), State::TimeWait);
+        assert!(cfx.notifications.contains(&SockNotify::PeerFin));
+        assert_eq!(c.readable_bytes(), 3);
+    }
+
+    /// As above, but the ACK of our FIN arrives on its own before the gap
+    /// fills. The peer's FIN is seen but not consumed, so FIN_WAIT_1 goes
+    /// to FIN_WAIT_2, which still takes the resent bytes and the FIN.
+    #[test]
+    fn ack_of_our_fin_ahead_of_the_gap_waits_in_fin_wait_2() {
+        let (mut c, mut s) = established();
+        let now = SimTime::ZERO;
+        let mut sfx = fx();
+        s.app_send(now, b"abc", &mut sfx);
+        s.app_shutdown_write(now, &mut sfx);
+        let fin_s = sfx.segments.pop().unwrap();
+        let mut cfx = fx();
+        c.app_shutdown_write(now, &mut cfx);
+        let fin_c = cfx.segments.pop().unwrap();
+
+        // The data segment is lost; the server's FIN reaches the client
+        // out of order, and the server's ACK of the client's FIN arrives.
+        let mut cfx = fx();
+        c.on_segment(now, &fin_s, &mut cfx);
+        let mut sfx = fx();
+        s.on_segment(now, &fin_c, &mut sfx);
+        let ack_s = sfx.segments.pop().unwrap();
+        assert!(!ack_s.has_payload() && !ack_s.flags.fin);
+        let mut cfx = fx();
+        c.on_segment(now, &ack_s, &mut cfx);
+        assert_eq!(c.state(), State::FinWait2);
+        assert!(!cfx.notifications.contains(&SockNotify::PeerFin));
+
+        // The server's RTO resends the data: it and the FIN are delivered.
         let epoch = s.timer_epoch(TimerKind::Rto);
         let mut sfx = fx();
         s.on_timer(now, TimerKind::Rto, epoch, &mut sfx);
