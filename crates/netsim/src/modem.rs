@@ -11,13 +11,14 @@
 //! under the PPP link reproduces that comparison.
 
 use crate::link::LinkCodec;
-use std::collections::HashMap;
 
 /// Maximum LZW code width in bits (V.42bis commonly negotiates dictionaries
 /// of 2048 entries ≈ 11 bits; we allow 12 which slightly flatters the
 /// modem, making the deflate-vs-modem comparison conservative).
 const MAX_CODE_BITS: u32 = 12;
 const MAX_CODES: usize = 1 << MAX_CODE_BITS;
+/// Dictionary slots: twice the codes, so probes stay short.
+const SLOT_BITS: u32 = MAX_CODE_BITS + 1;
 
 /// Streaming LZW compressor that counts output bits.
 ///
@@ -26,9 +27,10 @@ const MAX_CODES: usize = 1 << MAX_CODE_BITS;
 /// bytes per packet with carry.
 #[derive(Debug)]
 pub struct LzwSizer {
-    // simlint: allow(hash-collections): compression dictionary, keyed
-    // lookup only; never iterated.
-    dict: HashMap<(u32, u8), u32>,
+    /// (prefix code, byte) → code, open-addressed with linear probing. A
+    /// slot packs the 20-bit key `prefix << 8 | byte` above the 12-bit
+    /// code; 0 is empty, since every dictionary code is at least 256.
+    dict: Vec<u32>,
     next_code: u32,
     code_bits: u32,
     current: Option<u32>,
@@ -47,7 +49,7 @@ impl LzwSizer {
     /// Create a new, empty instance.
     pub fn new() -> Self {
         LzwSizer {
-            dict: HashMap::new(), // simlint: allow(hash-collections)
+            dict: vec![0; 1 << SLOT_BITS],
             next_code: 256,
             code_bits: 9,
             current: None,
@@ -56,9 +58,18 @@ impl LzwSizer {
     }
 
     fn reset_dict(&mut self) {
-        self.dict.clear();
+        self.dict.fill(0);
         self.next_code = 256;
         self.code_bits = 9;
+    }
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    fn slot(&self, key: u32) -> usize {
+        let mut i = (key.wrapping_mul(0x9E37_79B1) >> (32 - SLOT_BITS)) as usize;
+        while self.dict[i] != 0 && self.dict[i] >> MAX_CODE_BITS != key {
+            i = (i + 1) % self.dict.len();
+        }
+        i
     }
 
     /// Feed `data` through the coder and return the number of whole bytes
@@ -69,12 +80,14 @@ impl LzwSizer {
             match self.current {
                 None => self.current = Some(byte as u32),
                 Some(prefix) => {
-                    if let Some(&code) = self.dict.get(&(prefix, byte)) {
-                        self.current = Some(code);
+                    let key = prefix << 8 | byte as u32;
+                    let i = self.slot(key);
+                    if self.dict[i] != 0 {
+                        self.current = Some(self.dict[i] & (MAX_CODES as u32 - 1));
                     } else {
                         bits += self.code_bits as u64;
                         if self.next_code < MAX_CODES as u32 {
-                            self.dict.insert((prefix, byte), self.next_code);
+                            self.dict[i] = key << MAX_CODE_BITS | self.next_code;
                             self.next_code += 1;
                             if self.next_code.is_power_of_two() && self.code_bits < MAX_CODE_BITS {
                                 self.code_bits += 1;
@@ -141,6 +154,111 @@ impl LinkCodec for ModemCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// The sizer as first written, over a SipHash map: the reference the
+    /// flat table must match packet for packet.
+    #[derive(Default)]
+    struct MapSizer {
+        dict: HashMap<(u32, u8), u32>,
+        next_code: u32,
+        code_bits: u32,
+        current: Option<u32>,
+        carry_bits: u64,
+    }
+
+    impl MapSizer {
+        fn new() -> Self {
+            MapSizer {
+                next_code: 256,
+                code_bits: 9,
+                ..Self::default()
+            }
+        }
+
+        fn push(&mut self, data: &[u8]) -> usize {
+            let mut bits = self.carry_bits;
+            for &byte in data {
+                match self.current {
+                    None => self.current = Some(byte as u32),
+                    Some(prefix) => {
+                        if let Some(&code) = self.dict.get(&(prefix, byte)) {
+                            self.current = Some(code);
+                        } else {
+                            bits += self.code_bits as u64;
+                            if self.next_code < MAX_CODES as u32 {
+                                self.dict.insert((prefix, byte), self.next_code);
+                                self.next_code += 1;
+                                if self.next_code.is_power_of_two()
+                                    && self.code_bits < MAX_CODE_BITS
+                                {
+                                    self.code_bits += 1;
+                                }
+                            } else {
+                                self.dict.clear();
+                                self.next_code = 256;
+                                self.code_bits = 9;
+                            }
+                            self.current = Some(byte as u32);
+                        }
+                    }
+                }
+            }
+            let bytes = (bits / 8) as usize;
+            self.carry_bits = bits % 8;
+            bytes
+        }
+
+        fn finish(&mut self) -> usize {
+            let mut bits = self.carry_bits;
+            if self.current.take().is_some() {
+                bits += self.code_bits as u64;
+            }
+            self.carry_bits = 0;
+            bits.div_ceil(8) as usize
+        }
+    }
+
+    #[test]
+    fn flat_table_matches_the_map_sizer_per_packet() {
+        // Seeded packets of 0..1460 bytes, alternating near-random bytes
+        // and text drawn from a small vocabulary, through several
+        // dictionary resets.
+        let mut x = 0x5EED_u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let words: [&[u8]; 6] = [
+            b"<TD ",
+            b"HREF=",
+            b"\"/images/",
+            b".gif\" ",
+            b"ALT=",
+            b"</A>\n",
+        ];
+        let (mut flat, mut map) = (LzwSizer::new(), MapSizer::new());
+        let mut resets = 0;
+        for packet in 0..400 {
+            let len = next() % 1461;
+            let mut data = Vec::with_capacity(len);
+            while data.len() < len {
+                if packet % 2 == 0 {
+                    data.push(next() as u8);
+                } else {
+                    data.extend_from_slice(words[next() % words.len()]);
+                }
+            }
+            data.truncate(len);
+            let before = map.next_code;
+            assert_eq!(flat.push(&data), map.push(&data), "packet {packet}");
+            resets += usize::from(map.next_code < before);
+        }
+        assert_eq!(flat.finish(), map.finish(), "the final flush");
+        assert!(resets >= 3, "only {resets} dictionary resets");
+    }
 
     #[test]
     fn repetitive_text_compresses_well() {
