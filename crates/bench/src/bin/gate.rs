@@ -21,7 +21,6 @@ use httpipe_core::harness::worker_threads;
 use std::process::ExitCode;
 use std::time::Instant;
 
-// Wall-clock progress reporting, kept out of the summary. simlint: allow(wall-clock)
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();
     let gates = match gate::select(&names) {
@@ -34,6 +33,10 @@ fn main() -> ExitCode {
     let verdicts: Vec<gate::Verdict> = gates
         .iter()
         .map(|g| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock progress reporting, kept out of the summary"
+            )]
             let start = Instant::now();
             let verdict = g.run();
             let secs = start.elapsed().as_secs_f64();

@@ -980,12 +980,15 @@ mod tests {
 
     #[test]
     fn equality_and_hash() {
-        use std::collections::HashSet;
         let a = Bytes::from(vec![7u8; 3]);
         let b = Bytes::from(vec![7u8; 3]).slice(..);
         assert_eq!(a, b);
         assert_eq!(a, vec![7u8; 3]);
-        let mut set = HashSet::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "checks that Hash agrees with Eq; no order is read"
+        )]
+        let mut set = std::collections::HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
     }

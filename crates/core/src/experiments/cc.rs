@@ -20,10 +20,9 @@
 use super::Size;
 use crate::env::NetEnv;
 use crate::experiments::robustness::{self, LossShape, RobustnessCell, RobustnessPoint};
-use crate::harness::{matrix_spec, run_cells_map, run_spec, ProtocolSetup, Scenario};
+use crate::harness::{run_cells_map, run_spec, ProtocolSetup, Scenario};
 use crate::result::Table;
-use httpserver::ServerKind;
-use netsim::{CcVariant, ImpairConfig, LossModel};
+use netsim::CcVariant;
 
 /// Every congestion-control variant, in comparison order.
 pub const VARIANTS: [CcVariant; 4] = CcVariant::ALL;
@@ -128,13 +127,7 @@ pub fn probe_rows() -> Vec<(CcVariant, f64, netsim::ProbeAnalysis)> {
     let specs = VARIANTS
         .iter()
         .map(|&cc| {
-            let mut spec = matrix_spec(
-                NetEnv::Wan,
-                ServerKind::Apache,
-                ProtocolSetup::Http11Pipelined,
-                Scenario::FirstTime,
-            );
-            let seed = RobustnessPoint {
+            let mut spec = RobustnessPoint {
                 env: NetEnv::Wan,
                 setup: ProtocolSetup::Http11Pipelined,
                 scenario: Scenario::FirstTime,
@@ -142,16 +135,7 @@ pub fn probe_rows() -> Vec<(CcVariant, f64, netsim::ProbeAnalysis)> {
                 shape: LossShape::Uniform,
                 cc,
             }
-            .seed();
-            spec.impair = Some(
-                ImpairConfig::none()
-                    .with_seed(seed)
-                    .with_loss(LossModel::Bernoulli { p: 0.02 }),
-            );
-            spec.tcp = Some(netsim::TcpConfig {
-                cc,
-                ..Default::default()
-            });
+            .spec();
             spec.probe = true;
             spec
         })

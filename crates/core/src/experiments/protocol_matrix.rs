@@ -13,7 +13,7 @@ use crate::env::NetEnv;
 use crate::harness::{matrix_spec, run_cells, CellSpec, ProtocolSetup, Scenario};
 use crate::result::{CellResult, Table};
 use httpserver::ServerKind;
-use netsim::{SimDuration, TraceMode};
+use netsim::SimDuration;
 
 /// Table 1: the tested network environments (static configuration).
 pub fn table1() -> Table {
@@ -151,15 +151,10 @@ pub(crate) fn matrix_keys() -> impl Iterator<Item = (NetEnv, ServerKind, Protoco
     })
 }
 
-/// Every cell of Tables 4–9 (44 specs) in table order, with the given
-/// trace retention.
-pub fn all_specs(trace_mode: TraceMode) -> Vec<CellSpec> {
+/// Every cell of Tables 4–9 (44 specs) in table order, stats-only.
+pub fn all_specs() -> Vec<CellSpec> {
     matrix_keys()
-        .map(|(env, server, setup, scenario)| {
-            let mut spec = matrix_spec(env, server, setup, scenario);
-            spec.trace_mode = trace_mode;
-            spec
-        })
+        .map(|(env, server, setup, scenario)| matrix_spec(env, server, setup, scenario))
         .collect()
 }
 
@@ -177,7 +172,7 @@ fn paper_row(
 /// The distance of the 44 cells of Tables 4–9 from the paper: the
 /// ledger's `paper_err_pct` and its three quantities.
 pub fn paper_error() -> PaperError {
-    let cells = run_cells(all_specs(TraceMode::StatsOnly));
+    let cells = run_cells(all_specs());
     let rows =
         matrix_keys().map(|(env, srv, setup, scenario)| paper_row(env, srv, setup, scenario));
     paper::error(rows.zip(&cells))

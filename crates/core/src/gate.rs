@@ -27,7 +27,7 @@ use crate::harness::{
     ProtocolSetup,
 };
 use crate::result::CellResult;
-use netsim::{CcVariant, TraceMode};
+use netsim::CcVariant;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -342,7 +342,7 @@ fn conformance_pass(threads: usize) -> Result<Pass, String> {
     let keys: Vec<_> = protocol_matrix::matrix_keys().collect();
     let lossy = robustness::points(Size::Gate);
     let jitter = robustness::jitter_grid();
-    let mut specs = protocol_matrix::all_specs(TraceMode::Full);
+    let mut specs = protocol_matrix::all_specs();
     specs.extend(lossy.iter().map(|p| p.spec()));
     specs.extend(jitter.iter().map(|p| p.spec()));
     let checked = run_cells_map(specs, Some(threads), |spec| {
@@ -567,7 +567,7 @@ fn telemetry_pass(_threads: usize) -> Result<Pass, String> {
 /// The 44 cells of Tables 4–9, stats-only: every field of every cell
 /// digested.
 fn matrix_pass(threads: usize) -> Result<Pass, String> {
-    let specs = protocol_matrix::all_specs(TraceMode::StatsOnly);
+    let specs = protocol_matrix::all_specs();
     let cells = run_cells_threaded(specs, Some(threads));
     let keys = protocol_matrix::matrix_keys();
     Ok(Pass {

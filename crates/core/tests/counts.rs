@@ -169,8 +169,9 @@ fn mux_exchange(streams: u32, body: &[u8]) -> usize {
 /// at 2 % loss, serial, so every variant's recovery path runs.
 fn counts() -> Measured {
     let mut table = Measured::new("counts");
-    let specs = || protocol_matrix::all_specs(TraceMode::StatsOnly);
-    let (cells, cost) = measure(specs, |specs| run_cells_threaded(specs, Some(1)));
+    let (cells, cost) = measure(protocol_matrix::all_specs, |specs| {
+        run_cells_threaded(specs, Some(1))
+    });
     table.row("matrix", packets(&cells), cost);
     let fleets = || {
         let setups = [ProtocolSetup::Http11Pipelined, ProtocolSetup::Multiplexed];

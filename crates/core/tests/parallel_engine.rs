@@ -35,10 +35,8 @@ fn same_spec_is_bit_identical_across_runs() {
 
 #[test]
 fn stats_only_matches_full_trace_across_matrix() {
-    for (lean_spec, full_spec) in all_specs(TraceMode::StatsOnly)
-        .into_iter()
-        .zip(all_specs(TraceMode::Full))
-    {
+    for (lean_spec, mut full_spec) in all_specs().into_iter().zip(all_specs()) {
+        full_spec.trace_mode = TraceMode::Full;
         let lean = run_spec(lean_spec);
         let full = run_spec(full_spec);
         assert_eq!(lean.cell, full.cell);

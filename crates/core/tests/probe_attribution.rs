@@ -9,11 +9,11 @@ use httpipe_core::harness::{
     matrix_spec, run_cells_map, run_spec, CellSpec, ProtocolSetup, Scenario,
 };
 use httpserver::ServerKind;
-use netsim::{Diagnosis, SimDuration, TcpConfig, TraceMode};
+use netsim::{Diagnosis, SimDuration, TcpConfig};
 
 /// Every unimpaired protocol-matrix cell, probe enabled.
 fn all_matrix_specs() -> Vec<CellSpec> {
-    let mut specs = protocol_matrix::all_specs(TraceMode::StatsOnly);
+    let mut specs = protocol_matrix::all_specs();
     for spec in &mut specs {
         spec.probe = true;
     }

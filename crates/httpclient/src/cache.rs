@@ -8,7 +8,6 @@
 //! system; ours models the memory-backed variant (no I/O cost).
 
 use httpwire::validators::{ETag, Validators};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One cached entity.
@@ -23,9 +22,11 @@ pub struct CacheEntry {
     pub embedded: Vec<Arc<str>>,
 }
 
-// simlint: allow(hash-collections): keyed lookup only (get/insert by
-// path); never iterated, so map order cannot leak into a run.
-type Entries = HashMap<Arc<str>, CacheEntry>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup only (get/insert by path); never iterated, so map order cannot leak into a run"
+)]
+type Entries = std::collections::HashMap<Arc<str>, CacheEntry>;
 
 /// Path-keyed client cache. A primed cache is cloned into every run that
 /// revalidates: a clone shares the entries written before it (`base`),

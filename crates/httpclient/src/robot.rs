@@ -194,7 +194,7 @@ impl Conns {
     }
 
     fn open(&mut self, sock: SocketId) {
-        debug_assert!(self.0.last().map_or(true, |(s, _)| *s < sock));
+        debug_assert!(self.0.last().is_none_or(|(s, _)| *s < sock));
         self.0.push((sock, Conn::new()));
     }
 

@@ -53,7 +53,7 @@ impl HttpClient {
     /// In cautious (post-recovery) mode, serialize requests until one
     /// response survives — mirroring the pipelined path.
     pub(super) fn mux_may_issue(&self) -> bool {
-        !self.cautious || self.mux.as_ref().map_or(true, |m| m.jobs.is_empty())
+        !self.cautious || self.mux.as_ref().is_none_or(|m| m.jobs.is_empty())
     }
 
     pub(super) fn mux_ensure_conn(&mut self, ctx: &mut Ctx<'_>) {

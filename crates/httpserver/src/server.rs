@@ -369,11 +369,7 @@ impl HttpServer {
         // Requests that were already parsed when the connection-limit
         // decision landed are dropped, exactly like a real server that
         // stops reading: the client must retry them elsewhere.
-        if self
-            .conns
-            .get(sock)
-            .map_or(true, |c| c.closing || c.draining)
-        {
+        if self.conns.get(sock).is_none_or(|c| c.closing || c.draining) {
             if let Some(conn) = self.conns.get_mut(sock) {
                 conn.in_service = conn.in_service.saturating_sub(1);
                 self.flush(ctx, sock);

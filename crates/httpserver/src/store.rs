@@ -8,7 +8,6 @@
 
 use bytes::Bytes;
 use httpwire::validators::{ETag, Validators};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One servable entity.
@@ -51,9 +50,11 @@ impl Entity {
 /// A path → entity map shared by server instances.
 #[derive(Debug, Default)]
 pub struct SiteStore {
-    // simlint: allow(hash-collections): keyed lookup only (get/insert by
-    // path); never iterated, so map order cannot leak into a run.
-    entities: HashMap<String, Entity>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only (get/insert by path); never iterated, so map order cannot leak into a run"
+    )]
+    entities: std::collections::HashMap<String, Entity>,
 }
 
 impl SiteStore {

@@ -90,10 +90,8 @@ impl ChunkedDecoder {
         if let State::Failed(e) = self.state {
             return Err(e);
         }
-        self.step(input, out).map_err(|e| {
-            self.state = State::Failed(e);
-            e
-        })
+        self.step(input, out)
+            .inspect_err(|&e| self.state = State::Failed(e))
     }
 
     fn step(&mut self, input: &[u8], out: &mut BytesQueue) -> Result<usize, ChunkError> {

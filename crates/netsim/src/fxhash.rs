@@ -7,8 +7,13 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Builds [`FxHasher`]s: spelled out as `HashMap<K, V, FxBuild>`.
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
+/// The kernel's and the trace's lookup-only maps: every one of them is
+/// read and written by key and never iterated.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup by key only: no iteration order reaches a result"
+)]
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Folds each word in with a rotate, an xor and a multiply.
 #[derive(Default)]

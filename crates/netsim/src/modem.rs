@@ -154,13 +154,16 @@ impl LinkCodec for ModemCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     /// The sizer as first written, over a SipHash map: the reference the
     /// flat table must match packet for packet.
     #[derive(Default)]
     struct MapSizer {
-        dict: HashMap<(u32, u8), u32>,
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the reference is the map-backed dictionary as first written"
+        )]
+        dict: std::collections::HashMap<(u32, u8), u32>,
         next_code: u32,
         code_bits: u32,
         current: Option<u32>,

@@ -20,7 +20,9 @@
 //!
 //! Everything here is deterministic: records are appended in event-queue
 //! order, every collection iterated for output is a `Vec` or `BTreeMap`,
-//! and no wall-clock time is ever read.
+//! and no wall-clock time is ever read. The module forbids clippy's
+//! `disallowed_types` and `disallowed_methods`, so the workspace's bans
+//! on hash collections and the wall clock admit no exception here.
 //!
 //! ## Attribution model
 //!
@@ -40,6 +42,8 @@
 //! elapsed time exactly (up to floating-point rounding in the final
 //! nanosecond→second conversions) — the 1%-tolerance cross-check in the
 //! test suite is a guard against accounting bugs, not an approximation.
+
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::packet::{HostId, SockAddr};
 use crate::tcp::TimerKind;

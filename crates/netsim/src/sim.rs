@@ -7,7 +7,7 @@
 //! `close`) so the HTTP client and server crates read like ordinary
 //! event-driven network programs.
 
-use crate::fxhash::FxBuild;
+use crate::fxhash::FxHashMap;
 use crate::impair::DropReason;
 use crate::link::{Link, LinkConfig, Transmit};
 use crate::packet::{HostId, Segment, SockAddr};
@@ -19,7 +19,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceMode, TraceStats};
 use bytes::{Bytes, BytesQueue};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifies one socket on one host.
 ///
@@ -135,11 +135,9 @@ struct HostState {
     /// order: each slot's `SlotState::tcb` says where its own is.
     tcbs: Vec<Live>,
     /// (local port, remote addr) → socket slot.
-    // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    demux: HashMap<(u16, SockAddr), u32, FxBuild>,
+    demux: FxHashMap<(u16, SockAddr), u32>,
     /// Listening ports.
-    // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    listeners: HashMap<u16, Listener, FxBuild>,
+    listeners: FxHashMap<u16, Listener>,
     next_ephemeral: u16,
     stats: SocketStats,
     /// Number of currently open sockets, maintained incrementally so peak
@@ -244,8 +242,7 @@ pub struct Kernel {
     queue: EventQueue<QueuedEvent>,
     hosts: Vec<HostState>,
     links: Vec<Link>,
-    // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    link_index: HashMap<(HostId, HostId), usize, FxBuild>,
+    link_index: FxHashMap<(HostId, HostId), usize>,
     trace: Trace,
     probe: ProbeSink,
     telemetry: TelemetrySink,
@@ -286,7 +283,7 @@ impl Kernel {
             queue: EventQueue::new(),
             hosts: Vec::new(),
             links: Vec::new(),
-            link_index: HashMap::default(), // simlint: allow(hash-collections)
+            link_index: FxHashMap::default(),
             trace: Trace::new(),
             probe: ProbeSink::default(),
             telemetry: TelemetrySink::default(),
@@ -1015,8 +1012,8 @@ impl Simulator {
             name: name.to_string(),
             tcp_config: TcpConfig::default(),
             tcbs: Vec::new(),
-            demux: HashMap::default(), // simlint: allow(hash-collections)
-            listeners: HashMap::default(), // simlint: allow(hash-collections)
+            demux: FxHashMap::default(),
+            listeners: FxHashMap::default(),
             next_ephemeral: 40_000,
             stats: SocketStats::default(),
             open_now: 0,

@@ -19,8 +19,9 @@
 //!   differential tests.
 //! * **Integer time only.** All times are integer nanoseconds or tick
 //!   indices; the module contains no floating point at all, and simlint's
-//!   `probe-determinism` rule enforces that (plus the hash-collection and
-//!   wall-clock bans) on this file.
+//!   `telemetry-integer` rule enforces that on this file. The clippy
+//!   bans on hash collections and the wall clock are forbidden here, so
+//!   no `#[allow]` or `#[expect]` can lift them.
 //! * **Deterministic storage, constant-time recording.** A scope is
 //!   resolved once, through an ordered index, to a `ScopeId`: the
 //!   position of its entry in the scope table. Whoever writes a scope
@@ -61,6 +62,8 @@
 //! Ticks in which nothing changed store nothing: consumers reconstruct
 //! the full timeline by holding the previous value, which keeps a
 //! minutes-long PPP run from materializing millions of idle points.
+
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::blocks::Blocks;
 use crate::cc::CcVariant;

@@ -21,11 +21,11 @@
 //! view of the blocks, read where they lie.
 
 use crate::blocks::Blocks;
-use crate::fxhash::FxBuild;
+use crate::fxhash::FxHashMap;
 use crate::impair::DropReason;
 use crate::packet::{HostId, Segment, SockAddr, TCP_IP_HEADER_BYTES};
 use crate::time::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Index;
@@ -193,8 +193,7 @@ struct PairState {
     last_sent: [Option<SimTime>; 2],
     /// Highest sequence-space end seen per flow; a data segment starting
     /// below it re-covers already-sent octets: a retransmission.
-    // simlint: allow(hash-collections): keyed lookup only; never iterated.
-    max_seq: HashMap<(SockAddr, SockAddr), u64, FxBuild>,
+    max_seq: FxHashMap<(SockAddr, SockAddr), u64>,
 }
 
 /// A full capture of a simulation run.
@@ -203,9 +202,7 @@ pub struct Trace {
     mode: TraceMode,
     records: Blocks<TraceRecord, RECORDS_PER_BLOCK>,
     /// Online per-pair state, keyed by the (low, high) host pair.
-    // simlint: allow(hash-collections): read per-pair via `stats()`,
-    // never iterated.
-    pairs: HashMap<(HostId, HostId), PairState, FxBuild>,
+    pairs: FxHashMap<(HostId, HostId), PairState>,
     /// Dropped packets, retained only in [`TraceMode::Full`].
     dropped: Blocks<DropRecord, RECORDS_PER_BLOCK>,
     /// Packets observed regardless of mode.
@@ -425,14 +422,11 @@ impl Trace {
     /// [`TraceMode::Full`] (the plot would silently miss packets).
     pub fn xplot(&self, from: HostId, title: &str) -> Result<String, TraceModeError> {
         let records = self.complete_records()?;
-        use std::collections::HashSet;
         let mut out = String::new();
         out.push_str("timeval unsigned\n");
         let _ = writeln!(out, "title\n{title}");
         out.push_str("xlabel\ntime\nylabel\nsequence number\n");
-        // simlint: allow(hash-collections): membership test only; output
-        // order comes from the records.
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
+        let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
         for rec in records {
             let seg = &rec.segment;
             if seg.src.host == from && seg.has_payload() {

@@ -1,8 +1,8 @@
 //! A minimal Rust lexer: just enough token structure for the lint rules.
 //!
 //! The old xtask lint worked on raw lines with comments stripped, which
-//! meant a violation could hide behind reformatting (`Instant::` on one
-//! line, `now()` on the next) and a needle inside a string literal was a
+//! meant a violation could hide behind reformatting (`.drain(` on one
+//! line, `..n)` on the next) and a needle inside a string literal was a
 //! false positive waiting to happen. The lexer removes both failure
 //! modes: rules see a token stream in which comments and string/char
 //! literals are first-class, separate entities.

@@ -5,27 +5,66 @@
 //! catalog ([`rules`]). Because rules run over tokens — not lines —
 //! needles in comments and string literals never fire, reformatting
 //! cannot hide a violation, and allow markers can be function-granular.
+//! It holds only the patterns clippy cannot state; the bans on hash
+//! collections and the wall clock are clippy's (`clippy.toml`).
 //!
-//! Entry points: [`lint_workspace`] for the real tree (invoked by
-//! `cargo run -p simlint`), [`lint_sources`] for in-memory inputs
-//! (used by the mutation tests).
+//! Entry points: [`lint_workspace`] for the real tree (run by
+//! `tests/workspace.rs`, so `cargo test -p simlint` lints the
+//! workspace), [`lint_sources`] for in-memory inputs (used by the
+//! mutation tests).
+//!
+//! Suppressions:
+//! - line-granular: a trailing comment on the offending line naming the
+//!   rule, e.g. `// simlint: allow(<rule-id>)` with a real rule id;
+//! - function-granular: the same marker in the comment block above a
+//!   function signature covers the whole body.
+//!
+//! A marker that no longer matches anything is itself reported
+//! (`stale-allow`), so dead exemptions cannot linger and mask future
+//! regressions.
 
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod scope;
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use report::{Diagnostic, Report, Severity};
 use scope::AllowScope;
 
 /// An in-memory source file, path workspace-relative with `/` separators.
 pub struct SourceFile {
     pub path: String,
     pub text: String,
+}
+
+/// One rule violation at a source position.
+#[derive(Debug, Clone)]
+pub struct Diagnostic {
+    pub rule: &'static str,
+    pub path: String,
+    pub line: u32,
+    pub col: u32,
+    pub message: String,
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}:{} [{}] {}",
+            self.path, self.line, self.col, self.rule, self.message
+        )
+    }
+}
+
+/// The diagnostics of one lint pass, sorted by path, line, col, rule.
+#[derive(Debug, Default)]
+pub struct Report {
+    pub files_scanned: usize,
+    pub diagnostics: Vec<Diagnostic>,
 }
 
 /// Lint a set of in-memory sources, applying inline allow markers and
@@ -74,7 +113,6 @@ pub fn lint_sources(files: &[SourceFile]) -> Report {
             if !marker_used[mi] && !m.in_test {
                 report.diagnostics.push(Diagnostic {
                     rule: "stale-allow",
-                    severity: Severity::Warn,
                     path: f.path.clone(),
                     line: m.line,
                     col: 1,
@@ -87,7 +125,9 @@ pub fn lint_sources(files: &[SourceFile]) -> Report {
         }
     }
 
-    report.sort();
+    report.diagnostics.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
     report
 }
 
@@ -140,42 +180,41 @@ mod tests {
     #[test]
     fn line_marker_suppresses_and_is_not_stale() {
         let f = src(
-            "crates/netsim/src/sim.rs",
-            "fn f() {\n    let t = Instant::now(); // simlint: allow(wall-clock)\n}\n",
+            "crates/netsim/src/impair.rs",
+            "fn f(d: SimDuration) {\n    let x = d.as_nanos() as f64; // simlint: allow(time-unit)\n}\n",
         );
         let r = lint_sources(&[f]);
-        assert!(r.clean(), "unexpected: {:?}", r.diagnostics);
+        assert!(r.diagnostics.is_empty(), "unexpected: {:?}", r.diagnostics);
     }
 
     #[test]
     fn fn_marker_suppresses_whole_body() {
         let f = src(
-            "crates/bench/src/lib.rs",
-            "// Timing harness: real clocks are the point here.\n// simlint: allow(wall-clock)\npub fn bench() {\n    let a = Instant::now();\n    let b = Instant::now();\n}\n",
+            "crates/httpwire/src/parser.rs",
+            "// The shift is the point here.\n// simlint: allow(front-drain)\npub fn shift(v: &mut Vec<u8>) {\n    v.drain(..1);\n    v.drain(..2);\n}\n",
         );
         let r = lint_sources(&[f]);
-        assert!(r.clean(), "unexpected: {:?}", r.diagnostics);
+        assert!(r.diagnostics.is_empty(), "unexpected: {:?}", r.diagnostics);
     }
 
     #[test]
     fn unused_marker_is_stale() {
         let f = src(
             "crates/netsim/src/sim.rs",
-            "fn f() {\n    let x = 1; // simlint: allow(wall-clock)\n}\n",
+            "fn f() {\n    let x = 1; // simlint: allow(time-unit)\n}\n",
         );
         let r = lint_sources(&[f]);
         assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].rule, "stale-allow");
-        assert_eq!(r.diagnostics[0].severity, Severity::Warn);
     }
 
     #[test]
-    fn probe_rule_is_unsuppressible() {
+    fn telemetry_rule_is_unsuppressible() {
         let f = src(
-            "crates/netsim/src/probe.rs",
-            "fn f() {\n    let t = Instant::now(); // simlint: allow(probe-determinism)\n}\n",
+            "crates/netsim/src/telemetry.rs",
+            "fn f() {\n    let t: f64 = 0.5; // simlint: allow(telemetry-integer)\n}\n",
         );
         let r = lint_sources(&[f]);
-        assert!(r.diagnostics.iter().any(|d| d.rule == "probe-determinism"));
+        assert!(r.diagnostics.iter().any(|d| d.rule == "telemetry-integer"));
     }
 }

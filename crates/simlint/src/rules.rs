@@ -2,8 +2,12 @@
 //!
 //! Every rule walks the token stream of a [`ScopedFile`], so needles in
 //! comments and string literals can never fire, reformatting cannot hide
-//! a violation (`Instant::\n now()` still matches), and test-only code
+//! a violation (`.drain(\n ..n)` still matches), and test-only code
 //! is skipped via the scoper's per-token mask.
+//!
+//! A ban on naming a type or calling a method belongs in the root
+//! `clippy.toml`, which resolves paths and covers test code too; the
+//! rules here are the token patterns clippy cannot state.
 //!
 //! To add a rule: pick an id, add it to [`RULE_IDS`], emit diagnostics
 //! from [`lint_scoped`], and plant a violation for it in
@@ -12,17 +16,14 @@
 //! a rule rejects one spelling of it, a count catches every spelling.
 
 use crate::lexer::TokKind;
-use crate::report::{Diagnostic, Severity};
 use crate::scope::ScopedFile;
+use crate::Diagnostic;
 
 /// Every valid rule id. Allow markers naming anything else are treated
 /// as prose and ignored.
 pub const RULE_IDS: &[&str] = &[
-    "hash-collections",
-    "wall-clock",
-    "thread-rng",
     "float-time-cmp",
-    "probe-determinism",
+    "telemetry-integer",
     "front-drain",
     "recorder-search",
     "seq-wrap",
@@ -31,11 +32,7 @@ pub const RULE_IDS: &[&str] = &[
 ];
 
 /// Rules that cannot be suppressed by allow markers.
-pub const UNSUPPRESSIBLE: &[&str] = &["probe-determinism", "stale-allow"];
-
-/// Crates where nondeterministic hash iteration can change simulation
-/// results or output ordering.
-const HASH_CRATES: &[&str] = &["netsim", "core", "httpserver", "httpclient", "httpmux"];
+pub const UNSUPPRESSIBLE: &[&str] = &["telemetry-integer", "stale-allow"];
 
 /// Crates where raw nanosecond arithmetic must go through SimTime ops.
 const TIME_CRATES: &[&str] = &["netsim", "httpmux"];
@@ -93,7 +90,6 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
     let mut push = |rule: &'static str, line: u32, col: u32, message: String| {
         out.push(Diagnostic {
             rule,
-            severity: Severity::Error,
             path: path.to_string(),
             line,
             col,
@@ -114,106 +110,26 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
         }
         let t = &toks[i];
 
-        // --- probe-determinism: the flight recorders must be inert; even
-        // imports of nondeterministic types are banned there.
-        if is_recorder {
-            let hit = (t.kind == TokKind::Ident
-                && matches!(
-                    t.text.as_str(),
-                    "HashMap" | "HashSet" | "SystemTime" | "thread_rng"
-                ))
-                || (t.is_ident("Instant")
-                    && i + 2 < n
-                    && toks[i + 1].is_op("::")
-                    && toks[i + 2].is_ident("now"));
-            if hit {
-                push(
-                    "probe-determinism",
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{}` in `{}`: the flight recorder must not perturb or reorder the simulation",
-                        t.text, file
-                    ),
-                );
-            }
-            // The telemetry sink is stricter still: series are integer
-            // ticks and raw values end to end, so any float type or
-            // float sim-time conversion means a lossy representation
-            // snuck into the recorder. (The probe is exempt — it owns
-            // the float-seconds *rendering* at the report edge.)
-            if is_telemetry
-                && t.kind == TokKind::Ident
-                && matches!(
-                    t.text.as_str(),
-                    "f32" | "f64" | "as_secs_f32" | "as_secs_f64"
-                )
-            {
-                push(
-                    "probe-determinism",
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{}` in the telemetry sink: series are integer-only (ticks and raw values); render floats at the report edge",
-                        t.text
-                    ),
-                );
-            }
-        }
-
-        // --- hash-collections (the recorder files are covered by their
-        // own stricter rule above; skip the generic ones there to avoid
-        // duplicates)
-        if !is_recorder
+        // --- telemetry-integer: series are integer ticks and raw values
+        // end to end, so any float type or float sim-time conversion
+        // means a lossy representation snuck into the recorder. (The
+        // probe is exempt — it owns the float-seconds *rendering* at the
+        // report edge.)
+        if is_telemetry
             && t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "HashMap" | "HashSet")
-            && !sf.in_use[i]
-            && crate_in(path, HASH_CRATES)
+            && matches!(
+                t.text.as_str(),
+                "f32" | "f64" | "as_secs_f32" | "as_secs_f64"
+            )
         {
             push(
-                "hash-collections",
+                "telemetry-integer",
                 t.line,
                 t.col,
                 format!(
-                    "`{}` iteration order is nondeterministic; use BTreeMap/BTreeSet or a Vec",
+                    "`{}` in the telemetry sink: series are integer-only (ticks and raw values); render floats at the report edge",
                     t.text
                 ),
-            );
-        }
-
-        // --- wall-clock
-        if !is_recorder && !sf.in_use[i] {
-            if t.is_ident("Instant")
-                && i + 2 < n
-                && toks[i + 1].is_op("::")
-                && toks[i + 2].is_ident("now")
-            {
-                push(
-                    "wall-clock",
-                    t.line,
-                    t.col,
-                    "`Instant::now()` reads the wall clock; simulation code must use SimTime"
-                        .to_string(),
-                );
-            }
-            if t.is_ident("SystemTime") {
-                push(
-                    "wall-clock",
-                    t.line,
-                    t.col,
-                    "`SystemTime` reads the wall clock; simulation code must use SimTime"
-                        .to_string(),
-                );
-            }
-        }
-
-        // --- thread-rng
-        if !is_recorder && t.is_ident("thread_rng") {
-            push(
-                "thread-rng",
-                t.line,
-                t.col,
-                "`thread_rng` is unseeded; use the run's seeded Rng".to_string(),
             );
         }
 
@@ -505,43 +421,41 @@ mod tests {
 
     #[test]
     fn needle_in_string_or_comment_never_fires() {
-        let src = "fn f() {\n    // HashMap and Instant::now in prose\n    let s = \"HashMap Instant::now thread_rng\";\n}\n";
+        let src = "fn f() {\n    // out.drain(..n) and as_nanos() as f64 in prose\n    let s = \"out.drain(..n) 1e9\";\n}\n";
         assert!(diags("crates/netsim/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn reformatted_call_still_fires() {
-        let src = "fn f() {\n    let t = Instant::\n        now();\n}\n";
+        let src =
+            "fn f(out: &mut Vec<u8>, n: usize) {\n    out.\n        drain(\n        ..n);\n}\n";
         let d = diags("crates/netsim/src/lib.rs", src);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "wall-clock");
-        assert_eq!(d[0].line, 2);
+        assert_eq!(d[0].rule, "front-drain");
+        assert_eq!(d[0].line, 3);
     }
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let m = HashMap::new(); }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t(v: &mut Vec<u8>) { v.drain(..1); }\n}\n";
         assert!(diags("crates/netsim/src/lib.rs", src).is_empty());
     }
 
     #[test]
-    fn use_lines_are_exempt_except_in_probe() {
-        let src = "use std::collections::HashMap;\n";
-        assert!(diags("crates/netsim/src/store.rs", src).is_empty());
-        let d = diags("crates/netsim/src/probe.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "probe-determinism");
-    }
-
-    #[test]
     fn telemetry_sink_shares_the_probe_discipline() {
-        // Banned nondeterminism fires in netsim's telemetry.rs...
-        let src = "use std::collections::HashMap;\n";
-        let d = diags("crates/netsim/src/telemetry.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "probe-determinism");
+        // The recorder write path is held to `recorder-search` in the
+        // probe and in netsim's telemetry.rs...
+        let src = "fn f(&mut self, k: u64) {\n    let _ = self.keys.binary_search(&k);\n}\n";
+        for path in [
+            "crates/netsim/src/probe.rs",
+            "crates/netsim/src/telemetry.rs",
+        ] {
+            let d = diags(path, src);
+            assert_eq!(d.len(), 1, "{path}: {d:?}");
+            assert_eq!(d[0].rule, "recorder-search");
+        }
         // ...but the bench bin and experiments module of the same name
-        // are ordinary code (generic rules still apply there).
+        // are ordinary code.
         assert!(diags("crates/bench/src/bin/telemetry.rs", src).is_empty());
         assert!(diags("crates/core/src/experiments/telemetry.rs", src).is_empty());
     }
@@ -552,7 +466,10 @@ mod tests {
         let d = diags("crates/netsim/src/telemetry.rs", src);
         // One hit per `f64` token (return type + cast).
         assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|x| x.rule == "probe-determinism"));
+        assert!(d.iter().all(|x| x.rule == "telemetry-integer"));
+        // Only netsim's sink: same-named consumer files render floats.
+        assert!(diags("crates/bench/src/bin/telemetry.rs", src).is_empty());
+        assert!(diags("crates/core/src/experiments/telemetry.rs", src).is_empty());
         // The probe renders float seconds at the report edge; no ban.
         assert!(diags("crates/netsim/src/probe.rs", src).is_empty());
     }

@@ -2,8 +2,7 @@
 //!
 //! The scoper turns a [`Lexed`] file into a [`ScopedFile`]: every token
 //! knows whether it sits inside test-only code (`#[cfg(test)]` items or a
-//! `mod tests` block), inside a `use` item, and which function body (if
-//! any) encloses it. Allow markers are extracted from comments here too,
+//! `mod tests` block) and which function body (if any) encloses it. Allow markers are extracted from comments here too,
 //! because their meaning ("this line", "this function") depends on scope.
 
 use crate::lexer::{Comment, Lexed, Tok, TokKind};
@@ -49,8 +48,6 @@ pub struct ScopedFile {
     pub fns: Vec<FnScope>,
     /// Per-token: true when the token is inside test-only code.
     pub test: Vec<bool>,
-    /// Per-token: true when the token belongs to a `use` item.
-    pub in_use: Vec<bool>,
     pub allows: Vec<AllowMarker>,
 }
 
@@ -269,24 +266,6 @@ pub fn scope_file(path: &str, lexed: Lexed, known_rules: &[&str]) -> ScopedFile 
         i += 1;
     }
 
-    // --- `use` items ------------------------------------------------------
-    let mut in_use = vec![false; n];
-    let mut i = 0;
-    while i < n {
-        if toks[i].is_ident("use") {
-            let mut j = i;
-            while j < n && !toks[j].is_op(";") {
-                in_use[j] = true;
-                j += 1;
-            }
-            if j < n {
-                in_use[j] = true;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-
     // --- Allow markers ----------------------------------------------------
     // Syntax inside any comment: `simlint: allow(rule)`. Unknown rule
     // names are treated as prose and ignored.
@@ -299,7 +278,6 @@ pub fn scope_file(path: &str, lexed: Lexed, known_rules: &[&str]) -> ScopedFile 
         comments,
         fns,
         test,
-        in_use,
         allows: Vec::new(),
     };
     for c in &sf.comments {
@@ -372,7 +350,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const RULES: &[&str] = &["wall-clock", "front-drain"];
+    const RULES: &[&str] = &["time-unit", "front-drain"];
 
     fn scoped(src: &str) -> ScopedFile {
         scope_file("test.rs", lex(src), RULES)
@@ -414,32 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn use_items_are_masked() {
-        let sf = scoped("use std::collections::HashMap;\nfn f() { let m = HashMap::new(); }\n");
-        let first = sf.toks.iter().position(|t| t.is_ident("HashMap")).unwrap();
-        assert!(sf.in_use[first]);
-        let second = sf
-            .toks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_ident("HashMap"))
-            .nth(1)
-            .unwrap()
-            .0;
-        assert!(!sf.in_use[second]);
-    }
-
-    #[test]
     fn trailing_marker_is_line_scoped() {
-        let sf = scoped("fn f() {\n    let t = now(); // simlint: allow(wall-clock)\n}\n");
+        let sf = scoped("fn f() {\n    let t = now(); // simlint: allow(time-unit)\n}\n");
         assert_eq!(sf.allows.len(), 1);
-        assert_eq!(sf.allows[0].rule, "wall-clock");
+        assert_eq!(sf.allows[0].rule, "time-unit");
         assert_eq!(sf.allows[0].scope, AllowScope::Line(2));
     }
 
     #[test]
     fn marker_above_fn_is_fn_scoped() {
-        let src = "// Timing harness, exempt by design.\n// simlint: allow(wall-clock)\npub fn bench() {\n    let t = now();\n}\n";
+        let src = "// Timing harness, exempt by design.\n// simlint: allow(time-unit)\npub fn bench() {\n    let t = now();\n}\n";
         let sf = scoped(src);
         assert_eq!(sf.allows.len(), 1);
         assert_eq!(sf.allows[0].scope, AllowScope::Fn(0));

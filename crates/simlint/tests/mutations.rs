@@ -5,7 +5,7 @@
 
 use simlint::{lint_sources, SourceFile};
 
-fn one(path: &str, text: &str) -> Vec<simlint::report::Diagnostic> {
+fn one(path: &str, text: &str) -> Vec<simlint::Diagnostic> {
     lint_sources(&[SourceFile {
         path: path.to_string(),
         text: text.to_string(),
@@ -28,36 +28,6 @@ fn assert_fires(path: &str, text: &str, rule: &str, line: u32) {
 }
 
 #[test]
-fn hash_collections_fires() {
-    assert_fires(
-        "crates/netsim/src/store.rs",
-        "fn f() {\n    let m = HashMap::with_capacity(4);\n    let _ = m;\n}\n",
-        "hash-collections",
-        2,
-    );
-}
-
-#[test]
-fn wall_clock_fires() {
-    assert_fires(
-        "crates/core/src/robot.rs",
-        "fn f() {\n    let t = Instant::now();\n}\n",
-        "wall-clock",
-        2,
-    );
-}
-
-#[test]
-fn thread_rng_fires() {
-    assert_fires(
-        "crates/netsim/src/impair2.rs",
-        "fn f() {\n    let r = thread_rng();\n}\n",
-        "thread-rng",
-        2,
-    );
-}
-
-#[test]
 fn float_time_cmp_fires() {
     assert_fires(
         "crates/netsim/src/trace2.rs",
@@ -68,31 +38,11 @@ fn float_time_cmp_fires() {
 }
 
 #[test]
-fn probe_determinism_fires() {
-    assert_fires(
-        "crates/netsim/src/probe.rs",
-        "use std::collections::HashSet;\n",
-        "probe-determinism",
-        1,
-    );
-}
-
-#[test]
-fn probe_determinism_fires_in_telemetry() {
-    assert_fires(
-        "crates/netsim/src/telemetry.rs",
-        "fn f() {\n    let t = Instant::now();\n}\n",
-        "probe-determinism",
-        2,
-    );
-}
-
-#[test]
-fn probe_determinism_float_ban_fires_in_telemetry() {
+fn telemetry_integer_fires() {
     assert_fires(
         "crates/netsim/src/telemetry.rs",
         "fn f(d: SimDuration) {\n    let s = d.as_secs_f64();\n    let _ = s;\n}\n",
-        "probe-determinism",
+        "telemetry-integer",
         2,
     );
 }
@@ -102,10 +52,10 @@ fn telemetry_float_ban_is_unsuppressible() {
     // An allow marker cannot bless a float in the telemetry sink.
     let diags = one(
         "crates/netsim/src/telemetry.rs",
-        "// simlint: allow(probe-determinism)\nfn f(v: u64) -> f64 {\n    v as f64\n}\n",
+        "// simlint: allow(telemetry-integer)\nfn f(v: u64) -> f64 {\n    v as f64\n}\n",
     );
     assert!(
-        diags.iter().any(|d| d.rule == "probe-determinism"),
+        diags.iter().any(|d| d.rule == "telemetry-integer"),
         "allow marker must not suppress: {diags:?}"
     );
 }
@@ -178,7 +128,7 @@ fn time_unit_fires() {
 fn stale_allow_fires_for_marker() {
     assert_fires(
         "crates/netsim/src/sim.rs",
-        "fn f() {\n    let x = 1; // simlint: allow(wall-clock)\n}\n",
+        "fn f() {\n    let x = 1; // simlint: allow(time-unit)\n}\n",
         "stale-allow",
         2,
     );
@@ -191,9 +141,9 @@ fn violation_hidden_by_reformatting_still_fires() {
     // Split across lines, extra whitespace, and a comment in between.
     assert_fires(
         "crates/netsim/src/sim.rs",
-        "fn f() {\n    let t = Instant\n        :: /* sneaky */\n        now();\n}\n",
-        "wall-clock",
-        2,
+        "fn f(out: &mut Vec<u8>, n: usize) {\n    out\n        . /* sneaky */\n        drain(\n            ..n);\n}\n",
+        "front-drain",
+        4,
     );
 }
 
@@ -201,7 +151,7 @@ fn violation_hidden_by_reformatting_still_fires() {
 fn needle_inside_string_or_comment_is_silent() {
     let diags = one(
         "crates/netsim/src/sim.rs",
-        "fn f() {\n    // Instant::now() HashMap thread_rng\n    let s = \"Instant::now() HashMap\";\n    let r = r#\"SystemTime\"#;\n}\n",
+        "fn f() {\n    // out.drain(..n) as_nanos() as f64\n    let s = \"out.drain(..n) 1e9\";\n    let r = r#\"d.as_nanos() as f64\"#;\n}\n",
     );
     assert!(diags.is_empty(), "unexpected: {diags:?}");
 }
@@ -209,24 +159,24 @@ fn needle_inside_string_or_comment_is_silent() {
 #[test]
 fn fn_granular_allow_covers_body_but_not_neighbors() {
     let text = "\
-// Timing the real run is this helper's purpose.
-// simlint: allow(wall-clock)
-fn timed() {
-    let a = Instant::now();
-    let b = Instant::now();
+// Shifting the front is this helper's purpose.
+// simlint: allow(front-drain)
+fn shift(v: &mut Vec<u8>) {
+    v.drain(..1);
+    v.drain(..2);
 }
 
-fn unblessed() {
-    let c = Instant::now();
+fn unblessed(v: &mut Vec<u8>) {
+    v.drain(..3);
 }
 ";
-    let diags = one("crates/bench/src/lib.rs", text);
+    let diags = one("crates/httpwire/src/parser.rs", text);
     assert_eq!(
         diags.len(),
         1,
         "only the unblessed fn should fire: {diags:?}"
     );
-    assert_eq!(diags[0].rule, "wall-clock");
+    assert_eq!(diags[0].rule, "front-drain");
     assert_eq!(diags[0].line, 9);
 }
 
@@ -234,7 +184,7 @@ fn unblessed() {
 fn test_code_never_fires() {
     let diags = one(
         "crates/netsim/src/sim.rs",
-        "#[cfg(test)]\nmod tests {\n    fn t() {\n        let t = Instant::now();\n        let m = HashMap::new();\n    }\n}\n",
+        "#[cfg(test)]\nmod tests {\n    fn t(v: &mut Vec<u8>, d: SimDuration) {\n        v.drain(..1);\n        let x = d.as_nanos() as f64;\n    }\n}\n",
     );
     assert!(diags.is_empty(), "unexpected: {diags:?}");
 }

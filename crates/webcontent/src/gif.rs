@@ -105,6 +105,10 @@ fn lzw_compress_reference(data: &[u8], min_code_size: u32) -> Vec<u8> {
 
     let mut out = BitPacker::new();
     let mut width = min_code_size + 1;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the reference is the map-backed dictionary as first written"
+    )]
     let mut dict: std::collections::HashMap<(u16, u8), u16> = std::collections::HashMap::new();
     let mut next: u16 = eoi + 1;
 

@@ -677,6 +677,10 @@ impl Microscape {
 
         let analysis = self.css_analysis();
         let mut rules = Vec::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "keyed lookup only; the markup is walked in token order"
+        )]
         let mut markup_for: std::collections::HashMap<String, String> =
             std::collections::HashMap::new();
         for (i, item) in analysis.items.iter().enumerate() {

@@ -218,7 +218,7 @@ pub fn encode(img: &IndexedImage, opts: PngOptions) -> Vec<u8> {
         for ft in 0..=4u8 {
             let cand = filter_line(ft, &line, &prev_line);
             let score: u64 = cand.iter().map(|&b| (b as i8).unsigned_abs() as u64).sum();
-            if best.as_ref().map_or(true, |(_, _, s)| score < *s) {
+            if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
                 best = Some((ft, cand, score));
             }
         }
