@@ -19,9 +19,10 @@
 //!   differential tests.
 //! * **Integer time only.** All times are integer nanoseconds or tick
 //!   indices; the module contains no floating point at all, and simlint's
-//!   `telemetry-integer` rule enforces that on this file. The clippy
-//!   bans on hash collections and the wall clock are forbidden here, so
-//!   no `#[allow]` or `#[expect]` can lift them.
+//!   `telemetry-integer` rule enforces that on this file. The module
+//!   forbids clippy's `disallowed_types` and `disallowed_methods`, so no
+//!   `#[allow]` or `#[expect]` can lift the workspace's bans on hash
+//!   collections and the wall clock here.
 //! * **Deterministic storage, constant-time recording.** A scope is
 //!   resolved once, through an ordered index, to a `ScopeId`: the
 //!   position of its entry in the scope table. Whoever writes a scope
