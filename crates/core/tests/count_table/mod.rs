@@ -38,7 +38,7 @@ const TABLE: &[Group] = &[
     (
         "counts",
         &[
-            ("matrix", [8_870, 10_935, 4_925_136, 118_081]),
+            ("matrix", [8_870, 10_923, 4_922_232, 118_081]),
             ("fleet16", [8_384, 10_121, 3_697_708, 976_861]),
             ("cc lossy", [8_287, 8_739, 3_019_960, 126_687]),
         ],

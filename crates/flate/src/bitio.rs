@@ -93,11 +93,26 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits of `data` consumed so far.
+    #[inline]
     pub fn bit_position(&self) -> usize {
         self.pos * 8 - self.bit_count as usize
     }
 
+    /// Load whole bytes while they fit: eight at a time where eight
+    /// remain, else one by one.
     fn fill(&mut self) {
+        let room = (64 - self.bit_count) / 8;
+        if room == 0 {
+            return;
+        }
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let kept = word & (u64::MAX >> (64 - 8 * room));
+            self.bit_buf |= kept << self.bit_count;
+            self.pos += room as usize;
+            self.bit_count += 8 * room;
+            return;
+        }
         while self.bit_count <= 56 && self.pos < self.data.len() {
             self.bit_buf |= (self.data[self.pos] as u64) << self.bit_count;
             self.pos += 1;
@@ -105,10 +120,32 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// The next `count` bits, LSB first, without consuming them; `None`
+    /// when fewer remain.
+    #[inline]
+    pub fn peek(&mut self, count: u32) -> Option<u32> {
+        debug_assert!(count <= 32);
+        if self.bit_count < count {
+            self.fill();
+        }
+        (self.bit_count >= count).then(|| (self.bit_buf & ((1u64 << count) - 1)) as u32)
+    }
+
+    /// Consume `count` bits that [`BitReader::peek`] showed.
+    #[inline]
+    pub fn consume(&mut self, count: u32) {
+        debug_assert!(count <= self.bit_count);
+        self.bit_buf >>= count;
+        self.bit_count -= count;
+    }
+
     /// Read `count` bits, LSB first.
+    #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u32, UnexpectedEof> {
         debug_assert!(count <= 32);
-        self.fill();
+        if self.bit_count < count {
+            self.fill();
+        }
         if self.bit_count < count {
             return Err(UnexpectedEof);
         }
@@ -119,6 +156,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read a single bit.
+    #[inline]
     pub fn read_bit(&mut self) -> Result<u32, UnexpectedEof> {
         self.read_bits(1)
     }

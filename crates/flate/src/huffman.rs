@@ -1,6 +1,8 @@
 //! Canonical Huffman coding: length-limited code construction (encoder) and
 //! canonical decoding tables (decoder), per RFC 1951 §3.2.2.
 
+use crate::bitio::{reverse_bits, BitReader, UnexpectedEof};
+
 /// Build length-limited Huffman code lengths from symbol frequencies.
 ///
 /// Uses the standard heap-based Huffman construction followed by the
@@ -147,14 +149,20 @@ pub fn assign_codes(lengths: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// A canonical Huffman decoder.
+/// A canonical Huffman decoder: a table of `N` entries (a power of two)
+/// for the codes short enough to index it, over the canonical bit-serial
+/// walk that reads any code. The literal/length alphabet takes the
+/// default, 512 entries (9 bits); `inflate` gives distances 64 and code
+/// lengths 128.
 #[derive(Debug, Clone)]
-pub struct Decoder {
-    /// For each length 1..=15: the first canonical code of that length and
-    /// the index into `symbols` where codes of that length begin.
-    first_code: [u32; 16],
-    first_index: [u32; 16],
-    count: [u32; 16],
+pub struct Decoder<const N: usize = 512> {
+    /// Indexed by the stream's next `log2 N` bits (the first in the
+    /// lowest): `symbol << 4 | length` of the code they start with, or 0
+    /// where that code is longer, or no code starts so — where the walk
+    /// decides.
+    fast: [u16; N],
+    /// Codes of each length 1..=15.
+    count: [u16; 16],
     /// Symbols ordered by (length, symbol) — canonical order.
     symbols: Vec<u16>,
 }
@@ -170,14 +178,18 @@ pub enum HuffError {
     BadCode,
 }
 
-impl Decoder {
+impl<const N: usize> Decoder<N> {
+    /// Bits of the stream the table is indexed by.
+    const BITS: u32 = N.trailing_zeros();
+
     /// Build a decoder from per-symbol code lengths.
     ///
     /// Incomplete codes (Kraft sum < 1) are accepted — RFC 1951 permits the
     /// single-symbol case and some encoders emit incomplete distance
     /// tables — but over-subscribed tables are rejected.
-    pub fn new(lengths: &[u32]) -> Result<Decoder, HuffError> {
-        let mut count = [0u32; 16];
+    pub fn new(lengths: &[u32]) -> Result<Decoder<N>, HuffError> {
+        debug_assert!(N.is_power_of_two() && Self::BITS <= 15);
+        let mut count = [0u16; 16];
         for &l in lengths {
             if l > 15 {
                 return Err(HuffError::Oversubscribed);
@@ -199,63 +211,91 @@ impl Decoder {
             }
         }
 
-        let mut first_code = [0u32; 16];
-        let mut first_index = [0u32; 16];
-        let mut code = 0u32;
-        let mut index = 0u32;
-        for bits in 1..=15usize {
-            code <<= 1;
-            first_code[bits] = code;
-            first_index[bits] = index;
-            code += count[bits];
-            index += count[bits];
+        // Where each length's codes start in canonical order.
+        let mut next = [0usize; 16];
+        for len in 1..15 {
+            next[len + 1] = next[len] + count[len] as usize;
         }
-
-        let mut symbols = vec![0u16; index as usize];
-        let mut next = first_index;
+        let mut symbols = vec![0u16; next[15] + count[15] as usize];
         for (sym, &l) in lengths.iter().enumerate() {
             if l > 0 {
-                symbols[next[l as usize] as usize] = sym as u16;
+                symbols[next[l as usize]] = sym as u16;
                 next[l as usize] += 1;
             }
         }
 
+        // Each short code fills every entry whose low bits are its bits
+        // in stream order (the code reversed); codes of a length are
+        // consecutive, from the first code of that length.
+        let mut fast = [0u16; N];
+        let (mut code, mut index) = (0u32, 0usize);
+        for len in 1..=Self::BITS {
+            for &sym in &symbols[index..index + count[len as usize] as usize] {
+                let stream = reverse_bits(code, len) as usize;
+                for slot in fast.iter_mut().skip(stream).step_by(1 << len) {
+                    *slot = sym << 4 | len as u16;
+                }
+                code += 1;
+            }
+            index += count[len as usize] as usize;
+            code <<= 1;
+        }
+
         Ok(Decoder {
-            first_code,
-            first_index,
+            fast,
             count,
             symbols,
         })
     }
 
-    /// Decode one symbol by pulling bits from `next_bit` (which yields the
-    /// stream's next bit, MSB-of-code-first as DEFLATE stores codes).
-    pub fn decode<E>(
-        &self,
-        mut next_bit: impl FnMut() -> Result<u32, E>,
-    ) -> Result<Result<u16, HuffError>, E> {
-        let mut code = 0u32;
-        for bits in 1..=15usize {
-            code = (code << 1) | next_bit()?;
-            let c = self.count[bits];
-            if c > 0 {
-                let first = self.first_code[bits];
-                if code < first + c {
-                    if code < first {
-                        return Ok(Err(HuffError::BadCode));
-                    }
-                    let idx = self.first_index[bits] + (code - first);
-                    return Ok(Ok(self.symbols[idx as usize]));
-                }
+    /// Decode one symbol from `r`: through the table when `r` holds as
+    /// many more bits as index it and they start a code that short, else
+    /// by the walk. Either way the symbol and the bits consumed are the
+    /// walk's, and input that ends inside a code is `UnexpectedEof`.
+    #[inline]
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<Result<u16, HuffError>, UnexpectedEof> {
+        if let Some(bits) = r.peek(Self::BITS) {
+            let entry = self.fast[bits as usize];
+            if entry != 0 {
+                r.consume(u32::from(entry & 15));
+                return Ok(Ok(entry >> 4));
             }
         }
+        self.walk(r)
+    }
+
+    /// The canonical bit-serial walk: one bit at a time, MSB of the code
+    /// first, until the code so far is one of its length (the first code
+    /// of a length is the last one of the length before, plus one, times
+    /// two).
+    fn walk(&self, r: &mut BitReader<'_>) -> Result<Result<u16, HuffError>, UnexpectedEof> {
+        let (mut code, mut first, mut index) = (0u32, 0u32, 0u32);
+        for &count in &self.count[1..] {
+            code |= r.read_bit()?;
+            let count = u32::from(count);
+            if code < first + count {
+                return Ok(Ok(self.symbols[(index + code - first) as usize]));
+            }
+            index += count;
+            first = (first + count) << 1;
+            code <<= 1;
+        }
         Ok(Err(HuffError::BadCode))
+    }
+
+    /// This decoder with an empty table: every symbol by the walk, the
+    /// reference the table is tested against.
+    #[cfg(test)]
+    pub(crate) fn serial(mut self) -> Decoder<N> {
+        self.fast = [0; N];
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitWriter;
 
     #[test]
     fn canonical_codes_rfc_example() {
@@ -299,29 +339,56 @@ mod tests {
         assert!(kraft <= full, "kraft must hold after limiting");
     }
 
+    /// Decode every coded symbol of `lengths` from a stream of its code,
+    /// by a table of each size and by the walk alone.
+    fn roundtrip_each_symbol(lengths: &[u32]) {
+        roundtrip_with::<512>(lengths);
+        roundtrip_with::<64>(lengths);
+    }
+
+    fn roundtrip_with<const N: usize>(lengths: &[u32]) {
+        let codes = assign_codes(lengths);
+        let dec = Decoder::<N>::new(lengths).unwrap();
+        for sym in (0..lengths.len()).filter(|&sym| lengths[sym] > 0) {
+            let mut w = BitWriter::new();
+            w.write_code(codes[sym], lengths[sym]);
+            w.write_bits(0, 16);
+            let stream = w.finish();
+            for dec in [dec.clone(), dec.clone().serial()] {
+                let mut r = BitReader::at_bit(&stream, 0);
+                assert_eq!(dec.decode(&mut r), Ok(Ok(sym as u16)));
+                assert_eq!(r.bit_position(), lengths[sym] as usize, "symbol {sym}");
+            }
+        }
+    }
+
     #[test]
     fn decoder_roundtrip() {
-        let lengths = [3u32, 3, 3, 3, 3, 2, 4, 4];
-        let codes = assign_codes(&lengths);
-        let dec = Decoder::new(&lengths).unwrap();
-        for sym in 0..lengths.len() {
-            let code = codes[sym];
-            let len = lengths[sym];
-            let mut bits: Vec<u32> = (0..len).rev().map(|i| (code >> i) & 1).collect();
-            bits.reverse(); // we'll pop from the back
-            let got = dec
-                .decode(|| -> Result<u32, ()> { Ok(bits.pop().unwrap()) })
-                .unwrap()
-                .unwrap();
-            assert_eq!(got as usize, sym);
-        }
+        roundtrip_each_symbol(&[3, 3, 3, 3, 3, 2, 4, 4]);
+    }
+
+    #[test]
+    fn a_code_longer_than_the_table_is_walked() {
+        // Codes of 1 to 15 bits: the last six go past the table.
+        let mut lengths: Vec<u32> = (1..=15).collect();
+        lengths.push(15);
+        roundtrip_each_symbol(&lengths);
+        // Fewer bits left than the table reads: the walk decodes a short
+        // code, and input that ends inside a code is the end of input.
+        let dec: Decoder = Decoder::new(&lengths).unwrap();
+        let mut r = BitReader::at_bit(&[0b0000_0010], 0);
+        assert_eq!(dec.decode(&mut r), Ok(Ok(0)));
+        assert_eq!(dec.decode(&mut r), Ok(Ok(1)));
+        assert_eq!(r.bit_position(), 3);
+        let mut r = BitReader::at_bit(&[0xFF], 0);
+        assert_eq!(dec.decode(&mut r), Err(UnexpectedEof));
     }
 
     #[test]
     fn oversubscribed_rejected() {
         // Three 1-bit codes is impossible.
         assert_eq!(
-            Decoder::new(&[1, 1, 1]).unwrap_err(),
+            Decoder::<512>::new(&[1, 1, 1]).unwrap_err(),
             HuffError::Oversubscribed
         );
     }
@@ -338,22 +405,6 @@ mod tests {
                 (x % 1000) as u32
             })
             .collect();
-        let lengths = build_lengths(&freqs, 15);
-        let codes = assign_codes(&lengths);
-        let dec = Decoder::new(&lengths).unwrap();
-        for sym in 0..freqs.len() {
-            if lengths[sym] == 0 {
-                continue;
-            }
-            let code = codes[sym];
-            let len = lengths[sym];
-            let mut bits: Vec<u32> = (0..len).map(|i| (code >> (len - 1 - i)) & 1).collect();
-            let mut iter = bits.drain(..);
-            let got = dec
-                .decode(|| -> Result<u32, ()> { Ok(iter.next().unwrap()) })
-                .unwrap()
-                .unwrap();
-            assert_eq!(got as usize, sym);
-        }
+        roundtrip_each_symbol(&build_lengths(&freqs, 15));
     }
 }

@@ -59,7 +59,7 @@ pub struct Inflater {
     /// Stream position, in bits, of the first item not yet decoded.
     bit_pos: usize,
     /// Inside a Huffman block: its two tables, and whether it is the last.
-    block: Option<(Decoder, Decoder, bool)>,
+    block: Option<(Decoder, DistDecoder, bool)>,
     done: bool,
 }
 
@@ -103,9 +103,9 @@ impl Inflater {
                         None
                     }
                     0b01 => {
-                        let lit = Decoder::new(&fixed_litlen_lengths())
+                        let lit = decoder(&fixed_litlen_lengths())
                             .map_err(|_| InflateError::BadHuffmanTable)?;
-                        let dist = Decoder::new(&fixed_dist_lengths())
+                        let dist = decoder(&fixed_dist_lengths())
                             .map_err(|_| InflateError::BadHuffmanTable)?;
                         Some((lit, dist))
                     }
@@ -147,15 +147,35 @@ fn stored_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), InflateE
     Ok(())
 }
 
-fn decode_symbol(r: &mut BitReader<'_>, dec: &Decoder) -> Result<u16, InflateError> {
-    match dec.decode(|| r.read_bit())? {
+/// A distance decoder: its alphabet is 30 symbols (32 in a fixed block),
+/// so a 64-entry table keeps a block's two tables small where they lie,
+/// in the [`Inflater`].
+type DistDecoder = Decoder<64>;
+
+/// The decoder for a set of code lengths (in this crate's tests, on a
+/// thread that asks for it, without its table: the bit-serial reference).
+fn decoder<const N: usize>(lengths: &[u32]) -> Result<Decoder<N>, HuffError> {
+    let decoder = Decoder::new(lengths);
+    #[cfg(test)]
+    let decoder = decoder.map(|d| match tests::SERIAL.get() {
+        true => d.serial(),
+        false => d,
+    });
+    decoder
+}
+
+fn decode_symbol<const N: usize>(
+    r: &mut BitReader<'_>,
+    dec: &Decoder<N>,
+) -> Result<u16, InflateError> {
+    match dec.decode(r)? {
         Ok(sym) => Ok(sym),
         Err(HuffError::BadCode) => Err(InflateError::BadCode),
         Err(_) => Err(InflateError::BadHuffmanTable),
     }
 }
 
-fn dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), InflateError> {
+fn dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, DistDecoder), InflateError> {
     let hlit = r.read_bits(5)? as usize + 257;
     let hdist = r.read_bits(5)? as usize + 1;
     let hclen = r.read_bits(4)? as usize + 4;
@@ -163,47 +183,42 @@ fn dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), InflateEr
         return Err(InflateError::BadHuffmanTable);
     }
 
-    let mut clc_lengths = vec![0u32; 19];
-    for i in 0..hclen {
-        clc_lengths[CLC_ORDER[i]] = r.read_bits(3)?;
+    let mut clc_lengths = [0u32; 19];
+    for &at in &CLC_ORDER[..hclen] {
+        clc_lengths[at] = r.read_bits(3)?;
     }
-    let clc = Decoder::new(&clc_lengths).map_err(|_| InflateError::BadHuffmanTable)?;
+    // Code-length codes are at most 7 bits: the table reads every one.
+    let clc: Decoder<128> = decoder(&clc_lengths).map_err(|_| InflateError::BadHuffmanTable)?;
 
+    // Both tables' lengths, on the stack; a repeat that would run past
+    // them is a bad table.
     let total = hlit + hdist;
-    let mut lengths = Vec::with_capacity(total);
-    while lengths.len() < total {
-        let sym = decode_symbol(r, &clc)?;
-        match sym {
-            0..=15 => lengths.push(sym as u32),
+    let mut lengths = [0u32; 286 + 30];
+    let mut n = 0;
+    while n < total {
+        let (value, rep) = match decode_symbol(r, &clc)? {
+            sym @ 0..=15 => (sym as u32, 1),
             16 => {
-                let &prev = lengths.last().ok_or(InflateError::BadHuffmanTable)?;
-                let rep = r.read_bits(2)? + 3;
-                for _ in 0..rep {
-                    lengths.push(prev);
-                }
+                let prev = n.checked_sub(1).ok_or(InflateError::BadHuffmanTable)?;
+                (lengths[prev], r.read_bits(2)? as usize + 3)
             }
-            17 => {
-                let rep = r.read_bits(3)? + 3;
-                lengths.resize(lengths.len() + rep as usize, 0);
-            }
-            18 => {
-                let rep = r.read_bits(7)? + 11;
-                lengths.resize(lengths.len() + rep as usize, 0);
-            }
+            17 => (0, r.read_bits(3)? as usize + 3),
+            18 => (0, r.read_bits(7)? as usize + 11),
             _ => return Err(InflateError::BadSymbol),
+        };
+        if n + rep > total {
+            return Err(InflateError::BadHuffmanTable);
         }
-    }
-    if lengths.len() != total {
-        return Err(InflateError::BadHuffmanTable);
+        lengths[n..n + rep].fill(value);
+        n += rep;
     }
 
-    let lit = Decoder::new(&lengths[..hlit]).map_err(|_| InflateError::BadHuffmanTable)?;
+    let lit = decoder(&lengths[..hlit]).map_err(|_| InflateError::BadHuffmanTable)?;
     // An empty distance table is legal when the block has no matches; use a
     // single-symbol placeholder in that case.
-    let dist_lengths = &lengths[hlit..];
-    let dist = match Decoder::new(dist_lengths) {
+    let dist = match decoder(&lengths[hlit..total]) {
         Ok(d) => d,
-        Err(HuffError::Empty) => Decoder::new(&[1]).unwrap(),
+        Err(HuffError::Empty) => decoder(&[1]).unwrap(),
         Err(_) => return Err(InflateError::BadHuffmanTable),
     };
     Ok((lit, dist))
@@ -215,7 +230,7 @@ fn symbol(
     r: &mut BitReader<'_>,
     out: &mut Vec<u8>,
     lit: &Decoder,
-    dist: &Decoder,
+    dist: &DistDecoder,
 ) -> Result<bool, InflateError> {
     let sym = decode_symbol(r, lit)?;
     match sym {
@@ -234,10 +249,16 @@ fn symbol(
             if d > out.len() {
                 return Err(InflateError::BadDistance);
             }
+            // A match that overlaps its own output repeats its first `d`
+            // bytes; one that does not is one copy.
             let start = out.len() - d;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            out.reserve(len);
+            if d >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                for k in 0..len {
+                    out.push(out[start + k]);
+                }
             }
         }
         _ => return Err(InflateError::BadSymbol),
@@ -249,6 +270,12 @@ fn symbol(
 mod tests {
     use super::*;
     use crate::deflate::{deflate, Level};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether decoders built on this thread go without their table.
+        pub(super) static SERIAL: Cell<bool> = const { Cell::new(false) };
+    }
 
     #[test]
     fn known_fixed_block() {
@@ -373,5 +400,51 @@ mod tests {
         bad.push(0b0000_0111);
         check_every_prefix(&bad);
         check_every_prefix(&[0x01, 0x03, 0x00, 0x00, 0x00, b'a', b'b', b'c']);
+    }
+
+    /// What one inflater makes of `stream` handed to it a byte longer at a
+    /// time, raw or zlib-wrapped: after each prefix, the output's length,
+    /// the bits consumed and the verdict; then the whole output. `serial`
+    /// builds every decoder without its table.
+    fn prefix_trace(stream: &[u8], zlib: bool, serial: bool) -> (Vec<String>, Vec<u8>) {
+        SERIAL.set(serial);
+        let (mut raw, mut wrapped) = (Inflater::default(), crate::zlib::Decompressor::default());
+        let mut trace = Vec::new();
+        for len in 0..=stream.len() {
+            let verdict = match zlib {
+                false => format!("{:?}", raw.advance(&stream[..len])),
+                true => format!("{:?}", wrapped.advance(&stream[..len], len == stream.len())),
+            };
+            let inflater = if zlib { &wrapped.inflater } else { &raw };
+            trace.push(format!(
+                "{len}: {} {} {verdict}",
+                inflater.out.len(),
+                inflater.bit_pos
+            ));
+        }
+        SERIAL.set(false);
+        let inflater = if zlib { wrapped.inflater } else { raw };
+        (trace, inflater.into_output())
+    }
+
+    #[test]
+    fn the_table_decodes_every_prefix_of_the_page_as_the_bit_serial_walk_does() {
+        let html = webcontent::microscape::Microscape::generate().html;
+        for level in [Level::Store, Level::Fast, Level::Default, Level::Best] {
+            for zlib in [false, true] {
+                let stream = match zlib {
+                    false => deflate(html.as_bytes(), level),
+                    true => crate::zlib::compress(html.as_bytes(), level),
+                };
+                let (table, out) = prefix_trace(&stream, zlib, false);
+                let (walk, reference) = prefix_trace(&stream, zlib, true);
+                for (new, old) in table.iter().zip(&walk) {
+                    assert_eq!(new, old, "{level:?}, zlib {zlib}");
+                }
+                assert_eq!((out.len(), &out[..]), (html.len(), &reference[..]));
+                let done = if zlib { "Ok(())" } else { "Ok(true)" };
+                assert!(table.last().unwrap().ends_with(done), "{level:?}");
+            }
+        }
     }
 }

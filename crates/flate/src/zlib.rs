@@ -68,7 +68,7 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 pub struct Decompressor {
     /// Bytes of the stream read so far; 0 until the header has been checked.
     consumed: usize,
-    inflater: Inflater,
+    pub(crate) inflater: Inflater,
 }
 
 impl Decompressor {

@@ -44,21 +44,33 @@ fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
 pub struct HttpDate(pub u64);
 
 impl fmt::Display for HttpDate {
+    /// A date before the year 10000 is put together in a 29-byte array
+    /// and written in one piece; a later one goes through `write!`, to
+    /// the same text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let days = (self.0 / 86_400) as i64;
         let secs = self.0 % 86_400;
         let (y, m, d) = civil_from_days(days);
-        write!(
-            f,
-            "{}, {:02} {} {} {:02}:{:02}:{:02} GMT",
-            DAYS[(days % 7) as usize],
-            d,
-            MONTHS[(m - 1) as usize],
-            y,
-            secs / 3600,
-            (secs / 60) % 60,
-            secs % 60
-        )
+        let (day, month) = (DAYS[(days % 7) as usize], MONTHS[(m - 1) as usize]);
+        let (hh, mm, ss) = (secs / 3600, (secs / 60) % 60, secs % 60);
+        if y > 9999 {
+            return write!(f, "{day}, {d:02} {month} {y} {hh:02}:{mm:02}:{ss:02} GMT");
+        }
+        let mut text = *b"Ddd, DD Mmm YYYY hh:mm:ss GMT";
+        let digits = |out: &mut [u8], mut n: u64| {
+            for b in out.iter_mut().rev() {
+                *b = b'0' + (n % 10) as u8;
+                n /= 10;
+            }
+        };
+        text[..3].copy_from_slice(day.as_bytes());
+        digits(&mut text[5..7], u64::from(d));
+        text[8..11].copy_from_slice(month.as_bytes());
+        digits(&mut text[12..16], y as u64);
+        digits(&mut text[17..19], hh);
+        digits(&mut text[20..22], mm);
+        digits(&mut text[23..25], ss);
+        f.write_str(std::str::from_utf8(&text).expect("an HTTP-date is ASCII"))
     }
 }
 
@@ -108,6 +120,27 @@ mod tests {
             parse_http_date("Sun, 06 Nov 1994 08:49:37 GMT"),
             Some(784_111_777)
         );
+    }
+
+    #[test]
+    fn a_date_reads_as_write_formats_it() {
+        let written = |secs: u64| {
+            let days = (secs / 86_400) as i64;
+            let (y, m, d) = civil_from_days(days);
+            let (day, month) = (DAYS[(days % 7) as usize], MONTHS[(m - 1) as usize]);
+            let s = secs % 86_400;
+            let (hh, mm, ss) = (s / 3600, (s / 60) % 60, s % 60);
+            format!("{day}, {d:02} {month} {y} {hh:02}:{mm:02}:{ss:02} GMT")
+        };
+        // Every day of the years 1970 to 2100 at a moving time of day, and
+        // either side of the year 10000.
+        let days = (0..48_000u64).map(|day| day * 86_400 + day * 7_919 % 86_400);
+        let y10k = days_from_civil(10_000, 1, 1) as u64 * 86_400;
+        for s in days.chain([y10k - 1, y10k, u64::MAX]) {
+            assert_eq!(HttpDate(s).to_string(), written(s), "{s}");
+        }
+        assert!(HttpDate(y10k - 1).to_string().ends_with("Dec 9999 23:59:59 GMT"));
+        assert!(HttpDate(y10k).to_string().ends_with("Jan 10000 00:00:00 GMT"));
     }
 
     #[test]

@@ -50,10 +50,137 @@ fn known(name: &[u8]) -> Option<usize> {
         .position(|k| k.as_bytes().eq_ignore_ascii_case(name))
 }
 
-/// Is `name` an RFC 7230 `token` (one or more `tchar`s)?
-fn is_token(name: &str) -> bool {
-    let tchar = |b: u8| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b);
-    !name.is_empty() && name.bytes().all(tchar)
+/// The bytes a header name is made of: RFC 9110 §5.6.2 `tchar`.
+const TCHAR: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric()
+            || matches!(
+                c,
+                b'!' | b'#'
+                    | b'$'
+                    | b'%'
+                    | b'&'
+                    | b'\''
+                    | b'*'
+                    | b'+'
+                    | b'-'
+                    | b'.'
+                    | b'^'
+                    | b'_'
+                    | b'`'
+                    | b'|'
+                    | b'~'
+            );
+        b += 1;
+    }
+    table
+};
+
+/// Is `name` an RFC 9110 `token` (one or more `tchar`s)?
+fn is_token(name: &[u8]) -> bool {
+    !name.is_empty() && name.iter().all(|&b| TCHAR[b as usize])
+}
+
+/// Optional whitespace (RFC 9110 §5.6.3 OWS): what a value loses at
+/// either edge, and nothing else does.
+fn is_ows(b: u8) -> bool {
+    b == b' ' || b == b'\t'
+}
+
+/// `value` without the OWS at either edge.
+fn trim_ows(value: &[u8]) -> &[u8] {
+    let start = value
+        .iter()
+        .position(|&b| !is_ows(b))
+        .unwrap_or(value.len());
+    let end = value
+        .iter()
+        .rposition(|&b| !is_ows(b))
+        .map_or(start, |i| i + 1);
+    &value[start..end]
+}
+
+/// Where the first `needle` in `hay` is: eight bytes at a time (a word
+/// holds it when one of its bytes XORs to zero), then byte by byte over
+/// the tail.
+pub(crate) fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let splat = LOW * u64::from(needle);
+    let mut words = hay.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ splat;
+        // The lowest flagged byte is the first zero; a borrow can flag
+        // only bytes above it.
+        let zero = x.wrapping_sub(LOW) & !x & HIGH;
+        if zero != 0 {
+            return Some(at + zero.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == needle);
+    tail.map(|i| at + i)
+}
+
+/// The line of `block` at `at` if it is canonical — `Name: value\r\n`,
+/// a token name and a value with no OWS at its edges and no CR at its
+/// end, so normalising it would give it back byte for byte — as where
+/// its name ends and where the next line starts.
+fn canonical_line(block: &[u8], at: usize) -> Option<(usize, usize)> {
+    let line = &block[at..];
+    let name = line.iter().position(|&b| !TCHAR[b as usize])?;
+    if name == 0 || line.get(name + 1) != Some(&b' ') || line[name] != b':' {
+        return None;
+    }
+    let end = name + 2 + find_byte(&line[name + 2..], b'\n')?;
+    let value = line[name + 2..end].strip_suffix(b"\r")?;
+    if let (Some(&head), Some(&tail)) = (value.first(), value.last()) {
+        if is_ows(head) || is_ows(tail) || tail == b'\r' {
+            return None;
+        }
+    }
+    Some((at + name, at + end + 1))
+}
+
+/// Walk the canonical lines at the front of `block` up to its end or to a
+/// blank line (`\r\n`), giving each known name with no slot in `first`
+/// yet its line's offset plus `base`: where the walk stopped, or `None`
+/// at a line that is not canonical.
+fn index_canonical(block: &[u8], base: usize, first: &mut [u32; KNOWN.len()]) -> Option<usize> {
+    let mut at = 0;
+    while at < block.len() && !block[at..].starts_with(b"\r\n") {
+        let (name_end, next) = canonical_line(block, at)?;
+        if let Some(slot) = known(&block[at..name_end]) {
+            if first[slot] == NONE {
+                first[slot] = (base + at) as u32;
+            }
+        }
+        at = next;
+    }
+    Some(at)
+}
+
+/// The lines of a block as [`HeaderMap::parse`] reads them: each line
+/// (ended by LF or by the block) that is not empty once its trailing CRs
+/// go, as its name and its value without OWS; `None` for a line with no
+/// colon or whose name is not a token.
+fn field_lines(block: &[u8]) -> impl Iterator<Item = Option<(&[u8], &[u8])>> {
+    block
+        .split(|&b| b == b'\n')
+        .map(|line| {
+            let end = line.iter().rposition(|&b| b != b'\r').map_or(0, |i| i + 1);
+            &line[..end]
+        })
+        .filter(|line| !line.is_empty())
+        .map(|line| {
+            let colon = find_byte(line, b':')?;
+            let name = &line[..colon];
+            is_token(name).then(|| (name, trim_ows(&line[colon + 1..])))
+        })
 }
 
 /// Bytes the map wrote from `&str`s and cut only at ASCII bytes, as text.
@@ -64,7 +191,7 @@ fn text(bytes: &[u8]) -> &str {
 /// Just past the line feed at or after `from`: where the next line
 /// starts.
 fn line_end(buf: &[u8], from: usize) -> usize {
-    let off = buf[from..].iter().position(|&b| b == b'\n');
+    let off = find_byte(&buf[from..], b'\n');
     from + off.expect("every line ends in a line feed") + 1
 }
 
@@ -79,7 +206,7 @@ fn named(buf: &[u8], at: usize, name: &[u8]) -> bool {
 /// past its first byte, so `:path` is a name) and where the next line
 /// starts.
 fn split_line(buf: &[u8], at: usize) -> (usize, usize) {
-    let off = buf[at + 1..].iter().position(|&b| b == b':');
+    let off = find_byte(&buf[at + 1..], b':');
     let name_end = at + 1 + off.expect("every line is `name: value\\r\\n`");
     (name_end, line_end(buf, name_end))
 }
@@ -380,30 +507,60 @@ impl HeaderMap {
         out.extend_from_slice(&self.buf[self.lead as usize..]);
     }
 
-    /// The header block of a received head, every line but the first:
-    /// one copy into pooled storage sized from the block, after `lead`.
-    /// Bare LF ends a line as CRLF does; `None` when a line has no colon or
-    /// its name is not an RFC 7230 token.
+    /// The header block of a received head, every line but the first,
+    /// after `lead`, in pooled storage sized from the block. Bare LF ends
+    /// a line as CRLF does, a line that is empty once its trailing CRs go
+    /// is skipped, and a value loses the OWS at its edges; `None` when a
+    /// line has no colon or its name is not a token.
+    ///
+    /// A block already in canonical form (every line `Name: value\r\n`,
+    /// then at most the blank line: what every engine here writes) is
+    /// checked and indexed in one walk and copied in whole; any other
+    /// block is rewritten line by line.
     pub(crate) fn parse(lead: &str, block: &str) -> Option<HeaderMap> {
-        let lines = || {
-            block
-                .split('\n')
-                .map(|line| line.trim_end_matches('\r'))
-                .filter(|line| !line.is_empty())
-                .map(|line| line.split_once(':').map(|(n, v)| (n, v.trim())))
-        };
+        let block = block.as_bytes();
+        HeaderMap::canonical(lead, block).or_else(|| HeaderMap::normalise(lead, block))
+    }
+
+    /// [`HeaderMap::parse`] for a canonical block, indexed as it is walked
+    /// and copied whole into storage of its size; `None` for any other.
+    fn canonical(lead: &str, block: &[u8]) -> Option<HeaderMap> {
+        let mut first = [NONE; KNOWN.len()];
+        let end = index_canonical(block, lead.len(), &mut first)?;
+        let rest = &block[end..];
+        if !(rest.is_empty() || rest == b"\r\n") {
+            return None;
+        }
+        let mut map = HeaderMap::with_lead(lead, end);
+        map.buf.extend_from_slice(&block[..end]);
+        u32::try_from(map.buf.len()).expect("a head is far below 4 GiB");
+        map.first = first;
+        Some(map)
+    }
+
+    /// [`HeaderMap::parse`] for a block that is not canonical: two walks
+    /// over its lines, one to size the map and one to write it.
+    fn normalise(lead: &str, block: &[u8]) -> Option<HeaderMap> {
         let mut bytes = 0;
-        for line in lines() {
-            let (name, value) = line.filter(|(name, _)| is_token(name))?;
+        for line in field_lines(block) {
+            let (name, value) = line?;
             bytes += name.len() + value.len() + 4;
         }
         let mut map = HeaderMap::with_lead(lead, bytes);
-        for (name, value) in lines().flatten() {
-            map.push(name, |buf| buf.extend_from_slice(value.as_bytes()));
+        for (name, value) in field_lines(block).flatten() {
+            map.push(text(name), |buf| buf.extend_from_slice(value));
         }
         Some(map)
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/reference/heads.rs"]
+mod reference;
+
+#[cfg(test)]
+#[path = "../tests/reference/soup.rs"]
+mod soup;
 
 #[cfg(test)]
 mod tests {
@@ -486,11 +643,11 @@ mod tests {
             assert_eq!(known(spelling.as_bytes()), Some(slot));
             assert_eq!(known(spelling.to_uppercase().as_bytes()), Some(slot));
             assert_eq!(known(&spelling.as_bytes()[1..]), None);
-            assert!(is_token(spelling));
+            assert!(is_token(spelling.as_bytes()));
         }
         for name in ["", "Ho\tst", "Content Length", ":path", "H\u{e9}"] {
             assert_eq!(
-                (known(name.as_bytes()), is_token(name)),
+                (known(name.as_bytes()), is_token(name.as_bytes())),
                 (None, false),
                 "{name:?}"
             );
@@ -552,6 +709,93 @@ mod tests {
         assert!(HeaderMap::parse("", "no colon here\r\n").is_none());
         assert!(HeaderMap::parse("", "Ho\tst: x\r\n").is_none());
         assert!(HeaderMap::parse("", ": x\r\n").is_none());
+    }
+
+    /// What `parse` and the reference make of `block`.
+    fn both(block: &str) -> [Option<HeaderMap>; 2] {
+        [HeaderMap::parse("", block), reference::parse(block)]
+    }
+
+    #[test]
+    fn the_parser_agrees_with_the_reference_on_head_soup() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x4ead_5009);
+        let (mut accepted, mut rejected, mut copied) = (0, 0, 0);
+        for i in 0..12_000 {
+            let block = soup::block(&mut rng);
+            let (new, old) = (HeaderMap::parse("", &block), reference::parse(&block));
+            assert_eq!(new, old, "block {i}: {block:?}");
+            let Some(new) = new else {
+                rejected += 1;
+                continue;
+            };
+            let old = old.expect("equal to a map");
+            for name in KNOWN {
+                let spelled = name.to_ascii_lowercase();
+                assert_eq!(new.get(&spelled), old.get(&spelled), "{name} in {block:?}");
+                let all = |h: &HeaderMap| h.get_all(name).map(str::to_owned).collect::<Vec<_>>();
+                assert_eq!(all(&new), all(&old), "{name} in {block:?}");
+            }
+            accepted += 1;
+            let mut wire = BytesMut::new();
+            new.write_to(&mut wire);
+            copied += usize::from(block.as_bytes().starts_with(&wire) && !wire.is_empty());
+        }
+        // The soup reaches both paths and both verdicts.
+        assert!(
+            accepted > 3_000 && rejected > 3_000,
+            "{accepted} / {rejected}"
+        );
+        assert!(copied > 2_000, "{copied} canonical blocks");
+    }
+
+    #[test]
+    fn a_value_loses_only_sp_and_htab_at_its_edges() {
+        let value = |block: &str| both(block).map(|h| h.unwrap().get("X").unwrap().to_owned());
+        assert_eq!(value("X: \t a b \t\r\n"), ["a b", "a b"]);
+        // VT, FF and NO-BREAK SPACE are not OWS (RFC 9110 §5.6.3).
+        for kept in ["\u{b}a\u{b}", "\u{c}a\u{c}", "\u{a0}a\u{a0}"] {
+            let block = format!("X: {kept}\r\n\r\n");
+            assert_eq!(value(&block), [kept, kept], "{kept:?}");
+        }
+    }
+
+    #[test]
+    fn a_canonical_block_is_copied_and_indexed_as_it_lies() {
+        let block = "ETag: \"a\"\r\nX: \r\nContent-Length: 5\r\netag: \"b\"\r\n\r\n";
+        let h = HeaderMap::parse("/t", block).unwrap();
+        assert_eq!(wire(&h), block[..block.len() - 2]);
+        let slot = |name: &str| h.first[known(name.as_bytes()).unwrap()];
+        assert_eq!((slot("ETag"), slot("Content-Length")), (2, 18));
+        assert_eq!(h.get("x"), Some(""));
+        // Any line that normalises to other bytes takes the other path,
+        // to the same map the reference builds.
+        for odd in ["X:v", "X:  v", "X: v ", "X: v\r", "X: v\n", "\r\nX: v"] {
+            let block = format!("ETag: \"a\"\r\n{odd}\r\n\r\n");
+            let [new, old] = both(&block);
+            assert_eq!(new, old, "{odd:?}");
+            assert!(new.is_some_and(|h| wire(&h) == "ETag: \"a\"\r\nX: v\r\n"));
+        }
+    }
+
+    #[test]
+    fn the_byte_search_finds_the_first_match_in_any_word() {
+        for len in 1..40 {
+            for at in 0..len {
+                let mut hay = vec![b'a'; len];
+                hay[at] = b'\n';
+                if at + 9 < len {
+                    hay[at + 9] = b'\n';
+                }
+                assert_eq!(find_byte(&hay, b'\n'), Some(at), "{len} {at}");
+                // The bytes either side of the needle are not it.
+                for near in [b'\t', b'\x0b'] {
+                    hay[at] = near;
+                    let next = (at + 9 < len).then_some(at + 9);
+                    assert_eq!(find_byte(&hay, b'\n'), next, "{len} {at}");
+                }
+            }
+        }
     }
 
     #[test]

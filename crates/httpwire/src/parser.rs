@@ -7,7 +7,7 @@
 //! time and leave trailing bytes untouched.
 
 use crate::chunked::ChunkedDecoder;
-use crate::headers::HeaderMap;
+use crate::headers::{find_byte, HeaderMap};
 use crate::message::{Request, Response};
 use crate::types::{Method, StatusCode, Version};
 use bytes::{Bytes, BytesQueue};
@@ -42,20 +42,29 @@ impl std::error::Error for ParseError {}
 /// Find the end of the header block (`\r\n\r\n`) in `buf`, whatever its
 /// chunks; returns the offset just past it. Tolerates bare-LF line
 /// endings like most deployed servers (`\n\n` and `\n\r\n` end a head).
+/// Between line feeds the search runs a word at a time.
 fn find_head_end(buf: &BytesQueue) -> Option<usize> {
     // Bytes of a terminator seen so far: 0, `\n`, or `\n\r`.
     let mut seen = 0;
-    let mut at = 0;
+    let mut base = 0;
     for chunk in buf.chunks() {
-        for &b in chunk.iter() {
-            at += 1;
-            seen = match (seen, b) {
-                (1 | 2, b'\n') => return Some(at),
-                (_, b'\n') => 1,
+        let mut at = 0;
+        while at < chunk.len() {
+            if seen == 0 {
+                match find_byte(&chunk[at..], b'\n') {
+                    Some(lf) => (at, seen) = (at + lf + 1, 1),
+                    None => at = chunk.len(),
+                }
+                continue;
+            }
+            seen = match (seen, chunk[at]) {
+                (_, b'\n') => return Some(base + at + 1),
                 (1, b'\r') => 2,
                 _ => 0,
             };
+            at += 1;
         }
+        base += chunk.len();
     }
     None
 }
@@ -416,12 +425,13 @@ impl ResponseParser {
             .ok_or(ParseError::BadStatusLine)?
             .parse()
             .map_err(|_| ParseError::BadStatusLine)?;
-        let code: u16 = parts
-            .next()
-            .ok_or(ParseError::BadStatusLine)?
-            .parse()
-            .map_err(|_| ParseError::BadStatusLine)?;
-        let status = StatusCode(code);
+        // A status code is exactly three digits (RFC 9112 §4).
+        let status = match parts.next().map(str::as_bytes) {
+            Some(&[a, b, c]) if [a, b, c].iter().all(u8::is_ascii_digit) => StatusCode(
+                u16::from(a - b'0') * 100 + u16::from(b - b'0') * 10 + u16::from(c - b'0'),
+            ),
+            _ => return Err(ParseError::BadStatusLine),
+        };
         let headers = HeaderMap::parse("", rest).ok_or(ParseError::BadHeader)?;
         let framing = if !method.response_has_body() || status.bodyless() {
             Framing::Length(0)
@@ -812,6 +822,37 @@ mod tests {
         p.expect(Method::Get);
         p.feed(b"SMTP/1.0 garbage\r\n\r\n");
         assert_eq!(p.next().unwrap_err(), ParseError::BadStatusLine);
+    }
+
+    #[test]
+    fn a_status_code_is_exactly_three_digits() {
+        for code in ["+20", "2000", "20", "-20", "2 0", "", "20x", "\u{665}00"] {
+            let mut p = ResponseParser::new();
+            p.feed(format!("HTTP/1.1 {code} OK\r\n\r\n").as_bytes());
+            assert_eq!(p.next().unwrap_err(), ParseError::BadStatusLine, "{code:?}");
+        }
+        let mut p = ResponseParser::new();
+        p.feed(b"HTTP/1.1 099 Low\r\nContent-Length: 0\r\n\r\nHTTP/1.0 599\r\n\r\n");
+        assert_eq!(p.next().unwrap().unwrap().status, StatusCode(99));
+        assert_eq!(p.finish().unwrap().unwrap().status, StatusCode(599));
+    }
+
+    #[test]
+    fn the_head_ends_at_the_first_blank_line_across_chunks() {
+        let wire = b"HTTP/1.1 200 OK\nA: b\r\n\r\r\nC: d\n\r\nrest";
+        let end = wire.len() - 4;
+        for at in 0..=wire.len() {
+            let mut buf = BytesQueue::new();
+            buf.extend_from_slice(&wire[..at]);
+            buf.extend_from_slice(&wire[at..]);
+            assert_eq!(find_head_end(&buf), Some(end), "split at {at}");
+            let mut short = BytesQueue::new();
+            short.extend_from_slice(&wire[..at.min(end - 1)]);
+            assert_eq!(find_head_end(&short), None, "split at {at}");
+        }
+        let mut bare = BytesQueue::new();
+        bare.extend_from_slice(b"GET / HTTP/1.0\n\nx");
+        assert_eq!(find_head_end(&bare), Some(16));
     }
 
     #[test]

@@ -298,7 +298,7 @@ fn arbitrary_bytes_never_panic() {
 
 /// One header line of arbitrary bytes (no line ends) between two good
 /// ones: the head parses exactly when the line's name is a token, and
-/// then holds the value trimmed.
+/// then holds the value without the OWS (SP, HTAB) at its edges.
 #[test]
 fn a_line_of_arbitrary_bytes_is_a_token_named_header_or_an_error() {
     let mut rng = SmallRng::seed_from_u64(0x0047_7408);
@@ -327,7 +327,8 @@ fn a_line_of_arbitrary_bytes_is_a_token_named_header_or_an_error() {
                 let line = std::str::from_utf8(&line).expect("accepted heads are UTF-8");
                 let (name, value) = line.split_once(':').expect("accepted lines have a colon");
                 let got: Vec<_> = req.headers.iter().collect();
-                assert_eq!(got, [("Host", "a"), (name, value.trim()), ("Accept", "b")]);
+                let value = value.trim_matches([' ', '\t']);
+                assert_eq!(got, [("Host", "a"), (name, value), ("Accept", "b")]);
             }
             Ok(None) => panic!("the head is complete"),
             Err(e) => {

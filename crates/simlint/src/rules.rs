@@ -97,11 +97,13 @@ pub fn lint_scoped(sf: &ScopedFile) -> Vec<Diagnostic> {
         });
     };
 
-    let is_probe = file == "probe.rs";
-    // The telemetry sink shares the probe's flight-recorder discipline.
-    // Only netsim's telemetry.rs qualifies: the bench bin and the
-    // experiments module of the same name are ordinary consumer code.
-    let is_telemetry = file == "telemetry.rs" && crate_of(path) == "netsim";
+    // The recorders are netsim's probe and its telemetry sink, which
+    // shares the probe's flight-recorder discipline. Files of the same
+    // names elsewhere (the bench bin, the experiments modules) are
+    // ordinary consumer code.
+    let in_netsim = crate_of(path) == "netsim";
+    let is_probe = file == "probe.rs" && in_netsim;
+    let is_telemetry = file == "telemetry.rs" && in_netsim;
     let is_recorder = is_probe || is_telemetry;
 
     for i in 0..n {
@@ -458,6 +460,16 @@ mod tests {
         // are ordinary code.
         assert!(diags("crates/bench/src/bin/telemetry.rs", src).is_empty());
         assert!(diags("crates/core/src/experiments/telemetry.rs", src).is_empty());
+    }
+
+    #[test]
+    fn only_netsims_probe_is_a_recorder() {
+        let src = "fn f(&mut self, k: u64) {\n    let _ = self.keys.binary_search(&k);\n}\n";
+        let d = diags("crates/netsim/src/probe.rs", src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "recorder-search");
+        // The experiments module of that name reads the probe's records.
+        assert!(diags("crates/core/src/experiments/probe.rs", src).is_empty());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The scoper turns a [`Lexed`] file into a [`ScopedFile`]: every token
 //! knows whether it sits inside test-only code (`#[cfg(test)]` items or a
-//! `mod tests` block) and which function body (if any) encloses it. Allow markers are extracted from comments here too,
-//! because their meaning ("this line", "this function") depends on scope.
+//! `mod tests` block), and the file knows where each function's item and
+//! body lie. Allow markers are extracted from comments here too, because
+//! their meaning ("this line", "this function") depends on scope.
 
 use crate::lexer::{Comment, Lexed, Tok, TokKind};
 
@@ -12,14 +13,9 @@ use crate::lexer::{Comment, Lexed, Tok, TokKind};
 /// on the signature (or its doc block) covers the whole body.
 #[derive(Debug, Clone)]
 pub struct FnScope {
-    pub name: String,
     pub item_start_line: u32,
     pub body_start_line: u32,
     pub end_line: u32,
-    /// Token index of the body's opening `{`.
-    pub body_start_tok: usize,
-    /// Token index of the body's closing `}`.
-    pub body_end_tok: usize,
 }
 
 /// Where an allow marker applies.
@@ -52,23 +48,6 @@ pub struct ScopedFile {
 }
 
 impl ScopedFile {
-    /// Index into `fns` of the innermost function containing token `ti`.
-    pub fn enclosing_fn(&self, ti: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (fi, f) in self.fns.iter().enumerate() {
-            if f.body_start_tok < ti && ti < f.body_end_tok {
-                let better = match best {
-                    None => true,
-                    Some(b) => self.fns[b].body_start_tok < f.body_start_tok,
-                };
-                if better {
-                    best = Some(fi);
-                }
-            }
-        }
-        best
-    }
-
     pub fn is_test_tok(&self, ti: usize) -> bool {
         self.test.get(ti).copied().unwrap_or(false)
     }
@@ -194,12 +173,9 @@ pub fn scope_file(path: &str, lexed: Lexed, known_rules: &[&str]) -> ScopedFile 
             break;
         }
         fns.push(FnScope {
-            name: name_tok.text.clone(),
             item_start_line: toks[k].line,
             body_start_line: toks[open].line,
             end_line: toks[close].line,
-            body_start_tok: open,
-            body_end_tok: close,
         });
     }
 
@@ -360,18 +336,8 @@ mod tests {
     fn finds_function_bounds() {
         let sf = scoped("pub fn alpha<T: Ord>(x: T) -> bool {\n    x < x\n}\nfn beta() {}\n");
         assert_eq!(sf.fns.len(), 2);
-        assert_eq!(sf.fns[0].name, "alpha");
         assert_eq!(sf.fns[0].body_start_line, 1);
         assert_eq!(sf.fns[0].end_line, 3);
-        assert_eq!(sf.fns[1].name, "beta");
-    }
-
-    #[test]
-    fn nested_fn_resolves_to_innermost() {
-        let sf = scoped("fn outer() {\n    fn inner() {\n        work();\n    }\n}\n");
-        let ti = sf.toks.iter().position(|t| t.is_ident("work")).unwrap();
-        let fi = sf.enclosing_fn(ti).unwrap();
-        assert_eq!(sf.fns[fi].name, "inner");
     }
 
     #[test]
