@@ -706,6 +706,31 @@ impl PartialEq<Vec<u8>> for BytesQueue {
     }
 }
 
+/// Where the first `needle` in `hay` is: eight bytes at a time (a word
+/// holds it when one of its bytes XORs to zero), then byte by byte over
+/// the tail. The one byte search of the workspace's scanners: message
+/// heads look for LF and `:`, the HTML walk for `<` and `>`.
+#[inline]
+pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let splat = LOW * u64::from(needle);
+    let mut words = hay.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ splat;
+        // The lowest flagged byte is the first zero; a borrow can flag
+        // only bytes above it.
+        let zero = x.wrapping_sub(LOW) & !x & HIGH;
+        if zero != 0 {
+            return Some(at + zero.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == needle);
+    tail.map(|i| at + i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -991,5 +1016,25 @@ mod tests {
         let mut set = std::collections::HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
+    }
+
+    #[test]
+    fn the_byte_search_finds_the_first_match_in_any_word() {
+        for len in 1..40 {
+            for at in 0..len {
+                let mut hay = vec![b'a'; len];
+                hay[at] = b'\n';
+                if at + 9 < len {
+                    hay[at + 9] = b'\n';
+                }
+                assert_eq!(find_byte(&hay, b'\n'), Some(at), "{len} {at}");
+                // The bytes either side of the needle are not it.
+                for near in [b'\t', b'\x0b'] {
+                    hay[at] = near;
+                    let next = (at + 9 < len).then_some(at + 9);
+                    assert_eq!(find_byte(&hay, b'\n'), next, "{len} {at}");
+                }
+            }
+        }
     }
 }

@@ -38,28 +38,28 @@ const TABLE: &[Group] = &[
     (
         "counts",
         &[
-            ("matrix", [8_870, 10_923, 4_922_232, 118_081]),
-            ("fleet16", [8_384, 10_121, 3_697_708, 976_861]),
-            ("cc lossy", [8_287, 8_739, 3_019_960, 126_687]),
+            ("matrix", [8_870, 10_845, 4_330_376, 118_129]),
+            ("fleet16", [8_384, 10_121, 3_696_172, 976_349]),
+            ("cc lossy", [8_287, 8_739, 3_018_856, 126_687]),
         ],
     ),
     (
         "head_alloc",
         &[
-            ("head pipelined", [210, 285, 92_359, 60_203]),
-            ("head mux", [281, 367, 84_487, 55_325]),
-            ("head revalidate", [429, 303, 192_319, 108_179]),
+            ("head pipelined", [210, 285, 92_327, 60_187]),
+            ("head mux", [281, 367, 84_455, 55_309]),
+            ("head revalidate", [429, 303, 192_287, 108_163]),
         ],
     ),
     (
         "body_alloc",
         &[
-            ("body 1.1 1K", [9, 48, 36_516, 35_960]),
-            ("body 1.1 1M", [1_109, 55, 241_599, 240_851]),
-            ("body pipelined 1K", [9, 48, 36_516, 35_960]),
-            ("body pipelined 1M", [1_109, 55, 241_599, 240_851]),
-            ("body mux 1K", [13, 62, 40_404, 38_935]),
-            ("body mux 1M", [1_196, 272, 276_903, 257_999]),
+            ("body 1.1 1K", [9, 48, 36_484, 35_944]),
+            ("body 1.1 1M", [1_109, 55, 241_567, 240_835]),
+            ("body pipelined 1K", [9, 48, 36_484, 35_944]),
+            ("body pipelined 1M", [1_109, 55, 241_567, 240_835]),
+            ("body mux 1K", [13, 62, 40_372, 38_919]),
+            ("body mux 1M", [1_196, 272, 276_871, 257_983]),
         ],
     ),
     (
@@ -71,9 +71,9 @@ const TABLE: &[Group] = &[
             ("check pipelined 1M", [1_109, 15, 121_180, 121_180]),
             ("check mux 1K", [13, 23, 3_764, 3_380]),
             ("check mux 1M", [1_196, 114, 261_400, 203_520]),
-            ("fleet10", [9_198, 7_415, 3_555_498, 1_830_081]),
-            ("fleet10 sink", [9_198, 7_762, 4_544_138, 2_802_209]),
-            ("fleet10 trace", [9_198, 7_457, 5_038_154, 3_363_275]),
+            ("fleet10", [9_198, 7_415, 3_554_730, 1_829_569]),
+            ("fleet10 sink", [9_198, 7_762, 4_543_370, 2_801_697]),
+            ("fleet10 trace", [9_198, 7_457, 5_037_386, 3_362_763]),
             ("check fleet10", [9_198, 2_778, 1_156_928, 116_744]),
             ("pcapng fleet10", [9_198, 1, 3_818_700, 3_818_700]),
         ],

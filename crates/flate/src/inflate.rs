@@ -48,14 +48,132 @@ impl std::fmt::Display for InflateError {
 
 impl std::error::Error for InflateError {}
 
+/// DEFLATE's history: no back-reference reaches further (RFC 1951
+/// §3.2.5), so a decoder needs no more of its output than this.
+pub(crate) const WINDOW: usize = 32 * 1024;
+
+/// The last [`WINDOW`] bytes of output, written round and round: the one
+/// copy of the output a decoder keeps. The bytes new since the last
+/// hand-over are `buf[from..at]`; they go to the caller when the window
+/// fills (before they are written over) and when the caller asks.
+struct Window {
+    buf: Box<[u8]>,
+    /// Where the next byte goes.
+    at: usize,
+    /// The first byte not yet handed over.
+    from: usize,
+    /// Bytes written before the current lap: a multiple of [`WINDOW`].
+    lapped: usize,
+}
+
+impl Default for Window {
+    fn default() -> Self {
+        Window {
+            buf: vec![0; WINDOW].into_boxed_slice(),
+            at: 0,
+            from: 0,
+            lapped: 0,
+        }
+    }
+}
+
+impl std::fmt::Debug for Window {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = self.at - self.from;
+        write!(f, "Window {{ written: {}, held: {held} }}", self.written())
+    }
+}
+
+/// Where a decoder hands its output.
+type Emit<'a> = dyn FnMut(&[u8]) + 'a;
+
+impl Window {
+    /// Bytes written in all.
+    fn written(&self) -> usize {
+        self.lapped + self.at
+    }
+
+    /// Hand over what is new, then start the next lap at the front.
+    #[cold]
+    fn lap(&mut self, emit: &mut Emit<'_>) {
+        emit(&self.buf[self.from..]);
+        (self.at, self.from) = (0, 0);
+        self.lapped += WINDOW;
+    }
+
+    /// `n` bytes have just been written at `at`.
+    #[inline]
+    fn wrote(&mut self, n: usize, emit: &mut Emit<'_>) {
+        self.at += n;
+        if self.at == WINDOW {
+            self.lap(emit);
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, byte: u8, emit: &mut Emit<'_>) {
+        self.buf[self.at] = byte;
+        self.wrote(1, emit);
+    }
+
+    fn extend(&mut self, mut bytes: &[u8], emit: &mut Emit<'_>) {
+        while !bytes.is_empty() {
+            let n = bytes.len().min(WINDOW - self.at);
+            self.buf[self.at..self.at + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            self.wrote(n, emit);
+        }
+    }
+
+    /// Repeat the `len` bytes that start `dist` back, a stretch between
+    /// the window's edges at a time. A stretch no longer than `dist` is
+    /// one copy — its source lies behind it, or ahead of it in the window
+    /// (the lap before), where a forward copy reads only bytes it has not
+    /// written yet; a longer one overlaps its own output and repeats its
+    /// first `dist` bytes.
+    fn repeat(&mut self, dist: usize, len: usize, emit: &mut Emit<'_>) -> Result<(), InflateError> {
+        if dist > self.written() {
+            return Err(InflateError::BadDistance);
+        }
+        let mut src = (self.at + WINDOW - dist) % WINDOW;
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(WINDOW - self.at).min(WINDOW - src);
+            if dist >= n {
+                self.buf.copy_within(src..src + n, self.at);
+            } else {
+                for k in 0..n {
+                    self.buf[self.at + k] = self.buf[src + k];
+                }
+            }
+            src = (src + n) % WINDOW;
+            left -= n;
+            self.wrote(n, emit);
+        }
+        Ok(())
+    }
+
+    /// Hand over what is new.
+    fn release(&mut self, emit: &mut Emit<'_>) {
+        if self.from < self.at {
+            emit(&self.buf[self.from..self.at]);
+            self.from = self.at;
+        }
+    }
+}
+
 /// A resumable DEFLATE decompressor, for a stream that is still arriving
 /// — e.g. a browser parsing compressed HTML as it comes. A symbol (a
 /// literal, or a length with its distance), a stored block, and a block
 /// header with its code tables are each decoded whole or not at all: input
 /// that ends inside one leaves the cursor at its start.
+///
+/// The decoder keeps no output but DEFLATE's 32 KiB window, allocated once:
+/// it hands each run of new bytes to its caller, when the window fills
+/// and when a call ends without error.
 #[derive(Debug, Default)]
 pub struct Inflater {
-    out: Vec<u8>,
+    window: Window,
     /// Stream position, in bits, of the first item not yet decoded.
     bit_pos: usize,
     /// Inside a Huffman block: its two tables, and whether it is the last.
@@ -64,41 +182,59 @@ pub struct Inflater {
 }
 
 impl Inflater {
-    /// Everything decoded so far.
-    pub fn output(&self) -> &[u8] {
-        &self.out
-    }
-
-    /// Give up the decoded bytes.
-    pub fn into_output(self) -> Vec<u8> {
-        self.out
-    }
-
     /// Bytes of the stream the cursor is past (the last maybe in part).
     pub fn consumed(&self) -> usize {
         self.bit_pos.div_ceil(8)
     }
 
     /// Decode what is new in `stream_so_far` — the stream from its first
-    /// byte — and say whether the final block has ended. Truncation is
-    /// expected, not an error; any other error repeats on every later call.
-    pub fn advance(&mut self, stream_so_far: &[u8]) -> Result<bool, InflateError> {
+    /// byte — handing `emit` every decoded byte in order, and say whether
+    /// the final block has ended. Truncation is expected, not an error;
+    /// any other error repeats on every later call, and `emit` gets none
+    /// of what the failing call decoded after the window last filled.
+    pub fn advance(
+        &mut self,
+        stream_so_far: &[u8],
+        mut emit: impl FnMut(&[u8]),
+    ) -> Result<bool, InflateError> {
+        let done = self.advance_held(stream_so_far, &mut emit)?;
+        self.window.release(&mut emit);
+        Ok(done)
+    }
+
+    /// [`Inflater::advance`], but the bytes decoded since the window last
+    /// filled stay [`Inflater::held`] until [`Inflater::release`].
+    pub(crate) fn advance_held(
+        &mut self,
+        stream_so_far: &[u8],
+        emit: &mut Emit<'_>,
+    ) -> Result<bool, InflateError> {
         let mut r = BitReader::at_bit(stream_so_far, self.bit_pos);
-        match self.decode(&mut r) {
+        match self.decode(&mut r, emit) {
             Ok(()) | Err(InflateError::UnexpectedEof) => Ok(self.done),
             Err(e) => Err(e),
         }
     }
 
+    /// Decoded bytes not yet handed over.
+    pub(crate) fn held(&self) -> &[u8] {
+        &self.window.buf[self.window.from..self.window.at]
+    }
+
+    /// Hand over the bytes held.
+    pub(crate) fn release(&mut self, emit: &mut Emit<'_>) {
+        self.window.release(emit);
+    }
+
     /// Decode items to the end of the stream or of the input; `bit_pos`
     /// moves only past items decoded whole.
-    fn decode(&mut self, r: &mut BitReader<'_>) -> Result<(), InflateError> {
+    fn decode(&mut self, r: &mut BitReader<'_>, emit: &mut Emit<'_>) -> Result<(), InflateError> {
         while !self.done {
             let Some((lit, dist, last)) = &self.block else {
                 let last = r.read_bit()? == 1;
                 let tables = match r.read_bits(2)? {
                     0b00 => {
-                        stored_block(r, &mut self.out)?;
+                        stored_block(r, &mut self.window, emit)?;
                         self.done = last;
                         None
                     }
@@ -116,7 +252,7 @@ impl Inflater {
                 self.bit_pos = r.bit_position();
                 continue;
             };
-            while symbol(r, &mut self.out, lit, dist)? {
+            while symbol(r, &mut self.window, lit, dist, emit)? {
                 self.bit_pos = r.bit_position();
             }
             self.bit_pos = r.bit_position();
@@ -129,21 +265,26 @@ impl Inflater {
 
 /// Decompress a raw DEFLATE stream.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    let mut inflater = Inflater::default();
-    if !inflater.advance(data)? {
-        return Err(InflateError::UnexpectedEof);
+    let mut out = Vec::new();
+    let done = Inflater::default().advance(data, |run| out.extend_from_slice(run))?;
+    match done {
+        true => Ok(out),
+        false => Err(InflateError::UnexpectedEof),
     }
-    Ok(inflater.into_output())
 }
 
-fn stored_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), InflateError> {
+fn stored_block(
+    r: &mut BitReader<'_>,
+    out: &mut Window,
+    emit: &mut Emit<'_>,
+) -> Result<(), InflateError> {
     r.align_byte();
     let len = r.read_bits(16)? as u16;
     let nlen = r.read_bits(16)? as u16;
     if len != !nlen {
         return Err(InflateError::BadStoredLength);
     }
-    out.extend_from_slice(r.read_bytes(len as usize)?);
+    out.extend(r.read_bytes(len as usize)?, emit);
     Ok(())
 }
 
@@ -228,13 +369,14 @@ fn dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, DistDecoder), Infla
 /// end-of-block symbol. `out` changes only once the whole symbol is read.
 fn symbol(
     r: &mut BitReader<'_>,
-    out: &mut Vec<u8>,
+    out: &mut Window,
     lit: &Decoder,
     dist: &DistDecoder,
+    emit: &mut Emit<'_>,
 ) -> Result<bool, InflateError> {
     let sym = decode_symbol(r, lit)?;
     match sym {
-        0..=255 => out.push(sym as u8),
+        0..=255 => out.push(sym as u8, emit),
         256 => return Ok(false),
         257..=285 => {
             let (extra, base) = LENGTH_TABLE[(sym - 257) as usize];
@@ -246,20 +388,7 @@ fn symbol(
             }
             let (dextra, dbase) = DIST_TABLE[dsym as usize];
             let d = dbase as usize + r.read_bits(dextra)? as usize;
-            if d > out.len() {
-                return Err(InflateError::BadDistance);
-            }
-            // A match that overlaps its own output repeats its first `d`
-            // bytes; one that does not is one copy.
-            let start = out.len() - d;
-            out.reserve(len);
-            if d >= len {
-                out.extend_from_within(start..start + len);
-            } else {
-                for k in 0..len {
-                    out.push(out[start + k]);
-                }
-            }
+            out.repeat(d, len, emit)?;
         }
         _ => return Err(InflateError::BadSymbol),
     }
@@ -328,6 +457,87 @@ mod tests {
         assert_eq!(inflate(&raw).unwrap_err(), InflateError::BadDistance);
     }
 
+    /// `prefix` in stored blocks, then a last, fixed block of the matches
+    /// `(dist, len)` in turn; and the bytes it decodes to, repeated a byte
+    /// at a time.
+    fn with_matches(prefix: &[u8], matches: &[(usize, usize)]) -> (Vec<u8>, Vec<u8>) {
+        use crate::bitio::BitWriter;
+        use crate::huffman::assign_codes;
+        use crate::tables::{dist_to_symbol, length_to_symbol};
+        let mut w = BitWriter::new();
+        for block in prefix.chunks(usize::from(u16::MAX)) {
+            w.write_bits(0, 1);
+            w.write_bits(0b00, 2);
+            w.align_byte();
+            w.write_bits(block.len() as u32, 16);
+            w.write_bits(!(block.len() as u32) & 0xFFFF, 16);
+            w.write_bytes(block);
+        }
+        w.write_bits(1, 1);
+        w.write_bits(0b01, 2);
+        let (lit, dist) = (fixed_litlen_lengths(), fixed_dist_lengths());
+        let (lit_codes, dist_codes) = (assign_codes(&lit), assign_codes(&dist));
+        let mut want = prefix.to_vec();
+        for &(d, len) in matches {
+            let (sym, extra, value) = length_to_symbol(len as u16);
+            w.write_code(lit_codes[sym as usize], lit[sym as usize]);
+            w.write_bits(value, extra);
+            let (sym, extra, value) = dist_to_symbol(d as u16);
+            w.write_code(dist_codes[sym as usize], dist[sym as usize]);
+            w.write_bits(value, extra);
+            // (No bytes for a reference before the first byte.)
+            for _ in 0..len {
+                want.extend(want.len().checked_sub(d).map(|at| want[at]));
+            }
+        }
+        w.write_code(lit_codes[256], lit[256]);
+        (w.finish(), want)
+    }
+
+    #[test]
+    fn back_references_reach_a_whole_window_back_across_its_edge() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(32_768);
+        let data: Vec<u8> = (0..2 * WINDOW + 300).map(|_| rng.gen()).collect();
+        // Matches that write across the window's edge, reading exactly a
+        // window back (the byte about to be written over), a byte less,
+        // from inside the match itself, and from the lap before.
+        let matches = [
+            (WINDOW, 258),
+            (WINDOW - 1, 258),
+            (1, 258),
+            (300, 258),
+            (WINDOW, 3),
+        ];
+        for prefix in [
+            WINDOW,
+            WINDOW + 1,
+            2 * WINDOW - 300,
+            2 * WINDOW - 1,
+            2 * WINDOW + 5,
+        ] {
+            let (stream, want) = with_matches(&data[..prefix], &matches);
+            assert_eq!(
+                inflate(&stream).as_deref(),
+                Ok(&want[..]),
+                "prefix {prefix}"
+            );
+            for piece in [1, 1000] {
+                let (mut inflater, mut out, mut len) = (Inflater::default(), Vec::new(), 0);
+                while len < stream.len() {
+                    len = (len + piece).min(stream.len());
+                    let done = inflater.advance(&stream[..len], |run| out.extend_from_slice(run));
+                    assert_eq!(done, Ok(len == stream.len()), "prefix {prefix}, {len}");
+                }
+                assert!(out == want, "prefix {prefix}, pieces of {piece}");
+            }
+        }
+        // A window back is as far as a reference may reach, and never
+        // before the first byte.
+        let (stream, _) = with_matches(&data[..WINDOW - 1], &[(WINDOW, 3)]);
+        assert_eq!(inflate(&stream), Err(InflateError::BadDistance));
+    }
+
     #[test]
     fn empty_stream_is_eof() {
         assert_eq!(inflate(&[]).unwrap_err(), InflateError::UnexpectedEof);
@@ -341,41 +551,48 @@ mod tests {
         // prefix of the original.
         let cut = full.len() * 6 / 10;
         let mut inflater = Inflater::default();
-        assert_eq!(inflater.advance(&full[..cut]), Ok(false));
-        let partial = inflater.output().len();
+        let mut out = Vec::new();
+        let mut keep = |run: &[u8]| out.extend_from_slice(run);
+        assert_eq!(inflater.advance(&full[..cut], &mut keep), Ok(false));
+        let partial = out.len();
         assert!(0 < partial && partial < text.len());
-        assert_eq!(inflater.output(), &text[..partial]);
+        assert_eq!(out, &text[..partial]);
         // The rest of the stream completes it from where it stopped.
-        assert_eq!(inflater.advance(&full), Ok(true));
-        assert_eq!(inflater.output(), text);
+        let mut keep = |run: &[u8]| out.extend_from_slice(run);
+        assert_eq!(inflater.advance(&full, &mut keep), Ok(true));
+        assert_eq!(out, text);
         assert_eq!(inflater.consumed(), full.len());
         // Non-EOF corruption still errors, on every call.
         let mut bad = Inflater::default();
         assert_eq!(
-            bad.advance(&[0b0000_0111u8]),
+            bad.advance(&[0b0000_0111u8], |_| {}),
             Err(InflateError::BadBlockType)
         );
         assert_eq!(
-            bad.advance(&[0b0000_0111u8, 0]),
+            bad.advance(&[0b0000_0111u8, 0], |_| {}),
             Err(InflateError::BadBlockType)
         );
     }
 
-    /// Grow the stream a byte at a time: output only ever extends, and at
-    /// the end one `Inflater` has produced exactly what `inflate` does.
+    /// Grow the stream a byte at a time: each call hands over what it
+    /// decoded (nothing when it fails), and at the end one `Inflater` has
+    /// handed over exactly what `inflate` makes of the whole.
     fn check_every_prefix(stream: &[u8]) {
         let mut inflater = Inflater::default();
+        let mut out = Vec::new();
         let mut last = Ok(false);
         for len in 0..=stream.len() {
-            let before = inflater.output().to_vec();
-            let now = inflater.advance(&stream[..len]);
+            let (before, decoded) = (out.len(), inflater.window.written());
+            let now = inflater.advance(&stream[..len], |run| out.extend_from_slice(run));
             assert!(last.is_ok() || now == last, "an error must repeat");
-            assert!(inflater.output().starts_with(&before), "prefix {len}");
+            if now.is_ok() {
+                assert_eq!(out.len() - before, inflater.window.written() - decoded);
+            }
             assert!(inflater.consumed() <= len);
             last = now;
         }
         match inflate(stream) {
-            Ok(bytes) => assert_eq!((last, inflater.output()), (Ok(true), &bytes[..])),
+            Ok(bytes) => assert_eq!((last, &out[..]), (Ok(true), &bytes[..])),
             Err(InflateError::UnexpectedEof) => assert_eq!(last, Ok(false)),
             Err(e) => assert_eq!(last, Err(e)),
         }
@@ -403,28 +620,31 @@ mod tests {
     }
 
     /// What one inflater makes of `stream` handed to it a byte longer at a
-    /// time, raw or zlib-wrapped: after each prefix, the output's length,
+    /// time, raw or zlib-wrapped: after each prefix, the bytes decoded,
     /// the bits consumed and the verdict; then the whole output. `serial`
     /// builds every decoder without its table.
     fn prefix_trace(stream: &[u8], zlib: bool, serial: bool) -> (Vec<String>, Vec<u8>) {
         SERIAL.set(serial);
         let (mut raw, mut wrapped) = (Inflater::default(), crate::zlib::Decompressor::default());
-        let mut trace = Vec::new();
+        let (mut trace, mut out) = (Vec::new(), Vec::new());
         for len in 0..=stream.len() {
+            let keep = |run: &[u8]| out.extend_from_slice(run);
             let verdict = match zlib {
-                false => format!("{:?}", raw.advance(&stream[..len])),
-                true => format!("{:?}", wrapped.advance(&stream[..len], len == stream.len())),
+                false => format!("{:?}", raw.advance(&stream[..len], keep)),
+                true => format!(
+                    "{:?}",
+                    wrapped.advance(&stream[..len], len == stream.len(), keep)
+                ),
             };
             let inflater = if zlib { &wrapped.inflater } else { &raw };
             trace.push(format!(
                 "{len}: {} {} {verdict}",
-                inflater.out.len(),
+                inflater.window.written(),
                 inflater.bit_pos
             ));
         }
         SERIAL.set(false);
-        let inflater = if zlib { wrapped.inflater } else { raw };
-        (trace, inflater.into_output())
+        (trace, out)
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!
 //! * [`deflate()`] / [`inflate()`] — raw RFC 1951 streams (stored, fixed
 //!   and dynamic Huffman blocks, LZ77 with lazy matching), and
-//!   [`Inflater`], the same decoder resumable over a stream still arriving;
+//!   [`Inflater`], the same decoder resumable over a stream still
+//!   arriving, which keeps only DEFLATE's 32 KiB window and hands its
+//!   caller each run it decodes;
 //! * [`zlib::compress`] / [`zlib::decompress`] — the RFC 1950 container
 //!   with Adler-32 integrity checking;
 //! * [`checksum`] — Adler-32 and CRC-32 (the latter shared with the PNG

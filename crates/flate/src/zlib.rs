@@ -2,7 +2,7 @@
 //! and an Adler-32 trailer. This is the `deflate` content-coding HTTP/1.1
 //! actually negotiates (RFC 2068 defines "deflate" as the zlib format).
 
-use crate::checksum::adler32;
+use crate::checksum::{adler32, Adler32};
 use crate::deflate::{deflate, Level};
 use crate::inflate::{InflateError, Inflater};
 
@@ -63,31 +63,38 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 
 /// A resumable zlib reader: checks the two header bytes once, then drives
 /// an [`Inflater`] over the DEFLATE stream behind them — for consumers
-/// that inspect the data before the stream completes.
+/// that inspect the data before the stream completes. It keeps no output
+/// but the inflater's window, and checks the trailer against a running
+/// Adler-32 of what it has handed over.
 #[derive(Debug, Default)]
 pub struct Decompressor {
     /// Bytes of the stream read so far; 0 until the header has been checked.
     consumed: usize,
     pub(crate) inflater: Inflater,
+    /// Adler-32 of every byte handed over so far.
+    adler: Adler32,
 }
 
 impl Decompressor {
-    /// Everything decompressed so far.
-    pub fn output(&self) -> &[u8] {
-        self.inflater.output()
-    }
-
     /// Bytes of the stream read so far, header and trailer included.
     pub fn consumed(&self) -> usize {
         self.consumed
     }
 
     /// Decompress what is new in `stream`, the stream from its first byte
-    /// as far as it has arrived. Short of `at_end` a stream that merely
-    /// stops short is not an error; at the end it is, and the Adler-32
-    /// trailer must match everything decompressed. A bad header or
-    /// invalid data is an error on this and every later call.
-    pub fn advance(&mut self, stream: &[u8], at_end: bool) -> Result<(), ZlibError> {
+    /// as far as it has arrived, handing `emit` each decoded byte in
+    /// order. Short of `at_end` a stream that merely stops short is not
+    /// an error; at the end it is, and the Adler-32 trailer must match
+    /// everything decompressed. A bad header or invalid data is an error
+    /// on this and every later call. A call that fails hands over none
+    /// of what it decoded after the window last filled — at the end, so
+    /// a bad trailer or a short stream withholds the call's last run.
+    pub fn advance(
+        &mut self,
+        stream: &[u8],
+        at_end: bool,
+        mut emit: impl FnMut(&[u8]),
+    ) -> Result<(), ZlibError> {
         // A whole stream ends in four bytes that are not DEFLATE data.
         if at_end && stream.len() < 6 {
             return Err(ZlibError::Truncated);
@@ -107,29 +114,40 @@ impl Decompressor {
                 return Err(ZlibError::NeedsDictionary);
             }
         }
+        let adler = &mut self.adler;
         let done = self
             .inflater
-            .advance(deflated)
+            .advance_held(deflated, &mut |run| {
+                adler.update(run);
+                emit(run)
+            })
             .map_err(ZlibError::Deflate)?;
         self.consumed = 2 + self.inflater.consumed();
         if at_end {
             if !done {
                 return Err(ZlibError::Deflate(InflateError::UnexpectedEof));
             }
-            if trailer != adler32(self.output()).to_be_bytes() {
+            let mut whole = self.adler;
+            whole.update(self.inflater.held());
+            if trailer != whole.finish().to_be_bytes() {
                 return Err(ZlibError::BadChecksum);
             }
             self.consumed = stream.len();
         }
+        let adler = &mut self.adler;
+        self.inflater.release(&mut |run| {
+            adler.update(run);
+            emit(run)
+        });
         Ok(())
     }
 }
 
 /// Decompress a zlib stream.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, ZlibError> {
-    let mut reader = Decompressor::default();
-    reader.advance(data, true)?;
-    Ok(reader.inflater.into_output())
+    let mut out = Vec::new();
+    Decompressor::default().advance(data, true, |run| out.extend_from_slice(run))?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -170,41 +188,71 @@ mod tests {
         assert_eq!(decompress(&z).unwrap_err(), ZlibError::BadHeaderCheck);
     }
 
+    /// Hand `reader` the stream so far, keeping what it hands over.
+    fn feed(
+        reader: &mut Decompressor,
+        out: &mut Vec<u8>,
+        stream: &[u8],
+        at_end: bool,
+    ) -> Result<(), ZlibError> {
+        reader.advance(stream, at_end, |run| out.extend_from_slice(run))
+    }
+
     #[test]
     fn prefix_decompress_streams() {
         let data = b"partial zlib payloads decode as a prefix ".repeat(30);
         let z = compress(&data, Level::Default);
-        let mut reader = Decompressor::default();
-        reader.advance(&[], false).unwrap();
-        reader.advance(&z[..1], false).unwrap();
-        assert_eq!((reader.output().len(), reader.consumed()), (0, 0));
-        reader.advance(&z[..z.len() / 2], false).unwrap();
-        let partial = reader.output().len();
+        let (mut reader, mut out) = (Decompressor::default(), Vec::new());
+        feed(&mut reader, &mut out, &[], false).unwrap();
+        feed(&mut reader, &mut out, &z[..1], false).unwrap();
+        assert_eq!((out.len(), reader.consumed()), (0, 0));
+        feed(&mut reader, &mut out, &z[..z.len() / 2], false).unwrap();
+        let partial = out.len();
         assert!(partial > 0);
-        assert_eq!(reader.output(), &data[..partial]);
+        assert_eq!(out, &data[..partial]);
         // The same reader finishes the stream: every byte read once, the
         // trailer checked against all of the output.
-        reader.advance(&z, true).unwrap();
-        assert_eq!(reader.output(), data);
+        feed(&mut reader, &mut out, &z, true).unwrap();
+        assert_eq!(out, data);
         assert_eq!(reader.consumed(), z.len());
         assert_eq!(
-            Decompressor::default().advance(&[0x79, 0x9C, 1], false),
+            Decompressor::default().advance(&[0x79, 0x9C, 1], false, |_| {}),
             Err(ZlibError::BadHeader)
         );
+        // A bad trailer: the call that finds it hands over nothing.
         let mut flipped = z.clone();
         *flipped.last_mut().unwrap() ^= 0xFF;
-        let mut reader = Decompressor::default();
-        reader
-            .advance(&flipped[..flipped.len() / 2], false)
-            .unwrap();
-        assert_eq!(reader.advance(&flipped, true), Err(ZlibError::BadChecksum));
+        let (mut reader, mut out) = (Decompressor::default(), Vec::new());
+        feed(&mut reader, &mut out, &flipped[..flipped.len() / 2], false).unwrap();
+        let before = out.len();
+        let verdict = feed(&mut reader, &mut out, &flipped, true);
+        assert_eq!((verdict, out.len()), (Err(ZlibError::BadChecksum), before));
         // A stream cut short is fine until it is said to be whole.
-        let mut reader = Decompressor::default();
-        reader.advance(&z[..z.len() - 5], false).unwrap();
+        let (mut reader, mut out) = (Decompressor::default(), Vec::new());
+        feed(&mut reader, &mut out, &z[..z.len() - 5], false).unwrap();
+        let before = out.len();
         assert_eq!(
-            reader.advance(&z[..z.len() - 1], true),
+            feed(&mut reader, &mut out, &z[..z.len() - 1], true),
             Err(ZlibError::Deflate(InflateError::UnexpectedEof))
         );
+        assert_eq!(out.len(), before);
+    }
+
+    #[test]
+    fn the_running_adler_covers_every_byte_handed_over_once() {
+        let html = webcontent::microscape::Microscape::generate().html;
+        let z = compress(html.as_bytes(), Level::Default);
+        for piece in [1, 7, 536, 1460, z.len()] {
+            let (mut reader, mut out) = (Decompressor::default(), Vec::new());
+            let mut len = 0;
+            while len < z.len() {
+                len = (len + piece).min(z.len());
+                feed(&mut reader, &mut out, &z[..len], len == z.len()).unwrap();
+                assert_eq!(reader.adler.finish(), adler32(&out), "{piece} {len}");
+            }
+            assert_eq!(reader.adler.finish(), adler32(html.as_bytes()));
+            assert_eq!(out, html.as_bytes());
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn truncation_never_panics() {
         let cut = rng.gen_range(0..2048usize).min(compressed.len());
         // Must return (Ok or Err), never panic.
         let _ = inflate(&compressed[..cut]);
-        let _ = Inflater::default().advance(&compressed[..cut]);
+        let _ = Inflater::default().advance(&compressed[..cut], |_| {});
     }
 }
 
@@ -105,9 +105,9 @@ fn garbage_never_panics() {
         // The resumable reader, fed the garbage in two pieces: a typed
         // error or short output, never a panic.
         let mut reader = flate::zlib::Decompressor::default();
-        let _ = reader.advance(&data[..data.len() / 2], false);
-        let _ = reader.advance(&data, false);
-        let _ = reader.advance(&data, true);
+        let _ = reader.advance(&data[..data.len() / 2], false, |_| {});
+        let _ = reader.advance(&data, false, |_| {});
+        let _ = reader.advance(&data, true, |_| {});
     }
 }
 
@@ -120,12 +120,14 @@ fn prefix_decode_is_a_prefix() {
         let compressed = deflate(&data, Level::Default);
         let cut_pct = rng.gen_range(10..100usize);
         let cut = compressed.len() * cut_pct / 100;
-        let mut inflater = Inflater::default();
-        inflater.advance(&compressed[..cut]).expect("only short");
-        assert_eq!(inflater.output(), &data[..inflater.output().len()]);
+        let (mut inflater, mut out) = (Inflater::default(), Vec::new());
+        let prefix = inflater.advance(&compressed[..cut], |run| out.extend_from_slice(run));
+        prefix.expect("only short");
+        assert_eq!(out, &data[..out.len()]);
         // Resumed over the whole stream it ends where `inflate` does.
-        assert_eq!(inflater.advance(&compressed), Ok(true));
-        assert_eq!(inflater.output(), data);
+        let whole = inflater.advance(&compressed, |run| out.extend_from_slice(run));
+        assert_eq!(whole, Ok(true));
+        assert_eq!(out, data);
     }
 }
 

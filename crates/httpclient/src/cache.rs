@@ -8,6 +8,7 @@
 //! system; ours models the memory-backed variant (no I/O cost).
 
 use httpwire::validators::{ETag, Validators};
+use netsim::fxhash::FxHashMap;
 use std::sync::Arc;
 
 /// One cached entity.
@@ -22,11 +23,9 @@ pub struct CacheEntry {
     pub embedded: Vec<Arc<str>>,
 }
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "keyed lookup only (get/insert by path); never iterated, so map order cannot leak into a run"
-)]
-type Entries = std::collections::HashMap<Arc<str>, CacheEntry>;
+/// Keyed lookup only (get/insert by path), never iterated, so map order
+/// cannot leak into a run.
+type Entries = FxHashMap<Arc<str>, CacheEntry>;
 
 /// Path-keyed client cache. A primed cache is cloned into every run that
 /// revalidates: a clone shares the entries written before it (`base`),

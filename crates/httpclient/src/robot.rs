@@ -210,27 +210,127 @@ impl Conns {
 
 /// The one pass over the start page as it arrives: each wire byte goes
 /// through the resumable zlib reader once (if the body is deflated), each
-/// page byte through `webcontent::html::walk` once. Both read contiguous
-/// bytes, so the scan keeps its own copy of the wire body — the one copy
-/// a received body byte gets, and only this page's. At most one such
-/// response is in flight per client, so the client owns the scan, not
-/// each connection; it starts over whenever the page's request is placed.
+/// page byte through `webcontent::html::walk` once. The reader keeps no
+/// page but DEFLATE's 32 KiB window and hands the scan each run it
+/// decodes; the walk takes the runs (or an identity body's new bytes,
+/// read where they lie) and carries over only the tag it has not seen
+/// the end of. The reader wants the stream from its first byte in one
+/// slice and a body is chunks, so a deflated body is copied as it
+/// arrives: the one copy a received body byte gets, and only this page's.
+/// At most one such response is in flight per client, so the client owns
+/// the scan, not each connection; it starts over whenever the page's
+/// request is placed.
 #[derive(Debug, Default)]
 struct PageScan {
+    /// The deflated wire body and its reader, once the body has declared
+    /// the `deflate` coding.
+    inflating: Option<Box<Inflating>>,
+    /// The page as walked so far.
+    page: PageWalk,
+    /// Wire body bytes read over the client's life, restarts included.
+    /// Counted for the tests only — a field here is paid for by every
+    /// client of a fleet.
+    #[cfg(test)]
+    wire_read: usize,
+}
+
+/// A deflated start page being read.
+#[derive(Debug, Default)]
+struct Inflating {
     /// The wire body so far: copied in as it arrives.
     wire: BytesMut,
-    /// Decoded page bytes the walk is past.
-    cursor: usize,
-    /// The wire body's reader, once it has declared the `deflate` coding.
-    inflater: Option<Box<flate::zlib::Decompressor>>,
+    reader: flate::zlib::Decompressor,
+}
+
+/// The walk's side of a [`PageScan`]: the page bytes handed to it so far,
+/// in runs, and what it found in them.
+#[derive(Debug, Default)]
+struct PageWalk {
+    /// Page bytes handed over: the decoded length so far.
+    len: usize,
+    /// The page from the first `<` the walk could not finish yet — a tag,
+    /// comment or declaration whose end has not arrived — to the end of
+    /// what has.
+    carry: BytesMut,
     /// The `src` of every `<img>` walked past, in document order: the
     /// cache's `embedded` list once the page is complete.
     sources: Vec<Arc<str>>,
-    /// Work done over the client's life, restarts included: page bytes
-    /// walked, wire body bytes read. Counted for the tests only — a field
-    /// here is paid for by every client of a fleet.
+    /// Page bytes walked past over the client's life, restarts included;
+    /// for the tests only, like [`PageScan::wire_read`].
     #[cfg(test)]
-    work: (usize, usize),
+    walked: usize,
+}
+
+impl PageWalk {
+    /// Walk `run`, the page bytes that follow those handed over before.
+    fn take(&mut self, mut run: &[u8], found: &mut impl FnMut(&str) -> Arc<str>) {
+        self.len += run.len();
+        // A carried tag is finished first: the run's bytes move across to
+        // it up to each `>` in turn until the walk gets past it.
+        while !self.carry.is_empty() && !run.is_empty() {
+            let take = bytes::find_byte(run, b'>').map_or(run.len(), |gt| gt + 1);
+            self.carry.extend_from_slice(&run[..take]);
+            run = &run[take..];
+            let used = self.walk(false, found);
+            self.carry.advance(used);
+        }
+        if self.carry.is_empty() {
+            let used = walk_sources(run, false, &mut self.sources, found);
+            self.count(used);
+            self.carry.extend_from_slice(&run[used..]);
+        }
+    }
+
+    /// The page is complete: walk what is carried as its end.
+    fn finish(&mut self, found: &mut impl FnMut(&str) -> Arc<str>) {
+        self.walk(true, found);
+        self.carry.clear();
+    }
+
+    /// Start the page over, giving up the sources found.
+    fn reset(&mut self) -> Vec<Arc<str>> {
+        self.len = 0;
+        self.carry.clear();
+        std::mem::take(&mut self.sources)
+    }
+
+    /// Walk the carry, returning how far the walk got.
+    fn walk(&mut self, at_end: bool, found: &mut impl FnMut(&str) -> Arc<str>) -> usize {
+        let used = walk_sources(&self.carry, at_end, &mut self.sources, found);
+        self.count(used);
+        used
+    }
+
+    fn count(&mut self, _walked: usize) {
+        #[cfg(test)]
+        {
+            self.walked += _walked;
+        }
+    }
+}
+
+/// [`webcontent::html::walk`] over `page`, adding to `sources` what
+/// `found` keeps for each image source passed.
+fn walk_sources(
+    page: &[u8],
+    at_end: bool,
+    sources: &mut Vec<Arc<str>>,
+    found: &mut impl FnMut(&str) -> Arc<str>,
+) -> usize {
+    webcontent::html::walk(page, at_end, |token| {
+        if let Some(src) = webcontent::html::image_source(&token) {
+            sources.push(found(&src));
+        }
+    })
+}
+
+/// The chunks of `body` past its first `skip` bytes.
+fn new_runs(body: &BytesQueue, mut skip: usize) -> impl Iterator<Item = &[u8]> {
+    body.chunks().filter_map(move |chunk| {
+        let new = &chunk[skip.min(chunk.len())..];
+        skip = skip.saturating_sub(chunk.len());
+        (!new.is_empty()).then_some(new)
+    })
 }
 
 impl PageScan {
@@ -239,9 +339,10 @@ impl PageScan {
     /// passed, which returns the path to keep for it. Returns the decoded
     /// length so far.
     ///
-    /// Mid-stream a coded body that will not decode shows nothing. At the
-    /// end it gets the forgiving reading a finished response always got
-    /// (a raw DEFLATE stream, else the bytes as sent), walked from the top.
+    /// Mid-stream a coded body that will not decode shows nothing more.
+    /// At the end it gets the forgiving reading a finished response
+    /// always got (a raw DEFLATE stream, else the bytes as sent), read
+    /// from the response body and walked from the top.
     fn advance(
         &mut self,
         body: &BytesQueue,
@@ -249,54 +350,55 @@ impl PageScan {
         at_end: bool,
         mut found: impl FnMut(&str) -> Arc<str>,
     ) -> usize {
-        let mut skip = self.wire.len();
-        for chunk in body.chunks() {
-            self.wire.extend_from_slice(&chunk[skip.min(chunk.len())..]);
-            skip = skip.saturating_sub(chunk.len());
-        }
-        let wire = &self.wire[..];
-        let forgiven;
-        let mut page = wire;
+        let page = &mut self.page;
         if deflated {
-            let reader = self.inflater.get_or_insert_with(Box::default);
+            let Inflating { wire, reader } = &mut **self.inflating.get_or_insert_with(Box::default);
+            for run in new_runs(body, wire.len()) {
+                wire.extend_from_slice(run);
+            }
             #[cfg(test)]
             let before = reader.consumed();
-            let read = reader.advance(wire, at_end);
+            let read = reader.advance(wire, at_end, |run| page.take(run, &mut found));
             #[cfg(test)]
             {
-                self.work.1 += reader.consumed() - before;
+                self.wire_read += reader.consumed() - before;
             }
-            page = match read {
-                Ok(()) => reader.output(),
+            match read {
+                Ok(()) => {}
                 Err(_) if !at_end => return 0,
                 Err(_) => {
-                    (self.cursor, self.sources) = (0, Vec::new());
-                    forgiven = coding::decode(ContentCoding::Deflate, wire)
-                        .unwrap_or_else(|_| wire.to_vec());
-                    &forgiven
+                    page.reset();
+                    body.with_prefix(body.len(), |wire| {
+                        match coding::decode(ContentCoding::Deflate, wire) {
+                            Ok(forgiven) => page.take(&forgiven, &mut found),
+                            Err(_) => page.take(wire, &mut found),
+                        }
+                    });
                 }
-            };
-        }
-        let used = webcontent::html::walk(&page[self.cursor..], at_end, |token| {
-            if let Some(src) = webcontent::html::image_source(&token) {
-                self.sources.push(found(&src));
             }
-        });
-        self.cursor += used;
-        #[cfg(test)]
-        {
-            self.work.0 += used;
-            self.work.1 += if deflated { 0 } else { used };
+        } else {
+            // An identity body's page bytes are its wire bytes.
+            for run in new_runs(body, page.len) {
+                #[cfg(test)]
+                {
+                    self.wire_read += run.len();
+                }
+                page.take(run, &mut found);
+            }
         }
-        page.len()
+        if at_end {
+            page.finish(&mut found);
+        }
+        page.len
     }
 
     /// Forget the body being read — it is complete, or its connection is
     /// gone — and give up the sources found in it.
     fn restart(&mut self) -> Vec<Arc<str>> {
-        self.wire.clear();
-        (self.cursor, self.inflater) = (0, None);
-        std::mem::take(&mut self.sources)
+        if let Some(mut inflating) = self.inflating.take() {
+            inflating.wire.clear(); // its storage back to the pool
+        }
+        self.page.reset()
     }
 }
 
@@ -1053,6 +1155,7 @@ impl App for HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flate::Level;
     use httpserver::{Entity, HttpServer, ServerConfig, SiteStore};
     use netsim::{LinkConfig, SimDuration, Simulator, SockAddr};
     use std::collections::BTreeMap;
@@ -1073,6 +1176,138 @@ mod tests {
         let body = BytesQueue::from(html.to_vec());
         assert_eq!(scan.advance(&body, false, true, |s| s.into()), html.len());
         assert_eq!(scan.restart(), [Arc::from("/a.gif"), Arc::from("/b.gif")]);
+    }
+
+    /// What the scan shows after each piece of `wire` — the page's body
+    /// as sent, `deflated` or not — arrives, the last with `at_end`: the
+    /// bytes received, the sources found, the decoded length. `joined`
+    /// pieces are views of one storage (so the body is one chunk), the
+    /// others copies (a chunk each).
+    fn scan_steps(
+        wire: &[u8],
+        deflated: bool,
+        joined: bool,
+        mut piece: impl FnMut() -> usize,
+    ) -> Vec<(usize, Vec<Arc<str>>, usize)> {
+        let (mut scan, mut body, mut steps) = (PageScan::default(), BytesQueue::new(), Vec::new());
+        let all = bytes::Bytes::copy_from_slice(wire);
+        let mut received = 0;
+        while received < wire.len() {
+            let end = (received + piece()).min(wire.len());
+            body.push(match joined {
+                true => all.slice(received..end),
+                false => bytes::Bytes::copy_from_slice(&wire[received..end]),
+            });
+            received = end;
+            let len = scan.advance(&body, deflated, end == wire.len(), |src| src.into());
+            steps.push((received, scan.page.sources.clone(), len));
+        }
+        steps
+    }
+
+    /// The same steps as a scan that holds the whole output would show
+    /// them: after `received` wire bytes the page is `decoded[received]`
+    /// bytes long, and the sources are those a walk of that prefix
+    /// passes — the whole page's, read as its end, once all has arrived.
+    fn whole_output_steps(
+        html: &[u8],
+        wire_len: usize,
+        decoded: &[usize],
+        steps: &[(usize, Vec<Arc<str>>, usize)],
+    ) -> Vec<(usize, Vec<Arc<str>>, usize)> {
+        let mut found_at = Vec::with_capacity(html.len() + 1);
+        let (mut cursor, mut sources) = (0, Vec::new());
+        for cut in 0..=html.len() {
+            cursor += walk_sources(&html[cursor..cut], false, &mut sources, &mut |s| s.into());
+            found_at.push(sources.len());
+        }
+        walk_sources(&html[cursor..], true, &mut sources, &mut |s| s.into());
+        let found = |received: usize| match received == wire_len {
+            true => sources.clone(),
+            false => sources[..found_at[decoded[received]]].to_vec(),
+        };
+        let each = steps.iter().map(|&(received, ..)| received);
+        each.map(|received| (received, found(received), decoded[received]))
+            .collect()
+    }
+
+    #[test]
+    fn the_scan_finds_each_source_after_the_same_bytes_as_a_whole_output_scan() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let html = webcontent::microscape::site().html.as_bytes();
+        let codings = [
+            None,
+            Some(Level::Store),
+            Some(Level::Fast),
+            Some(Level::Default),
+            Some(Level::Best),
+        ];
+        let mut rng = SmallRng::seed_from_u64(1997);
+        for coding in codings {
+            let (wire, decoded) = match coding {
+                None => (html.to_vec(), (0..=html.len()).collect()),
+                Some(level) => {
+                    // After every prefix of the stream, what a one-byte-at-a-time
+                    // reader has decoded.
+                    let wire = flate::zlib::compress(html, level);
+                    let (mut reader, mut decoded, mut len) =
+                        (flate::zlib::Decompressor::default(), vec![0], 0);
+                    for end in 1..=wire.len() {
+                        let read =
+                            reader.advance(&wire[..end], end == wire.len(), |run| len += run.len());
+                        read.expect("a good stream");
+                        decoded.push(len);
+                    }
+                    (wire, decoded)
+                }
+            };
+            let deflated = coding.is_some();
+            for (size, joined) in [
+                (1, true),
+                (7, false),
+                (536, false),
+                (1460, true),
+                (0, false),
+                (0, true),
+            ] {
+                let steps = scan_steps(&wire, deflated, joined, || match size {
+                    0 => rng.gen_range(1..3000),
+                    size => size,
+                });
+                let want = whole_output_steps(html, wire.len(), &decoded, &steps);
+                assert!(steps == want, "{coding:?} in pieces of {size}");
+                assert_eq!(steps.last().unwrap().2, html.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_stream_at_the_end_gets_the_forgiving_reading_of_the_body() {
+        let html = webcontent::microscape::site().html.as_bytes();
+        let good = flate::zlib::compress(html, Level::Default);
+        let mut bad_trailer = good.clone();
+        *bad_trailer.last_mut().unwrap() ^= 1;
+        let cut_short = &good[..good.len() - 9];
+        for wire in [&bad_trailer[..], cut_short] {
+            // The verdict, and the reading a finished response falls back on.
+            assert!(flate::zlib::decompress(wire).is_err());
+            let forgiven =
+                coding::decode(ContentCoding::Deflate, wire).unwrap_or_else(|_| wire.to_vec());
+            let mut sources = Vec::new();
+            walk_sources(&forgiven, true, &mut sources, &mut |s| s.into());
+            for size in [1, 536, 1460] {
+                let steps = scan_steps(wire, true, size == 1, || size);
+                let last = steps.last().unwrap();
+                assert_eq!(
+                    (last.0, &last.1, last.2),
+                    (wire.len(), &sources, forgiven.len())
+                );
+                // Up to the end the stream reads as the good one does.
+                let good_steps = scan_steps(&good, true, size == 1, || size);
+                let n = steps.len() - 1;
+                assert!(steps[..n] == good_steps[..n], "pieces of {size}");
+            }
+        }
     }
 
     /// The images the cached start page lists.
@@ -1137,7 +1372,8 @@ mod tests {
                 assert_eq!(page.body_len, site.html.len(), "{mode:?}");
                 assert_eq!(page.wire_body_len < page.body_len, deflate, "{mode:?}");
                 let each_once = (page.body_len, page.wire_body_len);
-                assert_eq!(client.page.work, each_once, "{mode:?}");
+                let work = (client.page.page.walked, client.page.wire_read);
+                assert_eq!(work, each_once, "{mode:?}");
                 assert_eq!(
                     embedded(client),
                     webcontent::html::inline_image_sources(&site.html),
@@ -1211,7 +1447,7 @@ mod tests {
             fetched.sort_unstable();
             assert_eq!(fetched, ["/a.gif", "/b.gif", "/index.html"]);
             assert_eq!(client.stats.requests_sent, 2 + 3);
-            assert_eq!(client.page.work.0, OLD_PAGE_SENT + NEW_PAGE.len());
+            assert_eq!(client.page.page.walked, OLD_PAGE_SENT + NEW_PAGE.len());
             assert_eq!(embedded(client), ["/a.gif", "/b.gif"]);
         });
     }

@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use httpwire::validators::{ETag, Validators};
+use netsim::fxhash::FxHashMap;
 use std::sync::Arc;
 
 /// One servable entity.
@@ -50,11 +51,9 @@ impl Entity {
 /// A path → entity map shared by server instances.
 #[derive(Debug, Default)]
 pub struct SiteStore {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed lookup only (get/insert by path); never iterated, so map order cannot leak into a run"
-    )]
-    entities: std::collections::HashMap<String, Entity>,
+    /// Keyed lookup only (get/insert by path); `total_bytes` is the one
+    /// walk, a sum, so map order cannot leak into a run.
+    entities: FxHashMap<String, Entity>,
 }
 
 impl SiteStore {

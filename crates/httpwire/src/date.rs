@@ -139,8 +139,12 @@ mod tests {
         for s in days.chain([y10k - 1, y10k, u64::MAX]) {
             assert_eq!(HttpDate(s).to_string(), written(s), "{s}");
         }
-        assert!(HttpDate(y10k - 1).to_string().ends_with("Dec 9999 23:59:59 GMT"));
-        assert!(HttpDate(y10k).to_string().ends_with("Jan 10000 00:00:00 GMT"));
+        assert!(HttpDate(y10k - 1)
+            .to_string()
+            .ends_with("Dec 9999 23:59:59 GMT"));
+        assert!(HttpDate(y10k)
+            .to_string()
+            .ends_with("Jan 10000 00:00:00 GMT"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! other name is found by walking the lines, comparing it
 //! ASCII-case-insensitively where it lies.
 
-use bytes::BytesMut;
+use bytes::{find_byte, BytesMut};
 use std::fmt::{self, Write as _};
 
 /// Room a map built line by line takes at its first line: the heads the
@@ -101,29 +101,6 @@ fn trim_ows(value: &[u8]) -> &[u8] {
         .rposition(|&b| !is_ows(b))
         .map_or(start, |i| i + 1);
     &value[start..end]
-}
-
-/// Where the first `needle` in `hay` is: eight bytes at a time (a word
-/// holds it when one of its bytes XORs to zero), then byte by byte over
-/// the tail.
-pub(crate) fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
-    const LOW: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    let splat = LOW * u64::from(needle);
-    let mut words = hay.chunks_exact(8);
-    let mut at = 0;
-    for word in &mut words {
-        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ splat;
-        // The lowest flagged byte is the first zero; a borrow can flag
-        // only bytes above it.
-        let zero = x.wrapping_sub(LOW) & !x & HIGH;
-        if zero != 0 {
-            return Some(at + zero.trailing_zeros() as usize / 8);
-        }
-        at += 8;
-    }
-    let tail = words.remainder().iter().position(|&b| b == needle);
-    tail.map(|i| at + i)
 }
 
 /// The line of `block` at `at` if it is canonical — `Name: value\r\n`,
@@ -775,26 +752,6 @@ mod tests {
             let [new, old] = both(&block);
             assert_eq!(new, old, "{odd:?}");
             assert!(new.is_some_and(|h| wire(&h) == "ETag: \"a\"\r\nX: v\r\n"));
-        }
-    }
-
-    #[test]
-    fn the_byte_search_finds_the_first_match_in_any_word() {
-        for len in 1..40 {
-            for at in 0..len {
-                let mut hay = vec![b'a'; len];
-                hay[at] = b'\n';
-                if at + 9 < len {
-                    hay[at + 9] = b'\n';
-                }
-                assert_eq!(find_byte(&hay, b'\n'), Some(at), "{len} {at}");
-                // The bytes either side of the needle are not it.
-                for near in [b'\t', b'\x0b'] {
-                    hay[at] = near;
-                    let next = (at + 9 < len).then_some(at + 9);
-                    assert_eq!(find_byte(&hay, b'\n'), next, "{len} {at}");
-                }
-            }
         }
     }
 

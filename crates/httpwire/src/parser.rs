@@ -7,10 +7,10 @@
 //! time and leave trailing bytes untouched.
 
 use crate::chunked::ChunkedDecoder;
-use crate::headers::{find_byte, HeaderMap};
+use crate::headers::HeaderMap;
 use crate::message::{Request, Response};
 use crate::types::{Method, StatusCode, Version};
-use bytes::{Bytes, BytesQueue};
+use bytes::{find_byte, Bytes, BytesQueue};
 
 /// Parse failures. In a real server these map to `400 Bad Request`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

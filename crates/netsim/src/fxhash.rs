@@ -1,23 +1,25 @@
-//! A multiply-rotate hasher (rustc's "Fx" hash) for the kernel's
-//! lookup-only maps. Their keys are a few small integers looked up on
-//! every arrival and transmit, and nothing iterates them, so std's
-//! SipHash and per-map random seed buy nothing there but time. The keys
-//! are the simulation's own host ids and ports, never outside input, so
-//! there is no one to craft collisions.
+//! A multiply-rotate hasher (rustc's "Fx" hash) for the workspace's
+//! lookup-only maps: the kernel's, keyed by a few small integers looked
+//! up on every arrival and transmit, and the client cache's and server
+//! store's, keyed by a path looked up on every request. Nothing iterates
+//! them in an order that reaches a result, so std's SipHash and per-map
+//! random seed buy nothing there but time. The keys are the simulation's
+//! own host ids, ports and site paths, never outside input, so there is
+//! no one to craft collisions.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// The kernel's and the trace's lookup-only maps: every one of them is
-/// read and written by key and never iterated.
+/// The lookup-only maps: every one of them is read and written by key,
+/// and none is iterated in an order that reaches a result.
 #[expect(
     clippy::disallowed_types,
     reason = "lookup by key only: no iteration order reaches a result"
 )]
-pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Folds each word in with a rotate, an xor and a multiply.
 #[derive(Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

@@ -79,7 +79,7 @@
 
 mod blocks;
 pub mod cc;
-mod fxhash;
+pub mod fxhash;
 pub mod impair;
 pub mod json;
 pub mod link;

@@ -3,6 +3,7 @@
 //! paper's compression observation), and strip images for the CSS
 //! experiment.
 
+use bytes::find_byte;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -40,7 +41,7 @@ pub enum HtmlToken<S = String> {
 pub fn walk<'a>(html: &'a [u8], at_end: bool, mut f: impl FnMut(HtmlToken<&'a [u8]>)) -> usize {
     let mut i = 0;
     let mut text_start = 0;
-    while let Some(lt) = html[i..].iter().position(|&b| b == b'<') {
+    while let Some(lt) = find_byte(&html[i..], b'<') {
         i += lt;
         if text_start < i {
             f(HtmlToken::Text(&html[text_start..i]));
@@ -48,11 +49,11 @@ pub fn walk<'a>(html: &'a [u8], at_end: bool, mut f: impl FnMut(HtmlToken<&'a [u
         text_start = i;
         let rest = &html[i..];
         let comment = rest.starts_with(b"<!--");
-        let closed = comment.then(|| rest.windows(3).position(|w| w == b"-->"));
+        let closed = comment.then(|| comment_end(rest));
         let end = match closed.flatten() {
-            Some(dashes) => dashes + 3,
+            Some(end) => end,
             None if comment && !at_end => return i,
-            None => match rest.iter().position(|&b| b == b'>') {
+            None => match find_byte(rest, b'>') {
                 Some(gt) => gt + 1,
                 None if at_end => break,
                 None => return i,
@@ -87,6 +88,19 @@ pub fn walk<'a>(html: &'a [u8], at_end: bool, mut f: impl FnMut(HtmlToken<&'a [u
         f(HtmlToken::Text(&html[text_start..]));
     }
     html.len()
+}
+
+/// Where the comment that opens `rest` (`<!--`) ends: just past the
+/// first `-->`, which may share its dashes with the opening (`<!-->`).
+fn comment_end(rest: &[u8]) -> Option<usize> {
+    let mut from = b"<!--".len();
+    loop {
+        let gt = from + find_byte(&rest[from..], b'>')?;
+        if rest[gt - 2..gt] == *b"--" {
+            return Some(gt + 1);
+        }
+        from = gt + 1;
+    }
 }
 
 /// Tokenize HTML. Unterminated trailing constructs are emitted as text,
@@ -344,6 +358,132 @@ mod tests {
                 });
                 assert_eq!(cursor + rest, bytes.len());
                 assert_eq!(all, whole, "cut at {cut}, resumed at {cursor}");
+            }
+        }
+    }
+
+    /// The walk with every search a byte at a time: the reference the
+    /// walk must agree with token for token.
+    fn byte_loop_walk<'a>(
+        html: &'a [u8],
+        at_end: bool,
+        mut f: impl FnMut(HtmlToken<&'a [u8]>),
+    ) -> usize {
+        let mut i = 0;
+        let mut text_start = 0;
+        while let Some(lt) = html[i..].iter().position(|&b| b == b'<') {
+            i += lt;
+            if text_start < i {
+                f(HtmlToken::Text(&html[text_start..i]));
+            }
+            text_start = i;
+            let rest = &html[i..];
+            let comment = rest.starts_with(b"<!--");
+            let closed = comment.then(|| rest.windows(3).position(|w| w == b"-->"));
+            let end = match closed.flatten() {
+                Some(dashes) => dashes + 3,
+                None if comment && !at_end => return i,
+                None => match rest.iter().position(|&b| b == b'>') {
+                    Some(gt) => gt + 1,
+                    None if at_end => break,
+                    None => return i,
+                },
+            };
+            if rest.starts_with(b"<!") {
+                f(HtmlToken::Decl(&rest[..end]));
+            } else {
+                let inner = &rest[1..end - 1];
+                let closing = inner.first() == Some(&b'/');
+                let inner = &inner[usize::from(closing)..];
+                let name_end = inner
+                    .iter()
+                    .position(u8::is_ascii_whitespace)
+                    .unwrap_or(inner.len());
+                if name_end == 0 {
+                    i += 1;
+                    continue;
+                }
+                let (name, attrs) = inner.split_at(name_end);
+                f(HtmlToken::Tag {
+                    name,
+                    attrs,
+                    closing,
+                });
+            }
+            i += end;
+            text_start = i;
+        }
+        if text_start < html.len() {
+            f(HtmlToken::Text(&html[text_start..]));
+        }
+        html.len()
+    }
+
+    /// Both walks agree on `html` read mid-stream and as a whole
+    /// document: the same tokens, the same offset returned.
+    fn assert_walks_agree(html: &[u8], context: &dyn std::fmt::Display) {
+        for at_end in [false, true] {
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            let new_at = walk(html, at_end, |token| new.push(token));
+            let old_at = byte_loop_walk(html, at_end, |token| old.push(token));
+            assert_eq!((new_at, &new), (old_at, &old), "{context}, at_end {at_end}");
+        }
+    }
+
+    #[test]
+    fn the_walk_agrees_with_the_byte_loop_at_every_split_of_the_page() {
+        // The page arrives cut at every byte: each piece from where the
+        // walk stopped to the cut is walked both ways.
+        let page = crate::microscape::site().html.as_bytes();
+        let mut cursor = 0;
+        for cut in 0..=page.len() {
+            assert_walks_agree(&page[cursor..cut], &format_args!("{cursor}..{cut}"));
+            cursor += walk(&page[cursor..cut], false, |_| {});
+        }
+        assert_walks_agree(page, &"the whole page");
+    }
+
+    #[test]
+    fn the_walk_agrees_with_the_byte_loop_on_seeded_soup() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // Comments open and closed (with dashes shared or not), `<>`,
+        // `< `, a `<` inside a tag, declarations, and bytes that are not
+        // ASCII, or not UTF-8 at all.
+        const PIECES: [&[u8]; 24] = [
+            b"<",
+            b">",
+            b"<!--",
+            b"-->",
+            b"--",
+            b"-",
+            b"<!",
+            b"<>",
+            b"< ",
+            b"<img src=a.gif>",
+            b"<IMG SRC='b.gif' ",
+            b"</p>",
+            b"<b",
+            b"text",
+            b" ",
+            b"\t",
+            b"\n",
+            b"=",
+            b"\"",
+            "\u{e9}".as_bytes(),
+            b"\xff",
+            b"\x80<",
+            b"<!DOCTYPE html>",
+            b"<a <b>",
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for soup in 0..400 {
+            let mut html = Vec::new();
+            for _ in 0..rng.gen_range(0..60) {
+                html.extend_from_slice(PIECES[rng.gen_range(0..PIECES.len())]);
+            }
+            for cut in 0..=html.len() {
+                assert_walks_agree(&html[..cut], &format_args!("soup {soup} ..{cut}"));
+                assert_walks_agree(&html[cut..], &format_args!("soup {soup} {cut}.."));
             }
         }
     }
