@@ -71,9 +71,12 @@ pub fn variant_inflation(
     loss_pct: f64,
     cc: CcVariant,
 ) -> Option<f64> {
-    let cell = cells
-        .iter()
-        .find(|c| c.point.setup == setup && c.point.loss_pct == loss_pct && c.point.cc == cc)?;
+    let cell = cells.iter().find(|c| {
+        // A grid key copied from `LOSS_PCT`, never computed.
+        c.point.setup == setup
+            && c.point.loss_pct.to_bits() == loss_pct.to_bits()
+            && c.point.cc == cc
+    })?;
     robustness::inflation_pct(cells, cell)
 }
 

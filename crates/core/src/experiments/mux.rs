@@ -145,7 +145,7 @@ pub fn shared_fate(cells: &[RobustnessCell], env: NetEnv) -> Vec<SharedFate> {
         let cell = cells.iter().find(|c| {
             c.point.env == env
                 && c.point.setup == setup
-                && c.point.loss_pct == loss_pct
+                && c.point.loss_pct.to_bits() == loss_pct.to_bits()
                 && c.point.shape == shape
         })?;
         robustness::inflation_pct(cells, cell)

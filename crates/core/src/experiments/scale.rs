@@ -276,6 +276,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a percentile picks one of its inputs, so it is exact"
+    )]
     fn percentiles_and_jain() {
         let xs = [4.0, 1.0, 3.0, 2.0];
         assert_eq!(percentile(&xs, 0.50), 2.0);
@@ -289,6 +293,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "one client's p50 and p99 are the same sample"
+    )]
     fn single_client_lan_fleet_completes() {
         let point = ScalePoint {
             env: NetEnv::Lan,

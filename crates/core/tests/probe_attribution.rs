@@ -88,6 +88,10 @@ fn nagle_on_spec() -> CellSpec {
 /// books nonzero `nagle_hold` time and diagnoses the paper's
 /// Nagle×pipelining interaction.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "an empty stall bucket sums no intervals and is exactly zero"
+)]
 fn nagle_mutation_is_attributed_and_diagnosed() {
     let out = run_spec(nagle_on_spec());
     let analysis = out.probe.expect("probe enabled");
@@ -123,6 +127,10 @@ fn nagle_mutation_is_attributed_and_diagnosed() {
 /// `delayed_ack_wait` bucket and cures the Nagle stall (the held tail
 /// is released by the now-immediate ACK).
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "an empty stall bucket sums no intervals and is exactly zero"
+)]
 fn disabling_delayed_ack_zeroes_the_wait_bucket() {
     let baseline = run_spec(nagle_on_spec());
     let base_analysis = baseline.probe.expect("probe enabled");

@@ -55,7 +55,11 @@ fn wan_loss_grid_claims() {
     let find = |setup: ProtocolSetup, loss: f64, shape: LossShape| -> &RobustnessCell {
         cells
             .iter()
-            .find(|c| c.point.setup == setup && c.point.loss_pct == loss && c.point.shape == shape)
+            .find(|c| {
+                c.point.setup == setup
+                    && c.point.loss_pct.to_bits() == loss.to_bits()
+                    && c.point.shape == shape
+            })
             .expect("grid point present")
     };
 

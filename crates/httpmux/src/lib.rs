@@ -23,6 +23,10 @@
 //! servers (and the conformance checker) can sniff which protocol family
 //! a connection speaks from its first bytes.
 
+// Sim-time is integer nanoseconds; as in `netsim`, a lossy `as f64`
+// says why it is there.
+#![deny(clippy::cast_precision_loss)]
+
 mod conn;
 mod frame;
 

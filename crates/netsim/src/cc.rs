@@ -35,7 +35,7 @@
 //! the machine fully deterministic.
 
 use crate::packet::SackBlocks;
-use crate::seq::{seq_ge, seq_gt, seq_le, seq_sub};
+use crate::seq::Seq;
 use crate::time::SimTime;
 
 /// Which congestion-control algorithm an endpoint runs.
@@ -94,9 +94,9 @@ pub struct CcContext<'a> {
     /// Current simulation time.
     pub now: SimTime,
     /// First unacknowledged sequence number.
-    pub snd_una: u64,
+    pub snd_una: Seq,
     /// Next sequence number to be sent.
-    pub snd_nxt: u64,
+    pub snd_nxt: Seq,
     /// SACK option blocks on the triggering segment (empty when the
     /// event has no segment, e.g. an RTO).
     pub sack: &'a SackBlocks,
@@ -104,7 +104,7 @@ pub struct CcContext<'a> {
 
 impl CcContext<'_> {
     fn flight(&self) -> usize {
-        seq_sub(self.snd_nxt, self.snd_una) as usize
+        self.snd_nxt.since(self.snd_una) as usize
     }
 }
 
@@ -136,7 +136,7 @@ pub trait CongestionControl {
     /// Upper bound for a retransmission starting at `from`: the start
     /// of the first selectively-acknowledged range above it, so the
     /// retransmit path never resends data the peer already holds.
-    fn rexmit_cap(&self, from: u64) -> Option<u64> {
+    fn rexmit_cap(&self, from: Seq) -> Option<Seq> {
         let _ = from;
         None
     }
@@ -230,7 +230,7 @@ impl CongestionControl for Reno {
 pub struct NewReno {
     reno: Reno,
     in_recovery: bool,
-    recover: u64,
+    recover: Seq,
 }
 
 impl NewReno {
@@ -238,7 +238,7 @@ impl NewReno {
         NewReno {
             reno: Reno::new(cwnd, ssthresh),
             in_recovery: false,
-            recover: 0,
+            recover: Seq::new(0),
         }
     }
 }
@@ -255,7 +255,7 @@ impl CongestionControl for NewReno {
     fn on_ack(&mut self, ctx: &CcContext<'_>, newly_acked: usize) -> CcSignal {
         self.reno.dup_acks = 0;
         if self.in_recovery {
-            if seq_ge(ctx.snd_una, self.recover) {
+            if ctx.snd_una.at_or_after(self.recover) {
                 // Full ACK: recovery complete, deflate to ssthresh.
                 self.in_recovery = false;
                 self.reno.cwnd = self.reno.ssthresh;
@@ -324,11 +324,11 @@ impl CongestionControl for NewReno {
 pub struct Sack {
     reno: Reno,
     in_recovery: bool,
-    recover: u64,
+    recover: Seq,
     /// SACKed `[start, end)` ranges, ascending and disjoint, strictly
     /// above `snd_una`. Allocated once per connection; elements are
     /// reused across events, not per segment.
-    scoreboard: Vec<(u64, u64)>,
+    scoreboard: Vec<(Seq, Seq)>,
 }
 
 impl Sack {
@@ -336,7 +336,7 @@ impl Sack {
         Sack {
             reno: Reno::new(cwnd, ssthresh),
             in_recovery: false,
-            recover: 0,
+            recover: Seq::new(0),
             scoreboard: Vec::new(),
         }
     }
@@ -345,29 +345,23 @@ impl Sack {
     /// everything at or below the cumulative ACK.
     fn integrate(&mut self, ctx: &CcContext<'_>) {
         for (start, end) in ctx.sack.iter() {
-            if start >= end || seq_le(end, ctx.snd_una) {
+            let (start, end) = (Seq::new(start), Seq::new(end));
+            if !start.before(end) || end.at_or_before(ctx.snd_una) {
                 continue;
             }
-            let start = if seq_gt(start, ctx.snd_una) {
-                start
-            } else {
-                ctx.snd_una
-            };
-            self.insert(start, end);
+            self.insert(start.later(ctx.snd_una), end);
         }
-        self.scoreboard.retain(|&(_, end)| seq_gt(end, ctx.snd_una));
+        self.scoreboard.retain(|&(_, end)| end.after(ctx.snd_una));
         if let Some(first) = self.scoreboard.first_mut() {
-            if seq_gt(ctx.snd_una, first.0) {
-                first.0 = ctx.snd_una;
-            }
+            first.0 = first.0.later(ctx.snd_una);
         }
     }
 
-    fn insert(&mut self, start: u64, end: u64) {
+    fn insert(&mut self, start: Seq, end: Seq) {
         // Find the insertion point, then coalesce every overlapping or
         // adjacent neighbor into one range.
         let mut i = 0;
-        while i < self.scoreboard.len() && self.scoreboard[i].0 < start {
+        while i < self.scoreboard.len() && self.scoreboard[i].0.before(start) {
             i += 1;
         }
         self.scoreboard.insert(i, (start, end));
@@ -376,8 +370,8 @@ impl Sack {
         while j + 1 < self.scoreboard.len() {
             let (_, a_end) = self.scoreboard[j];
             let (b_start, b_end) = self.scoreboard[j + 1];
-            if b_start <= a_end {
-                self.scoreboard[j].1 = a_end.max(b_end);
+            if b_start.at_or_before(a_end) {
+                self.scoreboard[j].1 = a_end.later(b_end);
                 self.scoreboard.remove(j + 1);
             } else {
                 j += 1;
@@ -399,7 +393,7 @@ impl CongestionControl for Sack {
         self.reno.dup_acks = 0;
         self.integrate(ctx);
         if self.in_recovery {
-            if seq_ge(ctx.snd_una, self.recover) {
+            if ctx.snd_una.at_or_after(self.recover) {
                 self.in_recovery = false;
                 self.reno.cwnd = self.reno.ssthresh;
                 CcSignal::None
@@ -448,11 +442,11 @@ impl CongestionControl for Sack {
         self.in_recovery
     }
 
-    fn rexmit_cap(&self, from: u64) -> Option<u64> {
+    fn rexmit_cap(&self, from: Seq) -> Option<Seq> {
         self.scoreboard
             .iter()
             .map(|&(start, _)| start)
-            .find(|&start| seq_gt(start, from))
+            .find(|&start| start.after(from))
     }
 }
 
@@ -655,7 +649,7 @@ impl CongestionControl for CcCtl {
         dispatch!(self, c => c.in_recovery())
     }
 
-    fn rexmit_cap(&self, from: u64) -> Option<u64> {
+    fn rexmit_cap(&self, from: Seq) -> Option<Seq> {
         dispatch!(self, c => c.rexmit_cap(from))
     }
 }
@@ -668,20 +662,20 @@ impl CongestionControl for CcCtl {
 /// merge overlapping/adjacent `[start, end)` spans (which must arrive
 /// sorted by start, as a `BTreeMap` iteration yields them) and keep the
 /// first four merged blocks in ascending order. Allocation-free.
-pub fn wire_sack_blocks<I>(spans: I, rcv_nxt: u64) -> SackBlocks
+pub fn wire_sack_blocks<I>(spans: I, rcv_nxt: Seq) -> SackBlocks
 where
-    I: Iterator<Item = (u64, u64)>,
+    I: Iterator<Item = (Seq, Seq)>,
 {
     let mut out = SackBlocks::NONE;
-    let mut cur: Option<(u64, u64)> = None;
+    let mut cur: Option<(Seq, Seq)> = None;
     for (start, end) in spans {
-        if start >= end || seq_le(end, rcv_nxt) {
+        if !start.before(end) || end.at_or_before(rcv_nxt) {
             continue;
         }
         match cur {
-            Some((cs, ce)) if start <= ce => cur = Some((cs, ce.max(end))),
+            Some((cs, ce)) if start.at_or_before(ce) => cur = Some((cs, ce.later(end))),
             Some((cs, ce)) => {
-                if !out.push(cs, ce) {
+                if !out.push(cs.raw(), ce.raw()) {
                     return out;
                 }
                 cur = Some((start, end));
@@ -690,7 +684,7 @@ where
         }
     }
     if let Some((cs, ce)) = cur {
-        out.push(cs, ce);
+        out.push(cs.raw(), ce.raw());
     }
     out
 }
@@ -698,17 +692,17 @@ where
 /// Uncapped variant of [`wire_sack_blocks`] for tests and diagnostics:
 /// every merged span, not just the four that fit the option.
 // Diagnostic/test helper, not on the per-segment path.
-pub fn merged_spans<I>(spans: I, rcv_nxt: u64) -> Vec<(u64, u64)>
+pub fn merged_spans<I>(spans: I, rcv_nxt: Seq) -> Vec<(Seq, Seq)>
 where
-    I: Iterator<Item = (u64, u64)>,
+    I: Iterator<Item = (Seq, Seq)>,
 {
-    let mut out: Vec<(u64, u64)> = Vec::new();
+    let mut out: Vec<(Seq, Seq)> = Vec::new();
     for (start, end) in spans {
-        if start >= end || seq_le(end, rcv_nxt) {
+        if !start.before(end) || end.at_or_before(rcv_nxt) {
             continue;
         }
         match out.last_mut() {
-            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            Some(last) if start.at_or_before(last.1) => last.1 = last.1.later(end),
             _ => out.push((start, end)),
         }
     }
@@ -723,10 +717,17 @@ mod tests {
         CcContext {
             mss: 1460,
             now: SimTime::from_nanos(now_ms * 1_000_000),
-            snd_una,
-            snd_nxt,
+            snd_una: Seq::new(snd_una),
+            snd_nxt: Seq::new(snd_nxt),
             sack,
         }
+    }
+
+    fn seqs(spans: &[(u64, u64)]) -> Vec<(Seq, Seq)> {
+        spans
+            .iter()
+            .map(|&(s, e)| (Seq::new(s), Seq::new(e)))
+            .collect()
     }
 
     #[test]
@@ -764,7 +765,7 @@ mod tests {
         assert_eq!(n.on_dup_ack(&c), CcSignal::Loss);
         n.on_loss(&c);
         assert!(n.in_recovery());
-        assert_eq!(n.recover, 10_001);
+        assert_eq!(n.recover, Seq::new(10_001));
         // Partial ACK (below recover): hole retransmit, still recovering.
         let partial = ctx(1, 5_001, 10_001, &none);
         assert_eq!(n.on_ack(&partial, 5_000), CcSignal::Retransmit);
@@ -788,9 +789,9 @@ mod tests {
         blocks.push(5841, 7301);
         let c = ctx(0, 1461, 10_221, &blocks);
         s.on_dup_ack(&c);
-        assert_eq!(s.scoreboard, vec![(2921, 4381), (5841, 7301)]);
+        assert_eq!(s.scoreboard, seqs(&[(2921, 4381), (5841, 7301)]));
         // The first retransmission must stop at the first SACKed block.
-        assert_eq!(s.rexmit_cap(1461), Some(2921));
+        assert_eq!(s.rexmit_cap(Seq::new(1461)), Some(Seq::new(2921)));
         // An overlapping block coalesces.
         let mut more = SackBlocks::NONE;
         more.push(4381, 5841);
@@ -799,14 +800,14 @@ mod tests {
             s.on_dup_ack(&ctx(1, 1461, 10_221, &SackBlocks::NONE)),
             CcSignal::Loss
         );
-        assert_eq!(s.scoreboard, vec![(2921, 7301)]);
-        assert_eq!(s.rexmit_cap(1461), Some(2921));
+        assert_eq!(s.scoreboard, seqs(&[(2921, 7301)]));
+        assert_eq!(s.rexmit_cap(Seq::new(1461)), Some(Seq::new(2921)));
         // Cumulative ACK past a block prunes it.
         s.on_loss(&ctx(1, 1461, 10_221, &SackBlocks::NONE));
         let advanced = ctx(2, 7301, 10_221, &SackBlocks::NONE);
         assert_eq!(s.on_ack(&advanced, 5840), CcSignal::Retransmit);
         assert!(s.scoreboard.is_empty());
-        assert_eq!(s.rexmit_cap(7301), None);
+        assert_eq!(s.rexmit_cap(Seq::new(7301)), None);
     }
 
     #[test]
@@ -849,24 +850,43 @@ mod tests {
 
     #[test]
     fn wire_blocks_merge_sort_and_cap() {
-        let spans = [
-            (100u64, 200u64),
+        let spans = seqs(&[
+            (100, 200),
             (200, 300),
             (400, 500),
             (600, 700),
             (800, 900),
             (1000, 1100),
-        ];
-        let b = wire_sack_blocks(spans.iter().copied(), 50);
+        ]);
+        let b = wire_sack_blocks(spans.iter().copied(), Seq::new(50));
         let got: Vec<_> = b.iter().collect();
         // Adjacent first two merge; only four blocks fit the option.
         assert_eq!(got, vec![(100, 300), (400, 500), (600, 700), (800, 900)]);
-        let all = merged_spans(spans.iter().copied(), 50);
+        let all = merged_spans(spans.iter().copied(), Seq::new(50));
         assert_eq!(
             all,
-            vec![(100, 300), (400, 500), (600, 700), (800, 900), (1000, 1100)]
+            seqs(&[(100, 300), (400, 500), (600, 700), (800, 900), (1000, 1100)])
         );
         // Spans at or below rcv_nxt are cumulative, not selective.
-        assert!(wire_sack_blocks(spans.iter().copied(), 1200).is_empty());
+        assert!(wire_sack_blocks(spans.iter().copied(), Seq::new(1200)).is_empty());
+    }
+
+    #[test]
+    fn a_block_straddling_the_wrap_survives() {
+        // The block runs from 16 below 2⁶⁴ to 16 past it; the receiver
+        // still waits 16 below the block. Ordered on the circle, the
+        // block is well-formed and above `rcv_nxt`, so it goes on the
+        // wire whole; an integer `start >= end` test drops it.
+        let rcv_nxt = Seq::new(u64::MAX - 31);
+        let block = (Seq::new(u64::MAX - 15), Seq::new(16));
+        let wire = wire_sack_blocks([block].into_iter(), rcv_nxt);
+        assert_eq!(wire.iter().collect::<Vec<_>>(), vec![(u64::MAX - 15, 16)]);
+        assert_eq!(merged_spans([block].into_iter(), rcv_nxt), vec![block]);
+        // A neighbour just past the wrap coalesces with it.
+        let next = (Seq::new(16), Seq::new(40));
+        assert_eq!(
+            merged_spans([block, next].into_iter(), rcv_nxt),
+            vec![(block.0, next.1)]
+        );
     }
 }

@@ -390,10 +390,12 @@ impl ImpairState {
         (arrival, dup)
     }
 
-    // Inverse-transform sampling needs the mean in float ticks: the
-    // sampler IS the ns<->float boundary, and rewriting it through
-    // SimTime ops would change the sampled values and every seeded
-    // digest downstream. simlint: allow(time-unit)
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "inverse-transform sampling needs the mean in float ticks: \
+                  the sampler is the ns-to-float boundary, and going through \
+                  SimTime ops would change every seeded digest downstream"
+    )]
     fn jitter_sample(&mut self, jitter: &JitterModel) -> SimDuration {
         match *jitter {
             JitterModel::None => SimDuration::ZERO,
@@ -440,6 +442,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "counts of at most 200 000 are exact in f64"
+    )]
     fn bursty_loss_clusters() {
         // 10% loss in bursts of mean length 8: the number of distinct
         // burst starts must be far below the number of losses.

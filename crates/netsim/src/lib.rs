@@ -76,6 +76,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Sim-time is integer nanoseconds; the float conversions live in
+// `time.rs`, and any other lossy `as f64` says why it is there.
+#![deny(clippy::cast_precision_loss)]
 
 mod blocks;
 pub mod cc;

@@ -312,6 +312,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "byte counts of one page are exact in f64"
+    )]
     fn html_compresses_roughly_two_to_one() {
         // Representative mid-90s HTML.
         let html = r#"<TABLE BORDER=0 CELLPADDING=0 CELLSPACING=0 WIDTH=600>

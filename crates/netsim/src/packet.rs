@@ -5,6 +5,7 @@
 //! classic 40-byte TCP/IP header (20 bytes IPv4 + 20 bytes TCP, no options),
 //! which is how the paper computes its `%ov` overhead column.
 
+use crate::seq::Seq;
 use bytes::Bytes;
 use std::fmt;
 
@@ -155,7 +156,7 @@ impl SackBlocks {
     /// Append a block, keeping ascending order; returns false (and drops
     /// the block) once four are held — the option space is full.
     pub fn push(&mut self, start: u64, end: u64) -> bool {
-        debug_assert!(start < end, "empty SACK block");
+        debug_assert!(Seq::new(start).before(Seq::new(end)), "empty SACK block");
         if self.len as usize == self.blocks.len() {
             return false;
         }

@@ -1,47 +1,126 @@
-//! Wrapping sequence-space arithmetic.
+//! Sequence numbers as a type.
 //!
 //! TCP sequence numbers live on a circle (RFC 793 §3.3; RFC 1982 serial
-//! arithmetic): `a < b` must mean "a is behind b on the circle", which a
-//! direct integer comparison gets wrong once the counter wraps. The sim
-//! uses 64-bit sequence numbers, so a wrap takes ~2^63 bytes and these
-//! helpers are behavior-identical to the direct operators for every
-//! reachable distance — but the `seq-wrap` simlint rule still requires
-//! them in `tcp.rs` so the TCB stays correct if sequence numbers are
-//! ever narrowed to the wire's 32 bits, as a packed per-connection TCB
-//! layout would.
+//! arithmetic): "a is before b" must mean "a is behind b on the circle",
+//! which a direct integer comparison gets wrong once the counter wraps.
+//! [`Seq`] holds the same `u64` the wire types ([`crate::Segment`],
+//! [`crate::SackBlocks`]) carry and orders only through its serial
+//! methods: it has no `PartialOrd`, `Ord` or `Sub`, so a direct
+//! comparison or subtraction of two sequence numbers does not compile.
 //!
-//! All comparisons are strict serial-number comparisons: `a` is "less
-//! than" `b` when the signed distance `a - b` is negative, i.e. `a` is
-//! at most half the space behind `b`.
+//! ```compile_fail,E0369
+//! use netsim::seq::Seq;
+//! let (a, b) = (Seq::new(1), Seq::new(2));
+//! let _ = a < b;
+//! ```
+//!
+//! ```compile_fail,E0369
+//! use netsim::seq::Seq;
+//! let (a, b) = (Seq::new(1), Seq::new(2));
+//! let _ = b - a;
+//! ```
+//!
+//! The simulator's sequence numbers are 64 bits wide, so a wrap takes
+//! ~2⁶³ bytes and every method agrees with the direct operator at every
+//! reachable distance; the type keeps the TCB correct if they are ever
+//! narrowed to the wire's 32 bits.
 
-/// `a` precedes `b` on the sequence circle.
-#[inline]
-pub fn seq_lt(a: u64, b: u64) -> bool {
-    (a.wrapping_sub(b) as i64) < 0
+use std::fmt;
+use std::ops::{Add, AddAssign};
+
+/// A point in TCP sequence space. `a` is before `b` when the signed
+/// distance `a - b` is negative, i.e. `a` is at most half the space
+/// behind `b`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Seq(u64);
+
+impl Seq {
+    /// The sequence number the wire value `raw` names.
+    #[inline]
+    pub const fn new(raw: u64) -> Seq {
+        Seq(raw)
+    }
+
+    /// The wire value.
+    #[inline]
+    pub const fn raw(self) -> u64 {
+        self.0
+    }
+
+    /// `self` precedes `other` on the sequence circle.
+    #[inline]
+    pub fn before(self, other: Seq) -> bool {
+        (self.0.wrapping_sub(other.0) as i64) < 0
+    }
+
+    /// `self` follows `other` on the sequence circle.
+    #[inline]
+    pub fn after(self, other: Seq) -> bool {
+        other.before(self)
+    }
+
+    /// `self` precedes or equals `other`.
+    #[inline]
+    pub fn at_or_before(self, other: Seq) -> bool {
+        !self.after(other)
+    }
+
+    /// `self` follows or equals `other`.
+    #[inline]
+    pub fn at_or_after(self, other: Seq) -> bool {
+        !self.before(other)
+    }
+
+    /// The later of `self` and `other` on the circle.
+    #[inline]
+    pub fn later(self, other: Seq) -> Seq {
+        if other.after(self) {
+            other
+        } else {
+            self
+        }
+    }
+
+    /// The earlier of `self` and `other` on the circle.
+    #[inline]
+    pub fn earlier(self, other: Seq) -> Seq {
+        if other.before(self) {
+            other
+        } else {
+            self
+        }
+    }
+
+    /// Distance forward from `earlier` to `self` (callers guarantee
+    /// `self.at_or_after(earlier)`).
+    #[inline]
+    pub fn since(self, earlier: Seq) -> u64 {
+        self.0.wrapping_sub(earlier.0)
+    }
 }
 
-/// `a` precedes or equals `b` on the sequence circle.
-#[inline]
-pub fn seq_le(a: u64, b: u64) -> bool {
-    !seq_gt(a, b)
+/// `len` units further on, wrapping around the circle.
+impl Add<u64> for Seq {
+    type Output = Seq;
+
+    #[inline]
+    fn add(self, len: u64) -> Seq {
+        Seq(self.0.wrapping_add(len))
+    }
 }
 
-/// `a` follows `b` on the sequence circle.
-#[inline]
-pub fn seq_gt(a: u64, b: u64) -> bool {
-    (b.wrapping_sub(a) as i64) < 0
+impl AddAssign<u64> for Seq {
+    #[inline]
+    fn add_assign(&mut self, len: u64) {
+        *self = *self + len;
+    }
 }
 
-/// `a` follows or equals `b` on the sequence circle.
-#[inline]
-pub fn seq_ge(a: u64, b: u64) -> bool {
-    !seq_lt(a, b)
-}
-
-/// Distance from `b` forward to `a` (callers guarantee `seq_ge(a, b)`).
-#[inline]
-pub fn seq_sub(a: u64, b: u64) -> u64 {
-    a.wrapping_sub(b)
+/// The bare wire value, so a `Seq` prints as the number a trace shows.
+impl fmt::Debug for Seq {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
+    }
 }
 
 #[cfg(test)]
@@ -58,33 +137,45 @@ mod tests {
             (u64::MAX / 2, 3),
         ];
         for (a, b) in pairs {
-            assert_eq!(seq_lt(a, b), a < b, "lt {a} {b}");
-            assert_eq!(seq_le(a, b), a <= b, "le {a} {b}");
-            assert_eq!(seq_gt(a, b), a > b, "gt {a} {b}");
-            assert_eq!(seq_ge(a, b), a >= b, "ge {a} {b}");
+            let (sa, sb) = (Seq::new(a), Seq::new(b));
+            assert_eq!(sa.before(sb), a < b, "before {a} {b}");
+            assert_eq!(sa.at_or_before(sb), a <= b, "at_or_before {a} {b}");
+            assert_eq!(sa.after(sb), a > b, "after {a} {b}");
+            assert_eq!(sa.at_or_after(sb), a >= b, "at_or_after {a} {b}");
+            assert_eq!(sa.later(sb).raw(), a.max(b), "later {a} {b}");
+            assert_eq!(sa.earlier(sb).raw(), a.min(b), "earlier {a} {b}");
         }
-        assert_eq!(seq_sub(7, 3), 4);
+        assert_eq!(Seq::new(7).since(Seq::new(3)), 4);
+        assert_eq!((Seq::new(7) + 3).raw(), 10);
     }
 
     #[test]
     fn correct_across_wraparound() {
         // Just past the wrap: MAX is "behind" 1.
-        let before = u64::MAX;
-        let after = 1u64;
-        assert!(seq_lt(before, after));
-        assert!(seq_gt(after, before));
-        assert!(!seq_ge(before, after));
-        // Distance still measures forward across the wrap.
-        assert_eq!(seq_sub(after, before), 2);
-        // Direct operators get all of these wrong — that is the point.
-        assert!(before > after);
+        let before = Seq::new(u64::MAX);
+        let after = Seq::new(1);
+        assert!(before.before(after));
+        assert!(after.after(before));
+        assert!(!before.at_or_after(after));
+        assert_eq!(before.later(after), after);
+        assert_eq!(after.earlier(before), before);
+        // Distance still measures forward across the wrap, and adding
+        // wraps instead of overflowing.
+        assert_eq!(after.since(before), 2);
+        assert_eq!(before + 2, after);
+        // Direct operators on the wire values get these wrong — that is
+        // the point.
+        assert!(before.raw() > after.raw());
     }
 
     #[test]
     fn equality_is_symmetric() {
-        assert!(seq_le(9, 9));
-        assert!(seq_ge(9, 9));
-        assert!(!seq_lt(9, 9));
-        assert!(!seq_gt(9, 9));
+        let s = Seq::new(9);
+        assert!(s.at_or_before(s));
+        assert!(s.at_or_after(s));
+        assert!(!s.before(s));
+        assert!(!s.after(s));
+        assert_eq!(s.later(s), s);
+        assert_eq!(s.earlier(s), s);
     }
 }

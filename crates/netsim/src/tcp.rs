@@ -13,7 +13,7 @@
 use crate::cc::{self, CcContext, CcCtl, CcSignal, CcVariant, CongestionControl};
 use crate::packet::{SackBlocks, Segment, SockAddr, TcpFlags};
 use crate::probe::{BlockReason, TcpProbeEvent};
-use crate::seq::{seq_ge, seq_gt, seq_lt, seq_sub};
+use crate::seq::Seq;
 use crate::time::{SimDuration, SimTime};
 use bytes::{Bytes, BytesQueue};
 use std::collections::BTreeMap;
@@ -231,7 +231,7 @@ struct CongestionState {
     rto: SimDuration,
     rto_backoff: u32,
     /// Outstanding RTT measurement: (sequence that must be acked, send time).
-    rtt_sample: Option<(u64, SimTime)>,
+    rtt_sample: Option<(Seq, SimTime)>,
 }
 
 /// A TCP control block.
@@ -247,34 +247,35 @@ pub struct Tcb {
 
     // --- send side ---
     /// First unacknowledged sequence number.
-    snd_una: u64,
+    snd_una: Seq,
     /// Next sequence number to send.
-    snd_nxt: u64,
+    snd_nxt: Seq,
     /// Unacknowledged and unsent data, as the application queued it;
     /// `buf_base` is the sequence number of its first byte.
     send_buf: BytesQueue,
-    buf_base: u64,
+    buf_base: Seq,
     /// Peer's advertised receive window.
     peer_window: usize,
     fin_queued: bool,
     fin_sent: bool,
-    fin_seq: Option<u64>,
+    fin_seq: Option<Seq>,
     /// Application hit the send-buffer cap and wants a SendSpace notify.
     send_blocked: bool,
 
     // --- receive side ---
     /// Next expected in-order sequence number.
-    rcv_nxt: u64,
+    rcv_nxt: Seq,
     /// In-order data awaiting application reads: the payloads as they
     /// arrived.
     recv_buf: BytesQueue,
-    /// Out-of-order segments keyed by sequence number.
+    /// Out-of-order segments keyed by sequence number, as the wire
+    /// value: a map orders its keys as integers, not on the circle.
     reassembly: BTreeMap<u64, Bytes>,
     /// Full segments received since the last ACK we sent (delayed-ACK rule:
     /// ack at least every second segment).
     unacked_segments: u32,
     delack_armed: bool,
-    peer_fin_seq: Option<u64>,
+    peer_fin_seq: Option<Seq>,
     peer_fin_delivered: bool,
     /// The application will never read again (it called `close`); data
     /// arriving now triggers a RST, reproducing the paper's
@@ -320,7 +321,7 @@ impl Tcb {
             sack: SackBlocks::NONE,
             payload: Bytes::new(),
         };
-        tcb.snd_nxt = 1;
+        tcb.snd_nxt = Seq::new(1);
         tcb.segments_sent += 1;
         fx.segments.push(seg);
         tcb.arm_rto(now, fx);
@@ -338,19 +339,19 @@ impl Tcb {
     ) -> Tcb {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
         let mut tcb = Tcb::new(local, remote, cfg, State::SynRcvd);
-        tcb.rcv_nxt = syn.seq + 1;
+        tcb.rcv_nxt = Seq::new(syn.seq) + 1;
         tcb.peer_window = syn.window;
         let seg = Segment {
             src: local,
             dst: remote,
             seq: 0,
-            ack: tcb.rcv_nxt,
+            ack: tcb.rcv_nxt.raw(),
             flags: TcpFlags::SYN_ACK,
             window: tcb.advertised_window(),
             sack: SackBlocks::NONE,
             payload: Bytes::new(),
         };
-        tcb.snd_nxt = 1;
+        tcb.snd_nxt = Seq::new(1);
         tcb.segments_sent += 1;
         fx.segments.push(seg);
         tcb.arm_rto(now, fx);
@@ -367,16 +368,16 @@ impl Tcb {
             remote,
             state,
             cfg,
-            snd_una: 0,
-            snd_nxt: 0,
+            snd_una: Seq::new(0),
+            snd_nxt: Seq::new(0),
             send_buf: BytesQueue::new(),
-            buf_base: 1,
+            buf_base: Seq::new(1),
             peer_window: 0,
             fin_queued: false,
             fin_sent: false,
             fin_seq: None,
             send_blocked: false,
-            rcv_nxt: 0,
+            rcv_nxt: Seq::new(0),
             recv_buf: BytesQueue::new(),
             reassembly: BTreeMap::new(),
             unacked_segments: 0,
@@ -464,7 +465,7 @@ impl Tcb {
                 ssthresh: self.cc.ctl.ssthresh() as u64,
                 srtt_ns: self.cc.srtt_ns,
                 rto_ns: self.cc.rto.as_nanos(),
-                in_flight: seq_sub(self.snd_nxt, self.snd_una),
+                in_flight: self.snd_nxt.since(self.snd_una),
             });
         }
     }
@@ -508,7 +509,7 @@ impl Tcb {
     /// Bytes sent but not yet acknowledged — the in-flight estimate the
     /// congestion controller paces against (tests/diagnostics).
     pub fn bytes_in_flight(&self) -> u64 {
-        seq_sub(self.snd_nxt, self.snd_una)
+        self.snd_nxt.since(self.snd_una)
     }
 
     /// Current retransmission timeout (tests/diagnostics).
@@ -536,7 +537,7 @@ impl Tcb {
 
     /// Bytes of payload queued but not yet acknowledged.
     pub fn unacked_bytes(&self) -> usize {
-        seq_sub(self.buf_base + self.send_buf.len() as u64, self.snd_una) as usize
+        self.send_limit().since(self.snd_una) as usize
     }
 
     /// Bytes available for the application to read.
@@ -554,7 +555,7 @@ impl Tcb {
         self.cfg.recv_window.saturating_sub(self.recv_buf.len())
     }
 
-    fn send_limit(&self) -> u64 {
+    fn send_limit(&self) -> Seq {
         self.buf_base + self.send_buf.len() as u64
     }
 
@@ -697,13 +698,13 @@ impl Tcb {
 
         match self.state {
             State::SynSent => {
-                if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
-                    self.rcv_nxt = seg.seq + 1;
+                if seg.flags.syn && seg.flags.ack && Seq::new(seg.ack) == self.snd_nxt {
+                    self.rcv_nxt = Seq::new(seg.seq) + 1;
                     self.peer_window = seg.window;
-                    self.snd_una = seg.ack;
+                    self.snd_una = self.snd_nxt;
                     self.enter(State::Established);
                     self.buf_base = self.snd_nxt;
-                    self.take_rtt_sample(now, seg.ack);
+                    self.take_rtt_sample(now, self.snd_una);
                     self.cancel_timer(TimerKind::Rto);
                     self.probe(fx, TcpProbeEvent::Established);
                     self.probe_sample(fx);
@@ -714,12 +715,12 @@ impl Tcb {
                 return;
             }
             State::SynRcvd => {
-                if seg.flags.ack && seg.ack == self.snd_nxt {
-                    self.snd_una = seg.ack;
+                if seg.flags.ack && Seq::new(seg.ack) == self.snd_nxt {
+                    self.snd_una = self.snd_nxt;
                     self.enter(State::Established);
                     self.buf_base = self.snd_nxt;
                     self.peer_window = seg.window;
-                    self.take_rtt_sample(now, seg.ack);
+                    self.take_rtt_sample(now, self.snd_una);
                     self.cancel_timer(TimerKind::Rto);
                     self.probe(fx, TcpProbeEvent::Established);
                     fx.notifications.push(SockNotify::Accepted);
@@ -772,7 +773,7 @@ impl Tcb {
     fn reset(&mut self, fx: &mut Effects, notify_peer: bool) {
         if notify_peer {
             fx.segments
-                .push(Segment::rst(self.local, self.remote, self.snd_nxt));
+                .push(Segment::rst(self.local, self.remote, self.snd_nxt.raw()));
             self.segments_sent += 1;
         }
         self.recv_buf.clear();
@@ -794,12 +795,12 @@ impl Tcb {
     }
 
     fn handle_ack(&mut self, now: SimTime, seg: &Segment, fx: &mut Effects) {
-        let ack = seg.ack;
-        if seq_gt(ack, self.snd_nxt) {
+        let ack = Seq::new(seg.ack);
+        if ack.after(self.snd_nxt) {
             return; // acks data we never sent; ignore
         }
-        if seq_gt(ack, self.snd_una) {
-            let newly_acked = seq_sub(ack, self.snd_una) as usize;
+        if ack.after(self.snd_una) {
+            let newly_acked = ack.since(self.snd_una) as usize;
             self.snd_una = ack;
             self.cc.rto_backoff = 0;
             self.take_rtt_sample(now, ack);
@@ -808,9 +809,9 @@ impl Tcb {
 
             // Trim acknowledged bytes from the retransmission buffer. The
             // FIN, if ours was acked, occupies one unit past the data.
-            let data_acked = ack.min(self.send_limit());
-            if seq_gt(data_acked, self.buf_base) {
-                let drop = seq_sub(data_acked, self.buf_base) as usize;
+            let data_acked = ack.earlier(self.send_limit());
+            if data_acked.after(self.buf_base) {
+                let drop = data_acked.since(self.buf_base) as usize;
                 self.send_buf.advance(drop);
                 self.buf_base = data_acked;
             }
@@ -836,7 +837,7 @@ impl Tcb {
             }
             // NewReno/SACK partial-ACK recovery: the controller asked
             // for the next hole to be retransmitted right away.
-            if sig == CcSignal::Retransmit && seq_gt(self.snd_nxt, self.snd_una) {
+            if sig == CcSignal::Retransmit && self.snd_nxt.after(self.snd_una) {
                 self.probe(fx, TcpProbeEvent::FastRetransmit);
                 self.retransmit(now, fx);
             }
@@ -845,7 +846,7 @@ impl Tcb {
             && !seg.has_payload()
             && !seg.flags.syn
             && !seg.flags.fin
-            && seq_gt(self.snd_nxt, self.snd_una)
+            && self.snd_nxt.after(self.snd_una)
         {
             // Duplicate ACK while data is outstanding.
             let ctx = self.cc_ctx(now, &seg.sack);
@@ -868,21 +869,21 @@ impl Tcb {
         }
 
         // Zero-window handling: arm the persist timer if data waits.
-        if self.peer_window == 0 && seq_gt(self.send_limit(), self.snd_nxt) {
+        if self.peer_window == 0 && self.send_limit().after(self.snd_nxt) {
             self.probe(fx, TcpProbeEvent::ZeroWindow);
             self.arm_timer(TimerKind::Persist, now + self.cc.rto, fx);
         }
     }
 
     fn handle_data(&mut self, now: SimTime, seg: &Segment, fx: &mut Effects) {
-        let mut seq = seg.seq;
+        let mut seq = Seq::new(seg.seq);
         // A `Bytes` clone is a refcount bump sharing the pooled buffer,
         // not a copy.
         let mut payload = seg.payload.clone();
 
         // Trim any portion we already have.
-        if seq_lt(seq, self.rcv_nxt) {
-            let overlap = seq_sub(self.rcv_nxt, seq) as usize;
+        if seq.before(self.rcv_nxt) {
+            let overlap = self.rcv_nxt.since(seq) as usize;
             if overlap >= payload.len() && !seg.flags.fin {
                 // Entirely a duplicate: re-ACK immediately to resync.
                 self.emit_ack(fx);
@@ -892,13 +893,18 @@ impl Tcb {
             seq = self.rcv_nxt;
         }
 
-        if seq_gt(seq, self.rcv_nxt) {
+        // A FIN occupies the last unit of the segment's sequence space.
+        let fin_seq = seg
+            .flags
+            .fin
+            .then(|| Seq::new(seg.seq) + (seg.seq_space() - 1));
+        if seq.after(self.rcv_nxt) {
             // Out of order: stash and send an immediate duplicate ACK.
             if !payload.is_empty() {
-                self.reassembly.entry(seq).or_insert(payload);
+                self.reassembly.entry(seq.raw()).or_insert(payload);
             }
-            if seg.flags.fin {
-                self.peer_fin_seq = Some(seq_sub(seg.seq_end(), 1));
+            if fin_seq.is_some() {
+                self.peer_fin_seq = fin_seq;
             }
             self.emit_ack(fx);
             return;
@@ -912,17 +918,17 @@ impl Tcb {
             self.recv_buf.push(payload);
             delivered = true;
         }
-        if seg.flags.fin {
-            self.peer_fin_seq = Some(seq_sub(seg.seq_end(), 1));
+        if fin_seq.is_some() {
+            self.peer_fin_seq = fin_seq;
         }
 
         // Drain the reassembly queue.
         while let Some((&s, _)) = self.reassembly.first_key_value() {
-            if seq_gt(s, self.rcv_nxt) {
+            if Seq::new(s).after(self.rcv_nxt) {
                 break;
             }
             let (s, data) = self.reassembly.pop_first().unwrap();
-            let skip = seq_sub(self.rcv_nxt, s) as usize;
+            let skip = self.rcv_nxt.since(Seq::new(s)) as usize;
             if skip < data.len() {
                 let fresh = data.slice(skip..);
                 self.bytes_received += fresh.len() as u64;
@@ -1002,7 +1008,7 @@ impl Tcb {
                 }
             }
             TimerKind::Rto => {
-                if seq_gt(self.snd_nxt, self.snd_una) {
+                if self.snd_nxt.after(self.snd_una) {
                     // Timeout: multiplicative back-off, collapse cwnd, go
                     // back into slow start (RFC 2001).
                     let ctx = self.cc_ctx(now, &SackBlocks::NONE);
@@ -1015,9 +1021,9 @@ impl Tcb {
             }
             TimerKind::TimeWait => self.finish(fx),
             TimerKind::Persist => {
-                if self.peer_window == 0 && seq_gt(self.send_limit(), self.snd_nxt) {
+                if self.peer_window == 0 && self.send_limit().after(self.snd_nxt) {
                     // One-byte window probe.
-                    let off = seq_sub(self.snd_nxt, self.buf_base) as usize;
+                    let off = self.snd_nxt.since(self.buf_base) as usize;
                     let payload = self.send_buf.slice(off, 1);
                     self.emit_data_segment(self.snd_nxt, payload, false, fx);
                     self.arm_timer(TimerKind::Persist, now + self.cc.rto, fx);
@@ -1058,7 +1064,7 @@ impl Tcb {
 
     /// Whether the peer has acked our FIN.
     fn fin_acked(&self) -> bool {
-        self.fin_seq.is_some_and(|f| seq_gt(self.snd_una, f))
+        self.fin_seq.is_some_and(|f| self.snd_una.after(f))
     }
 
     fn enter_time_wait(&mut self, now: SimTime, fx: &mut Effects) {
@@ -1071,9 +1077,9 @@ impl Tcb {
     // Sending
     // ------------------------------------------------------------------
 
-    fn take_rtt_sample(&mut self, now: SimTime, ack: u64) {
+    fn take_rtt_sample(&mut self, now: SimTime, ack: Seq) {
         if let Some((seq, sent)) = self.cc.rtt_sample {
-            if seq_ge(ack, seq) {
+            if ack.at_or_after(seq) {
                 let sample = now.since(sent).as_nanos();
                 match self.cc.srtt_ns {
                     None => {
@@ -1102,7 +1108,7 @@ impl Tcb {
         cc::wire_sack_blocks(
             self.reassembly
                 .iter()
-                .map(|(&s, p)| (s, s + p.len() as u64)),
+                .map(|(&s, p)| (Seq::new(s), Seq::new(s) + p.len() as u64)),
             self.rcv_nxt,
         )
     }
@@ -1118,8 +1124,8 @@ impl Tcb {
         fx.segments.push(Segment {
             src: self.local,
             dst: self.remote,
-            seq: self.snd_nxt,
-            ack: self.rcv_nxt,
+            seq: self.snd_nxt.raw(),
+            ack: self.rcv_nxt.raw(),
             flags: TcpFlags::ACK,
             window: self.advertised_window(),
             sack: self.sack_for_ack(),
@@ -1128,7 +1134,7 @@ impl Tcb {
         self.segments_sent += 1;
     }
 
-    fn emit_data_segment(&mut self, seq: u64, payload: Bytes, fin: bool, fx: &mut Effects) {
+    fn emit_data_segment(&mut self, seq: Seq, payload: Bytes, fin: bool, fx: &mut Effects) {
         self.assert_may_send();
         let flags = TcpFlags {
             syn: false,
@@ -1149,8 +1155,8 @@ impl Tcb {
         fx.segments.push(Segment {
             src: self.local,
             dst: self.remote,
-            seq,
-            ack: self.rcv_nxt,
+            seq: seq.raw(),
+            ack: self.rcv_nxt.raw(),
             flags,
             window: self.advertised_window(),
             sack: self.sack_for_ack(),
@@ -1176,10 +1182,10 @@ impl Tcb {
             if self.fin_sent {
                 break;
             }
-            let in_flight = seq_sub(self.snd_nxt, self.snd_una) as usize;
+            let in_flight = self.snd_nxt.since(self.snd_una) as usize;
             let wnd = self.cc.ctl.cwnd().min(self.peer_window);
             let avail = wnd.saturating_sub(in_flight);
-            let unsent = seq_sub(self.send_limit(), self.snd_nxt) as usize;
+            let unsent = self.send_limit().since(self.snd_nxt) as usize;
             let len = unsent.min(self.cfg.mss).min(avail);
             let fin_now = self.fin_queued && (self.snd_nxt + len as u64) == self.send_limit();
 
@@ -1207,7 +1213,7 @@ impl Tcb {
                 break;
             }
 
-            let off = seq_sub(self.snd_nxt, self.buf_base) as usize;
+            let off = self.snd_nxt.since(self.buf_base) as usize;
             let payload = self.send_buf.slice(off, len);
             if self.cc.rtt_sample.is_none() && (len > 0 || fin_now) {
                 self.cc.rtt_sample = Some((self.snd_nxt + len as u64 + u64::from(fin_now), now));
@@ -1258,7 +1264,7 @@ impl Tcb {
                     src: self.local,
                     dst: self.remote,
                     seq: 0,
-                    ack: self.rcv_nxt,
+                    ack: self.rcv_nxt.raw(),
                     flags: TcpFlags::SYN_ACK,
                     window: self.advertised_window(),
                     sack: SackBlocks::NONE,
@@ -1267,16 +1273,16 @@ impl Tcb {
                 self.segments_sent += 1;
             }
             _ => {
-                let data_start = self.snd_una.max(self.buf_base);
+                let data_start = self.snd_una.later(self.buf_base);
                 let data_end = self.send_limit();
-                if data_start < data_end {
-                    let off = seq_sub(data_start, self.buf_base) as usize;
-                    let mut len = ((data_end - data_start) as usize).min(self.cfg.mss);
+                if data_start.before(data_end) {
+                    let off = data_start.since(self.buf_base) as usize;
+                    let mut len = (data_end.since(data_start) as usize).min(self.cfg.mss);
                     // SACK: stop short of the first range the peer
                     // already holds — never resend a SACKed octet.
                     if let Some(cap) = self.cc.ctl.rexmit_cap(data_start) {
-                        if seq_gt(cap, data_start) {
-                            len = len.min(seq_sub(cap, data_start) as usize);
+                        if cap.after(data_start) {
+                            len = len.min(cap.since(data_start) as usize);
                         }
                     }
                     let payload = self.send_buf.slice(off, len);

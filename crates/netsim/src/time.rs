@@ -5,6 +5,13 @@
 //! [`SimDuration`]; absolute points on the virtual clock are [`SimTime`].
 //! Using integers keeps the simulation fully deterministic — there is no
 //! floating-point accumulation anywhere on the timing path.
+//!
+//! This module owns the conversions to float seconds, which report
+//! results and never feed back into the timing path.
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "the tick-to-seconds conversions live here"
+)]
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -616,6 +616,10 @@ impl TraceStats {
 
     /// Percentage of wire bytes that are TCP/IP header overhead — the
     /// paper's `%ov` column.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "a report-edge ratio of byte counts, exact below 2^53"
+    )]
     pub fn overhead_pct(&self) -> f64 {
         if self.bytes == 0 {
             0.0
@@ -1053,6 +1057,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "with no payload the first byte is the literal 0.0"
+    )]
     fn first_byte_zero_without_payload() {
         let mut t = Trace::new();
         t.record(rec(0, 1, TcpFlags::SYN, 0, 0));

@@ -11,6 +11,7 @@
 //!   encoded length matches [`SackBlocks::wire_bytes`].
 
 use netsim::cc::{merged_spans, wire_sack_blocks};
+use netsim::seq::Seq;
 use netsim::SackBlocks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +35,23 @@ fn random_spans(rng: &mut SmallRng, max_spans: usize) -> (Vec<(u64, u64)>, u64) 
     (spans, rcv_nxt)
 }
 
+/// `merged_spans` over wire values, back as wire values.
+fn merged(spans: &[(u64, u64)], rcv_nxt: u64) -> Vec<(u64, u64)> {
+    merged_spans(seqs(spans), Seq::new(rcv_nxt))
+        .into_iter()
+        .map(|(s, e)| (s.raw(), e.raw()))
+        .collect()
+}
+
+/// `wire_sack_blocks` over wire values.
+fn wire(spans: &[(u64, u64)], rcv_nxt: u64) -> SackBlocks {
+    wire_sack_blocks(seqs(spans), Seq::new(rcv_nxt))
+}
+
+fn seqs(spans: &[(u64, u64)]) -> impl Iterator<Item = (Seq, Seq)> + '_ {
+    spans.iter().map(|&(s, e)| (Seq::new(s), Seq::new(e)))
+}
+
 /// Every octet of `spans` above `rcv_nxt`, as an explicit set.
 fn octets_above(spans: &[(u64, u64)], rcv_nxt: u64) -> BTreeSet<u64> {
     spans
@@ -48,7 +66,7 @@ fn merged_spans_disjoint_ordered_exact_cover() {
     let mut rng = SmallRng::seed_from_u64(0x5ac1);
     for _ in 0..2_000 {
         let (spans, rcv_nxt) = random_spans(&mut rng, 12);
-        let merged = merged_spans(spans.iter().copied(), rcv_nxt);
+        let merged = merged(&spans, rcv_nxt);
 
         // Non-empty, strictly ascending, disjoint (no touching ranges
         // survive the merge).
@@ -96,8 +114,8 @@ fn wire_blocks_are_first_four_merged_spans() {
     let mut saw_capped = false;
     for _ in 0..2_000 {
         let (spans, rcv_nxt) = random_spans(&mut rng, 12);
-        let merged = merged_spans(spans.iter().copied(), rcv_nxt);
-        let wire = wire_sack_blocks(spans.iter().copied(), rcv_nxt);
+        let merged = merged(&spans, rcv_nxt);
+        let wire = wire(&spans, rcv_nxt);
 
         assert!(wire.len() <= 4);
         let expect: Vec<(u64, u64)> = merged.iter().copied().take(4).collect();
@@ -119,7 +137,7 @@ fn wire_roundtrip_and_length() {
     let mut rng = SmallRng::seed_from_u64(0x5ac3);
     for _ in 0..2_000 {
         let (spans, rcv_nxt) = random_spans(&mut rng, 12);
-        let wire = wire_sack_blocks(spans.iter().copied(), rcv_nxt);
+        let wire = wire(&spans, rcv_nxt);
 
         let mut bytes = Vec::new();
         wire.encode(&mut bytes);

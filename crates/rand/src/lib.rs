@@ -237,7 +237,9 @@ pub trait Rng: RngCore {
     /// `true` with probability `p`.
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "gen_bool: p out of range");
-        if p == 1.0 {
+        // Exactly 1.0 is the one probability the 64-bit scaling below
+        // cannot hold, so it is decided before scaling, as rand does.
+        if p.to_bits() == 1.0f64.to_bits() {
             return true;
         }
         // p scaled to the full 64-bit domain, as rand's Bernoulli does.

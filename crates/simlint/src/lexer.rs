@@ -4,8 +4,8 @@
 //! meant a violation could hide behind reformatting (`.drain(` on one
 //! line, `..n)` on the next) and a needle inside a string literal was a
 //! false positive waiting to happen. The lexer removes both failure
-//! modes: rules see a token stream in which comments and string/char
-//! literals are first-class, separate entities.
+//! modes: comments never reach the token stream, and a string or char
+//! literal is one token whose contents no rule reads.
 //!
 //! It handles the syntax this workspace actually uses: line and
 //! (nested) block comments, string / raw string / byte string / char
@@ -56,45 +56,21 @@ impl Tok {
     }
 }
 
-/// A comment, kept separately from the code tokens so rules never see
-/// it but the allow-marker scanner still can.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
-    /// 1-based line where the comment starts.
-    pub line: u32,
-    /// 1-based line where the comment ends (same as `line` for `//`).
-    pub end_line: u32,
-    /// True if a code token precedes the comment on its start line.
-    pub trailing: bool,
-}
-
-/// The result of lexing one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Code tokens in source order, comments excluded.
-    pub toks: Vec<Tok>,
-    /// Comments in source order.
-    pub comments: Vec<Comment>,
-}
-
 /// Operators longer than one character, longest-match-first.
 const MULTI_OPS: &[&str] = &[
     "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
     "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
 ];
 
-/// Lex `src` into tokens and comments. Never fails: malformed input
-/// degrades to operator tokens rather than aborting the lint.
-pub fn lex(src: &str) -> Lexed {
+/// Lex `src` into its code tokens, comments skipped. Never fails:
+/// malformed input degrades to operator tokens rather than aborting the
+/// lint.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
-    // Line of the most recently emitted code token, for `trailing`.
-    let mut last_code_line: u32 = 0;
 
     macro_rules! advance {
         ($n:expr) => {{
@@ -124,22 +100,14 @@ pub fn lex(src: &str) -> Lexed {
 
         // Line comment.
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-            let start = i;
             while i < b.len() && b[i] != b'\n' {
                 advance!(1);
             }
-            out.comments.push(Comment {
-                text: String::from_utf8_lossy(&b[start..i]).into_owned(),
-                line: tline,
-                end_line: tline,
-                trailing: last_code_line == tline,
-            });
             continue;
         }
 
         // Block comment (nested).
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-            let start = i;
             let mut depth = 0usize;
             while i < b.len() {
                 if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
@@ -155,12 +123,6 @@ pub fn lex(src: &str) -> Lexed {
                     advance!(1);
                 }
             }
-            out.comments.push(Comment {
-                text: String::from_utf8_lossy(&b[start..i]).into_owned(),
-                line: tline,
-                end_line: line,
-                trailing: last_code_line == tline,
-            });
             continue;
         }
 
@@ -209,13 +171,12 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     advance!(1); // closing quote
                 }
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Str,
                     text: String::from_utf8_lossy(&b[start..i]).into_owned(),
                     line: tline,
                     col: tcol,
                 });
-                last_code_line = line;
                 continue;
             }
         }
@@ -231,13 +192,12 @@ pub fn lex(src: &str) -> Lexed {
                 advance!(1);
             }
             advance!(1);
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Str,
                 text: String::from_utf8_lossy(&b[start..i]).into_owned(),
                 line: tline,
                 col: tcol,
             });
-            last_code_line = line;
             continue;
         }
 
@@ -253,7 +213,7 @@ pub fn lex(src: &str) -> Lexed {
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     advance!(1);
                 }
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Lifetime,
                     text: String::from_utf8_lossy(&b[start..i]).into_owned(),
                     line: tline,
@@ -278,14 +238,13 @@ pub fn lex(src: &str) -> Lexed {
                 if i < b.len() && b[i] == b'\'' {
                     advance!(1);
                 }
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Char,
                     text: String::from_utf8_lossy(&b[start..i]).into_owned(),
                     line: tline,
                     col: tcol,
                 });
             }
-            last_code_line = line;
             continue;
         }
 
@@ -311,13 +270,12 @@ pub fn lex(src: &str) -> Lexed {
                     break;
                 }
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Num,
                 text: String::from_utf8_lossy(&b[start..i]).into_owned(),
                 line: tline,
                 col: tcol,
             });
-            last_code_line = line;
             continue;
         }
 
@@ -327,13 +285,12 @@ pub fn lex(src: &str) -> Lexed {
             while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                 advance!(1);
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Ident,
                 text: String::from_utf8_lossy(&b[start..i]).into_owned(),
                 line: tline,
                 col: tcol,
             });
-            last_code_line = line;
             continue;
         }
 
@@ -344,7 +301,7 @@ pub fn lex(src: &str) -> Lexed {
         let mut matched = false;
         for op in MULTI_OPS {
             if rest.starts_with(op.as_bytes()) {
-                out.toks.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Op,
                     text: (*op).to_string(),
                     line: tline,
@@ -356,18 +313,16 @@ pub fn lex(src: &str) -> Lexed {
             }
         }
         if matched {
-            last_code_line = line;
             continue;
         }
 
         // Single-char operator / punctuation (also any stray byte).
-        out.toks.push(Tok {
+        out.push(Tok {
             kind: TokKind::Op,
             text: (c as char).to_string(),
             line: tline,
             col: tcol,
         });
-        last_code_line = tline;
         advance!(1);
     }
 
@@ -379,19 +334,19 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).toks.into_iter().map(|t| t.text).collect()
+        lex(src).into_iter().map(|t| t.text).collect()
     }
 
     #[test]
     fn idents_ops_and_positions() {
         let l = lex("let x = a::b;\nx += 1;");
-        let t: Vec<&str> = l.toks.iter().map(|t| t.text.as_str()).collect();
+        let t: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(
             t,
             ["let", "x", "=", "a", "::", "b", ";", "x", "+=", "1", ";"]
         );
-        assert_eq!(l.toks[7].line, 2);
-        assert_eq!(l.toks[7].col, 1);
+        assert_eq!(l[7].line, 2);
+        assert_eq!(l[7].col, 1);
     }
 
     #[test]
@@ -413,21 +368,15 @@ mod tests {
     #[test]
     fn nested_block_comments_excluded() {
         let l = lex("a /* x /* y */ z */ b");
-        let t: Vec<&str> = l.toks.iter().map(|t| t.text.as_str()).collect();
+        let t: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(t, ["a", "b"]);
-        assert_eq!(l.comments.len(), 1);
-        assert!(l.comments[0].trailing);
     }
 
     #[test]
     fn lifetime_vs_char() {
         let l = lex("fn f<'a>(x: &'a u8) { let c = 'x'; let n = '\\n'; }");
-        let lifetimes = l
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .count();
-        let chars: Vec<&Tok> = l.toks.iter().filter(|t| t.kind == TokKind::Char).collect();
+        let lifetimes = l.iter().filter(|t| t.kind == TokKind::Lifetime).count();
+        let chars: Vec<&Tok> = l.iter().filter(|t| t.kind == TokKind::Char).collect();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars.len(), 2);
         assert_eq!(chars[0].text, "'x'");
@@ -438,19 +387,18 @@ mod tests {
         // Sparkline block chars are 3-byte UTF-8 scalars; the char
         // literal must consume the whole scalar, not one byte of it.
         let l = lex("const B: [char; 2] = ['▁', '█'];\nlet x = HashMap::new();");
-        let chars: Vec<&Tok> = l.toks.iter().filter(|t| t.kind == TokKind::Char).collect();
+        let chars: Vec<&Tok> = l.iter().filter(|t| t.kind == TokKind::Char).collect();
         assert_eq!(chars.len(), 2);
         assert_eq!(chars[0].text, "'▁'");
         assert_eq!(chars[1].text, "'█'");
         // Lexing continues correctly past the literals.
-        assert!(l.toks.iter().any(|t| t.is_ident("HashMap")));
+        assert!(l.iter().any(|t| t.is_ident("HashMap")));
     }
 
     #[test]
     fn numbers_with_underscores_and_exponents() {
         let l = lex("1_000_000_000 + 1e9 + 1.5e-3 + 0xff_u64 + 1..2");
         let nums: Vec<&str> = l
-            .toks
             .iter()
             .filter(|t| t.kind == TokKind::Num)
             .map(|t| t.text.as_str())
@@ -463,9 +411,11 @@ mod tests {
 
     #[test]
     fn trailing_vs_standalone_comment() {
+        // Neither kind of comment leaves a token, and lines still count.
         let l = lex("code(); // trailing\n// standalone\nmore();");
-        assert!(l.comments[0].trailing);
-        assert!(!l.comments[1].trailing);
+        let t: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(t, ["code", "(", ")", ";", "more", "(", ")", ";"]);
+        assert_eq!(l[4].line, 3);
     }
 
     #[test]
