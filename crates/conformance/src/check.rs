@@ -5,6 +5,7 @@
 
 use crate::{CheckConfig, InvariantKind, Report, Violation};
 use bytes::{Bytes, BytesQueue};
+use netsim::seq::Seq;
 use netsim::{CcVariant, DropRecord, HostId, Records, Segment, SimTime, SockAddr};
 use std::collections::BTreeMap;
 
@@ -87,7 +88,7 @@ impl<'a> Captures<'a> {
 /// Identity of one emission: (sent-nanos, src, seq, ack, flag bits,
 /// payload length, window). Two captures matching on all of these are
 /// network copies of the same packet.
-type EmissionKey = (u64, SockAddr, u64, u64, u8, usize, usize);
+type EmissionKey = (u64, SockAddr, u32, u32, u8, usize, usize);
 
 fn emission_key(sent: SimTime, seg: &Segment) -> EmissionKey {
     let f = &seg.flags;
@@ -117,6 +118,33 @@ struct Replay {
     ends: [EndState; 2],
 }
 
+/// One endpoint's sequence space, read as [`Seq::offset`]s from the
+/// sequence number of its first departure but a RST (its ISS): the replay
+/// runs on these, so a connection starting near 2³² checks as one at 0.
+#[derive(Clone, Copy, Default)]
+struct Space {
+    origin: Option<Seq>,
+    near: u64,
+}
+
+impl Space {
+    /// The offset of wire value `raw`.
+    fn offset(&mut self, raw: u32) -> u64 {
+        let origin = self.origin.unwrap_or(Seq::new(0));
+        self.near = Seq::new(raw).offset(origin, self.near);
+        self.near
+    }
+}
+
+/// `seg`'s sequence number and end in its `sender`'s space, and its ack
+/// (0 without the ACK flag) in the other.
+fn offsets(seg: &Segment, spaces: &mut [Space; 2], sender: usize) -> (u64, u64, u64) {
+    let ours = &mut spaces[sender];
+    let (seq, end) = (ours.offset(seg.seq), ours.offset(seg.seq_end()));
+    let ack = seg.flags.ack.then(|| spaces[1 - sender].offset(seg.ack));
+    (seq, end, ack.unwrap_or(0))
+}
+
 impl Replay {
     fn new(cfg: &CheckConfig) -> Self {
         // Each end is reset to its connection's address before use.
@@ -136,7 +164,8 @@ impl Replay {
         cfg: &CheckConfig,
         report: &mut Report,
     ) {
-        report.segments += self.load(trace, key, run, cfg);
+        let (packets, mut spaces) = self.load(trace, key, run, cfg);
+        report.segments += packets;
         let Replay { events, ends } = self;
         // Arrivals before departures at equal instants; then by emission
         // order (seq, seq_space) so same-instant batches replay as the TCB
@@ -148,9 +177,11 @@ impl Replay {
                 Event::Arrive { pkt, .. } | Event::Depart { pkt, .. } => pkt,
             };
             let seg = trace.get(p).1;
-            (e.at(), e.rank(), seg.seq, seg.seq_space(), p)
+            let origin = spaces[usize::from(seg.src != key.0)].origin;
+            let seq = Seq::new(seg.seq).since(origin.unwrap_or(Seq::new(0)));
+            (e.at(), e.rank(), seq, seg.seq_space(), p)
         });
-        replay(key, trace, events, ends, cfg, report);
+        replay(key, trace, events, ends, &mut spaces, cfg, report);
     }
 
     /// Load connection `key` from its captures `run`, which this
@@ -158,14 +189,14 @@ impl Replay {
     /// room for what the replay will record. Network copies of one
     /// emission fold into one packet, named by the copy captured first:
     /// one departure, and an arrival per copy that arrived. Returns how
-    /// many packets there are.
+    /// many packets there are, and both endpoints' sequence spaces.
     fn load(
         &mut self,
         trace: Captures<'_>,
         key: ConnKey,
         run: &mut [(ConnKey, u32)],
         cfg: &CheckConfig,
-    ) -> usize {
+    ) -> (usize, [Space; 2]) {
         // Copies of one emission sort together, first capture first.
         run.sort_unstable_by_key(|&(_, n)| {
             let (sent, seg, _) = trace.get(n);
@@ -173,6 +204,7 @@ impl Replay {
         });
         self.events.clear();
         self.events.reserve_exact(2 * run.len());
+        let mut spaces = [Space::default(); 2];
         let mut sizes = [Sizes::default(); 2];
         let mut packets = 0;
         let mut last: Option<(EmissionKey, u32)> = None;
@@ -185,7 +217,11 @@ impl Replay {
                     packets += 1;
                     last = Some((emission, n));
                     self.events.push(Event::Depart { at: sent, pkt: n });
-                    sizes[usize::from(seg.src != key.0)].departure(seg);
+                    let side = usize::from(seg.src != key.0);
+                    sizes[side].departure(seg);
+                    if !seg.flags.rst {
+                        spaces[side].origin.get_or_insert(Seq::new(seg.seq));
+                    }
                     n
                 }
             };
@@ -196,7 +232,7 @@ impl Replay {
         }
         self.ends[0].reset(key.0, sizes[0], cfg);
         self.ends[1].reset(key.1, sizes[1], cfg);
-        packets
+        (packets, spaces)
     }
 }
 
@@ -355,25 +391,23 @@ impl EndState {
     }
 
     /// Receiver-side reassembly of the peer's byte stream: append what
-    /// `seg`, arriving at `at`, makes contiguous, as views of the
-    /// payloads themselves. Data ahead of a hole waits in the stash.
-    fn reassemble(&mut self, at: SimTime, seg: &Segment) {
+    /// `seg`, at offset `seq` and arriving at `at`, makes contiguous, as
+    /// views of the payloads themselves. Data ahead of a hole waits.
+    fn reassemble(&mut self, at: SimTime, seq: u64, seg: &Segment) {
         let Some(mut nxt) = self.rcv_nxt else { return };
         if seg.payload.is_empty() {
             return;
         }
         let mut advanced = false;
-        if seg.seq <= nxt {
-            let skip = (nxt - seg.seq) as usize;
+        if seq <= nxt {
+            let skip = (nxt - seq) as usize;
             if skip < seg.payload.len() {
                 self.stream.push(seg.payload.slice(skip..));
                 nxt += (seg.payload.len() - skip) as u64;
                 advanced = true;
             }
         } else {
-            self.stash
-                .entry(seg.seq)
-                .or_insert_with(|| seg.payload.clone());
+            self.stash.entry(seq).or_insert_with(|| seg.payload.clone());
         }
         // Drain any stashed out-of-order data that became contiguous.
         while let Some(first) = self.stash.first_entry() {
@@ -436,6 +470,7 @@ fn replay(
     trace: Captures<'_>,
     events: &[Event],
     ends: &mut [EndState; 2],
+    spaces: &mut [Space; 2],
     cfg: &CheckConfig,
     report: &mut Report,
 ) {
@@ -467,45 +502,47 @@ fn replay(
                     first_rst = Some(first_rst.map_or(at, |t| t.min(at)));
                     continue;
                 }
-                e.arrived_seq_max = e.arrived_seq_max.max(seg.seq_end());
+                let (seq, end, ack) = offsets(seg, spaces, 1 - side);
+                e.arrived_seq_max = e.arrived_seq_max.max(end);
                 e.last_arr_window = Some(seg.window);
                 if seg.flags.syn {
-                    e.arrived_syn_seq = Some(seg.seq);
+                    e.arrived_syn_seq = Some(seq);
                     e.syn_arrived_since_syn_tx = true;
-                    e.rcv_nxt.get_or_insert(seg.seq + 1);
+                    e.rcv_nxt.get_or_insert(seq + 1);
                 }
                 if seg.flags.ack {
-                    e.max_right_edge = e.max_right_edge.max(seg.ack + seg.window as u64);
+                    e.max_right_edge = e.max_right_edge.max(ack + seg.window as u64);
                     // Sender-facing SACK scoreboard: ranges the peer
                     // reports received need never be retransmitted.
                     for (s, end) in seg.sack.iter() {
-                        merge_sacked(&mut e.sacked, s, end);
+                        let own = &mut spaces[side];
+                        merge_sacked(&mut e.sacked, own.offset(s), own.offset(end));
                     }
-                    if seg.ack > e.max_ack_arrived {
-                        e.max_ack_arrived = seg.ack;
+                    if ack > e.max_ack_arrived {
+                        e.max_ack_arrived = ack;
                         e.cwnd_cap += cfg.tcp.mss;
                         e.dup_acks = 0;
-                        e.sacked.retain(|&(_, end)| end > seg.ack);
+                        e.sacked.retain(|&(_, end)| end > ack);
                         if let Some(first) = e.sacked.first_mut() {
-                            first.0 = first.0.max(seg.ack);
+                            first.0 = first.0.max(ack);
                         }
                         // Fast-recovery bookkeeping (RFC 6582): an ACK
                         // covering everything outstanding at loss time
                         // ends recovery; anything less is a partial ACK
                         // whose hole must be filled promptly.
                         if e.recovery_high > 0 {
-                            if seg.ack >= e.recovery_high {
+                            if ack >= e.recovery_high {
                                 e.recovery_high = 0;
                                 e.partial_ack_pending = None;
                             } else {
-                                e.partial_ack_pending = Some((seg.ack, at));
+                                e.partial_ack_pending = Some((ack, at));
                             }
                         }
-                    } else if seg.ack == e.max_ack_arrived
+                    } else if ack == e.max_ack_arrived
                         && !seg.has_payload()
                         && !seg.flags.syn
                         && !seg.flags.fin
-                        && e.snd_max > seg.ack
+                        && e.snd_max > ack
                     {
                         e.dup_acks += 1;
                         // RFC 6582 window inflation: NewReno/SACK
@@ -524,9 +561,9 @@ fn replay(
                     }
                 }
                 if seg.flags.fin {
-                    e.peer_fin_seq = Some(seg.seq_end() - 1);
+                    e.peer_fin_seq = Some(end - 1);
                 }
-                e.reassemble(at, seg);
+                e.reassemble(at, seq, seg);
             }
             Event::Depart { at, pkt } => {
                 let seg = trace.get(pkt).1;
@@ -571,6 +608,7 @@ fn replay(
                     continue;
                 }
 
+                let (seq, end, ack) = offsets(seg, spaces, side);
                 // Immutable cross-side reads before borrowing mutably.
                 let e = &ends[side];
                 if !e.departed_any && !seg.flags.syn {
@@ -608,26 +646,26 @@ fn replay(
                             format!("ACK-bearing segment before anything arrived: {seg}"),
                         );
                     }
-                    if seg.ack > e.arrived_seq_max {
+                    if ack > e.arrived_seq_max {
                         v(
                             report,
                             InvariantKind::AckNoUnsentData,
                             at,
                             format!(
                                 "ack {} exceeds causally delivered sequence end {}",
-                                seg.ack, e.arrived_seq_max
+                                ack, e.arrived_seq_max
                             ),
                         );
                     }
-                    if seg.ack < e.last_ack_departed {
+                    if ack < e.last_ack_departed {
                         v(
                             report,
                             InvariantKind::AckMonotonic,
                             at,
-                            format!("ack {} after ack {}", seg.ack, e.last_ack_departed),
+                            format!("ack {ack} after ack {}", e.last_ack_departed),
                         );
                     }
-                    let edge = seg.ack + seg.window as u64;
+                    let edge = ack + seg.window as u64;
                     if edge < e.last_edge_departed {
                         v(
                             report,
@@ -642,12 +680,12 @@ fn replay(
                     if seg.flags.syn {
                         // SYN-ACK: must acknowledge the peer's ISS + 1.
                         match e.arrived_syn_seq {
-                            Some(iss) if seg.ack == iss + 1 => {}
+                            Some(iss) if ack == iss + 1 => {}
                             Some(iss) => v(
                                 report,
                                 InvariantKind::SynAckAcksIss,
                                 at,
-                                format!("SYN-ACK acks {} (peer ISS {iss})", seg.ack),
+                                format!("SYN-ACK acks {ack} (peer ISS {iss})"),
                             ),
                             None => v(
                                 report,
@@ -668,42 +706,38 @@ fn replay(
                 }
 
                 if seg.seq_space() > 0 {
-                    let fresh = seg.seq >= e.snd_max;
+                    let fresh = seq >= e.snd_max;
                     let is_probe = seg.payload.len() == 1 && e.last_arr_window == Some(0);
                     // A segment may re-cover old space or extend it, but
                     // never *start* beyond snd_max (sequence gap).
-                    if seg.seq > e.snd_max {
+                    if seq > e.snd_max {
                         v(
                             report,
                             InvariantKind::SeqContiguous,
                             at,
-                            format!("seq {} leaves a gap above snd_max {}", seg.seq, e.snd_max),
+                            format!("seq {seq} leaves a gap above snd_max {}", e.snd_max),
                         );
                     }
                     if let Some(fin_end) = e.fin_end {
-                        if seg.seq_end() > fin_end {
+                        if end > fin_end {
                             v(
                                 report,
                                 InvariantKind::DataAfterFin,
                                 at,
-                                format!(
-                                    "sequence space {}..{} beyond FIN end {fin_end}",
-                                    seg.seq,
-                                    seg.seq_end()
-                                ),
+                                format!("sequence space {}..{} beyond FIN end {fin_end}", seq, end),
                             );
                         }
-                        if seg.flags.fin && seg.seq_end() != fin_end {
+                        if seg.flags.fin && end != fin_end {
                             v(
                                 report,
                                 InvariantKind::FinSeqStable,
                                 at,
-                                format!("FIN moved from {fin_end} to {}", seg.seq_end()),
+                                format!("FIN moved from {fin_end} to {end}"),
                             );
                         }
                     }
                     if !seg.payload.is_empty() && !is_probe {
-                        let payload_end = seg.seq + seg.payload.len() as u64;
+                        let payload_end = seq + seg.payload.len() as u64;
                         if payload_end > e.max_right_edge && e.max_right_edge > 0 {
                             v(
                                 report,
@@ -716,11 +750,11 @@ fn replay(
                             );
                         }
                     }
-                    if seg.seq_end() > e.snd_max {
+                    if end > e.snd_max {
                         // Extending flight: check the congestion bound.
                         // +2 covers the SYN/FIN sequence units which are
                         // not payload subject to cwnd.
-                        let in_flight = (seg.seq_end() - e.max_ack_arrived) as usize;
+                        let in_flight = (end - e.max_ack_arrived) as usize;
                         if in_flight > e.cwnd_cap + 2 {
                             v(
                                 report,
@@ -786,10 +820,9 @@ fn replay(
                         // fresh duplicate ACKs (RFC 6582 §3.2).
                         let cc_partial = matches!(cfg.tcp.cc, CcVariant::NewReno | CcVariant::Sack);
                         let partial_answer = cc_partial
-                            && e.partial_ack_pending
-                                .is_some_and(|(hole, _)| hole == seg.seq);
+                            && e.partial_ack_pending.is_some_and(|(hole, _)| hole == seq);
                         if let Some((hole, t_set)) = e.partial_ack_pending {
-                            if cc_partial && hole == seg.seq && at.since(t_set) >= cfg.tcp.min_rto {
+                            if cc_partial && hole == seq && at.since(t_set) >= cfg.tcp.min_rto {
                                 v(
                                     report,
                                     InvariantKind::NewRenoPartialAck,
@@ -807,11 +840,11 @@ fn replay(
                         // already reported received in a SACK block
                         // (RFC 2018 §8).
                         if !seg.payload.is_empty() && !is_probe {
-                            let p_end = seg.seq + seg.payload.len() as u64;
+                            let p_end = seq + seg.payload.len() as u64;
                             if let Some(&(bs, be)) = e
                                 .sacked
                                 .iter()
-                                .find(|&&(bs, be)| bs.max(seg.seq) < be.min(p_end))
+                                .find(|&&(bs, be)| bs.max(seq) < be.min(p_end))
                             {
                                 v(
                                     report,
@@ -820,12 +853,12 @@ fn replay(
                                     format!(
                                         "retransmission {}..{p_end} overlaps SACKed range \
                                          {bs}..{be}",
-                                        seg.seq
+                                        seq
                                     ),
                                 );
                             }
                         }
-                        let octet = seg.seq;
+                        let octet = seq;
                         let last_tx = e
                             .txs
                             .iter()
@@ -849,7 +882,7 @@ fn replay(
                                     at,
                                     format!(
                                         "seq {} re-sent {} after previous copy with {} dup-acks",
-                                        seg.seq,
+                                        seq,
                                         at.since(last_at),
                                         e.dup_acks
                                     ),
@@ -869,9 +902,9 @@ fn replay(
                     e.syn_arrived_since_syn_tx = false;
                 }
                 if seg.flags.ack {
-                    e.last_ack_departed = seg.ack;
-                    e.last_edge_departed = e.last_edge_departed.max(seg.ack + seg.window as u64);
-                    e.ack_departures.push((at, seg.ack));
+                    e.last_ack_departed = ack;
+                    e.last_edge_departed = e.last_edge_departed.max(ack + seg.window as u64);
+                    e.ack_departures.push((at, ack));
                 }
                 if seg.seq_space() > 0 {
                     // Congestion-recovery bookkeeping. A data
@@ -883,12 +916,12 @@ fn replay(
                     // Either way it is a congestion event for the CUBIC
                     // bound. Zero-window probes are exempt.
                     let is_probe = seg.payload.len() == 1 && e.last_arr_window == Some(0);
-                    if seg.seq < prev_snd_max && !seg.payload.is_empty() && !is_probe {
+                    if seq < prev_snd_max && !seg.payload.is_empty() && !is_probe {
                         let rto_style = e
                             .txs
                             .iter()
                             .rev()
-                            .find(|&&(s, end, _, _)| s <= seg.seq && seg.seq < end)
+                            .find(|&&(s, end, _, _)| s <= seq && seq < end)
                             .is_some_and(|&(_, _, last_at, _)| {
                                 at.since(last_at) >= cfg.tcp.min_rto
                             });
@@ -899,29 +932,27 @@ fn replay(
                             if e.dup_acks >= 3 && e.recovery_high == 0 {
                                 e.recovery_high = prev_snd_max;
                             }
-                            if e.partial_ack_pending
-                                .is_some_and(|(hole, _)| hole == seg.seq)
-                            {
+                            if e.partial_ack_pending.is_some_and(|(hole, _)| hole == seq) {
                                 e.partial_ack_pending = None;
                             }
                         }
                         let wmax = ((prev_snd_max - e.max_ack_arrived) as usize).max(2 * mss);
                         e.cubic_epoch = Some((at, wmax, netsim::cubic_k_ms(wmax, mss)));
                     }
-                    e.txs.push((seg.seq, seg.seq_end(), at, seg.payload.len()));
+                    e.txs.push((seq, end, at, seg.payload.len()));
                     if !seg.payload.is_empty() {
                         // Fresh payload range in stream offsets (data
                         // stream starts one past the SYN octet).
-                        let payload_end = seg.seq + seg.payload.len() as u64;
-                        let fresh_from = seg.seq.max(prev_snd_max.max(1));
+                        let payload_end = seq + seg.payload.len() as u64;
+                        let fresh_from = seq.max(prev_snd_max.max(1));
                         if fresh_from < payload_end && fresh_from >= 1 {
                             e.fresh_sent.push((fresh_from - 1, payload_end - 1, at));
                         }
                     }
                     if seg.flags.fin && e.fin_end.is_none() {
-                        e.fin_end = Some(seg.seq_end());
+                        e.fin_end = Some(end);
                     }
-                    e.snd_max = e.snd_max.max(seg.seq_end());
+                    e.snd_max = e.snd_max.max(end);
                 }
             }
         }
@@ -1122,11 +1153,12 @@ mod tests {
         SockAddr::new(HostId(1), 80)
     }
 
-    fn segment(src: SockAddr, dst: SockAddr, seq: u64, payload: Bytes) -> Segment {
+    /// A segment carrying `payload`; reassembly reads its offset apart.
+    fn segment(src: SockAddr, dst: SockAddr, payload: Bytes) -> Segment {
         Segment {
             src,
             dst,
-            seq,
+            seq: 0,
             ack: 1,
             flags: TcpFlags::ACK,
             window: 65_535,
@@ -1179,8 +1211,8 @@ mod tests {
         let mut end = EndState::new(to, &CheckConfig::default());
         end.rcv_nxt = Some(1);
         for (at, (seq, payload)) in arrivals.iter().enumerate() {
-            let seg = segment(from, to, *seq, payload.clone());
-            end.reassemble(SimTime::from_nanos(at as u64), &seg);
+            let seg = segment(from, to, payload.clone());
+            end.reassemble(SimTime::from_nanos(at as u64), *seq, &seg);
         }
         assert_eq!(end.stream.to_vec(), copied(arrivals));
         assert_eq!(end.stream.to_vec(), expected);

@@ -35,7 +35,7 @@ fn fl(syn: bool, ack: bool, fin: bool, rst: bool) -> TcpFlags {
     }
 }
 
-fn seg(c2s: bool, seq: u64, ack: u64, flags: TcpFlags, payload: &[u8], window: usize) -> Segment {
+fn seg(c2s: bool, seq: u32, ack: u32, flags: TcpFlags, payload: &[u8], window: usize) -> Segment {
     let (src, dst) = if c2s {
         (client(), server())
     } else {
@@ -87,8 +87,8 @@ fn handshake() -> Vec<TraceRecord> {
 /// A complete clean exchange: handshake, one request, one response,
 /// orderly FIN close in both directions.
 fn baseline() -> Vec<TraceRecord> {
-    let r = REQ.len() as u64;
-    let p = RESP.len() as u64;
+    let r = REQ.len() as u32;
+    let p = RESP.len() as u32;
     let mut v = handshake();
     // Request, acked by the response within the delayed-ACK deadline.
     v.push(rec(
@@ -275,7 +275,7 @@ fn mutation_window_respect() {
         seg(
             false,
             1,
-            1 + REQ.len() as u64,
+            1 + REQ.len() as u32,
             fl(false, true, false, false),
             &[],
             WIN,
@@ -286,7 +286,7 @@ fn mutation_window_respect() {
 
 #[test]
 fn mutation_window_edge_no_shrink() {
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -316,7 +316,7 @@ fn mutation_cwnd_respect() {
             3500 + i * 100,
             seg(
                 true,
-                1 + i * mss as u64,
+                1 + i as u32 * mss as u32,
                 1,
                 fl(false, true, false, false),
                 &payload,
@@ -331,7 +331,7 @@ fn mutation_cwnd_respect() {
         seg(
             false,
             1,
-            1 + 2 * mss as u64,
+            1 + 2 * mss as u32,
             fl(false, true, false, false),
             &[],
             WIN,
@@ -343,7 +343,7 @@ fn mutation_cwnd_respect() {
         seg(
             false,
             1,
-            1 + 4 * mss as u64,
+            1 + 4 * mss as u32,
             fl(false, true, false, false),
             &[],
             WIN,
@@ -385,7 +385,7 @@ fn mutation_delayed_ack_force() {
             3500 + i * 100,
             seg(
                 true,
-                1 + i * 100,
+                1 + i as u32 * 100,
                 1,
                 fl(false, true, false, false),
                 &[0u8; 100],
@@ -407,7 +407,7 @@ fn mutation_delayed_ack_force() {
 fn mutation_nagle_hold() {
     // With Nagle enabled on the client, a second small segment departs
     // while the first is still unacknowledged.
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -444,7 +444,7 @@ fn mutation_nagle_hold() {
 
 #[test]
 fn mutation_data_after_fin() {
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -479,7 +479,7 @@ fn mutation_data_after_fin() {
 
 #[test]
 fn mutation_fin_seq_stable() {
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -563,7 +563,7 @@ fn mutation_silence_after_rst_recvd() {
 
 #[test]
 fn mutation_rexmit_justified() {
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -600,7 +600,7 @@ fn mutation_http_request_parse() {
         seg(
             false,
             1,
-            1 + garbage.len() as u64,
+            1 + garbage.len() as u32,
             fl(false, true, false, false),
             &[],
             WIN,
@@ -611,7 +611,7 @@ fn mutation_http_request_parse() {
 
 #[test]
 fn mutation_http_response_parse() {
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let garbage = b"\x01\x02 this is not HTTP either\r\n\r\n";
     let mut recs = handshake();
     recs.push(rec(
@@ -630,7 +630,7 @@ fn mutation_http_response_parse() {
         seg(
             true,
             1 + r,
-            1 + garbage.len() as u64,
+            1 + garbage.len() as u32,
             fl(false, true, false, false),
             &[],
             WIN,
@@ -641,8 +641,8 @@ fn mutation_http_response_parse() {
 
 #[test]
 fn mutation_response_before_request() {
-    let r = REQ.len() as u64;
-    let p = RESP.len() as u64;
+    let r = REQ.len() as u32;
+    let p = RESP.len() as u32;
     let mut recs = handshake();
     // The request departs at 2.5 ms and completes arrival at 3.5 ms —
     // but the server's response already departed at 3.0 ms.
@@ -671,8 +671,8 @@ fn mutation_response_before_request() {
 
 #[test]
 fn mutation_pipeline_order() {
-    let r = REQ.len() as u64;
-    let p = RESP.len() as u64;
+    let r = REQ.len() as u32;
+    let p = RESP.len() as u32;
     let second = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nworld";
     let mut recs = handshake();
     recs.push(rec(
@@ -704,7 +704,7 @@ fn mutation_pipeline_order() {
         seg(
             true,
             1 + r,
-            1 + p + second.len() as u64,
+            1 + p + second.len() as u32,
             fl(false, true, false, false),
             &[],
             WIN,
@@ -715,7 +715,7 @@ fn mutation_pipeline_order() {
 
 #[test]
 fn mutation_stream_leftover() {
-    let r = REQ.len() as u64;
+    let r = REQ.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -751,8 +751,8 @@ fn mutation_stream_leftover() {
 #[test]
 fn mutation_connection_close_respected() {
     let close_resp = b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello";
-    let r = REQ.len() as u64;
-    let p = close_resp.len() as u64;
+    let r = REQ.len() as u32;
+    let p = close_resp.len() as u32;
     let mut recs = handshake();
     recs.push(rec(
         2500,
@@ -857,8 +857,8 @@ fn mux_server(frames: &[Vec<u8>]) -> Vec<u8> {
 /// A clean TCP envelope around one client payload and one server payload:
 /// `baseline()` with the HTTP messages swapped for frame bytes.
 fn mux_trace(client_bytes: &[u8], server_bytes: &[u8]) -> Vec<TraceRecord> {
-    let r = client_bytes.len() as u64;
-    let p = server_bytes.len() as u64;
+    let r = client_bytes.len() as u32;
+    let p = server_bytes.len() as u32;
     let mut v = handshake();
     v.push(rec(
         2500,
@@ -1055,7 +1055,7 @@ fn mutation_mux_push_promise_from_client() {
 use netsim::impair::DropReason;
 use netsim::{CcVariant, TcpConfig};
 
-const MSS: u64 = 1460;
+const MSS: u32 = 1460;
 
 fn check_cc(recs: &[TraceRecord], drops: &[DropRecord], cc: CcVariant) -> Report {
     let cfg = CheckConfig {
@@ -1077,7 +1077,7 @@ fn drop_at(us: u64, segment: Segment) -> DropRecord {
     }
 }
 
-fn sack_of(blocks: &[(u64, u64)]) -> SackBlocks {
+fn sack_of(blocks: &[(u32, u32)]) -> SackBlocks {
     let mut sb = SackBlocks::NONE;
     for &(s, e) in blocks {
         assert!(sb.push(s, e), "more than four SACK blocks in a test");
@@ -1090,7 +1090,7 @@ fn sack_of(blocks: &[(u64, u64)]) -> SackBlocks {
 /// then a five-segment flight losing the 1st and 3rd, three duplicate
 /// ACKs, the fast retransmit, and the server's partial ACK covering only
 /// up to the second hole. Returns the records and the hole's sequence.
-fn newreno_recovery_prologue(drops: &mut Vec<DropRecord>) -> (Vec<TraceRecord>, u64) {
+fn newreno_recovery_prologue(drops: &mut Vec<DropRecord>) -> (Vec<TraceRecord>, u32) {
     let data = vec![0u8; MSS as usize];
     let f = fl(false, true, false, false);
     let mut recs = handshake();
@@ -1226,7 +1226,7 @@ fn mutation_cubic_growth_bound() {
     let f = fl(false, true, false, false);
     let mut recs = handshake();
     for i in 0..10u64 {
-        let seq = 1 + i * MSS;
+        let seq = 1 + i as u32 * MSS;
         let at = 2500 + i * 3000;
         recs.push(rec(at, at + 1000, seg(true, seq, 1, f, &data, WIN)));
         recs.push(rec(
@@ -1248,7 +1248,7 @@ fn mutation_cubic_growth_bound() {
     // 8-MSS burst 1 ms into the epoch: the cubic window is still near
     // 0.7 * wmax, so flight must not approach 8 MSS.
     for i in 0..8u64 {
-        let seq = lost + MSS + i * MSS;
+        let seq = lost + MSS + i as u32 * MSS;
         recs.push(rec(
             603_000 + i * 50,
             604_000 + i * 50,

@@ -38,28 +38,28 @@ const TABLE: &[Group] = &[
     (
         "counts",
         &[
-            ("matrix", [8_870, 10_845, 4_330_376, 118_129]),
-            ("fleet16", [8_384, 10_121, 3_696_172, 976_349]),
-            ("cc lossy", [8_287, 8_739, 3_018_856, 126_687]),
+            ("matrix", [8_870, 10_845, 4_135_880, 112_593]),
+            ("fleet16", [8_384, 10_121, 3_526_252, 932_413]),
+            ("cc lossy", [8_287, 8_739, 2_889_416, 120_847]),
         ],
     ),
     (
         "head_alloc",
         &[
-            ("head pipelined", [210, 285, 92_327, 60_187]),
-            ("head mux", [281, 367, 84_455, 55_309]),
-            ("head revalidate", [429, 303, 192_287, 108_163]),
+            ("head pipelined", [210, 285, 87_095, 56_715]),
+            ("head mux", [281, 367, 79_223, 51_197]),
+            ("head revalidate", [429, 303, 184_207, 102_627]),
         ],
     ),
     (
         "body_alloc",
         &[
-            ("body 1.1 1K", [9, 48, 36_484, 35_944]),
-            ("body 1.1 1M", [1_109, 55, 241_567, 240_835]),
-            ("body pipelined 1K", [9, 48, 36_484, 35_944]),
-            ("body pipelined 1M", [1_109, 55, 241_567, 240_835]),
-            ("body mux 1K", [13, 62, 40_372, 38_919]),
-            ("body mux 1M", [1_196, 272, 276_871, 257_983]),
+            ("body 1.1 1K", [9, 48, 32_212, 31_672]),
+            ("body 1.1 1M", [1_109, 55, 186_095, 185_363]),
+            ("body pipelined 1K", [9, 48, 32_212, 31_672]),
+            ("body pipelined 1M", [1_109, 55, 186_095, 185_363]),
+            ("body mux 1K", [13, 62, 36_100, 34_647]),
+            ("body mux 1M", [1_196, 272, 219_159, 201_391]),
         ],
     ),
     (
@@ -71,9 +71,9 @@ const TABLE: &[Group] = &[
             ("check pipelined 1M", [1_109, 15, 121_180, 121_180]),
             ("check mux 1K", [13, 23, 3_764, 3_380]),
             ("check mux 1M", [1_196, 114, 261_400, 203_520]),
-            ("fleet10", [9_198, 7_415, 3_554_730, 1_829_569]),
-            ("fleet10 sink", [9_198, 7_762, 4_543_370, 2_801_697]),
-            ("fleet10 trace", [9_198, 7_457, 5_037_386, 3_362_763]),
+            ("fleet10", [9_198, 7_415, 3_387_786, 1_743_521]),
+            ("fleet10 sink", [9_198, 7_762, 4_376_426, 2_715_649]),
+            ("fleet10 trace", [9_198, 7_457, 4_500_522, 2_906_795]),
             ("check fleet10", [9_198, 2_778, 1_156_928, 116_744]),
             ("pcapng fleet10", [9_198, 1, 3_818_700, 3_818_700]),
         ],

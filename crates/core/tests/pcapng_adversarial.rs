@@ -103,15 +103,21 @@ fn random_bytes_parse_or_err() {
     }
 }
 
+/// A sequence number within 3 000 of the 32-bit wrap, on either side.
+fn near_wrap(rng: &mut SmallRng) -> u32 {
+    rng.gen_range(0..6_000u32).wrapping_sub(3_000)
+}
+
 /// A segment with every field drawn across the range the mapping
 /// documents: 0–4 SACK blocks, windows past 65 535, sequence and ack
-/// numbers past 2³², payloads of 0–1 460 bytes.
+/// numbers and SACK blocks at the 32-bit wrap, payloads of 0–1 460
+/// bytes.
 fn random_record(rng: &mut SmallRng) -> TraceRecord {
     let addr = |rng: &mut SmallRng| SockAddr::new(HostId(rng.gen()), rng.gen());
     let mut sack = SackBlocks::NONE;
     for _ in 0..rng.gen_range(0..=4usize) {
-        let start = rng.gen_range(0..1u64 << 40);
-        assert!(sack.push(start, start + rng.gen_range(1..1u64 << 20)));
+        let start = near_wrap(rng);
+        assert!(sack.push(start, start.wrapping_add(rng.gen_range(1..=3_000))));
     }
     let flags = TcpFlags {
         syn: rng.gen(),
@@ -123,8 +129,8 @@ fn random_record(rng: &mut SmallRng) -> TraceRecord {
     let segment = Segment {
         src: addr(rng),
         dst: addr(rng),
-        seq: rng.gen_range(0..1u64 << 40),
-        ack: rng.gen_range(0..1u64 << 40),
+        seq: near_wrap(rng),
+        ack: near_wrap(rng),
         flags,
         window: rng.gen_range(0..1usize << 20),
         sack,
@@ -154,17 +160,19 @@ fn random_segments_round_trip_under_the_documented_mapping() {
             ts_ns: rec.received.as_nanos(),
             src: seg.src,
             dst: seg.dst,
-            seq: seg.seq as u32,
-            ack: seg.ack as u32,
+            seq: seg.seq,
+            ack: seg.ack,
             flags: seg.flags,
             window: seg.window.min(0xffff) as u16,
             payload_len: seg.payload.len(),
-            sack: seg.sack.iter().map(|(s, e)| (s as u32, e as u32)).collect(),
+            sack: seg.sack,
         };
         assert_eq!(packet, &expected);
     }
     let stretched = |f: fn(&Segment) -> bool| records.iter().any(|r| f(&r.segment));
-    assert!(stretched(|s| s.seq >= 1 << 32 && s.ack >= 1 << 32));
+    assert!(stretched(|s| s.seq > u32::MAX - 3_000 && s.ack < 3_000));
+    assert!(stretched(|s| s.seq < 3_000 && s.ack > u32::MAX - 3_000));
+    assert!(stretched(|s| s.sack.iter().any(|(start, end)| end < start)));
     assert!(stretched(|s| s.window > 0xffff));
     assert!(stretched(|s| s.sack.len() == 4));
     assert!(stretched(

@@ -659,9 +659,9 @@ impl CongestionControl for CcCtl {
 // ---------------------------------------------------------------------
 
 /// Build the wire option from the receiver's out-of-order spans:
-/// merge overlapping/adjacent `[start, end)` spans (which must arrive
-/// sorted by start, as a `BTreeMap` iteration yields them) and keep the
-/// first four merged blocks in ascending order. Allocation-free.
+/// merge overlapping/adjacent `[start, end)` spans (which must arrive in
+/// sequence order, as the TCB's reassembly queue yields them) and keep
+/// the first four merged blocks in that order. Allocation-free.
 pub fn wire_sack_blocks<I>(spans: I, rcv_nxt: Seq) -> SackBlocks
 where
     I: Iterator<Item = (Seq, Seq)>,
@@ -713,7 +713,7 @@ where
 mod tests {
     use super::*;
 
-    fn ctx<'a>(now_ms: u64, snd_una: u64, snd_nxt: u64, sack: &'a SackBlocks) -> CcContext<'a> {
+    fn ctx<'a>(now_ms: u64, snd_una: u32, snd_nxt: u32, sack: &'a SackBlocks) -> CcContext<'a> {
         CcContext {
             mss: 1460,
             now: SimTime::from_nanos(now_ms * 1_000_000),
@@ -723,7 +723,7 @@ mod tests {
         }
     }
 
-    fn seqs(spans: &[(u64, u64)]) -> Vec<(Seq, Seq)> {
+    fn seqs(spans: &[(u32, u32)]) -> Vec<(Seq, Seq)> {
         spans
             .iter()
             .map(|&(s, e)| (Seq::new(s), Seq::new(e)))
@@ -873,14 +873,14 @@ mod tests {
 
     #[test]
     fn a_block_straddling_the_wrap_survives() {
-        // The block runs from 16 below 2⁶⁴ to 16 past it; the receiver
+        // The block runs from 16 below 2³² to 16 past it; the receiver
         // still waits 16 below the block. Ordered on the circle, the
         // block is well-formed and above `rcv_nxt`, so it goes on the
         // wire whole; an integer `start >= end` test drops it.
-        let rcv_nxt = Seq::new(u64::MAX - 31);
-        let block = (Seq::new(u64::MAX - 15), Seq::new(16));
+        let rcv_nxt = Seq::new(u32::MAX - 31);
+        let block = (Seq::new(u32::MAX - 15), Seq::new(16));
         let wire = wire_sack_blocks([block].into_iter(), rcv_nxt);
-        assert_eq!(wire.iter().collect::<Vec<_>>(), vec![(u64::MAX - 15, 16)]);
+        assert_eq!(wire.iter().collect::<Vec<_>>(), vec![(u32::MAX - 15, 16)]);
         assert_eq!(merged_spans([block].into_iter(), rcv_nxt), vec![block]);
         // A neighbour just past the wrap coalesces with it.
         let next = (Seq::new(16), Seq::new(40));

@@ -121,16 +121,14 @@ pub const TCP_IP_HEADER_BYTES: usize = 40;
 /// Selective-acknowledgement blocks carried as a TCP option (RFC 2018).
 ///
 /// Up to four `[start, end)` ranges of sequence space the receiver holds
-/// above its cumulative ACK, ascending and disjoint. The simulator's
-/// sequence numbers are 64-bit, so the modelled option is kind 5 with
-/// 16-byte blocks (2 + 16·n option bytes, NOP-padded to a 4-byte
-/// boundary) rather than the wire's 8-byte blocks — the byte accounting
-/// in [`Segment::wire_len`] reflects that. Empty on every segment unless
-/// the sender's congestion control is `CcVariant::Sack`.
+/// above its cumulative ACK, in sequence order. [`SackBlocks::encode`]
+/// and [`SackBlocks::decode`] are the option's one codec, with the
+/// wire's 8-byte blocks. Empty on every segment unless the sender's
+/// congestion control is `CcVariant::Sack`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SackBlocks {
     len: u8,
-    blocks: [(u64, u64); 4],
+    blocks: [(u32, u32); 4],
 }
 
 impl SackBlocks {
@@ -153,9 +151,9 @@ impl SackBlocks {
         self.len as usize
     }
 
-    /// Append a block, keeping ascending order; returns false (and drops
+    /// Append a block, keeping sequence order; returns false (and drops
     /// the block) once four are held — the option space is full.
-    pub fn push(&mut self, start: u64, end: u64) -> bool {
+    pub fn push(&mut self, start: u32, end: u32) -> bool {
         debug_assert!(Seq::new(start).before(Seq::new(end)), "empty SACK block");
         if self.len as usize == self.blocks.len() {
             return false;
@@ -165,14 +163,17 @@ impl SackBlocks {
         true
     }
 
-    /// The carried `[start, end)` ranges, in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// The carried `[start, end)` ranges, in sequence order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.blocks[..self.len as usize].iter().copied()
     }
 
-    /// Bytes of TCP option space this option occupies on the wire:
-    /// zero when empty, otherwise 2 + 16·n rounded up to the 4-byte
-    /// option boundary with NOP padding.
+    /// Bytes of TCP option space [`Segment::wire_len`] charges for the
+    /// option: zero when empty, otherwise 2 + 16·n rounded up to the
+    /// 4-byte option boundary. That is twice the wire's 8-byte blocks,
+    /// kept because every pinned SACK digest was measured under it;
+    /// charging the 4 + 8·n bytes [`SackBlocks::encode`] writes is a
+    /// fidelity change that re-pins them.
     pub fn wire_bytes(&self) -> usize {
         if self.len == 0 {
             return 0;
@@ -181,50 +182,53 @@ impl SackBlocks {
         raw.div_ceil(4) * 4
     }
 
-    /// Serialize as option bytes: kind, length, big-endian `u64` pairs,
-    /// NOP (0x01) padding to the 4-byte boundary.
+    /// Bytes [`SackBlocks::encode`] writes: 4 + 8·n, a multiple of four,
+    /// or none when empty.
+    pub fn encoded_len(&self) -> usize {
+        if self.len == 0 {
+            return 0;
+        }
+        4 + 8 * self.len()
+    }
+
+    /// Append the option as it goes on the wire (RFC 2018): two NOPs
+    /// (0x01) for alignment, kind, length 2 + 8·n, and each block as two
+    /// big-endian 32-bit edges. Nothing when empty.
     pub fn encode(&self, out: &mut Vec<u8>) {
         if self.len == 0 {
             return;
         }
-        let raw = 2 + 16 * self.len as usize;
-        out.push(Self::KIND);
-        out.push(raw as u8);
+        out.extend_from_slice(&[1, 1, Self::KIND, 2 + 8 * self.len]);
         for (start, end) in self.iter() {
             out.extend_from_slice(&start.to_be_bytes());
             out.extend_from_slice(&end.to_be_bytes());
         }
-        for _ in raw..self.wire_bytes() {
-            out.push(0x01); // NOP
-        }
     }
 
-    /// Parse option bytes produced by [`SackBlocks::encode`]. Returns
-    /// `None` on a malformed option (bad kind, length not 2 + 16·n,
-    /// n > 4, or truncated input).
+    /// Parse one option as [`SackBlocks::encode`] writes it: leading
+    /// NOPs, then kind 5 and exactly its length of bytes. An empty
+    /// slice is no option. Returns `None` on a wrong kind or length, on
+    /// no blocks or more than four, and on a block that is empty or
+    /// inverted on the sequence circle.
     pub fn decode(bytes: &[u8]) -> Option<SackBlocks> {
-        if bytes.is_empty() {
-            return Some(SackBlocks::NONE);
-        }
-        if bytes.len() < 2 || bytes[0] != Self::KIND {
-            return None;
-        }
-        let raw = bytes[1] as usize;
-        if raw < 2 + 16 || (raw - 2) % 16 != 0 || raw > bytes.len() {
-            return None;
-        }
-        let n = (raw - 2) / 16;
-        if n > 4 {
+        let nops = bytes.iter().take_while(|&&b| b == 1).count();
+        let [kind, len, blocks @ ..] = &bytes[nops..] else {
+            return bytes.is_empty().then_some(SackBlocks::NONE);
+        };
+        if *kind != Self::KIND || usize::from(*len) != bytes.len() - nops || blocks.len() % 8 != 0 {
             return None;
         }
         let mut out = SackBlocks::NONE;
-        for i in 0..n {
-            let at = 2 + 16 * i;
-            let start = u64::from_be_bytes(bytes[at..at + 8].try_into().ok()?);
-            let end = u64::from_be_bytes(bytes[at + 8..at + 16].try_into().ok()?);
-            out.push(start, end);
+        for block in blocks.chunks_exact(8) {
+            let edge = |at: usize| {
+                u32::from_be_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
+            };
+            let (start, end) = (edge(0), edge(4));
+            if !Seq::new(start).before(Seq::new(end)) || !out.push(start, end) {
+                return None;
+            }
         }
-        Some(out)
+        (!out.is_empty()).then_some(out)
     }
 }
 
@@ -242,9 +246,8 @@ impl fmt::Display for SackBlocks {
 
 /// A simulated TCP segment in flight.
 ///
-/// Sequence and acknowledgement numbers are absolute `u64` offsets from the
-/// connection's initial sequence number; a simulator has no need to model
-/// 32-bit wraparound and absolute numbers make traces easy to read.
+/// Sequence and acknowledgement numbers are the wire's 32-bit values;
+/// [`crate::seq::Seq`] is their arithmetic.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Sender address.
@@ -252,9 +255,9 @@ pub struct Segment {
     /// Destination address.
     pub dst: SockAddr,
     /// First sequence number this segment occupies.
-    pub seq: u64,
+    pub seq: u32,
     /// Cumulative acknowledgement (next expected octet).
-    pub ack: u64,
+    pub ack: u32,
     /// Control flags.
     pub flags: TcpFlags,
     /// Receive window advertised by the sender, in bytes.
@@ -275,13 +278,13 @@ impl Segment {
 
     /// The amount of sequence space this segment consumes
     /// (payload bytes, plus one for SYN and one for FIN).
-    pub fn seq_space(&self) -> u64 {
-        self.payload.len() as u64 + u64::from(self.flags.syn) + u64::from(self.flags.fin)
+    pub fn seq_space(&self) -> usize {
+        self.payload.len() + usize::from(self.flags.syn) + usize::from(self.flags.fin)
     }
 
     /// The sequence number of the octet just past this segment.
-    pub fn seq_end(&self) -> u64 {
-        self.seq + self.seq_space()
+    pub fn seq_end(&self) -> u32 {
+        (Seq::new(self.seq) + self.seq_space()).raw()
     }
 
     /// True if the segment carries application payload.
@@ -290,7 +293,7 @@ impl Segment {
     }
 
     /// A pure RST segment aborting the connection identified by `src`/`dst`.
-    pub fn rst(src: SockAddr, dst: SockAddr, seq: u64) -> Segment {
+    pub fn rst(src: SockAddr, dst: SockAddr, seq: u32) -> Segment {
         Segment {
             src,
             dst,
@@ -398,12 +401,50 @@ mod tests {
         b.push(4381, 5841);
         let mut wire = Vec::new();
         b.encode(&mut wire);
-        assert_eq!(wire.len(), b.wire_bytes());
-        assert_eq!(wire[0], SackBlocks::KIND);
+        assert_eq!(wire[..4], [1, 1, SackBlocks::KIND, 18]);
+        assert_eq!(wire.len(), 4 + 8 * b.len());
+        assert_eq!(wire.len(), b.encoded_len());
         assert_eq!(SackBlocks::decode(&wire), Some(b));
+        assert_eq!(SackBlocks::decode(&wire[2..]), Some(b), "NOPs are optional");
         assert_eq!(SackBlocks::decode(&[]), Some(SackBlocks::NONE));
         assert_eq!(SackBlocks::decode(&[7, 18]), None, "wrong option kind");
         assert_eq!(SackBlocks::decode(&wire[..10]), None, "truncated");
+    }
+
+    #[test]
+    fn sack_decode_refuses_what_push_would_not_hold() {
+        let option = |blocks: &[(u32, u32)]| {
+            let mut out = vec![SackBlocks::KIND, 2 + 8 * blocks.len() as u8];
+            for (start, end) in blocks {
+                out.extend_from_slice(&start.to_be_bytes());
+                out.extend_from_slice(&end.to_be_bytes());
+            }
+            out
+        };
+        assert_eq!(SackBlocks::decode(&option(&[])), None, "no blocks");
+        assert_eq!(SackBlocks::decode(&option(&[(9, 9)])), None, "empty block");
+        assert_eq!(
+            SackBlocks::decode(&option(&[(9, 5)])),
+            None,
+            "inverted block"
+        );
+        assert_eq!(
+            SackBlocks::decode(&option(&[(1, 2); 5])),
+            None,
+            "five blocks"
+        );
+        // A block across the wrap is a block.
+        let wrapped = SackBlocks::decode(&option(&[(u32::MAX - 9, 10)])).unwrap();
+        assert_eq!(wrapped.iter().collect::<Vec<_>>(), [(u32::MAX - 9, 10)]);
+    }
+
+    #[test]
+    fn seq_end_wraps_at_the_top_of_the_space() {
+        let mut s = seg(TcpFlags::ACK, 1000);
+        s.seq = u32::MAX - 999;
+        assert_eq!(s.seq_end(), 0);
+        s.flags.fin = true;
+        assert_eq!(s.seq_end(), 1);
     }
 
     #[test]

@@ -20,19 +20,16 @@
 //!   One-way delay is therefore visible as gaps between data and ACK
 //!   streams, but a Wireshark RTT graph measures sim RTT, not a
 //!   sender-side capture's RTT.
-//! * **Sequence numbers.** The simulator tracks 64-bit sequence space;
-//!   on the wire seq/ack truncate mod 2³². Analyzers handle wrap the
-//!   same way they do for real traces.
 //! * **Windows.** The simulated window is bytes without scaling; values
 //!   above 65535 clamp to 65535 on the wire (no SYN window-scale option
 //!   is synthesized).
-//! * **SACK.** The simulator models up to four 64-bit SACK ranges per
-//!   segment; they re-encode as standard RFC 2018 blocks (two NOPs, then
-//!   kind 5 with 32-bit boundaries), so Wireshark dissects them.
+//! * **SACK.** Blocks go out as [`SackBlocks::encode`] writes them (two
+//!   NOPs, then kind 5 with 32-bit edges, RFC 2018), so Wireshark
+//!   dissects them, and come back through [`SackBlocks::decode`].
 //! * **Checksums.** IPv4 and TCP checksums are computed for real —
 //!   strict analyzers see a clean capture.
 
-use crate::packet::{HostId, Segment, SockAddr, TcpFlags};
+use crate::packet::{HostId, SackBlocks, Segment, SockAddr, TcpFlags};
 use crate::trace::{Records, Trace, TraceModeError, TraceRecord};
 
 const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -116,18 +113,9 @@ fn flags_from_byte(b: u8) -> TcpFlags {
     }
 }
 
-/// Bytes of TCP options a segment carries: SACK re-encoded as RFC 2018
-/// (NOP NOP kind=5 len 8·n+2), a multiple of four.
-fn options_len(seg: &Segment) -> usize {
-    match seg.sack.len() {
-        0 => 0,
-        n => 4 + 8 * n,
-    }
-}
-
 /// Bytes of the Ethernet frame synthesized for a segment.
 fn frame_len(seg: &Segment) -> usize {
-    14 + 20 + 20 + options_len(seg) + seg.payload.len()
+    14 + 20 + 20 + seg.sack.encoded_len() + seg.payload.len()
 }
 
 /// Append the Ethernet frame for a segment to `out`. `ip_id` is the
@@ -136,7 +124,7 @@ fn frame_len(seg: &Segment) -> usize {
 fn write_frame(out: &mut Vec<u8>, seg: &Segment, ip_id: u16) {
     let src_ip = host_ip(seg.src.host);
     let dst_ip = host_ip(seg.dst.host);
-    let options = options_len(seg);
+    let options = seg.sack.encoded_len();
     let tcp_len = 20 + options + seg.payload.len();
 
     out.extend_from_slice(&host_mac(seg.dst.host));
@@ -160,21 +148,15 @@ fn write_frame(out: &mut Vec<u8>, seg: &Segment, ip_id: u16) {
     let tcp = out.len();
     out.extend_from_slice(&seg.src.port.to_be_bytes());
     out.extend_from_slice(&seg.dst.port.to_be_bytes());
-    out.extend_from_slice(&(seg.seq as u32).to_be_bytes());
-    out.extend_from_slice(&(seg.ack as u32).to_be_bytes());
+    out.extend_from_slice(&seg.seq.to_be_bytes());
+    out.extend_from_slice(&seg.ack.to_be_bytes());
     out.push(((5 + options / 4) as u8) << 4); // data offset, words
     out.push(flags_byte(seg.flags));
     let window = seg.window.min(0xffff) as u16;
     out.extend_from_slice(&window.to_be_bytes());
     out.extend_from_slice(&[0, 0]); // checksum placeholder
     out.extend_from_slice(&[0, 0]); // urgent pointer
-    if options > 0 {
-        out.extend_from_slice(&[1, 1, 5, (options - 2) as u8]); // NOP NOP SACK len
-        for (start, end) in seg.sack.iter() {
-            out.extend_from_slice(&(start as u32).to_be_bytes());
-            out.extend_from_slice(&(end as u32).to_be_bytes());
-        }
-    }
+    seg.sack.encode(out);
     out.extend_from_slice(&seg.payload);
     let pseudo = {
         let mut p = [0u8; 12];
@@ -305,8 +287,8 @@ pub struct PcapPacket {
     pub window: u16,
     /// TCP payload length in bytes.
     pub payload_len: usize,
-    /// SACK blocks decoded from options, as 32-bit `(start, end)` pairs.
-    pub sack: Vec<(u32, u32)>,
+    /// SACK blocks decoded from options.
+    pub sack: SackBlocks,
 }
 
 /// Why a capture failed to parse.
@@ -393,29 +375,13 @@ fn parse_frame(data: &[u8]) -> Result<PcapPacket, PcapError> {
         return Err(PcapError::Malformed("TCP data offset"));
     }
 
-    // Walk options for SACK (kind 5); skip NOPs and any other option.
-    let mut sack = Vec::new();
+    // Walk the options: skip NOPs and every option but one SACK.
+    let mut sack = SackBlocks::NONE;
     let mut opts = &tcp_seg[20..data_offset];
     while let Some(&kind) = opts.first() {
         match kind {
             0 => break,
             1 => opts = &opts[1..],
-            5 => {
-                let len = *opts
-                    .get(1)
-                    .ok_or(PcapError::Malformed("truncated SACK option"))?
-                    as usize;
-                if len < 2 || len > opts.len() || (len - 2) % 8 != 0 {
-                    return Err(PcapError::Malformed("SACK option length"));
-                }
-                for pair in opts[2..len].chunks_exact(8) {
-                    sack.push((
-                        u32::from_be_bytes([pair[0], pair[1], pair[2], pair[3]]),
-                        u32::from_be_bytes([pair[4], pair[5], pair[6], pair[7]]),
-                    ));
-                }
-                opts = &opts[len..];
-            }
             _ => {
                 let len = *opts
                     .get(1)
@@ -423,6 +389,11 @@ fn parse_frame(data: &[u8]) -> Result<PcapPacket, PcapError> {
                     as usize;
                 if len < 2 || len > opts.len() {
                     return Err(PcapError::Malformed("TCP option length"));
+                }
+                if kind == SackBlocks::KIND {
+                    sack = SackBlocks::decode(&opts[..len])
+                        .filter(|_| sack.is_empty())
+                        .ok_or(PcapError::Malformed("SACK option"))?;
                 }
                 opts = &opts[len..];
             }
@@ -501,8 +472,8 @@ mod tests {
     fn record(
         src: SockAddr,
         dst: SockAddr,
-        seq: u64,
-        ack: u64,
+        seq: u32,
+        ack: u32,
         flags: TcpFlags,
         payload_len: usize,
         at_ns: u64,
@@ -572,8 +543,8 @@ mod tests {
             assert_eq!(pkt.ts_ns, rec.received.as_nanos());
             assert_eq!(pkt.src, rec.segment.src);
             assert_eq!(pkt.dst, rec.segment.dst);
-            assert_eq!(pkt.seq, rec.segment.seq as u32);
-            assert_eq!(pkt.ack, rec.segment.ack as u32);
+            assert_eq!(pkt.seq, rec.segment.seq);
+            assert_eq!(pkt.ack, rec.segment.ack);
             assert_eq!(pkt.flags, rec.segment.flags);
             assert_eq!(pkt.payload_len, rec.segment.payload.len());
             assert_eq!(pkt.window, rec.segment.window.min(0xffff) as u16);
@@ -587,18 +558,24 @@ mod tests {
         let mut rec = record(c, s, 100, 5000, TcpFlags::ACK, 0, 1_000_000);
         assert!(rec.segment.sack.push(7300, 8760));
         assert!(rec.segment.sack.push(11_680, 13_140));
+        let sack = rec.segment.sack;
         let packets = parse(&export((&[rec]).into())).expect("capture parses");
-        assert_eq!(packets[0].sack, vec![(7300, 8760), (11_680, 13_140)]);
+        assert_eq!(packets[0].sack, sack);
     }
 
     #[test]
-    fn seq_truncates_mod_2_pow_32() {
+    fn an_inverted_sack_block_is_malformed() {
         let c = SockAddr::new(HostId(1), 40_000);
         let s = SockAddr::new(HostId(0), 80);
-        let seq = (1u64 << 32) + 77;
-        let rec = record(c, s, seq, 0, TcpFlags::ACK, 0, 1_000_000);
-        let packets = parse(&export((&[rec]).into())).expect("capture parses");
-        assert_eq!(packets[0].seq, 77);
+        let mut rec = record(c, s, 100, 5000, TcpFlags::ACK, 0, 1_000_000);
+        assert!(rec.segment.sack.push(7300, 8760));
+        let mut bytes = export((&[rec]).into());
+        // Swap the block's edges. The TCP checksum sums 16-bit words, so
+        // it still verifies: only the option decoder can refuse this.
+        let block = [7300u32.to_be_bytes(), 8760u32.to_be_bytes()].concat();
+        let at = bytes.windows(8).position(|w| w == block).unwrap();
+        bytes[at..at + 8].rotate_left(4);
+        assert_eq!(parse(&bytes), Err(PcapError::Malformed("SACK option")));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! TCP sequence numbers live on a circle (RFC 793 §3.3; RFC 1982 serial
 //! arithmetic): "a is before b" must mean "a is behind b on the circle",
 //! which a direct integer comparison gets wrong once the counter wraps.
-//! [`Seq`] holds the same `u64` the wire types ([`crate::Segment`],
-//! [`crate::SackBlocks`]) carry and orders only through its serial
-//! methods: it has no `PartialOrd`, `Ord` or `Sub`, so a direct
-//! comparison or subtraction of two sequence numbers does not compile.
+//! [`Seq`] holds the same 32-bit value the wire types
+//! ([`crate::Segment`], [`crate::SackBlocks`]) carry and orders only
+//! through its serial methods: it has no `PartialOrd`, `Ord` or `Sub`,
+//! so a direct comparison or subtraction of two sequence numbers does
+//! not compile.
 //!
 //! ```compile_fail,E0369
 //! use netsim::seq::Seq;
@@ -20,10 +21,10 @@
 //! let _ = b - a;
 //! ```
 //!
-//! The simulator's sequence numbers are 64 bits wide, so a wrap takes
-//! ~2⁶³ bytes and every method agrees with the direct operator at every
-//! reachable distance; the type keeps the TCB correct if they are ever
-//! narrowed to the wire's 32 bits.
+//! The space is the wire's 32 bits, so a connection starting near 2³²
+//! wraps within its first bytes; the methods hold at any distance under
+//! 2³¹, and `+` wraps. [`Seq::offset`] reads a value as a 64-bit stream
+//! offset, for analyses that want plain integers.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -32,25 +33,25 @@ use std::ops::{Add, AddAssign};
 /// distance `a - b` is negative, i.e. `a` is at most half the space
 /// behind `b`.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct Seq(u64);
+pub struct Seq(u32);
 
 impl Seq {
     /// The sequence number the wire value `raw` names.
     #[inline]
-    pub const fn new(raw: u64) -> Seq {
+    pub const fn new(raw: u32) -> Seq {
         Seq(raw)
     }
 
     /// The wire value.
     #[inline]
-    pub const fn raw(self) -> u64 {
+    pub const fn raw(self) -> u32 {
         self.0
     }
 
     /// `self` precedes `other` on the sequence circle.
     #[inline]
     pub fn before(self, other: Seq) -> bool {
-        (self.0.wrapping_sub(other.0) as i64) < 0
+        (self.0.wrapping_sub(other.0) as i32) < 0
     }
 
     /// `self` follows `other` on the sequence circle.
@@ -95,23 +96,32 @@ impl Seq {
     /// `self.at_or_after(earlier)`).
     #[inline]
     pub fn since(self, earlier: Seq) -> u64 {
-        self.0.wrapping_sub(earlier.0)
+        u64::from(self.0.wrapping_sub(earlier.0))
+    }
+
+    /// `self` as a 64-bit offset from `origin` (a stream's ISS): of the
+    /// offsets agreeing with it mod 2³², the one nearest `near`, a recent
+    /// offset of the stream. One before the origin reads 0.
+    #[inline]
+    pub fn offset(self, origin: Seq, near: u64) -> u64 {
+        let step = self.0.wrapping_sub(origin.0).wrapping_sub(near as u32) as i32;
+        near.saturating_add_signed(i64::from(step))
     }
 }
 
 /// `len` units further on, wrapping around the circle.
-impl Add<u64> for Seq {
+impl Add<usize> for Seq {
     type Output = Seq;
 
     #[inline]
-    fn add(self, len: u64) -> Seq {
-        Seq(self.0.wrapping_add(len))
+    fn add(self, len: usize) -> Seq {
+        Seq(self.0.wrapping_add(len as u32))
     }
 }
 
-impl AddAssign<u64> for Seq {
+impl AddAssign<usize> for Seq {
     #[inline]
-    fn add_assign(&mut self, len: u64) {
+    fn add_assign(&mut self, len: usize) {
         *self = *self + len;
     }
 }
@@ -130,11 +140,11 @@ mod tests {
     #[test]
     fn agrees_with_direct_ops_in_normal_range() {
         let pairs = [
-            (0u64, 0u64),
+            (0u32, 0u32),
             (0, 1),
             (1, 0),
             (5, 1_000_000),
-            (u64::MAX / 2, 3),
+            (u32::MAX / 2, 3),
         ];
         for (a, b) in pairs {
             let (sa, sb) = (Seq::new(a), Seq::new(b));
@@ -152,7 +162,7 @@ mod tests {
     #[test]
     fn correct_across_wraparound() {
         // Just past the wrap: MAX is "behind" 1.
-        let before = Seq::new(u64::MAX);
+        let before = Seq::new(u32::MAX);
         let after = Seq::new(1);
         assert!(before.before(after));
         assert!(after.after(before));
@@ -166,6 +176,26 @@ mod tests {
         // Direct operators on the wire values get these wrong — that is
         // the point.
         assert!(before.raw() > after.raw());
+    }
+
+    #[test]
+    fn offsets_count_from_the_origin_across_the_wrap() {
+        let origin = Seq::new(u32::MAX - 99);
+        // From the origin, the first values read as plain distances...
+        assert_eq!(origin.offset(origin, 0), 0);
+        assert_eq!((origin + 1).offset(origin, 0), 1);
+        // ...and keep counting where the wire value wraps to 0.
+        assert_eq!(Seq::new(0).offset(origin, 99), 100);
+        assert_eq!(Seq::new(50).offset(origin, 100), 150);
+        // A whole lap on, the value nearest the reference wins, behind
+        // it as well as ahead.
+        let lap = 1u64 << 32;
+        assert_eq!((origin + 10).offset(origin, lap), lap + 10);
+        assert_eq!((origin + 10).offset(origin, lap + 20), lap + 10);
+        // A value behind the origin reads 0 rather than wrapping below it.
+        assert_eq!(Seq::new(u32::MAX - 200).offset(origin, 0), 0);
+        // From origin 0, an offset is the wire value itself.
+        assert_eq!(Seq::new(77).offset(Seq::new(0), 0), 77);
     }
 
     #[test]

@@ -2111,10 +2111,14 @@ mod tests {
     }
 
     /// What the kernel keeps per socket: the `Tcb` while it is held, and
-    /// a slot for the whole run.
+    /// a slot for the whole run. What every packet is moved as: a segment
+    /// in a queued event, and in a full trace a record.
     #[test]
     fn socket_table_entries_stay_small() {
         assert!(std::mem::size_of::<SlotState>() <= 24);
         assert!(std::mem::size_of::<Live>() <= std::mem::size_of::<Tcb>() + 8);
+        assert!(std::mem::size_of::<Segment>() <= 96);
+        assert!(std::mem::size_of::<QueuedEvent>() <= 136);
+        assert!(std::mem::size_of::<crate::trace::TraceRecord>() <= 120);
     }
 }

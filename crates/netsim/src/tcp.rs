@@ -18,6 +18,10 @@ use crate::time::{SimDuration, SimTime};
 use bytes::{Bytes, BytesQueue};
 use std::collections::BTreeMap;
 
+/// Every connection's initial send sequence number: every pinned figure
+/// was measured from 0, and no arithmetic depends on it.
+const ISS: Seq = Seq::new(0);
+
 /// Tunable parameters of a TCP endpoint.
 ///
 /// Defaults model a mid-1990s BSD-derived stack as used in the paper's
@@ -269,8 +273,9 @@ pub struct Tcb {
     /// arrived.
     recv_buf: BytesQueue,
     /// Out-of-order segments keyed by sequence number, as the wire
-    /// value: a map orders its keys as integers, not on the circle.
-    reassembly: BTreeMap<u64, Bytes>,
+    /// value. A map orders its keys as integers, not on the circle:
+    /// [`Tcb::queued`] reads them in sequence order.
+    reassembly: BTreeMap<u32, Bytes>,
     /// Full segments received since the last ACK we sent (delayed-ACK rule:
     /// ack at least every second segment).
     unacked_segments: u32,
@@ -310,22 +315,7 @@ impl Tcb {
         now: SimTime,
         fx: &mut Effects,
     ) -> Tcb {
-        let mut tcb = Tcb::new(local, remote, cfg, State::SynSent);
-        let seg = Segment {
-            src: local,
-            dst: remote,
-            seq: 0,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: tcb.advertised_window(),
-            sack: SackBlocks::NONE,
-            payload: Bytes::new(),
-        };
-        tcb.snd_nxt = Seq::new(1);
-        tcb.segments_sent += 1;
-        fx.segments.push(seg);
-        tcb.arm_rto(now, fx);
-        tcb
+        Tcb::open(ISS, local, remote, cfg, None, now, fx)
     }
 
     /// Create a TCB from a received SYN (passive open); emits the SYN-ACK.
@@ -337,28 +327,47 @@ impl Tcb {
         now: SimTime,
         fx: &mut Effects,
     ) -> Tcb {
-        debug_assert!(syn.flags.syn && !syn.flags.ack);
-        let mut tcb = Tcb::new(local, remote, cfg, State::SynRcvd);
-        tcb.rcv_nxt = Seq::new(syn.seq) + 1;
-        tcb.peer_window = syn.window;
+        Tcb::open(ISS, local, remote, cfg, Some(syn), now, fx)
+    }
+
+    /// Open at initial sequence number `iss`: actively, emitting the SYN,
+    /// or from the peer's `syn`, emitting the SYN-ACK.
+    fn open(
+        iss: Seq,
+        local: SockAddr,
+        remote: SockAddr,
+        cfg: TcpConfig,
+        syn: Option<&Segment>,
+        now: SimTime,
+        fx: &mut Effects,
+    ) -> Tcb {
+        let state = syn.map_or(State::SynSent, |_| State::SynRcvd);
+        let mut tcb = Tcb::new(local, remote, cfg, state, iss);
+        let mut flags = TcpFlags::SYN;
+        if let Some(syn) = syn {
+            debug_assert!(syn.flags.syn && !syn.flags.ack);
+            tcb.rcv_nxt = Seq::new(syn.seq) + 1;
+            tcb.peer_window = syn.window;
+            flags = TcpFlags::SYN_ACK;
+        }
         let seg = Segment {
             src: local,
             dst: remote,
-            seq: 0,
+            seq: iss.raw(),
             ack: tcb.rcv_nxt.raw(),
-            flags: TcpFlags::SYN_ACK,
+            flags,
             window: tcb.advertised_window(),
             sack: SackBlocks::NONE,
             payload: Bytes::new(),
         };
-        tcb.snd_nxt = Seq::new(1);
+        tcb.snd_nxt = iss + 1;
         tcb.segments_sent += 1;
         fx.segments.push(seg);
         tcb.arm_rto(now, fx);
         tcb
     }
 
-    fn new(local: SockAddr, remote: SockAddr, cfg: TcpConfig, state: State) -> Tcb {
+    fn new(local: SockAddr, remote: SockAddr, cfg: TcpConfig, state: State, iss: Seq) -> Tcb {
         let cwnd = cfg.mss * cfg.initial_cwnd_segments as usize;
         let initial_rto = cfg.initial_rto;
         let ssthresh = cfg.initial_ssthresh;
@@ -368,10 +377,10 @@ impl Tcb {
             remote,
             state,
             cfg,
-            snd_una: Seq::new(0),
-            snd_nxt: Seq::new(0),
+            snd_una: iss,
+            snd_nxt: iss,
             send_buf: BytesQueue::new(),
-            buf_base: Seq::new(1),
+            buf_base: iss + 1,
             peer_window: 0,
             fin_queued: false,
             fin_sent: false,
@@ -556,7 +565,7 @@ impl Tcb {
     }
 
     fn send_limit(&self) -> Seq {
-        self.buf_base + self.send_buf.len() as u64
+        self.buf_base + self.send_buf.len()
     }
 
     /// Bytes of buffer storage this connection keeps alive: what its
@@ -914,7 +923,7 @@ impl Tcb {
         let mut delivered = false;
         if !payload.is_empty() {
             self.bytes_received += payload.len() as u64;
-            self.rcv_nxt += payload.len() as u64;
+            self.rcv_nxt += payload.len();
             self.recv_buf.push(payload);
             delivered = true;
         }
@@ -923,16 +932,17 @@ impl Tcb {
         }
 
         // Drain the reassembly queue.
-        while let Some((&s, _)) = self.reassembly.first_key_value() {
-            if Seq::new(s).after(self.rcv_nxt) {
+        loop {
+            let next = self.queued().next().map(|(s, _)| s);
+            let Some(s) = next.filter(|s| s.at_or_before(self.rcv_nxt)) else {
                 break;
-            }
-            let (s, data) = self.reassembly.pop_first().unwrap();
-            let skip = self.rcv_nxt.since(Seq::new(s)) as usize;
+            };
+            let data = self.reassembly.remove(&s.raw()).expect("a queued start");
+            let skip = self.rcv_nxt.since(s) as usize;
             if skip < data.len() {
                 let fresh = data.slice(skip..);
                 self.bytes_received += fresh.len() as u64;
-                self.rcv_nxt += fresh.len() as u64;
+                self.rcv_nxt += fresh.len();
                 self.recv_buf.push(fresh);
                 delivered = true;
             }
@@ -1105,12 +1115,16 @@ impl Tcb {
         if self.cfg.cc != CcVariant::Sack || self.reassembly.is_empty() {
             return SackBlocks::NONE;
         }
-        cc::wire_sack_blocks(
-            self.reassembly
-                .iter()
-                .map(|(&s, p)| (Seq::new(s), Seq::new(s) + p.len() as u64)),
-            self.rcv_nxt,
-        )
+        cc::wire_sack_blocks(self.queued().map(|(s, p)| (s, s + p.len())), self.rcv_nxt)
+    }
+
+    /// The reassembly queue in sequence order: every start lies within
+    /// 2³¹ of `rcv_nxt`, so that order is the integer keys from the point
+    /// opposite `rcv_nxt` upward, then those below it.
+    fn queued(&self) -> impl Iterator<Item = (Seq, &Bytes)> {
+        let cut = (self.rcv_nxt + (1 << 31)).raw();
+        let (below, above) = (self.reassembly.range(..cut), self.reassembly.range(cut..));
+        above.chain(below).map(|(&s, p)| (Seq::new(s), p))
     }
 
     fn emit_ack(&mut self, fx: &mut Effects) {
@@ -1187,7 +1201,7 @@ impl Tcb {
             let avail = wnd.saturating_sub(in_flight);
             let unsent = self.send_limit().since(self.snd_nxt) as usize;
             let len = unsent.min(self.cfg.mss).min(avail);
-            let fin_now = self.fin_queued && (self.snd_nxt + len as u64) == self.send_limit();
+            let fin_now = self.fin_queued && (self.snd_nxt + len) == self.send_limit();
 
             if len == 0 && !fin_now {
                 if unsent > 0 {
@@ -1216,10 +1230,10 @@ impl Tcb {
             let off = self.snd_nxt.since(self.buf_base) as usize;
             let payload = self.send_buf.slice(off, len);
             if self.cc.rtt_sample.is_none() && (len > 0 || fin_now) {
-                self.cc.rtt_sample = Some((self.snd_nxt + len as u64 + u64::from(fin_now), now));
+                self.cc.rtt_sample = Some((self.snd_nxt + len + usize::from(fin_now), now));
             }
             self.emit_data_segment(self.snd_nxt, payload, fin_now, fx);
-            self.snd_nxt += len as u64;
+            self.snd_nxt += len;
             if fin_now {
                 self.fin_seq = Some(self.snd_nxt);
                 self.snd_nxt += 1;
@@ -1286,7 +1300,7 @@ impl Tcb {
                         }
                     }
                     let payload = self.send_buf.slice(off, len);
-                    let fin = self.fin_sent && self.fin_seq == Some(data_start + len as u64);
+                    let fin = self.fin_sent && self.fin_seq == Some(data_start + len);
                     self.emit_data_segment(data_start, payload, fin, fx);
                 } else if self.fin_sent && self.fin_seq == Some(self.snd_una) {
                     // Retransmit a bare FIN.
@@ -1313,15 +1327,20 @@ mod tests {
     /// Drive a full handshake, returning (client, server) TCBs in
     /// Established state.
     fn established() -> (Tcb, Tcb) {
+        established_from(ISS)
+    }
+
+    /// [`established`], both ends starting at sequence number `iss`.
+    fn established_from(iss: Seq) -> (Tcb, Tcb) {
         let now = SimTime::ZERO;
+        let cfg = TcpConfig::default();
         let mut cfx = fx();
-        let mut client = Tcb::open_active(CLIENT, SERVER, TcpConfig::default(), now, &mut cfx);
+        let mut client = Tcb::open(iss, CLIENT, SERVER, cfg.clone(), None, now, &mut cfx);
         let syn = cfx.segments.pop().unwrap();
         assert!(syn.flags.syn && !syn.flags.ack);
 
         let mut sfx = fx();
-        let mut server =
-            Tcb::open_passive(SERVER, CLIENT, TcpConfig::default(), &syn, now, &mut sfx);
+        let mut server = Tcb::open(iss, SERVER, CLIENT, cfg, Some(&syn), now, &mut sfx);
         let synack = sfx.segments.pop().unwrap();
         assert!(synack.flags.syn && synack.flags.ack);
 
@@ -1949,5 +1968,207 @@ mod tests {
         assert_eq!(s.bytes_received, 10_000);
         let mut e2 = fx();
         assert_eq!(s.app_recv(20_000, &mut e2).len(), 10_000);
+    }
+
+    /// Out-of-order data queued on both sides of the wrap drains in
+    /// sequence order once the hole before it fills: the queue's integer
+    /// keys put `[0, 100)` first, and a drain in key order stalls there.
+    #[test]
+    fn a_hole_before_the_wrap_drains_the_data_past_it() {
+        // The client's data starts 2 000 below 2³².
+        let iss = Seq::new(u32::MAX - 2_000);
+        let (_, mut s) = established_from(iss);
+        let data = |seq: u32, len: usize| Segment {
+            src: CLIENT,
+            dst: SERVER,
+            seq,
+            ack: (iss + 1).raw(),
+            flags: TcpFlags::ACK,
+            window: 65_535,
+            sack: SackBlocks::NONE,
+            payload: Bytes::from(vec![7u8; len]),
+        };
+        let (now, mut e) = (SimTime::ZERO, fx());
+        s.on_segment(now, &data(u32::MAX - 999, 1_000), &mut e);
+        s.on_segment(now, &data(0, 100), &mut e);
+        assert_eq!(s.readable_bytes(), 0, "both wait behind the hole");
+        s.on_segment(now, &data(u32::MAX - 1_999, 1_000), &mut e);
+        assert_eq!(s.readable_bytes(), 2_100);
+        assert_eq!(s.rcv_nxt, Seq::new(100));
+    }
+
+    /// What one [`transfer`] left: every segment either end emitted, in
+    /// order; each end's counters; the bytes the server read; and the
+    /// emission numbers of the data segments in the order they arrived.
+    struct Transfer {
+        segments: Vec<Segment>,
+        counters: [[u64; 4]; 2],
+        delivered: usize,
+        arrivals: Vec<usize>,
+    }
+
+    /// Move `len` bytes from a client to a server, both at sequence
+    /// number `iss` and running SACK, 5 ms apart, and close both ways.
+    /// The 2nd data segment is lost and the 6th arrives 1 ms late;
+    /// every timer fires when due.
+    fn transfer(iss: Seq, len: usize) -> Transfer {
+        enum Ev {
+            Arrive(usize, Segment, usize),
+            Timer(usize, TimerKind, u64),
+        }
+        let delay = SimDuration::from_millis(5);
+        let cfg = TcpConfig {
+            cc: CcVariant::Sack,
+            ..TcpConfig::default()
+        };
+        let bytes = vec![0x5a; len];
+        let mut queue: BTreeMap<(SimTime, usize), Ev> = BTreeMap::new();
+        let mut tcbs: [Option<Tcb>; 2] = [None, None];
+        let mut e = fx();
+        let mut run = Transfer {
+            segments: Vec::new(),
+            counters: [[0; 4]; 2],
+            delivered: 0,
+            arrivals: Vec::new(),
+        };
+        let (mut now, mut side, mut sent, mut data_segments, mut order) =
+            (SimTime::ZERO, 0, 0, 0, 0);
+        tcbs[0] = Some(Tcb::open(
+            iss,
+            CLIENT,
+            SERVER,
+            cfg.clone(),
+            None,
+            now,
+            &mut e,
+        ));
+        loop {
+            // What `side` emitted goes on the wire or the timer queue;
+            // its application answers each notification.
+            while !(e.segments.is_empty() && e.timers.is_empty() && e.notifications.is_empty()) {
+                for seg in e.segments.drain(..) {
+                    run.segments.push(seg.clone());
+                    let mut at = now + delay;
+                    if seg.has_payload() {
+                        data_segments += 1;
+                        at += SimDuration::from_millis(u64::from(data_segments == 6));
+                        if data_segments == 2 {
+                            continue;
+                        }
+                    }
+                    order += 1;
+                    queue.insert((at, order), Ev::Arrive(1 - side, seg, data_segments));
+                }
+                for (kind, at, epoch) in e.timers.drain(..) {
+                    order += 1;
+                    queue.insert((at, order), Ev::Timer(side, kind, epoch));
+                }
+                let tcb = tcbs[side].as_mut().expect("the end that emitted");
+                for note in std::mem::take(&mut e.notifications) {
+                    match (side, note) {
+                        (0, SockNotify::Connected | SockNotify::SendSpace) if sent < len => {
+                            sent += tcb.app_send(now, &bytes[sent..], &mut e);
+                            if sent == len {
+                                tcb.app_shutdown_write(now, &mut e);
+                            }
+                        }
+                        (1, SockNotify::Readable) => {
+                            run.delivered += tcb.app_recv(usize::MAX, &mut e).len();
+                        }
+                        (1, SockNotify::PeerFin) => tcb.app_shutdown_write(now, &mut e),
+                        _ => {}
+                    }
+                }
+            }
+            let Some(((at, _), ev)) = queue.pop_first() else {
+                break;
+            };
+            now = at;
+            match ev {
+                Ev::Arrive(to, seg, n) => {
+                    side = to;
+                    if seg.has_payload() {
+                        run.arrivals.push(n);
+                    }
+                    match tcbs[to].as_mut() {
+                        Some(tcb) => tcb.on_segment(now, &seg, &mut e),
+                        None => {
+                            let syn = Some(&seg);
+                            let tcb = Tcb::open(iss, SERVER, CLIENT, cfg.clone(), syn, now, &mut e);
+                            tcbs[to] = Some(tcb);
+                        }
+                    }
+                }
+                Ev::Timer(at_side, kind, epoch) => {
+                    side = at_side;
+                    let tcb = tcbs[side].as_mut().expect("a timer's end");
+                    tcb.on_timer(now, kind, epoch, &mut e);
+                }
+            }
+        }
+        for (counters, tcb) in run.counters.iter_mut().zip(&tcbs) {
+            let tcb = tcb.as_ref().expect("both ends opened");
+            assert!(tcb.fully_closed());
+            *counters = [
+                tcb.segments_sent,
+                tcb.segments_retransmitted,
+                tcb.bytes_sent,
+                tcb.bytes_received,
+            ];
+        }
+        run
+    }
+
+    /// A connection whose sequence numbers start 3 000 below 2³² behaves
+    /// as one starting at 0, loss, reordering and SACK included: every
+    /// segment is the ISS-0 run's, its sequence fields moved by the ISS.
+    #[test]
+    fn a_transfer_across_the_wrap_is_the_transfer_from_zero() {
+        const LEN: usize = 64 * 1024 + 100;
+        let iss = Seq::new(u32::MAX - 2_999);
+        let (base, wrapped) = (transfer(ISS, LEN), transfer(iss, LEN));
+        assert_eq!(base.delivered, LEN);
+        assert!(base.counters[0][1] > 0, "the loss was repaired");
+        let (late, next) = (
+            base.arrivals.iter().position(|&n| n == 6),
+            base.arrivals.iter().position(|&n| n == 7),
+        );
+        assert!(late > next, "the 6th data segment arrived after the 7th");
+        assert!(base.segments.iter().any(|s| !s.sack.is_empty()));
+        assert!(wrapped
+            .segments
+            .iter()
+            .any(|s| Seq::new(s.seq_end()).after(Seq::new(s.seq)) && s.seq_end() < s.seq));
+
+        let moved = |raw: u32| (Seq::new(raw) + iss.since(ISS) as usize).raw();
+        let fields = |s: &Segment| {
+            (
+                s.src,
+                s.dst,
+                s.seq,
+                s.ack,
+                s.flags,
+                s.window,
+                s.sack,
+                s.payload.clone(),
+            )
+        };
+        assert_eq!(wrapped.segments.len(), base.segments.len());
+        for (w, b) in wrapped.segments.iter().zip(&base.segments) {
+            let mut sack = SackBlocks::NONE;
+            for (start, end) in b.sack.iter() {
+                sack.push(moved(start), moved(end));
+            }
+            let b = Segment {
+                seq: moved(b.seq),
+                ack: if b.flags.ack { moved(b.ack) } else { b.ack },
+                sack,
+                ..b.clone()
+            };
+            assert_eq!(fields(w), fields(&b));
+        }
+        assert_eq!(wrapped.counters, base.counters);
+        assert_eq!(wrapped.delivered, base.delivered);
+        assert_eq!(wrapped.arrivals, base.arrivals);
     }
 }

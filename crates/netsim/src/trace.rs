@@ -24,6 +24,7 @@ use crate::blocks::Blocks;
 use crate::fxhash::FxHashMap;
 use crate::impair::DropReason;
 use crate::packet::{HostId, Segment, SockAddr, TCP_IP_HEADER_BYTES};
+use crate::seq::Seq;
 use crate::time::SimTime;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -191,9 +192,9 @@ struct PairState {
     /// Latest departure time seen per direction (index 1 = low→high
     /// host); an arrival whose departure precedes it was reordered.
     last_sent: [Option<SimTime>; 2],
-    /// Highest sequence-space end seen per flow; a data segment starting
-    /// below it re-covers already-sent octets: a retransmission.
-    max_seq: FxHashMap<(SockAddr, SockAddr), u64>,
+    /// Latest sequence-space end seen per flow; a data segment starting
+    /// before it re-covers already-sent octets: a retransmission.
+    max_seq: FxHashMap<(SockAddr, SockAddr), Seq>,
 }
 
 /// A full capture of a simulation run.
@@ -397,20 +398,27 @@ impl Trace {
 
     /// Time-sequence points for data flowing out of `from`: one
     /// `(seconds, sequence-end)` pair per data-bearing segment, in
-    /// departure order — the series Shepard's `xplot` draws and the paper
-    /// used to find its implementation bugs.
+    /// capture order — the series Shepard's `xplot` draws and the paper
+    /// used to find its implementation bugs. Each end is a [`Seq::offset`]
+    /// from its flow's first captured segment (its SYN).
     ///
     /// # Errors
     /// [`TraceModeError`] unless the whole capture ran in
     /// [`TraceMode::Full`]: the result would silently lack every packet
     /// not retained.
     pub fn time_sequence(&self, from: HostId) -> Result<Vec<(f64, u64)>, TraceModeError> {
-        Ok(self
-            .complete_records()?
-            .iter()
-            .filter(|r| r.segment.src.host == from && r.segment.has_payload())
-            .map(|r| (r.sent.as_secs_f64(), r.segment.seq_end()))
-            .collect())
+        let records = self.complete_records()?;
+        let (mut flows, mut points) = (FxHashMap::default(), Vec::new());
+        for r in records.iter().filter(|r| r.segment.src.host == from) {
+            let seg = &r.segment;
+            let flow = flows.entry((seg.src, seg.dst));
+            let (origin, near) = flow.or_insert((Seq::new(seg.seq), 0));
+            if seg.has_payload() {
+                *near = Seq::new(seg.seq_end()).offset(*origin, *near);
+                points.push((r.sent.as_secs_f64(), *near));
+            }
+        }
+        Ok(points)
     }
 
     /// Serialize the capture in xplot(1) format: data segments from
@@ -426,7 +434,7 @@ impl Trace {
         out.push_str("timeval unsigned\n");
         let _ = writeln!(out, "title\n{title}");
         out.push_str("xlabel\ntime\nylabel\nsequence number\n");
-        let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
         for rec in records {
             let seg = &rec.segment;
             if seg.src.host == from && seg.has_payload() {
@@ -476,14 +484,12 @@ impl PairState {
         // reordered fresh segment also starts below the high-water mark,
         // so only in-order arrivals count as retransmissions.
         if seg.seq_space() > 0 {
-            let end = seg.seq_end();
-            let high = self.max_seq.entry((seg.src, seg.dst)).or_insert(0);
-            if !reordered && seg.seq < *high {
+            let seq = Seq::new(seg.seq);
+            let high = self.max_seq.entry((seg.src, seg.dst)).or_insert(seq);
+            if !reordered && seq.before(*high) {
                 self.stats.retransmitted_packets += 1;
             }
-            if end > *high {
-                *high = end;
-            }
+            *high = high.later(Seq::new(seg.seq_end()));
         }
     }
 }

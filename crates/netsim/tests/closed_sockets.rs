@@ -137,7 +137,7 @@ fn a_reset_mid_transfer_leaves_nothing_behind() {
 /// What the kernel pays per held connection.
 #[test]
 fn a_tcb_stays_within_its_size() {
-    assert!(std::mem::size_of::<Tcb>() <= 528);
+    assert!(std::mem::size_of::<Tcb>() <= 480);
 }
 
 /// Sends a request and reads the reply to the end once the connection

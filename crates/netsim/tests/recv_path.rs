@@ -79,7 +79,7 @@ fn a_read_is_the_segment_payload() {
 }
 
 /// A data segment from the client at `seq`.
-fn data(seq: u64, payload: &Bytes) -> Segment {
+fn data(seq: u32, payload: &Bytes) -> Segment {
     Segment {
         src: CLIENT,
         dst: SERVER,
@@ -95,9 +95,9 @@ fn data(seq: u64, payload: &Bytes) -> Segment {
 /// What one step showed: bytes read (or none, for an arrival), bytes
 /// left to read, and every segment it made the receiver emit as
 /// (ack, advertised window).
-type Step = (Vec<u8>, usize, Vec<(u64, usize)>);
+type Step = (Vec<u8>, usize, Vec<(u32, usize)>);
 
-fn emitted(fx: &Effects) -> Vec<(u64, usize)> {
+fn emitted(fx: &Effects) -> Vec<(u32, usize)> {
     fx.segments.iter().map(|s| (s.ack, s.window)).collect()
 }
 
@@ -109,7 +109,7 @@ fn receive(bytes: &[u8], arrivals: &[(usize, usize)], reads: &[usize]) -> (Vec<S
     let mut arrived = Vec::new();
     for &(off, len) in arrivals {
         let mut fx = Effects::default();
-        let seg = data(1 + off as u64, &whole.slice(off..off + len));
+        let seg = data(1 + off as u32, &whole.slice(off..off + len));
         server.on_segment(NOW, &seg, &mut fx);
         arrived.push((Vec::new(), server.readable_bytes(), emitted(&fx)));
     }

@@ -8,7 +8,7 @@
 //! * [`netsim::cc::wire_sack_blocks`] equals the first four merged
 //!   spans (the option-space cap) and never exceeds four blocks;
 //! * [`SackBlocks::encode`]/[`SackBlocks::decode`] round-trip, and the
-//!   encoded length matches [`SackBlocks::wire_bytes`].
+//!   encoding is RFC 2018's: 4 + 8·n bytes, a multiple of four.
 
 use netsim::cc::{merged_spans, wire_sack_blocks};
 use netsim::seq::Seq;
@@ -21,13 +21,16 @@ use std::collections::BTreeSet;
 /// spans sorted by start, exactly as the receiver's `BTreeMap` iteration
 /// yields them. Octet values stay small so exhaustive coverage checks
 /// stay cheap and far from sequence wrap.
-fn random_spans(rng: &mut SmallRng, max_spans: usize) -> (Vec<(u64, u64)>, u64) {
-    let rcv_nxt = rng.gen_range(0..500u64);
+fn random_spans(rng: &mut SmallRng, max_spans: usize) -> (Vec<(u32, u32)>, u32) {
+    // Drawn as `u64`, as the spans always were, so each seed gives the
+    // same cases.
+    let draw = |rng: &mut SmallRng, below: u64| rng.gen_range(0..below) as u32;
+    let rcv_nxt = draw(rng, 500);
     let n = rng.gen_range(0..=max_spans);
-    let mut spans: Vec<(u64, u64)> = (0..n)
+    let mut spans: Vec<(u32, u32)> = (0..n)
         .map(|_| {
-            let start = rng.gen_range(0..2_000u64);
-            let len = rng.gen_range(0..60u64);
+            let start = draw(rng, 2_000);
+            let len = draw(rng, 60);
             (start, start + len)
         })
         .collect();
@@ -36,7 +39,7 @@ fn random_spans(rng: &mut SmallRng, max_spans: usize) -> (Vec<(u64, u64)>, u64) 
 }
 
 /// `merged_spans` over wire values, back as wire values.
-fn merged(spans: &[(u64, u64)], rcv_nxt: u64) -> Vec<(u64, u64)> {
+fn merged(spans: &[(u32, u32)], rcv_nxt: u32) -> Vec<(u32, u32)> {
     merged_spans(seqs(spans), Seq::new(rcv_nxt))
         .into_iter()
         .map(|(s, e)| (s.raw(), e.raw()))
@@ -44,16 +47,16 @@ fn merged(spans: &[(u64, u64)], rcv_nxt: u64) -> Vec<(u64, u64)> {
 }
 
 /// `wire_sack_blocks` over wire values.
-fn wire(spans: &[(u64, u64)], rcv_nxt: u64) -> SackBlocks {
+fn wire(spans: &[(u32, u32)], rcv_nxt: u32) -> SackBlocks {
     wire_sack_blocks(seqs(spans), Seq::new(rcv_nxt))
 }
 
-fn seqs(spans: &[(u64, u64)]) -> impl Iterator<Item = (Seq, Seq)> + '_ {
+fn seqs(spans: &[(u32, u32)]) -> impl Iterator<Item = (Seq, Seq)> + '_ {
     spans.iter().map(|&(s, e)| (Seq::new(s), Seq::new(e)))
 }
 
 /// Every octet of `spans` above `rcv_nxt`, as an explicit set.
-fn octets_above(spans: &[(u64, u64)], rcv_nxt: u64) -> BTreeSet<u64> {
+fn octets_above(spans: &[(u32, u32)], rcv_nxt: u32) -> BTreeSet<u32> {
     spans
         .iter()
         .flat_map(|&(s, e)| s..e)
@@ -86,13 +89,13 @@ fn merged_spans_disjoint_ordered_exact_cover() {
         // above rcv_nxt — except octets of a span straddling rcv_nxt,
         // which the generator keeps whole (the cumulative ACK trims
         // them on the wire, not here).
-        let covered: BTreeSet<u64> = merged.iter().flat_map(|&(s, e)| s..e).collect();
+        let covered: BTreeSet<u32> = merged.iter().flat_map(|&(s, e)| s..e).collect();
         let expected = octets_above(&spans, rcv_nxt);
         assert!(
             covered.is_superset(&expected),
             "merged spans lost octets: spans {spans:?} rcv_nxt {rcv_nxt}"
         );
-        let input_all: BTreeSet<u64> = spans.iter().flat_map(|&(s, e)| s..e).collect();
+        let input_all: BTreeSet<u32> = spans.iter().flat_map(|&(s, e)| s..e).collect();
         assert!(
             covered.is_subset(&input_all),
             "merged spans invented octets: spans {spans:?} rcv_nxt {rcv_nxt}"
@@ -118,8 +121,8 @@ fn wire_blocks_are_first_four_merged_spans() {
         let wire = wire(&spans, rcv_nxt);
 
         assert!(wire.len() <= 4);
-        let expect: Vec<(u64, u64)> = merged.iter().copied().take(4).collect();
-        let got: Vec<(u64, u64)> = wire.iter().collect();
+        let expect: Vec<(u32, u32)> = merged.iter().copied().take(4).collect();
+        let got: Vec<(u32, u32)> = wire.iter().collect();
         assert_eq!(
             got, expect,
             "wire option disagrees with merged spans: spans {spans:?} rcv_nxt {rcv_nxt}"
@@ -141,15 +144,14 @@ fn wire_roundtrip_and_length() {
 
         let mut bytes = Vec::new();
         wire.encode(&mut bytes);
-        assert_eq!(
-            bytes.len(),
-            wire.wire_bytes(),
-            "encoded length disagrees with wire_bytes()"
-        );
-        if !wire.is_empty() {
-            // 4-byte option alignment (NOP padding).
-            assert_eq!(bytes.len() % 4, 0);
-        }
+        // NOP NOP kind length, then 8 bytes a block: 4-byte aligned.
+        let expect = if wire.is_empty() {
+            0
+        } else {
+            4 + 8 * wire.len()
+        };
+        assert_eq!(bytes.len(), expect, "encoded length");
+        assert_eq!(bytes.len(), wire.encoded_len());
         let decoded = SackBlocks::decode(&bytes).expect("own encoding must parse");
         assert_eq!(decoded, wire, "encode/decode round trip");
     }
@@ -171,8 +173,8 @@ fn decode_rejects_malformed() {
     let mut short = good.clone();
     short.truncate(10);
     assert_eq!(SackBlocks::decode(&short), None);
-    // Length not of the form 2 + 16·n.
+    // Length not of the form 2 + 8·n.
     let mut crooked = good.clone();
-    crooked[1] = 17;
+    crooked[3] = 17;
     assert_eq!(SackBlocks::decode(&crooked), None);
 }

@@ -199,7 +199,7 @@ impl App for Sink {
 }
 
 /// One packet as the wire saw it; `arrived` is false for a dropped one.
-type WireRow = (SimTime, SockAddr, u64, u64, TcpFlags, Vec<u8>, bool);
+type WireRow = (SimTime, SockAddr, u32, u32, TcpFlags, Vec<u8>, bool);
 
 struct Setup {
     link: LinkConfig,

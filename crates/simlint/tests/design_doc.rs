@@ -1,6 +1,7 @@
 //! DESIGN.md cites only what exists: every file it names in backticks is
-//! a file of the workspace, and every kebab-case name it puts in
-//! backticks is a simlint rule, a conformance invariant or a crate.
+//! a file of the workspace, every test it cites as `file.rs::name` is a
+//! `fn name` in a file of that name, and every kebab-case name it puts
+//! in backticks is a simlint rule, a conformance invariant or a crate.
 //! Fenced code blocks are skipped; so are globs (`PROBE_*.json`) and
 //! templates (`PROBE_<cell>.json`).
 
@@ -111,14 +112,26 @@ fn design_md_cites_only_what_exists() {
     let mut stale = Vec::new();
     for (line, span) in code_spans(&doc) {
         // A test is cited as `file.rs::test_name`.
-        let span = span.split("::").next().unwrap_or(span);
+        let (span, test) = match span.split_once("::") {
+            Some((file, name)) if file.ends_with(".rs") => (file, Some(name)),
+            _ => (span.split("::").next().unwrap_or(span), None),
+        };
         if is_path(span) {
             let path = span.trim_end_matches('/');
-            let found = files
+            let found: Vec<&String> = files
                 .iter()
-                .any(|f| f == path || f.ends_with(&format!("/{path}")));
-            if !found {
+                .filter(|f| *f == path || f.ends_with(&format!("/{path}")))
+                .collect();
+            let defines = |name: &str| {
+                let def = format!("fn {name}(");
+                found
+                    .iter()
+                    .any(|f| fs::read_to_string(root.join(f)).is_ok_and(|text| text.contains(&def)))
+            };
+            if found.is_empty() {
                 stale.push(format!("DESIGN.md:{line}: no file `{span}`"));
+            } else if let Some(name) = test.filter(|name| !defines(name)) {
+                stale.push(format!("DESIGN.md:{line}: no `fn {name}` in `{span}`"));
             }
         } else if is_kebab(span)
             && !simlint::rules::RULE_IDS.contains(&span)
