@@ -38,28 +38,28 @@ const TABLE: &[Group] = &[
     (
         "counts",
         &[
-            ("matrix", [8_870, 10_845, 4_135_880, 112_593]),
-            ("fleet16", [8_384, 10_121, 3_526_252, 932_413]),
-            ("cc lossy", [8_287, 8_739, 2_889_416, 120_847]),
+            ("matrix", [8_870, 10_905, 3_353_896, 76_515]),
+            ("fleet16", [8_384, 10_155, 3_536_380, 933_189]),
+            ("cc lossy", [8_287, 8_763, 2_127_752, 67_260]),
         ],
     ),
     (
         "head_alloc",
         &[
-            ("head pipelined", [210, 285, 87_095, 56_715]),
-            ("head mux", [281, 367, 79_223, 51_197]),
-            ("head revalidate", [429, 303, 184_207, 102_627]),
+            ("head pipelined", [210, 287, 87_455, 56_819]),
+            ("head mux", [281, 369, 79_583, 51_301]),
+            ("head revalidate", [429, 302, 84_951, 53_187]),
         ],
     ),
     (
         "body_alloc",
         &[
-            ("body 1.1 1K", [9, 48, 32_212, 31_672]),
-            ("body 1.1 1M", [1_109, 55, 186_095, 185_363]),
-            ("body pipelined 1K", [9, 48, 32_212, 31_672]),
-            ("body pipelined 1M", [1_109, 55, 186_095, 185_363]),
-            ("body mux 1K", [13, 62, 36_100, 34_647]),
-            ("body mux 1M", [1_196, 272, 219_159, 201_391]),
+            ("body 1.1 1K", [9, 50, 32_572, 32_032]),
+            ("body 1.1 1M", [1_109, 57, 186_455, 185_723]),
+            ("body pipelined 1K", [9, 50, 32_572, 32_032]),
+            ("body pipelined 1M", [1_109, 57, 186_455, 185_723]),
+            ("body mux 1K", [13, 64, 36_460, 34_967]),
+            ("body mux 1M", [1_196, 274, 219_519, 201_615]),
         ],
     ),
     (
@@ -71,9 +71,9 @@ const TABLE: &[Group] = &[
             ("check pipelined 1M", [1_109, 15, 121_180, 121_180]),
             ("check mux 1K", [13, 23, 3_764, 3_380]),
             ("check mux 1M", [1_196, 114, 261_400, 203_520]),
-            ("fleet10", [9_198, 7_415, 3_387_786, 1_743_521]),
-            ("fleet10 sink", [9_198, 7_762, 4_376_426, 2_715_649]),
-            ("fleet10 trace", [9_198, 7_457, 4_500_522, 2_906_795]),
+            ("fleet10", [9_198, 7_417, 1_798_770, 822_437]),
+            ("fleet10 sink", [9_198, 7_764, 2_787_410, 1_794_565]),
+            ("fleet10 trace", [9_198, 7_459, 2_911_506, 1_987_445]),
             ("check fleet10", [9_198, 2_778, 1_156_928, 116_744]),
             ("pcapng fleet10", [9_198, 1, 3_818_700, 3_818_700]),
         ],

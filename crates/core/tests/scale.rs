@@ -142,7 +142,7 @@ fn pipelining_cuts_peak_server_connections_three_fold_at_256_clients() {
     // Thousands of connections opened and closed; once the run is idle
     // the kernel holds none of them.
     assert!(h10.server_sockets.sockets_used > 10_000);
-    assert_eq!(h10.sim.held_tcbs(), 0);
+    assert_eq!(h10.sim.held_sockets(), 0);
 
     assert!(
         h10.server_sockets.syn_drops > 0,

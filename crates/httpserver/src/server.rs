@@ -429,21 +429,24 @@ impl HttpServer {
         ctx.send_from(sock, &mut conn.outbuf);
         self.account(sock);
         let conn = self.conns.get_mut(sock).expect("still present");
-        if conn.outbuf.is_empty() && conn.closing && conn.in_service == 0 {
-            if self.config.naive_close {
-                // The hazard: closing both halves at once resets any
-                // pipelined requests already in flight.
-                ctx.close(sock);
-                self.remove_conn(sock);
-                self.promote_parked(ctx);
-            } else {
-                // Correct behaviour: half-close and drain the read side.
-                ctx.shutdown_write(sock);
-                conn.draining = true;
-            }
-        } else if conn.outbuf.is_empty() && conn.peer_closed && conn.in_service == 0 {
-            // Client finished and everything is answered: close our half.
-            ctx.shutdown_write(sock);
+        if !conn.outbuf.is_empty() || conn.in_service > 0 || !(conn.closing || conn.peer_closed) {
+            return;
+        }
+        if conn.closing && self.config.naive_close {
+            // The hazard: closing both halves at once resets any
+            // pipelined requests already in flight.
+            ctx.close(sock);
+            self.remove_conn(sock);
+            self.promote_parked(ctx);
+            return;
+        }
+        // Closing: half-close and drain the read side. Or the client
+        // finished and everything is answered: close our half.
+        ctx.shutdown_write(sock);
+        conn.draining |= conn.closing;
+        if conn.peer_closed && conn.mem == 0 {
+            // Finished: only its socket's close is still to come.
+            self.conns.retire(sock);
         }
     }
 

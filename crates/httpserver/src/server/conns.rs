@@ -1,12 +1,16 @@
 //! The server's connection table: the connections in service in a dense
 //! `Vec`, found through an index by socket slot — the shape of the
 //! kernel's own table of `Tcb`s. Nothing iterates it, so the order of the
-//! dense entries is free to change when one leaves.
+//! dense entries is free to change when one leaves. A finished connection
+//! leaves the `Vec` before its socket closes, and is counted until then.
 
 use netsim::SocketId;
 
 /// `ConnTable::index` entry of a slot with no connection in service.
 const VACANT: u32 = u32::MAX;
+
+/// `ConnTable::index` entry of a slot whose connection was retired.
+const RETIRED: u32 = u32::MAX - 1;
 
 /// Room a dense table that empties keeps: a server of a few clients never
 /// outgrows it, so it never gives storage back only to grow again.
@@ -18,8 +22,10 @@ pub(super) struct ConnTable<T> {
     /// Each connection in service and the socket it belongs to.
     dense: Vec<(SocketId, T)>,
     /// By `SocketId::slot`: where that socket's connection is in `dense`,
-    /// or [`VACANT`].
+    /// or [`VACANT`], or [`RETIRED`].
     index: Vec<u32>,
+    /// Connections retired and not yet removed.
+    retired: usize,
 }
 
 impl<T> ConnTable<T> {
@@ -27,12 +33,13 @@ impl<T> ConnTable<T> {
         ConnTable {
             dense: Vec::new(),
             index: Vec::new(),
+            retired: 0,
         }
     }
 
-    /// Connections in service.
+    /// Connections in service, retired ones included.
     pub(super) fn len(&self) -> usize {
-        self.dense.len()
+        self.dense.len() + self.retired
     }
 
     /// Where `sock`'s connection is in `dense`. The stored id is compared
@@ -65,22 +72,47 @@ impl<T> ConnTable<T> {
         self.dense.push((sock, conn));
     }
 
-    /// Take `sock`'s connection out of service. The last entry moves into
-    /// its place, and a table that empties gives back room beyond
-    /// [`MIN_ROOM`]: a fleet's server has thousands of connections in
-    /// service at its busiest and none once its clients are done, while
-    /// the finished simulator stays alive for the observers.
-    pub(super) fn remove(&mut self, sock: SocketId) -> Option<T> {
-        let i = self.position(sock)?;
-        self.index[sock.slot as usize] = VACANT;
+    /// The connection at `i` in `dense`, taken out: the last entry moves
+    /// into its place.
+    fn take(&mut self, i: usize) -> T {
         let (_, conn) = self.dense.swap_remove(i);
         if let Some((moved, _)) = self.dense.get(i) {
             self.index[moved.slot as usize] = i as u32;
         }
-        if self.dense.is_empty() && self.dense.capacity() > MIN_ROOM {
+        conn
+    }
+
+    /// Drop `sock`'s finished connection, which no lookup finds again,
+    /// but count it in [`ConnTable::len`] until its socket closes.
+    pub(super) fn retire(&mut self, sock: SocketId) {
+        if let Some(i) = self.position(sock) {
+            self.take(i);
+            self.index[sock.slot as usize] = RETIRED;
+            self.retired += 1;
+        }
+    }
+
+    /// Take `sock`'s connection out of service, or stop counting it if it
+    /// was retired (then there is nothing to return; a retired slot is
+    /// known by number only, so `sock` must be this host's). A table that
+    /// empties gives back room beyond [`MIN_ROOM`]: a fleet's server has
+    /// thousands of connections in service at its busiest and none once
+    /// its clients are done, while the finished simulator stays alive for
+    /// the observers.
+    pub(super) fn remove(&mut self, sock: SocketId) -> Option<T> {
+        let slot = sock.slot as usize;
+        let conn = if self.index.get(slot) == Some(&RETIRED) {
+            self.retired -= 1;
+            None
+        } else {
+            let i = self.position(sock)?;
+            Some(self.take(i))
+        };
+        self.index[slot] = VACANT;
+        if self.len() == 0 && self.dense.capacity() > MIN_ROOM {
             self.dense = Vec::new();
         }
-        Some(conn)
+        conn
     }
 }
 
@@ -90,13 +122,14 @@ mod tests {
     use netsim::HostId;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    /// Open, look up and close connections at random against a
-    /// `BTreeMap<SocketId, _>`, with up to 512 in service. Sockets are
-    /// numbered as a host numbers them, never reusing a slot; lookups also
-    /// ask for closed sockets, slots never used, and the same slot on
-    /// another host. After every step every answer agrees with the map.
+    /// Open, look up, retire and close connections at random against a
+    /// `BTreeMap<SocketId, _>` and a `BTreeSet` of the retired, with up
+    /// to 512 in service. Sockets are numbered as a host numbers them,
+    /// never reusing a slot; lookups also ask for closed and retired
+    /// sockets, slots never used, and the same slot on another host.
+    /// After every step every answer agrees with the model.
     #[test]
     fn matches_an_ordered_map() {
         let mut rng = SmallRng::seed_from_u64(0xc044_7ab1e);
@@ -104,6 +137,7 @@ mod tests {
         let sock = |slot| SocketId { host, slot };
         let mut table = ConnTable::new();
         let mut reference = BTreeMap::new();
+        let mut retired = BTreeSet::new();
         let mut next_slot = 0u32;
         for step in 0..12_000u64 {
             let live = reference.len();
@@ -111,9 +145,18 @@ mod tests {
                 table.insert(sock(next_slot), step);
                 reference.insert(sock(next_slot), step);
                 next_slot += 1;
+            } else if rng.gen_bool(0.3) {
+                let slot = rng.gen_range(0..next_slot);
+                table.retire(sock(slot));
+                if reference.remove(&sock(slot)).is_some() {
+                    retired.insert(sock(slot));
+                }
             } else {
                 let slot = rng.gen_range(0..next_slot);
-                assert_eq!(table.remove(sock(slot)), reference.remove(&sock(slot)));
+                let was_retired = retired.remove(&sock(slot));
+                let want = reference.remove(&sock(slot));
+                assert_eq!(table.remove(sock(slot)), want);
+                assert!(!(was_retired && want.is_some()));
             }
             let probe = |id: SocketId| {
                 assert_eq!(table.get(id), reference.get(&id), "{id:?}");
@@ -132,7 +175,7 @@ mod tests {
                 *reference.get_mut(&id).expect("in service") += 1;
                 assert_eq!(table.get(id), Some(&(value + 1)));
             }
-            assert_eq!(table.len(), reference.len());
+            assert_eq!(table.len(), reference.len() + retired.len());
             if table.len() == 0 {
                 assert!(table.dense.capacity() <= MIN_ROOM);
             }
@@ -146,8 +189,12 @@ mod tests {
         }
         // Closing the last connection gives the busy table's room back.
         assert!(table.dense.capacity() > MIN_ROOM);
+        assert!(!retired.is_empty(), "some closed retired");
         for id in reference.keys() {
             assert!(table.remove(*id).is_some());
+        }
+        for id in &retired {
+            assert_eq!(table.remove(*id), None);
         }
         assert_eq!((table.len(), table.dense.capacity()), (0, 0));
         assert!(reference.keys().all(|&id| table.get(id).is_none()));

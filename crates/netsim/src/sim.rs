@@ -7,11 +7,12 @@
 //! `close`) so the HTTP client and server crates read like ordinary
 //! event-driven network programs.
 
+use crate::cc::CcVariant;
 use crate::fxhash::FxHashMap;
 use crate::impair::DropReason;
 use crate::link::{Link, LinkConfig, Transmit};
-use crate::packet::{HostId, Segment, SockAddr};
-use crate::probe::{ProbeEventKind, ProbeRecord, ProbeSink, SpanEvent};
+use crate::packet::{HostId, SackBlocks, Segment, SockAddr, TcpFlags};
+use crate::probe::{ProbeEventKind, ProbeRecord, ProbeSink, SpanEvent, TcpProbeEvent};
 use crate::queue::{EventHandle, EventQueue};
 use crate::tcp::{Effects, SockNotify, State, Tcb, TcpConfig, TimerKind};
 use crate::telemetry::{Metric, Scope, ScopeId, TelemetrySink};
@@ -134,6 +135,8 @@ struct HostState {
     /// The connections an application can still name, in no particular
     /// order: each slot's `SlotState::tcb` says where its own is.
     tcbs: Vec<Live>,
+    /// The same for connections quiet in TIME_WAIT, whose `Tcb` went.
+    time_wait: Vec<TimeWait>,
     /// (local port, remote addr) → socket slot.
     demux: FxHashMap<(u16, SockAddr), u32>,
     /// Listening ports.
@@ -169,14 +172,82 @@ struct Live {
     tcb: Tcb,
 }
 
+/// A connection in TIME_WAIT that has nothing left to read, queue or
+/// send but the ACK of a retransmitted FIN, in place of its `Tcb`: all
+/// the kernel still reads of one. Its 2MSL entry stays queued.
+#[derive(Clone, Copy)]
+struct TimeWait {
+    slot: u32,
+    local: SockAddr,
+    remote: SockAddr,
+    /// The ACK's sequence, acknowledgment and window.
+    seq: u32,
+    ack: u32,
+    window: usize,
+    /// The congestion state telemetry samples, frozen.
+    cwnd: u64,
+    ssthresh: u64,
+    rto: SimDuration,
+    variant: CcVariant,
+    in_recovery: bool,
+    /// Whether its `Tcb` recorded probe events.
+    probe: bool,
+    /// False once its own application aborted it.
+    open: bool,
+}
+
+impl TimeWait {
+    /// What telemetry samples of `tcb`, the socket in `slot`, as a record
+    /// with no ACK to send.
+    fn frozen(slot: u32, tcb: &Tcb) -> TimeWait {
+        TimeWait {
+            slot,
+            local: tcb.local,
+            remote: tcb.remote,
+            seq: 0,
+            ack: 0,
+            window: 0,
+            cwnd: tcb.cwnd() as u64,
+            ssthresh: tcb.ssthresh() as u64,
+            rto: tcb.rto(),
+            variant: tcb.cc_variant(),
+            in_recovery: tcb.cc_in_recovery(),
+            probe: false,
+            open: true,
+        }
+    }
+}
+
+/// What reaches a [`TimeWait`] socket, for the answer its `Tcb` gave.
+enum TimeWaitInput<'a> {
+    Segment(&'a Segment),
+    Expired,
+    Abort,
+    /// Any other syscall: each does nothing in TIME_WAIT.
+    Syscall,
+}
+
 /// `SlotState::tcb` of a slot whose connection was reaped.
 const REAPED: u32 = u32::MAX;
+
+/// The tag of a `SlotState::tcb` that points into `HostState::time_wait`.
+/// [`REAPED`] carries it too.
+const TIME_WAIT: u32 = 1 << 31;
+
+/// Where a held socket is.
+#[derive(Clone, Copy)]
+enum Held {
+    Tcb(usize),
+    TimeWait(usize),
+}
 
 /// What the kernel keeps per socket slot beside its `Tcb`.
 #[derive(Clone, Copy)]
 struct SlotState {
-    /// Where the slot's `Tcb` is in `HostState::tcbs`, or [`REAPED`] once
-    /// its application has handled its `Closed` or `Reset` event.
+    /// Where the slot's `Tcb` is in `HostState::tcbs`, or its
+    /// [`TIME_WAIT`]-tagged place in `HostState::time_wait`, or
+    /// [`REAPED`] once its application has handled its `Closed` or
+    /// `Reset` event.
     tcb: u32,
     /// Which incremental counts the slot is still part of.
     counted: Counted,
@@ -199,7 +270,8 @@ enum Counted {
 
 impl HostState {
     fn open_sockets(&self) -> u64 {
-        self.tcbs.iter().filter(|l| l.tcb.state().is_open()).count() as u64
+        let tcbs = self.tcbs.iter().filter(|l| l.tcb.state().is_open());
+        (tcbs.count() + self.time_wait.iter().filter(|r| r.open).count()) as u64
     }
 
     /// Sockets on `port` still mid-handshake — the listener's SYN queue.
@@ -215,15 +287,27 @@ impl HostState {
         len
     }
 
-    /// Where the `Tcb` of `sock`, one of this host's sockets, is in
-    /// `tcbs`.
-    fn live(&self, sock: SocketId) -> usize {
+    /// Where `sock`, one of this host's sockets, is held.
+    fn held(&self, sock: SocketId) -> Held {
         let i = self.slots[sock.slot as usize].tcb;
         assert!(
             i != REAPED,
             "socket {sock:?} used after its Closed/Reset event"
         );
-        i as usize
+        if i & TIME_WAIT == 0 {
+            Held::Tcb(i as usize)
+        } else {
+            Held::TimeWait((i & !TIME_WAIT) as usize)
+        }
+    }
+
+    /// Where the `Tcb` of `sock`, one of this host's sockets and not in
+    /// `time_wait`, is in `tcbs`.
+    fn live(&self, sock: SocketId) -> usize {
+        match self.held(sock) {
+            Held::Tcb(i) => i,
+            Held::TimeWait(_) => unreachable!("{sock:?} holds no Tcb"),
+        }
     }
 
     fn tcb(&self, sock: SocketId) -> &Tcb {
@@ -233,6 +317,42 @@ impl HostState {
     fn tcb_mut(&mut self, sock: SocketId) -> &mut Tcb {
         let i = self.live(sock);
         &mut self.tcbs[i].tcb
+    }
+
+    fn addrs(&self, sock: SocketId) -> (SockAddr, SockAddr) {
+        match self.held(sock) {
+            Held::Tcb(i) => (self.tcbs[i].tcb.local, self.tcbs[i].tcb.remote),
+            Held::TimeWait(i) => (self.time_wait[i].local, self.time_wait[i].remote),
+        }
+    }
+
+    /// Replace the `Tcb` of `sock` with a [`TimeWait`] if it is in
+    /// TIME_WAIT, quiet, and holds no timer but its 2MSL one.
+    fn compact(&mut self, sock: SocketId) {
+        let state = self.slots[sock.slot as usize];
+        if state.tcb & TIME_WAIT != 0 {
+            return; // compacted or reaped already
+        }
+        let only_2msl = (TimerKind::ALL.iter().zip(&state.timers))
+            .all(|(&kind, entry)| entry.is_some() == (kind == TimerKind::TimeWait));
+        let i = state.tcb as usize;
+        let tcb = &self.tcbs[i].tcb;
+        let Some((ack, probe)) = tcb.time_wait_ack().filter(|_| only_2msl) else {
+            return;
+        };
+        let record = TimeWait {
+            seq: ack.seq,
+            ack: ack.ack,
+            window: ack.window,
+            probe,
+            ..TimeWait::frozen(sock.slot, tcb)
+        };
+        self.slots[sock.slot as usize].tcb = TIME_WAIT | self.time_wait.len() as u32;
+        self.time_wait.push(record);
+        self.tcbs.swap_remove(i);
+        if let Some(moved) = self.tcbs.get(i) {
+            self.slots[moved.slot as usize].tcb = i as u32;
+        }
     }
 }
 
@@ -252,6 +372,12 @@ pub struct Kernel {
     /// The telemetry scope of the simulation as a whole.
     global_scope: Option<ScopeId>,
     pending: VecDeque<(HostId, AppEvent)>,
+    /// Sockets a `Tcb` call left in TIME_WAIT since the end of the last
+    /// dispatch, to be compacted if they are quiet by then.
+    entered_time_wait: Vec<SocketId>,
+    /// Off in a reference run that keeps every `Tcb`.
+    #[cfg(test)]
+    compacts: bool,
     /// Recycled [`Effects`] scratch: every event handler borrows one and
     /// returns it drained, so the per-event effect lists keep their
     /// capacities instead of re-allocating.
@@ -290,6 +416,9 @@ impl Kernel {
             link_scopes: Vec::new(),
             global_scope: None,
             pending: VecDeque::new(),
+            entered_time_wait: Vec::new(),
+            #[cfg(test)]
+            compacts: true,
             fx_pool: Vec::new(),
             events_processed: 0,
             max_events: 200_000_000,
@@ -390,22 +519,24 @@ impl Kernel {
             return;
         }
         let h = &mut self.hosts[host.0 as usize];
-        let tcb = &h.tcbs[h.live(SocketId { host, slot })].tcb;
+        let (r, flight) = match h.held(SocketId { host, slot }) {
+            Held::Tcb(i) => {
+                let tcb = &h.tcbs[i].tcb;
+                (TimeWait::frozen(slot, tcb), tcb.bytes_in_flight())
+            }
+            Held::TimeWait(i) => (h.time_wait[i], 0),
+        };
         let scope = scope_id(
             grown_to(&mut h.conn_scopes, slot as usize),
             &mut self.telemetry,
             Scope::Conn {
                 host,
-                local: tcb.local,
-                remote: tcb.remote,
+                local: r.local,
+                remote: r.remote,
             },
         );
-        let cwnd = tcb.cwnd() as u64;
-        let ssthresh = tcb.ssthresh() as u64;
-        let flight = tcb.bytes_in_flight();
-        let rto = tcb.rto().as_nanos();
-        let in_recovery = tcb.cc_in_recovery();
-        let variant = tcb.cc_variant();
+        let (cwnd, ssthresh, rto) = (r.cwnd, r.ssthresh, r.rto.as_nanos());
+        let (in_recovery, variant) = (r.in_recovery, r.variant);
         let now = self.now;
         self.telemetry.gauge_in(now, scope, Metric::Cwnd, cwnd);
         self.telemetry
@@ -552,6 +683,9 @@ impl Kernel {
             *counted = Counted::Closed;
             h.open_now -= 1;
         }
+        if tcb.state() == State::TimeWait && self.entered_time_wait.last() != Some(&sock) {
+            self.entered_time_wait.push(sock);
+        }
         if any_close {
             // Remove closed sockets from the demux table so the 4-tuple can
             // be reused.
@@ -647,12 +781,16 @@ impl Kernel {
         let key = (seg.dst.port, seg.src);
         let h = &self.hosts[host.0 as usize];
         if let Some(&slot) = h.demux.get(&key) {
-            let mut fx = self.take_fx();
-            let now = self.now;
-            let tcb = self.host(host).tcb_mut(SocketId { host, slot });
-            tcb.on_segment(now, &seg, &mut fx);
-            self.apply_effects(host, slot, &mut fx);
-            self.recycle_fx(fx);
+            let sock = SocketId { host, slot };
+            if let Held::Tcb(i) = h.held(sock) {
+                let mut fx = self.take_fx();
+                let now = self.now;
+                self.host(host).tcbs[i].tcb.on_segment(now, &seg, &mut fx);
+                self.apply_effects(host, slot, &mut fx);
+                self.recycle_fx(fx);
+            } else {
+                self.time_wait_input(sock, TimeWaitInput::Segment(&seg));
+            }
             self.update_peak(host);
             return;
         }
@@ -744,9 +882,15 @@ impl Kernel {
     fn handle_tcp_timer(&mut self, host: HostId, slot: u32, kind: TimerKind, epoch: u64) {
         // Its entry just popped.
         self.host(host).slots[slot as usize].timers[kind.index()] = None;
+        let sock = SocketId { host, slot };
+        if let Held::TimeWait(_) = self.host(host).held(sock) {
+            debug_assert_eq!(kind, TimerKind::TimeWait, "its one queued timer");
+            self.time_wait_input(sock, TimeWaitInput::Expired);
+            return;
+        }
         let mut fx = self.take_fx();
         let now = self.now;
-        let tcb = self.host(host).tcb_mut(SocketId { host, slot });
+        let tcb = self.host(host).tcb_mut(sock);
         debug_assert_eq!(tcb.timer_epoch(kind), epoch, "only live timers are queued");
         tcb.on_timer(now, kind, epoch, &mut fx);
         self.apply_effects(host, slot, &mut fx);
@@ -755,22 +899,109 @@ impl Kernel {
 
     // --- socket syscalls used by Ctx -----------------------------------
 
+    #[cfg(test)]
     fn sock(&mut self, id: SocketId) -> &mut Tcb {
         self.host(id.host).tcb_mut(id)
     }
 
-    /// Drop the `Tcb` of `sock`, whose application has just handled its
-    /// `Closed` or `Reset` event. The last held `Tcb` moves into its place.
+    /// Answer `input` to the [`TimeWait`] socket `sock` as its `Tcb`
+    /// did, with the same effects in the same order: the telemetry
+    /// sample first, then a probe record, a segment, and the close.
+    fn time_wait_input(&mut self, sock: SocketId, input: TimeWaitInput<'_>) {
+        self.telemetry_conn_sample(sock.host, sock.slot);
+        let h = &self.hosts[sock.host.0 as usize];
+        let Held::TimeWait(i) = h.held(sock) else {
+            unreachable!("{sock:?} is in TIME_WAIT")
+        };
+        let r = h.time_wait[i];
+        if !r.open {
+            return;
+        }
+        let event = match input {
+            TimeWaitInput::Segment(seg) if seg.flags.rst => Some(AppEvent::Reset(sock)),
+            TimeWaitInput::Segment(seg) if seg.flags.fin => {
+                self.transmit(Segment {
+                    src: r.local,
+                    dst: r.remote,
+                    seq: r.seq,
+                    ack: r.ack,
+                    flags: TcpFlags::ACK,
+                    window: r.window,
+                    sack: SackBlocks::NONE,
+                    payload: Bytes::new(),
+                });
+                return;
+            }
+            TimeWaitInput::Segment(_) | TimeWaitInput::Syscall => return,
+            TimeWaitInput::Expired => {
+                if r.probe {
+                    self.probe.record(ProbeRecord {
+                        at: self.now,
+                        host: sock.host,
+                        local: r.local,
+                        remote: r.remote,
+                        kind: ProbeEventKind::Tcp(TcpProbeEvent::TimerFired {
+                            kind: TimerKind::TimeWait,
+                        }),
+                    });
+                }
+                Some(AppEvent::Closed(sock))
+            }
+            TimeWaitInput::Abort => {
+                self.transmit(Segment::rst(r.local, r.remote, r.seq));
+                None
+            }
+        };
+        let h = &mut self.hosts[sock.host.0 as usize];
+        h.time_wait[i].open = false;
+        h.open_now -= 1;
+        let state = &mut h.slots[sock.slot as usize];
+        state.counted = Counted::Closed;
+        if let Some(entry) = state.timers[TimerKind::TimeWait.index()].take() {
+            self.queue.remove(entry);
+        }
+        if let Some(event) = event {
+            // Only an event frees the 4-tuple, as on a `Tcb`.
+            h.demux.remove(&(r.local.port, r.remote));
+            self.pending.push_back((sock.host, event));
+        }
+    }
+
+    /// Drop what the kernel holds of `sock`, whose application has just
+    /// handled its `Closed` or `Reset` event. The last held entry moves
+    /// into its place.
     fn reap(&mut self, sock: SocketId) {
         let h = self.host(sock.host);
-        let i = h.live(sock);
+        let held = h.held(sock);
         let state = &mut h.slots[sock.slot as usize];
         debug_assert_eq!(state.counted, Counted::Closed);
         debug_assert!(state.timers.iter().all(Option::is_none), "no timer queued");
         state.tcb = REAPED;
-        h.tcbs.swap_remove(i);
-        if let Some(moved) = h.tcbs.get(i) {
-            h.slots[moved.slot as usize].tcb = i as u32;
+        match held {
+            Held::Tcb(i) => {
+                h.tcbs.swap_remove(i);
+                if let Some(moved) = h.tcbs.get(i) {
+                    h.slots[moved.slot as usize].tcb = i as u32;
+                }
+            }
+            Held::TimeWait(i) => {
+                h.time_wait.swap_remove(i);
+                if let Some(moved) = h.time_wait.get(i) {
+                    h.slots[moved.slot as usize].tcb = TIME_WAIT | i as u32;
+                }
+            }
+        }
+    }
+
+    /// Compact every socket a `Tcb` call left in TIME_WAIT that is
+    /// quiet now: the application has handled what that call raised.
+    fn compact_time_wait(&mut self) {
+        while let Some(sock) = self.entered_time_wait.pop() {
+            #[cfg(test)]
+            if !self.compacts {
+                continue;
+            }
+            self.hosts[sock.host.0 as usize].compact(sock);
         }
     }
 
@@ -851,7 +1082,7 @@ impl<'a> Ctx<'a> {
     /// Queue a copy of `data` for transmission; returns the number of
     /// bytes accepted (bounded by the socket send buffer).
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> usize {
-        self.call(sock, |tcb, now, fx| tcb.app_send(now, data, fx))
+        self.call(sock, 0, |tcb, now, fx| tcb.app_send(now, data, fx))
     }
 
     /// Move bytes off the front of `from` into the socket, by reference,
@@ -861,7 +1092,7 @@ impl<'a> Ctx<'a> {
         if from.is_empty() {
             return;
         }
-        let n = self.call(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
+        let n = self.call(sock, 0, |tcb, now, fx| tcb.app_send_from(now, from, fx));
         if n > 0 && !from.is_empty() {
             // The socket took part of it and is now full. The loop this
             // replaces found that out by writing once more, and that
@@ -870,27 +1101,33 @@ impl<'a> Ctx<'a> {
             // `apply_effects` and the probe records the blocked send, so
             // goldens see it. Kept until ROADMAP item 7 decides whether
             // such an artefact may go.
-            self.call(sock, |tcb, now, fx| tcb.app_send_from(now, from, fx));
+            self.call(sock, 0, |tcb, now, fx| tcb.app_send_from(now, from, fx));
         }
     }
 
-    /// The `Tcb` behind `sock`, which must be one of this host's sockets
-    /// and not yet past its `Closed` or `Reset` event.
-    fn tcb(&mut self, sock: SocketId) -> &mut Tcb {
+    /// Where `sock` is held; it must be one of this host's sockets and
+    /// not yet past its `Closed` or `Reset` event.
+    fn held(&self, sock: SocketId) -> Held {
         assert_eq!(sock.host, self.host, "socket {sock:?} is another host's");
-        self.kernel.sock(sock)
+        self.kernel.hosts[sock.host.0 as usize].held(sock)
     }
 
     /// The one syscall path into a socket: run `call` on its `Tcb` and
-    /// apply what it caused.
+    /// apply what it caused. A socket quiet in TIME_WAIT answers
+    /// `in_time_wait` instead, as its `Tcb` did.
     fn call<R>(
         &mut self,
         sock: SocketId,
+        in_time_wait: R,
         call: impl FnOnce(&mut Tcb, SimTime, &mut Effects) -> R,
     ) -> R {
+        let Held::Tcb(i) = self.held(sock) else {
+            self.kernel.time_wait_input(sock, TimeWaitInput::Syscall);
+            return in_time_wait;
+        };
         let mut fx = self.kernel.take_fx();
         let now = self.kernel.now;
-        let r = call(self.tcb(sock), now, &mut fx);
+        let r = call(&mut self.kernel.host(sock.host).tcbs[i].tcb, now, &mut fx);
         self.kernel.apply_effects(sock.host, sock.slot, &mut fx);
         self.kernel.recycle_fx(fx);
         r
@@ -898,36 +1135,47 @@ impl<'a> Ctx<'a> {
 
     /// Read up to `max` buffered bytes.
     pub fn recv(&mut self, sock: SocketId, max: usize) -> Bytes {
-        self.call(sock, |tcb, _, fx| tcb.app_recv(max, fx))
+        self.call(sock, Bytes::new(), |tcb, _, fx| tcb.app_recv(max, fx))
     }
 
     /// Bytes currently buffered for reading.
     pub fn readable_bytes(&mut self, sock: SocketId) -> usize {
-        self.tcb(sock).readable_bytes()
+        match self.held(sock) {
+            Held::Tcb(i) => self.kernel.hosts[sock.host.0 as usize].tcbs[i]
+                .tcb
+                .readable_bytes(),
+            Held::TimeWait(_) => 0,
+        }
     }
 
     /// Half-close the sending direction (graceful FIN after queued data).
     pub fn shutdown_write(&mut self, sock: SocketId) {
-        self.call(sock, |tcb, now, fx| tcb.app_shutdown_write(now, fx));
+        self.call(sock, (), |tcb, now, fx| tcb.app_shutdown_write(now, fx));
         self.kernel.update_peak(sock.host);
     }
 
     /// Full close: also declares the application will never read again, so
     /// late-arriving data triggers a RST (the naive-close hazard).
     pub fn close(&mut self, sock: SocketId) {
-        self.call(sock, |tcb, now, fx| tcb.app_close(now, fx));
+        self.call(sock, (), |tcb, now, fx| tcb.app_close(now, fx));
         self.kernel.update_peak(sock.host);
     }
 
     /// Abortive close: RST immediately.
     pub fn abort(&mut self, sock: SocketId) {
-        self.call(sock, |tcb, _, fx| tcb.app_abort(fx));
+        if let Held::TimeWait(_) = self.held(sock) {
+            self.kernel.time_wait_input(sock, TimeWaitInput::Abort);
+        } else {
+            self.call(sock, (), |tcb, _, fx| tcb.app_abort(fx));
+        }
         self.kernel.update_peak(sock.host);
     }
 
     /// Set or clear TCP_NODELAY (the Nagle algorithm).
     pub fn set_nodelay(&mut self, sock: SocketId, nodelay: bool) {
-        self.tcb(sock).set_nodelay(nodelay);
+        if let Held::Tcb(i) = self.held(sock) {
+            self.kernel.host(sock.host).tcbs[i].tcb.set_nodelay(nodelay);
+        }
     }
 
     /// Whether the probe flight recorder is collecting. Lets callers skip
@@ -942,8 +1190,8 @@ impl<'a> Ctx<'a> {
         if !self.kernel.probe.enabled() {
             return;
         }
-        let tcb = self.tcb(sock);
-        let (local, remote) = (tcb.local, tcb.remote);
+        self.held(sock);
+        let (local, remote) = self.kernel.hosts[sock.host.0 as usize].addrs(sock);
         let at = self.kernel.now;
         self.kernel.probe.record(ProbeRecord {
             at,
@@ -1012,6 +1260,7 @@ impl Simulator {
             name: name.to_string(),
             tcp_config: TcpConfig::default(),
             tcbs: Vec::new(),
+            time_wait: Vec::new(),
             demux: FxHashMap::default(),
             listeners: FxHashMap::default(),
             next_ephemeral: 40_000,
@@ -1143,25 +1392,30 @@ impl Simulator {
 
     /// How many sockets, over all hosts, are `Closed`, and the buffer
     /// storage they still hold between them (for tests: a finished
-    /// connection pins none). A reaped socket counts, holding nothing.
+    /// connection pins none). A reaped socket counts, holding nothing,
+    /// and so does an aborted one that was quiet in TIME_WAIT.
     #[doc(hidden)]
     pub fn closed_socket_storage(&self) -> (usize, usize) {
         let hosts = &self.kernel.hosts;
         let slots = hosts.iter().flat_map(|h| &h.slots);
         let reaped = slots.filter(|s| s.tcb == REAPED).count();
+        let time_wait = hosts.iter().flat_map(|h| &h.time_wait);
+        let aborted = time_wait.filter(|r| !r.open).count();
         let held = hosts.iter().flat_map(|h| &h.tcbs).map(|l| &l.tcb);
         held.filter(|t| t.state() == State::Closed)
-            .fold((reaped, 0), |(n, bytes), t| {
+            .fold((reaped + aborted, 0), |(n, bytes), t| {
                 (n + 1, bytes + t.held_storage())
             })
     }
 
-    /// How many `Tcb`s the kernel holds, over all hosts: the sockets an
-    /// application can still name (for tests: a finished run holds only
-    /// the sockets their own application aborted).
+    /// How many sockets the kernel holds, over all hosts, as a `Tcb` or
+    /// quiet in TIME_WAIT: the sockets an application can still name (for
+    /// tests: a finished run holds only the sockets their own application
+    /// aborted).
     #[doc(hidden)]
-    pub fn held_tcbs(&self) -> usize {
-        self.kernel.hosts.iter().map(|h| h.tcbs.len()).sum()
+    pub fn held_sockets(&self) -> usize {
+        let hosts = self.kernel.hosts.iter();
+        hosts.map(|h| h.tcbs.len() + h.time_wait.len()).sum()
     }
 
     fn dispatch_pending(&mut self) {
@@ -1182,6 +1436,7 @@ impl Simulator {
                 self.kernel.reap(sock);
             }
         }
+        self.kernel.compact_time_wait();
     }
 
     fn start_if_needed(&mut self) {
@@ -1242,6 +1497,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write;
     use QueuedKind::{AppTimer, Arrival, TcpTimer};
 
     /// Echo server: accepts connections and echoes every byte back; closes
@@ -2110,13 +2366,163 @@ mod tests {
         sim.run_until_idle();
     }
 
-    /// What the kernel keeps per socket: the `Tcb` while it is held, and
-    /// a slot for the whole run. What every packet is moved as: a segment
+    /// Reads and echoes like [`EchoClient`], half-closing once it has its
+    /// echo, and notes every event it is handed.
+    struct Noter {
+        inner: EchoClient,
+        seen: Vec<AppEvent>,
+    }
+
+    impl App for Noter {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: AppEvent) {
+            self.seen.push(ev);
+            self.inner.on_event(ctx, ev);
+        }
+    }
+
+    /// An echo exchange run until the client's socket waits in TIME_WAIT,
+    /// compacted or, with `compacts` off, still a `Tcb`.
+    fn in_time_wait(compacts: bool) -> (Simulator, SocketId) {
+        let (mut sim, client, server) = echo_sim(LinkConfig::lan(), 3_000);
+        let inner = EchoClient {
+            server: SockAddr::new(server, 80),
+            payload: vec![3; 3_000],
+            sent: 0,
+            received: Vec::new(),
+            done: false,
+            sock: None,
+        };
+        let seen = Vec::new();
+        sim.install_app(client, Box::new(Noter { inner, seen }));
+        sim.kernel.compacts = compacts;
+        sim.enable_probe();
+        sim.enable_telemetry();
+        sim.run_until(SimTime::from_nanos(5_000_000_000));
+        let sock = SocketId {
+            host: client,
+            slot: 0,
+        };
+        let h = sim.kernel.host(client);
+        match h.held(sock) {
+            Held::Tcb(i) => assert!(!compacts && h.tcbs[i].tcb.state() == State::TimeWait),
+            Held::TimeWait(_) => assert!(compacts),
+        }
+        (sim, sock)
+    }
+
+    /// What an input does to a socket in TIME_WAIT.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Input {
+        Fin,
+        Ack,
+        Data,
+        Rst,
+        /// Every `Ctx` call but `abort`.
+        Calls,
+        Abort,
+    }
+
+    /// Drive `inputs` into the client's socket, then run to the end,
+    /// writing down everything the run shows.
+    fn drive(compacts: bool, inputs: &[Input]) -> String {
+        let (mut sim, sock) = in_time_wait(compacts);
+        let mut log = String::new();
+        let (local, remote) = sim.kernel.hosts[sock.host.0 as usize].addrs(sock);
+        for &input in inputs {
+            let seg = |flags, payload: &[u8]| Segment {
+                src: remote,
+                dst: local,
+                seq: 7_001,
+                ack: 3_002,
+                flags,
+                window: 10_000,
+                sack: SackBlocks::NONE,
+                payload: Bytes::copy_from_slice(payload),
+            };
+            let fin = TcpFlags {
+                fin: true,
+                ..TcpFlags::ACK
+            };
+            let seg = match input {
+                Input::Fin => Some(seg(fin, b"")),
+                Input::Ack => Some(seg(TcpFlags::ACK, b"")),
+                Input::Data => Some(seg(TcpFlags::ACK, b"late")),
+                Input::Rst => Some(seg(TcpFlags::RST, b"")),
+                Input::Calls | Input::Abort => None,
+            };
+            if let Some(seg) = seg {
+                let now = sim.kernel.now;
+                sim.kernel.handle_arrival(sock.host, seg, now, 60, false);
+            } else {
+                let mut ctx = Ctx {
+                    kernel: &mut sim.kernel,
+                    host: sock.host,
+                };
+                if let Input::Abort = input {
+                    ctx.abort(sock);
+                } else {
+                    let mut from = BytesQueue::new();
+                    from.push(Bytes::copy_from_slice(b"more"));
+                    let sent = ctx.send(sock, b"more");
+                    ctx.send_from(sock, &mut from);
+                    let read = ctx.recv(sock, 100);
+                    let readable = ctx.readable_bytes(sock);
+                    ctx.shutdown_write(sock);
+                    ctx.close(sock);
+                    ctx.set_nodelay(sock, true);
+                    ctx.probe_span(sock, SpanEvent::FirstByte);
+                    let left = from.len();
+                    writeln!(log, "{sent} {left} {read:?} {readable}").unwrap();
+                }
+            }
+            sim.dispatch_pending();
+            let h = &sim.kernel.hosts[sock.host.0 as usize];
+            let counts = (h.open_now, h.open_sockets(), h.demux.len());
+            writeln!(log, "{input:?}: {counts:?} {:?}", h.stats).unwrap();
+        }
+        sim.run_until_idle();
+        let noter = sim.app_mut::<Noter>(sock.host).expect("installed");
+        writeln!(log, "{:?}", noter.seen).unwrap();
+        writeln!(log, "{}", sim.trace().dump()).unwrap();
+        for drop in sim.trace().drop_records().iter() {
+            writeln!(log, "{drop:?}").unwrap();
+        }
+        writeln!(log, "{:?}", sim.probe_records()).unwrap();
+        writeln!(log, "{}", sim.telemetry().render_csv()).unwrap();
+        let stored = (sim.held_sockets(), sim.closed_socket_storage());
+        writeln!(log, "{:?} {stored:?}", sim.socket_stats(sock.host)).unwrap();
+        log
+    }
+
+    /// A socket compacted in TIME_WAIT answers every input as its `Tcb`
+    /// would have: the same segments, notifications, open counts, probe
+    /// records and telemetry samples, to the 2MSL expiry, a RST or an
+    /// abort.
+    #[test]
+    fn a_time_wait_record_answers_as_its_tcb() {
+        use Input::*;
+        let scripts: [&[Input]; 4] = [
+            &[Ack, Data, Calls, Ack],
+            &[Fin, Data, Calls],
+            &[Calls, Rst, Fin],
+            &[Data, Abort, Fin, Rst, Calls, Abort],
+        ];
+        for script in scripts {
+            let (record, tcb) = (drive(true, script), drive(false, script));
+            assert!(record == tcb, "{script:?}:\n{record}\n---\n{tcb}");
+            let ended = ["Closed(", "Reset("].iter().any(|e| record.contains(e));
+            assert!(ended || script.contains(&Abort), "{script:?}:\n{record}");
+        }
+    }
+
+    /// What the kernel keeps per socket: the `Tcb` while it is held, or
+    /// its record while quiet in TIME_WAIT, and a slot for the whole run. What every packet is moved as: a segment
     /// in a queued event, and in a full trace a record.
     #[test]
     fn socket_table_entries_stay_small() {
         assert!(std::mem::size_of::<SlotState>() <= 24);
         assert!(std::mem::size_of::<Live>() <= std::mem::size_of::<Tcb>() + 8);
+        assert!(std::mem::size_of::<TimeWait>() <= 64);
         assert!(std::mem::size_of::<Segment>() <= 96);
         assert!(std::mem::size_of::<QueuedEvent>() <= 136);
         assert!(std::mem::size_of::<crate::trace::TraceRecord>() <= 120);

@@ -1135,7 +1135,12 @@ impl Tcb {
         self.unacked_segments = 0;
         self.cancel_timer(TimerKind::DelAck);
         self.delack_armed = false;
-        fx.segments.push(Segment {
+        fx.segments.push(self.ack_segment());
+        self.segments_sent += 1;
+    }
+
+    fn ack_segment(&self) -> Segment {
+        Segment {
             src: self.local,
             dst: self.remote,
             seq: self.snd_nxt.raw(),
@@ -1144,8 +1149,19 @@ impl Tcb {
             window: self.advertised_window(),
             sack: self.sack_for_ack(),
             payload: Bytes::new(),
-        });
-        self.segments_sent += 1;
+        }
+    }
+
+    /// The ACK this endpoint answers a retransmitted FIN with, once
+    /// nothing it sends or reports can change any more: in TIME_WAIT,
+    /// with nothing unread, queued out of order or in flight. With it,
+    /// whether the endpoint records probe events. `None` otherwise.
+    pub(crate) fn time_wait_ack(&self) -> Option<(Segment, bool)> {
+        let quiet = self.state == State::TimeWait
+            && self.recv_buf.is_empty()
+            && self.reassembly.is_empty()
+            && self.snd_una == self.snd_nxt;
+        quiet.then(|| (self.ack_segment(), self.probe_enabled))
     }
 
     fn emit_data_segment(&mut self, seq: Seq, payload: Bytes, fin: bool, fx: &mut Effects) {
