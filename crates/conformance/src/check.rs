@@ -6,6 +6,7 @@
 use crate::{CheckConfig, InvariantKind, Report, Violation};
 use bytes::{Bytes, BytesQueue};
 use netsim::seq::Seq;
+use netsim::tcp::MIN_RTO;
 use netsim::{CcVariant, DropRecord, HostId, Records, Segment, SimTime, SockAddr};
 use std::collections::BTreeMap;
 
@@ -822,7 +823,7 @@ fn replay(
                         let partial_answer = cc_partial
                             && e.partial_ack_pending.is_some_and(|(hole, _)| hole == seq);
                         if let Some((hole, t_set)) = e.partial_ack_pending {
-                            if cc_partial && hole == seq && at.since(t_set) >= cfg.tcp.min_rto {
+                            if cc_partial && hole == seq && at.since(t_set) >= MIN_RTO {
                                 v(
                                     report,
                                     InvariantKind::NewRenoPartialAck,
@@ -865,7 +866,7 @@ fn replay(
                             .rev()
                             .find(|&&(s, end, _, _)| s <= octet && octet < end);
                         if let Some(&(_, _, last_at, last_len)) = last_tx {
-                            let waited = at.since(last_at) >= cfg.tcp.min_rto;
+                            let waited = at.since(last_at) >= MIN_RTO;
                             let fast = e.dup_acks >= 3;
                             let probe_recover = last_len == 1;
                             let syn_answer = seg.flags.syn && e.syn_arrived_since_syn_tx;
@@ -909,7 +910,7 @@ fn replay(
                 if seg.seq_space() > 0 {
                     // Congestion-recovery bookkeeping. A data
                     // retransmission is either RTO-style (a full
-                    // min_rto elapsed since the previous copy — closes
+                    // MIN_RTO elapsed since the previous copy — closes
                     // any fast recovery, RFC 6582 §3.2 step 1) or a
                     // fast/partial-ACK retransmit (opens recovery under
                     // >= 3 duplicate ACKs, clears the pending hole).
@@ -922,9 +923,7 @@ fn replay(
                             .iter()
                             .rev()
                             .find(|&&(s, end, _, _)| s <= seq && seq < end)
-                            .is_some_and(|&(_, _, last_at, _)| {
-                                at.since(last_at) >= cfg.tcp.min_rto
-                            });
+                            .is_some_and(|&(_, _, last_at, _)| at.since(last_at) >= MIN_RTO);
                         if rto_style {
                             e.recovery_high = 0;
                             e.partial_ack_pending = None;

@@ -10,6 +10,7 @@
 //! shared-dictionary compressor (deflate over the whole batch) achieves.
 
 use flate::{deflate, Level};
+use httpclient::config::HOST;
 use httpclient::{ClientConfig, ProtocolMode, RequestStyle};
 use httpwire::{ETag, Method, Version};
 use netsim::{HostId, SockAddr};
@@ -74,7 +75,7 @@ pub fn revalidation_request_study(style: RequestStyle) -> VerbosityStudy {
         let etag = ETag::derive(&obj.body, obj.mtime);
         let req = cfg
             .style
-            .request(Method::Get, path, Version::Http11, &cfg.host)
+            .request(Method::Get, path, Version::Http11, HOST)
             .with_header("If-None-Match", &etag);
         wires.push(req.to_bytes());
     }

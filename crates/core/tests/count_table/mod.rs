@@ -38,28 +38,28 @@ const TABLE: &[Group] = &[
     (
         "counts",
         &[
-            ("matrix", [8_870, 10_905, 3_353_896, 76_515]),
-            ("fleet16", [8_384, 10_155, 3_536_380, 933_189]),
-            ("cc lossy", [8_287, 8_763, 2_127_752, 67_260]),
+            ("matrix", [8_870, 10_905, 3_333_032, 76_847]),
+            ("fleet16", [8_384, 10_121, 3_526_768, 929_749]),
+            ("cc lossy", [8_287, 8_763, 2_114_120, 66_570]),
         ],
     ),
     (
         "head_alloc",
         &[
-            ("head pipelined", [210, 287, 87_455, 56_819]),
-            ("head mux", [281, 369, 79_583, 51_301]),
-            ("head revalidate", [429, 302, 84_951, 53_187]),
+            ("head pipelined", [210, 287, 87_103, 56_491]),
+            ("head mux", [281, 369, 79_231, 50_973]),
+            ("head revalidate", [429, 302, 84_407, 52_763]),
         ],
     ),
     (
         "body_alloc",
         &[
-            ("body 1.1 1K", [9, 50, 32_572, 32_032]),
-            ("body 1.1 1M", [1_109, 57, 186_455, 185_723]),
-            ("body pipelined 1K", [9, 50, 32_572, 32_032]),
-            ("body pipelined 1M", [1_109, 57, 186_455, 185_723]),
-            ("body mux 1K", [13, 64, 36_460, 34_967]),
-            ("body mux 1M", [1_196, 274, 219_519, 201_615]),
+            ("body 1.1 1K", [9, 50, 32_220, 31_704]),
+            ("body 1.1 1M", [1_109, 57, 186_103, 185_395]),
+            ("body pipelined 1K", [9, 50, 32_220, 31_704]),
+            ("body pipelined 1M", [1_109, 57, 186_103, 185_395]),
+            ("body mux 1K", [13, 64, 36_108, 34_639]),
+            ("body mux 1M", [1_196, 274, 219_167, 201_287]),
         ],
     ),
     (
@@ -71,9 +71,9 @@ const TABLE: &[Group] = &[
             ("check pipelined 1M", [1_109, 15, 121_180, 121_180]),
             ("check mux 1K", [13, 23, 3_764, 3_380]),
             ("check mux 1M", [1_196, 114, 261_400, 203_520]),
-            ("fleet10", [9_198, 7_417, 1_798_770, 822_437]),
-            ("fleet10 sink", [9_198, 7_764, 2_787_410, 1_794_565]),
-            ("fleet10 trace", [9_198, 7_459, 2_911_506, 1_987_445]),
+            ("fleet10", [9_198, 7_400, 1_788_780, 816_405]),
+            ("fleet10 sink", [9_198, 7_747, 2_777_420, 1_788_533]),
+            ("fleet10 trace", [9_198, 7_442, 2_901_516, 1_981_413]),
             ("check fleet10", [9_198, 2_778, 1_156_928, 116_744]),
             ("pcapng fleet10", [9_198, 1, 3_818_700, 3_818_700]),
         ],

@@ -1,9 +1,11 @@
-//! DESIGN.md cites only what exists: every file it names in backticks is
-//! a file of the workspace, every test it cites as `file.rs::name` is a
-//! `fn name` in a file of that name, and every kebab-case name it puts
-//! in backticks is a simlint rule, a conformance invariant or a crate.
-//! Fenced code blocks are skipped; so are globs (`PROBE_*.json`) and
-//! templates (`PROBE_<cell>.json`).
+//! The docs cite only what exists. In DESIGN.md, every file named in
+//! backticks is a file of the workspace, every test cited as
+//! `file.rs::name` is a `fn name` in a file of that name, and every
+//! kebab-case name in backticks is a source rule, a conformance invariant
+//! or a crate. In DESIGN.md and README.md, every `repro <id>` names a
+//! section or a command of `repro`, and every `gate <name>` an entry of
+//! the gate registry. Fenced code blocks are skipped; so are globs
+//! (`PROBE_*.json`) and templates (`PROBE_<cell>.json`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,7 +14,7 @@ fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("simlint lives two levels below the workspace root")
+        .expect("core lives two levels below the workspace root")
         .to_path_buf()
 }
 
@@ -39,18 +41,28 @@ fn workspace_paths(root: &Path) -> Vec<String> {
     out
 }
 
-/// The inline code spans of a Markdown document, outside fenced blocks.
-fn code_spans(doc: &str) -> Vec<(usize, &str)> {
+/// The inline code spans of a Markdown document, outside fenced blocks,
+/// each with the line it starts on. A span may wrap onto the next line.
+fn code_spans(doc: &str) -> Vec<(usize, String)> {
     let mut fenced = false;
-    let mut spans = Vec::new();
-    for (i, line) in doc.lines().enumerate() {
-        if line.trim_start().starts_with("```") {
-            fenced = !fenced;
-            continue;
+    let prose: Vec<&str> = doc
+        .lines()
+        .map(|line| {
+            let fence = line.trim_start().starts_with("```");
+            fenced ^= fence;
+            if fenced || fence {
+                ""
+            } else {
+                line
+            }
+        })
+        .collect();
+    let (mut line, mut spans) = (1, Vec::new());
+    for (i, part) in prose.join("\n").split('`').enumerate() {
+        if i % 2 == 1 {
+            spans.push((line, part.replace('\n', " ")));
         }
-        if !fenced {
-            spans.extend(line.split('`').skip(1).step_by(2).map(|s| (i + 1, s)));
-        }
+        line += part.matches('\n').count();
     }
     spans
 }
@@ -99,18 +111,33 @@ fn crate_names(root: &Path) -> Vec<String> {
     names
 }
 
+/// The names of the source rules: the `name:` fields of `RULES` in
+/// `source_rules.rs`, the one list that test runs.
+fn rule_names(root: &Path) -> Vec<String> {
+    let rules = fs::read_to_string(root.join("crates/core/tests/source_rules.rs")).expect("rules");
+    let names: Vec<String> = rules
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("name: \"")?.strip_suffix("\","))
+        .map(str::to_string)
+        .collect();
+    assert!(!names.is_empty(), "no rule names in source_rules.rs");
+    names
+}
+
 #[test]
 fn design_md_cites_only_what_exists() {
     let root = root();
     let doc = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
     let files = workspace_paths(&root);
     let crates = crate_names(&root);
+    let rules = rule_names(&root);
     let invariants: Vec<&str> = conformance::InvariantKind::ALL
         .iter()
         .map(|kind| kind.label())
         .collect();
     let mut stale = Vec::new();
     for (line, span) in code_spans(&doc) {
+        let span = span.as_str();
         // A test is cited as `file.rs::test_name`.
         let (span, test) = match span.split_once("::") {
             Some((file, name)) if file.ends_with(".rs") => (file, Some(name)),
@@ -134,13 +161,52 @@ fn design_md_cites_only_what_exists() {
                 stale.push(format!("DESIGN.md:{line}: no `fn {name}` in `{span}`"));
             }
         } else if is_kebab(span)
-            && !simlint::rules::RULE_IDS.contains(&span)
+            && !rules.iter().any(|r| r == span)
             && !invariants.contains(&span)
             && !crates.iter().any(|c| c == span)
         {
             stale.push(format!(
                 "DESIGN.md:{line}: `{span}` is no rule, invariant or crate"
             ));
+        }
+    }
+    assert!(stale.is_empty(), "{}", stale.join("\n"));
+}
+
+/// `repro X Y…` and `gate X Y…` in backticks: every lowercase word after
+/// the binary's name is a section or command of `repro`, or an entry of
+/// `gate`'s registry. A placeholder (`repro <id>`) or a flag ends the list.
+#[test]
+fn docs_cite_only_commands_that_exist() {
+    let root = root();
+    let repro = fs::read_to_string(root.join("crates/bench/src/bin/repro.rs")).expect("repro.rs");
+    let commands = repro
+        .split("const COMMANDS")
+        .nth(1)
+        .and_then(|c| c.split("];").next());
+    let commands = commands.expect("repro's COMMANDS");
+    let repro_knows = |word: &str| {
+        let command = word == "list" || commands.contains(&format!("\"{word}\""));
+        command || httpipe_core::experiments::find(word).is_some()
+    };
+    let gate_knows = |word: &str| httpipe_core::gate::REGISTRY.iter().any(|g| g.name == word);
+    let mut stale = Vec::new();
+    for doc in ["DESIGN.md", "README.md"] {
+        let text = fs::read_to_string(root.join(doc)).expect("a doc");
+        for (line, span) in code_spans(&text) {
+            let mut words = span.split_whitespace();
+            let knows: &dyn Fn(&str) -> bool = match words.next() {
+                Some("repro") => &repro_knows,
+                Some("gate") => &gate_knows,
+                _ => continue,
+            };
+            let lowercase = |w: &&str| {
+                w.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+            };
+            for word in words.take_while(lowercase).filter(|w| !knows(w)) {
+                stale.push(format!("{doc}:{line}: `{}` cites no `{word}`", span.trim()));
+            }
         }
     }
     assert!(stale.is_empty(), "{}", stale.join("\n"));

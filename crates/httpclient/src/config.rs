@@ -142,6 +142,9 @@ pub enum Workload {
     },
 }
 
+/// The `Host` header value of every request.
+pub const HOST: &str = "www.microscape.example";
+
 /// Full client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -151,8 +154,6 @@ pub struct ClientConfig {
     pub style: RequestStyle,
     /// Where the origin server lives.
     pub server: SockAddr,
-    /// `Host` header value.
-    pub host: String,
     /// Set TCP_NODELAY (the paper's recommendation for buffered
     /// pipelining).
     pub nodelay: bool,
@@ -189,7 +190,6 @@ impl ClientConfig {
             mode,
             style: RequestStyle::Robot,
             server,
-            host: "www.microscape.example".to_string(),
             nodelay: true,
             accept_deflate: false,
             pipeline_buffer: 1024,

@@ -30,7 +30,7 @@
 //! timer fires is always the oldest.
 
 use crate::cache::{CacheEntry, ClientCache};
-use crate::config::{ClientConfig, ProtocolMode, RevalidationStyle, Workload};
+use crate::config::{ClientConfig, ProtocolMode, RevalidationStyle, Workload, HOST};
 use bytes::{BytesMut, BytesQueue};
 use httpwire::coding;
 use httpwire::validators::Validators;
@@ -667,12 +667,11 @@ impl HttpClient {
     // ------------------------------------------------------------------
 
     fn build_request(&self, job: &Job) -> Request {
-        let mut req = self.config.style.request(
-            job.method,
-            &job.path,
-            self.config.mode.version(),
-            &self.config.host,
-        );
+        let version = self.config.mode.version();
+        let mut req = self
+            .config
+            .style
+            .request(job.method, &job.path, version, HOST);
         // Transport compression is negotiated for documents, not for
         // already-compressed image formats.
         if self.config.accept_deflate && is_html_path(&job.path) {
@@ -1403,7 +1402,8 @@ mod tests {
                     let inbox = self.inbox.entry(sock).or_default();
                     inbox.extend_from_slice(&ctx.recv(sock, usize::MAX));
                     while let Some(end) = inbox.windows(4).position(|w| w == b"\r\n\r\n") {
-                        let head: Vec<u8> = inbox.drain(..end + 4).collect();
+                        let rest = inbox.split_off(end + 4);
+                        let head = std::mem::replace(inbox, rest);
                         let wants_page = head.starts_with(b"GET /index.html ");
                         let (declared, body) = if wants_page && self.doomed.is_none() {
                             self.doomed = Some(sock);

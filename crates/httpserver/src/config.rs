@@ -57,9 +57,6 @@ pub struct ServerConfig {
     /// Set TCP_NODELAY on accepted connections (the paper's recommended
     /// setting for buffered implementations).
     pub nodelay: bool,
-    /// Response buffer size; the buffer also flushes when the connection
-    /// goes idle (no outstanding requests).
-    pub output_buffer: usize,
     /// Close the connection after this many requests (the early-Apache
     /// behaviour that exposed the RST hazard). `None` = unlimited.
     pub max_requests_per_connection: Option<u32>,
@@ -77,9 +74,6 @@ pub struct ServerConfig {
     /// Serve pre-computed deflated bodies for `text/html` when the client
     /// accepts the deflate coding.
     pub serve_deflate: bool,
-    /// Base of the virtual calendar for the `Date` header (epoch seconds
-    /// at simulation time zero).
-    pub date_base: u64,
     /// Kernel SYN-queue depth for the listening socket; overflowing SYNs
     /// are silently dropped and must be retransmitted. `None` = unbounded
     /// (the historical behaviour).
@@ -101,7 +95,6 @@ impl ServerConfig {
             kind: ServerKind::Jigsaw,
             port,
             nodelay: true,
-            output_buffer: 8 * 1024,
             max_requests_per_connection: None,
             naive_close: false,
             // Interpreted Java on a 1997 SPARC: a few ms of CPU per
@@ -110,7 +103,6 @@ impl ServerConfig {
             service_time_validate: SimDuration::from_millis(5),
             per_connection_cost: SimDuration::from_millis(7),
             serve_deflate: false,
-            date_base: 865_209_600, // 2 June 1997
             listen_backlog: None,
             max_connections: None,
             admission_policy: AdmissionPolicy::Rst,
@@ -136,14 +128,12 @@ impl ServerConfig {
             kind: ServerKind::Apache,
             port,
             nodelay: true,
-            output_buffer: 8 * 1024,
             max_requests_per_connection: None,
             naive_close: false,
             service_time_get: SimDuration::from_millis(4),
             service_time_validate: SimDuration::from_millis(2),
             per_connection_cost: SimDuration::from_millis(5),
             serve_deflate: false,
-            date_base: 865_209_600,
             listen_backlog: None,
             max_connections: None,
             admission_policy: AdmissionPolicy::Rst,
@@ -172,12 +162,6 @@ impl ServerConfig {
     /// Builder-style naive-close toggle (the RST hazard).
     pub fn with_naive_close(mut self, on: bool) -> Self {
         self.naive_close = on;
-        self
-    }
-
-    /// Builder-style response-buffer size override.
-    pub fn with_output_buffer(mut self, bytes: usize) -> Self {
-        self.output_buffer = bytes;
         self
     }
 
@@ -220,13 +204,11 @@ mod tests {
             .with_deflate(true)
             .with_max_requests(5)
             .with_naive_close(true)
-            .with_nodelay(false)
-            .with_output_buffer(1024);
+            .with_nodelay(false);
         assert!(c.serve_deflate);
         assert_eq!(c.max_requests_per_connection, Some(5));
         assert!(c.naive_close);
         assert!(!c.nodelay);
-        assert_eq!(c.output_buffer, 1024);
         assert_eq!(c.port, 8080);
     }
 }

@@ -37,6 +37,14 @@ use netsim::{Metric, SimTime, SocketId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Response buffer size; the buffer also flushes when the connection goes
+/// idle (no outstanding requests).
+const OUTPUT_BUFFER: usize = 8 * 1024;
+
+/// Base of the virtual calendar for the `Date` header: epoch seconds at
+/// simulation time zero (2 June 1997).
+const DATE_BASE: u64 = 865_209_600;
+
 /// Counters exposed after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -172,7 +180,7 @@ impl HttpServer {
     /// What every response starts with: `Date` (the virtual wall clock)
     /// and `Server`.
     fn start_response(&self, version: Version, status: StatusCode, now: SimTime) -> Response {
-        let date = HttpDate(self.config.date_base + now.as_secs_f64() as u64);
+        let date = HttpDate(DATE_BASE + now.as_secs_f64() as u64);
         Response::new(version, status)
             .with_header("Date", date)
             .with_header("Server", self.config.kind.server_header())
@@ -423,7 +431,7 @@ impl HttpServer {
             return;
         }
         let idle = conn.in_service == 0;
-        if conn.outbuf.len() < self.config.output_buffer && !idle && !conn.closing {
+        if conn.outbuf.len() < OUTPUT_BUFFER && !idle && !conn.closing {
             return;
         }
         ctx.send_from(sock, &mut conn.outbuf);

@@ -22,6 +22,19 @@ use std::collections::BTreeMap;
 /// was measured from 0, and no arithmetic depends on it.
 const ISS: Seq = Seq::new(0);
 
+/// The slow-start threshold before any loss, in bytes.
+const INITIAL_SSTHRESH: usize = 65_535;
+
+/// The retransmission timeout before any RTT measurement exists: the
+/// classic BSD initial RTO of 3 s (RFC 1122). A smaller value causes
+/// spurious retransmission storms when several connections share a slow
+/// modem link — a real 1990s failure mode, but not one the paper's traces
+/// show.
+pub const INITIAL_RTO: SimDuration = SimDuration::from_millis(3_000);
+
+/// The lower bound on the retransmission timeout.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(500);
+
 /// Tunable parameters of a TCP endpoint.
 ///
 /// Defaults model a mid-1990s BSD-derived stack as used in the paper's
@@ -38,16 +51,10 @@ pub struct TcpConfig {
     pub send_buffer: usize,
     /// Initial congestion window, in segments.
     pub initial_cwnd_segments: u32,
-    /// Initial slow-start threshold in bytes.
-    pub initial_ssthresh: usize,
     /// Disable the Nagle algorithm (TCP_NODELAY).
     pub nodelay: bool,
     /// Delayed-ACK timeout; an ACK is also forced every second full segment.
     pub delayed_ack: SimDuration,
-    /// Retransmission timeout before any RTT measurement exists.
-    pub initial_rto: SimDuration,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
     /// How long a socket lingers in TIME_WAIT (2·MSL).
     pub time_wait: SimDuration,
     /// Which congestion-control algorithm drives the window (see
@@ -63,15 +70,8 @@ impl Default for TcpConfig {
             recv_window: 65_535,
             send_buffer: 65_535,
             initial_cwnd_segments: 2,
-            initial_ssthresh: 65_535,
             nodelay: false,
             delayed_ack: SimDuration::from_millis(200),
-            // The classic BSD initial RTO of 3 s (RFC 1122). A smaller
-            // value causes spurious retransmission storms when several
-            // connections share a slow modem link — a real 1990s failure
-            // mode, but not one the paper's traces show.
-            initial_rto: SimDuration::from_millis(3_000),
-            min_rto: SimDuration::from_millis(500),
             time_wait: SimDuration::from_secs(60),
             cc: CcVariant::Reno,
         }
@@ -369,8 +369,6 @@ impl Tcb {
 
     fn new(local: SockAddr, remote: SockAddr, cfg: TcpConfig, state: State, iss: Seq) -> Tcb {
         let cwnd = cfg.mss * cfg.initial_cwnd_segments as usize;
-        let initial_rto = cfg.initial_rto;
-        let ssthresh = cfg.initial_ssthresh;
         let cc_variant = cfg.cc;
         Tcb {
             local,
@@ -395,10 +393,10 @@ impl Tcb {
             peer_fin_delivered: false,
             no_more_reads: false,
             cc: CongestionState {
-                ctl: CcCtl::new(cc_variant, cwnd, ssthresh),
+                ctl: CcCtl::new(cc_variant, cwnd, INITIAL_SSTHRESH),
                 srtt_ns: None,
                 rttvar_ns: 0,
-                rto: initial_rto,
+                rto: INITIAL_RTO,
                 rto_backoff: 0,
                 rtt_sample: None,
             },
@@ -1103,7 +1101,7 @@ impl Tcb {
                     }
                 }
                 let rto_ns = self.cc.srtt_ns.unwrap() + (4 * self.cc.rttvar_ns).max(10_000_000);
-                self.cc.rto = SimDuration::from_nanos(rto_ns).max(self.cfg.min_rto);
+                self.cc.rto = SimDuration::from_nanos(rto_ns).max(MIN_RTO);
                 self.cc.rtt_sample = None;
             }
         }

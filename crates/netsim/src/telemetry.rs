@@ -18,20 +18,21 @@
 //!   runs of a build without the subsystem, proven field-for-field by
 //!   differential tests.
 //! * **Integer time only.** All times are integer nanoseconds or tick
-//!   indices; the module contains no floating point at all, and simlint's
-//!   `telemetry-integer` rule enforces that on this file. The module
-//!   forbids clippy's `disallowed_types` and `disallowed_methods`, so no
-//!   `#[allow]` or `#[expect]` can lift the workspace's bans on hash
-//!   collections and the wall clock here.
+//!   indices; the module contains no floating point at all, and the
+//!   `telemetry-integer` source rule (`core/tests/source_rules.rs`)
+//!   enforces that on this file. The module forbids clippy's
+//!   `disallowed_types` and `disallowed_methods`, so no `#[allow]` or
+//!   `#[expect]` can lift the workspace's bans on hash collections and
+//!   the wall clock here.
 //! * **Deterministic storage, constant-time recording.** A scope is
 //!   resolved once, through an ordered index, to a `ScopeId`: the
 //!   position of its entry in the scope table. Whoever writes a scope
 //!   often (the kernel, for every connection, link direction and host)
 //!   keeps the id and records by it, so a write costs the same whether the
 //!   run holds ten series or a hundred thousand; nothing recorded is ever
-//!   searched or shifted (simlint's `recorder-search`). [`SeriesKey`] order
-//!   is made when the sink is read — a walk of the index — never a hash
-//!   order.
+//!   searched or shifted (the `recorder-search` source rule).
+//!   [`SeriesKey`] order is made when the sink is read — a walk of the
+//!   index — never a hash order.
 //! * **Storage by the block.** Every table of the sink is append-only and
 //!   grows by fixed-size blocks that never move (`crate::blocks`): the
 //!   scope table; one table of series heads, each scope's on a ring its

@@ -5,7 +5,7 @@
 //! protocol comparisons shift once the link is no longer perfect.
 
 use netsim::sim::{App, AppEvent, Ctx};
-use netsim::tcp::{Effects, State, Tcb, TcpConfig, TimerKind};
+use netsim::tcp::{Effects, State, Tcb, TcpConfig, TimerKind, INITIAL_RTO};
 use netsim::{
     HostId, ImpairConfig, JitterModel, LinkConfig, LossModel, SimDuration, SimTime, Simulator,
     SockAddr,
@@ -56,8 +56,8 @@ fn ms(v: u64) -> SimTime {
 fn rto_backs_off_exponentially_and_karn_ignores_ambiguous_ack() {
     let (mut c, mut s) = handshake();
     // No RTT sample exists yet (the handshake does not take one), so the
-    // base timeout is the configured initial RTO of 3 s.
-    let base = TcpConfig::default().initial_rto;
+    // base timeout is the initial RTO of 3 s.
+    let base = INITIAL_RTO;
     assert_eq!(base, SimDuration::from_millis(3_000));
 
     // t=1s: send one segment; the network eats it.
